@@ -143,11 +143,12 @@ fn pseudodecimal() {
     });
     let cfg = btrblocks::Config::default();
     let mut block = Vec::new();
-    btrblocks::scheme::compress_double_with(
+    btrblocks::scheme::compress_double_with_into(
         btrblocks::SchemeCode::Pseudodecimal,
         &prices,
         3,
         &cfg,
+        &mut btrblocks::EncodeScratch::new(),
         &mut block,
     );
     let scalar_cfg = btrblocks::Config {
@@ -158,9 +159,12 @@ fn pseudodecimal() {
         ("pseudodecimal_decode_avx2", &cfg),
         ("pseudodecimal_decode_scalar", &scalar_cfg),
     ] {
+        let mut scratch = btrblocks::DecodeScratch::new();
+        let mut out = Vec::new();
         bench(name, Some(N * 8), || {
             let mut r = btrblocks::writer::Reader::new(black_box(&block));
-            black_box(btrblocks::scheme::decompress_double(&mut r, cfg).unwrap());
+            btrblocks::scheme::decompress_double_into(&mut r, cfg, &mut scratch, &mut out).unwrap();
+            black_box(&out);
         });
     }
 }

@@ -17,14 +17,9 @@ fn main() {
         ("figure8", e::figure8::run),
         ("table4", e::table4::run),
         ("scan_cost", e::scan_cost::run),
-        ("scan_pipeline", e::scan_pipeline::run),
-        ("query_engine", e::query_engine::run),
-        ("decode_scratch", e::decode_scratch::run),
         ("column_scan", e::column_scan::run),
         ("compression_speed", e::compression_speed::run),
         ("scalar_ablation", e::scalar_ablation::run),
-        ("chaos_campaign", e::chaos_campaign::run),
-        ("scan_service", e::scan_service::run),
     ];
     for (name, run) in suite {
         eprintln!(">>> running {name} (rows={rows}, seed={seed})");

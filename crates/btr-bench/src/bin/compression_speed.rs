@@ -1,30 +1,8 @@
-//! Regenerates the paper's compression_speed experiment plus the encode-path
-//! (EncodeScratch + block-parallel) benchmark; see
-//! `btr_bench::experiments::compression_speed`.
-//!
-//! Installs the tracking allocator so the encode heap-growth columns are
-//! real, then prints both tables and, when `BENCH_COMPRESS_JSON` is set,
-//! writes the machine-readable encode metrics (fresh vs warm throughput,
-//! heap bytes per block, thread scaling, serial/parallel byte identity) to
-//! that path — CI points it at `BENCH_compress.json`.
-
-use btr_bench::experiments::compression_speed;
-use btr_corrupt::alloc::TrackingAllocator;
-
-#[global_allocator]
-static ALLOCATOR: TrackingAllocator = TrackingAllocator;
+//! Regenerates the paper's compression_speed experiment; see `btr_bench::experiments::compression_speed`.
 
 fn main() {
-    let (rows, seed) = (btr_bench::bench_rows(), btr_bench::bench_seed());
-    let bench = compression_speed::measure_encode(rows, seed);
-    if let Ok(path) = std::env::var("BENCH_COMPRESS_JSON") {
-        let json = compression_speed::encode_json(&bench, rows, seed);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("could not write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("wrote {path}");
-    }
-    println!("{}", compression_speed::run(rows, seed));
-    println!("{}", compression_speed::render_encode(&bench));
+    println!(
+        "{}",
+        btr_bench::experiments::compression_speed::run(btr_bench::bench_rows(), btr_bench::bench_seed())
+    );
 }

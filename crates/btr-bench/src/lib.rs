@@ -14,7 +14,6 @@
 
 pub mod experiments;
 pub mod formats;
-pub mod pool;
 pub mod proxies;
 
 use std::time::Instant;

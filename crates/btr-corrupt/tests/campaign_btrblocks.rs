@@ -10,7 +10,10 @@
 use btr_corrupt::alloc::TrackingAllocator;
 use btr_corrupt::campaign::{run, CampaignConfig, Verdict};
 use btr_corrupt::rng::Xorshift;
-use btrblocks::{Column, ColumnData, Config, Relation, StringArena};
+use btrblocks::{
+    decompress_block_into, filter_block, filter_decoded, CmpOp, Column, ColumnData, Config,
+    DecodeScratch, Literal, Relation, StringArena,
+};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
@@ -102,28 +105,53 @@ fn v2_files_survive_mutation_campaigns_at_every_cascade_depth() {
 }
 
 #[test]
-fn v1_files_never_panic_under_mutation() {
-    // v1 has no checksums, so a mutation can silently decode to different
-    // data — that is exactly the weakness v2 closes, not a decoder bug.
-    // This campaign therefore only demands panic-freedom and bounded
-    // allocations from the scheme decoders the mutations now reach.
+fn raw_blocks_never_panic_or_diverge_under_mutation() {
+    // In a file every block sits behind a CRC, so the campaigns above stop
+    // at the checksum. This one mutates bare block payloads — what a v1 file
+    // or a caller holding unverified bytes hands the scheme decoders — and
+    // drives both consumers of a block: `decompress_block_into` and the
+    // compressed-domain `filter_block`. Mutations may decode to different
+    // data (nothing checksums a bare block), so the bar is panic-freedom,
+    // bounded allocation, and agreement: the filter rejects exactly the
+    // blocks the decoder rejects and otherwise selects the rows the decoded
+    // block selects.
     let mut rng = Xorshift::new(0xB1);
     let cfg = cfg_at_depth(3);
-    for (label, rel) in [
-        ("v1 int", int_relation(&mut rng)),
-        ("v1 double", double_relation(&mut rng)),
-        ("v1 string", string_relation(&mut rng)),
+    let mut total = 0;
+    for (label, rel, op, literal) in [
+        ("int blocks", int_relation(&mut rng), CmpOp::Lt, Literal::Int(0)),
+        ("double blocks", double_relation(&mut rng), CmpOp::Ge, Literal::Double(250.0)),
+        ("string blocks", string_relation(&mut rng), CmpOp::Eq, Literal::Str(b"QUEENS".to_vec())),
     ] {
-        let bytes = btrblocks::compress(&rel, &cfg).unwrap().to_bytes_v1();
-        let campaign = CampaignConfig { seed: 0x4000, ..CampaignConfig::default() };
-        let report = run(&bytes, &campaign, |mutated| {
-            match btrblocks::decompress(mutated, &cfg) {
-                Ok(_) => Verdict::Clean,
-                Err(_) => Verdict::Error,
-            }
-        });
-        report.assert_clean(label);
+        let column = &btrblocks::compress(&rel, &cfg).unwrap().columns[0];
+        let ty = column.column_type;
+        let mut scratch = DecodeScratch::new();
+        let mut decoded = scratch.lease_decoded(ty);
+        for block in &column.blocks {
+            let campaign = CampaignConfig { seed: 0x4000, ..CampaignConfig::default() };
+            let report = run(block, &campaign, |mutated| {
+                let decode = decompress_block_into(mutated, ty, &cfg, &mut scratch, &mut decoded);
+                let filtered = filter_block(mutated, ty, op, &literal, &cfg);
+                match (decode, filtered) {
+                    (Err(_), Err(_)) => Verdict::Error,
+                    (Ok(()), Ok(rows)) => {
+                        let expected = filter_decoded(&decoded, op, &literal).unwrap();
+                        if rows.iter().eq(expected.iter()) {
+                            Verdict::Clean
+                        } else {
+                            Verdict::Divergent
+                        }
+                    }
+                    // One path answered a block the other rejected.
+                    _ => Verdict::Divergent,
+                }
+            });
+            report.assert_clean(label);
+            total += report.runs;
+        }
     }
+    // No smaller than the three whole-file v1 campaigns this replaces.
+    assert!(total >= 3 * 1_400, "only {total} mutations across block campaigns");
 }
 
 #[test]

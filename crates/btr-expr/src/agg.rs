@@ -27,9 +27,11 @@
 
 use crate::plan::ExprError;
 use crate::selection::Selection;
+use btrblocks::scheme::double::rle as rle_double;
+use btrblocks::scheme::int::rle as rle_int;
 use btrblocks::scheme::{self, SchemeCode};
 use btrblocks::writer::Reader;
-use btrblocks::{BlockZone, ColumnType, Config, DecodedColumn, Error};
+use btrblocks::{BlockZone, ColumnType, Config, DecodeScratch, DecodedColumn, Error};
 
 /// Which aggregate to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,8 +187,9 @@ impl AggState {
 
     /// Tries to fold a whole block in the compressed domain (OneValue and
     /// RLE frames). Returns `Ok(false)` when the scheme doesn't support it
-    /// (⇒ decode and use [`AggState::fold_decoded`]); corrupt frames are
-    /// typed errors.
+    /// (⇒ decode and use [`AggState::fold_decoded`]). Frames are validated
+    /// exactly as the block decoder validates them *before* anything folds,
+    /// so a block the decoder rejects is the same typed error here.
     pub fn fold_compressed(
         &mut self,
         bytes: &[u8],
@@ -194,8 +197,7 @@ impl AggState {
         cfg: &Config,
     ) -> btrblocks::Result<bool> {
         let mut r = Reader::new(bytes);
-        let code = SchemeCode::from_u8(r.u8()?)?;
-        let count = r.u32()? as usize;
+        let (code, count) = scheme::read_frame_header(&mut r, cfg)?;
         if let Acc::Count(c) = &mut self.acc {
             // The row count sits in every frame header.
             *c += count as u64;
@@ -204,42 +206,44 @@ impl AggState {
         if count == 0 {
             return Ok(true);
         }
+        let end_of_block = |r: &Reader<'_>| match r.rest() {
+            [] => Ok(()),
+            _ => Err(Error::Corrupt("trailing bytes after block")),
+        };
+        // One scratch per call: the run arrays' cascades lease from it.
+        let mut scratch = DecodeScratch::new();
+        let mut lengths = Vec::new();
         match (code, ty) {
             (SchemeCode::OneValue, ColumnType::Integer) => {
                 let v = r.i32()?;
+                end_of_block(&r)?;
                 self.fold_int_run(v, count);
-                Ok(true)
             }
             (SchemeCode::OneValue, ColumnType::Double) => {
                 let v = r.f64()?;
+                end_of_block(&r)?;
                 self.fold_double_run(v, count);
-                Ok(true)
             }
             (SchemeCode::Rle, ColumnType::Integer) => {
-                let _run_count = r.u32()?;
-                let values = scheme::decompress_int(&mut r, cfg)?;
-                let lengths = scheme::decompress_int(&mut r, cfg)?;
-                for (&v, &l) in values.iter().zip(&lengths) {
-                    let len = usize::try_from(l)
-                        .map_err(|_| Error::Corrupt("negative RLE run length"))?;
-                    self.fold_int_run(v, len);
+                let mut values = Vec::new();
+                rle_int::read_runs_into(&mut r, count, cfg, &mut scratch, &mut values, &mut lengths)?;
+                end_of_block(&r)?;
+                for (&v, &len) in values.iter().zip(&lengths) {
+                    self.fold_int_run(v, len as usize);
                 }
-                Ok(true)
             }
             (SchemeCode::Rle, ColumnType::Double) => {
-                let _run_count = r.u32()?;
-                let values = scheme::decompress_double(&mut r, cfg)?;
-                let lengths = scheme::decompress_int(&mut r, cfg)?;
-                for (&v, &l) in values.iter().zip(&lengths) {
-                    let len = usize::try_from(l)
-                        .map_err(|_| Error::Corrupt("negative RLE run length"))?;
-                    self.fold_double_run(v, len);
+                let mut values = Vec::new();
+                rle_double::read_runs_into(&mut r, count, cfg, &mut scratch, &mut values, &mut lengths)?;
+                end_of_block(&r)?;
+                for (&v, &len) in values.iter().zip(&lengths) {
+                    self.fold_double_run(v, len as usize);
                 }
-                Ok(true)
             }
             // Strings and every other scheme: decode.
-            _ => Ok(false),
+            _ => return Ok(false),
         }
+        Ok(true)
     }
 
     fn fold_int_run(&mut self, v: i32, len: usize) {
@@ -447,6 +451,77 @@ mod tests {
         let bytes = compress_block_with(SchemeCode::FastBp128, BlockRef::Int(&values), &cfg);
         let mut sum = AggState::new(AggKind::Sum, ColumnType::Integer).unwrap();
         assert!(!sum.fold_compressed(&bytes, ColumnType::Integer, &cfg).unwrap());
+    }
+
+    // The decode/filter half of this contract (same blocks, same errors from
+    // `decompress_block_into` and `filter_block`) is btrblocks'
+    // `tests/corruption_corpus.rs`.
+    #[test]
+    fn tampered_blocks_fail_like_the_decoder_instead_of_folding() {
+        use btrblocks::writer::WriteLe;
+        let cfg = Config::default();
+        let assert_rejected = |block: &[u8], ty: ColumnType, expected: Error| {
+            let mut out = DecodedColumn::Int(Vec::new());
+            let decoded = btrblocks::decompress_block_into(
+                block,
+                ty,
+                &cfg,
+                &mut DecodeScratch::new(),
+                &mut out,
+            );
+            assert_eq!(decoded.unwrap_err(), expected, "decoder");
+            let mut sum = AggState::new(AggKind::Sum, ty).unwrap();
+            assert_eq!(sum.fold_compressed(block, ty, &cfg).unwrap_err(), expected, "fold");
+            let untouched = AggState::new(AggKind::Sum, ty).unwrap();
+            assert_eq!(sum.value(), untouched.value(), "nothing may fold before validation");
+        };
+
+        // Frame count stomped 3 -> 10: the runs no longer add up.
+        let total = Error::Corrupt("RLE total length mismatch");
+        let mut ints = compress_block_with(SchemeCode::Rle, BlockRef::Int(&[1, 1, 2]), &cfg);
+        ints[1..5].copy_from_slice(&10u32.to_le_bytes());
+        assert_rejected(&ints, ColumnType::Integer, total.clone());
+        let mut doubles =
+            compress_block_with(SchemeCode::Rle, BlockRef::Double(&[1.0, 1.0, 2.0]), &cfg);
+        doubles[1..5].copy_from_slice(&10u32.to_le_bytes());
+        assert_rejected(&doubles, ColumnType::Double, total);
+
+        // Two run values, one run length: a `zip` would fold a truncated block.
+        let mut short = vec![SchemeCode::Rle.as_u8()];
+        short.put_u32(3);
+        short.put_u32(2);
+        short.put_u8(SchemeCode::Uncompressed.as_u8());
+        short.put_u32(2);
+        short.put_i32_slice(&[1, 2]);
+        short.put_u8(SchemeCode::Uncompressed.as_u8());
+        short.put_u32(1);
+        short.put_i32_slice(&[3]);
+        assert_rejected(
+            &short,
+            ColumnType::Integer,
+            Error::Corrupt("RLE run array length mismatch"),
+        );
+
+        // A OneValue frame claiming 2^32-1 rows: rejected by the frame cap,
+        // not folded four billion times.
+        let mut huge = vec![SchemeCode::OneValue.as_u8()];
+        huge.put_u32(u32::MAX);
+        huge.put_f64(0.1);
+        let started = std::time::Instant::now();
+        assert_rejected(
+            &huge,
+            ColumnType::Double,
+            Error::Corrupt("block claims more values than max_block_values"),
+        );
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+
+        let mut trailing = compress_block_with(SchemeCode::OneValue, BlockRef::Int(&[5; 8]), &cfg);
+        trailing.push(0);
+        assert_rejected(
+            &trailing,
+            ColumnType::Integer,
+            Error::Corrupt("trailing bytes after block"),
+        );
     }
 
     #[test]

@@ -179,13 +179,24 @@ struct Shared {
     morsels_claimed: CachePadded<AtomicU64>,
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// The deadline and retry budget `spec` grants one engine-driven scan or
+/// aggregate. Time runs on the source's simulated clock when it has one; the
+/// deadline starts now.
+fn fetch_ctl(source: &dyn BlockSource, spec: &ScanSpec) -> FetchCtl {
+    let clock = source
+        .health()
+        .map(|h| h.clock().clone())
+        .unwrap_or_default();
+    FetchCtl {
+        deadline: spec
+            .tolerance
+            .deadline_seconds
+            .map(|seconds| Deadline::after(&clock, seconds)),
+        budget: spec
+            .tolerance
+            .retry_budget
+            .map(|cfg| Arc::new(RetryBudget::new(cfg.capacity, cfg.refill_per_second))),
+        tenant: None,
     }
 }
 
@@ -237,7 +248,7 @@ fn worker_loop(shared: &Shared, pipeline: &BlockPipeline, groups: &[RowGroup]) {
                         "row group {} (block {}): {}",
                         i,
                         group.block,
-                        panic_text(payload.as_ref())
+                        btr_sync::panic_message(payload.as_ref())
                     )))
                 });
             let mut st = shared.state.lock();
@@ -286,23 +297,7 @@ impl ScanEngine {
     ) -> Result<Scan> {
         let plan = plan_scan(source.as_ref(), sidecar, spec)?;
         let columns = source.columns();
-        // Time runs on the source's simulated clock when it has one; the
-        // deadline starts when the scan does.
-        let clock = source
-            .health()
-            .map(|h| h.clock().clone())
-            .unwrap_or_default();
-        let ctl = FetchCtl {
-            deadline: spec
-                .tolerance
-                .deadline_seconds
-                .map(|seconds| Deadline::after(&clock, seconds)),
-            budget: spec
-                .tolerance
-                .retry_budget
-                .map(|cfg| Arc::new(RetryBudget::new(cfg.capacity, cfg.refill_per_second))),
-            tenant: None,
-        };
+        let ctl = fetch_ctl(source.as_ref(), spec);
         let capacity = self.options.prefetch.max(1);
         // A single scan never races itself past its own cache lookups, so
         // the engine runs gateless; the scan service installs a shared
@@ -391,21 +386,7 @@ impl ScanEngine {
         }
         let plan = plan_scan(source.as_ref(), sidecar, spec)?;
         let columns = source.columns();
-        let clock = source
-            .health()
-            .map(|h| h.clock().clone())
-            .unwrap_or_default();
-        let ctl = FetchCtl {
-            deadline: spec
-                .tolerance
-                .deadline_seconds
-                .map(|seconds| Deadline::after(&clock, seconds)),
-            budget: spec
-                .tolerance
-                .retry_budget
-                .map(|cfg| Arc::new(RetryBudget::new(cfg.capacity, cfg.refill_per_second))),
-            tenant: None,
-        };
+        let ctl = fetch_ctl(source.as_ref(), spec);
         let pipeline = BlockPipeline::new(PipelineParams {
             source: source.clone(),
             cache: self.cache.clone(),

@@ -194,16 +194,6 @@ struct Inner {
     metrics: OrderedMutex<Metrics>,
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Tasks one worker drains per scheduler-lock acquisition. Small enough that
 /// a point query queued behind another worker's batch still dispatches
 /// within a few task executions; large enough to amortize the scheduler and
@@ -264,7 +254,7 @@ fn worker_loop(inner: &Inner) {
                     "row group {} (block {}): {}",
                     task.group_idx,
                     task.group.block,
-                    panic_text(payload.as_ref())
+                    btr_sync::panic_message(payload.as_ref())
                 )))
             });
             scan.release_interest(task.group.block);

@@ -151,6 +151,16 @@ fn concurrent_scans_issue_each_block_get_at_most_once() {
     assert_eq!(report.admission_rejections, 0);
     let rows: u64 = report.tenants.iter().map(|t| t.rows_emitted).sum();
     assert_eq!(rows, 8_000);
+
+    // The accounting behind that economics: two scans asked for every block
+    // once each; one ask decoded it, the other was served by the shared cache
+    // or by joining the in-flight decode (cross-scan single-flight) — never
+    // by a second decode.
+    let decoded: u64 = report.tenants.iter().map(|t| t.blocks_decoded).sum();
+    assert_eq!(decoded, blocks);
+    assert_eq!(report.cache.hits + report.dedup_hits, blocks);
+    let tenant_dedup: u64 = report.tenants.iter().map(|t| t.dedup_hits).sum();
+    assert_eq!(tenant_dedup, report.dedup_hits);
 }
 
 #[test]

@@ -88,6 +88,20 @@ pub struct LockStats {
     pub contended: u64,
 }
 
+/// Renders a caught worker-panic payload (the `&str`/`String` cases `panic!`
+/// produces; anything else becomes a placeholder). Every worker pool in the
+/// workspace contains panics with `catch_unwind` and reports them as typed
+/// errors carrying this text.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// The runtime lock-order checker: a thread-local stack of held ranks.
 #[cfg(feature = "lock-order")]
 mod order {

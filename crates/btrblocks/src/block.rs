@@ -78,7 +78,7 @@ pub fn compress_block_into(
 ) -> SchemeCode {
     out.clear();
     match data {
-        BlockRef::Int(v) => scheme::compress_int_into(v, cfg.max_cascade_depth, cfg, scratch, out),
+        BlockRef::Int(v) => scheme::compress_int_into(v, cfg.max_cascade_depth, cfg, scratch, out, None),
         BlockRef::Double(v) => {
             scheme::compress_double_into(v, cfg.max_cascade_depth, cfg, scratch, out)
         }

@@ -39,7 +39,6 @@ pub mod crc32c;
 pub mod fxhash;
 pub mod metadata;
 pub mod parallel;
-pub mod query;
 pub mod relation;
 pub mod sampling;
 pub mod scheme;
@@ -61,15 +60,16 @@ pub use parallel::{
     decompress_parallel, decompress_parallel_stats, encode_granularity, encode_item_cost,
     encode_items, DecodeItem, EncodeItem, ParallelStats,
 };
-pub use query::{filter_block, filter_decoded, has_fast_path, CmpOp, Literal};
 pub use relation::{
-    compress, compress_column, compress_column_into, compress_column_with_scratch, decompress,
-    decompress_column_with_scratch, BlockRange, Column, CompressedColumn, CompressedRelation,
-    Relation,
+    compress, compress_column, compress_column_into, decompress, BlockRange, Column,
+    CompressedColumn, CompressedRelation, Relation,
 };
+pub use scheme::filter::{filter_block, filter_decoded, has_fast_path};
 pub use scheme::SchemeCode;
 pub use scratch::{DecodeScratch, EncodeScratch, ScratchStats};
-pub use types::{ColumnData, ColumnType, DecodedColumn, StringArena, StringViews};
+pub use types::{
+    CmpOp, ColumnData, ColumnType, DecodedColumn, Literal, StringArena, StringViews,
+};
 
 /// Errors produced by compression and decompression.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -266,7 +266,7 @@ pub fn pruned_filter(
     for ((block, zone), rows) in col.blocks.iter().zip(&meta.zones).zip(&meta.block_rows) {
         if zone.may_match(op, literal) {
             decoded += 1;
-            let matches = crate::query::filter_block(block, col.column_type, op, literal, cfg)?;
+            let matches = crate::scheme::filter::filter_block(block, col.column_type, op, literal, cfg)?;
             for m in matches.iter() {
                 out.insert(base + m);
             }

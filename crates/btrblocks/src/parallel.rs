@@ -79,18 +79,6 @@ pub fn decode_granularity() -> Granularity {
     Granularity::adaptive(8 << 10, 256 << 10)
 }
 
-/// Renders a caught panic payload (the `&str`/`String` cases `panic!`
-/// produces; anything else becomes a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Runs `work(i)` for every item over up to `threads` workers claiming
 /// cost-targeted morsels from a shared dispenser, returning results in item
 /// order plus per-worker accounting.
@@ -150,7 +138,7 @@ fn run_morsels<T: Send>(
             Err(payload) => std::panic::resume_unwind(Box::new(format!(
                 "worker for {} panicked: {}",
                 describe(i),
-                panic_message(payload.as_ref())
+                btr_sync::panic_message(payload.as_ref())
             ))),
         }
     }

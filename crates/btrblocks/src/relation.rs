@@ -34,8 +34,8 @@
 //!   localized to a part is [`Error::FileChecksumMismatch`].
 //!
 //! Version-1 files (no checksums, `byte_len | block bytes`, no footer) are
-//! still read transparently; [`CompressedRelation::to_bytes_v1`] writes the
-//! legacy layout for interop. All length/count fields parsed from the wire
+//! still read transparently (there is no v1 writer; `tests/fixtures/` pins a
+//! v1 file for the reader). All length/count fields parsed from the wire
 //! are capped against the bytes actually remaining, so a corrupt count can
 //! never trigger an oversized allocation.
 
@@ -311,37 +311,6 @@ impl CompressedRelation {
         out
     }
 
-    /// Serializes to the legacy v1 layout (no checksums). For interop with
-    /// readers that predate format v2; new files should use [`to_bytes`].
-    ///
-    /// [`to_bytes`]: CompressedRelation::to_bytes
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.compressed_size() + 64);
-        out.extend_from_slice(MAGIC);
-        out.put_u32(VERSION_V1);
-        out.extend_from_slice(&self.rows.to_le_bytes());
-        // lint: allow(cast) encode side: in-memory field sizes fit the wire widths
-        out.put_u32(self.columns.len() as u32);
-        for col in &self.columns {
-            let name = col.name.as_bytes();
-            // lint: allow(cast) encode side: column names are short identifiers
-            out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-            out.extend_from_slice(name);
-            out.put_u8(col.column_type.tag());
-            // lint: allow(cast) encode side: serialized bitmap is far smaller than 4 GiB
-            out.put_u32(col.nulls.len() as u32);
-            out.extend_from_slice(&col.nulls);
-            // lint: allow(cast) encode side: block count fits u32
-            out.put_u32(col.blocks.len() as u32);
-            for b in &col.blocks {
-                // lint: allow(cast) encode side: a block is far smaller than 4 GiB
-                out.put_u32(b.len() as u32);
-                out.extend_from_slice(b);
-            }
-        }
-        out
-    }
-
     /// Parses the single-file layout (v1 or v2).
     ///
     /// For v2 the whole-file footer CRC is computed up front, then every
@@ -488,10 +457,8 @@ pub fn compress_column(col: &Column, cfg: &Config) -> CompressedColumn {
     compress_column_with_scratch(col, cfg, &mut scratch)
 }
 
-/// [`compress_column`] with a caller-provided scratch arena: every encode
-/// temporary (sample gathers, candidate trial buffers, scheme side-arrays,
-/// cascade recursion) is leased from `scratch` instead of allocated fresh.
-pub fn compress_column_with_scratch(
+/// [`compress_column_into`] a fresh shell.
+fn compress_column_with_scratch(
     col: &Column,
     cfg: &Config,
     scratch: &mut EncodeScratch,
@@ -605,21 +572,15 @@ pub fn decompress_relation(compressed: &CompressedRelation, cfg: &Config) -> Res
     let mut scratch = DecodeScratch::new();
     let mut columns = Vec::with_capacity(compressed.columns.len());
     for col in &compressed.columns {
-        columns.push(decompress_column_with_scratch(col, cfg, &mut scratch)?);
+        columns.push(decompress_column(col, cfg, &mut scratch)?);
     }
     Ok(Relation { columns })
 }
 
-/// Decompresses a single column (all blocks, concatenated).
-pub fn decompress_column(col: &CompressedColumn, cfg: &Config) -> Result<Column> {
-    let mut scratch = DecodeScratch::new();
-    decompress_column_with_scratch(col, cfg, &mut scratch)
-}
-
-/// [`decompress_column`] with a caller-provided scratch arena: one leased
-/// block buffer is reused across all of the column's blocks and returned to
-/// the pool at the end, so a warm pool makes per-block decode allocation-free.
-pub fn decompress_column_with_scratch(
+/// Decompresses a single column (all blocks, concatenated): one leased block
+/// buffer is reused across all of the column's blocks and returned to the
+/// pool at the end, so a warm pool makes per-block decode allocation-free.
+fn decompress_column(
     col: &CompressedColumn,
     cfg: &Config,
     scratch: &mut DecodeScratch,
@@ -774,21 +735,6 @@ mod tests {
         for (i, v) in values.iter().enumerate() {
             assert_eq!(restored.columns[0].is_null(i), v.is_none());
         }
-    }
-
-    #[test]
-    fn v1_files_still_decompress() {
-        let cfg = Config::default();
-        let rel = sample_relation(2_000);
-        let compressed = compress(&rel, &cfg).unwrap();
-        let v1 = compressed.to_bytes_v1();
-        let v2 = compressed.to_bytes();
-        assert_eq!(decompress(&v1, &cfg).unwrap(), rel);
-        // v1 is smaller (no checksums), v2 carries 8 bytes/block + footer.
-        assert!(v1.len() < v2.len());
-        let extra: usize =
-            compressed.columns.iter().map(|c| 4 * c.blocks.len()).sum::<usize>() + 4;
-        assert_eq!(v1.len() + extra, v2.len());
     }
 
     #[test]

@@ -108,22 +108,14 @@ pub fn compress(
     // lint: allow(cast) encode side; serialized bitmap of one block fits u32
     out.put_u32(bitmap_bytes.len() as u32);
     out.extend_from_slice(&bitmap_bytes);
-    scheme::compress_int_into(&digits, child_depth, cfg, scratch, out);
-    scheme::compress_int_into(&exponents, child_depth, cfg, scratch, out);
+    scheme::compress_int_into(&digits, child_depth, cfg, scratch, out, None);
+    scheme::compress_int_into(&exponents, child_depth, cfg, scratch, out, None);
     // lint: allow(cast) encode side; patches.len() <= block row count
     out.put_u32(patches.len() as u32);
     out.put_f64_slice(&patches);
     scratch.release_i32(digits);
     scratch.release_i32(exponents);
     scratch.release_f64(patches);
-}
-
-/// Decompresses a Pseudodecimal block of `count` doubles.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<Vec<f64>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
 }
 
 /// Decompresses a Pseudodecimal block of `count` doubles into `out`, leasing
@@ -295,23 +287,14 @@ unsafe fn decode4_avx2(digits: &[i32], exponents: &[i32], out: *mut f64) {
 mod tests {
     use super::*;
     use crate::config::SimdMode;
-    use crate::scheme::{compress_double_with, decompress_double, SchemeCode};
+    use crate::scheme::testutil::roundtrip_double;
+    use crate::scheme::SchemeCode;
 
-    fn roundtrip_with(values: &[f64], simd: SimdMode) {
-        let cfg = Config { simd, ..Config::default() };
-        let mut buf = Vec::new();
-        compress_double_with(SchemeCode::Pseudodecimal, values, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress_double(&mut r, &cfg).unwrap();
-        assert_eq!(out.len(), values.len());
-        for (i, (a, b)) in values.iter().zip(&out).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "index {i}: {a} vs {b}");
-        }
-    }
-
-    fn roundtrip(values: &[f64]) {
-        roundtrip_with(values, SimdMode::Auto);
-        roundtrip_with(values, SimdMode::ForceScalar);
+    /// Round-trips under both decode kernels; returns the compressed size.
+    fn roundtrip(values: &[f64]) -> usize {
+        let scalar = Config { simd: SimdMode::ForceScalar, ..Config::default() };
+        roundtrip_double(SchemeCode::Pseudodecimal, values, &scalar);
+        roundtrip_double(SchemeCode::Pseudodecimal, values, &Config { simd: SimdMode::Auto, ..scalar })
     }
 
     #[test]
@@ -378,14 +361,8 @@ mod tests {
 
     #[test]
     fn compresses_price_data_well() {
-        let cfg = Config::default();
         let values: Vec<f64> = (0..64_000).map(|i| (i % 100) as f64 * 0.05 + 0.99).collect();
-        let mut buf = Vec::new();
-        compress_double_with(SchemeCode::Pseudodecimal, &values, 3, &cfg, &mut buf);
-        assert!(
-            buf.len() * 4 < values.len() * 8,
-            "PDE should beat raw doubles 4x on prices, got {} bytes",
-            buf.len()
-        );
+        let size = roundtrip(&values);
+        assert!(size * 4 < values.len() * 8, "PDE should beat raw doubles 4x on prices, got {size} bytes");
     }
 }

@@ -11,17 +11,9 @@ use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 use crate::fxhash::FxHashMap;
 
-/// Builds `(dictionary, codes)` in first-occurrence order, keyed by bits.
-pub fn encode_dict(values: &[f64]) -> (Vec<f64>, Vec<i32>) {
-    let mut map = FxHashMap::with_capacity_and_hasher(values.len() / 4 + 1, Default::default());
-    let mut dict = Vec::new();
-    let mut codes = Vec::with_capacity(values.len());
-    encode_dict_into(values, &mut map, &mut dict, &mut codes);
-    (dict, codes)
-}
-
-/// [`encode_dict`] into caller-owned buffers (all cleared first), so the
-/// encode path can lease the map and both arrays instead of allocating.
+/// Builds `(dictionary, codes)` in first-occurrence order, keyed by bits,
+/// into caller-owned buffers (all cleared first) so the encode path can lease
+/// the map and both arrays instead of allocating.
 pub fn encode_dict_into(
     values: &[f64],
     map: &mut FxHashMap<u64, usize>,
@@ -58,7 +50,7 @@ pub fn compress(
     // lint: allow(cast) encode side: dictionary entry count fits u32
     out.put_u32(dict.len() as u32);
     out.put_f64_slice(&dict);
-    scheme::compress_int_excluding_into(
+    scheme::compress_int_into(
         &codes,
         child_depth,
         cfg,
@@ -68,14 +60,6 @@ pub fn compress(
     );
     scratch.release_f64(dict);
     scratch.release_i32(codes);
-}
-
-/// Decompresses a dictionary block of `count` doubles.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<Vec<f64>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
 }
 
 /// Decompresses a dictionary block of `count` doubles into `out`, leasing
@@ -95,12 +79,12 @@ pub fn decompress_into(
         r.f64_vec_into(dict_len, &mut dict)?;
         scheme::decompress_int_into(r, cfg, scratch, &mut codes)?;
         if codes.len() != count {
-            return Err(Error::Corrupt("double dict code count mismatch"));
+            return Err(Error::Corrupt("dict code count mismatch"));
         }
         codes_u32.clear();
         for &c in codes.iter() {
             if c < 0 || c as usize >= dict_len {
-                return Err(Error::Corrupt("double dict code out of range"));
+                return Err(Error::Corrupt("dict code out of range"));
             }
             // lint: allow(cast) c was range-checked non-negative and < dict len above
             codes_u32.push(c as u32);
@@ -116,18 +100,12 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::scheme::{compress_double_with, decompress_double, SchemeCode};
+    use crate::config::Config;
+    use crate::scheme::testutil::roundtrip_double;
+    use crate::scheme::SchemeCode;
 
     fn roundtrip(values: &[f64]) {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_double_with(SchemeCode::Dict, values, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress_double(&mut r, &cfg).unwrap();
-        for (a, b) in values.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        roundtrip_double(SchemeCode::Dict, values, &Config::default());
     }
 
     #[test]

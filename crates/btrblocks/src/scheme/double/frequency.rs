@@ -44,14 +44,6 @@ pub fn compress(
     scratch.release_f64(exceptions);
 }
 
-/// Decompresses a Frequency block of `count` doubles.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<Vec<f64>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
 /// Decompresses a Frequency block of `count` doubles into `out`, leasing the
 /// exception buffer from `scratch`. The Roaring bitmap itself still
 /// deserializes into fresh containers — the one allocation this scheme keeps.
@@ -70,14 +62,14 @@ pub fn decompress_into(
     let result = (|| -> Result<()> {
         scheme::decompress_double_into(r, cfg, scratch, &mut exceptions)?;
         if bitmap.cardinality() as usize != exceptions.len() {
-            return Err(Error::Corrupt("double frequency exception count mismatch"));
+            return Err(Error::Corrupt("frequency exception count mismatch"));
         }
         positions.extend(bitmap.iter());
         // Splat the top value, then patch the exceptions in: both steps are
         // vectorized, with one range check over all positions up front.
         crate::simd::fill_f64(top, count, cfg.simd, out);
         if !crate::simd::patch_f64(out, &positions, &exceptions, cfg.simd) {
-            return Err(Error::Corrupt("double frequency position out of range"));
+            return Err(Error::Corrupt("frequency exception position out of range"));
         }
         Ok(())
     })();
@@ -88,19 +80,12 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::scheme::{compress_double_with, decompress_double, SchemeCode};
+    use crate::config::Config;
+    use crate::scheme::testutil::roundtrip_double;
+    use crate::scheme::SchemeCode;
 
     fn roundtrip(values: &[f64]) -> usize {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_double_with(SchemeCode::Frequency, values, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress_double(&mut r, &cfg).unwrap();
-        for (a, b) in values.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        buf.len()
+        roundtrip_double(SchemeCode::Frequency, values, &Config::default())
     }
 
     #[test]

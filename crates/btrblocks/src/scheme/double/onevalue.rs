@@ -12,12 +12,6 @@ pub fn compress(values: &[f64], out: &mut Vec<u8>) {
     out.put_f64(values.first().copied().unwrap_or(0.0));
 }
 
-/// Expands the stored value `count` times.
-pub fn decompress(r: &mut Reader<'_>, count: usize) -> Result<Vec<f64>> {
-    let v = r.f64()?;
-    Ok(vec![v; count])
-}
-
 /// Expands the stored value `count` times into `out`, reusing its capacity.
 pub fn decompress_into(
     r: &mut Reader<'_>,
@@ -34,18 +28,16 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::Config;
+    use crate::scheme::testutil::roundtrip_double;
+    use crate::scheme::SchemeCode;
 
     #[test]
     fn roundtrip_including_nan() {
         for v in [0.0f64, -0.0, f64::NAN, 123.456] {
-            let values = vec![v; 1000];
-            let mut buf = Vec::new();
-            compress(&values, &mut buf);
-            assert_eq!(buf.len(), 8);
-            let mut r = Reader::new(&buf);
-            let out = decompress(&mut r, 1000).unwrap();
-            assert!(out.iter().all(|x| x.to_bits() == v.to_bits()));
+            // 5-byte frame header + the one value.
+            let size = roundtrip_double(SchemeCode::OneValue, &[v; 1000], &Config::default());
+            assert_eq!(size, 5 + 8);
         }
     }
 }

@@ -6,22 +6,15 @@
 
 use crate::config::Config;
 use crate::scheme;
+use crate::scheme::int::rle::check_runs;
 use crate::scratch::{DecodeScratch, EncodeScratch};
 use crate::simd;
 use crate::writer::{Reader, WriteLe};
-use crate::{Error, Result};
+use crate::Result;
 
-/// Splits `values` into `(run_values, run_lengths)` comparing bit patterns,
-/// so NaN runs and `-0.0` vs `0.0` behave losslessly.
-pub fn runs_of(values: &[f64]) -> (Vec<f64>, Vec<i32>) {
-    let mut run_values = Vec::new();
-    let mut run_lengths = Vec::new();
-    runs_of_into(values, &mut run_values, &mut run_lengths);
-    (run_values, run_lengths)
-}
-
-/// [`runs_of`] into caller-owned buffers (cleared first), so the encode path
-/// can lease the run arrays instead of allocating per block.
+/// Splits `values` into `(run_values, run_lengths)` comparing bit patterns
+/// (so NaN runs and `-0.0` vs `0.0` behave losslessly), in caller-owned
+/// buffers (cleared first) so the encode path can lease the run arrays.
 pub fn runs_of_into(values: &[f64], run_values: &mut Vec<f64>, run_lengths: &mut Vec<i32>) {
     run_values.clear();
     run_lengths.clear();
@@ -53,17 +46,33 @@ pub fn compress(
     // lint: allow(cast) encode side: run count fits u32
     out.put_u32(run_values.len() as u32);
     scheme::compress_double_into(&run_values, child_depth, cfg, scratch, out);
-    scheme::compress_int_into(&run_lengths, child_depth, cfg, scratch, out);
+    scheme::compress_int_into(&run_lengths, child_depth, cfg, scratch, out, None);
     scratch.release_f64(run_values);
     scratch.release_i32(run_lengths);
 }
 
-/// Decompresses an RLE block of `count` doubles.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<Vec<f64>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
+/// Reads and validates a double RLE payload's run arrays (see
+/// [`crate::scheme::int::rle::read_runs_into`], whose checks and errors this
+/// shares): the one parser behind decode, filter, and fold.
+pub fn read_runs_into(
+    r: &mut Reader<'_>,
+    count: usize,
+    cfg: &Config,
+    scratch: &mut DecodeScratch,
+    run_values: &mut Vec<f64>,
+    lengths: &mut Vec<u32>,
+) -> Result<()> {
+    let run_count = r.u32()? as usize;
+    // Capacity hint only — clamp so a hostile run_count can't force a huge
+    // lease.
+    let mut run_lengths = scratch.lease_i32(run_count.min(count));
+    let result = (|| -> Result<()> {
+        scheme::decompress_double_into(r, cfg, scratch, run_values)?;
+        scheme::decompress_int_into(r, cfg, scratch, &mut run_lengths)?;
+        check_runs(run_values.len(), &run_lengths, run_count, count, lengths)
+    })();
+    scratch.release_i32(run_lengths);
+    result
 }
 
 /// Decompresses an RLE block of `count` doubles into `out`, leasing the run
@@ -75,56 +84,27 @@ pub fn decompress_into(
     scratch: &mut DecodeScratch,
     out: &mut Vec<f64>,
 ) -> Result<()> {
-    let run_count = r.u32()? as usize;
-    // Capacity hints only — the cascade fills to whatever the child frames
-    // say. Clamp so a hostile run_count can't force a huge lease.
-    let hint = run_count.min(count);
+    // Uncapped peek of the run count, clamped, purely as a capacity hint.
+    let hint = r.clone().u32().map_or(0, |n| (n as usize).min(count));
     let mut run_values = scratch.lease_f64(hint);
-    let mut run_lengths = scratch.lease_i32(hint);
     let mut lengths = scratch.lease_u32(hint);
-    let result = (|| -> Result<()> {
-        scheme::decompress_double_into(r, cfg, scratch, &mut run_values)?;
-        scheme::decompress_int_into(r, cfg, scratch, &mut run_lengths)?;
-        if run_values.len() != run_count || run_lengths.len() != run_count {
-            return Err(Error::Corrupt("double RLE run array length mismatch"));
-        }
-        let mut total = 0usize;
-        lengths.clear();
-        for &l in run_lengths.iter() {
-            if l < 0 {
-                return Err(Error::Corrupt("negative double RLE run length"));
-            }
-            total += l as usize;
-            // lint: allow(cast) l was checked non-negative above
-            lengths.push(l as u32);
-        }
-        if total != count {
-            return Err(Error::Corrupt("double RLE total length mismatch"));
-        }
-        simd::rle_decode_f64_into(&run_values, &lengths, total, cfg.simd, out);
-        Ok(())
-    })();
+    let result = read_runs_into(r, count, cfg, scratch, &mut run_values, &mut lengths);
+    if result.is_ok() {
+        simd::rle_decode_f64_into(&run_values, &lengths, count, cfg.simd, out);
+    }
     scratch.release_f64(run_values);
-    scratch.release_i32(run_lengths);
     scratch.release_u32(lengths);
     result
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::scheme::{compress_double_with, decompress_double, SchemeCode};
+    use crate::config::Config;
+    use crate::scheme::testutil::roundtrip_double;
+    use crate::scheme::SchemeCode;
 
     fn roundtrip(values: &[f64]) {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_double_with(SchemeCode::Rle, values, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress_double(&mut r, &cfg).unwrap();
-        assert_eq!(out.len(), values.len());
-        for (a, b) in values.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        roundtrip_double(SchemeCode::Rle, values, &Config::default());
     }
 
     #[test]

@@ -10,11 +10,6 @@ pub fn compress(values: &[f64], out: &mut Vec<u8>) {
     out.put_f64_slice(values);
 }
 
-/// Reads `count` raw doubles.
-pub fn decompress(r: &mut Reader<'_>, count: usize) -> Result<Vec<f64>> {
-    r.f64_vec(count)
-}
-
 /// Reads `count` raw doubles into `out`, reusing its capacity.
 pub fn decompress_into(
     r: &mut Reader<'_>,
@@ -28,17 +23,13 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::Config;
+    use crate::scheme::testutil::roundtrip_double;
+    use crate::scheme::SchemeCode;
 
     #[test]
     fn roundtrip_bitwise() {
-        let values = vec![0.0, -0.0, f64::NAN, f64::INFINITY, 1.25e-300];
-        let mut buf = Vec::new();
-        compress(&values, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress(&mut r, values.len()).unwrap();
-        for (a, b) in values.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let values = [0.0, -0.0, f64::NAN, f64::INFINITY, 1.25e-300];
+        roundtrip_double(SchemeCode::Uncompressed, &values, &Config::default());
     }
 }

@@ -18,11 +18,12 @@
 //! compressed block and return the matching row positions as a Roaring
 //! bitmap, without materializing the decompressed column when a fast path
 //! applies. The expression engine (crate `btr-expr`) builds its leaf kernels
-//! on top of these entry points; `btrblocks::query` re-exports them for
-//! back-compat.
+//! on top of these entry points.
 
+use crate::block::decompress_block_into;
 use crate::config::Config;
 use crate::scheme::{self, SchemeCode};
+use crate::scratch::DecodeScratch;
 use crate::types::{CmpOp, ColumnType, DecodedColumn, Literal};
 use crate::writer::Reader;
 use crate::{Error, Result};
@@ -65,6 +66,10 @@ pub fn filter_decoded(col: &DecodedColumn, op: CmpOp, literal: &Literal) -> Resu
 
 /// Evaluates `op(literal)` over one compressed block, returning matching row
 /// positions (block-relative).
+///
+/// Every path validates the block exactly as [`decompress_block_into`] does
+/// (frame cap, run totals, dictionary code range, trailing bytes): a block
+/// the decoder rejects is rejected here with the same error, never answered.
 pub fn filter_block(
     bytes: &[u8],
     ty: ColumnType,
@@ -73,15 +78,28 @@ pub fn filter_block(
     cfg: &Config,
 ) -> Result<RoaringBitmap> {
     let mut r = Reader::new(bytes);
-    let code = SchemeCode::from_u8(r.u8()?)?;
-    let count = r.u32()? as usize;
-    match (ty, literal) {
-        (ColumnType::Integer, Literal::Int(lit)) => filter_int(&mut r, code, count, op, *lit, cfg),
-        (ColumnType::Double, Literal::Double(lit)) => {
-            filter_double(&mut r, code, count, op, *lit, cfg)
+    let (code, count) = scheme::read_frame_header(&mut r, cfg)?;
+    // One scratch per call: every cascade level below leases from it.
+    let mut scratch = DecodeScratch::new();
+    let fast = match (ty, literal) {
+        (ColumnType::Integer, Literal::Int(lit)) => {
+            filter_int(&mut r, code, count, op, *lit, cfg, &mut scratch)?
         }
-        (ColumnType::String, Literal::Str(lit)) => filter_str(&mut r, code, count, op, lit, cfg),
-        _ => Err(Error::Corrupt("predicate literal type mismatch")),
+        (ColumnType::Double, Literal::Double(lit)) => {
+            filter_double(&mut r, code, count, op, *lit, cfg, &mut scratch)?
+        }
+        (ColumnType::String, Literal::Str(lit)) => filter_str(&mut r, code, count, op, lit)?,
+        _ => return Err(Error::Corrupt("predicate literal type mismatch")),
+    };
+    match fast {
+        Some(_) if !r.rest().is_empty() => Err(Error::Corrupt("trailing bytes after block")),
+        Some(matches) => Ok(matches),
+        // No compressed-domain kernel for this scheme: decompress then filter.
+        None => {
+            let mut decoded = scratch.lease_decoded(ty);
+            decompress_block_into(bytes, ty, cfg, &mut scratch, &mut decoded)?;
+            filter_decoded(&decoded, op, literal)
+        }
     }
 }
 
@@ -105,26 +123,69 @@ fn all_or_none(count: usize, matched: bool) -> RoaringBitmap {
 
 /// Expands per-run verdicts to per-row positions in O(runs): matching runs
 /// become Roaring run-container ranges directly — the whole point of
-/// evaluating on compressed data.
-///
-/// Run lengths are decoded from untrusted bytes: a negative length or a total
-/// exceeding `u32::MAX` is a corruption, not a wrap-around.
-fn expand_runs(verdicts: &[bool], lengths: &[i32]) -> Result<RoaringBitmap> {
+/// evaluating on compressed data. `lengths` come validated from
+/// `rle::read_runs_into` (they sum to the frame's u32 count).
+fn expand_runs(verdicts: impl Iterator<Item = bool>, lengths: &[u32]) -> RoaringBitmap {
     let mut pos = 0u32;
     let mut ranges = Vec::new();
-    for (&v, &l) in verdicts.iter().zip(lengths) {
-        let len = u32::try_from(l).map_err(|_| Error::Corrupt("negative RLE run length"))?;
-        let end = pos
-            .checked_add(len)
-            .ok_or(Error::Corrupt("RLE run lengths overflow the row space"))?;
+    for (v, &len) in verdicts.zip(lengths) {
         if v {
-            ranges.push(pos..end);
+            ranges.push(pos..pos + len);
         }
-        pos = end;
+        pos += len;
     }
-    Ok(RoaringBitmap::from_sorted_ranges(ranges))
+    RoaringBitmap::from_sorted_ranges(ranges)
 }
 
+/// Maps a dictionary block's decoded code sequence through the
+/// per-dictionary-entry verdict table; a short sequence or a code outside the
+/// table is the same corruption the decoder reports.
+fn positions_of_codes(codes: &[i32], count: usize, verdict: &[bool]) -> Result<RoaringBitmap> {
+    if codes.len() != count {
+        return Err(Error::Corrupt("dict code count mismatch"));
+    }
+    let mut in_range = true;
+    let matches = positions_where(codes.iter().map(|&c| {
+        let v = usize::try_from(c).ok().and_then(|c| verdict.get(c));
+        in_range &= v.is_some();
+        v.copied().unwrap_or(false)
+    }));
+    if in_range {
+        Ok(matches)
+    } else {
+        Err(Error::Corrupt("dict code out of range"))
+    }
+}
+
+/// Flips the exception rows whose verdict differs from the top value's.
+/// Mirrors the decoder's checks: one exception per bitmap position, every
+/// position inside the block.
+fn patch_exceptions(
+    count: usize,
+    top_matches: bool,
+    bitmap: &RoaringBitmap,
+    exception_matches: impl ExactSizeIterator<Item = bool>,
+) -> Result<RoaringBitmap> {
+    if bitmap.cardinality() as usize != exception_matches.len() {
+        return Err(Error::Corrupt("frequency exception count mismatch"));
+    }
+    let mut out = all_or_none(count, top_matches);
+    for (pos, matches) in bitmap.iter().zip(exception_matches) {
+        if pos as usize >= count {
+            return Err(Error::Corrupt("frequency exception position out of range"));
+        }
+        if matches != top_matches {
+            if top_matches {
+                out.remove(pos);
+            } else {
+                out.insert(pos);
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// The integer compressed-domain kernels; `None` = this scheme has none.
 fn filter_int(
     r: &mut Reader<'_>,
     code: SchemeCode,
@@ -132,79 +193,37 @@ fn filter_int(
     op: CmpOp,
     lit: i32,
     cfg: &Config,
-) -> Result<RoaringBitmap> {
-    match code {
-        SchemeCode::OneValue => {
-            let v = r.i32()?;
-            Ok(all_or_none(count, op.matches(&v, &lit)))
-        }
+    scratch: &mut DecodeScratch,
+) -> Result<Option<RoaringBitmap>> {
+    Ok(Some(match code {
+        SchemeCode::OneValue => all_or_none(count, op.matches(&r.i32()?, &lit)),
         SchemeCode::Rle => {
-            let _run_count = r.u32()?;
-            let values = scheme::decompress_int(r, cfg)?;
-            let lengths = scheme::decompress_int(r, cfg)?;
-            let verdicts: Vec<bool> = values.iter().map(|v| op.matches(v, &lit)).collect();
-            expand_runs(&verdicts, &lengths)
+            let (mut values, mut lengths) = (Vec::new(), Vec::new());
+            scheme::int::rle::read_runs_into(r, count, cfg, scratch, &mut values, &mut lengths)?;
+            expand_runs(values.iter().map(|v| op.matches(v, &lit)), &lengths)
         }
         SchemeCode::Dict => {
             let dict_len = r.u32()? as usize;
             let dict = r.i32_vec(dict_len)?;
             let verdict: Vec<bool> = dict.iter().map(|v| op.matches(v, &lit)).collect();
-            let codes = scheme::decompress_int(r, cfg)?;
-            Ok(positions_where(codes.iter().map(|&c| {
-                verdict.get(c as usize).copied().unwrap_or(false)
-            })))
+            let mut codes = Vec::new();
+            scheme::decompress_int_into(r, cfg, scratch, &mut codes)?;
+            positions_of_codes(&codes, count, &verdict)?
         }
         SchemeCode::Frequency => {
             let top = r.i32()?;
             let bitmap_len = r.u32()? as usize;
             let bitmap = RoaringBitmap::deserialize(r.take(bitmap_len)?)?;
-            let exceptions = scheme::decompress_int(r, cfg)?;
-            let top_matches = op.matches(&top, &lit);
-            let mut out = if top_matches {
-                // Everything matches except exceptions that fail.
-                // lint: allow(cast) count came off a u32 frame header
-                let mut out = RoaringBitmap::from_sorted_iter(0..count as u32);
-                for (pos, v) in bitmap.iter().zip(&exceptions) {
-                    if !op.matches(v, &lit) {
-                        out.remove(pos);
-                    }
-                }
-                out
-            } else {
-                RoaringBitmap::new()
-            };
-            if !top_matches {
-                for (pos, v) in bitmap.iter().zip(&exceptions) {
-                    if op.matches(v, &lit) {
-                        out.insert(pos);
-                    }
-                }
-            }
-            Ok(out)
+            let mut exceptions = Vec::new();
+            scheme::decompress_int_into(r, cfg, scratch, &mut exceptions)?;
+            let verdicts = exceptions.iter().map(|v| op.matches(v, &lit));
+            patch_exceptions(count, op.matches(&top, &lit), &bitmap, verdicts)?
         }
-        // Bit-packed and uncompressed blocks: decompress then filter.
-        _ => {
-            let values = dispatch_int(r, code, count, cfg)?;
-            Ok(positions_where(values.iter().map(|v| op.matches(v, &lit))))
-        }
-    }
+        _ => return Ok(None),
+    }))
 }
 
-fn dispatch_int(
-    r: &mut Reader<'_>,
-    code: SchemeCode,
-    count: usize,
-    _cfg: &Config,
-) -> Result<Vec<i32>> {
-    use crate::scheme::int;
-    match code {
-        SchemeCode::Uncompressed => int::uncompressed::decompress(r, count),
-        SchemeCode::FastPfor => int::pfor::decompress(r, count),
-        SchemeCode::FastBp128 => int::bp::decompress(r, count),
-        other => Err(Error::InvalidScheme(other.as_u8())),
-    }
-}
-
+/// The double compressed-domain kernels; `None` = this scheme has none.
 fn filter_double(
     r: &mut Reader<'_>,
     code: SchemeCode,
@@ -212,99 +231,53 @@ fn filter_double(
     op: CmpOp,
     lit: f64,
     cfg: &Config,
-) -> Result<RoaringBitmap> {
-    match code {
-        SchemeCode::OneValue => {
-            let v = r.f64()?;
-            Ok(all_or_none(count, op.matches(&v, &lit)))
-        }
+    scratch: &mut DecodeScratch,
+) -> Result<Option<RoaringBitmap>> {
+    Ok(Some(match code {
+        SchemeCode::OneValue => all_or_none(count, op.matches(&r.f64()?, &lit)),
         SchemeCode::Rle => {
-            let _run_count = r.u32()?;
-            let values = scheme::decompress_double(r, cfg)?;
-            let lengths = scheme::decompress_int(r, cfg)?;
-            let verdicts: Vec<bool> = values.iter().map(|v| op.matches(v, &lit)).collect();
-            expand_runs(&verdicts, &lengths)
+            let (mut values, mut lengths) = (Vec::new(), Vec::new());
+            scheme::double::rle::read_runs_into(r, count, cfg, scratch, &mut values, &mut lengths)?;
+            expand_runs(values.iter().map(|v| op.matches(v, &lit)), &lengths)
         }
         SchemeCode::Dict => {
             let dict_len = r.u32()? as usize;
             let dict = r.f64_vec(dict_len)?;
             let verdict: Vec<bool> = dict.iter().map(|v| op.matches(v, &lit)).collect();
-            let codes = scheme::decompress_int(r, cfg)?;
-            Ok(positions_where(codes.iter().map(|&c| {
-                verdict.get(c as usize).copied().unwrap_or(false)
-            })))
+            let mut codes = Vec::new();
+            scheme::decompress_int_into(r, cfg, scratch, &mut codes)?;
+            positions_of_codes(&codes, count, &verdict)?
         }
         SchemeCode::Frequency => {
             let top = r.f64()?;
             let bitmap_len = r.u32()? as usize;
             let bitmap = RoaringBitmap::deserialize(r.take(bitmap_len)?)?;
-            let exceptions = scheme::decompress_double(r, cfg)?;
-            let top_matches = op.matches(&top, &lit);
-            let mut out = all_or_none(count, top_matches);
-            for (pos, v) in bitmap.iter().zip(&exceptions) {
-                if op.matches(v, &lit) != top_matches {
-                    if top_matches {
-                        out.remove(pos);
-                    } else {
-                        out.insert(pos);
-                    }
-                }
-            }
-            Ok(out)
+            let mut exceptions = Vec::new();
+            scheme::decompress_double_into(r, cfg, scratch, &mut exceptions)?;
+            let verdicts = exceptions.iter().map(|v| op.matches(v, &lit));
+            patch_exceptions(count, op.matches(&top, &lit), &bitmap, verdicts)?
         }
-        // Pseudodecimal / Uncompressed: decompress then filter.
-        other => {
-            use crate::scheme::double;
-            let values = match other {
-                SchemeCode::Uncompressed => double::uncompressed::decompress(r, count)?,
-                SchemeCode::Pseudodecimal => double::decimal::decompress(r, count, cfg)?,
-                other => return Err(Error::InvalidScheme(other.as_u8())),
-            };
-            Ok(positions_where(values.iter().map(|v| op.matches(v, &lit))))
-        }
-    }
+        _ => return Ok(None),
+    }))
 }
 
+/// The string compressed-domain kernel: OneValue decides once per block.
+/// Dictionary blocks decode straight to views over the (tiny) dictionary
+/// pool — no string bytes are copied — which is the decode path itself, so
+/// they share the fallback.
 fn filter_str(
     r: &mut Reader<'_>,
     code: SchemeCode,
     count: usize,
     op: CmpOp,
     lit: &[u8],
-    cfg: &Config,
-) -> Result<RoaringBitmap> {
-    use crate::scheme::str as sstr;
-    match code {
-        SchemeCode::OneValue => {
-            let views = sstr::onevalue::decompress(r, count)?;
-            let matched = count > 0 && op.matches(&views.get(0), &lit);
-            Ok(all_or_none(count, matched))
-        }
-        SchemeCode::Dict | SchemeCode::DictFsst => {
-            // Decode the dictionary (tiny) and evaluate per distinct value;
-            // the code sequence maps through the verdict table.
-            let views = match code {
-                SchemeCode::Dict => sstr::dict::decompress(r, count, cfg)?,
-                _ => sstr::dict_fsst::decompress(r, count, cfg)?,
-            };
-            // The views share the dict pool; evaluate each row's view. Rows
-            // with equal views hit the same bytes, so this is cache-friendly
-            // even without an explicit verdict table.
-            Ok(positions_where(
-                (0..views.len()).map(|i| op.matches(&views.get(i), &lit)),
-            ))
-        }
-        SchemeCode::Uncompressed | SchemeCode::Fsst => {
-            let views = match code {
-                SchemeCode::Uncompressed => sstr::uncompressed::decompress(r, count)?,
-                _ => sstr::fsst::decompress(r, count, cfg)?,
-            };
-            Ok(positions_where(
-                (0..views.len()).map(|i| op.matches(&views.get(i), &lit)),
-            ))
-        }
-        other => Err(Error::InvalidScheme(other.as_u8())),
+) -> Result<Option<RoaringBitmap>> {
+    if code != SchemeCode::OneValue {
+        return Ok(None);
     }
+    let len = r.u32()? as usize;
+    let value = r.take(len)?;
+    Ok(Some(all_or_none(count, op.matches(&value, &lit))))
 }
 
 #[cfg(test)]
@@ -462,6 +435,41 @@ mod tests {
         }
         // Type mismatch is a typed error, not a panic.
         assert!(filter_decoded(&decoded, CmpOp::Eq, &Literal::Double(1.0)).is_err());
+    }
+
+    #[test]
+    fn three_level_cascade_matches_filter_decoded() {
+        // RLE root -> Dictionary run values -> bit-packed code sequence: the
+        // one per-call scratch is leased from at every level of the cascade.
+        let cfg = Config::default();
+        let palette: Vec<i32> = (0..16).map(|i| 1_000_003 * (i * i - 40)).collect();
+        let mut rng = 0x9E37_79B9u32;
+        let mut values = Vec::new();
+        while values.len() < 60_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 17;
+            rng ^= rng << 5;
+            let run = 2 + (rng >> 8) as usize % 9;
+            values.extend(std::iter::repeat_n(palette[rng as usize % 16], run));
+        }
+        let bytes = compress_block_with(SchemeCode::Rle, BlockRef::Int(&values), &cfg);
+        // Frame header (5) + run count (4), then the run-values child frame;
+        // its payload is dict_len + 16 entries, then the code-sequence frame.
+        assert_eq!(bytes[0], SchemeCode::Rle.as_u8());
+        assert_eq!(bytes[9], SchemeCode::Dict.as_u8());
+        let codes_frame = bytes[9 + 5 + 4 + 16 * 4];
+        assert!(
+            codes_frame == SchemeCode::FastBp128.as_u8() || codes_frame == SchemeCode::FastPfor.as_u8(),
+            "code sequence should bit-pack, got scheme {codes_frame}"
+        );
+        let decoded = crate::block::decompress_block(&bytes, ColumnType::Integer, &cfg).unwrap();
+        for (op, lit) in [(CmpOp::Eq, palette[3]), (CmpOp::Lt, 0), (CmpOp::Ge, palette[9])] {
+            let lit = Literal::Int(lit);
+            let fast = filter_block(&bytes, ColumnType::Integer, op, &lit, &cfg).unwrap();
+            let slow = filter_decoded(&decoded, op, &lit).unwrap();
+            assert_eq!(fast.iter().collect::<Vec<_>>(), slow.iter().collect::<Vec<_>>(), "{op:?}");
+            assert!(!fast.is_empty() && (fast.cardinality() as usize) < values.len());
+        }
     }
 
     #[test]

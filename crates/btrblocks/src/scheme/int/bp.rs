@@ -12,13 +12,8 @@ use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 use btr_bitpacking::{bp128, for_delta};
 
-/// Compresses `values` as FOR + FastBP128.
-pub fn compress(values: &[i32], out: &mut Vec<u8>) {
-    let mut scratch = EncodeScratch::new();
-    compress_into(values, &mut scratch, out);
-}
-
-/// [`compress`] leasing the offset and packed-word buffers from `scratch`.
+/// Compresses `values` as FOR + FastBP128, leasing the offset and
+/// packed-word buffers from `scratch`.
 pub fn compress_into(values: &[i32], scratch: &mut EncodeScratch, out: &mut Vec<u8>) {
     let mut offsets = scratch.lease_u32(values.len());
     let base = for_delta::for_encode_into(values, &mut offsets);
@@ -30,14 +25,6 @@ pub fn compress_into(values: &[i32], scratch: &mut EncodeScratch, out: &mut Vec<
     out.put_u32_slice(&words);
     scratch.release_u32(words);
     scratch.release_u32(offsets);
-}
-
-/// Decompresses a FastBP128 block of `count` values.
-pub fn decompress(r: &mut Reader<'_>, count: usize) -> Result<Vec<i32>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_into(r, count, &Config::default(), &mut scratch, &mut out)?;
-    Ok(out)
 }
 
 /// Decompresses a FastBP128 block of `count` values into `out`, leasing the
@@ -80,32 +67,23 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::Config;
-    use crate::scheme::{compress_int_with, decompress_int, SchemeCode};
-
-    fn roundtrip(values: &[i32]) -> usize {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_int_with(SchemeCode::FastBp128, values, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        assert_eq!(decompress_int(&mut r, &cfg).unwrap(), values);
-        buf.len()
-    }
+    use crate::scheme::testutil::{encode_int, roundtrip_int};
+    use crate::scheme::SchemeCode;
 
     #[test]
     fn roundtrip_small_values() {
         let values: Vec<i32> = (0..12_800).map(|i| i % 16).collect();
-        let size = roundtrip(&values);
+        let size = roundtrip_int(SchemeCode::FastBp128, &values);
         // 4-bit packing => ~8x smaller.
         assert!(size * 6 < values.len() * 4, "got {size} bytes");
     }
 
     #[test]
     fn roundtrip_negative_and_extremes() {
-        roundtrip(&[-5, -4, -3, 0, 100]);
-        roundtrip(&[i32::MIN, i32::MAX, 0]);
-        roundtrip(&[]);
+        roundtrip_int(SchemeCode::FastBp128, &[-5, -4, -3, 0, 100]);
+        roundtrip_int(SchemeCode::FastBp128, &[i32::MIN, i32::MAX, 0]);
+        roundtrip_int(SchemeCode::FastBp128, &[]);
     }
 
     #[test]
@@ -115,15 +93,8 @@ mod tests {
         for i in (0..values.len()).step_by(128) {
             values[i] = i32::MAX;
         }
-        let mut bp_buf = Vec::new();
-        compress_int_with(SchemeCode::FastBp128, &values, 3, &cfg, &mut bp_buf);
-        let mut pfor_buf = Vec::new();
-        compress_int_with(SchemeCode::FastPfor, &values, 3, &cfg, &mut pfor_buf);
-        assert!(
-            pfor_buf.len() * 2 < bp_buf.len(),
-            "pfor {} vs bp {}",
-            pfor_buf.len(),
-            bp_buf.len()
-        );
+        let bp = encode_int(SchemeCode::FastBp128, &values, &cfg).len();
+        let pfor = encode_int(SchemeCode::FastPfor, &values, &cfg).len();
+        assert!(pfor * 2 < bp, "pfor {pfor} vs bp {bp}");
     }
 }

@@ -13,17 +13,9 @@ use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 use crate::fxhash::FxHashMap;
 
-/// Builds `(dictionary, codes)` in first-occurrence order.
-pub fn encode_dict(values: &[i32]) -> (Vec<i32>, Vec<i32>) {
-    let mut map = FxHashMap::with_capacity_and_hasher(values.len() / 4 + 1, Default::default());
-    let mut dict = Vec::new();
-    let mut codes = Vec::with_capacity(values.len());
-    encode_dict_into(values, &mut map, &mut dict, &mut codes);
-    (dict, codes)
-}
-
-/// [`encode_dict`] into caller-owned buffers (all cleared first), so the
-/// encode path can lease the map and both arrays instead of allocating.
+/// Builds `(dictionary, codes)` in first-occurrence order into caller-owned
+/// buffers (all cleared first), so the encode path can lease the map and both
+/// arrays instead of allocating.
 pub fn encode_dict_into(
     values: &[i32],
     map: &mut FxHashMap<i32, usize>,
@@ -60,7 +52,7 @@ pub fn compress(
     // lint: allow(cast) encode side: dictionary entry count fits u32
     out.put_u32(dict.len() as u32);
     out.put_i32_slice(&dict);
-    scheme::compress_int_excluding_into(
+    scheme::compress_int_into(
         &codes,
         child_depth,
         cfg,
@@ -70,14 +62,6 @@ pub fn compress(
     );
     scratch.release_i32(dict);
     scratch.release_i32(codes);
-}
-
-/// Decompresses a dictionary block of `count` values.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<Vec<i32>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
 }
 
 /// Decompresses a dictionary block of `count` values into `out`, leasing the
@@ -119,50 +103,40 @@ pub fn decompress_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{compress_int_with, decompress_int, SchemeCode};
-
-    fn roundtrip(values: &[i32]) {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_int_with(SchemeCode::Dict, values, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        assert_eq!(decompress_int(&mut r, &cfg).unwrap(), values);
-    }
+    use crate::scheme::testutil::{decode_int, roundtrip_int};
+    use crate::scheme::SchemeCode;
 
     #[test]
     fn roundtrip_low_cardinality() {
         let values: Vec<i32> = (0..10_000).map(|i| [1_000_000, -5, 0, 77][i % 4]).collect();
-        roundtrip(&values);
+        roundtrip_int(SchemeCode::Dict, &values);
     }
 
     #[test]
     fn roundtrip_single_and_empty() {
-        roundtrip(&[42]);
-        roundtrip(&[]);
+        roundtrip_int(SchemeCode::Dict, &[42]);
+        roundtrip_int(SchemeCode::Dict, &[]);
     }
 
     #[test]
     fn encode_dict_first_occurrence_order() {
-        let (dict, codes) = encode_dict(&[9, 5, 9, 1, 5]);
+        let (mut map, mut dict, mut codes) = (FxHashMap::default(), Vec::new(), Vec::new());
+        encode_dict_into(&[9, 5, 9, 1, 5], &mut map, &mut dict, &mut codes);
         assert_eq!(dict, vec![9, 5, 1]);
         assert_eq!(codes, vec![0, 1, 0, 2, 1]);
     }
 
     #[test]
     fn low_cardinality_compresses_well() {
-        let cfg = Config::default();
         let values: Vec<i32> = (0..64_000).map(|i| (i % 3) * 1_000_000).collect();
-        let mut buf = Vec::new();
-        compress_int_with(SchemeCode::Dict, &values, 3, &cfg, &mut buf);
-        assert!(buf.len() * 8 < values.len() * 4, "got {} bytes", buf.len());
+        let size = roundtrip_int(SchemeCode::Dict, &values);
+        assert!(size * 8 < values.len() * 4, "got {size} bytes");
     }
 
     #[test]
     fn out_of_range_code_is_error() {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
         // Hand-craft: dict of 1 entry, uncompressed codes [0, 1] (1 invalid).
-        use crate::writer::WriteLe;
+        let mut buf = Vec::new();
         buf.put_u8(SchemeCode::Dict as u8);
         buf.put_u32(2);
         buf.put_u32(1);
@@ -171,7 +145,9 @@ mod tests {
         buf.put_u32(2);
         buf.put_i32(0);
         buf.put_i32(1);
-        let mut r = Reader::new(&buf);
-        assert!(decompress_int(&mut r, &cfg).is_err());
+        assert_eq!(
+            decode_int(&buf, &Config::default()).unwrap_err(),
+            Error::Corrupt("dict code out of range")
+        );
     }
 }

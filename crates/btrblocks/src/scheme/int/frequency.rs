@@ -45,16 +45,8 @@ pub fn compress(
     // lint: allow(cast) encode side: serialized bitmap is far smaller than 4 GiB
     out.put_u32(bitmap_bytes.len() as u32);
     out.extend_from_slice(&bitmap_bytes);
-    scheme::compress_int_into(&exceptions, child_depth, cfg, scratch, out);
+    scheme::compress_int_into(&exceptions, child_depth, cfg, scratch, out, None);
     scratch.release_i32(exceptions);
-}
-
-/// Decompresses a Frequency block of `count` values.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<Vec<i32>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
 }
 
 /// Decompresses a Frequency block of `count` values into `out`, leasing the
@@ -93,17 +85,8 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::scheme::{compress_int_with, decompress_int, SchemeCode};
-
-    fn roundtrip(values: &[i32]) -> usize {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_int_with(SchemeCode::Frequency, values, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        assert_eq!(decompress_int(&mut r, &cfg).unwrap(), values);
-        buf.len()
-    }
+    use crate::scheme::testutil::roundtrip_int;
+    use crate::scheme::SchemeCode;
 
     #[test]
     fn roundtrip_dominant_value() {
@@ -111,23 +94,23 @@ mod tests {
         for i in (0..10_000).step_by(97) {
             values[i] = i as i32;
         }
-        let size = roundtrip(&values);
+        let size = roundtrip_int(SchemeCode::Frequency, &values);
         assert!(size * 10 < values.len() * 4, "got {size} bytes");
     }
 
     #[test]
     fn roundtrip_no_exceptions() {
-        roundtrip(&[5; 100]);
+        roundtrip_int(SchemeCode::Frequency, &[5; 100]);
     }
 
     #[test]
     fn roundtrip_all_exceptions_edge() {
         // Degenerate but legal: top value appears once.
-        roundtrip(&[1, 2, 3, 4]);
+        roundtrip_int(SchemeCode::Frequency, &[1, 2, 3, 4]);
     }
 
     #[test]
     fn roundtrip_empty() {
-        roundtrip(&[]);
+        roundtrip_int(SchemeCode::Frequency, &[]);
     }
 }

@@ -12,12 +12,6 @@ pub fn compress(values: &[i32], out: &mut Vec<u8>) {
     out.put_i32(values.first().copied().unwrap_or(0));
 }
 
-/// Expands the stored value `count` times.
-pub fn decompress(r: &mut Reader<'_>, count: usize) -> Result<Vec<i32>> {
-    let v = r.i32()?;
-    Ok(vec![v; count])
-}
-
 /// Expands the stored value `count` times into `out`, reusing its capacity.
 pub fn decompress_into(
     r: &mut Reader<'_>,
@@ -34,23 +28,17 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scheme::testutil::roundtrip_int;
+    use crate::scheme::SchemeCode;
 
     #[test]
     fn roundtrip() {
-        let values = vec![-77; 64_000];
-        let mut buf = Vec::new();
-        compress(&values, &mut buf);
-        assert_eq!(buf.len(), 4);
-        let mut r = Reader::new(&buf);
-        assert_eq!(decompress(&mut r, values.len()).unwrap(), values);
+        // 5-byte frame header + the one value.
+        assert_eq!(roundtrip_int(SchemeCode::OneValue, &[-77; 64_000]), 5 + 4);
     }
 
     #[test]
     fn zero_count() {
-        let mut buf = Vec::new();
-        compress(&[], &mut buf);
-        let mut r = Reader::new(&buf);
-        assert!(decompress(&mut r, 0).unwrap().is_empty());
+        roundtrip_int(SchemeCode::OneValue, &[]);
     }
 }

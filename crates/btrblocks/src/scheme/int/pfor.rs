@@ -11,13 +11,8 @@ use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 use btr_bitpacking::{fastpfor, for_delta};
 
-/// Compresses `values` as FOR + FastPFOR.
-pub fn compress(values: &[i32], out: &mut Vec<u8>) {
-    let mut scratch = EncodeScratch::new();
-    compress_into(values, &mut scratch, out);
-}
-
-/// [`compress`] leasing the offset and packed-word buffers from `scratch`.
+/// Compresses `values` as FOR + FastPFOR, leasing the offset and
+/// packed-word buffers from `scratch`.
 pub fn compress_into(values: &[i32], scratch: &mut EncodeScratch, out: &mut Vec<u8>) {
     let mut offsets = scratch.lease_u32(values.len());
     let base = for_delta::for_encode_into(values, &mut offsets);
@@ -29,14 +24,6 @@ pub fn compress_into(values: &[i32], scratch: &mut EncodeScratch, out: &mut Vec<
     out.put_u32_slice(&words);
     scratch.release_u32(words);
     scratch.release_u32(offsets);
-}
-
-/// Decompresses a FastPFOR block of `count` values.
-pub fn decompress(r: &mut Reader<'_>, count: usize) -> Result<Vec<i32>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_into(r, count, &Config::default(), &mut scratch, &mut out)?;
-    Ok(out)
 }
 
 /// Decompresses a FastPFOR block of `count` values into `out`, leasing the
@@ -79,23 +66,13 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::Config;
-    use crate::scheme::{compress_int_with, decompress_int, SchemeCode};
-
-    fn roundtrip(values: &[i32]) -> usize {
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_int_with(SchemeCode::FastPfor, values, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        assert_eq!(decompress_int(&mut r, &cfg).unwrap(), values);
-        buf.len()
-    }
+    use crate::scheme::testutil::roundtrip_int;
+    use crate::scheme::SchemeCode;
 
     #[test]
     fn roundtrip_narrow_range() {
         let values: Vec<i32> = (0..10_000).map(|i| 1_000_000 + (i % 100)).collect();
-        let size = roundtrip(&values);
+        let size = roundtrip_int(SchemeCode::FastPfor, &values);
         assert!(size * 3 < values.len() * 4, "got {size} bytes");
     }
 
@@ -104,13 +81,13 @@ mod tests {
         let mut values: Vec<i32> = (0..2_000).map(|i| i % 50).collect();
         values[13] = i32::MAX;
         values[1500] = i32::MIN;
-        roundtrip(&values);
+        roundtrip_int(SchemeCode::FastPfor, &values);
     }
 
     #[test]
     fn roundtrip_extremes_and_empty() {
-        roundtrip(&[i32::MIN, i32::MAX]);
-        roundtrip(&[]);
-        roundtrip(&[0]);
+        roundtrip_int(SchemeCode::FastPfor, &[i32::MIN, i32::MAX]);
+        roundtrip_int(SchemeCode::FastPfor, &[]);
+        roundtrip_int(SchemeCode::FastPfor, &[0]);
     }
 }

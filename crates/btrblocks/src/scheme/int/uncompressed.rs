@@ -10,11 +10,6 @@ pub fn compress(values: &[i32], out: &mut Vec<u8>) {
     out.put_i32_slice(values);
 }
 
-/// Reads `count` raw integers.
-pub fn decompress(r: &mut Reader<'_>, count: usize) -> Result<Vec<i32>> {
-    r.i32_vec(count)
-}
-
 /// Reads `count` raw integers into `out`, reusing its capacity.
 pub fn decompress_into(
     r: &mut Reader<'_>,
@@ -28,23 +23,21 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::Config;
+    use crate::scheme::testutil::{decode_int, encode_int, roundtrip_int};
+    use crate::scheme::SchemeCode;
 
     #[test]
     fn roundtrip() {
-        let values = vec![i32::MIN, -1, 0, 1, i32::MAX];
-        let mut buf = Vec::new();
-        compress(&values, &mut buf);
-        assert_eq!(buf.len(), values.len() * 4);
-        let mut r = Reader::new(&buf);
-        assert_eq!(decompress(&mut r, values.len()).unwrap(), values);
+        let values = [i32::MIN, -1, 0, 1, i32::MAX];
+        // 5-byte frame header + raw payload.
+        assert_eq!(roundtrip_int(SchemeCode::Uncompressed, &values), 5 + values.len() * 4);
     }
 
     #[test]
     fn truncated_errors() {
-        let mut buf = Vec::new();
-        compress(&[1, 2, 3], &mut buf);
-        let mut r = Reader::new(&buf[..8]);
-        assert!(decompress(&mut r, 3).is_err());
+        let cfg = Config::default();
+        let bytes = encode_int(SchemeCode::Uncompressed, &[1, 2, 3], &cfg);
+        assert!(decode_int(&bytes[..5 + 8], &cfg).is_err());
     }
 }

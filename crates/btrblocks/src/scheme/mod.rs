@@ -3,8 +3,8 @@
 //! Every compressed block is framed as `[scheme code: u8][count: u32][payload]`.
 //! Scheme payloads embed *child blocks* with the same framing (e.g. RLE's
 //! value and run-length arrays), which is how cascading works: compression
-//! recursively calls [`compress_int`] / [`compress_double`] /
-//! [`compress_str`] with a decremented depth budget, and decompression
+//! recursively calls [`compress_int_into`] / [`compress_double_into`] /
+//! [`compress_str_into`] with a decremented depth budget, and decompression
 //! recurses by reading the child frames. Depth 0 always yields
 //! `Uncompressed`, bounding the recursion (paper §3.2).
 //!
@@ -16,10 +16,12 @@
 //! cascade level) and passed by reference into viability checks, analytic
 //! estimates, and the chosen scheme's compressor.
 //!
-//! The `*_into` entry points thread an [`EncodeScratch`] arena through the
-//! whole pipeline so sample gathers, candidate trial buffers, and scheme
-//! side-arrays are leased rather than allocated; the legacy allocate-fresh
-//! signatures remain as thin wrappers.
+//! Every codec entry point threads a scratch arena ([`EncodeScratch`] /
+//! [`DecodeScratch`]) through the whole pipeline so sample gathers, candidate
+//! trial buffers, and scheme side-arrays are leased rather than allocated.
+//! Each type has exactly three: a selecting compressor, a forced-scheme
+//! compressor, and a decompressor. The allocate-for-me conveniences live one
+//! level up, in [`crate::block`].
 
 pub mod double;
 pub mod filter;
@@ -227,42 +229,16 @@ fn sample_cap(n: usize, cfg: &Config) -> usize {
 // ------------------------------------------------------------------ integers
 
 /// Compresses an integer block with automatic scheme selection, appending a
-/// framed block to `out`. Returns the root scheme chosen.
-pub fn compress_int(values: &[i32], depth: u8, cfg: &Config, out: &mut Vec<u8>) -> SchemeCode {
-    let mut scratch = EncodeScratch::new();
-    compress_int_excluding_into(values, depth, cfg, &mut scratch, out, None)
-}
-
-/// [`compress_int`] leasing all temporaries from `scratch`.
+/// framed block to `out` and leasing all temporaries from `scratch`. Returns
+/// the root scheme chosen. This is the cascade's workhorse: statistics are
+/// collected once (into a pooled map) and shared by selection and the chosen
+/// scheme's compressor.
+///
+/// `exclude` bans one scheme from the *root* choice. Schemes compressing their
+/// own outputs use it: a dictionary's code sequence must not immediately pick
+/// Dictionary again — the inner dictionary would be an identity mapping that
+/// burns cascade depth without shrinking anything.
 pub fn compress_int_into(
-    values: &[i32],
-    depth: u8,
-    cfg: &Config,
-    scratch: &mut EncodeScratch,
-    out: &mut Vec<u8>,
-) -> SchemeCode {
-    compress_int_excluding_into(values, depth, cfg, scratch, out, None)
-}
-
-/// Like [`compress_int`], but bans one scheme from the *root* choice. Used by
-/// schemes compressing their own outputs: a dictionary's code sequence must
-/// not immediately pick Dictionary again — the inner dictionary would be an
-/// identity mapping that burns cascade depth without shrinking anything.
-pub fn compress_int_excluding(
-    values: &[i32],
-    depth: u8,
-    cfg: &Config,
-    out: &mut Vec<u8>,
-    exclude: Option<SchemeCode>,
-) -> SchemeCode {
-    let mut scratch = EncodeScratch::new();
-    compress_int_excluding_into(values, depth, cfg, &mut scratch, out, exclude)
-}
-
-/// [`compress_int_excluding`] leasing all temporaries from `scratch`. This
-/// is the cascade's workhorse: statistics are collected once (into a pooled
-/// map) and shared by selection and the chosen scheme's compressor.
-pub fn compress_int_excluding_into(
     values: &[i32],
     depth: u8,
     cfg: &Config,
@@ -284,24 +260,19 @@ pub fn compress_int_excluding_into(
 
 /// Selects the best scheme for an integer block (paper Listing 1).
 pub fn pick_int(values: &[i32], depth: u8, cfg: &Config) -> Selection {
-    pick_int_excluding(values, depth, cfg, None)
-}
-
-/// [`pick_int`] with one scheme banned (see [`compress_int_excluding`]).
-pub fn pick_int_excluding(values: &[i32], depth: u8, cfg: &Config, exclude: Option<SchemeCode>) -> Selection {
     if depth == 0 || values.is_empty() {
         return trivial_selection();
     }
     let stats = IntegerStats::collect(values);
     let mut scratch = EncodeScratch::new();
     let mut estimates = Vec::new();
-    let code = select_int(values, depth, cfg, exclude, &stats, &mut scratch, Some(&mut estimates));
+    let code = select_int(values, depth, cfg, None, &stats, &mut scratch, Some(&mut estimates));
     Selection { code, estimates }
 }
 
-/// Selection body shared by [`pick_int_excluding`] (which records estimates)
-/// and [`compress_int_excluding_into`] (which does not): OneValue shortcut,
-/// sample gather into leased buffers, then the generic candidate loop with
+/// Selection body shared by [`pick_int`] (which records estimates) and
+/// [`compress_int_into`] (which does not): OneValue shortcut, sample gather
+/// into leased buffers, then the generic candidate loop with
 /// trial compressions reusing one leased output buffer.
 fn select_int(
     values: &[i32],
@@ -359,13 +330,8 @@ fn select_int(
 }
 
 /// Compresses an integer block with a forced root scheme (used by selection
-/// itself, by ablation benchmarks, and by the Figure 5/6 harnesses).
-pub fn compress_int_with(code: SchemeCode, values: &[i32], depth: u8, cfg: &Config, out: &mut Vec<u8>) {
-    let mut scratch = EncodeScratch::new();
-    compress_int_with_into(code, values, depth, cfg, &mut scratch, out);
-}
-
-/// [`compress_int_with`] leasing all temporaries from `scratch`.
+/// itself, by ablation benchmarks, and by the Figure 5/6 harnesses), leasing
+/// all temporaries from `scratch`.
 pub fn compress_int_with_into(
     code: SchemeCode,
     values: &[i32],
@@ -416,14 +382,6 @@ fn emit_int(
     }
 }
 
-/// Decompresses one framed integer block from `r` into a fresh vector.
-pub fn decompress_int(r: &mut Reader<'_>, cfg: &Config) -> Result<Vec<i32>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_int_into(r, cfg, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
 /// Decompresses one framed integer block from `r` into `out` (cleared
 /// first), leasing cascade temporaries from `scratch` instead of allocating.
 pub fn decompress_int_into(
@@ -447,46 +405,15 @@ pub fn decompress_int_into(
 
 // ------------------------------------------------------------------- doubles
 
-/// Compresses a double block with automatic scheme selection.
-pub fn compress_double(values: &[f64], depth: u8, cfg: &Config, out: &mut Vec<u8>) -> SchemeCode {
-    let mut scratch = EncodeScratch::new();
-    compress_double_excluding_into(values, depth, cfg, &mut scratch, out, None)
-}
-
-/// [`compress_double`] leasing all temporaries from `scratch`.
+/// Compresses a double block with automatic scheme selection, leasing all
+/// temporaries from `scratch`; statistics are collected once and shared (see
+/// [`compress_int_into`]).
 pub fn compress_double_into(
     values: &[f64],
     depth: u8,
     cfg: &Config,
     scratch: &mut EncodeScratch,
     out: &mut Vec<u8>,
-) -> SchemeCode {
-    compress_double_excluding_into(values, depth, cfg, scratch, out, None)
-}
-
-/// Like [`compress_double`], but bans one scheme from the root choice (see
-/// [`compress_int_excluding`] for why).
-pub fn compress_double_excluding(
-    values: &[f64],
-    depth: u8,
-    cfg: &Config,
-    out: &mut Vec<u8>,
-    exclude: Option<SchemeCode>,
-) -> SchemeCode {
-    let mut scratch = EncodeScratch::new();
-    compress_double_excluding_into(values, depth, cfg, &mut scratch, out, exclude)
-}
-
-/// [`compress_double_excluding`] leasing all temporaries from `scratch`,
-/// with statistics collected once and shared (see
-/// [`compress_int_excluding_into`]).
-pub fn compress_double_excluding_into(
-    values: &[f64],
-    depth: u8,
-    cfg: &Config,
-    scratch: &mut EncodeScratch,
-    out: &mut Vec<u8>,
-    exclude: Option<SchemeCode>,
 ) -> SchemeCode {
     if depth == 0 || values.is_empty() {
         emit_double(SchemeCode::Uncompressed, values, None, depth, cfg, scratch, out);
@@ -495,25 +422,20 @@ pub fn compress_double_excluding_into(
     let mut counts = scratch.lease_bits_map();
     let stats = DoubleStats::collect_with_map(values, &mut counts);
     scratch.release_bits_map(counts);
-    let code = select_double(values, depth, cfg, exclude, &stats, scratch, None);
+    let code = select_double(values, depth, cfg, &stats, scratch, None);
     emit_double(code, values, Some(&stats), depth, cfg, scratch, out);
     code
 }
 
 /// Selects the best scheme for a double block.
 pub fn pick_double(values: &[f64], depth: u8, cfg: &Config) -> Selection {
-    pick_double_excluding(values, depth, cfg, None)
-}
-
-/// [`pick_double`] with one scheme banned.
-pub fn pick_double_excluding(values: &[f64], depth: u8, cfg: &Config, exclude: Option<SchemeCode>) -> Selection {
     if depth == 0 || values.is_empty() {
         return trivial_selection();
     }
     let stats = DoubleStats::collect(values);
     let mut scratch = EncodeScratch::new();
     let mut estimates = Vec::new();
-    let code = select_double(values, depth, cfg, exclude, &stats, &mut scratch, Some(&mut estimates));
+    let code = select_double(values, depth, cfg, &stats, &mut scratch, Some(&mut estimates));
     Selection { code, estimates }
 }
 
@@ -522,7 +444,6 @@ fn select_double(
     values: &[f64],
     depth: u8,
     cfg: &Config,
-    exclude: Option<SchemeCode>,
     stats: &DoubleStats,
     scratch: &mut EncodeScratch,
     mut estimates: Option<&mut Vec<Estimate>>,
@@ -542,7 +463,7 @@ fn select_double(
     let code = run_selection(
         ColumnType::Double,
         cfg,
-        exclude,
+        None,
         |code| {
             if !double::viable(code, stats, &sample, cfg) {
                 return None;
@@ -568,13 +489,8 @@ fn select_double(
     code
 }
 
-/// Compresses a double block with a forced root scheme.
-pub fn compress_double_with(code: SchemeCode, values: &[f64], depth: u8, cfg: &Config, out: &mut Vec<u8>) {
-    let mut scratch = EncodeScratch::new();
-    compress_double_with_into(code, values, depth, cfg, &mut scratch, out);
-}
-
-/// [`compress_double_with`] leasing all temporaries from `scratch`.
+/// Compresses a double block with a forced root scheme, leasing all
+/// temporaries from `scratch`.
 pub fn compress_double_with_into(
     code: SchemeCode,
     values: &[f64],
@@ -621,14 +537,6 @@ fn emit_double(
     }
 }
 
-/// Decompresses one framed double block from `r` into a fresh vector.
-pub fn decompress_double(r: &mut Reader<'_>, cfg: &Config) -> Result<Vec<f64>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decompress_double_into(r, cfg, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
 /// Decompresses one framed double block from `r` into `out` (cleared first),
 /// leasing cascade temporaries from `scratch` instead of allocating.
 pub fn decompress_double_into(
@@ -651,16 +559,11 @@ pub fn decompress_double_into(
 
 // ------------------------------------------------------------------- strings
 
-/// Compresses a string block with automatic scheme selection.
-pub fn compress_str(arena: &StringArena, depth: u8, cfg: &Config, out: &mut Vec<u8>) -> SchemeCode {
-    let mut scratch = EncodeScratch::new();
-    compress_str_into(arena, depth, cfg, &mut scratch, out)
-}
-
-/// [`compress_str`] leasing temporaries from `scratch`, with statistics
-/// collected once and shared. (String stats key a map by borrowed string
-/// slices, whose lifetime ties it to `arena` — that map still allocates; the
-/// sample arena, trial buffer, and scheme side-arrays are pooled.)
+/// Compresses a string block with automatic scheme selection, leasing
+/// temporaries from `scratch`, with statistics collected once and shared.
+/// (String stats key a map by borrowed string slices, whose lifetime ties it
+/// to `arena` — that map still allocates; the sample arena, trial buffer, and
+/// scheme side-arrays are pooled.)
 pub fn compress_str_into(
     arena: &StringArena,
     depth: u8,
@@ -763,13 +666,8 @@ fn select_str(
     code
 }
 
-/// Compresses a string block with a forced root scheme.
-pub fn compress_str_with(code: SchemeCode, arena: &StringArena, depth: u8, cfg: &Config, out: &mut Vec<u8>) {
-    let mut scratch = EncodeScratch::new();
-    compress_str_with_into(code, arena, depth, cfg, &mut scratch, out);
-}
-
-/// [`compress_str_with`] leasing all temporaries from `scratch`.
+/// Compresses a string block with a forced root scheme, leasing all
+/// temporaries from `scratch`.
 pub fn compress_str_with_into(
     code: SchemeCode,
     arena: &StringArena,
@@ -803,14 +701,6 @@ fn emit_str(
         SchemeCode::Fsst => str::fsst::compress(arena, child_depth, cfg, scratch, out),
         _ => unreachable!("scheme {code:?} is not a string scheme"),
     }
-}
-
-/// Decompresses one framed string block from `r` into fresh views.
-pub fn decompress_str(r: &mut Reader<'_>, cfg: &Config) -> Result<StringViews> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = StringViews::default();
-    decompress_str_into(r, cfg, &mut scratch, &mut out)?;
-    Ok(out)
 }
 
 /// Decompresses one framed string block from `r` into `out` (its pool and
@@ -864,6 +754,72 @@ fn trivial_selection() -> Selection {
     Selection {
         code: SchemeCode::Uncompressed,
         estimates: vec![Estimate { code: SchemeCode::Uncompressed, ratio: 1.0 }],
+    }
+}
+
+/// The one forced-scheme round-trip helper every in-crate scheme test goes
+/// through: compress with a forced root scheme at cascade depth 3, decode
+/// through the scratch-threaded path, compare bit-exactly.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use super::*;
+
+    pub fn encode_int(code: SchemeCode, values: &[i32], cfg: &Config) -> Vec<u8> {
+        let mut out = Vec::new();
+        compress_int_with_into(code, values, 3, cfg, &mut EncodeScratch::new(), &mut out);
+        out
+    }
+
+    pub fn decode_int(bytes: &[u8], cfg: &Config) -> Result<Vec<i32>> {
+        let mut out = Vec::new();
+        decompress_int_into(&mut Reader::new(bytes), cfg, &mut DecodeScratch::new(), &mut out)?;
+        Ok(out)
+    }
+
+    pub fn encode_str(code: SchemeCode, arena: &StringArena, cfg: &Config) -> Vec<u8> {
+        let mut out = Vec::new();
+        compress_str_with_into(code, arena, 3, cfg, &mut EncodeScratch::new(), &mut out);
+        out
+    }
+
+    pub fn decode_str(bytes: &[u8], cfg: &Config) -> Result<StringViews> {
+        let mut out = StringViews::default();
+        decompress_str_into(&mut Reader::new(bytes), cfg, &mut DecodeScratch::new(), &mut out)?;
+        Ok(out)
+    }
+
+    /// Round-trips `values` through `code`; returns the compressed size.
+    pub fn roundtrip_int(code: SchemeCode, values: &[i32]) -> usize {
+        let cfg = Config::default();
+        let bytes = encode_int(code, values, &cfg);
+        assert_eq!(decode_int(&bytes, &cfg).unwrap(), values, "{code:?}");
+        bytes.len()
+    }
+
+    /// Round-trips `values` through `code` under `cfg`, comparing bit
+    /// patterns (NaN payloads, `-0.0`); returns the compressed size.
+    pub fn roundtrip_double(code: SchemeCode, values: &[f64], cfg: &Config) -> usize {
+        let (mut bytes, mut out) = (Vec::new(), Vec::new());
+        compress_double_with_into(code, values, 3, cfg, &mut EncodeScratch::new(), &mut bytes);
+        decompress_double_into(&mut Reader::new(&bytes), cfg, &mut DecodeScratch::new(), &mut out)
+            .unwrap();
+        assert_eq!(out.len(), values.len(), "{code:?}");
+        for (i, (a, b)) in values.iter().zip(&out).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{code:?} index {i}: {a} vs {b}");
+        }
+        bytes.len()
+    }
+
+    /// Round-trips `strings` through `code`; returns the compressed size.
+    pub fn roundtrip_str(code: SchemeCode, strings: &[&str]) -> usize {
+        let cfg = Config::default();
+        let bytes = encode_str(code, &StringArena::from_strs(strings), &cfg);
+        let out = decode_str(&bytes, &cfg).unwrap();
+        assert_eq!(out.len(), strings.len(), "{code:?}");
+        for (i, s) in strings.iter().enumerate() {
+            assert_eq!(out.get(i), s.as_bytes(), "{code:?} string {i}");
+        }
+        bytes.len()
     }
 }
 

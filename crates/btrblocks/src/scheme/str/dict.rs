@@ -12,6 +12,7 @@
 //! skipping the intermediate code array entirely.
 
 use crate::config::Config;
+use crate::scheme::int::rle;
 use crate::scheme::{self, SchemeCode};
 use crate::scratch::{DecodeScratch, EncodeScratch};
 use crate::simd;
@@ -20,17 +21,10 @@ use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 use crate::fxhash::FxHashMap;
 
-/// Builds `(dictionary arena, codes)` in first-occurrence order.
-pub fn encode_dict(arena: &StringArena) -> (StringArena, Vec<i32>) {
-    let mut dict = StringArena::new();
-    let mut codes = Vec::with_capacity(arena.len());
-    encode_dict_into(arena, &mut dict, &mut codes);
-    (dict, codes)
-}
-
-/// [`encode_dict`] into caller-owned buffers (cleared first). The lookup map
-/// keys borrow from `arena`, so it stays function-local — the one allocation
-/// the string dictionary keeps on the encode path.
+/// Builds `(dictionary arena, codes)` in first-occurrence order into
+/// caller-owned buffers (cleared first). The lookup map keys borrow from
+/// `arena`, so it stays function-local — the one allocation the string
+/// dictionary keeps on the encode path.
 pub fn encode_dict_into(arena: &StringArena, dict: &mut StringArena, codes: &mut Vec<i32>) {
     let mut map: FxHashMap<&[u8], i32> =
         FxHashMap::with_capacity_and_hasher(arena.len() / 4 + 1, Default::default());
@@ -60,7 +54,7 @@ pub fn compress(
     let mut codes = scratch.lease_i32(arena.len());
     encode_dict_into(arena, &mut dict, &mut codes);
     write_dict(&dict, out);
-    scheme::compress_int_excluding_into(&codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict));
+    scheme::compress_int_into(&codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict));
     scratch.release_arena(dict);
     scratch.release_i32(codes);
 }
@@ -72,14 +66,6 @@ pub(crate) fn write_dict(dict: &StringArena, out: &mut Vec<u8>) {
     out.put_u32(dict.bytes.len() as u32);
     out.extend_from_slice(&dict.bytes);
     out.put_u32_slice(&dict.offsets);
-}
-
-pub(crate) fn read_dict(r: &mut Reader<'_>) -> Result<(Vec<u8>, Vec<u64>)> {
-    let mut scratch = DecodeScratch::new();
-    let mut pool = Vec::new();
-    let mut views = Vec::new();
-    read_dict_into(r, &mut scratch, &mut pool, &mut views)?;
-    Ok((pool, views))
 }
 
 /// Reads a serialized dictionary into reusable `pool`/`views` buffers,
@@ -115,20 +101,7 @@ pub(crate) fn read_dict_into(
 }
 
 /// Decodes a cascaded code sequence into views, fusing RLE+Dict when the
-/// child block is RLE with long runs.
-pub(crate) fn decode_codes_to_views(
-    r: &mut Reader<'_>,
-    count: usize,
-    cfg: &Config,
-    dict_views: &[u64],
-) -> Result<Vec<u64>> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = Vec::new();
-    decode_codes_to_views_into(r, count, cfg, dict_views, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-/// [`decode_codes_to_views`] decoding into `out` with scratch-leased
+/// child block is RLE with long runs. Decodes into `out` with scratch-leased
 /// temporaries (the fused path's run arrays, the generic path's code arrays).
 pub(crate) fn decode_codes_to_views_into(
     r: &mut Reader<'_>,
@@ -141,46 +114,26 @@ pub(crate) fn decode_codes_to_views_into(
     // Peek the child frame to detect the RLE fusion opportunity.
     let mut peek = r.clone();
     let (child_code, child_count) = scheme::read_frame_header(&mut peek, cfg)?;
-    if child_code == SchemeCode::Rle {
-        let run_count = peek.u32()? as usize;
-        if child_count == count
-            && run_count > 0
-            && count as f64 / run_count as f64 > cfg.fused_rle_dict_min_run
-        {
+    if child_code == SchemeCode::Rle && child_count == count {
+        let run_count = peek.clone().u32()? as usize;
+        if run_count > 0 && count as f64 / run_count as f64 > cfg.fused_rle_dict_min_run {
             let hint = run_count.min(count);
-            let mut run_values = scratch.lease_i32(hint);
-            let mut run_lengths = scratch.lease_i32(hint);
+            let mut run_codes = scratch.lease_i32(hint);
             let mut run_views = scratch.lease_u64(hint);
             let mut lengths = scratch.lease_u32(hint);
             let result = (|| -> Result<()> {
-                scheme::decompress_int_into(&mut peek, cfg, scratch, &mut run_values)?;
-                scheme::decompress_int_into(&mut peek, cfg, scratch, &mut run_lengths)?;
-                if run_values.len() != run_count || run_lengths.len() != run_count {
-                    return Err(Error::Corrupt("fused RLE run array mismatch"));
-                }
+                rle::read_runs_into(&mut peek, count, cfg, scratch, &mut run_codes, &mut lengths)?;
                 // Dictionary lookup per run, then splat-store the views.
-                let mut total = 0usize;
                 run_views.clear();
-                lengths.clear();
-                for (&code, &len) in run_values.iter().zip(run_lengths.iter()) {
-                    if code < 0 || code as usize >= dict_views.len() || len < 0 {
-                        return Err(Error::Corrupt("fused RLE dict code out of range"));
-                    }
-                    // lint: allow(indexing) code was range-checked against dict_views.len() above
-                    run_views.push(dict_views[code as usize]);
-                    // lint: allow(cast) len was checked non-negative above
-                    lengths.push(len as u32);
-                    total += len as usize;
-                }
-                if total != count {
-                    return Err(Error::Corrupt("fused RLE total mismatch"));
+                for &code in run_codes.iter() {
+                    let view = usize::try_from(code).ok().and_then(|c| dict_views.get(c));
+                    run_views.push(*view.ok_or(Error::Corrupt("string dict code out of range"))?);
                 }
                 *r = peek;
-                simd::rle_decode_u64_into(&run_views, &lengths, total, cfg.simd, out);
+                simd::rle_decode_u64_into(&run_views, &lengths, count, cfg.simd, out);
                 Ok(())
             })();
-            scratch.release_i32(run_values);
-            scratch.release_i32(run_lengths);
+            scratch.release_i32(run_codes);
             scratch.release_u64(run_views);
             scratch.release_u32(lengths);
             return result;
@@ -210,13 +163,6 @@ pub(crate) fn decode_codes_to_views_into(
     result
 }
 
-/// Decompresses a dictionary block of `count` strings.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<StringViews> {
-    let (pool, dict_views) = read_dict(r)?;
-    let views = decode_codes_to_views(r, count, cfg, &dict_views)?;
-    Ok(StringViews { pool, views })
-}
-
 /// Decompresses a dictionary block of `count` strings into `out`, reusing
 /// its pool/view buffers and leasing the dictionary views from `scratch`.
 pub fn decompress_into(
@@ -241,27 +187,14 @@ pub fn decompress_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{compress_str_with, decompress_str};
-
-    fn roundtrip(strings: &[&str]) {
-        let arena = StringArena::from_strs(strings);
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_str_with(SchemeCode::Dict, &arena, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress_str(&mut r, &cfg).unwrap();
-        assert_eq!(out.len(), strings.len());
-        for (i, s) in strings.iter().enumerate() {
-            assert_eq!(out.get(i), s.as_bytes(), "string {i}");
-        }
-    }
+    use crate::scheme::testutil::{decode_str, encode_str, roundtrip_str};
 
     #[test]
     fn roundtrip_low_cardinality() {
         let strings: Vec<&str> = (0..1000)
             .map(|i| ["All Residential", "Condo", "Townhouse"][i % 3])
             .collect();
-        roundtrip(&strings);
+        roundtrip_str(SchemeCode::Dict, &strings);
     }
 
     #[test]
@@ -271,38 +204,32 @@ mod tests {
         let strings: Vec<&str> = (0..1000)
             .map(|i| ["AAAA", "BBBB", "CCCC", "DDDD"][i / 250])
             .collect();
-        roundtrip(&strings);
+        roundtrip_str(SchemeCode::Dict, &strings);
     }
 
     #[test]
     fn fused_and_scalar_agree() {
         let strings: Vec<&str> = (0..2000).map(|i| ["x", "yy", "zzz"][(i / 100) % 3]).collect();
-        let arena = StringArena::from_strs(&strings);
-        let mut buf = Vec::new();
         let cfg = Config::default();
-        compress_str_with(SchemeCode::Dict, &arena, 3, &cfg, &mut buf);
+        let buf = encode_str(SchemeCode::Dict, &StringArena::from_strs(&strings), &cfg);
         // Fusion enabled (default threshold 3).
-        let mut r = Reader::new(&buf);
-        let fused = decompress_str(&mut r, &cfg).unwrap();
+        let fused = decode_str(&buf, &cfg).unwrap();
         // Fusion disabled via an impossible threshold.
         let no_fuse = Config { fused_rle_dict_min_run: f64::INFINITY, ..Config::default() };
-        let mut r = Reader::new(&buf);
-        let plain = decompress_str(&mut r, &no_fuse).unwrap();
+        let plain = decode_str(&buf, &no_fuse).unwrap();
         assert_eq!(fused.iter().collect::<Vec<_>>(), plain.iter().collect::<Vec<_>>());
     }
 
     #[test]
     fn roundtrip_empty_strings_and_unicode() {
-        roundtrip(&["", "", "Maceió", "", "Maceió", "東京"]);
+        roundtrip_str(SchemeCode::Dict, &["", "", "Maceió", "", "Maceió", "東京"]);
     }
 
     #[test]
     fn dict_smaller_than_raw_on_repetition() {
-        let strings: Vec<&str> = (0..10_000).map(|_| "a rather long repeated string value").collect();
-        let arena = StringArena::from_strs(&strings);
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_str_with(SchemeCode::Dict, &arena, 3, &cfg, &mut buf);
-        assert!(buf.len() * 100 < arena.heap_size(), "got {} bytes", buf.len());
+        let strings = vec!["a rather long repeated string value"; 10_000];
+        let size = roundtrip_str(SchemeCode::Dict, &strings);
+        let raw = StringArena::from_strs(&strings).heap_size();
+        assert!(size * 100 < raw, "got {size} bytes");
     }
 }

@@ -51,7 +51,7 @@ pub fn compress(
     out.put_u32(compressed.len() as u32);
     out.extend_from_slice(&compressed);
     out.put_u32_slice(&lengths);
-    scheme::compress_int_excluding_into(
+    scheme::compress_int_into(
         &codes,
         child_depth,
         cfg,
@@ -64,14 +64,6 @@ pub fn compress(
     scratch.release_i32(codes);
     scratch.release_u8(compressed);
     scratch.release_u32(lengths);
-}
-
-/// Decompresses a Dict+FSST block of `count` strings.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<StringViews> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = StringViews::default();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
 }
 
 /// Decompresses a Dict+FSST block of `count` strings into `out`, reusing its
@@ -123,22 +115,10 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::scheme::{compress_str_with, decompress_str, SchemeCode};
-
-    fn roundtrip(strings: &[&str]) -> usize {
-        let arena = StringArena::from_strs(strings);
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_str_with(SchemeCode::DictFsst, &arena, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress_str(&mut r, &cfg).unwrap();
-        assert_eq!(out.len(), strings.len());
-        for (i, s) in strings.iter().enumerate() {
-            assert_eq!(out.get(i), s.as_bytes(), "string {i}");
-        }
-        buf.len()
-    }
+    use crate::config::Config;
+    use crate::scheme::testutil::{encode_str, roundtrip_str};
+    use crate::scheme::SchemeCode;
+    use crate::types::StringArena;
 
     #[test]
     fn roundtrip_city_names() {
@@ -146,7 +126,7 @@ mod tests {
         // substrings and moderate cardinality.
         let cities = ["01 BRONX", "04 BRONX", "05 QUEENS", "12 QUEENS", "03 BROOKLYN"];
         let strings: Vec<&str> = (0..5_000).map(|i| cities[(i * 7) % 5]).collect();
-        let size = roundtrip(&strings);
+        let size = roundtrip_str(SchemeCode::DictFsst, &strings);
         let arena = StringArena::from_strs(&strings);
         assert!(size * 20 < arena.heap_size(), "got {size} bytes");
     }
@@ -161,21 +141,14 @@ mod tests {
         let refs: Vec<&str> = strings.iter().map(|s| s.as_str()).collect();
         let arena = StringArena::from_strs(&refs);
         let cfg = Config::default();
-        let mut plain = Vec::new();
-        compress_str_with(SchemeCode::Dict, &arena, 3, &cfg, &mut plain);
-        let mut fsst = Vec::new();
-        compress_str_with(SchemeCode::DictFsst, &arena, 3, &cfg, &mut fsst);
-        assert!(
-            fsst.len() < plain.len(),
-            "dict+fsst ({}) should beat dict ({})",
-            fsst.len(),
-            plain.len()
-        );
+        let plain = encode_str(SchemeCode::Dict, &arena, &cfg).len();
+        let fsst = encode_str(SchemeCode::DictFsst, &arena, &cfg).len();
+        assert!(fsst < plain, "dict+fsst ({fsst}) should beat dict ({plain})");
     }
 
     #[test]
     fn roundtrip_edge_cases() {
-        roundtrip(&["", "a", "", "a"]);
-        roundtrip(&["solo"]);
+        roundtrip_str(SchemeCode::DictFsst, &["", "a", "", "a"]);
+        roundtrip_str(SchemeCode::DictFsst, &["solo"]);
     }
 }

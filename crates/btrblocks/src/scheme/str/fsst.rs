@@ -44,17 +44,9 @@ pub fn compress(
     // lint: allow(cast) encode side: compressed pool is far smaller than 4 GiB
     out.put_u32(compressed.len() as u32);
     out.extend_from_slice(&compressed);
-    scheme::compress_int_into(&lengths, child_depth, cfg, scratch, out);
+    scheme::compress_int_into(&lengths, child_depth, cfg, scratch, out, None);
     scratch.release_u8(compressed);
     scratch.release_i32(lengths);
-}
-
-/// Decompresses an FSST block of `count` strings.
-pub fn decompress(r: &mut Reader<'_>, count: usize, cfg: &Config) -> Result<StringViews> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = StringViews::default();
-    decompress_into(r, count, cfg, &mut scratch, &mut out)?;
-    Ok(out)
 }
 
 /// Decompresses an FSST block of `count` strings into `out`, reusing its
@@ -105,22 +97,8 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::scheme::{compress_str_with, decompress_str, SchemeCode};
-
-    fn roundtrip(strings: &[&str]) -> usize {
-        let arena = StringArena::from_strs(strings);
-        let cfg = Config::default();
-        let mut buf = Vec::new();
-        compress_str_with(SchemeCode::Fsst, &arena, 3, &cfg, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress_str(&mut r, &cfg).unwrap();
-        assert_eq!(out.len(), strings.len());
-        for (i, s) in strings.iter().enumerate() {
-            assert_eq!(out.get(i), s.as_bytes(), "string {i}");
-        }
-        buf.len()
-    }
+    use crate::scheme::testutil::roundtrip_str;
+    use crate::scheme::SchemeCode;
 
     #[test]
     fn roundtrip_urls() {
@@ -128,20 +106,19 @@ mod tests {
             .map(|i| format!("https://example.com/products/category-{}/item-{}", i % 7, i))
             .collect();
         let refs: Vec<&str> = strings.iter().map(|s| s.as_str()).collect();
-        let size = roundtrip(&refs);
+        let size = roundtrip_str(SchemeCode::Fsst, &refs);
         let raw: usize = strings.iter().map(|s| s.len() + 4).sum();
         assert!(size * 2 < raw, "FSST should halve URLs: {size} vs {raw}");
     }
 
     #[test]
     fn roundtrip_empty_and_mixed() {
-        roundtrip(&["", "one", "", "two", ""]);
-        roundtrip(&[""]);
+        roundtrip_str(SchemeCode::Fsst, &["", "one", "", "two", ""]);
+        roundtrip_str(SchemeCode::Fsst, &[""]);
     }
 
     #[test]
     fn roundtrip_binary_strings() {
-        let strings = ["\u{0}\u{1}", "ÿþý", "normal"];
-        roundtrip(&strings);
+        roundtrip_str(SchemeCode::Fsst, &["\u{0}\u{1}", "ÿþý", "normal"]);
     }
 }

@@ -15,15 +15,8 @@ pub fn compress(arena: &StringArena, out: &mut Vec<u8>) {
     out.extend_from_slice(s);
 }
 
-/// Expands the stored string `count` times (all views share one pool entry).
-pub fn decompress(r: &mut Reader<'_>, count: usize) -> Result<StringViews> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = StringViews::default();
-    decompress_into(r, count, &Config::default(), &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-/// Expands the stored string `count` times into `out`, reusing its buffers.
+/// Expands the stored string `count` times into `out`, reusing its buffers
+/// (all views share one pool entry).
 pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,
@@ -42,27 +35,17 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scheme::testutil::roundtrip_str;
+    use crate::scheme::SchemeCode;
 
     #[test]
     fn roundtrip() {
-        let arena = StringArena::from_strs(&["CABLE"; 100]);
-        let mut buf = Vec::new();
-        compress(&arena, &mut buf);
-        assert_eq!(buf.len(), 4 + 5);
-        let mut r = Reader::new(&buf);
-        let out = decompress(&mut r, 100).unwrap();
-        assert_eq!(out.len(), 100);
-        assert!(out.iter().all(|s| s == b"CABLE"));
+        // 5-byte frame header + length + bytes.
+        assert_eq!(roundtrip_str(SchemeCode::OneValue, &["CABLE"; 100]), 5 + 4 + 5);
     }
 
     #[test]
     fn empty_string_block() {
-        let arena = StringArena::from_strs(&["", ""]);
-        let mut buf = Vec::new();
-        compress(&arena, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress(&mut r, 2).unwrap();
-        assert!(out.iter().all(|s| s.is_empty()));
+        roundtrip_str(SchemeCode::OneValue, &["", ""]);
     }
 }

@@ -14,14 +14,6 @@ pub fn compress(arena: &StringArena, out: &mut Vec<u8>) {
     out.put_u32_slice(&arena.offsets);
 }
 
-/// Reads `count` raw strings as views over the embedded pool.
-pub fn decompress(r: &mut Reader<'_>, count: usize) -> Result<StringViews> {
-    let mut scratch = DecodeScratch::new();
-    let mut out = StringViews::default();
-    decompress_into(r, count, &Config::default(), &mut scratch, &mut out)?;
-    Ok(out)
-}
-
 /// Reads `count` raw strings into `out`, reusing its pool and view buffers
 /// and leasing the offset temporary from `scratch`.
 pub fn decompress_into(
@@ -56,29 +48,24 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::Config;
+    use crate::scheme::testutil::{decode_str, encode_str, roundtrip_str};
+    use crate::scheme::SchemeCode;
+    use crate::types::StringArena;
 
     #[test]
     fn roundtrip() {
-        let arena = StringArena::from_strs(&["hello", "", "wörld"]);
-        let mut buf = Vec::new();
-        compress(&arena, &mut buf);
-        let mut r = Reader::new(&buf);
-        let out = decompress(&mut r, 3).unwrap();
-        assert_eq!(out.get(0), b"hello");
-        assert_eq!(out.get(1), b"");
-        assert_eq!(out.get(2), "wörld".as_bytes());
+        roundtrip_str(SchemeCode::Uncompressed, &["hello", "", "wörld"]);
     }
 
     #[test]
     fn corrupt_offsets_error() {
+        let cfg = Config::default();
         let arena = StringArena::from_strs(&["ab", "cd"]);
-        let mut buf = Vec::new();
-        compress(&arena, &mut buf);
+        let mut buf = encode_str(SchemeCode::Uncompressed, &arena, &cfg);
         // offsets live at the end; make them non-monotone.
         let n = buf.len();
         buf[n - 4..].copy_from_slice(&1u32.to_le_bytes());
-        let mut r = Reader::new(&buf);
-        assert!(decompress(&mut r, 2).is_err());
+        assert!(decode_str(&buf, &cfg).is_err());
     }
 }

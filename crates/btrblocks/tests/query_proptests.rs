@@ -6,7 +6,7 @@
 use btr_corrupt::rng::Xorshift;
 use btrblocks::block::{compress_block_with, BlockRef};
 use btrblocks::metadata::{pruned_filter, Sidecar};
-use btrblocks::query::{filter_block, CmpOp, Literal};
+use btrblocks::{filter_block, CmpOp, Literal};
 use btrblocks::{Column, ColumnData, Config, Relation, SchemeCode, StringArena};
 
 const OPS: [CmpOp; 5] = [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example compressed_filter`
 
 use btrblocks_repro::btrblocks::metadata::{pruned_filter, Sidecar};
-use btrblocks_repro::btrblocks::query::{filter_block, CmpOp, Literal};
+use btrblocks_repro::btrblocks::{filter_block, CmpOp, Literal};
 use btrblocks_repro::btrblocks::{self, Column, ColumnData, Config, Relation};
 use std::time::Instant;
 

@@ -5,9 +5,9 @@
 //! Run with: `cargo run --release --example floating_point`
 
 use btrblocks_repro::btrblocks::scheme::double::decimal;
-use btrblocks_repro::btrblocks::scheme::{compress_double_with, decompress_double};
+use btrblocks_repro::btrblocks::scheme::{compress_double_with_into, decompress_double_into};
 use btrblocks_repro::btrblocks::writer::Reader;
-use btrblocks_repro::btrblocks::{Config, SchemeCode};
+use btrblocks_repro::btrblocks::{Config, DecodeScratch, EncodeScratch, SchemeCode};
 use btrblocks_repro::float::FloatCodec;
 
 fn main() {
@@ -39,12 +39,13 @@ fn main() {
         }
         // PDE in its fixed two-level cascade (always FastBP128 on outputs).
         let cfg = Config::default().with_pool(&[SchemeCode::Pseudodecimal, SchemeCode::FastBp128]);
-        let mut buf = Vec::new();
-        compress_double_with(SchemeCode::Pseudodecimal, values, 2, &cfg, &mut buf);
+        let (mut scratch, mut buf) = (EncodeScratch::new(), Vec::new());
+        compress_double_with_into(SchemeCode::Pseudodecimal, values, 2, &cfg, &mut scratch, &mut buf);
         println!("  {:<10} {:>6.2}x", "PDE", raw as f64 / buf.len() as f64);
         // And verify bitwise losslessness.
-        let mut r = Reader::new(&buf);
-        let out = decompress_double(&mut r, &cfg).expect("decompress");
+        let mut out = Vec::new();
+        decompress_double_into(&mut Reader::new(&buf), &cfg, &mut DecodeScratch::new(), &mut out)
+            .expect("decompress");
         assert!(values.iter().zip(&out).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
     println!("\nall round-trips bitwise verified");

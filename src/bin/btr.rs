@@ -13,9 +13,8 @@
 //! Doubles are printed in Rust's canonical shortest form on decompression
 //! (`12.50` comes back as `12.5`) — values round-trip bitwise, text may not.
 
-use btrblocks_repro::btrblocks::query::{CmpOp, Literal};
 use btrblocks_repro::btrblocks::{
-    self, Column, ColumnData, ColumnType, Config, Relation, StringArena,
+    self, CmpOp, Column, ColumnData, ColumnType, Config, Literal, Relation, StringArena,
 };
 use std::process::ExitCode;
 
@@ -184,7 +183,7 @@ fn filter(input: &str, column: &str, op: &str, literal: &str) -> Result<(), AnyE
     let mut matches = 0u64;
     for block in &col.blocks {
         matches +=
-            btrblocks_repro::btrblocks::query::filter_block(block, col.column_type, op, &lit, &cfg)?
+            btrblocks_repro::btrblocks::filter_block(block, col.column_type, op, &lit, &cfg)?
                 .cardinality();
     }
     println!("{matches} rows match (evaluated on compressed blocks)");
