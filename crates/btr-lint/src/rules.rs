@@ -194,8 +194,16 @@ const RAW_SYNC_PRIMITIVES: &[&str] = &["Mutex", "RwLock", "Condvar"];
 /// trips the rule.
 const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-/// The `btr_sync` wrapper types whose `::new` takes a rank (C2 evidence).
-const ORDERED_WRAPPERS: &[&str] = &["OrderedMutex", "OrderedRwLock", "OrderedCondvar"];
+/// The `btr_sync` types whose `::new` takes ranks (C2 evidence), with how
+/// many leading arguments are ranks: the lock wrappers take one, a
+/// `SingleFlight` takes its table lock's, its slot locks' and its slot
+/// condvars'.
+const ORDERED_WRAPPERS: &[(&str, usize)] = &[
+    ("OrderedMutex", 1),
+    ("OrderedRwLock", 1),
+    ("OrderedCondvar", 1),
+    ("SingleFlight", 3),
+];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AllowKind {
@@ -386,10 +394,9 @@ pub fn analyze(src: &str, rules: FileRules) -> FileAnalysis {
                     out.rank_decls.push(decl);
                 }
             }
-            if tok.kind == TokKind::Ident && ORDERED_WRAPPERS.contains(&tok.text) {
-                if let Some(site) = wrapper_site_at(&tokens, &sig, si) {
-                    out.wrapper_sites.push(site);
-                }
+            let wrapper = ORDERED_WRAPPERS.iter().find(|(name, _)| *name == tok.text);
+            if let (TokKind::Ident, Some(&(_, ranks))) = (tok.kind, wrapper) {
+                out.wrapper_sites.extend(wrapper_sites_at(&tokens, &sig, si, ranks));
             }
         }
     }
@@ -444,9 +451,15 @@ fn rank_decl_at(
     })
 }
 
-/// Parses `Ordered*::new(<first-arg>, …)` starting at the wrapper token and
-/// returns the last identifier of the first argument (the rank const).
-fn wrapper_site_at(tokens: &[Token<'_>], sig: &[usize], si: usize) -> Option<WrapperSite> {
+/// Parses `Wrapper::new(<rank-arg>, …)` starting at the wrapper token and
+/// returns one site per leading rank argument (`ranks` of them), each
+/// carrying the last identifier of its argument (the rank const).
+fn wrapper_sites_at(
+    tokens: &[Token<'_>],
+    sig: &[usize],
+    si: usize,
+    ranks: usize,
+) -> Vec<WrapperSite> {
     let at = |k: usize| sig.get(k).map(|&i| &tokens[i]);
     let is = |k: usize, kind: TokKind, text: Option<&str>| {
         at(k).is_some_and(|t| t.kind == kind && text.is_none_or(|x| t.text == x))
@@ -456,10 +469,12 @@ fn wrapper_site_at(tokens: &[Token<'_>], sig: &[usize], si: usize) -> Option<Wra
         && is(si + 3, TokKind::Ident, Some("new"))
         && is(si + 4, TokKind::Punct('('), None))
     {
-        return None;
+        return Vec::new();
     }
+    // Last identifier of each top-level argument; a trailing comma leaves
+    // an empty last entry, which the truncation below drops.
+    let mut args: Vec<Option<String>> = vec![None];
     let mut depth = 1i32;
-    let mut rank_const = None;
     let mut j = si + 5;
     while let Some(t) = at(j) {
         match t.kind {
@@ -470,17 +485,24 @@ fn wrapper_site_at(tokens: &[Token<'_>], sig: &[usize], si: usize) -> Option<Wra
                     break;
                 }
             }
-            TokKind::Punct(',') if depth == 1 => break,
-            TokKind::Ident => rank_const = Some(t.text.to_string()),
+            TokKind::Punct(',') if depth == 1 => args.push(None),
+            TokKind::Ident => {
+                if let Some(last) = args.last_mut() {
+                    *last = Some(t.text.to_string());
+                }
+            }
             _ => {}
         }
         j += 1;
     }
-    Some(WrapperSite {
-        wrapper: tokens[sig[si]].text.to_string(),
-        rank_const: rank_const.unwrap_or_default(),
-        line: tokens[sig[si]].line,
-    })
+    args.truncate(ranks);
+    args.into_iter()
+        .map(|rank_const| WrapperSite {
+            wrapper: tokens[sig[si]].text.to_string(),
+            rank_const: rank_const.unwrap_or_default(),
+            line: tokens[sig[si]].line,
+        })
+        .collect()
 }
 
 /// Whether a `[` forms an index expression, judged by the preceding
@@ -1059,6 +1081,7 @@ fn f() {\n\
     let m = OrderedMutex::new(CACHE_RANK, Shard::default());\n\
     let c = OrderedCondvar::new(OTHER_RANK);\n\
     let r = OrderedRwLock::new(CACHE_RANK, vec![1]);\n\
+    let s = SingleFlight::new(\n        CACHE_RANK,\n        OTHER_RANK,\n        CACHE_RANK,\n    );\n\
 }\n";
         let a = analyze(src, CONCURRENCY);
         assert_eq!(a.rank_decls.len(), 2, "{:?}", a.rank_decls);
@@ -1066,7 +1089,12 @@ fn f() {\n\
         assert_eq!(a.rank_decls[0].rank, 70);
         assert_eq!(a.rank_decls[0].name, "scan.cache.shard");
         assert_eq!(a.rank_decls[1].const_name, "OTHER_RANK");
-        assert_eq!(a.wrapper_sites.len(), 3, "{:?}", a.wrapper_sites);
+        // One site per lock wrapper, three for the single-flight table (its
+        // table lock, slot locks, and slot condvars).
+        assert_eq!(a.wrapper_sites.len(), 6, "{:?}", a.wrapper_sites);
+        let flight: Vec<_> = a.wrapper_sites[3..].iter().map(|w| w.rank_const.as_str()).collect();
+        assert_eq!(flight, ["CACHE_RANK", "OTHER_RANK", "CACHE_RANK"]);
+        assert_eq!(a.wrapper_sites[5].wrapper, "SingleFlight");
         assert_eq!(a.wrapper_sites[0].wrapper, "OrderedMutex");
         assert_eq!(a.wrapper_sites[0].rank_const, "CACHE_RANK");
         assert_eq!(a.wrapper_sites[1].wrapper, "OrderedCondvar");

@@ -1,27 +1,34 @@
 //! Chaos campaign: randomized fault schedules over concurrent scans.
 //!
 //! The fault-tolerance layer ([`crate::retry`], the source's hedging /
-//! breaker / quarantine, the engine's deadline + degradation ladder) is only
-//! trustworthy under *composed* failure — latency spikes while a breaker is
-//! half-open while another scan's block is permanently corrupt. This module
-//! is the harness that exercises exactly that: each **schedule** builds a
-//! randomized [`FaultPlan`] (plus, sometimes, a permanently bit-flipped
-//! stored block via [`btr_corrupt::Mutation`]), points several concurrent
-//! scans at one shared [`ObjectStoreSource`], and classifies every scan's
-//! outcome:
+//! breaker / quarantine, the pipeline's deadline + degradation ladder) is
+//! only trustworthy under *composed* failure — latency spikes while a
+//! breaker is half-open while another scan's block is permanently corrupt.
+//! This module is the one harness that exercises exactly that, for every
+//! executor: each **schedule** builds a randomized [`FaultPlan`] (plus,
+//! sometimes, a permanently bit-flipped stored block via
+//! [`btr_corrupt::Mutation`]) behind one shared [`ObjectStoreSource`], draws
+//! one spec (some with deadlines, some with retry budgets) per concurrent
+//! scan, and hands source and specs to a [`Runner`] — [`EngineRunner`] here,
+//! a `ScanService` runner in btr-server's tests — that executes them
+//! concurrently with its own randomized knobs. Every scan's outcome is then
+//! classified:
 //!
 //! * a successful scan must be **byte-identical** to the fault-free
 //!   reference run;
 //! * a failed scan must fail with a **typed error attributed to something
 //!   the schedule injected** (a deadline it set, a budget it capped, a
-//!   breaker it configured, a fault family it enabled);
+//!   breaker it configured, a fault family it enabled) or to a knob the
+//!   runner itself turned ([`Runner::explains`]);
 //! * nothing may panic, and every schedule must terminate (all simulated
 //!   time — nothing here sleeps).
 //!
 //! Randomness is [`Xorshift`] seeded from [`ChaosConfig::seed`], so a
-//! failing campaign replays exactly.
+//! failing campaign replays exactly; a schedule (faults, corruption, specs)
+//! depends only on the seed, never on the runner, so two runners given one
+//! config face the same schedules ([`ChaosReport::schedule_digest`]).
 
-use crate::batch::append;
+use crate::batch::{append, RecordBatch};
 use crate::engine::{EngineOptions, ScanEngine};
 use crate::layout::RelationLayout;
 use crate::plan::{Predicate, ScanSpec};
@@ -66,22 +73,6 @@ impl Default for ChaosConfig {
     }
 }
 
-/// How one scan inside a schedule ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScheduleOutcome {
-    /// Completed, byte-identical to the fault-free reference.
-    Identical,
-    /// Completed but its output differs from the reference — a correctness
-    /// bug, never acceptable.
-    Divergent,
-    /// Failed with a typed error the schedule explains.
-    AttributedFailure,
-    /// Failed with an error nothing in the schedule explains — a bug.
-    UnattributedFailure,
-    /// A panic reached the scan (or its thread).
-    Panicked,
-}
-
 /// Aggregated campaign result. A healthy run has
 /// [`ChaosReport::is_clean`]: zero panics, zero divergent scans, zero
 /// unattributed failures.
@@ -101,6 +92,9 @@ pub struct ChaosReport {
     pub divergent: u64,
     /// Failures no injected fault explains.
     pub unattributed: u64,
+    /// Typed failure tally: admission rejections (only runners with
+    /// admission control produce these).
+    pub admission_rejected: u64,
     /// Typed failure tally: deadline exceeded.
     pub deadline_exceeded: u64,
     /// Typed failure tally: retry budget exhausted.
@@ -123,6 +117,10 @@ pub struct ChaosReport {
     pub retries: u64,
     /// Simulated backoff charged across the campaign, in seconds.
     pub backoff_seconds: f64,
+    /// Fingerprint of every schedule drawn (fault-plan seed, corrupted
+    /// block, retry cap, each spec's tolerance): equal across runners given
+    /// one [`ChaosConfig`].
+    pub schedule_digest: u64,
 }
 
 impl ChaosReport {
@@ -130,6 +128,13 @@ impl ChaosReport {
     /// unattributed failures — the campaign's pass condition.
     pub fn is_clean(&self) -> bool {
         self.panics == 0 && self.divergent == 0 && self.unattributed == 0
+    }
+
+    /// Folds one drawn value into [`ChaosReport::schedule_digest`].
+    fn digest(&mut self, word: u64) {
+        self.schedule_digest = (self.schedule_digest ^ word)
+            .wrapping_mul(0x0000_0100_0000_01B3)
+            .rotate_left(17);
     }
 }
 
@@ -147,47 +152,91 @@ struct ScheduleCtx {
     breaker: bool,
 }
 
-fn classify(err: &ScanError, spec: &ScanSpec, ctx: &ScheduleCtx) -> ScheduleOutcome {
-    match err {
-        ScanError::Worker(_) => ScheduleOutcome::Panicked,
+/// One scan's output with batch boundaries erased.
+pub type Columns = Vec<(String, ColumnData)>;
+
+/// What one schedule hands a [`Runner`].
+pub struct Schedule<'a> {
+    /// The campaign's shape (worker counts, scan count).
+    pub config: &'a ChaosConfig,
+    /// Codec configuration the stored relation was compressed with.
+    pub codec: &'a Config,
+    /// Zone maps of the stored relation.
+    pub sidecar: &'a Arc<Sidecar>,
+    /// The schedule's faulty source, shared by every scan of the schedule
+    /// (and therefore one breaker, quarantine set, and in-flight table).
+    pub source: Arc<dyn BlockSource>,
+    /// One spec per concurrent scan, tolerances already drawn.
+    pub specs: Vec<ScanSpec>,
+}
+
+/// An executor under test: runs a schedule's scans concurrently.
+pub trait Runner {
+    /// Runs every spec of `schedule` concurrently (see [`run_concurrently`])
+    /// and returns one drained result per spec, in spec order. `rng` is the
+    /// runner's own stream for knobs it randomizes per schedule.
+    fn run(&mut self, schedule: &Schedule<'_>, rng: &mut Xorshift) -> Vec<Result<Columns>>;
+
+    /// Whether `err` is explained by a knob this runner turned for the
+    /// schedule it ran last (e.g. `AdmissionRejected` under deliberately
+    /// tight admission limits). Fault-injection errors are attributed by the
+    /// campaign itself.
+    fn explains(&self, err: &ScanError) -> bool {
+        let _ = err;
+        false
+    }
+}
+
+/// Classifies one scan's result into `report`: against the fault-free
+/// `reference` when it succeeded, against what the schedule (`spec`, `ctx`)
+/// or the runner (`runner_explains`) injected when it failed.
+fn classify(
+    report: &mut ChaosReport,
+    result: &Result<Columns>,
+    reference: Option<&Columns>,
+    spec: &ScanSpec,
+    ctx: &ScheduleCtx,
+    runner_explains: bool,
+) {
+    report.scans_run += 1;
+    let err = match result {
+        Ok(columns) if reference == Some(columns) => return report.scans_ok += 1,
+        Ok(_) => return report.divergent += 1,
+        Err(err) => err,
+    };
+    report.scans_failed += 1;
+    let attributed = match err {
+        ScanError::Worker(_) => return report.panics += 1,
+        ScanError::AdmissionRejected { .. } => {
+            report.admission_rejected += 1;
+            false // only the runner's own knobs can explain one
+        }
         ScanError::DeadlineExceeded { .. } => {
-            if spec.tolerance.deadline_seconds.is_some() {
-                ScheduleOutcome::AttributedFailure
-            } else {
-                ScheduleOutcome::UnattributedFailure
-            }
+            report.deadline_exceeded += 1;
+            spec.tolerance.deadline_seconds.is_some()
         }
         ScanError::RetryBudgetExhausted { .. } => {
-            if spec.tolerance.retry_budget.is_some() {
-                ScheduleOutcome::AttributedFailure
-            } else {
-                ScheduleOutcome::UnattributedFailure
-            }
+            report.budget_exhausted += 1;
+            spec.tolerance.retry_budget.is_some()
         }
         ScanError::BreakerOpen { .. } => {
-            if ctx.breaker && ctx.faults_injected {
-                ScheduleOutcome::AttributedFailure
-            } else {
-                ScheduleOutcome::UnattributedFailure
-            }
+            report.breaker_open += 1;
+            ctx.breaker && ctx.faults_injected
         }
         ScanError::Quarantined { column, block } => {
-            if ctx.corrupted == Some((*column, *block)) || ctx.corruption_possible {
-                ScheduleOutcome::AttributedFailure
-            } else {
-                ScheduleOutcome::UnattributedFailure
-            }
+            report.quarantined += 1;
+            ctx.corrupted == Some((*column, *block)) || ctx.corruption_possible
         }
         ScanError::FetchFailed { .. } => {
-            if ctx.faults_injected || ctx.corrupted.is_some() {
-                ScheduleOutcome::AttributedFailure
-            } else {
-                ScheduleOutcome::UnattributedFailure
-            }
+            report.fetch_failed += 1;
+            ctx.faults_injected || ctx.corrupted.is_some()
         }
         // Planning errors, missing objects, decode failures: the campaign
         // stores a valid object, so none of these are ever expected.
-        _ => ScheduleOutcome::UnattributedFailure,
+        _ => false,
+    };
+    if !(attributed || runner_explains) {
+        report.unattributed += 1;
     }
 }
 
@@ -231,15 +280,9 @@ pub fn spec_pool(rows: usize) -> Vec<ScanSpec> {
 
 /// Drains a scan into per-column output (batch boundaries erased), so runs
 /// compare byte-for-byte regardless of batching.
-fn run_one(
-    engine: &ScanEngine,
-    source: Arc<dyn BlockSource>,
-    sidecar: &Sidecar,
-    spec: &ScanSpec,
-) -> Result<Vec<(String, ColumnData)>> {
-    let mut scan = engine.scan(source, sidecar, spec)?;
-    let mut out: Option<Vec<(String, ColumnData)>> = None;
-    for batch in scan.by_ref() {
+pub fn drain(batches: impl Iterator<Item = Result<RecordBatch>>) -> Result<Columns> {
+    let mut out: Option<Columns> = None;
+    for batch in batches {
         let batch = batch?;
         match &mut out {
             None => out = Some(batch.columns),
@@ -253,10 +296,62 @@ fn run_one(
     Ok(out.unwrap_or_default())
 }
 
-/// Runs the campaign; see the module docs for what each schedule does and
-/// asserts. Setup failures (compression of the generated relation) are the
-/// only errors returned — scan failures are classified into the report.
-pub fn run_campaign(config: &ChaosConfig) -> Result<ChaosReport> {
+/// Runs every job on its own thread and collects the results in job order.
+/// A job that panics reads as [`ScanError::Worker`], which the campaign
+/// counts as a panic.
+pub fn run_concurrently<'a, J>(jobs: impl IntoIterator<Item = J>) -> Vec<Result<Columns>>
+where
+    J: FnOnce() -> Result<Columns> + Send + 'a,
+{
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(job)).collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle.join().unwrap_or_else(|payload| {
+                    let what = btr_sync::panic_message(payload.as_ref());
+                    Err(ScanError::Worker(format!("scan thread: {what}")))
+                })
+            })
+            .collect()
+    })
+}
+
+fn new_engine(workers: usize, cache_bytes: usize, codec: &Config) -> ScanEngine {
+    ScanEngine::new(EngineOptions {
+        workers: workers.max(1),
+        prefetch: 4,
+        batch_rows: 1_024,
+        cache_bytes,
+        config: codec.clone(),
+    })
+}
+
+/// The [`ScanEngine`] runner: one engine (one cache) per schedule, one
+/// engine scan per spec.
+pub struct EngineRunner;
+
+impl Runner for EngineRunner {
+    fn run(&mut self, schedule: &Schedule<'_>, rng: &mut Xorshift) -> Vec<Result<Columns>> {
+        // A small cache budget on some schedules drives the ladder's
+        // cache-pressure rung.
+        let cache_bytes = if rng.gen_bool(0.3) { 32 << 10 } else { 16 << 20 };
+        let engine = &new_engine(schedule.config.engine_workers, cache_bytes, schedule.codec);
+        run_concurrently(schedule.specs.iter().map(|spec| {
+            move || {
+                engine
+                    .scan(schedule.source.clone(), schedule.sidecar, spec)
+                    .and_then(drain)
+            }
+        }))
+    }
+}
+
+/// Runs the campaign through `runner`; see the module docs for what each
+/// schedule does and asserts. Setup failures (compressing the generated
+/// relation, the fault-free reference scans) are the only errors returned —
+/// scan failures are classified into the report.
+pub fn run_campaign(config: &ChaosConfig, runner: &mut impl Runner) -> Result<ChaosReport> {
     let relation = build_relation(config.rows);
     let codec = Config {
         block_size: config.block_size.max(1),
@@ -269,17 +364,11 @@ pub fn run_campaign(config: &ChaosConfig) -> Result<ChaosReport> {
     let specs = spec_pool(config.rows);
 
     // Fault-free references, one per spec, computed over a memory source.
-    let reference_engine = ScanEngine::new(EngineOptions {
-        workers: config.engine_workers.max(1),
-        prefetch: 4,
-        batch_rows: 1_024,
-        cache_bytes: 16 << 20,
-        config: codec.clone(),
-    });
+    let reference_engine = new_engine(config.engine_workers, 16 << 20, &codec);
     let memory: Arc<dyn BlockSource> = Arc::new(MemorySource::new("chaos-ref", compressed));
-    let references: Vec<Vec<(String, ColumnData)>> = specs
+    let references: Vec<Columns> = specs
         .iter()
-        .map(|spec| run_one(&reference_engine, memory.clone(), &sidecar, spec))
+        .map(|spec| reference_engine.scan(memory.clone(), &sidecar, spec).and_then(drain))
         .collect::<Result<_>>()?;
 
     let mut report = ChaosReport::default();
@@ -304,6 +393,7 @@ pub fn run_campaign(config: &ChaosConfig) -> Result<ChaosReport> {
             base_latency_ms: rng.next_u32() % 40,
             max_faults_per_key: 1 + rng.next_u32() % 5,
         };
+        report.digest(plan.seed);
 
         // Some schedules permanently corrupt one stored block: bit rot the
         // retry layer can never heal, which must end in quarantine — and
@@ -323,6 +413,7 @@ pub fn run_campaign(config: &ChaosConfig) -> Result<ChaosReport> {
                         let bit = (rng.next_u32() % 8) as u8;
                         stored = Mutation::BitFlip { offset, bit }.apply(&stored);
                         corrupted = Some((column, block));
+                        report.digest(offset as u64 * 8 + u64::from(bit));
                     }
                 }
             }
@@ -337,6 +428,7 @@ pub fn run_campaign(config: &ChaosConfig) -> Result<ChaosReport> {
             base_backoff_seconds: 0.02,
             backoff_multiplier: 2.0,
         };
+        report.digest(u64::from(retry.max_attempts));
         let mut source = ObjectStoreSource::new(store, "chaos.btr", layout.clone(), retry);
         let use_breaker = rng.gen_bool(0.5);
         if use_breaker {
@@ -365,21 +457,12 @@ pub fn run_campaign(config: &ChaosConfig) -> Result<ChaosReport> {
             breaker: use_breaker,
         };
 
-        // A small cache budget on some schedules drives the ladder's
-        // cache-pressure rung.
-        let cache_bytes = if rng.gen_bool(0.3) { 32 << 10 } else { 16 << 20 };
-        let engine = Arc::new(ScanEngine::new(EngineOptions {
-            workers: config.engine_workers.max(1),
-            prefetch: 4,
-            batch_rows: 1_024,
-            cache_bytes,
-            config: codec.clone(),
-        }));
-
-        // Draw every scan's spec + tolerance up front (the RNG is not
-        // shared with threads), then run them concurrently.
-        let mut jobs = Vec::with_capacity(config.concurrent_scans);
-        for s in 0..config.concurrent_scans.max(1) {
+        // Draw every scan's spec + tolerance before the runner's own knobs,
+        // so the schedule is the same whichever runner executes it.
+        let scans = config.concurrent_scans.max(1);
+        let mut spec_idxs = Vec::with_capacity(scans);
+        let mut drawn = Vec::with_capacity(scans);
+        for s in 0..scans {
             let spec_idx = (schedule + s) % specs.len().max(1);
             let mut spec = specs.get(spec_idx).cloned().unwrap_or_default();
             if rng.gen_bool(0.3) {
@@ -391,56 +474,25 @@ pub fn run_campaign(config: &ChaosConfig) -> Result<ChaosReport> {
                     rng.next_f64() * 2.0,
                 );
             }
-            jobs.push((spec_idx, spec));
+            report.digest(spec.tolerance.deadline_seconds.map_or(0, f64::to_bits));
+            report.digest(spec.tolerance.retry_budget.map_or(0, |b| b.capacity.to_bits()));
+            spec_idxs.push(spec_idx);
+            drawn.push(spec);
         }
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .map(|(spec_idx, spec)| {
-                let engine = engine.clone();
-                let source = source.clone();
-                let sidecar = sidecar.clone();
-                std::thread::spawn(move || {
-                    let result = run_one(&engine, source, &sidecar, &spec);
-                    (spec_idx, spec, result)
-                })
-            })
-            .collect();
-        for handle in handles {
-            report.scans_run += 1;
-            let (spec_idx, spec, result) = match handle.join() {
-                Ok(done) => done,
-                Err(_) => {
-                    report.panics += 1;
-                    continue;
-                }
-            };
-            match result {
-                Ok(columns) => {
-                    if references.get(spec_idx) == Some(&columns) {
-                        report.scans_ok += 1;
-                    } else {
-                        report.divergent += 1;
-                    }
-                }
-                Err(err) => {
-                    report.scans_failed += 1;
-                    match &err {
-                        ScanError::DeadlineExceeded { .. } => report.deadline_exceeded += 1,
-                        ScanError::RetryBudgetExhausted { .. } => report.budget_exhausted += 1,
-                        ScanError::BreakerOpen { .. } => report.breaker_open += 1,
-                        ScanError::Quarantined { .. } => report.quarantined += 1,
-                        ScanError::FetchFailed { .. } => report.fetch_failed += 1,
-                        _ => {}
-                    }
-                    match classify(&err, &spec, &ctx) {
-                        ScheduleOutcome::Panicked => report.panics += 1,
-                        ScheduleOutcome::UnattributedFailure => report.unattributed += 1,
-                        _ => {}
-                    }
-                }
-            }
+        let schedule = Schedule {
+            config,
+            codec: &codec,
+            sidecar: &sidecar,
+            source,
+            specs: drawn,
+        };
+        let results = runner.run(&schedule, &mut Xorshift::new(rng.next_u64()));
+
+        for ((result, spec), spec_idx) in results.iter().zip(&schedule.specs).zip(spec_idxs) {
+            let explained = result.as_ref().is_err_and(|err| runner.explains(err));
+            classify(&mut report, result, references.get(spec_idx), spec, &ctx, explained);
         }
-        let stats = source.stats();
+        let stats = schedule.source.stats();
         report.hedges_issued += stats.hedges_issued;
         report.hedges_won += stats.hedges_won;
         report.breaker_transitions += stats.breaker_transitions;
@@ -450,49 +502,4 @@ pub fn run_campaign(config: &ChaosConfig) -> Result<ChaosReport> {
         report.schedules += 1;
     }
     Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn smoke_campaign_is_clean() {
-        let report = run_campaign(&ChaosConfig {
-            schedules: 10,
-            rows: 2_000,
-            ..ChaosConfig::default()
-        })
-        .expect("campaign setup");
-        assert_eq!(report.schedules, 10);
-        assert_eq!(report.scans_run, 80);
-        assert!(
-            report.is_clean(),
-            "panics={} divergent={} unattributed={}",
-            report.panics,
-            report.divergent,
-            report.unattributed
-        );
-        assert!(report.scans_ok > 0, "some scans must survive the faults");
-    }
-
-    #[test]
-    fn campaigns_touch_every_mechanism_eventually() {
-        // Across a few dozen schedules the randomized knobs must exercise
-        // retries, hedging, and quarantine at least once each.
-        let report = run_campaign(&ChaosConfig {
-            schedules: 40,
-            rows: 2_000,
-            ..ChaosConfig::default()
-        })
-        .expect("campaign setup");
-        assert!(report.is_clean());
-        assert!(report.retries > 0, "fault rates must force retries");
-        assert!(report.hedges_issued > 0, "spiky schedules must hedge");
-        assert!(
-            report.blocks_quarantined > 0,
-            "permanent corruption must quarantine"
-        );
-        assert!(report.backoff_seconds > 0.0);
-    }
 }

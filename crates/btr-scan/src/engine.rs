@@ -1,21 +1,16 @@
-//! The scan pipeline: bounded prefetch, parallel decode, ordered emission.
+//! The scan engine: one scan, its own worker pool, a bounded prefetch window.
 //!
-//! A scan spawns a small worker pool over the planner's surviving row
-//! groups. Workers claim groups in block order but only within a bounded
-//! look-ahead window (`EngineOptions::prefetch`) past the consumer — that is
-//! the prefetch pipeline: fetches and decodes for group `i + k` overlap with
-//! the consumer draining group `i`, while the window bounds how much decoded
-//! data can pile up ahead of the consumer. Results re-sequence through an
-//! ordered buffer, so batches come out in row order regardless of which
-//! worker finished first.
-//!
-//! Per row group, a worker:
-//! 1. resolves the predicate block through the decoded-block cache,
-//! 2. on a miss, fetches the payload and — when the scheme supports it —
-//!    evaluates the predicate **in the compressed domain**
-//!    ([`btrblocks::filter_block`]) without decoding,
-//! 3. decodes and caches only blocks whose values are actually needed,
-//! 4. gathers selected rows into output buffers.
+//! [`ScanEngine`] is the single-tenant executor of the shared scan
+//! [`crate::driver`] (the scan service in btr-server is the other). The
+//! driver plans the scan, contains worker panics, re-sequences finished row
+//! groups and assembles batches; what the engine adds is *how groups get
+//! claimed*: a scan spawns a small pool over the planner's surviving row
+//! groups, and workers claim them in block order but only within a bounded
+//! look-ahead window (`EngineOptions::prefetch`) past the consumer — fetches
+//! and decodes for group `i + k` overlap with the consumer draining group
+//! `i`, while the window bounds how much decoded data can pile up ahead of
+//! it. What a worker does with a claimed group is
+//! [`BlockPipeline::process`].
 //!
 //! NULL semantics follow [`btrblocks::metadata::pruned_filter`]: NULL
 //! positions hold neutral values and participate in predicates like any
@@ -35,21 +30,15 @@
 //! 3. source breaker open → prefetch shrinks to 1 (and the source itself
 //!    sheds hedged GETs while not closed).
 
-use crate::batch::{append, empty_like, split_front, RecordBatch};
 use crate::cache::BlockCache;
-use crate::pipeline::{
-    AggSourceCounts, BlockPipeline, BlockResult, PipelineCounters, PipelineFilter, PipelineParams,
-};
-use crate::plan::{plan_scan, RowGroup, ScanSpec};
-use crate::retry::FetchCtl;
+use crate::driver::{prepare, process_contained, GroupFeed, Reorder, ScanEnd, ScanStream};
+use crate::pipeline::{AggSourceCounts, BlockPipeline, BlockResult, PipelineCounters};
+use crate::plan::{RowGroup, ScanPlan, ScanSpec};
 use crate::source::{BlockSource, FetchStats};
 use crate::{Result, ScanError};
 use btr_expr::{AggState, AggValue};
-use btr_s3sim::{Deadline, RetryBudget};
-use btrblocks::{BlockZone, ColumnData, Config, DecodeScratch, Sidecar};
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use btr_sync::{CachePadded, OrderedCondvar, OrderedMutex, Rank};
+use btrblocks::{BlockZone, Config, DecodeScratch, Sidecar};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -62,7 +51,7 @@ pub struct EngineOptions {
     /// Bounded look-ahead: how many row groups may be in flight past the
     /// consumer's position.
     pub prefetch: usize,
-    /// Rows per emitted [`RecordBatch`].
+    /// Rows per emitted [`crate::RecordBatch`].
     pub batch_rows: usize,
     /// Byte budget of the decoded-block cache (used by
     /// [`ScanEngine::new`]; ignored when a cache is shared via
@@ -141,14 +130,12 @@ pub struct ScanReport {
     pub morsels_claimed: u64,
 }
 
-/// Reorder/backpressure state of one scan's pipeline.
+/// Claim/backpressure state of one scan's worker pool.
 struct PipeState {
     /// Next row-group index a worker may claim.
     next_task: usize,
-    /// Next row-group index the consumer will emit.
-    next_emit: usize,
-    /// Finished groups waiting for their turn, by index.
-    ready: BTreeMap<usize, Result<BlockResult>>,
+    /// Finished groups waiting for the consumer, in block order.
+    reorder: Reorder,
     /// Set when the consumer goes away or errors out.
     cancelled: bool,
 }
@@ -179,27 +166,6 @@ struct Shared {
     morsels_claimed: CachePadded<AtomicU64>,
 }
 
-/// The deadline and retry budget `spec` grants one engine-driven scan or
-/// aggregate. Time runs on the source's simulated clock when it has one; the
-/// deadline starts now.
-fn fetch_ctl(source: &dyn BlockSource, spec: &ScanSpec) -> FetchCtl {
-    let clock = source
-        .health()
-        .map(|h| h.clock().clone())
-        .unwrap_or_default();
-    FetchCtl {
-        deadline: spec
-            .tolerance
-            .deadline_seconds
-            .map(|seconds| Deadline::after(&clock, seconds)),
-        budget: spec
-            .tolerance
-            .retry_budget
-            .map(|cfg| Arc::new(RetryBudget::new(cfg.capacity, cfg.refill_per_second))),
-        tenant: None,
-    }
-}
-
 fn worker_loop(shared: &Shared, pipeline: &BlockPipeline, groups: &[RowGroup]) {
     // One decode arena per worker, living for the whole scan: buffers leased
     // while decoding block i are pooled and reused for block i + workers,
@@ -219,10 +185,9 @@ fn worker_loop(shared: &Shared, pipeline: &BlockPipeline, groups: &[RowGroup]) {
             // Park while the scan is live and the prefetch window is full;
             // spurious wakeups re-test the window like the old manual loop.
             let mut st = shared.task_free.wait_while(shared.state.lock(), |st| {
-                !st.cancelled
-                    && st.next_task < groups.len()
-                    // ordering: advisory window; see the store above
-                    && st.next_task >= st.next_emit + shared.capacity.load(Ordering::Relaxed)
+                // ordering: advisory window; see the store above
+                let window_end = st.reorder.next_emit() + shared.capacity.load(Ordering::Relaxed);
+                !st.cancelled && st.next_task < groups.len() && st.next_task >= window_end
             });
             if st.cancelled || st.next_task >= groups.len() {
                 return;
@@ -231,7 +196,7 @@ fn worker_loop(shared: &Shared, pipeline: &BlockPipeline, groups: &[RowGroup]) {
             // by the ramp target, the prefetch window space, and what's left.
             // ordering: advisory window; see the store above
             let cap = shared.capacity.load(Ordering::Relaxed).max(1);
-            let space = (st.next_emit + cap).saturating_sub(st.next_task).max(1);
+            let space = (st.reorder.next_emit() + cap).saturating_sub(st.next_task).max(1);
             let ramp = (1usize << claims.min(3)).min(MAX_CLAIM_BATCH);
             let take = ramp.min(space).min(groups.len() - st.next_task);
             let start = st.next_task;
@@ -242,18 +207,10 @@ fn worker_loop(shared: &Shared, pipeline: &BlockPipeline, groups: &[RowGroup]) {
         // ordering: statistics counter, no synchronization implied
         shared.morsels_claimed.fetch_add(1, Ordering::Relaxed);
         for (i, &group) in groups.iter().enumerate().skip(start).take(take) {
-            let result = catch_unwind(AssertUnwindSafe(|| pipeline.process(group, &mut scratch)))
-                .unwrap_or_else(|payload| {
-                    Err(ScanError::Worker(format!(
-                        "row group {} (block {}): {}",
-                        i,
-                        group.block,
-                        btr_sync::panic_message(payload.as_ref())
-                    )))
-                });
+            let result = process_contained(pipeline, i, group, &mut scratch);
             let mut st = shared.state.lock();
             let stop = st.cancelled;
-            st.ready.insert(i, result);
+            st.reorder.insert(i, result);
             drop(st);
             shared.out_ready.notify_all();
             if stop {
@@ -295,30 +252,17 @@ impl ScanEngine {
         sidecar: &Sidecar,
         spec: &ScanSpec,
     ) -> Result<Scan> {
-        let plan = plan_scan(source.as_ref(), sidecar, spec)?;
-        let columns = source.columns();
-        let ctl = fetch_ctl(source.as_ref(), spec);
         let capacity = self.options.prefetch.max(1);
         // A single scan never races itself past its own cache lookups, so
         // the engine runs gateless; the scan service installs a shared
         // DecodeGate when many scans share one cache.
-        let pipeline = Arc::new(BlockPipeline::new(PipelineParams {
-            source: source.clone(),
-            cache: self.cache.clone(),
-            config: self.options.config.clone(),
-            projection: plan.projection.clone(),
-            column_types: columns.iter().map(|c| c.column_type).collect(),
-            filter: PipelineFilter::from_plan(&plan),
-            ctl,
-            base_prefetch: capacity,
-            gate: None,
-        }));
-        let groups: Arc<[RowGroup]> = plan.row_groups.clone().into();
+        let (plan, pipeline) = self.prepare(&source, sidecar, spec, capacity)?;
+        let pipeline = Arc::new(pipeline);
+        let groups: Arc<[RowGroup]> = plan.row_groups.into();
         let shared = Arc::new(Shared {
             state: OrderedMutex::new(ENGINE_STATE_RANK, PipeState {
                 next_task: 0,
-                next_emit: 0,
-                ready: BTreeMap::new(),
+                reorder: Reorder::default(),
                 cancelled: false,
             }),
             task_free: OrderedCondvar::new(ENGINE_TASK_FREE_RANK),
@@ -338,32 +282,47 @@ impl ScanEngine {
                 std::thread::spawn(move || worker_loop(&shared, &pipeline, &groups))
             })
             .collect();
-        let buffers = plan
-            .projection
-            .iter()
-            // lint: allow(indexing) plan indices were resolved against these columns
-            .map(|&idx| empty_like(columns[idx].column_type))
-            .collect();
-        Ok(Scan {
+        let buffers = pipeline.empty_columns();
+        let feed = EngineFeed {
             shared,
             handles,
             pipeline,
             total: groups.len(),
-            names: spec.projection.clone(),
-            buffers,
-            buffered_rows: 0,
-            batch_rows: self.options.batch_rows.max(1),
             blocks_total: plan.blocks_total as u64,
             blocks_pruned: plan.blocks_pruned as u64,
             rows_total: plan.rows_total,
-            rows_matched: 0,
-            batches: 0,
             source,
             fetch_base,
             started: Instant::now(),
             wall_seconds: None,
-            failed: false,
-        })
+        };
+        Ok(ScanStream::new(
+            feed,
+            spec.projection.clone(),
+            buffers,
+            self.options.batch_rows,
+        ))
+    }
+
+    /// The shared driver's plan + pipeline over this engine's cache and
+    /// codec configuration (gateless, no tenant).
+    fn prepare(
+        &self,
+        source: &Arc<dyn BlockSource>,
+        sidecar: &Sidecar,
+        spec: &ScanSpec,
+        window: usize,
+    ) -> Result<(ScanPlan, BlockPipeline)> {
+        prepare(
+            source.clone(),
+            sidecar,
+            spec,
+            self.cache.clone(),
+            &self.options.config,
+            window,
+            None,
+            None,
+        )
     }
 
     /// Computes `spec.aggregates` over the relation, answering each row
@@ -384,20 +343,8 @@ impl ScanEngine {
         if spec.aggregates.is_empty() {
             return Err(ScanError::EmptyProjection);
         }
-        let plan = plan_scan(source.as_ref(), sidecar, spec)?;
+        let (plan, pipeline) = self.prepare(&source, sidecar, spec, 1)?;
         let columns = source.columns();
-        let ctl = fetch_ctl(source.as_ref(), spec);
-        let pipeline = BlockPipeline::new(PipelineParams {
-            source: source.clone(),
-            cache: self.cache.clone(),
-            config: self.options.config.clone(),
-            projection: Vec::new(),
-            column_types: columns.iter().map(|c| c.column_type).collect(),
-            filter: PipelineFilter::from_plan(&plan),
-            ctl,
-            base_prefetch: 1,
-            gate: None,
-        });
         let mut aggs = Vec::with_capacity(spec.aggregates.len());
         for (agg, &c) in spec.aggregates.iter().zip(&plan.agg_columns) {
             // lint: allow(indexing) aggregate indices were resolved against these columns
@@ -456,169 +403,104 @@ pub struct AggReport {
     pub counters: PipelineCounters,
 }
 
-/// A running scan: an iterator of [`RecordBatch`]es plus a [`ScanReport`].
-///
-/// Dropping a scan early cancels the pipeline and joins the workers.
-pub struct Scan {
+/// A running engine scan: an iterator of [`crate::RecordBatch`]es plus a
+/// [`ScanReport`]. Dropping it early cancels the pipeline and joins the
+/// workers.
+pub type Scan = ScanStream<EngineFeed>;
+
+/// The engine's side of a [`Scan`]: its worker pool and what the report
+/// reads.
+pub struct EngineFeed {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
     pipeline: Arc<BlockPipeline>,
     total: usize,
-    names: Vec<String>,
-    buffers: Vec<ColumnData>,
-    buffered_rows: usize,
-    batch_rows: usize,
     blocks_total: u64,
     blocks_pruned: u64,
     rows_total: u64,
-    rows_matched: u64,
-    batches: u64,
     source: Arc<dyn BlockSource>,
     fetch_base: FetchStats,
     started: Instant,
     wall_seconds: Option<f64>,
-    failed: bool,
 }
 
-impl Scan {
+impl GroupFeed for EngineFeed {
     fn next_block(&mut self) -> Option<Result<BlockResult>> {
         let total = self.total;
-        let mut st = self.shared.state.lock();
-        loop {
-            if st.next_emit >= total || st.cancelled {
-                return None;
-            }
-            let emit = st.next_emit;
-            if let Some(result) = st.ready.remove(&emit) {
-                st.next_emit += 1;
-                drop(st);
-                self.shared.task_free.notify_all();
-                return Some(result);
-            }
-            // Park until the next in-order result lands (or the scan ends);
-            // spurious wakeups re-test like the old manual loop.
-            st = self.shared.out_ready.wait_while(st, |st| {
-                !st.cancelled && st.next_emit < total && !st.ready.contains_key(&st.next_emit)
+        // Park until the next in-order result lands (or the scan ends).
+        let mut st = self
+            .shared
+            .out_ready
+            .wait_while(self.shared.state.lock(), |st| {
+                !st.cancelled && st.reorder.awaiting(total)
             });
+        if st.cancelled {
+            return None;
         }
+        let result = st.reorder.pop()?;
+        drop(st);
+        // The window moved: a parked worker may claim again.
+        self.shared.task_free.notify_all();
+        Some(result)
     }
 
-    fn cut(&mut self, n: usize) -> RecordBatch {
-        let columns = self
-            .names
-            .iter()
-            .zip(self.buffers.iter_mut())
-            .map(|(name, buf)| (name.clone(), split_front(buf, n)))
-            .collect();
-        self.buffered_rows -= n;
-        self.batches += 1;
-        RecordBatch { columns }
-    }
-
-    /// Marks the scan finished (idempotent): freezes wall time and joins the
-    /// worker pool.
-    fn finish(&mut self) {
-        if self.wall_seconds.is_none() {
-            self.wall_seconds = Some(self.started.elapsed().as_secs_f64());
-        }
-        {
-            let mut st = self.shared.state.lock();
-            st.cancelled = true;
-        }
+    /// Freezes wall time, cancels the pipeline and joins the worker pool.
+    fn finish(&mut self, _end: ScanEnd, _rows_matched: u64) {
+        self.wall_seconds = Some(self.started.elapsed().as_secs_f64());
+        self.shared.state.lock().cancelled = true;
         self.shared.task_free.notify_all();
         self.shared.out_ready.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
+}
 
+impl ScanStream<EngineFeed> {
     /// Execution statistics so far; final once the iterator is exhausted.
     pub fn report(&self) -> ScanReport {
-        let fetch = self.source.stats();
-        let c = self.pipeline.counters();
+        let feed = self.feed();
+        let fetch = feed.source.stats();
+        let base = &feed.fetch_base;
+        let c = feed.pipeline.counters();
         ScanReport {
-            blocks_total: self.blocks_total,
-            blocks_pruned: self.blocks_pruned,
+            blocks_total: feed.blocks_total,
+            blocks_pruned: feed.blocks_pruned,
             blocks_pushdown_fast_path: c.blocks_pushdown_fast_path,
             blocks_decoded: c.blocks_decoded,
             blocks_fetched: c.blocks_fetched,
             cache_hits: c.cache_hits,
             cache_misses: c.cache_misses,
             dedup_hits: c.dedup_hits,
-            bytes_fetched: fetch.bytes_fetched - self.fetch_base.bytes_fetched,
-            fetch_requests: fetch.requests - self.fetch_base.requests,
-            fetch_retries: fetch.retries - self.fetch_base.retries,
-            rows_total: self.rows_total,
-            rows_matched: self.rows_matched,
-            batches: self.batches,
+            bytes_fetched: fetch.bytes_fetched - base.bytes_fetched,
+            fetch_requests: fetch.requests - base.requests,
+            fetch_retries: fetch.retries - base.retries,
+            rows_total: feed.rows_total,
+            rows_matched: self.rows_matched(),
+            batches: self.batches(),
             decode_seconds: c.decode_seconds,
-            wall_seconds: self
+            wall_seconds: feed
                 .wall_seconds
-                .unwrap_or_else(|| self.started.elapsed().as_secs_f64()),
-            fetch_backoff_seconds: fetch.backoff_seconds - self.fetch_base.backoff_seconds,
-            hedges_issued: fetch.hedges_issued - self.fetch_base.hedges_issued,
-            hedges_won: fetch.hedges_won - self.fetch_base.hedges_won,
-            breaker_transitions: fetch.breaker_transitions - self.fetch_base.breaker_transitions,
-            blocks_quarantined: fetch.blocks_quarantined - self.fetch_base.blocks_quarantined,
+                .unwrap_or_else(|| feed.started.elapsed().as_secs_f64()),
+            fetch_backoff_seconds: fetch.backoff_seconds - base.backoff_seconds,
+            hedges_issued: fetch.hedges_issued - base.hedges_issued,
+            hedges_won: fetch.hedges_won - base.hedges_won,
+            breaker_transitions: fetch.breaker_transitions - base.breaker_transitions,
+            blocks_quarantined: fetch.blocks_quarantined - base.blocks_quarantined,
             degradation_steps: c.degradation_steps,
             // ordering: statistics read, no synchronization implied
-            morsels_claimed: self.shared.morsels_claimed.load(Ordering::Relaxed),
+            morsels_claimed: feed.shared.morsels_claimed.load(Ordering::Relaxed),
         }
-    }
-}
-
-impl Iterator for Scan {
-    type Item = Result<RecordBatch>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            if self.buffered_rows >= self.batch_rows {
-                return Some(Ok(self.cut(self.batch_rows)));
-            }
-            match self.next_block() {
-                Some(Ok(block)) => {
-                    self.rows_matched += block.rows_matched;
-                    self.buffered_rows += block.rows_matched as usize;
-                    for (buf, col) in self.buffers.iter_mut().zip(&block.columns) {
-                        if let Err(e) = append(buf, col) {
-                            self.failed = true;
-                            self.finish();
-                            return Some(Err(e));
-                        }
-                    }
-                }
-                Some(Err(e)) => {
-                    self.failed = true;
-                    self.finish();
-                    return Some(Err(e));
-                }
-                None => {
-                    if self.buffered_rows > 0 {
-                        return Some(Ok(self.cut(self.buffered_rows)));
-                    }
-                    self.finish();
-                    return None;
-                }
-            }
-        }
-    }
-}
-
-impl Drop for Scan {
-    fn drop(&mut self) {
-        self.finish();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::fixtures::{attempts, stored};
     use crate::source::MemorySource;
     use btr_s3sim::SimClock;
-    use btrblocks::{CmpOp, Column, Literal, Relation, StringArena};
+    use btrblocks::{CmpOp, Column, ColumnData, Literal, Relation, StringArena};
 
     fn options(block_size: usize, batch_rows: usize) -> EngineOptions {
         EngineOptions {
@@ -631,20 +513,33 @@ mod tests {
         }
     }
 
-    fn source_of(rel: &Relation, cfg: &Config, id: &str) -> Arc<MemorySource> {
+    /// A one-column relation `id = 0..n`.
+    fn ids(n: i32) -> Relation {
+        Relation::new(vec![Column::new("id", ColumnData::Int((0..n).collect()))])
+    }
+
+    /// `rel` compressed with the engine's codec config behind a memory
+    /// source named `id`, plus its zone maps.
+    fn open(engine: &ScanEngine, rel: &Relation, id: &str) -> (Arc<MemorySource>, Sidecar) {
+        let cfg = &engine.options.config;
         let compressed = Arc::new(btrblocks::compress(rel, cfg).unwrap());
-        Arc::new(MemorySource::new(id.to_string(), compressed))
+        let source = Arc::new(MemorySource::new(id.to_string(), compressed));
+        (source, Sidecar::build(rel, cfg.block_size))
+    }
+
+    /// Drains `scan`, concatenating its projected `id` column.
+    fn drain_ids(scan: &mut Scan) -> Vec<i32> {
+        let column = |b: Result<crate::RecordBatch>| match b.unwrap().column("id").unwrap() {
+            ColumnData::Int(v) => v.clone(),
+            _ => unreachable!("projected an int column"),
+        };
+        scan.flat_map(column).collect()
     }
 
     #[test]
     fn full_scan_rechunks_into_fixed_batches() {
         let engine = ScanEngine::new(options(1_000, 700));
-        let rel = Relation::new(vec![Column::new(
-            "id",
-            ColumnData::Int((0..4_500).collect()),
-        )]);
-        let sidecar = Sidecar::build(&rel, 1_000);
-        let source = source_of(&rel, &engine.options.config, "full");
+        let (source, sidecar) = open(&engine, &ids(4_500), "full");
         let scan = engine
             .scan(source, &sidecar, &ScanSpec::project(["id"]))
             .unwrap();
@@ -672,8 +567,7 @@ mod tests {
             "k",
             ColumnData::Int((0..4_000).map(|i| i % 3).collect()),
         )]);
-        let sidecar = Sidecar::build(&rel, 1_000);
-        let source = source_of(&rel, &engine.options.config, "pushdown");
+        let (source, sidecar) = open(&engine, &rel, "pushdown");
         let spec = ScanSpec::project(["k"]).with_predicate(crate::plan::Predicate {
             column: "k".into(),
             op: CmpOp::Eq,
@@ -692,8 +586,7 @@ mod tests {
             "k",
             ColumnData::Int((0..4_000).map(|i| (i % 3) * 2).collect()),
         )]);
-        let sidecar = Sidecar::build(&rel, 1_000);
-        let source = source_of(&rel, &engine.options.config, "pushdown2");
+        let (source, sidecar) = open(&engine, &rel, "pushdown2");
         let spec = ScanSpec::project(["k"]).with_predicate(crate::plan::Predicate {
             column: "k".into(),
             op: CmpOp::Eq,
@@ -711,12 +604,7 @@ mod tests {
     #[test]
     fn predicate_column_decode_is_reused_for_projection() {
         let engine = ScanEngine::new(options(1_000, 4_096));
-        let rel = Relation::new(vec![Column::new(
-            "id",
-            ColumnData::Int((0..2_000).collect()),
-        )]);
-        let sidecar = Sidecar::build(&rel, 1_000);
-        let source = source_of(&rel, &engine.options.config, "reuse");
+        let (source, sidecar) = open(&engine, &ids(2_000), "reuse");
         let spec = ScanSpec::project(["id"]).with_predicate(crate::plan::Predicate {
             column: "id".into(),
             op: CmpOp::Ge,
@@ -741,8 +629,7 @@ mod tests {
             Column::new("id", ColumnData::Int((0..3_000).collect())),
             Column::new("tag", ColumnData::Str(StringArena::from_strs(&refs))),
         ]);
-        let sidecar = Sidecar::build(&rel, 1_000);
-        let source = source_of(&rel, &engine.options.config, "warm");
+        let (source, sidecar) = open(&engine, &rel, "warm");
         let spec = ScanSpec::project(["id", "tag"]);
 
         let mut cold = engine.scan(source.clone(), &sidecar, &spec).unwrap();
@@ -766,12 +653,7 @@ mod tests {
         // The expression compiler type-checks at plan time, so the mismatch
         // is a typed error from `scan` instead of a mid-scan decode failure.
         let engine = ScanEngine::new(options(1_000, 4_096));
-        let rel = Relation::new(vec![Column::new(
-            "id",
-            ColumnData::Int((0..2_000).collect()),
-        )]);
-        let sidecar = Sidecar::build(&rel, 1_000);
-        let source = source_of(&rel, &engine.options.config, "mismatch");
+        let (source, sidecar) = open(&engine, &ids(2_000), "mismatch");
         let spec = ScanSpec::project(["id"]).with_predicate(crate::plan::Predicate {
             column: "id".into(),
             op: CmpOp::Eq,
@@ -797,8 +679,7 @@ mod tests {
                 ColumnData::Double((0..4_000).map(|i| f64::from(i) * 0.5).collect()),
             ),
         ]);
-        let sidecar = Sidecar::build(&rel, 1_000);
-        let source = source_of(&rel, &engine.options.config, "expr");
+        let (source, sidecar) = open(&engine, &rel, "expr");
         // (id >= 500 AND val < 1200.0) — a leaf plus a leaf, with an
         // arithmetic twist on a third conjunct: (id + id) < 5000.
         let expr = btr_expr::col("id")
@@ -807,13 +688,7 @@ mod tests {
             .and(btr_expr::col("id").add(btr_expr::col("id")).lt(btr_expr::lit(5_000)));
         let spec = ScanSpec::project(["id"]).with_expr(expr);
         let mut scan = engine.scan(source, &sidecar, &spec).unwrap();
-        let got: Vec<i32> = scan
-            .by_ref()
-            .flat_map(|b| match b.unwrap().column("id").unwrap() {
-                ColumnData::Int(v) => v.clone(),
-                _ => unreachable!("projected an int column"),
-            })
-            .collect();
+        let got = drain_ids(&mut scan);
         let want: Vec<i32> = (0..4_000)
             .filter(|&i| i >= 500 && f64::from(i) * 0.5 < 1_200.0 && i + i < 5_000)
             .collect();
@@ -827,12 +702,7 @@ mod tests {
     #[test]
     fn aggregates_answer_from_zones_without_fetching() {
         let engine = ScanEngine::new(options(1_000, 4_096));
-        let rel = Relation::new(vec![Column::new(
-            "id",
-            ColumnData::Int((0..4_000).collect()),
-        )]);
-        let sidecar = Sidecar::build(&rel, 1_000);
-        let source = source_of(&rel, &engine.options.config, "agg-zones");
+        let (source, sidecar) = open(&engine, &ids(4_000), "agg-zones");
         let spec = ScanSpec::aggregate([
             btr_expr::Aggregate::count("id"),
             btr_expr::Aggregate::min("id"),
@@ -861,8 +731,7 @@ mod tests {
             Column::new("id", ColumnData::Int((0..4_000).collect())),
             Column::new("val", ColumnData::Double(vals.clone())),
         ]);
-        let sidecar = Sidecar::build(&rel, 1_000);
-        let source = source_of(&rel, &engine.options.config, "agg-filter");
+        let (source, sidecar) = open(&engine, &rel, "agg-filter");
         let spec = ScanSpec::aggregate([btr_expr::Aggregate::sum("val")])
             .with_expr(btr_expr::col("id").lt(btr_expr::lit(1_500)));
         let report = engine.aggregate(source, &sidecar, &spec).unwrap();
@@ -886,22 +755,11 @@ mod tests {
             prefetch: 32,
             ..options(500, 4_096)
         });
-        let rel = Relation::new(vec![Column::new(
-            "id",
-            ColumnData::Int((0..50_000).collect()),
-        )]);
-        let sidecar = Sidecar::build(&rel, 500);
-        let source = source_of(&rel, &engine.options.config, "morsels");
+        let (source, sidecar) = open(&engine, &ids(50_000), "morsels");
         let mut scan = engine
             .scan(source, &sidecar, &ScanSpec::project(["id"]))
             .unwrap();
-        let all: Vec<i32> = scan
-            .by_ref()
-            .flat_map(|b| match b.unwrap().column("id").unwrap() {
-                ColumnData::Int(v) => v.clone(),
-                _ => unreachable!("projected an int column"),
-            })
-            .collect();
+        let all = drain_ids(&mut scan);
         assert_eq!(all, (0..50_000).collect::<Vec<_>>());
         let report = scan.report();
         assert!(report.morsels_claimed > 0);
@@ -918,35 +776,13 @@ mod tests {
             prefetch: 2,
             ..options(500, 100)
         });
-        let rel = Relation::new(vec![Column::new(
-            "id",
-            ColumnData::Int((0..50_000).collect()),
-        )]);
-        let sidecar = Sidecar::build(&rel, 500);
-        let source = source_of(&rel, &engine.options.config, "drop-early");
+        let (source, sidecar) = open(&engine, &ids(50_000), "drop-early");
         let mut scan = engine
             .scan(source, &sidecar, &ScanSpec::project(["id"]))
             .unwrap();
         let first = scan.next().unwrap().unwrap();
         assert_eq!(first.rows(), 100);
         drop(scan); // must cancel + join without deadlock
-    }
-
-    fn store_source(
-        rel: &Relation,
-        cfg: &Config,
-        plan: Option<btr_s3sim::FaultPlan>,
-        retry: btr_s3sim::RetryPolicy,
-    ) -> (crate::source::ObjectStoreSource, SimClock) {
-        let compressed = Arc::new(btrblocks::compress(rel, cfg).unwrap());
-        let layout = crate::layout::RelationLayout::of(&compressed);
-        let store = Arc::new(btr_s3sim::ObjectStore::new());
-        store.put("rel.btr", compressed.to_bytes());
-        store.set_fault_plan(plan);
-        let clock = SimClock::default();
-        let source = crate::source::ObjectStoreSource::new(store, "rel.btr", layout, retry)
-            .with_clock(clock.clone());
-        (source, clock)
     }
 
     #[test]
@@ -958,20 +794,14 @@ mod tests {
             prefetch: 2,
             ..options(1_000, 4_096)
         });
-        let rel = Relation::new(vec![Column::new(
-            "id",
-            ColumnData::Int((0..4_000).collect()),
-        )]);
-        let sidecar = Sidecar::build(&rel, 1_000);
-        let (source, clock) = store_source(
-            &rel,
-            &engine.options.config,
-            Some(btr_s3sim::FaultPlan {
-                base_latency_ms: 100,
-                ..btr_s3sim::FaultPlan::default()
-            }),
-            btr_s3sim::RetryPolicy::default(),
-        );
+        let sidecar = Sidecar::build(&ids(4_000), 1_000);
+        let plan = btr_s3sim::FaultPlan {
+            base_latency_ms: 100,
+            ..btr_s3sim::FaultPlan::default()
+        };
+        let clock = SimClock::default();
+        let (_, _, source) = stored(Some(plan), btr_s3sim::RetryPolicy::default());
+        let source = source.with_clock(clock.clone());
         let spec = ScanSpec::project(["id"]).with_deadline(0.25);
         let scan = engine.scan(Arc::new(source), &sidecar, &spec).unwrap();
         let err = scan
@@ -1000,20 +830,9 @@ mod tests {
             workers: 2,
             ..options(1_000, 4_096)
         });
-        let rel = Relation::new(vec![Column::new(
-            "id",
-            ColumnData::Int((0..4_000).collect()),
-        )]);
-        let sidecar = Sidecar::build(&rel, 1_000);
-        let (source, _clock) = store_source(
-            &rel,
-            &engine.options.config,
-            Some(btr_s3sim::FaultPlan::transient(0.6, 21)),
-            btr_s3sim::RetryPolicy {
-                max_attempts: 32,
-                ..btr_s3sim::RetryPolicy::default()
-            },
-        );
+        let sidecar = Sidecar::build(&ids(4_000), 1_000);
+        let plan = btr_s3sim::FaultPlan::transient(0.6, 21);
+        let (_, _, source) = stored(Some(plan), attempts(32));
         let mut scan = engine
             .scan(Arc::new(source), &sidecar, &ScanSpec::project(["id"]))
             .unwrap();
@@ -1032,8 +851,7 @@ mod tests {
     fn empty_relation_scans_cleanly() {
         let engine = ScanEngine::new(options(1_000, 4_096));
         let rel = Relation::new(vec![Column::new("id", ColumnData::Int(Vec::new()))]);
-        let sidecar = Sidecar::build(&rel, 1_000);
-        let source = source_of(&rel, &engine.options.config, "empty");
+        let (source, sidecar) = open(&engine, &rel, "empty");
         let mut scan = engine
             .scan(source, &sidecar, &ScanSpec::project(["id"]))
             .unwrap();

@@ -14,7 +14,7 @@
 //! planner ──> prefetch (ranged GETs, bounded in-flight, retries)
 //!        \        │
 //!         \       ▼
-//!          decode workers ──(in block order)──> BatchIterator ──> RecordBatch
+//!          decode workers ──(in block order)──> ScanStream ──> RecordBatch
 //!               │   ▲
 //!               ▼   │ hits skip fetch + decode entirely
 //!          decoded-block cache (sharded LRU, byte budget)
@@ -23,8 +23,9 @@
 //! * **Planner** ([`plan`]): resolves the projection and predicate against
 //!   the source schema and consults the zone-map sidecar; blocks whose zones
 //!   cannot match are pruned before any byte is fetched.
-//! * **Prefetch + decode** ([`engine`]): a worker pool claims surviving row
-//!   groups with a bounded look-ahead window, fetches block payloads
+//! * **Prefetch + decode** ([`engine`], one executor of the shared scan
+//!   [`driver`]): a worker pool claims surviving row groups with a
+//!   bounded look-ahead window, fetches block payloads
 //!   (ranged GETs with retry/backoff against an object store, or slices of
 //!   an in-memory relation), evaluates the predicate in the compressed
 //!   domain when the scheme has a fast path, and decodes only what survives.
@@ -64,6 +65,7 @@
 pub mod batch;
 pub mod cache;
 pub mod chaos;
+pub mod driver;
 pub mod engine;
 pub mod layout;
 pub mod pipeline;
@@ -73,7 +75,8 @@ pub mod source;
 
 pub use batch::RecordBatch;
 pub use cache::{BlockCache, BlockKey, CacheStats};
-pub use chaos::{ChaosConfig, ChaosReport, ScheduleOutcome};
+pub use chaos::{ChaosConfig, ChaosReport};
+pub use driver::{GroupFeed, Reorder, ScanEnd, ScanStream};
 pub use engine::{AggReport, EngineOptions, Scan, ScanEngine, ScanReport};
 pub use layout::{ColumnLayout, RelationLayout};
 pub use pipeline::{

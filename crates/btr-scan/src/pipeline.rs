@@ -22,10 +22,8 @@
 //!   are counted as `dedup_hits` in [`PipelineCounters`]. A failed owner
 //!   publishes nothing; waiters retry under their own deadline/budget, never
 //!   inheriting the owner's error (same contract as the source's in-flight
-//!   table).
-//!
-//! The engine leaves the gate off (a single scan cannot race itself past the
-//! cache), so its behavior is exactly the pre-refactor pipeline.
+//!   table). The engine leaves the gate off: a single scan cannot race
+//!   itself past the cache.
 
 use crate::batch::{empty_like, gather};
 use crate::cache::{BlockCache, BlockKey};
@@ -44,7 +42,7 @@ use btrblocks::{
     DecodeScratch, DecodedColumn, Literal,
 };
 use std::collections::HashMap;
-use btr_sync::{OrderedCondvar, OrderedMutex, Rank};
+use btr_sync::{Flight, Rank, SingleFlight};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -77,20 +75,6 @@ impl PipelineFilter {
             plan: Arc::new(expr),
             always_true: Arc::new(always_true),
         })
-    }
-
-    /// A filter from a bare expression plan with no zone-map masks (every
-    /// conjunct evaluates on every block).
-    pub fn from_expr_plan(plan: ExprPlan) -> PipelineFilter {
-        PipelineFilter {
-            plan: Arc::new(plan),
-            always_true: Arc::new(HashMap::new()),
-        }
-    }
-
-    /// Source columns the filter reads.
-    pub fn columns(&self) -> &[usize] {
-        &self.plan.columns
     }
 }
 
@@ -146,6 +130,7 @@ pub struct PipelineParams {
 }
 
 /// Per-pipeline activity counters (relaxed atomics, written by workers).
+#[derive(Default)]
 struct Counters {
     pushdown: AtomicU64,
     decoded: AtomicU64,
@@ -158,22 +143,6 @@ struct Counters {
     degradation_level: AtomicU64,
     /// Upward level transitions, summed.
     degradation_steps: AtomicU64,
-}
-
-impl Counters {
-    fn new() -> Counters {
-        Counters {
-            pushdown: AtomicU64::new(0),
-            decoded: AtomicU64::new(0),
-            fetched: AtomicU64::new(0),
-            decode_nanos: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
-            degradation_level: AtomicU64::new(0),
-            degradation_steps: AtomicU64::new(0),
-        }
-    }
 }
 
 /// Snapshot of a pipeline's activity, folded into scan/service reports.
@@ -242,21 +211,21 @@ impl BlockPipeline {
             projection: params.projection,
             column_types: params.column_types,
             filter: params.filter,
-            counters: Counters::new(),
+            counters: Counters::default(),
             ctl: params.ctl,
             base_prefetch: params.base_prefetch.max(1),
             gate: params.gate,
         }
     }
 
-    /// The source this pipeline reads from.
-    pub fn source(&self) -> &Arc<dyn BlockSource> {
-        &self.source
-    }
-
-    /// The fetch control (deadline, budget, tenant) threaded into fetches.
-    pub fn ctl(&self) -> &FetchCtl {
-        &self.ctl
+    /// One empty buffer per projected column, in output order: what a group
+    /// with no surviving rows yields, and what batch assembly starts from.
+    pub fn empty_columns(&self) -> Vec<ColumnData> {
+        self.projection
+            .iter()
+            // lint: allow(indexing) projection indices were resolved against columns at plan time
+            .map(|&idx| empty_like(self.column_types[idx]))
+            .collect()
     }
 
     /// Activity snapshot.
@@ -429,12 +398,12 @@ impl BlockPipeline {
             return self.fetch_decode_insert(idx, block, key, scratch);
         };
         loop {
-            match gate.join(&key) {
-                GateOutcome::Waited(Some(decoded)) => {
+            match gate.0.join(&key) {
+                Flight::Waited(Some(decoded)) => {
                     self.counters.dedup_hits.fetch_add(1, Ordering::Relaxed); // ordering: statistics counter
                     return Ok(decoded);
                 }
-                GateOutcome::Waited(None) => {
+                Flight::Waited(None) => {
                     // The owner failed — possibly on *its own* deadline or
                     // budget, which this scan must not inherit. Re-check the
                     // cache (a later owner may have landed the block), then
@@ -444,7 +413,7 @@ impl BlockPipeline {
                     }
                     continue;
                 }
-                GateOutcome::Owner(guard) => {
+                Flight::Owner(guard) => {
                     // Ownership was won, but this scan's cache miss predates
                     // the join: a previous owner may have landed the block
                     // and left the gate in between. Re-check before paying
@@ -613,15 +582,9 @@ impl BlockPipeline {
         if rows_matched == 0 {
             // Nothing survives: emit empty columns without touching the
             // projection blocks — pushdown's payoff.
-            let columns = self
-                .projection
-                .iter()
-                // lint: allow(indexing) projection indices were resolved against columns at plan time
-                .map(|&idx| empty_like(self.column_types[idx]))
-                .collect();
             return Ok(BlockResult {
                 rows_matched,
-                columns,
+                columns: self.empty_columns(),
             });
         }
 
@@ -742,46 +705,27 @@ impl AggSourceCounts {
     }
 }
 
-enum GateState {
-    Pending,
-    /// `Some(decoded)` on success; `None` when the owner failed (waiters
-    /// retry under their own deadline/budget rather than inheriting).
-    Done(Option<Arc<DecodedColumn>>),
-}
-
-/// Gate ranks (DESIGN.md §15): the slot table is held only for the
-/// insert/lookup/remove instant; a joiner waits on one slot's state with
-/// nothing else held, and every slot shares one rank since no thread ever
-/// holds two slots.
+/// Gate ranks (DESIGN.md §15): above the engine/service dispatch locks a
+/// worker has already released, below the cache shards and source locks the
+/// owner of a slot goes on to take.
 const GATE_SLOTS_RANK: Rank = Rank::new(60, "scan.gate.slots");
 const GATE_SLOT_RANK: Rank = Rank::new(64, "scan.gate.slot");
 const GATE_SLOT_DONE_RANK: Rank = Rank::new(65, "scan.gate.slot.done");
 
-struct GateSlot {
-    state: OrderedMutex<GateState>,
-    done: OrderedCondvar,
-}
-
 /// Cross-scan single-flight around the block miss path (fetch + decode +
-/// cache insert), keyed by [`BlockKey`]. One gate is shared by every
-/// pipeline of a scan service; see the module docs.
-pub struct DecodeGate {
-    slots: OrderedMutex<HashMap<BlockKey, Arc<GateSlot>>>,
-}
+/// cache insert), keyed by [`BlockKey`]: a [`SingleFlight`] whose waiters
+/// receive the owner's decoded block. One gate is shared by every pipeline
+/// of a scan service; see the module docs.
+pub struct DecodeGate(SingleFlight<BlockKey, Arc<DecodedColumn>>);
 
 impl Default for DecodeGate {
     fn default() -> DecodeGate {
-        DecodeGate { slots: OrderedMutex::new(GATE_SLOTS_RANK, HashMap::new()) }
+        DecodeGate(SingleFlight::new(
+            GATE_SLOTS_RANK,
+            GATE_SLOT_RANK,
+            GATE_SLOT_DONE_RANK,
+        ))
     }
-}
-
-/// Result of [`DecodeGate::join`].
-pub enum GateOutcome<'a> {
-    /// The caller owns the miss and must complete the guard.
-    Owner(GateGuard<'a>),
-    /// Another pipeline resolved first: its decoded block, or `None` if it
-    /// failed.
-    Waited(Option<Arc<DecodedColumn>>),
 }
 
 impl DecodeGate {
@@ -789,129 +733,28 @@ impl DecodeGate {
     pub fn new() -> DecodeGate {
         DecodeGate::default()
     }
-
-    /// Registers interest in `key`: become the owner, or wait for the
-    /// current owner's published outcome.
-    pub fn join(&self, key: &BlockKey) -> GateOutcome<'_> {
-        let slot = {
-            let mut slots = self.slots.lock();
-            if let Some(slot) = slots.get(key) {
-                slot.clone()
-            } else {
-                slots.insert(
-                    key.clone(),
-                    Arc::new(GateSlot {
-                        state: OrderedMutex::new(GATE_SLOT_RANK, GateState::Pending),
-                        done: OrderedCondvar::new(GATE_SLOT_DONE_RANK),
-                    }),
-                );
-                return GateOutcome::Owner(GateGuard {
-                    gate: self,
-                    key: key.clone(),
-                    value: None,
-                });
-            }
-        };
-        // Park until the owner publishes; spurious wakeups re-test the state.
-        let state = slot
-            .done
-            .wait_while(slot.state.lock(), |state| matches!(state, GateState::Pending));
-        match &*state {
-            GateState::Done(result) => GateOutcome::Waited(result.clone()),
-            GateState::Pending => GateOutcome::Waited(None),
-        }
-    }
-}
-
-/// Owner side of a gate slot. Publishing (or dropping — e.g. on a panic
-/// unwinding through the miss path) removes the slot and wakes waiters; an
-/// unpublished drop reads as a failure, so waiters never hang.
-pub struct GateGuard<'a> {
-    gate: &'a DecodeGate,
-    key: BlockKey,
-    value: Option<Arc<DecodedColumn>>,
-}
-
-impl GateGuard<'_> {
-    /// Publishes the miss outcome to any waiters.
-    pub fn publish(mut self, value: Option<Arc<DecodedColumn>>) {
-        self.value = value;
-    }
-}
-
-impl Drop for GateGuard<'_> {
-    fn drop(&mut self) {
-        // Remove the slot first so late joiners start a fresh miss, then
-        // wake everyone already waiting on this one.
-        let slot = self.gate.slots.lock().remove(&self.key);
-        if let Some(slot) = slot {
-            *slot.state.lock() = GateState::Done(self.value.take());
-            slot.done.notify_all();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn key(block: u32) -> BlockKey {
-        BlockKey {
+    /// The slot-table behaviour (waiters, failed owners) is tested once, in
+    /// btr-sync; this pins the instantiation: keyed by `BlockKey`, slots
+    /// independent per key and gone once the owner published.
+    #[test]
+    fn gate_slots_are_per_block_key_and_released_on_publish() {
+        let gate = DecodeGate::new();
+        let key = |block| BlockKey {
             relation: Arc::from("r"),
             column: 0,
             block,
-        }
-    }
-
-    #[test]
-    fn gate_owner_publishes_decoded_block_to_waiters() {
-        let gate = Arc::new(DecodeGate::new());
-        let owner = match gate.join(&key(1)) {
-            GateOutcome::Owner(g) => g,
-            GateOutcome::Waited(_) => panic!("first joiner must own"),
         };
-        let waiter = {
-            let gate = gate.clone();
-            std::thread::spawn(move || match gate.join(&key(1)) {
-                GateOutcome::Waited(v) => v,
-                GateOutcome::Owner(_) => panic!("slot is owned"),
-            })
+        let Flight::Owner(owner) = gate.0.join(&key(1)) else {
+            panic!("first joiner must own");
         };
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(matches!(gate.0.join(&key(2)), Flight::Owner(_)));
         owner.publish(Some(Arc::new(DecodedColumn::Int(vec![1, 2, 3]))));
-        let got = waiter.join().unwrap().expect("owner published a value");
-        assert_eq!(*got, DecodedColumn::Int(vec![1, 2, 3]));
-        // Slot is gone: the next joiner owns a fresh miss.
-        assert!(matches!(gate.join(&key(1)), GateOutcome::Owner(_)));
-    }
-
-    #[test]
-    fn dropped_gate_owner_reads_as_failure() {
-        let gate = Arc::new(DecodeGate::new());
-        let owner = match gate.join(&key(0)) {
-            GateOutcome::Owner(g) => g,
-            GateOutcome::Waited(_) => panic!("first joiner must own"),
-        };
-        let waiter = {
-            let gate = gate.clone();
-            std::thread::spawn(move || match gate.join(&key(0)) {
-                GateOutcome::Waited(v) => v,
-                GateOutcome::Owner(_) => panic!("slot is owned"),
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        drop(owner);
-        assert!(waiter.join().unwrap().is_none());
-    }
-
-    #[test]
-    fn distinct_keys_do_not_contend() {
-        let gate = DecodeGate::new();
-        let a = match gate.join(&key(0)) {
-            GateOutcome::Owner(g) => g,
-            GateOutcome::Waited(_) => panic!("fresh key must be owned"),
-        };
-        assert!(matches!(gate.join(&key(1)), GateOutcome::Owner(_)));
-        drop(a);
+        assert!(matches!(gate.0.join(&key(1)), Flight::Owner(_)));
     }
 }

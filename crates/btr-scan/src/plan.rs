@@ -114,7 +114,7 @@ impl ScanSpec {
 
     /// Bounds the scan to `seconds` of simulated time; once elapsed, fetches
     /// stop retrying and the scan surfaces
-    /// [`ScanError::DeadlineExceeded`](crate::ScanError::DeadlineExceeded).
+    /// [`ScanError::DeadlineExceeded`].
     pub fn with_deadline(mut self, seconds: f64) -> ScanSpec {
         self.tolerance.deadline_seconds = Some(seconds);
         self

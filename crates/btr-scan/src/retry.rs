@@ -19,28 +19,19 @@
 //! * [`SourceHealth`] — the per-source bundle: simulated clock, breaker,
 //!   per-block quarantine (a permanently CRC-mismatched block poisons only
 //!   scans that need it), and the latency window driving hedged GETs.
-//! * [`Inflight`] — single-flight dedup: two concurrent fetches of the same
-//!   `(column, block)` resolve with one request; per-scan failures
-//!   (deadline, budget) are *not* inherited by waiters, which retry under
-//!   their own control.
 //!
 //! Everything time-based runs on [`SimClock`]; nothing here sleeps.
 
 use btr_s3sim::{Deadline, RetryBudget, SimClock};
-use std::collections::{HashMap, HashSet};
-use btr_sync::{OrderedCondvar, OrderedMutex, Rank};
+use std::collections::HashSet;
+use btr_sync::{OrderedMutex, Rank};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Resilience-substrate ranks (DESIGN.md §15). The single-flight table is
-/// held only for the insert/lookup/remove instant; waiting on a slot happens
-/// with nothing else held, so slots share one rank. Health and breaker locks
-/// are leaves consulted between fetch attempts (quarantine is additionally
+/// Resilience-substrate ranks (DESIGN.md §15). Health and breaker locks are
+/// leaves consulted between fetch attempts (quarantine is additionally
 /// queried under btr-server's coalesce lock, which ranks below all of
 /// these).
-const INFLIGHT_SLOTS_RANK: Rank = Rank::new(80, "scan.inflight.slots");
-const INFLIGHT_SLOT_RANK: Rank = Rank::new(84, "scan.inflight.slot");
-const INFLIGHT_SLOT_DONE_RANK: Rank = Rank::new(85, "scan.inflight.slot.done");
 const HEALTH_QUARANTINE_RANK: Rank = Rank::new(90, "scan.health.quarantine");
 const HEALTH_WINDOW_RANK: Rank = Rank::new(92, "scan.health.window");
 const BREAKER_RANK: Rank = Rank::new(94, "scan.breaker");
@@ -240,46 +231,44 @@ impl CircuitBreaker {
     }
 }
 
-/// Ring buffer of recent fetch latencies (simulated seconds).
-struct LatencyWindow {
+/// The most recent `N` samples of a stream (fetch latencies here, queue
+/// waits in the scan service): memory stays constant however long the
+/// stream runs.
+#[derive(Debug, Clone, Default)]
+pub struct SampleWindow<const N: usize> {
     samples: Vec<f64>,
     next: usize,
 }
 
+/// Fetch latencies (simulated seconds) the hedging threshold looks back on.
 const LATENCY_WINDOW: usize = 64;
 
-impl LatencyWindow {
-    fn new() -> LatencyWindow {
-        LatencyWindow {
-            samples: Vec::with_capacity(LATENCY_WINDOW),
-            next: 0,
+impl<const N: usize> SampleWindow<N> {
+    /// Records a sample, overwriting the oldest once `N` are held.
+    pub fn push(&mut self, sample: f64) {
+        if self.samples.len() < N {
+            self.samples.push(sample);
+        } else if let Some(slot) = self.samples.get_mut(self.next) {
+            *slot = sample;
+            self.next = (self.next + 1) % N;
         }
     }
 
-    fn push(&mut self, seconds: f64) {
-        if self.samples.len() < LATENCY_WINDOW {
-            self.samples.push(seconds);
-        } else {
-            if let Some(slot) = self.samples.get_mut(self.next) {
-                *slot = seconds;
-            }
-            self.next = (self.next + 1) % LATENCY_WINDOW;
-        }
+    /// The retained samples, in no particular order.
+    pub fn samples(&self) -> &[f64] {
+        &self.samples
     }
+}
 
-    /// The `percentile`-th latency of the window, or `None` with fewer than
-    /// `warmup` samples.
-    fn percentile(&self, percentile: f64, warmup: usize) -> Option<f64> {
-        if self.samples.len() < warmup.max(1) {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let last = sorted.len() - 1;
-        // lint: allow(cast) percentile index: clamped to [0, len-1] by construction
-        let idx = ((last as f64) * percentile.clamp(0.0, 1.0)).round() as usize;
-        sorted.get(idx.min(last)).copied()
-    }
+/// Nearest-rank percentile (`q` in 0..=1) of an unsorted sample; `None` for
+/// an empty one.
+pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let last = sorted.len().checked_sub(1)?;
+    // lint: allow(cast) percentile index: clamped to [0, len-1] by construction
+    let idx = ((last as f64) * q.clamp(0.0, 1.0)).round() as usize;
+    sorted.get(idx.min(last)).copied()
 }
 
 /// Per-source fault-tolerance state shared by every scan of that source:
@@ -289,7 +278,7 @@ pub struct SourceHealth {
     breaker: Option<CircuitBreaker>,
     hedge: Option<HedgeConfig>,
     quarantined: OrderedMutex<HashSet<(u32, u32)>>,
-    window: OrderedMutex<LatencyWindow>,
+    window: OrderedMutex<SampleWindow<LATENCY_WINDOW>>,
     hedges_issued: AtomicU64,
     hedges_won: AtomicU64,
     quarantine_count: AtomicU64,
@@ -310,7 +299,7 @@ impl SourceHealth {
             breaker: None,
             hedge: None,
             quarantined: OrderedMutex::new(HEALTH_QUARANTINE_RANK, HashSet::new()),
-            window: OrderedMutex::new(HEALTH_WINDOW_RANK, LatencyWindow::new()),
+            window: OrderedMutex::new(HEALTH_WINDOW_RANK, SampleWindow::default()),
             hedges_issued: AtomicU64::new(0),
             hedges_won: AtomicU64::new(0),
             quarantine_count: AtomicU64::new(0),
@@ -382,7 +371,13 @@ impl SourceHealth {
         if self.breaker_state() != BreakerState::Closed {
             return None;
         }
-        let threshold = self.window.lock().percentile(cfg.percentile, cfg.warmup)?;
+        let threshold = {
+            let window = self.window.lock();
+            if window.samples().len() < cfg.warmup.max(1) {
+                return None;
+            }
+            percentile(window.samples(), cfg.percentile)?
+        };
         (threshold >= cfg.min_seconds).then_some(threshold)
     }
 
@@ -409,99 +404,6 @@ impl SourceHealth {
     /// Breaker transitions so far (0 without a breaker).
     pub fn breaker_transitions(&self) -> u64 {
         self.breaker.as_ref().map_or(0, CircuitBreaker::transitions)
-    }
-}
-
-enum SlotState {
-    Pending,
-    /// `Some(body)` on success; `None` when the owner failed (waiters retry
-    /// under their own deadline/budget rather than inheriting the error).
-    Done(Option<Vec<u8>>),
-}
-
-struct Slot {
-    state: OrderedMutex<SlotState>,
-    done: OrderedCondvar,
-}
-
-/// Single-flight table for in-flight block fetches; see the module docs.
-pub(crate) struct Inflight {
-    slots: OrderedMutex<HashMap<(u32, u32), Arc<Slot>>>,
-}
-
-/// Result of [`Inflight::join`].
-pub(crate) enum JoinOutcome<'a> {
-    /// The caller owns the fetch and must complete the guard.
-    Owner(OwnerGuard<'a>),
-    /// Another fetch resolved first: its body, or `None` if it failed.
-    Waited(Option<Vec<u8>>),
-}
-
-impl Inflight {
-    pub(crate) fn new() -> Inflight {
-        Inflight {
-            slots: OrderedMutex::new(INFLIGHT_SLOTS_RANK, HashMap::new()),
-        }
-    }
-
-    /// Registers interest in `(column, block)`: become the owner, or wait
-    /// for the current owner's published outcome.
-    pub(crate) fn join(&self, key: (u32, u32)) -> JoinOutcome<'_> {
-        let slot = {
-            let mut slots = self.slots.lock();
-            if let Some(slot) = slots.get(&key) {
-                slot.clone()
-            } else {
-                slots.insert(
-                    key,
-                    Arc::new(Slot {
-                        state: OrderedMutex::new(INFLIGHT_SLOT_RANK, SlotState::Pending),
-                        done: OrderedCondvar::new(INFLIGHT_SLOT_DONE_RANK),
-                    }),
-                );
-                return JoinOutcome::Owner(OwnerGuard {
-                    inflight: self,
-                    key,
-                    body: None,
-                });
-            }
-        };
-        // Park until the owner publishes; spurious wakeups re-test the state.
-        let state = slot
-            .done
-            .wait_while(slot.state.lock(), |state| matches!(state, SlotState::Pending));
-        match &*state {
-            SlotState::Done(result) => JoinOutcome::Waited(result.clone()),
-            SlotState::Pending => JoinOutcome::Waited(None),
-        }
-    }
-}
-
-/// Owner side of a single-flight slot. Publishing (or dropping — e.g. on a
-/// panic unwinding through the fetch) removes the slot and wakes waiters;
-/// an unpublished drop reads as a failure, so waiters never hang.
-pub(crate) struct OwnerGuard<'a> {
-    inflight: &'a Inflight,
-    key: (u32, u32),
-    body: Option<Vec<u8>>,
-}
-
-impl OwnerGuard<'_> {
-    /// Publishes the fetch outcome to any waiters.
-    pub(crate) fn publish(mut self, body: Option<Vec<u8>>) {
-        self.body = body;
-    }
-}
-
-impl Drop for OwnerGuard<'_> {
-    fn drop(&mut self) {
-        // Remove the slot first so late joiners start a fresh fetch, then
-        // wake everyone already waiting on this one.
-        let slot = self.inflight.slots.lock().remove(&self.key);
-        if let Some(slot) = slot {
-            *slot.state.lock() = SlotState::Done(self.body.take());
-            slot.done.notify_all();
-        }
     }
 }
 
@@ -612,43 +514,20 @@ mod tests {
     }
 
     #[test]
-    fn single_flight_owner_publishes_to_waiters() {
-        let inflight = Arc::new(Inflight::new());
-        let owner = match inflight.join((1, 2)) {
-            JoinOutcome::Owner(g) => g,
-            JoinOutcome::Waited(_) => panic!("first joiner must own"),
-        };
-        let waiter = {
-            let inflight = inflight.clone();
-            std::thread::spawn(move || match inflight.join((1, 2)) {
-                JoinOutcome::Waited(body) => body,
-                JoinOutcome::Owner(_) => panic!("slot is owned"),
-            })
-        };
-        // Give the waiter a moment to block on the slot.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        owner.publish(Some(vec![7, 8, 9]));
-        assert_eq!(waiter.join().unwrap(), Some(vec![7, 8, 9]));
-        // Slot is gone: the next joiner owns a fresh fetch.
-        assert!(matches!(inflight.join((1, 2)), JoinOutcome::Owner(_)));
-    }
+    fn percentile_is_nearest_rank_and_the_window_keeps_only_the_newest() {
+        let s: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(percentile(&s, 0.0), Some(1.0));
+        assert_eq!(percentile(&s, 1.0), Some(100.0));
+        assert_eq!(percentile(&s, 0.5), Some(51.0));
+        assert_eq!(percentile(&[7.0], 0.95), Some(7.0));
+        assert_eq!(percentile(&[], 0.5), None);
 
-    #[test]
-    fn dropped_owner_reads_as_failure_not_a_hang() {
-        let inflight = Arc::new(Inflight::new());
-        let owner = match inflight.join((0, 0)) {
-            JoinOutcome::Owner(g) => g,
-            JoinOutcome::Waited(_) => panic!("first joiner must own"),
-        };
-        let waiter = {
-            let inflight = inflight.clone();
-            std::thread::spawn(move || match inflight.join((0, 0)) {
-                JoinOutcome::Waited(body) => body,
-                JoinOutcome::Owner(_) => panic!("slot is owned"),
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        drop(owner); // simulates a fetch panicking / erroring out
-        assert_eq!(waiter.join().unwrap(), None);
+        let mut window = SampleWindow::<4>::default();
+        for i in 0..10 {
+            window.push(f64::from(i));
+        }
+        let mut kept = window.samples().to_vec();
+        kept.sort_by(f64::total_cmp);
+        assert_eq!(kept, vec![6.0, 7.0, 8.0, 9.0]);
     }
 }

@@ -24,7 +24,6 @@
 
 use crate::layout::RelationLayout;
 use crate::retry::{Admission, BreakerConfig, FetchCtl, HedgeConfig, SourceHealth};
-use crate::retry::{Inflight, JoinOutcome};
 use crate::{Result, ScanError};
 use btr_s3sim::{
     run_with_retries, Attempt, ObjectStore, RetryError, RetryFailure, RetryPolicy,
@@ -32,8 +31,15 @@ use btr_s3sim::{
 };
 use btrblocks::crc32c::crc32c;
 use btrblocks::{BlockRange, ColumnType, CompressedRelation};
+use btr_sync::{Flight, Rank, SingleFlight};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Ranks of the in-flight fetch table (DESIGN.md §15), above the cache shards
+/// and below the health/breaker leaves a fetch consults while it owns a slot.
+const INFLIGHT_SLOTS_RANK: Rank = Rank::new(80, "scan.inflight.slots");
+const INFLIGHT_SLOT_RANK: Rank = Rank::new(84, "scan.inflight.slot");
+const INFLIGHT_SLOT_DONE_RANK: Rank = Rank::new(85, "scan.inflight.slot.done");
 
 /// Schema entry a source exposes per column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,6 +156,11 @@ impl MemorySource {
             bytes: AtomicU64::new(0),
         }
     }
+
+    fn block(&self, column: u32, block: u32) -> Option<&Vec<u8>> {
+        let blocks = &self.relation.columns.get(column as usize)?.blocks;
+        blocks.get(block as usize)
+    }
 }
 
 impl BlockSource for MemorySource {
@@ -174,14 +185,8 @@ impl BlockSource for MemorySource {
     }
 
     fn fetch(&self, column: u32, block: u32) -> Result<Vec<u8>> {
-        let col = self
-            .relation
-            .columns
-            .get(column as usize)
-            .ok_or(ScanError::BlockOutOfRange { column, block })?;
-        let bytes = col
-            .blocks
-            .get(block as usize)
+        let bytes = self
+            .block(column, block)
             .ok_or(ScanError::BlockOutOfRange { column, block })?
             .clone();
         self.requests.fetch_add(1, Ordering::Relaxed); // ordering: statistics counter
@@ -190,11 +195,7 @@ impl BlockSource for MemorySource {
     }
 
     fn block_len(&self, column: u32, block: u32) -> Option<u64> {
-        self.relation
-            .columns
-            .get(column as usize)
-            .and_then(|c| c.blocks.get(block as usize))
-            .map(|b| b.len() as u64)
+        self.block(column, block).map(|b| b.len() as u64)
     }
 
     fn stats(&self) -> FetchStats {
@@ -214,7 +215,9 @@ pub struct ObjectStoreSource {
     layout: RelationLayout,
     retry: RetryPolicy,
     health: SourceHealth,
-    inflight: Inflight,
+    /// Single-flight over `(column, block)`: concurrent fetches of one block
+    /// resolve with one request chain.
+    inflight: SingleFlight<(u32, u32), Vec<u8>>,
     requests: AtomicU64,
     bytes: AtomicU64,
     retries: AtomicU64,
@@ -238,7 +241,11 @@ impl ObjectStoreSource {
             layout,
             retry,
             health: SourceHealth::new(),
-            inflight: Inflight::new(),
+            inflight: SingleFlight::new(
+                INFLIGHT_SLOTS_RANK,
+                INFLIGHT_SLOT_RANK,
+                INFLIGHT_SLOT_DONE_RANK,
+            ),
             requests: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -263,6 +270,11 @@ impl ObjectStoreSource {
     pub fn with_hedging(mut self, config: HedgeConfig) -> ObjectStoreSource {
         self.health.set_hedging(config);
         self
+    }
+
+    fn range(&self, column: u32, block: u32) -> Option<&BlockRange> {
+        let blocks = &self.layout.columns.get(column as usize)?.blocks;
+        blocks.get(block as usize)
     }
 
     fn valid_body(&self, body: &[u8], range: &BlockRange) -> bool {
@@ -357,45 +369,10 @@ impl ObjectStoreSource {
                 }
             },
         );
-        self.retries
-            .fetch_add(u64::from(stats.retries), Ordering::Relaxed); // ordering: statistics counter
-        self.backoff_nanos
-            .fetch_add((stats.backoff_seconds * 1e9) as u64, Ordering::Relaxed); // ordering: statistics counter
-        match result {
-            Ok(bodies) => {
-                if let Some(breaker) = self.health.breaker() {
-                    breaker.record(clock, true);
-                }
-                Ok(bodies)
-            }
-            Err(RetryFailure::Fatal(err)) => {
-                // NotFound is an authoritative answer from a healthy store.
-                if let Some(breaker) = self.health.breaker() {
-                    breaker.record(clock, true);
-                }
-                Err(Some(err))
-            }
-            Err(RetryFailure::Stopped(RetryError::Exhausted { .. })) => {
-                if let Some(breaker) = self.health.breaker() {
-                    breaker.record(clock, false);
-                }
-                Err(None)
-            }
-            Err(RetryFailure::Stopped(RetryError::DeadlineExceeded {
-                elapsed_seconds,
-                budget_seconds,
-            })) => Err(Some(ScanError::DeadlineExceeded {
-                elapsed_seconds,
-                budget_seconds,
-            })),
-            Err(RetryFailure::Stopped(RetryError::BudgetExhausted { attempts })) => {
-                Err(Some(ScanError::RetryBudgetExhausted {
-                    column,
-                    block,
-                    attempts,
-                }))
-            }
-        }
+        self.settle(column, block, &stats, result).map_err(|stop| match stop {
+            FetchStop::Scan(err) => Some(err),
+            FetchStop::Exhausted { .. } => None,
+        })
     }
 
     /// The owner side of one block fetch: breaker admission, the shared
@@ -490,61 +467,82 @@ impl ObjectStoreSource {
                 }
             },
         );
+        self.settle(column, block, &stats, result).map_err(|stop| match stop {
+            FetchStop::Scan(err) => err,
+            // Every full-length body failed its CRC until the policy gave
+            // up: the stored bytes themselves are bad. Poison this block
+            // only; neighbors keep scanning.
+            FetchStop::Exhausted { .. } if saw_corrupt_body => {
+                self.health.quarantine(column, block);
+                ScanError::Quarantined { column, block }
+            }
+            FetchStop::Exhausted { attempts } => ScanError::FetchFailed {
+                column,
+                block,
+                attempts,
+            },
+        })
+    }
+
+    /// The shared tail of every retried fetch (one block or a span): folds
+    /// the retry accounting into the source counters, feeds the breaker, and
+    /// classifies the failure.
+    fn settle<T>(
+        &self,
+        column: u32,
+        block: u32,
+        stats: &RetryStats,
+        result: std::result::Result<T, RetryFailure<ScanError>>,
+    ) -> std::result::Result<T, FetchStop> {
         self.retries
             .fetch_add(u64::from(stats.retries), Ordering::Relaxed); // ordering: statistics counter
         self.backoff_nanos
             .fetch_add((stats.backoff_seconds * 1e9) as u64, Ordering::Relaxed); // ordering: statistics counter
-        match result {
-            Ok(body) => {
-                if let Some(breaker) = self.health.breaker() {
-                    breaker.record(clock, true);
-                }
-                Ok(body)
+        // Breaker evidence: success and NotFound (an authoritative answer
+        // from a healthy store) count as health, an exhausted policy as
+        // failure. Deadline and budget stops are the *scan* giving up, not
+        // the store failing — no evidence either way.
+        let evidence = match &result {
+            Ok(_) | Err(RetryFailure::Fatal(_)) => Some(true),
+            Err(RetryFailure::Stopped(RetryError::Exhausted { .. })) => Some(false),
+            Err(RetryFailure::Stopped(_)) => None,
+        };
+        if let (Some(breaker), Some(ok)) = (self.health.breaker(), evidence) {
+            breaker.record(self.health.clock(), ok);
+        }
+        result.map_err(|failure| match failure {
+            RetryFailure::Fatal(err) => FetchStop::Scan(err),
+            RetryFailure::Stopped(RetryError::Exhausted { attempts }) => {
+                FetchStop::Exhausted { attempts }
             }
-            Err(RetryFailure::Fatal(err)) => {
-                // NotFound is an authoritative answer from a healthy store,
-                // so it counts as breaker evidence of health, not failure.
-                if let Some(breaker) = self.health.breaker() {
-                    breaker.record(clock, true);
-                }
-                Err(err)
-            }
-            Err(RetryFailure::Stopped(RetryError::Exhausted { attempts })) => {
-                if let Some(breaker) = self.health.breaker() {
-                    breaker.record(clock, false);
-                }
-                if saw_corrupt_body {
-                    // Every full-length body failed its CRC until the policy
-                    // gave up: the stored bytes themselves are bad. Poison
-                    // this block only; neighbors keep scanning.
-                    self.health.quarantine(column, block);
-                    Err(ScanError::Quarantined { column, block })
-                } else {
-                    Err(ScanError::FetchFailed {
-                        column,
-                        block,
-                        attempts,
-                    })
-                }
-            }
-            // Deadline and budget stops are the *scan* giving up, not the
-            // store failing — no breaker evidence either way.
-            Err(RetryFailure::Stopped(RetryError::DeadlineExceeded {
+            RetryFailure::Stopped(RetryError::DeadlineExceeded {
                 elapsed_seconds,
                 budget_seconds,
-            })) => Err(ScanError::DeadlineExceeded {
+            }) => FetchStop::Scan(ScanError::DeadlineExceeded {
                 elapsed_seconds,
                 budget_seconds,
             }),
-            Err(RetryFailure::Stopped(RetryError::BudgetExhausted { attempts })) => {
-                Err(ScanError::RetryBudgetExhausted {
+            RetryFailure::Stopped(RetryError::BudgetExhausted { attempts }) => {
+                FetchStop::Scan(ScanError::RetryBudgetExhausted {
                     column,
                     block,
                     attempts,
                 })
             }
-        }
+        })
     }
+}
+
+/// Why a retried fetch ended without a body; see [`ObjectStoreSource::settle`].
+enum FetchStop {
+    /// The scan's own stop (deadline, budget) or an authoritative answer
+    /// (missing object): fetching again could only repeat it.
+    Scan(ScanError),
+    /// The retry policy gave up with the store still failing.
+    Exhausted {
+        /// Attempts made.
+        attempts: u32,
+    },
 }
 
 impl BlockSource for ObjectStoreSource {
@@ -574,10 +572,7 @@ impl BlockSource for ObjectStoreSource {
 
     fn fetch_ctl(&self, column: u32, block: u32, ctl: &FetchCtl) -> Result<Vec<u8>> {
         let range = *self
-            .layout
-            .columns
-            .get(column as usize)
-            .and_then(|c| c.blocks.get(block as usize))
+            .range(column, block)
             .ok_or(ScanError::BlockOutOfRange { column, block })?;
         loop {
             if self.health.is_quarantined(column, block) {
@@ -587,10 +582,10 @@ impl BlockSource for ObjectStoreSource {
             // one request chain. A waiter whose owner failed does NOT
             // inherit the error (the owner may have hit its own deadline or
             // budget) — it loops back and fetches under its own control.
-            match self.inflight.join((column, block)) {
-                JoinOutcome::Waited(Some(body)) => return Ok(body),
-                JoinOutcome::Waited(None) => continue,
-                JoinOutcome::Owner(guard) => {
+            match self.inflight.join(&(column, block)) {
+                Flight::Waited(Some(body)) => return Ok(body),
+                Flight::Waited(None) => continue,
+                Flight::Owner(guard) => {
                     let result = self.fetch_owned(column, block, &range, ctl);
                     guard.publish(result.as_ref().ok().cloned());
                     return result;
@@ -600,11 +595,7 @@ impl BlockSource for ObjectStoreSource {
     }
 
     fn block_len(&self, column: u32, block: u32) -> Option<u64> {
-        self.layout
-            .columns
-            .get(column as usize)
-            .and_then(|c| c.blocks.get(block as usize))
-            .map(|r| u64::from(r.len))
+        self.range(column, block).map(|r| u64::from(r.len))
     }
 
     fn fetch_span_ctl(
@@ -622,13 +613,10 @@ impl BlockSource for ObjectStoreSource {
         if count <= 1 {
             return per_block(self);
         }
-        let Some(col) = self.layout.columns.get(column as usize) else {
-            return Err(ScanError::BlockOutOfRange { column, block });
-        };
         let mut ranges = Vec::with_capacity(count as usize);
         for i in 0..count {
             let b = block.saturating_add(i);
-            let Some(range) = col.blocks.get(b as usize) else {
+            let Some(range) = self.range(column, b) else {
                 return Err(ScanError::BlockOutOfRange { column, block: b });
             };
             // A quarantined member needs per-block handling (typed fail-fast
@@ -663,12 +651,14 @@ impl BlockSource for ObjectStoreSource {
     }
 }
 
+/// Fixtures for this crate's unit tests: one small relation (`id = 0..4000`
+/// in 1000-row blocks), in memory or stored behind a faulty object store.
 #[cfg(test)]
-mod tests {
+pub(crate) mod fixtures {
     use super::*;
     use btrblocks::{Column, ColumnData, Config, Relation};
 
-    fn sample() -> (Arc<CompressedRelation>, Config) {
+    pub(crate) fn sample() -> (Arc<CompressedRelation>, Config) {
         let cfg = Config {
             block_size: 1_000,
             ..Config::default()
@@ -679,6 +669,35 @@ mod tests {
         )]);
         (Arc::new(btrblocks::compress(&rel, &cfg).unwrap()), cfg)
     }
+
+    /// The sample relation stored as `rel.btr` behind `plan`'s faults, plus
+    /// a source reading it under `policy`.
+    pub(crate) fn stored(
+        plan: Option<btr_s3sim::FaultPlan>,
+        policy: RetryPolicy,
+    ) -> (Arc<CompressedRelation>, Arc<ObjectStore>, ObjectStoreSource) {
+        let (compressed, _) = sample();
+        let store = Arc::new(ObjectStore::new());
+        store.put("rel.btr", compressed.to_bytes());
+        store.set_fault_plan(plan);
+        let layout = RelationLayout::of(&compressed);
+        let source = ObjectStoreSource::new(store.clone(), "rel.btr", layout, policy);
+        (compressed, store, source)
+    }
+
+    pub(crate) fn attempts(max_attempts: u32) -> RetryPolicy {
+        RetryPolicy {
+            max_attempts,
+            ..RetryPolicy::default()
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fixtures::{attempts, sample, stored};
+    use super::*;
+    use btrblocks::{Column, ColumnData, Config, Relation};
 
     #[test]
     fn memory_source_serves_exact_block_bytes() {
@@ -699,16 +718,7 @@ mod tests {
 
     #[test]
     fn object_store_source_fetches_ranges_and_verifies_crc() {
-        let (compressed, _) = sample();
-        let layout = RelationLayout::of(&compressed);
-        let store = Arc::new(ObjectStore::new());
-        store.put("rel.btr", compressed.to_bytes());
-        let source = ObjectStoreSource::new(
-            store.clone(),
-            "rel.btr",
-            layout,
-            RetryPolicy::default(),
-        );
+        let (compressed, store, source) = stored(None, RetryPolicy::default());
         let body = source.fetch(0, 1).unwrap();
         assert_eq!(body, compressed.columns[0].blocks[1]);
         let counters = store.counters();
@@ -717,22 +727,24 @@ mod tests {
         assert_eq!(counters.bytes_served, body.len() as u64);
     }
 
+    /// The slot-table behaviour is tested in btr-sync; this pins the
+    /// instantiation: an owned `(column, block)` slot blocks nobody else's
+    /// block, and releasing it unpublished leaves the block fetchable.
+    #[test]
+    fn inflight_slots_are_per_block_and_a_failed_owner_poisons_nothing() {
+        let (compressed, _, source) = stored(None, RetryPolicy::default());
+        let Flight::Owner(owner) = source.inflight.join(&(0, 1)) else {
+            panic!("first joiner must own");
+        };
+        assert_eq!(source.fetch(0, 2).unwrap(), compressed.columns[0].blocks[2]);
+        drop(owner);
+        assert_eq!(source.fetch(0, 1).unwrap(), compressed.columns[0].blocks[1]);
+    }
+
     #[test]
     fn object_store_source_retries_transient_faults() {
-        let (compressed, _) = sample();
-        let layout = RelationLayout::of(&compressed);
-        let store = Arc::new(ObjectStore::new());
-        store.put("rel.btr", compressed.to_bytes());
-        store.set_fault_plan(Some(btr_s3sim::FaultPlan::transient(0.9, 42)));
-        let source = ObjectStoreSource::new(
-            store,
-            "rel.btr",
-            layout,
-            RetryPolicy {
-                max_attempts: 64,
-                ..RetryPolicy::default()
-            },
-        );
+        let plan = btr_s3sim::FaultPlan::transient(0.9, 42);
+        let (compressed, _, source) = stored(Some(plan), attempts(64));
         let body = source.fetch(0, 0).unwrap();
         assert_eq!(body, compressed.columns[0].blocks[0]);
         let stats = source.stats();
@@ -743,30 +755,13 @@ mod tests {
 
     #[test]
     fn missing_object_and_exhausted_retries_error() {
-        let (compressed, _) = sample();
+        let plan = btr_s3sim::FaultPlan::transient(1.0, 7);
+        let (compressed, store, source) = stored(Some(plan), attempts(3));
         let layout = RelationLayout::of(&compressed);
-        let store = Arc::new(ObjectStore::new());
-        let source = ObjectStoreSource::new(
-            store.clone(),
-            "absent.btr",
-            layout.clone(),
-            RetryPolicy::default(),
-        );
+        let absent = ObjectStoreSource::new(store, "absent.btr", layout, RetryPolicy::default());
         assert_eq!(
-            source.fetch(0, 0).unwrap_err(),
+            absent.fetch(0, 0).unwrap_err(),
             ScanError::MissingObject("absent.btr".into())
-        );
-
-        store.put("rel.btr", compressed.to_bytes());
-        store.set_fault_plan(Some(btr_s3sim::FaultPlan::transient(1.0, 7)));
-        let source = ObjectStoreSource::new(
-            store,
-            "rel.btr",
-            layout,
-            RetryPolicy {
-                max_attempts: 3,
-                ..RetryPolicy::default()
-            },
         );
         assert_eq!(
             source.fetch(0, 0).unwrap_err(),
@@ -787,23 +782,14 @@ mod tests {
 
     #[test]
     fn deadline_stops_a_fetch_within_one_backoff_step() {
-        let (compressed, _) = sample();
-        let layout = RelationLayout::of(&compressed);
-        let store = Arc::new(ObjectStore::new());
-        store.put("rel.btr", compressed.to_bytes());
-        store.set_fault_plan(Some(never_converging(1.0, 9)));
+        let policy = RetryPolicy {
+            max_attempts: 1_000,
+            base_backoff_seconds: 0.05,
+            backoff_multiplier: 1.0,
+        };
         let clock = SimClock::default();
-        let source = ObjectStoreSource::new(
-            store,
-            "rel.btr",
-            layout,
-            RetryPolicy {
-                max_attempts: 1_000,
-                base_backoff_seconds: 0.05,
-                backoff_multiplier: 1.0,
-            },
-        )
-        .with_clock(clock.clone());
+        let (_, _, source) = stored(Some(never_converging(1.0, 9)), policy);
+        let source = source.with_clock(clock.clone());
         let ctl = FetchCtl {
             deadline: Some(btr_s3sim::Deadline::after(&clock, 0.2)),
             budget: None,
@@ -825,20 +811,7 @@ mod tests {
 
     #[test]
     fn retry_budget_exhaustion_is_typed_and_counted() {
-        let (compressed, _) = sample();
-        let layout = RelationLayout::of(&compressed);
-        let store = Arc::new(ObjectStore::new());
-        store.put("rel.btr", compressed.to_bytes());
-        store.set_fault_plan(Some(never_converging(1.0, 3)));
-        let source = ObjectStoreSource::new(
-            store,
-            "rel.btr",
-            layout,
-            RetryPolicy {
-                max_attempts: 1_000,
-                ..RetryPolicy::default()
-            },
-        );
+        let (_, _, source) = stored(Some(never_converging(1.0, 3)), attempts(1_000));
         let ctl = FetchCtl {
             deadline: None,
             budget: Some(Arc::new(btr_s3sim::RetryBudget::new(2.0, 0.0))),
@@ -857,26 +830,14 @@ mod tests {
 
     #[test]
     fn breaker_fails_fast_then_recovers_through_a_probe() {
-        let (compressed, _) = sample();
-        let layout = RelationLayout::of(&compressed);
-        let store = Arc::new(ObjectStore::new());
-        store.put("rel.btr", compressed.to_bytes());
-        store.set_fault_plan(Some(never_converging(1.0, 5)));
         let clock = SimClock::default();
-        let source = ObjectStoreSource::new(
-            store.clone(),
-            "rel.btr",
-            layout,
-            RetryPolicy {
-                max_attempts: 2,
-                ..RetryPolicy::default()
-            },
-        )
-        .with_clock(clock.clone())
-        .with_breaker(crate::retry::BreakerConfig {
-            failure_threshold: 1,
-            open_seconds: 5.0,
-        });
+        let (_, store, source) = stored(Some(never_converging(1.0, 5)), attempts(2));
+        let source = source
+            .with_clock(clock.clone())
+            .with_breaker(crate::retry::BreakerConfig {
+                failure_threshold: 1,
+                open_seconds: 5.0,
+            });
 
         // The exhausted fetch trips the breaker; the next block fails fast
         // without touching the store.
@@ -902,22 +863,11 @@ mod tests {
 
     #[test]
     fn permanent_corruption_quarantines_only_that_block() {
-        let (compressed, _) = sample();
-        let layout = RelationLayout::of(&compressed);
+        let (compressed, store, source) = stored(None, attempts(2));
         let mut bytes = compressed.to_bytes();
-        let range = layout.columns[0].blocks[1];
+        let range = RelationLayout::of(&compressed).columns[0].blocks[1];
         bytes[range.offset as usize + 4] ^= 0x10;
-        let store = Arc::new(ObjectStore::new());
         store.put("rel.btr", bytes);
-        let source = ObjectStoreSource::new(
-            store,
-            "rel.btr",
-            layout,
-            RetryPolicy {
-                max_attempts: 2,
-                ..RetryPolicy::default()
-            },
-        );
         let poisoned = ScanError::Quarantined { column: 0, block: 1 };
         assert_eq!(source.fetch(0, 1).unwrap_err(), poisoned.clone());
         // Neighbours are untouched by the quarantine.

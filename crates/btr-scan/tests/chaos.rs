@@ -9,11 +9,12 @@
 
 use btr_corrupt::Xorshift;
 use btr_s3sim::{FaultPlan, ObjectStore, RetryPolicy, SimClock};
+use btr_scan::chaos::{build_relation, drain, run_campaign, EngineRunner};
 use btr_scan::{
-    BlockSource, ChaosConfig, EngineOptions, ObjectStoreSource, RecordBatch, RelationLayout,
+    BlockSource, ChaosConfig, EngineOptions, ObjectStoreSource, RelationLayout,
     ScanEngine, ScanError, ScanSpec,
 };
-use btrblocks::{Column, ColumnData, Config, Relation, Sidecar, StringArena};
+use btrblocks::{Config, Sidecar};
 use std::sync::Arc;
 
 const BLOCK_SIZE: usize = 500;
@@ -25,16 +26,21 @@ fn config() -> Config {
     }
 }
 
-fn build_relation(rows: i32) -> Relation {
-    let ids: Vec<i32> = (0..rows).collect();
-    let vals: Vec<f64> = (0..rows).map(|i| f64::from(i) * 0.25).collect();
-    let tags: Vec<String> = (0..rows).map(|i| format!("tag-{}", i % 11)).collect();
-    let refs: Vec<&str> = tags.iter().map(|s| s.as_str()).collect();
-    Relation::new(vec![
-        Column::new("id", ColumnData::Int(ids)),
-        Column::new("val", ColumnData::Double(vals)),
-        Column::new("tag", ColumnData::Str(StringArena::from_strs(&refs))),
-    ])
+/// The campaign's three-column relation (`id`, `val`, `tag`) compressed at
+/// [`BLOCK_SIZE`]: zone maps, compressed form, and block layout.
+fn fixture(rows: usize) -> (Sidecar, Arc<btrblocks::CompressedRelation>, RelationLayout) {
+    let rel = build_relation(rows);
+    let compressed = Arc::new(btrblocks::compress(&rel, &config()).unwrap());
+    let layout = RelationLayout::of(&compressed);
+    (Sidecar::build(&rel, BLOCK_SIZE), compressed, layout)
+}
+
+/// A store holding `bytes` as `rel.btr` behind `plan`'s faults.
+fn store_of(bytes: Vec<u8>, plan: Option<FaultPlan>) -> Arc<ObjectStore> {
+    let store = Arc::new(ObjectStore::new());
+    store.put("rel.btr", bytes);
+    store.set_fault_plan(plan);
+    store
 }
 
 fn engine(workers: usize) -> Arc<ScanEngine> {
@@ -47,23 +53,17 @@ fn engine(workers: usize) -> Arc<ScanEngine> {
     }))
 }
 
-fn drain(engine: &ScanEngine, source: Arc<dyn BlockSource>, sidecar: &Sidecar, spec: &ScanSpec)
-    -> Result<Vec<RecordBatch>, ScanError>
-{
-    engine.scan(source, sidecar, spec)?.collect()
-}
-
 #[test]
 fn thousand_schedule_campaign_over_eight_concurrent_scans_is_clean() {
-    let report = btr_scan::chaos::run_campaign(&ChaosConfig {
+    let config = ChaosConfig {
         seed: 0xBADC_0FFE,
         schedules: 1_000,
         concurrent_scans: 8,
         rows: 2_000,
         block_size: BLOCK_SIZE,
         engine_workers: 1,
-    })
-    .expect("campaign setup");
+    };
+    let report = run_campaign(&config, &mut EngineRunner).expect("campaign setup");
 
     assert_eq!(report.schedules, 1_000);
     assert_eq!(report.scans_run, 8_000);
@@ -97,20 +97,15 @@ fn thousand_schedule_campaign_over_eight_concurrent_scans_is_clean() {
 
 #[test]
 fn permanently_corrupt_block_poisons_only_scans_that_touch_it() {
-    let rel = build_relation(4_000);
-    let compressed = Arc::new(btrblocks::compress(&rel, &config()).unwrap());
-    let sidecar = Sidecar::build(&rel, BLOCK_SIZE);
-    let layout = RelationLayout::of(&compressed);
+    let (sidecar, compressed, layout) = fixture(4_000);
 
     // Flip one bit inside a stored block of the `val` column (index 1).
     let mut bytes = compressed.to_bytes();
     let range = layout.columns[1].blocks[3];
     bytes[range.offset as usize + range.len as usize / 2] ^= 0x40;
 
-    let store = Arc::new(ObjectStore::new());
-    store.put("rel.btr", bytes);
     let source: Arc<dyn BlockSource> = Arc::new(ObjectStoreSource::new(
-        store,
+        store_of(bytes, None),
         "rel.btr",
         layout,
         RetryPolicy {
@@ -121,11 +116,10 @@ fn permanently_corrupt_block_poisons_only_scans_that_touch_it() {
     let engine = engine(2);
 
     // Reference for the unaffected projection.
-    let memory: Arc<dyn BlockSource> = Arc::new(btr_scan::MemorySource::new(
-        "rel-ref",
-        Arc::new(btrblocks::compress(&rel, &config()).unwrap()),
-    ));
-    let want = drain(&engine, memory, &sidecar, &ScanSpec::project(["id", "tag"])).unwrap();
+    let memory: Arc<dyn BlockSource> =
+        Arc::new(btr_scan::MemorySource::new("rel-ref", compressed.clone()));
+    let unaffected = ScanSpec::project(["id", "tag"]);
+    let want = engine.scan(memory, &sidecar, &unaffected).and_then(drain).unwrap();
 
     // Concurrent neighbours: scans avoiding `val` succeed byte-identically
     // while scans over `val` fail with a typed quarantine.
@@ -140,7 +134,7 @@ fn permanently_corrupt_block_poisons_only_scans_that_touch_it() {
                 } else {
                     ScanSpec::project(["val"])
                 };
-                (i, drain(&engine, source, &sidecar, &spec))
+                (i, engine.scan(source, &sidecar, &spec).and_then(drain))
             })
         })
         .collect();
@@ -164,18 +158,14 @@ fn permanently_corrupt_block_poisons_only_scans_that_touch_it() {
 
 #[test]
 fn deadline_bounded_scan_stops_within_budget_plus_one_step() {
-    let rel = build_relation(4_000);
-    let compressed = Arc::new(btrblocks::compress(&rel, &config()).unwrap());
-    let sidecar = Sidecar::build(&rel, BLOCK_SIZE);
-    let layout = RelationLayout::of(&compressed);
-    let store = Arc::new(ObjectStore::new());
-    store.put("rel.btr", compressed.to_bytes());
-    store.set_fault_plan(Some(FaultPlan {
+    let (sidecar, compressed, layout) = fixture(4_000);
+    let plan = FaultPlan {
         transient_rate: 0.5,
         base_latency_ms: 50,
         max_faults_per_key: 4,
         ..FaultPlan::transient(0.5, 77)
-    }));
+    };
+    let store = store_of(compressed.to_bytes(), Some(plan));
     let clock = SimClock::default();
     let policy = RetryPolicy {
         max_attempts: 16,
@@ -217,16 +207,12 @@ fn deadline_bounded_scan_stops_within_budget_plus_one_step() {
 
 #[test]
 fn retry_budget_exhaustion_is_typed_end_to_end() {
-    let rel = build_relation(4_000);
-    let compressed = Arc::new(btrblocks::compress(&rel, &config()).unwrap());
-    let sidecar = Sidecar::build(&rel, BLOCK_SIZE);
-    let layout = RelationLayout::of(&compressed);
-    let store = Arc::new(ObjectStore::new());
-    store.put("rel.btr", compressed.to_bytes());
-    store.set_fault_plan(Some(FaultPlan {
+    let (sidecar, compressed, layout) = fixture(4_000);
+    let plan = FaultPlan {
         max_faults_per_key: 1_000,
         ..FaultPlan::transient(1.0, 13)
-    }));
+    };
+    let store = store_of(compressed.to_bytes(), Some(plan));
     let source = Arc::new(ObjectStoreSource::new(
         store,
         "rel.btr",
@@ -257,18 +243,13 @@ fn retry_budget_exhaustion_is_typed_end_to_end() {
 /// hang the harness.
 #[test]
 fn dropping_scans_mid_storm_always_cancels_cleanly() {
-    let rel = build_relation(10_000);
-    let compressed = Arc::new(btrblocks::compress(&rel, &config()).unwrap());
-    let sidecar = Sidecar::build(&rel, BLOCK_SIZE);
-    let layout = RelationLayout::of(&compressed);
+    let (sidecar, compressed, layout) = fixture(10_000);
     let bytes = compressed.to_bytes();
 
     let mut rng = Xorshift::new(0xD20B);
     for workers in [1usize, 2, 8] {
         for case in 0..12u32 {
-            let store = Arc::new(ObjectStore::new());
-            store.put("rel.btr", bytes.clone());
-            store.set_fault_plan(Some(FaultPlan {
+            let plan = FaultPlan {
                 transient_rate: 0.3,
                 truncate_rate: 0.2,
                 corrupt_rate: 0.2,
@@ -278,9 +259,9 @@ fn dropping_scans_mid_storm_always_cancels_cleanly() {
                 base_latency_ms: 20,
                 max_faults_per_key: 4,
                 ..FaultPlan::transient(0.0, rng.next_u64())
-            }));
+            };
             let source = Arc::new(ObjectStoreSource::new(
-                store,
+                store_of(bytes.clone(), Some(plan)),
                 "rel.btr",
                 layout.clone(),
                 RetryPolicy {

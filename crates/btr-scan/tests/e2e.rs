@@ -7,17 +7,17 @@
 //! served from the decoded-block cache.
 
 use btr_s3sim::{FaultPlan, ObjectStore, RetryPolicy};
+use btr_scan::batch::append;
+use btr_scan::chaos::build_relation;
 use btr_scan::{
     BlockSource, EngineOptions, ObjectStoreSource, Predicate, RecordBatch, RelationLayout,
     ScanEngine, ScanSpec,
 };
-use btrblocks::{
-    CmpOp, Column, ColumnData, Config, Literal, Relation, Sidecar, StringArena,
-};
+use btrblocks::{CmpOp, ColumnData, Config, Literal, Sidecar};
 use std::sync::Arc;
 
 const BLOCK_SIZE: usize = 1_000;
-const ROWS: i32 = 20_000;
+const ROWS: usize = 20_000;
 const CUTOFF: i32 = 3_000;
 
 fn config() -> Config {
@@ -25,18 +25,6 @@ fn config() -> Config {
         block_size: BLOCK_SIZE,
         ..Config::default()
     }
-}
-
-fn build_relation() -> Relation {
-    let ids: Vec<i32> = (0..ROWS).collect();
-    let vals: Vec<f64> = (0..ROWS).map(|i| f64::from(i) * 0.25).collect();
-    let tags: Vec<String> = (0..ROWS).map(|i| format!("tag-{:02}", i % 37)).collect();
-    let refs: Vec<&str> = tags.iter().map(|s| s.as_str()).collect();
-    Relation::new(vec![
-        Column::new("id", ColumnData::Int(ids)),
-        Column::new("val", ColumnData::Double(vals)),
-        Column::new("tag", ColumnData::Str(StringArena::from_strs(&refs))),
-    ])
 }
 
 /// Reference result: decompress the *entire* relation, then filter row by
@@ -57,25 +45,12 @@ fn decompress_then_filter(file: &[u8], cfg: &Config) -> (ColumnData, ColumnData)
 }
 
 fn concat(batches: &[RecordBatch], column: &str) -> ColumnData {
-    let mut iter = batches.iter().filter(|b| b.rows() > 0);
-    let first = iter
-        .next()
-        .and_then(|b| b.column(column).cloned())
-        .expect("at least one non-empty batch");
-    iter.fold(first, |mut acc, b| {
-        let src = b.column(column).expect("column present in every batch");
-        match (&mut acc, src) {
-            (ColumnData::Int(d), ColumnData::Int(s)) => d.extend_from_slice(s),
-            (ColumnData::Double(d), ColumnData::Double(s)) => d.extend_from_slice(s),
-            (ColumnData::Str(d), ColumnData::Str(s)) => {
-                for i in 0..s.len() {
-                    d.push(s.get(i));
-                }
-            }
-            _ => panic!("column type changed between batches"),
-        }
-        acc
-    })
+    let mut columns = batches.iter().map(|b| b.column(column).expect("projected column"));
+    let mut all = columns.next().expect("at least one batch").clone();
+    for next in columns {
+        append(&mut all, next).expect("one type per column");
+    }
+    all
 }
 
 fn spec() -> ScanSpec {
@@ -89,7 +64,7 @@ fn spec() -> ScanSpec {
 #[test]
 fn selective_scan_over_object_store_prunes_matches_and_caches() {
     let cfg = config();
-    let rel = build_relation();
+    let rel = build_relation(ROWS);
     let sidecar = Sidecar::build(&rel, BLOCK_SIZE);
     let compressed = btrblocks::compress(&rel, &cfg).expect("compress");
     let layout = RelationLayout::of(&compressed);
@@ -200,19 +175,19 @@ fn zone_pruned_blocks_are_never_fetched_with_multi_conjunct_filters() {
     use btr_scan::{col, lit, MemorySource};
 
     let cfg = config();
-    let rel = build_relation();
+    let rel = build_relation(ROWS);
     let sidecar = Sidecar::build(&rel, BLOCK_SIZE);
     let compressed = Arc::new(btrblocks::compress(&rel, &cfg).expect("compress"));
     let inner = Arc::new(MemorySource::new("ledger", compressed));
     let source = Arc::new(RecordingSource::new(inner));
 
-    // id in [2000, 6000) AND val < 1200.0: ids keep blocks 2..6, vals
-    // (0.25 * id) < 1200 keeps blocks 0..4 — the conjunction survives only
-    // in blocks 2..=4, everything else must die at plan time.
+    // id in [2000, 6000) AND val < 2397.0: ids keep blocks 2..6, vals
+    // (0.5 * id - 3) < 2397 keeps blocks 0..4 — the conjunction survives
+    // only in blocks 2..=4, everything else must die at plan time.
     let expr = col("id")
         .ge(lit(2_000))
         .and(col("id").lt(lit(6_000)))
-        .and(col("val").lt(lit(1_200.0)));
+        .and(col("val").lt(lit(2_397.0)));
     let spec = ScanSpec::project(["id", "val"]).with_expr(expr);
 
     let engine = ScanEngine::new(EngineOptions {
@@ -225,7 +200,7 @@ fn zone_pruned_blocks_are_never_fetched_with_multi_conjunct_filters() {
     assert_eq!(report.blocks_total, 20);
     assert_eq!(report.blocks_pruned, 17, "only blocks 2..=4 survive");
 
-    // The surviving rows are exactly ids 2000..4800 (0.25 * 4800 == 1200).
+    // The surviving rows are exactly ids 2000..4800 (0.5 * 4800 - 3 == 2397).
     let ids = concat(&batches, "id");
     assert_eq!(ids, ColumnData::Int((2_000..4_800).collect()));
     assert_eq!(report.rows_matched, 2_800);
@@ -246,7 +221,7 @@ fn zone_pruned_blocks_are_never_fetched_with_multi_conjunct_filters() {
 #[test]
 fn scan_survives_transient_store_faults() {
     let cfg = config();
-    let rel = build_relation();
+    let rel = build_relation(ROWS);
     let sidecar = Sidecar::build(&rel, BLOCK_SIZE);
     let compressed = btrblocks::compress(&rel, &cfg).expect("compress");
     let layout = RelationLayout::of(&compressed);

@@ -273,17 +273,14 @@ impl BlockSource for CoalescingSource {
 mod tests {
     use super::*;
     use btr_scan::MemorySource;
-    use btrblocks::{Column, ColumnData, Config, Relation};
+    use btrblocks::Config;
 
     fn wrapped(window: u32) -> (Arc<CoalescingSource>, Arc<dyn BlockSource>) {
         let cfg = Config {
             block_size: 500,
             ..Config::default()
         };
-        let rel = Relation::new(vec![Column::new(
-            "id",
-            ColumnData::Int((0..4_000).collect()),
-        )]);
+        let rel = btr_scan::chaos::build_relation(4_000);
         let compressed = Arc::new(btrblocks::compress(&rel, &cfg).unwrap());
         let inner: Arc<dyn BlockSource> = Arc::new(MemorySource::new("c", compressed));
         let cache = Arc::new(BlockCache::new(1 << 20));

@@ -71,16 +71,14 @@
 //! assert!(service.report().tenants.iter().any(|t| t.tenant == "tenant-a"));
 //! ```
 
-pub mod chaos;
 pub mod coalesce;
 pub mod metrics;
 mod sched;
 mod service;
 
-pub use chaos::{run_service_campaign, ServiceChaosConfig, ServiceChaosReport};
 pub use coalesce::{CoalesceStats, CoalescingSource};
 pub use metrics::{ServiceReport, TenantReport};
-pub use service::{ScanClient, ScanHandle, ScanService};
+pub use service::{ScanClient, ScanHandle, ScanService, ServiceFeed};
 
 // The service speaks btr-scan's vocabulary; re-export the types client code
 // needs so most users depend on this crate alone.

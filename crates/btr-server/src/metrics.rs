@@ -8,49 +8,99 @@
 //! were dispatched while this one sat queued — which is immune to host
 //! speed and is what the fairness tests bound.
 
-use btr_scan::{CacheStats, PipelineCounters};
+use btr_scan::retry::{percentile, SampleWindow};
+use btr_scan::{CacheStats, PipelineCounters, ScanEnd};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Running accumulator for one tenant; folded into a [`TenantReport`] on
-/// snapshot.
-#[derive(Default)]
+/// Queue-wait samples kept per tenant: the most recent this many dispatches
+/// feed the percentiles, so a tenant's accounting is constant-size however
+/// long the service lives (and `report()` copies a bounded amount under the
+/// metrics lock every worker batch also takes).
+pub(crate) const WAIT_SAMPLES: usize = 1_024;
+
+/// Running accumulator for one tenant: its report's counters plus the
+/// recent queue waits the report's percentiles are ranked from.
+#[derive(Clone, Default)]
 pub(crate) struct TenantAcc {
-    pub scans_admitted: u64,
-    pub scans_rejected: u64,
-    pub scans_completed: u64,
-    pub scans_failed: u64,
-    pub scans_cancelled: u64,
-    pub tasks_dispatched: u64,
-    pub rows_emitted: u64,
-    pub dedup_hits: u64,
-    pub blocks_decoded: u64,
-    pub blocks_fetched: u64,
-    pub blocks_pushdown: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub wait_logical: Vec<u64>,
-    pub wait_seconds: Vec<f64>,
+    /// The counters, as reported (`tenant` and the percentiles are filled in
+    /// by [`Metrics::snapshot`]).
+    pub report: TenantReport,
+    wait_logical: SampleWindow<WAIT_SAMPLES>,
+    wait_seconds: SampleWindow<WAIT_SAMPLES>,
 }
 
 impl TenantAcc {
-    pub fn fold_counters(&mut self, c: &PipelineCounters) {
-        self.dedup_hits += c.dedup_hits;
-        self.blocks_decoded += c.blocks_decoded;
-        self.blocks_fetched += c.blocks_fetched;
-        self.blocks_pushdown += c.blocks_pushdown_fast_path;
-        self.cache_hits += c.cache_hits;
-        self.cache_misses += c.cache_misses;
+    /// One task left the queue after `logical` other dispatches and
+    /// `seconds` of real time.
+    pub fn record_dispatch(&mut self, logical: u64, seconds: f64) {
+        self.report.tasks_dispatched += 1;
+        self.wait_logical.push(logical as f64);
+        self.wait_seconds.push(seconds);
+    }
+
+    /// Folds a finished scan in: its pipeline counters, the rows it handed
+    /// out, and how it ended.
+    pub fn fold_scan(&mut self, c: &PipelineCounters, rows_emitted: u64, end: ScanEnd) {
+        let r = &mut self.report;
+        r.dedup_hits += c.dedup_hits;
+        r.blocks_decoded += c.blocks_decoded;
+        r.blocks_fetched += c.blocks_fetched;
+        r.blocks_pushdown_fast_path += c.blocks_pushdown_fast_path;
+        r.cache_hits += c.cache_hits;
+        r.cache_misses += c.cache_misses;
+        r.rows_emitted += rows_emitted;
+        match end {
+            ScanEnd::Completed => r.scans_completed += 1,
+            ScanEnd::Failed => r.scans_failed += 1,
+            ScanEnd::Cancelled => r.scans_cancelled += 1,
+        }
     }
 }
 
 /// All mutable accounting, behind the service's metrics mutex.
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub(crate) struct Metrics {
     /// Per-tenant accumulators, keyed by tenant name.
     pub tenants: HashMap<Arc<str>, TenantAcc>,
     /// Admission rejections across all tenants.
     pub rejections: u64,
+}
+
+/// `[p50, p95]` of a wait sample, 0.0 when nothing was dispatched yet.
+fn p50_p95(samples: &[f64]) -> [f64; 2] {
+    [0.50, 0.95].map(|q| percentile(samples, q).unwrap_or(0.0))
+}
+
+impl Metrics {
+    /// The per-tenant reports sorted by name, plus the service-wide
+    /// `[logical p50, logical p95, seconds p50, seconds p95]` over every
+    /// tenant's retained waits.
+    pub fn snapshot(&self) -> (Vec<TenantReport>, [f64; 4]) {
+        let (mut all_logical, mut all_seconds) = (Vec::new(), Vec::new());
+        let mut tenants: Vec<TenantReport> = self
+            .tenants
+            .iter()
+            .map(|(name, acc)| {
+                all_logical.extend_from_slice(acc.wait_logical.samples());
+                all_seconds.extend_from_slice(acc.wait_seconds.samples());
+                let [queue_wait_logical_p50, queue_wait_logical_p95] =
+                    p50_p95(acc.wait_logical.samples());
+                let [queue_wait_p50, queue_wait_p95] = p50_p95(acc.wait_seconds.samples());
+                TenantReport {
+                    tenant: name.to_string(),
+                    queue_wait_logical_p50,
+                    queue_wait_logical_p95,
+                    queue_wait_p50,
+                    queue_wait_p95,
+                    ..acc.report.clone()
+                }
+            })
+            .collect();
+        tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
+        let ([l50, l95], [s50, s95]) = (p50_p95(&all_logical), p50_p95(&all_seconds));
+        (tenants, [l50, l95, s50, s95])
+    }
 }
 
 /// One tenant's slice of the service's accounting.
@@ -80,7 +130,7 @@ pub struct TenantReport {
     /// Blocks this tenant's scans fetched from sources.
     pub blocks_fetched: u64,
     /// Predicate blocks evaluated in the compressed domain.
-    pub blocks_pushdown: u64,
+    pub blocks_pushdown_fast_path: u64,
     /// Decoded-block cache hits.
     pub cache_hits: u64,
     /// Decoded-block cache misses.
@@ -126,75 +176,36 @@ pub struct ServiceReport {
     pub queue_wait_p95: f64,
 }
 
-/// Nearest-rank percentile of an unsorted sample; 0.0 for an empty one.
-pub(crate) fn percentile(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let rank = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-    sorted.get(rank).copied().unwrap_or(0.0)
-}
-
-/// Builds the sorted per-tenant reports plus merged service-wide waits.
-pub(crate) fn snapshot(
-    accs: &HashMap<Arc<str>, TenantAcc>,
-) -> (Vec<TenantReport>, Vec<f64>, Vec<f64>) {
-    let mut tenants: Vec<TenantReport> = Vec::with_capacity(accs.len());
-    let mut all_logical: Vec<f64> = Vec::new();
-    let mut all_seconds: Vec<f64> = Vec::new();
-    for (name, acc) in accs {
-        let logical: Vec<f64> = acc.wait_logical.iter().map(|&w| w as f64).collect();
-        all_logical.extend_from_slice(&logical);
-        all_seconds.extend_from_slice(&acc.wait_seconds);
-        tenants.push(TenantReport {
-            tenant: name.to_string(),
-            scans_admitted: acc.scans_admitted,
-            scans_rejected: acc.scans_rejected,
-            scans_completed: acc.scans_completed,
-            scans_failed: acc.scans_failed,
-            scans_cancelled: acc.scans_cancelled,
-            tasks_dispatched: acc.tasks_dispatched,
-            rows_emitted: acc.rows_emitted,
-            dedup_hits: acc.dedup_hits,
-            blocks_decoded: acc.blocks_decoded,
-            blocks_fetched: acc.blocks_fetched,
-            blocks_pushdown: acc.blocks_pushdown,
-            cache_hits: acc.cache_hits,
-            cache_misses: acc.cache_misses,
-            queue_wait_logical_p50: percentile(&logical, 0.50),
-            queue_wait_logical_p95: percentile(&logical, 0.95),
-            queue_wait_p50: percentile(&acc.wait_seconds, 0.50),
-            queue_wait_p95: percentile(&acc.wait_seconds, 0.95),
-        });
-    }
-    tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-    (tenants, all_logical, all_seconds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn percentile_nearest_rank() {
-        let s: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&s, 0.0), 1.0);
-        assert_eq!(percentile(&s, 1.0), 100.0);
-        assert_eq!(percentile(&s, 0.5), 51.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[7.0], 0.95), 7.0);
+    fn snapshot_sorts_tenants_and_merges_waits() {
+        let mut m = Metrics::default();
+        for wait in [4, 8] {
+            m.tenants.entry(Arc::from("b")).or_default().record_dispatch(wait, 0.0);
+        }
+        m.tenants.entry(Arc::from("a")).or_default().record_dispatch(2, 0.0);
+        let (tenants, [logical_p50, logical_p95, ..]) = m.snapshot();
+        assert_eq!(tenants[0].tenant, "a");
+        assert_eq!(tenants[1].tenant, "b");
+        assert_eq!((tenants[1].tasks_dispatched, tenants[1].queue_wait_logical_p95), (2, 8.0));
+        assert_eq!((logical_p50, logical_p95), (4.0, 8.0));
     }
 
     #[test]
-    fn snapshot_sorts_tenants_and_merges_waits() {
-        let mut accs: HashMap<Arc<str>, TenantAcc> = HashMap::new();
-        accs.entry(Arc::from("b")).or_default().wait_logical = vec![4, 8];
-        accs.entry(Arc::from("a")).or_default().wait_logical = vec![2];
-        let (tenants, logical, _) = snapshot(&accs);
-        assert_eq!(tenants[0].tenant, "a");
-        assert_eq!(tenants[1].tenant, "b");
-        assert_eq!(logical.len(), 3);
+    fn a_long_lived_tenant_keeps_a_bounded_window_of_recent_waits() {
+        let mut acc = TenantAcc::default();
+        for d in 0..150_000u64 {
+            acc.record_dispatch(d, d as f64 * 1e-6);
+        }
+        assert_eq!(acc.report.tasks_dispatched, 150_000);
+        assert_eq!(acc.wait_logical.samples().len(), WAIT_SAMPLES);
+        assert_eq!(acc.wait_seconds.samples().len(), WAIT_SAMPLES);
+        // The window holds the newest dispatches, so percentiles follow the
+        // tenant's current queueing rather than its lifetime average.
+        let oldest_kept = (150_000 - WAIT_SAMPLES) as f64;
+        assert!(acc.wait_logical.samples().iter().all(|&w| w >= oldest_kept));
     }
 }

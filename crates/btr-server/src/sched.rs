@@ -19,9 +19,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One queued row group of one scan.
-pub(crate) struct Task {
-    /// The scan this task belongs to (opaque to the scheduler).
-    pub scan: Arc<crate::service::ScanShared>,
+pub(crate) struct Task<S = Arc<crate::service::ScanShared>> {
+    /// The scan this task belongs to (opaque to the scheduler, which is why
+    /// its tests can queue bare ids).
+    pub scan: S,
     /// Index into the scan's row-group list.
     pub group_idx: usize,
     /// The row group itself (denormalized so the worker needs no lookup).
@@ -36,21 +37,21 @@ pub(crate) struct Task {
     pub enqueued_at: Instant,
 }
 
-struct TenantQueue {
+struct TenantQueue<S> {
     tenant: Arc<str>,
     deficit: u64,
-    tasks: VecDeque<Task>,
+    tasks: VecDeque<Task<S>>,
 }
 
 /// The DRR state; see the module docs.
-pub(crate) struct Scheduler {
-    queues: Vec<TenantQueue>,
+pub(crate) struct Scheduler<S = Arc<crate::service::ScanShared>> {
+    queues: Vec<TenantQueue<S>>,
     cursor: usize,
     quantum: u64,
 }
 
-impl Scheduler {
-    pub fn new(quantum: u64) -> Scheduler {
+impl<S> Scheduler<S> {
+    pub fn new(quantum: u64) -> Scheduler<S> {
         Scheduler {
             queues: Vec::new(),
             cursor: 0,
@@ -72,7 +73,7 @@ impl Scheduler {
 
     /// Appends a task to its tenant's queue (creating the queue on first
     /// contact).
-    pub fn enqueue(&mut self, tenant: &Arc<str>, task: Task) {
+    pub fn enqueue(&mut self, tenant: &Arc<str>, task: Task<S>) {
         if let Some(q) = self.queues.iter_mut().find(|q| q.tenant == *tenant) {
             q.tasks.push_back(task);
             return;
@@ -93,8 +94,8 @@ impl Scheduler {
     /// deficit covers the head task's cost. An emptied queue forfeits its
     /// deficit. Terminates because every full round adds a positive quantum
     /// to some non-empty queue.
-    pub fn pick(&mut self) -> Option<Task> {
-        if self.queues.iter().all(|q| q.tasks.is_empty()) {
+    pub fn pick(&mut self) -> Option<Task<S>> {
+        if !self.has_ready() {
             return None;
         }
         loop {
@@ -128,7 +129,7 @@ impl Scheduler {
     /// serving tenant, so batching does not change the DRR order — but lets
     /// a worker drain a morsel of tasks under one scheduler-lock
     /// acquisition.
-    pub fn pick_batch(&mut self, limit: usize, out: &mut Vec<Task>) -> usize {
+    pub fn pick_batch(&mut self, limit: usize, out: &mut Vec<Task<S>>) -> usize {
         let mut taken = 0;
         while taken < limit {
             match self.pick() {
@@ -142,14 +143,14 @@ impl Scheduler {
         taken
     }
 
-    /// Removes every queued task of scan `scan_id`, returning them so the
-    /// caller can release per-block interest registrations.
-    pub fn purge(&mut self, scan_id: u64) -> Vec<Task> {
+    /// Removes every queued task whose scan `is_target`, returning them so
+    /// the caller can release per-block interest registrations.
+    pub fn purge(&mut self, is_target: impl Fn(&S) -> bool) -> Vec<Task<S>> {
         let mut removed = Vec::new();
         for q in &mut self.queues {
             let mut keep = VecDeque::with_capacity(q.tasks.len());
             for task in q.tasks.drain(..) {
-                if task.scan.id == scan_id {
+                if is_target(&task.scan) {
                     removed.push(task);
                 } else {
                     keep.push_back(task);
@@ -168,13 +169,9 @@ impl Scheduler {
 mod tests {
     use super::*;
 
-    fn dummy_scan(id: u64) -> Arc<crate::service::ScanShared> {
-        crate::service::ScanShared::dummy(id)
-    }
-
-    fn task(scan: &Arc<crate::service::ScanShared>, idx: usize, cost: u64) -> Task {
+    fn task(scan: u64, idx: usize, cost: u64) -> Task<u64> {
         Task {
-            scan: scan.clone(),
+            scan,
             group_idx: idx,
             group: RowGroup {
                 block: idx as u32,
@@ -190,20 +187,18 @@ mod tests {
     #[test]
     fn drr_interleaves_a_cheap_tenant_with_a_heavy_one() {
         let mut sched = Scheduler::new(10);
-        let heavy = dummy_scan(1);
-        let point = dummy_scan(2);
         let a: Arc<str> = Arc::from("heavy");
         let b: Arc<str> = Arc::from("point");
         for i in 0..50 {
-            sched.enqueue(&a, task(&heavy, i, 10));
+            sched.enqueue(&a, task(1, i, 10));
         }
-        sched.enqueue(&b, task(&point, 0, 10));
+        sched.enqueue(&b, task(2, 0, 10));
         // The point tenant's single task must dispatch within a small,
         // bounded number of heavy dispatches — not after all 50.
         let mut dispatched_before_point = 0;
         loop {
             let t = sched.pick().expect("tasks queued");
-            if t.scan.id == 2 {
+            if t.scan == 2 {
                 break;
             }
             dispatched_before_point += 1;
@@ -214,18 +209,16 @@ mod tests {
     #[test]
     fn purge_removes_only_the_target_scan() {
         let mut sched = Scheduler::new(10);
-        let s1 = dummy_scan(1);
-        let s2 = dummy_scan(2);
         let t: Arc<str> = Arc::from("t");
         for i in 0..4 {
-            sched.enqueue(&t, task(&s1, i, 1));
-            sched.enqueue(&t, task(&s2, i, 1));
+            sched.enqueue(&t, task(1, i, 1));
+            sched.enqueue(&t, task(2, i, 1));
         }
-        let removed = sched.purge(1);
+        let removed = sched.purge(|&scan| scan == 1);
         assert_eq!(removed.len(), 4);
         assert_eq!(sched.len(), 4);
         while let Some(task) = sched.pick() {
-            assert_eq!(task.scan.id, 2);
+            assert_eq!(task.scan, 2);
         }
     }
 
@@ -236,14 +229,12 @@ mod tests {
         // sequence — batching is a locking optimization, not a policy change.
         let build = || {
             let mut sched = Scheduler::new(16);
-            let s1 = dummy_scan(1);
-            let s2 = dummy_scan(2);
             let a: Arc<str> = Arc::from("a");
             let b: Arc<str> = Arc::from("b");
             for i in 0..12 {
-                sched.enqueue(&a, task(&s1, i, 7 + (i as u64 % 5) * 9));
+                sched.enqueue(&a, task(1, i, 7 + (i as u64 % 5) * 9));
                 if i % 3 == 0 {
-                    sched.enqueue(&b, task(&s2, i, 30));
+                    sched.enqueue(&b, task(2, i, 30));
                 }
             }
             sched
@@ -251,7 +242,7 @@ mod tests {
         let mut single = Vec::new();
         let mut one = build();
         while let Some(t) = one.pick() {
-            single.push((t.scan.id, t.group_idx));
+            single.push((t.scan, t.group_idx));
         }
         let mut batched = Vec::new();
         let mut many = build();
@@ -260,7 +251,7 @@ mod tests {
             if many.pick_batch(4, &mut out) == 0 {
                 break;
             }
-            batched.extend(out.into_iter().map(|t| (t.scan.id, t.group_idx)));
+            batched.extend(out.into_iter().map(|t| (t.scan, t.group_idx)));
         }
         assert_eq!(batched, single);
         assert_eq!(batched.len(), 16);
@@ -268,7 +259,7 @@ mod tests {
 
     #[test]
     fn empty_scheduler_picks_none() {
-        let mut sched = Scheduler::new(1);
+        let mut sched = Scheduler::<u64>::new(1);
         assert!(sched.pick().is_none());
         assert_eq!(sched.len(), 0);
     }

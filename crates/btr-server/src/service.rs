@@ -4,7 +4,7 @@
 //! [`DecodeGate`], one [`CoalescingSource`] per registered relation, and a
 //! fixed worker pool. Tenants obtain [`ScanClient`] handles and submit
 //! [`ScanSpec`]s; an admitted scan becomes a [`ScanHandle`] — an iterator of
-//! [`RecordBatch`]es — backed by a [`btr_scan::BlockPipeline`] whose row
+//! [`btr_scan::RecordBatch`]es — backed by a [`btr_scan::BlockPipeline`] whose row
 //! groups are dispatched by the service-wide scheduler, never by per-scan
 //! threads.
 //!
@@ -34,20 +34,17 @@
 //! `progress` mutex.
 
 use crate::coalesce::CoalescingSource;
-use crate::metrics::{percentile, snapshot, Metrics, ServiceReport};
+use crate::metrics::{Metrics, ServiceReport};
 use crate::sched::{Scheduler, Task};
 use crate::ServiceOptions;
-use btr_scan::batch::{append, empty_like, split_front};
+use btr_scan::driver::{prepare, process_contained};
 use btr_scan::{
-    plan_scan, BlockCache, BlockPipeline, BlockResult, BlockSource, DecodeGate, FetchCtl,
-    PipelineCounters, PipelineFilter, PipelineParams, RecordBatch, Result, RowGroup, ScanError,
-    ScanSpec,
+    BlockCache, BlockPipeline, BlockResult, BlockSource, DecodeGate, GroupFeed, PipelineCounters,
+    Reorder, Result, RowGroup, ScanEnd, ScanError, ScanSpec, ScanStream,
 };
-use btr_s3sim::{Deadline, RetryBudget};
-use btrblocks::{ColumnData, DecodeScratch, Sidecar};
-use std::collections::{BTreeMap, HashMap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use btr_sync::{CachePadded, OrderedCondvar, OrderedMutex, Rank};
+use btrblocks::{DecodeScratch, Sidecar};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
@@ -69,21 +66,19 @@ const SCAN_OUT_READY_RANK: Rank = Rank::new(31, "server.scan.out_ready");
 const RELATIONS_RANK: Rank = Rank::new(35, "server.relations");
 const METRICS_RANK: Rank = Rank::new(38, "server.metrics");
 
-/// Reorder/backpressure state of one scan, guarded by `ScanShared::progress`.
+/// Window/backpressure state of one scan, guarded by `ScanShared::progress`.
 #[derive(Default)]
 struct Progress {
     /// Row groups enqueued so far (a prefix of `groups`).
     enqueued: usize,
-    /// Next row-group index the consumer will emit.
-    next_emit: usize,
-    /// Finished groups waiting for their turn, by index.
-    ready: BTreeMap<usize, Result<BlockResult>>,
+    /// Finished groups waiting for the consumer, in block order.
+    reorder: Reorder,
 }
 
 /// Everything workers and the consumer share about one admitted scan.
 pub(crate) struct ScanShared {
     /// Service-unique id, used to purge this scan's tasks from the scheduler.
-    pub(crate) id: u64,
+    id: u64,
     tenant: Arc<str>,
     pipeline: Arc<BlockPipeline>,
     source: Arc<CoalescingSource>,
@@ -119,44 +114,6 @@ impl ScanShared {
 
     fn cost_of(&self, idx: usize) -> u64 {
         self.costs.get(idx).copied().unwrap_or(DEFAULT_TASK_COST)
-    }
-
-    /// A minimal instance for scheduler unit tests: a one-column in-memory
-    /// relation nobody ever scans.
-    #[cfg(test)]
-    pub(crate) fn dummy(id: u64) -> Arc<ScanShared> {
-        use btrblocks::{Column, ColumnType, Config, Relation};
-        let cfg = Config::default();
-        let rel = Relation::new(vec![Column::new("id", ColumnData::Int(vec![1, 2, 3]))]);
-        let compressed = Arc::new(btrblocks::compress(&rel, &cfg).unwrap());
-        let inner: Arc<dyn BlockSource> =
-            Arc::new(btr_scan::MemorySource::new("dummy", compressed));
-        let cache = Arc::new(BlockCache::new(1 << 16));
-        let source = Arc::new(CoalescingSource::new(inner, cache.clone(), 1));
-        let pipeline = Arc::new(BlockPipeline::new(PipelineParams {
-            source: source.clone(),
-            cache,
-            config: cfg,
-            projection: vec![0],
-            column_types: vec![ColumnType::Integer],
-            filter: None,
-            ctl: FetchCtl::default(),
-            base_prefetch: 1,
-            gate: None,
-        }));
-        Arc::new(ScanShared {
-            id,
-            tenant: Arc::from("dummy"),
-            pipeline,
-            source,
-            groups: Vec::new(),
-            interest_cols: Vec::new(),
-            costs: Vec::new(),
-            progress: OrderedMutex::new(SCAN_PROGRESS_RANK, Progress::default()),
-            out_ready: OrderedCondvar::new(SCAN_OUT_READY_RANK),
-            cancelled: AtomicBool::new(false),
-            folded: AtomicBool::new(false),
-        })
     }
 }
 
@@ -194,6 +151,19 @@ struct Inner {
     metrics: OrderedMutex<Metrics>,
 }
 
+/// Source column indices as the `u32`s sources speak, duplicates dropped,
+/// first occurrence order kept.
+fn distinct_cols<'a>(indices: impl Iterator<Item = &'a usize>) -> Vec<u32> {
+    let mut cols = Vec::new();
+    for &idx in indices {
+        let col = u32::try_from(idx).unwrap_or(u32::MAX);
+        if !cols.contains(&col) {
+            cols.push(col);
+        }
+    }
+    cols
+}
+
 /// Tasks one worker drains per scheduler-lock acquisition. Small enough that
 /// a point query queued behind another worker's batch still dispatches
 /// within a few task executions; large enough to amortize the scheduler and
@@ -218,21 +188,16 @@ fn worker_loop(inner: &Inner) {
             }
             sched.pick_batch(WORKER_PICK_BATCH, &mut batch);
         }
-        if batch.is_empty() {
-            // `has_ready` held under the lock, so the batch is normally
-            // non-empty; this arm keeps the loop robust to predicate drift.
-            continue;
-        }
         // The whole batch dispatches now: one metrics-lock acquisition
         // records every task's queue wait.
         {
             let mut m = inner.metrics.lock();
             for task in &batch {
                 let d = inner.dispatch_seq.fetch_add(1, Ordering::Relaxed); // ordering: monotone dispatch counter; gaps only skew wait stats
-                let acc = m.tenants.entry(task.scan.tenant.clone()).or_default();
-                acc.tasks_dispatched += 1;
-                acc.wait_logical.push(d.saturating_sub(task.enqueue_dispatch));
-                acc.wait_seconds.push(task.enqueued_at.elapsed().as_secs_f64());
+                m.tenants.entry(task.scan.tenant.clone()).or_default().record_dispatch(
+                    d.saturating_sub(task.enqueue_dispatch),
+                    task.enqueued_at.elapsed().as_secs_f64(),
+                );
             }
         }
         for task in batch.drain(..) {
@@ -246,22 +211,10 @@ fn worker_loop(inner: &Inner) {
                 scan.release_interest(task.group.block);
                 continue;
             }
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                scan.pipeline.process(task.group, &mut scratch)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(ScanError::Worker(format!(
-                    "row group {} (block {}): {}",
-                    task.group_idx,
-                    task.group.block,
-                    btr_sync::panic_message(payload.as_ref())
-                )))
-            });
+            let result =
+                process_contained(&scan.pipeline, task.group_idx, task.group, &mut scratch);
             scan.release_interest(task.group.block);
-            {
-                let mut p = scan.progress.lock();
-                p.ready.insert(task.group_idx, result);
-            }
+            scan.progress.lock().reorder.insert(task.group_idx, result);
             scan.out_ready.notify_all();
         }
     }
@@ -294,10 +247,17 @@ impl Inner {
         self.task_ready.notify_one();
     }
 
+    /// Returns `tasks` tasks and `bytes` estimated bytes to the admission
+    /// budgets [`Inner::enqueue_task`] charged.
+    fn refund(&self, tasks: u64, bytes: u64) {
+        self.outstanding_tasks.fetch_sub(tasks, Ordering::Relaxed); // ordering: admission budget counter; checks are advisory
+        self.outstanding_bytes.fetch_sub(bytes, Ordering::Relaxed); // ordering: admission budget counter; checks are advisory
+    }
+
     fn record_rejection(&self, tenant: &Arc<str>) {
         let mut m = self.metrics.lock();
         m.rejections += 1;
-        m.tenants.entry(tenant.clone()).or_default().scans_rejected += 1;
+        m.tenants.entry(tenant.clone()).or_default().report.scans_rejected += 1;
     }
 
     fn submit(
@@ -319,29 +279,29 @@ impl Inner {
         if spec.projection.is_empty() {
             return Err(ScanError::EmptyProjection);
         }
-        let plan = plan_scan(src.as_ref(), &sidecar, spec)?;
-        let columns = src.columns();
+        // The deadline starts here, on the source's simulated clock; the
+        // tenant tag flows through every fetch into per-tenant GET stats.
+        let window = self.options.window.max(1);
+        let (plan, pipeline) = prepare(
+            src.clone(),
+            &sidecar,
+            spec,
+            self.cache.clone(),
+            &self.options.config,
+            window,
+            Some(self.gate.clone()),
+            Some(tenant.clone()),
+        )?;
 
         // Columns every task may touch: the projection plus every filter
         // column (filter blocks are fetched whether or not the fast path
         // fires).
-        let mut interest_cols: Vec<u32> = Vec::with_capacity(plan.projection.len() + 1);
-        for &idx in plan.projection.iter().chain(plan.filter_columns().iter()) {
-            let col = u32::try_from(idx).unwrap_or(u32::MAX);
-            if !interest_cols.contains(&col) {
-                interest_cols.push(col);
-            }
-        }
+        let interest_cols =
+            distinct_cols(plan.projection.iter().chain(plan.filter_columns().iter()));
         // Byte estimates are post-pruning and post-masking: groups whose
         // every conjunct the zone maps already proved never fetch
         // filter-only columns, so they aren't charged for them.
-        let mut proj_cols: Vec<u32> = Vec::with_capacity(plan.projection.len());
-        for &idx in &plan.projection {
-            let col = u32::try_from(idx).unwrap_or(u32::MAX);
-            if !proj_cols.contains(&col) {
-                proj_cols.push(col);
-            }
-        }
+        let proj_cols = distinct_cols(plan.projection.iter());
         let costs: Vec<u64> = plan
             .row_groups
             .iter()
@@ -357,7 +317,6 @@ impl Inner {
                     .sum()
             })
             .collect();
-        let window = self.options.window.max(1);
         let initial = window.min(plan.row_groups.len());
         let initial_cost: u64 = costs.iter().take(initial).sum();
 
@@ -365,59 +324,26 @@ impl Inner {
         // the budgets can still run alone, and rejection is deterministic);
         // otherwise reject when the initial window would overflow either
         // budget. Tasks, then bytes — the cheaper check first.
-        if initial > 0 {
-            let queued = self.outstanding_tasks.load(Ordering::Relaxed); // ordering: admission budget counter; checks are advisory
-            if queued > 0 && queued + initial as u64 > self.options.queue_limit {
+        let budgets = [
+            ("task queue", &self.outstanding_tasks, initial as u64, self.options.queue_limit),
+            ("byte budget", &self.outstanding_bytes, initial_cost, self.options.byte_budget),
+        ];
+        for (resource, outstanding, wanted, limit) in budgets {
+            let queued = outstanding.load(Ordering::Relaxed); // ordering: admission budget counter; checks are advisory
+            if initial > 0 && queued > 0 && queued + wanted > limit {
                 self.record_rejection(tenant);
                 return Err(ScanError::AdmissionRejected {
-                    resource: "task queue",
+                    resource,
                     queued,
-                    limit: self.options.queue_limit,
-                });
-            }
-            let bytes = self.outstanding_bytes.load(Ordering::Relaxed); // ordering: admission budget counter; checks are advisory
-            if bytes > 0 && bytes + initial_cost > self.options.byte_budget {
-                self.record_rejection(tenant);
-                return Err(ScanError::AdmissionRejected {
-                    resource: "byte budget",
-                    queued: bytes,
-                    limit: self.options.byte_budget,
+                    limit,
                 });
             }
         }
 
-        // Deadlines run on the source's simulated clock, starting now; the
-        // tenant tag flows through every fetch into per-tenant GET stats.
-        let clock = src
-            .health()
-            .map(|h| h.clock().clone())
-            .unwrap_or_default();
-        let ctl = FetchCtl {
-            deadline: spec
-                .tolerance
-                .deadline_seconds
-                .map(|seconds| Deadline::after(&clock, seconds)),
-            budget: spec
-                .tolerance
-                .retry_budget
-                .map(|cfg| Arc::new(RetryBudget::new(cfg.capacity, cfg.refill_per_second))),
-            tenant: Some(tenant.clone()),
-        };
-        let pipeline = Arc::new(BlockPipeline::new(PipelineParams {
-            source: src.clone(),
-            cache: self.cache.clone(),
-            config: self.options.config.clone(),
-            projection: plan.projection.clone(),
-            column_types: columns.iter().map(|c| c.column_type).collect(),
-            filter: PipelineFilter::from_plan(&plan),
-            ctl,
-            base_prefetch: window,
-            gate: Some(self.gate.clone()),
-        }));
         let scan = Arc::new(ScanShared {
             id: self.scan_ids.fetch_add(1, Ordering::Relaxed), // ordering: id allocator; only uniqueness matters
             tenant: tenant.clone(),
-            pipeline,
+            pipeline: Arc::new(pipeline),
             source,
             groups: plan.row_groups,
             interest_cols,
@@ -426,8 +352,7 @@ impl Inner {
                 SCAN_PROGRESS_RANK,
                 Progress {
                     enqueued: initial,
-                    next_emit: 0,
-                    ready: BTreeMap::new(),
+                    reorder: Reorder::default(),
                 },
             ),
             out_ready: OrderedCondvar::new(SCAN_OUT_READY_RANK),
@@ -436,7 +361,7 @@ impl Inner {
         });
         {
             let mut m = self.metrics.lock();
-            m.tenants.entry(tenant.clone()).or_default().scans_admitted += 1;
+            m.tenants.entry(tenant.clone()).or_default().report.scans_admitted += 1;
         }
         {
             let mut scans = self.scans.lock();
@@ -455,23 +380,17 @@ impl Inner {
         for i in 0..initial {
             self.enqueue_task(&scan, i, false);
         }
-        let buffers = plan
-            .projection
-            .iter()
-            .filter_map(|&idx| columns.get(idx).map(|c| empty_like(c.column_type)))
-            .collect();
-        Ok(ScanHandle {
+        let buffers = scan.pipeline.empty_columns();
+        let feed = ServiceFeed {
             inner: self.clone(),
             scan,
-            names: spec.projection.clone(),
+        };
+        Ok(ScanStream::new(
+            feed,
+            spec.projection.clone(),
             buffers,
-            buffered_rows: 0,
-            batch_rows: self.options.batch_rows.max(1),
-            rows_matched: 0,
-            batches: 0,
-            failed: false,
-            finished: false,
-        })
+            self.options.batch_rows,
+        ))
     }
 }
 
@@ -568,12 +487,14 @@ impl ScanService {
                 }
             }
         }
-        let m = self.inner.metrics.lock();
-        let (tenants, all_logical, all_seconds) = snapshot(&m.tenants);
+        // Copy out under the lock (bounded: counters plus a fixed window of
+        // waits per tenant), sort and rank outside it.
+        let metrics = self.inner.metrics.lock().clone();
+        let (tenants, [logical_p50, logical_p95, seconds_p50, seconds_p95]) = metrics.snapshot();
         let dedup_hits = tenants.iter().map(|t| t.dedup_hits).sum::<u64>() + live.dedup_hits;
         ServiceReport {
             tenants,
-            admission_rejections: m.rejections,
+            admission_rejections: metrics.rejections,
             dedup_hits,
             spans_issued,
             coalesced_blocks,
@@ -581,10 +502,10 @@ impl ScanService {
             cache: self.inner.cache.stats(),
             outstanding_tasks: self.inner.outstanding_tasks.load(Ordering::Relaxed), // ordering: statistics snapshot
             outstanding_bytes: self.inner.outstanding_bytes.load(Ordering::Relaxed), // ordering: statistics snapshot
-            queue_wait_logical_p50: percentile(&all_logical, 0.50),
-            queue_wait_logical_p95: percentile(&all_logical, 0.95),
-            queue_wait_p50: percentile(&all_seconds, 0.50),
-            queue_wait_p95: percentile(&all_seconds, 0.95),
+            queue_wait_logical_p50: logical_p50,
+            queue_wait_logical_p95: logical_p95,
+            queue_wait_p50: seconds_p50,
+            queue_wait_p95: seconds_p95,
         }
     }
 }
@@ -627,137 +548,22 @@ impl ScanClient {
     }
 }
 
-/// How a scan ended, for the tenant's scan counters.
-enum Outcome {
-    Completed,
-    Failed,
-    Cancelled,
-}
-
-/// A running scan: an iterator of [`RecordBatch`]es in row order.
+/// A running service scan: an iterator of [`btr_scan::RecordBatch`]es in row
+/// order ([`ScanStream`] has `cancel`, `rows_matched`, `batches`; `feed()`
+/// reaches the [`ServiceFeed`]).
 ///
 /// Dropping the handle early cancels the scan: its queued tasks leave the
 /// scheduler, its admission budget returns, and staged coalesced bytes for
 /// it are released.
-pub struct ScanHandle {
+pub type ScanHandle = ScanStream<ServiceFeed>;
+
+/// The service's side of a [`ScanHandle`].
+pub struct ServiceFeed {
     inner: Arc<Inner>,
     scan: Arc<ScanShared>,
-    names: Vec<String>,
-    buffers: Vec<ColumnData>,
-    buffered_rows: usize,
-    batch_rows: usize,
-    rows_matched: u64,
-    batches: u64,
-    failed: bool,
-    finished: bool,
 }
 
-impl ScanHandle {
-    /// Waits for the next in-order row group; emitting it releases its
-    /// admission accounting and refills the scan's look-ahead window.
-    fn next_block(&mut self) -> Option<Result<BlockResult>> {
-        let scan = self.scan.clone();
-        let mut p = scan.progress.lock();
-        loop {
-            p = scan.out_ready.wait_while(p, |p| {
-                !scan.cancelled.load(Ordering::Relaxed) // ordering: cancel flag; re-read every wakeup
-                    && p.next_emit < scan.groups.len()
-                    && !p.ready.contains_key(&p.next_emit)
-            });
-            if scan.cancelled.load(Ordering::Relaxed) || p.next_emit >= scan.groups.len() { // ordering: cancel flag
-                return None;
-            }
-            let emit = p.next_emit;
-            if let Some(result) = p.ready.remove(&emit) {
-                p.next_emit += 1;
-                let refill = (p.enqueued < scan.groups.len()).then(|| {
-                    let next = p.enqueued;
-                    p.enqueued += 1;
-                    next
-                });
-                drop(p);
-                self.inner.outstanding_tasks.fetch_sub(1, Ordering::Relaxed); // ordering: admission budget counter; checks are advisory
-                self.inner
-                    .outstanding_bytes
-                    .fetch_sub(scan.cost_of(emit), Ordering::Relaxed); // ordering: admission budget counter; checks are advisory
-                if let Some(next) = refill {
-                    self.inner.enqueue_task(&scan, next, true);
-                }
-                return Some(result);
-            }
-        }
-    }
-
-    fn cut(&mut self, n: usize) -> RecordBatch {
-        let columns = self
-            .names
-            .iter()
-            .zip(self.buffers.iter_mut())
-            .map(|(name, buf)| (name.clone(), split_front(buf, n)))
-            .collect();
-        self.buffered_rows -= n;
-        self.batches += 1;
-        RecordBatch { columns }
-    }
-
-    /// Tears the scan down (idempotent): cancels workers' view of it, purges
-    /// queued tasks, returns admission budget, and folds metrics.
-    fn finish(&mut self, outcome: Outcome) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        let scan = &self.scan;
-        scan.cancelled.store(true, Ordering::Relaxed); // ordering: cancel flag; workers re-check per task
-        // Enqueued-but-never-emitted tasks give back their admission
-        // accounting here; emitted ones already did.
-        let (pending, pending_cost) = {
-            let p = scan.progress.lock();
-            let pending = p.enqueued.saturating_sub(p.next_emit) as u64;
-            let cost: u64 = (p.next_emit..p.enqueued).map(|i| scan.cost_of(i)).sum();
-            (pending, cost)
-        };
-        if pending > 0 {
-            self.inner.outstanding_tasks.fetch_sub(pending, Ordering::Relaxed); // ordering: admission budget counter; checks are advisory
-            self.inner
-                .outstanding_bytes
-                .fetch_sub(pending_cost, Ordering::Relaxed); // ordering: admission budget counter; checks are advisory
-        }
-        // Tasks still queued leave the scheduler and release their block
-        // interest; tasks a worker already picked release it in the worker.
-        let purged = self.inner.sched.lock().purge(scan.id);
-        for task in &purged {
-            scan.release_interest(task.group.block);
-        }
-        scan.out_ready.notify_all();
-        let counters = scan.pipeline.counters();
-        let mut m = self.inner.metrics.lock();
-        let acc = m.tenants.entry(scan.tenant.clone()).or_default();
-        acc.fold_counters(&counters);
-        acc.rows_emitted += self.rows_matched;
-        match outcome {
-            Outcome::Completed => acc.scans_completed += 1,
-            Outcome::Failed => acc.scans_failed += 1,
-            Outcome::Cancelled => acc.scans_cancelled += 1,
-        }
-        scan.folded.store(true, Ordering::Relaxed); // ordering: fold flag; set after metrics folded under their lock
-    }
-
-    /// Cancels the scan; the iterator yields nothing further.
-    pub fn cancel(&mut self) {
-        self.finish(Outcome::Cancelled);
-    }
-
-    /// Rows matched so far.
-    pub fn rows_matched(&self) -> u64 {
-        self.rows_matched
-    }
-
-    /// Batches emitted so far.
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
+impl ServiceFeed {
     /// The owning tenant.
     pub fn tenant(&self) -> &str {
         &self.scan.tenant
@@ -769,48 +575,58 @@ impl ScanHandle {
     }
 }
 
-impl Iterator for ScanHandle {
-    type Item = Result<RecordBatch>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.finished {
+impl GroupFeed for ServiceFeed {
+    /// Waits for the next in-order row group; emitting it releases its
+    /// admission accounting and refills the scan's look-ahead window.
+    fn next_block(&mut self) -> Option<Result<BlockResult>> {
+        let scan = &self.scan;
+        let mut p = scan.out_ready.wait_while(scan.progress.lock(), |p| {
+            // ordering: cancel flag; re-read every wakeup
+            !scan.cancelled.load(Ordering::Relaxed) && p.reorder.awaiting(scan.groups.len())
+        });
+        if scan.cancelled.load(Ordering::Relaxed) { // ordering: cancel flag
             return None;
         }
-        loop {
-            if self.buffered_rows >= self.batch_rows {
-                return Some(Ok(self.cut(self.batch_rows)));
-            }
-            match self.next_block() {
-                Some(Ok(block)) => {
-                    self.rows_matched += block.rows_matched;
-                    self.buffered_rows += block.rows_matched as usize;
-                    for (buf, col) in self.buffers.iter_mut().zip(&block.columns) {
-                        if let Err(e) = append(buf, col) {
-                            self.failed = true;
-                            self.finish(Outcome::Failed);
-                            return Some(Err(e));
-                        }
-                    }
-                }
-                Some(Err(e)) => {
-                    self.failed = true;
-                    self.finish(Outcome::Failed);
-                    return Some(Err(e));
-                }
-                None => {
-                    if self.buffered_rows > 0 {
-                        return Some(Ok(self.cut(self.buffered_rows)));
-                    }
-                    self.finish(Outcome::Completed);
-                    return None;
-                }
-            }
+        let emit = p.reorder.next_emit();
+        let result = p.reorder.pop()?;
+        let refill = (p.enqueued < scan.groups.len()).then(|| {
+            p.enqueued += 1;
+            p.enqueued - 1
+        });
+        drop(p);
+        self.inner.refund(1, scan.cost_of(emit));
+        if let Some(next) = refill {
+            self.inner.enqueue_task(scan, next, true);
         }
+        Some(result)
     }
-}
 
-impl Drop for ScanHandle {
-    fn drop(&mut self) {
-        self.finish(Outcome::Cancelled);
+    /// Tears the scan down: cancels workers' view of it, purges queued
+    /// tasks, returns admission budget, and folds metrics.
+    fn finish(&mut self, end: ScanEnd, rows_matched: u64) {
+        let scan = &self.scan;
+        scan.cancelled.store(true, Ordering::Relaxed); // ordering: cancel flag; workers re-check per task
+        // Enqueued-but-never-emitted tasks give back their admission
+        // accounting here; emitted ones already did.
+        let pending = {
+            let p = scan.progress.lock();
+            p.reorder.next_emit()..p.enqueued
+        };
+        let pending_cost = pending.clone().map(|i| scan.cost_of(i)).sum();
+        self.inner.refund(pending.len() as u64, pending_cost);
+        // Tasks still queued leave the scheduler and release their block
+        // interest; tasks a worker already picked release it in the worker.
+        let purged = self.inner.sched.lock().purge(|queued| queued.id == scan.id);
+        for task in &purged {
+            scan.release_interest(task.group.block);
+        }
+        scan.out_ready.notify_all();
+        let counters = scan.pipeline.counters();
+        let mut m = self.inner.metrics.lock();
+        m.tenants
+            .entry(scan.tenant.clone())
+            .or_default()
+            .fold_scan(&counters, rows_matched, end);
+        scan.folded.store(true, Ordering::Relaxed); // ordering: fold flag; set after metrics folded under their lock
     }
 }

@@ -2,15 +2,13 @@
 //! coalescing, DRR fairness, typed admission control, and per-relation
 //! quarantine isolation.
 
-use btr_corrupt::Mutation;
 use btr_s3sim::{ObjectStore, RetryPolicy};
-use btr_scan::batch::append;
-use btr_scan::chaos::build_relation;
+use btr_scan::chaos::{build_relation, drain, Columns};
 use btr_scan::engine::{EngineOptions, ScanEngine};
 use btr_scan::layout::RelationLayout;
 use btr_scan::{BlockSource, MemorySource, ObjectStoreSource, Predicate};
-use btr_server::{ScanError, ScanHandle, ScanService, ScanSpec, ServiceOptions};
-use btrblocks::{CmpOp, ColumnData, CompressedRelation, Config, Literal, Sidecar};
+use btr_server::{ScanError, ScanService, ScanSpec, ServiceOptions};
+use btrblocks::{CmpOp, CompressedRelation, Config, Literal, Sidecar};
 use std::sync::Arc;
 
 struct Fixture {
@@ -40,26 +38,8 @@ fn fixture(rows: usize, block_size: usize) -> Fixture {
     }
 }
 
-/// Drains a handle into per-column output, erasing batch boundaries so runs
-/// compare byte-for-byte regardless of batching.
-fn drain(handle: &mut ScanHandle) -> btr_server::Result<Vec<(String, ColumnData)>> {
-    let mut out: Option<Vec<(String, ColumnData)>> = None;
-    for batch in handle.by_ref() {
-        let batch = batch?;
-        match &mut out {
-            None => out = Some(batch.columns),
-            Some(columns) => {
-                for ((_, dst), (_, src)) in columns.iter_mut().zip(&batch.columns) {
-                    append(dst, src)?;
-                }
-            }
-        }
-    }
-    Ok(out.unwrap_or_default())
-}
-
 /// Fault-free reference for `spec`, via a plain engine over memory.
-fn reference(fx: &Fixture, spec: &ScanSpec) -> Vec<(String, ColumnData)> {
+fn reference(fx: &Fixture, spec: &ScanSpec) -> Columns {
     let engine = ScanEngine::new(EngineOptions {
         workers: 2,
         prefetch: 4,
@@ -69,20 +49,8 @@ fn reference(fx: &Fixture, spec: &ScanSpec) -> Vec<(String, ColumnData)> {
     });
     let source: Arc<dyn BlockSource> =
         Arc::new(MemorySource::new("reference", fx.compressed.clone()));
-    let mut scan = engine.scan(source, &fx.sidecar, spec).expect("reference scan");
-    let mut out: Option<Vec<(String, ColumnData)>> = None;
-    for batch in scan.by_ref() {
-        let batch = batch.expect("reference batch");
-        match &mut out {
-            None => out = Some(batch.columns),
-            Some(columns) => {
-                for ((_, dst), (_, src)) in columns.iter_mut().zip(&batch.columns) {
-                    append(dst, src).expect("reference append");
-                }
-            }
-        }
-    }
-    out.unwrap_or_default()
+    let scan = engine.scan(source, &fx.sidecar, spec).expect("reference scan");
+    drain(scan).expect("reference drain")
 }
 
 fn total_blocks(layout: &RelationLayout) -> u64 {
@@ -368,11 +336,8 @@ fn quarantine_is_isolated_to_the_corrupt_relation() {
     // Permanently flip one bit in the middle of column 0, block 3 of the
     // dirty copy; the framing CRC catches it on every fetch.
     let range = fx.layout.columns[0].blocks[3];
-    let dirty = Mutation::BitFlip {
-        offset: range.offset as usize + range.len as usize / 2,
-        bit: 3,
-    }
-    .apply(&fx.bytes);
+    let mut dirty = fx.bytes.clone();
+    dirty[range.offset as usize + range.len as usize / 2] ^= 1 << 3;
     store.put("dirty.btr", dirty);
 
     let retry = RetryPolicy {

@@ -28,15 +28,21 @@
 //! first; a `WouldBlock` increments the contention counter before falling
 //! back to the blocking call), readable via `stats()`.
 //!
+//! On top of the wrappers sits [`SingleFlight`], the workspace's one keyed
+//! single-flight table (btr-scan's in-flight fetch table and decode gate
+//! are instantiations), and [`morsel`], the shared work dispenser.
+//!
 //! All methods recover from poisoning (`PoisonError::into_inner`): the
 //! workspace guards its shared state with data-level invariants (mutations
 //! either complete or leave the value well-formed), worker panics are
 //! already contained and surfaced as typed errors by the scan layers, and a
 //! poisoned-lock panic cascade would only obscure the original failure.
 
+mod flight;
 pub mod morsel;
 mod pad;
 
+pub use flight::{Flight, FlightGuard, SingleFlight};
 pub use pad::CachePadded;
 
 use std::fmt;

@@ -12,7 +12,7 @@
 //! [`pick_str`]: collect full-block statistics, filter non-viable schemes,
 //! compress a small sample with each survivor, and keep the best observed
 //! ratio. All three selection paths share one generic candidate loop
-//! ([`run_selection`]); statistics are collected **once** per (values,
+//! (`run_selection`); statistics are collected **once** per (values,
 //! cascade level) and passed by reference into viability checks, analytic
 //! estimates, and the chosen scheme's compressor.
 //!

@@ -420,7 +420,7 @@ impl EncodeScratch {
     }
 
     /// Bytes of capacity currently pooled (vector pools + string arenas;
-    /// retained maps are capped by count, not bytes — see [`MAP_STACK_MAX`]).
+    /// retained maps are capped by count, not bytes — see `MAP_STACK_MAX`).
     pub fn held_bytes(&self) -> usize {
         self.i32s.held_bytes
             + self.f64s.held_bytes

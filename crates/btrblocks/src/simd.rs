@@ -40,13 +40,6 @@ pub fn avx2_available() -> bool {
 
 // ---------------------------------------------------------------- RLE decode
 
-/// Decodes RLE runs of i32 into a fresh vector of `total` values.
-pub fn rle_decode_i32(values: &[i32], lengths: &[u32], total: usize, mode: SimdMode) -> Vec<i32> {
-    let mut out = Vec::new();
-    rle_decode_i32_into(values, lengths, total, mode, &mut out);
-    out
-}
-
 /// Decodes RLE runs of i32 into `out`, clearing it first and reusing its
 /// capacity (plus [`DECODE_SLACK`] for the splat-store overshoot).
 pub fn rle_decode_i32_into(
@@ -76,13 +69,6 @@ pub fn rle_decode_i32_into(
     debug_assert_eq!(out.len(), total);
 }
 
-/// Decodes RLE runs of f64 into a fresh vector of `total` values.
-pub fn rle_decode_f64(values: &[f64], lengths: &[u32], total: usize, mode: SimdMode) -> Vec<f64> {
-    let mut out = Vec::new();
-    rle_decode_f64_into(values, lengths, total, mode, &mut out);
-    out
-}
-
 /// Decodes RLE runs of f64 into `out`; see [`rle_decode_i32_into`].
 pub fn rle_decode_f64_into(
     values: &[f64],
@@ -108,13 +94,6 @@ pub fn rle_decode_f64_into(
         out.extend(std::iter::repeat_n(v, l as usize));
     }
     debug_assert_eq!(out.len(), total);
-}
-
-/// Decodes RLE runs of u64 (used for fused RLE+Dict string views).
-pub fn rle_decode_u64(values: &[u64], lengths: &[u32], total: usize, mode: SimdMode) -> Vec<u64> {
-    let mut out = Vec::new();
-    rle_decode_u64_into(values, lengths, total, mode, &mut out);
-    out
 }
 
 /// Decodes RLE runs of u64 into `out`; see [`rle_decode_i32_into`].
@@ -203,13 +182,6 @@ unsafe fn rle_decode_u64_avx2(values: &[u64], lengths: &[u32], out: *mut u64) {
 
 // --------------------------------------------------------------- Dict decode
 
-/// Decodes dictionary codes to i32 values: `out[i] = dict[codes[i]]`.
-pub fn dict_decode_i32(codes: &[u32], dict: &[i32], mode: SimdMode) -> Vec<i32> {
-    let mut out = Vec::new();
-    dict_decode_i32_into(codes, dict, mode, &mut out);
-    out
-}
-
 /// Decodes dictionary codes to i32 values into `out`, clearing it first and
 /// reusing its capacity.
 pub fn dict_decode_i32_into(codes: &[u32], dict: &[i32], mode: SimdMode, out: &mut Vec<i32>) {
@@ -229,13 +201,6 @@ pub fn dict_decode_i32_into(codes: &[u32], dict: &[i32], mode: SimdMode, out: &m
     out.extend(codes.iter().map(|&c| dict[c as usize]));
 }
 
-/// Decodes dictionary codes to f64 values.
-pub fn dict_decode_f64(codes: &[u32], dict: &[f64], mode: SimdMode) -> Vec<f64> {
-    let mut out = Vec::new();
-    dict_decode_f64_into(codes, dict, mode, &mut out);
-    out
-}
-
 /// Decodes dictionary codes to f64 values into `out`; see
 /// [`dict_decode_i32_into`].
 pub fn dict_decode_f64_into(codes: &[u32], dict: &[f64], mode: SimdMode, out: &mut Vec<f64>) {
@@ -253,14 +218,6 @@ pub fn dict_decode_f64_into(codes: &[u32], dict: &[f64], mode: SimdMode, out: &m
     let _ = mode;
     // lint: allow(indexing) hot path; codes validated < dict.len() by the block decoder
     out.extend(codes.iter().map(|&c| dict[c as usize]));
-}
-
-/// Decodes dictionary codes to u64 values (string `(offset, len)` views —
-/// the paper's copy-free string dictionary decode).
-pub fn dict_decode_u64(codes: &[u32], dict: &[u64], mode: SimdMode) -> Vec<u64> {
-    let mut out = Vec::new();
-    dict_decode_u64_into(codes, dict, mode, &mut out);
-    out
 }
 
 /// Decodes dictionary codes to u64 string views into `out`; see
@@ -634,7 +591,9 @@ mod tests {
             expected.extend(std::iter::repeat_n(v, l as usize));
         }
         for mode in both_modes() {
-            assert_eq!(rle_decode_i32(&values, &lengths, total, mode), expected);
+            let mut out = vec![77; 3]; // dirty: `_into` must clear, not append
+            rle_decode_i32_into(&values, &lengths, total, mode, &mut out);
+            assert_eq!(out, expected);
         }
     }
 
@@ -648,16 +607,21 @@ mod tests {
             expected.extend(std::iter::repeat_n(v, l as usize));
         }
         for mode in both_modes() {
-            assert_eq!(rle_decode_f64(&values, &lengths, total, mode), expected);
+            let mut out = vec![7.7; 3];
+            rle_decode_f64_into(&values, &lengths, total, mode, &mut out);
+            assert_eq!(out, expected);
         }
     }
 
     #[test]
     fn rle_empty_runs() {
         for mode in both_modes() {
-            assert!(rle_decode_i32(&[], &[], 0, mode).is_empty());
+            let mut out = vec![77; 3];
+            rle_decode_i32_into(&[], &[], 0, mode, &mut out);
+            assert!(out.is_empty());
             // Zero-length runs are legal and contribute nothing.
-            assert_eq!(rle_decode_i32(&[9, 8], &[0, 2], 2, mode), vec![8, 8]);
+            rle_decode_i32_into(&[9, 8], &[0, 2], 2, mode, &mut out);
+            assert_eq!(out, vec![8, 8]);
         }
     }
 
@@ -668,12 +632,14 @@ mod tests {
         let dict_u: Vec<u64> = (0..100).map(|i| (i as u64) << 32 | 0xABC).collect();
         let codes: Vec<u32> = (0..1000).map(|i| (i * 37) % 100).collect();
         for mode in both_modes() {
-            let out = dict_decode_i32(&codes, &dict_i, mode);
-            assert!(codes.iter().zip(&out).all(|(&c, &o)| dict_i[c as usize] == o));
-            let out = dict_decode_f64(&codes, &dict_f, mode);
-            assert!(codes.iter().zip(&out).all(|(&c, &o)| dict_f[c as usize] == o));
-            let out = dict_decode_u64(&codes, &dict_u, mode);
-            assert!(codes.iter().zip(&out).all(|(&c, &o)| dict_u[c as usize] == o));
+            // Dirty buffers: `_into` must clear, not append.
+            let (mut out_i, mut out_f, mut out_u) = (vec![77; 3], vec![7.7; 3], vec![77; 3]);
+            dict_decode_i32_into(&codes, &dict_i, mode, &mut out_i);
+            assert!(codes.iter().map(|&c| dict_i[c as usize]).eq(out_i));
+            dict_decode_f64_into(&codes, &dict_f, mode, &mut out_f);
+            assert!(codes.iter().map(|&c| dict_f[c as usize]).eq(out_f));
+            dict_decode_u64_into(&codes, &dict_u, mode, &mut out_u);
+            assert!(codes.iter().map(|&c| dict_u[c as usize]).eq(out_u));
         }
     }
 
@@ -681,10 +647,12 @@ mod tests {
     fn dict_decode_tail_lengths() {
         // Exercise every remainder vs the unrolled widths.
         let dict: Vec<i32> = (0..16).collect();
+        let mut out = vec![77; 3];
         for n in 0..70usize {
             let codes: Vec<u32> = (0..n as u32).map(|i| i % 16).collect();
             for mode in both_modes() {
-                let out = dict_decode_i32(&codes, &dict, mode);
+                // `out` is dirty with the previous length's values.
+                dict_decode_i32_into(&codes, &dict, mode, &mut out);
                 assert_eq!(out.len(), n);
                 assert!(codes.iter().zip(&out).all(|(&c, &o)| dict[c as usize] == o));
             }
@@ -816,7 +784,9 @@ mod tests {
             expected.extend(std::iter::repeat_n(v, l as usize));
         }
         for mode in both_modes() {
-            assert_eq!(rle_decode_u64(&values, &lengths, 14, mode), expected);
+            let mut out = vec![77; 3];
+            rle_decode_u64_into(&values, &lengths, 14, mode, &mut out);
+            assert_eq!(out, expected);
         }
     }
 }

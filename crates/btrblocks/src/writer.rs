@@ -119,12 +119,6 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    pub fn u32_vec(&mut self, count: usize) -> Result<Vec<u32>> {
-        let mut out = Vec::new();
-        self.u32_vec_into(count, &mut out)?;
-        Ok(out)
-    }
-
     pub fn i32_vec(&mut self, count: usize) -> Result<Vec<i32>> {
         let mut out = Vec::new();
         self.i32_vec_into(count, &mut out)?;
@@ -216,7 +210,9 @@ mod tests {
         assert_eq!(r.f64().unwrap(), 2.5);
         assert_eq!(r.i32_vec(3).unwrap(), vec![1, -2, 3]);
         assert_eq!(r.f64_vec(2).unwrap(), vec![0.5, -0.5]);
-        assert_eq!(r.u32_vec(2).unwrap(), vec![10, 20]);
+        let mut codes = vec![77; 3]; // dirty: `_into` must clear, not append
+        r.u32_vec_into(2, &mut codes).unwrap();
+        assert_eq!(codes, vec![10, 20]);
         assert!(r.rest().is_empty());
     }
 

@@ -46,11 +46,18 @@ cargo run --release --quiet -p btr-lint -- --check
 echo "== clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
+echo "== rustdoc (warnings are errors)"
+# A deletion leaves dangling intra-doc links behind; they fail here instead
+# of shipping.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
 echo "== chaos campaigns under the runtime lock-order checker"
 # The concurrency contract (DESIGN.md §15): with the btr-sync `lock-order`
 # feature on, every lock acquisition is checked against the declared
-# hierarchy, so the scan and service chaos campaigns prove the real
-# interleavings — not just the lint's static view — respect the ranking.
+# hierarchy, so the one campaign through both of its runners — the engine's
+# (btr-scan/tests/chaos.rs) and the service's plus the cross-path
+# differential (btr-server/tests/chaos.rs) — proves the real interleavings,
+# not just the lint's static view, respect the ranking.
 cargo test --release --quiet -p btr-sync -p btr-scan -p btr-server --features lock-order
 
 echo "== benchmark harness smoke (every workload at smoke size)"
