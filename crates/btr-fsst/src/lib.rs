@@ -15,12 +15,23 @@
 //! candidates with the highest apparent gain (`count × length`), where pairs
 //! are concatenated into longer symbols (capped at 8 bytes).
 //!
+//! Encoding is exact greedy longest-match, resolved per position by an
+//! encoder index (a two-byte direct table plus a three-byte-prefix hash, see
+//! `index.rs`) that training and [`SymbolTable::compress`] share. The index
+//! belongs to the encode side only: a deserialized table holds its symbols
+//! inline, allocates nothing, and builds the index only if asked to compress.
+//!
 //! This crate exposes:
-//! * [`SymbolTable::train`] — build a table from sample byte-strings,
-//! * [`SymbolTable::compress`] / [`SymbolTable::decompress`] — one buffer,
-//! * [`SymbolTable::serialize`] / [`SymbolTable::deserialize`],
-//! * [`compress_strings`] — whole-block helper used by BtrBlocks.
+//! * [`SymbolTable::train`] — build a table (and its encoder index) from
+//!   sample byte-strings,
+//! * [`SymbolTable::compress`] / [`SymbolTable::compressed_size`] /
+//!   [`SymbolTable::decompress`] — one buffer,
+//! * [`SymbolTable::serialize`] / [`SymbolTable::serialize_into`] /
+//!   [`SymbolTable::serialized_size`] / [`SymbolTable::deserialize`],
+//! * [`compress_strings`] — train on a block's strings and compress them
+//!   back to back; the bulk path both BtrBlocks string schemes use.
 
+mod index;
 mod table;
 mod train;
 
@@ -52,20 +63,17 @@ impl std::error::Error for Error {}
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Convenience: trains a table on the input strings and compresses all of
-/// them, returning `(table, compressed concatenation, end offsets)`.
-/// Offset `i` is the end of compressed string `i` within the concatenation.
-pub fn compress_strings(strings: &[&[u8]]) -> (SymbolTable, Vec<u8>, Vec<u32>) {
-    let table = SymbolTable::train(strings);
-    let total: usize = strings.iter().map(|s| s.len()).sum();
-    let mut out = Vec::with_capacity(total / 2 + 16);
-    let mut offsets = Vec::with_capacity(strings.len());
-    for s in strings {
-        table.compress(s, &mut out);
-        // lint: allow(cast) encode side: compressed output is far smaller than 4 GiB
-        offsets.push(out.len() as u32);
-    }
-    (table, out, offsets)
+/// Trains a table on `strings` and appends every string's compressed form
+/// to `out`, back to back, returning the table. FSST decoding is stateless,
+/// so the concatenation decompresses with one call; callers that need the
+/// boundaries keep the uncompressed lengths.
+pub fn compress_strings<'a, I>(strings: I, out: &mut Vec<u8>) -> SymbolTable
+where
+    I: Iterator<Item = &'a [u8]> + Clone,
+{
+    let table = train::train(strings.clone());
+    strings.for_each(|s| table.compress(s, out));
+    table
 }
 
 #[cfg(test)]
@@ -126,17 +134,17 @@ mod tests {
     }
 
     #[test]
-    fn compress_strings_offsets_are_consistent() {
+    fn compress_strings_is_train_then_compress_each() {
         let corpus: Vec<&[u8]> = vec![b"hello world", b"", b"hello there", b"worldly"];
-        let (table, data, offsets) = compress_strings(&corpus);
-        assert_eq!(offsets.len(), corpus.len());
-        let mut start = 0usize;
-        for (i, &end) in offsets.iter().enumerate() {
-            let mut out = Vec::new();
-            table.decompress(&data[start..end as usize], &mut out).unwrap();
-            assert_eq!(&out, corpus[i]);
-            start = end as usize;
-        }
+        let mut data = vec![0xAB]; // appends, never clears
+        let table = compress_strings(corpus.iter().copied(), &mut data);
+        assert_eq!(table.serialize(), SymbolTable::train(&corpus).serialize());
+        let mut expected = vec![0xAB];
+        corpus.iter().for_each(|s| table.compress(s, &mut expected));
+        assert_eq!(data, expected);
+        let mut out = Vec::new();
+        table.decompress(&data[1..], &mut out).unwrap();
+        assert_eq!(out, corpus.concat());
     }
 
     #[test]

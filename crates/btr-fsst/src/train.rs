@@ -7,9 +7,14 @@
 //! where pairs become longer concatenated symbols. Literal bytes that the
 //! current table cannot match are treated as single-byte pseudo-symbols so
 //! they can earn a code in the next generation.
+//!
+//! The parse is [`Index::scan`], the encoder's own matcher, so training
+//! optimizes exactly the behaviour compression will exhibit.
 
+use crate::index::{low_mask, Index};
 use crate::table::{Symbol, SymbolTable, MAX_SYMBOLS, MAX_SYMBOL_LEN};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Training generations; the paper uses 5.
 const GENERATIONS: usize = 5;
@@ -20,6 +25,45 @@ const SAMPLE_BYTES: usize = 16 * 1024;
 /// Key for candidate symbols during counting: packed bytes + length.
 type CandKey = (u64, u8);
 
+/// Multiply-rotate hasher (the rustc "Fx" hash) for the gain map, in place
+/// of SipHash (btrblocks has one too, but this crate sits below it and has
+/// no dependencies). The keys do come from the data being compressed, but the map
+/// holds at most `2 × SAMPLE_BYTES` of them and dies with the call, so a
+/// sample crafted to collide costs a bounded slowdown of one block's
+/// training, not a flood. The map's iteration order never reaches the
+/// output (candidates are fully ordered by `(gain, key)` before selection).
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
+    #[inline]
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves the entropy in the high bits, but the map
+        // takes bucket indexes from the low ones, where keys that share
+        // their first bytes would all look alike: fold the halves.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 #[inline]
 fn concat(a: CandKey, b: CandKey) -> Option<CandKey> {
     let total = a.1 + b.1;
@@ -29,36 +73,8 @@ fn concat(a: CandKey, b: CandKey) -> Option<CandKey> {
     Some((a.0 | (b.0 << (8 * u32::from(a.1))), total))
 }
 
-/// Greedy parse of `text` with the current table, yielding candidate keys.
-/// Unmatched bytes come out as single-byte pseudo-symbols. This mirrors the
-/// encoder's longest-match loop exactly, so training optimizes the behaviour
-/// compression will actually exhibit.
-fn parse<'a>(table: &'a SymbolTable, text: &'a [u8]) -> impl Iterator<Item = CandKey> + 'a {
-    let mut pos = 0usize;
-    std::iter::from_fn(move || {
-        if pos >= text.len() {
-            return None;
-        }
-        // lint: allow(indexing) pos < text.len() was checked above
-        let rest = &text[pos..];
-        // lint: allow(indexing) rest is non-empty (pos < text.len())
-        for &code in table.bucket(rest[0]) {
-            if table.symbol_matches(code, rest) {
-                // lint: allow(indexing) bucket codes are valid symbol indices by construction
-                let sym = table.symbols()[usize::from(code)];
-                pos += usize::from(sym.len);
-                return Some((sym.bytes, sym.len));
-            }
-        }
-        // lint: allow(indexing) rest is non-empty (pos < text.len())
-        let b = rest[0];
-        pos += 1;
-        Some((u64::from(b), 1u8))
-    })
-}
-
 /// Trains a symbol table on the given sample strings.
-pub(crate) fn train(sample: &[&[u8]]) -> SymbolTable {
+pub(crate) fn train<'a>(sample: impl Iterator<Item = &'a [u8]>) -> SymbolTable {
     // Gather up to SAMPLE_BYTES of text, spreading across the strings so a
     // single huge string does not dominate.
     let mut budget = SAMPLE_BYTES;
@@ -76,39 +92,48 @@ pub(crate) fn train(sample: &[&[u8]]) -> SymbolTable {
         budget = budget.saturating_sub(take);
     }
     if texts.is_empty() {
-        return SymbolTable::from_symbols(Vec::new());
+        return SymbolTable::from_symbols(&[], None);
     }
 
-    let mut table = SymbolTable::from_symbols(Vec::new());
+    // One index and one gain map, rebuilt in place every generation.
+    let mut index = Box::new(Index::new());
+    let mut symbols: Vec<Symbol> = Vec::with_capacity(MAX_SYMBOLS);
+    let mut gains: HashMap<CandKey, u64, BuildHasherDefault<FxHasher>> = HashMap::default();
+    let mut cands: Vec<(CandKey, u64)> = Vec::new();
     for _gen in 0..GENERATIONS {
-        let mut gains: HashMap<CandKey, u64> = HashMap::new();
+        gains.clear();
         for text in &texts {
             let mut prev: Option<CandKey> = None;
-            for key in parse(&table, text) {
+            index.scan(text, |_, word, len| {
+                // A matched symbol's bytes, or the unmatched literal byte as
+                // a 1-byte pseudo-symbol: either way the bytes consumed.
+                // lint: allow(cast) len is a symbol length, 1..=8
+                let key = (word & low_mask(len), len as u8);
                 *gains.entry(key).or_insert(0) += u64::from(key.1);
-                if let Some(p) = prev {
-                    if let Some(pair) = concat(p, key) {
-                        *gains.entry(pair).or_insert(0) += u64::from(pair.1);
-                    }
+                if let Some(pair) = prev.and_then(|p| concat(p, key)) {
+                    *gains.entry(pair).or_insert(0) += u64::from(pair.1);
                 }
                 prev = Some(key);
-            }
+            });
         }
         // Keep the MAX_SYMBOLS candidates with the highest gain. Gains below
         // the cost of an escape (single-byte symbols seen once) are dropped.
-        let mut cands: Vec<(CandKey, u64)> = gains
-            .into_iter()
-            .filter(|&((_, len), gain)| gain > u64::from(len))
-            .collect();
-        cands.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        // Keys are unique, so `(gain desc, key)` is a total order and the
+        // selection is independent of the map's iteration order.
+        cands.clear();
+        cands.extend(
+            gains
+                .iter()
+                .map(|(&key, &gain)| (key, gain))
+                .filter(|&((_, len), gain)| gain > u64::from(len)),
+        );
+        cands.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         cands.truncate(MAX_SYMBOLS);
-        let symbols: Vec<Symbol> = cands
-            .into_iter()
-            .map(|((bytes, len), _)| Symbol { bytes, len })
-            .collect();
-        table = SymbolTable::from_symbols(symbols);
+        symbols.clear();
+        symbols.extend(cands.iter().map(|&((bytes, len), _)| Symbol { bytes, len }));
+        index.build(&symbols);
     }
-    table
+    SymbolTable::from_symbols(&symbols, Some(index))
 }
 
 #[cfg(test)]
@@ -136,7 +161,7 @@ mod tests {
     #[test]
     fn training_learns_long_symbols() {
         let text = b"common_prefix/common_prefix/common_prefix/".repeat(50);
-        let table = train(&[&text]);
+        let table = train([text.as_slice()].into_iter());
         assert!(!table.is_empty());
         // The learned table must cut the text at least in half.
         assert!(table.compressed_size(&text) * 2 < text.len());
@@ -144,17 +169,69 @@ mod tests {
 
     #[test]
     fn training_on_empty_sample() {
-        let table = train(&[]);
+        let table = train(std::iter::empty());
         assert!(table.is_empty());
-        let table = train(&[b"".as_slice()]);
+        let table = train([b"".as_slice()].into_iter());
         assert!(table.is_empty());
     }
 
     #[test]
     fn training_is_deterministic() {
         let text = b"deterministic output matters for tests".repeat(20);
-        let t1 = train(&[&text]).serialize();
-        let t2 = train(&[&text]).serialize();
+        let t1 = train([text.as_slice()].into_iter()).serialize();
+        let t2 = train([text.as_slice()].into_iter()).serialize();
         assert_eq!(t1, t2);
+    }
+
+    /// The trained table is byte for byte the reference trainer's.
+    #[test]
+    fn trains_the_same_table_as_the_reference() {
+        use btr_corrupt::rng::Xorshift;
+        let mut rng = Xorshift::new(0x17);
+        let urls: Vec<Vec<u8>> = (0..600)
+            .map(|i| {
+                let id = rng.gen_range(0..100_000u32);
+                format!(
+                    "https://www.example.com/shop/category-{}/item-{id}?ref=home",
+                    i % 9
+                )
+                .into()
+            })
+            .collect();
+        let names: Vec<Vec<u8>> = (0..3_000)
+            .map(|_| {
+                let len = rng.gen_range(0..=9usize);
+                (0..len)
+                    .map(|_| b"aeinorst"[rng.gen_range(0..8usize)])
+                    .collect()
+            })
+            .collect();
+        let words = [
+            "furiously",
+            "quick",
+            "deposits",
+            "sleep",
+            "above",
+            "the",
+            "pending",
+            "ideas",
+        ];
+        let text: Vec<Vec<u8>> = (0..40)
+            .map(|_| {
+                let n = rng.gen_range(20..200usize);
+                let line: Vec<&str> = (0..n)
+                    .map(|_| words[rng.gen_range(0..words.len())])
+                    .collect();
+                line.join(" ").into()
+            })
+            .collect();
+        let mut binary = vec![0u8; 20_000];
+        rng.fill_bytes(&mut binary);
+        for corpus in [urls, names, text, vec![binary]] {
+            let refs: Vec<&[u8]> = corpus.iter().map(|s| s.as_slice()).collect();
+            let want = SymbolTable::from_symbols(&crate::index::oracle::train(&refs), None);
+            assert!(!want.is_empty());
+            assert_eq!(train(refs.iter().copied()).serialize(), want.serialize());
+        }
     }
 }

@@ -49,14 +49,13 @@ fn roundtrip_many_strings() {
         let count = rng.gen_range(0..50usize);
         let strings: Vec<Vec<u8>> = (0..count).map(|_| bytes(&mut rng, 100)).collect();
         let refs: Vec<&[u8]> = strings.iter().map(|s| s.as_slice()).collect();
-        let (table, data, offsets) = btr_fsst::compress_strings(&refs);
-        let mut start = 0usize;
-        for (i, &end) in offsets.iter().enumerate() {
-            let mut out = Vec::new();
-            table.decompress(&data[start..end as usize], &mut out).unwrap();
-            assert_eq!(out.as_slice(), refs[i]);
-            start = end as usize;
-        }
+        let mut data = Vec::new();
+        let table = btr_fsst::compress_strings(refs.iter().copied(), &mut data);
+        // Stateless decoding: one call over the concatenation gives back the
+        // concatenated input.
+        let mut out = Vec::new();
+        table.decompress(&data, &mut out).unwrap();
+        assert_eq!(out, strings.concat());
     }
 }
 

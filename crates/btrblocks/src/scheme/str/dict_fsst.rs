@@ -33,20 +33,15 @@ pub fn compress(
     let mut codes = scratch.lease_i32(arena.len());
     super::dict::encode_dict_into(arena, &mut dict, &mut codes);
     let mut compressed = scratch.lease_u8(dict.total_bytes() / 2 + 16);
+    let table = btr_fsst::compress_strings(dict.iter(), &mut compressed);
     let mut lengths = scratch.lease_u32(dict.len());
-    let dict_strings: Vec<&[u8]> = dict.iter().collect();
-    let table = SymbolTable::train(&dict_strings);
-    let table_bytes = table.serialize();
-    for s in &dict_strings {
-        table.compress(s, &mut compressed);
-        // lint: allow(cast) encode side: a single string is far smaller than 4 GiB
-        lengths.push(s.len() as u32);
-    }
+    // lint: allow(cast) encode side: a single string is far smaller than 4 GiB
+    lengths.extend(dict.iter().map(|s| s.len() as u32));
     // lint: allow(cast) encode side: dictionary entry count fits u32
     out.put_u32(dict.len() as u32);
     // lint: allow(cast) encode side: symbol table serialization is small
-    out.put_u32(table_bytes.len() as u32);
-    out.extend_from_slice(&table_bytes);
+    out.put_u32(table.serialized_size() as u32);
+    table.serialize_into(out);
     // lint: allow(cast) encode side: compressed pool is far smaller than 4 GiB
     out.put_u32(compressed.len() as u32);
     out.extend_from_slice(&compressed);
@@ -59,7 +54,6 @@ pub fn compress(
         out,
         Some(crate::scheme::SchemeCode::Dict),
     );
-    drop(dict_strings);
     scratch.release_arena(dict);
     scratch.release_i32(codes);
     scratch.release_u8(compressed);
@@ -68,8 +62,8 @@ pub fn compress(
 
 /// Decompresses a Dict+FSST block of `count` strings into `out`, reusing its
 /// pool/view buffers and leasing the length and dictionary-view temporaries
-/// from `scratch`. The symbol table itself still deserializes into fresh
-/// storage — the one allocation this scheme keeps.
+/// from `scratch`. The symbol table deserializes onto the stack (decoding
+/// builds no encoder state), so a warm decode allocates nothing.
 pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,

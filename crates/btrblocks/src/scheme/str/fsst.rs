@@ -28,19 +28,14 @@ pub fn compress(
     scratch: &mut EncodeScratch,
     out: &mut Vec<u8>,
 ) {
-    let strings: Vec<&[u8]> = arena.iter().collect();
-    let table = SymbolTable::train(&strings);
-    let table_bytes = table.serialize();
     let mut compressed = scratch.lease_u8(arena.total_bytes() / 2 + 16);
+    let table = btr_fsst::compress_strings(arena.iter(), &mut compressed);
     let mut lengths = scratch.lease_i32(arena.len());
-    for s in &strings {
-        table.compress(s, &mut compressed);
-        // lint: allow(cast) encode side: a single string is far smaller than 2 GiB
-        lengths.push(s.len() as i32);
-    }
+    // lint: allow(cast) encode side: a single string is far smaller than 2 GiB
+    lengths.extend(arena.iter().map(|s| s.len() as i32));
     // lint: allow(cast) encode side: symbol table serialization is small
-    out.put_u32(table_bytes.len() as u32);
-    out.extend_from_slice(&table_bytes);
+    out.put_u32(table.serialized_size() as u32);
+    table.serialize_into(out);
     // lint: allow(cast) encode side: compressed pool is far smaller than 4 GiB
     out.put_u32(compressed.len() as u32);
     out.extend_from_slice(&compressed);
@@ -51,8 +46,8 @@ pub fn compress(
 
 /// Decompresses an FSST block of `count` strings into `out`, reusing its
 /// pool/view buffers and leasing the length temporary from `scratch`. The
-/// symbol table itself still deserializes into fresh storage — the one
-/// allocation this scheme keeps.
+/// symbol table deserializes onto the stack (decoding builds no encoder
+/// state), so a warm decode allocates nothing.
 pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,

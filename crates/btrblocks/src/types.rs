@@ -109,7 +109,7 @@ impl StringArena {
     }
 
     /// Iterates all strings.
-    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> + Clone {
         (0..self.len()).map(move |i| self.get(i))
     }
 

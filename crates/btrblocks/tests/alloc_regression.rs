@@ -6,10 +6,11 @@
 //! performs **zero** heap allocations.
 //!
 //! The scheme pool is restricted to the schemes whose decode path is fully
-//! scratch-leased: Frequency, Pseudodecimal, Fsst and DictFsst each keep one
-//! unavoidable per-block allocation (Roaring containers / FSST symbol
-//! tables) and are excluded here; their leased temporaries are covered by
-//! the dirty-out proptests instead.
+//! scratch-leased: Frequency and Pseudodecimal each keep one unavoidable
+//! per-block allocation (Roaring containers) and are excluded here; their
+//! leased temporaries are covered by the dirty-out proptests instead. Fsst
+//! and DictFsst are in: a deserialized FSST symbol table lives on the stack
+//! and decoding builds no encoder state.
 
 use btr_corrupt::alloc::{self, TrackingAllocator};
 use btrblocks::{
@@ -32,12 +33,23 @@ fn scratch_only_config() -> Config {
         SchemeCode::Dict,
         SchemeCode::FastPfor,
         SchemeCode::FastBp128,
+        SchemeCode::Fsst,
+        SchemeCode::DictFsst,
     ])
 }
 
-fn sample_relation(rows: usize) -> Relation {
-    let strings: Vec<String> = (0..rows).map(|i| format!("city-{}", (i / 64) % 23)).collect();
+fn str_column(name: &str, strings: &[String]) -> Column {
     let refs: Vec<&str> = strings.iter().map(|s| s.as_str()).collect();
+    Column::new(name, ColumnData::Str(StringArena::from_strs(&refs)))
+}
+
+fn sample_relation(rows: usize) -> Relation {
+    let cities: Vec<String> = (0..rows).map(|i| format!("city-{}", (i / 64) % 23)).collect();
+    let urls: Vec<String> =
+        (0..rows).map(|i| format!("https://example.com/products/category-{}/item-{i}", i % 7)).collect();
+    let streets: Vec<String> = (0..rows)
+        .map(|i| format!("{} E MAYO BLVD BUILDING {} PHOENIX ARIZONA", 5_000 + i % 300, i % 300))
+        .collect();
     Relation::new(vec![
         // Ascending ints: FastPfor/FastBp128 territory.
         Column::new("id", ColumnData::Int((0..rows as i32).collect())),
@@ -49,7 +61,11 @@ fn sample_relation(rows: usize) -> Relation {
             ColumnData::Double((0..rows).map(|i| (i % 50) as f64 * 0.25).collect()),
         ),
         // Repetitive strings with long runs: string Dict (+ fused RLE path).
-        Column::new("city", ColumnData::Str(StringArena::from_strs(&refs))),
+        str_column("city", &cities),
+        // Unique strings with shared substrings: FSST.
+        str_column("url", &urls),
+        // A few hundred long distinct strings: Dict+FSST.
+        str_column("street", &streets),
     ])
 }
 
@@ -81,7 +97,11 @@ fn warm_decode_allocates_zero_bytes() {
     let cfg = scratch_only_config();
     let rel = sample_relation(10_000);
     let compressed = compress(&rel, &cfg).expect("compresses");
-    let expected_rows: usize = 4 * 10_000;
+    let expected_rows: usize = 6 * 10_000;
+    for (column, scheme) in [(3, SchemeCode::Dict), (4, SchemeCode::Fsst), (5, SchemeCode::DictFsst)] {
+        let chosen = &compressed.columns[column].schemes;
+        assert!(chosen.contains(&scheme), "column {column} never selected {scheme:?}: {chosen:?}");
+    }
 
     let mut scratch = DecodeScratch::new();
     // Cold pass: every lease misses and allocates; the pool fills up.
@@ -110,7 +130,7 @@ fn warm_decode_allocates_zero_bytes() {
     let compressed = compress(&rel, &cfg).expect("compresses");
     let mut scratch = DecodeScratch::with_budget(1 << 10);
     let rows = decode_all(&compressed, &cfg, &mut scratch);
-    assert_eq!(rows, 4 * 4_000);
+    assert_eq!(rows, 6 * 4_000);
     let stats = scratch.stats();
     assert!(stats.held_bytes <= stats.budget_bytes);
     assert!(stats.dropped > 0, "tight budget must drop returns");

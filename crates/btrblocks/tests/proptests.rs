@@ -416,6 +416,65 @@ fn dirty_scratch_decode_matches_fresh_for_every_scheme() {
     }
 }
 
+// The FSST encoder resolves a position from an 8-byte load; these are the
+// blocks where that load never fits (every string shorter than 8 bytes),
+// where zero padding could be mistaken for data (NUL bytes in strings and
+// therefore in symbols), and where one string is far longer than a block's
+// worth of samples. Forced through both FSST schemes, decoded into a dirty
+// out-buffer, compared byte for byte.
+#[test]
+fn short_and_hostile_strings_roundtrip_through_fsst() {
+    let mut rng = Xorshift::new(0x5C);
+    let mut scratch = DecodeScratch::new();
+    let cfg = Config::default();
+    let mut blocks: Vec<Vec<Vec<u8>>> = Vec::new();
+    for _ in 0..24 {
+        let count = rng.gen_range(1..600usize);
+        // Shorter than one load, over an alphabet small enough to train on.
+        blocks.push(
+            (0..count)
+                .map(|_| (0..rng.gen_range(0..8usize)).map(|_| b"abc\0\xFF"[rng.gen_range(0..5usize)]).collect())
+                .collect(),
+        );
+        // NUL-heavy strings of every length around the 8-byte boundary,
+        // many of them ending in NULs or consisting of nothing else.
+        blocks.push(
+            (0..count)
+                .map(|_| {
+                    let mut s: Vec<u8> = (0..rng.gen_range(0..20usize))
+                        .map(|_| if rng.gen_range(0..3u32) == 0 { b'x' } else { 0 })
+                        .collect();
+                    s.resize(s.len() + rng.gen_range(0..4usize), 0);
+                    s
+                })
+                .collect(),
+        );
+    }
+    let mut huge = vec![0u8; 70_000];
+    rng.fill_bytes(&mut huge);
+    blocks.push(vec![huge.clone()]);
+    blocks.push(vec![b"ab\0".repeat(70_000 / 3 + 1)[..70_000].to_vec()]);
+    blocks.push(vec![Vec::new(), huge, b"tail".to_vec()]);
+
+    for (case, strings) in blocks.iter().enumerate() {
+        let arena = StringArena::from_strs(strings);
+        for code in [SchemeCode::Fsst, SchemeCode::DictFsst] {
+            let bytes = compress_block_with(code, BlockRef::Str(&arena), &cfg);
+            let mut out = dirty_decoded(ColumnType::String, &mut rng);
+            decompress_block_into(&bytes, ColumnType::String, &cfg, &mut scratch, &mut out)
+                .unwrap_or_else(|e| panic!("scheme {code:?} case {case}: {e}"));
+            let DecodedColumn::Str(views) = &out else {
+                panic!("wrong decoded type for {code:?}");
+            };
+            assert_eq!(views.len(), strings.len(), "scheme {code:?} case {case}");
+            for (i, s) in strings.iter().enumerate() {
+                assert!(views.get(i) == s.as_slice(), "scheme {code:?} case {case} string {i}");
+            }
+            scratch.recycle(out);
+        }
+    }
+}
+
 #[test]
 fn decompress_never_panics_on_corrupt_bytes() {
     // Fuzzing the block parser: must return Err, never panic/UB. (The full

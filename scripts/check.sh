@@ -61,6 +61,24 @@ echo "== chaos campaigns under the runtime lock-order checker"
 cargo test --release --quiet -p btr-sync -p btr-scan -p btr-server --features lock-order
 
 echo "== benchmark harness smoke (every workload at smoke size)"
+# `cargo --offline` rewrites the tracked benchmark/Cargo.lock in place; put
+# the committed bytes back however this step ends.
+lock_backup="$(mktemp)"
+cp benchmark/Cargo.lock "${lock_backup}"
+trap 'cp "${lock_backup}" benchmark/Cargo.lock; rm -f "${lock_backup}"' EXIT
 (cd benchmark && cargo test --offline --quiet)
+cp "${lock_backup}" benchmark/Cargo.lock
+
+echo "== the benchmark is untouched"
+# A change that claims a gain must be measured by the parent's benchmark.
+# Staged, unstaged and untracked alike (`git diff --quiet -- benchmark
+# BENCHMARK.json` plus what it misses).
+dirty="$(git status --porcelain -- benchmark BENCHMARK.json)"
+if [ -n "${dirty}" ]; then
+  echo "error: benchmark/ or BENCHMARK.json differs from HEAD; a change may not edit the" >&2
+  echo "       benchmark that measures it (git checkout HEAD -- benchmark BENCHMARK.json):" >&2
+  echo "${dirty}" >&2
+  exit 1
+fi
 
 echo "ok"
