@@ -7,7 +7,7 @@
 use crate::Table;
 use btr_datagen::pbi;
 use btrblocks::block::{compress_block_with, BlockRef};
-use btrblocks::scheme::{pick_double, pick_int, pick_str};
+use btrblocks::scheme::{pick, pick_str};
 use btrblocks::{ColumnData, Config, SchemeCode, ColumnType};
 
 /// The sampling strategies of Figure 5 as `(runs, run_len)`.
@@ -50,8 +50,8 @@ fn optimal_size(data: &ColumnData, cfg: &Config) -> (usize, SchemeCode) {
 
 fn chosen_size(data: &ColumnData, cfg: &Config) -> usize {
     let code = match data {
-        ColumnData::Int(v) => pick_int(v, cfg.max_cascade_depth, cfg).code,
-        ColumnData::Double(v) => pick_double(v, cfg.max_cascade_depth, cfg).code,
+        ColumnData::Int(v) => pick(v, cfg.max_cascade_depth, cfg).code,
+        ColumnData::Double(v) => pick(v, cfg.max_cascade_depth, cfg).code,
         ColumnData::Str(a) => pick_str(a, cfg.max_cascade_depth, cfg).code,
     };
     match data {

@@ -4,7 +4,8 @@
 use crate::{time_it, Table};
 use btr_datagen::pbi;
 use btrblocks::block::{compress_block, BlockRef};
-use btrblocks::scheme::{pick_double, pick_int, pick_str};
+use btrblocks::scheme::{pick, pick_str};
+use btrblocks::stats::{NumericStats, StringStats};
 use btrblocks::{ColumnData, Config};
 
 /// The sample sizes of Figure 6 as `(label, runs, run_len)`; `run_len == 0`
@@ -59,10 +60,10 @@ pub fn selection_time_fraction(rows: usize, seed: u64) -> f64 {
         for col in &cols {
             match &col.data {
                 ColumnData::Int(v) => {
-                    pick_int(v, cfg.max_cascade_depth, &cfg);
+                    pick(v, cfg.max_cascade_depth, &cfg);
                 }
                 ColumnData::Double(v) => {
-                    pick_double(v, cfg.max_cascade_depth, &cfg);
+                    pick(v, cfg.max_cascade_depth, &cfg);
                 }
                 ColumnData::Str(a) => {
                     pick_str(a, cfg.max_cascade_depth, &cfg);
@@ -74,13 +75,13 @@ pub fn selection_time_fraction(rows: usize, seed: u64) -> f64 {
         for col in &cols {
             match &col.data {
                 ColumnData::Int(v) => {
-                    std::hint::black_box(btrblocks::stats::IntegerStats::collect(v));
+                    std::hint::black_box(NumericStats::collect(v));
                 }
                 ColumnData::Double(v) => {
-                    std::hint::black_box(btrblocks::stats::DoubleStats::collect(v));
+                    std::hint::black_box(NumericStats::collect(v));
                 }
                 ColumnData::Str(a) => {
-                    std::hint::black_box(btrblocks::stats::StringStats::collect(a));
+                    std::hint::black_box(StringStats::collect(a));
                 }
             }
         }

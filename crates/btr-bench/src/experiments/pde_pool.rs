@@ -4,7 +4,7 @@
 
 use crate::Table;
 use btr_datagen::pbi;
-use btrblocks::scheme::compress_double_with_into;
+use btrblocks::scheme::compress_with_into;
 use btrblocks::{ColumnData, Config, EncodeScratch, SchemeCode};
 
 /// "Non-cascading FastBP128" on doubles: bit-pack the raw IEEE 754 words by
@@ -30,7 +30,7 @@ fn fixed_cascade_size(root: SchemeCode, values: &[f64]) -> usize {
     // cannot do.
     let cfg = Config::default().with_pool(&[SchemeCode::FastBp128]);
     let (mut scratch, mut out) = (EncodeScratch::new(), Vec::new());
-    compress_double_with_into(root, values, 2, &cfg, &mut scratch, &mut out);
+    compress_with_into(root, values, 2, &cfg, &mut scratch, &mut out);
     out.len()
 }
 

@@ -8,14 +8,14 @@
 use crate::Table;
 use btr_datagen::pbi;
 use btr_float::FloatCodec;
-use btrblocks::scheme::compress_double_with_into;
+use btrblocks::scheme::compress_with_into;
 use btrblocks::{ColumnData, Config, EncodeScratch, SchemeCode};
 
 /// Compressed size of the PDE→FastBP128 fixed cascade.
 pub fn pde_fastbp_size(values: &[f64]) -> usize {
     let cfg = Config::default().with_pool(&[SchemeCode::FastBp128]);
     let (mut scratch, mut out) = (EncodeScratch::new(), Vec::new());
-    compress_double_with_into(SchemeCode::Pseudodecimal, values, 2, &cfg, &mut scratch, &mut out);
+    compress_with_into(SchemeCode::Pseudodecimal, values, 2, &cfg, &mut scratch, &mut out);
     out.len()
 }
 

@@ -27,8 +27,7 @@
 
 use crate::plan::ExprError;
 use crate::selection::Selection;
-use btrblocks::scheme::double::rle as rle_double;
-use btrblocks::scheme::int::rle as rle_int;
+use btrblocks::scheme::fixed::rle;
 use btrblocks::scheme::{self, SchemeCode};
 use btrblocks::writer::Reader;
 use btrblocks::{BlockZone, ColumnType, Config, DecodeScratch, DecodedColumn, Error};
@@ -226,7 +225,7 @@ impl AggState {
             }
             (SchemeCode::Rle, ColumnType::Integer) => {
                 let mut values = Vec::new();
-                rle_int::read_runs_into(&mut r, count, cfg, &mut scratch, &mut values, &mut lengths)?;
+                rle::read_runs_into::<i32>(&mut r, count, cfg, &mut scratch, &mut values, &mut lengths)?;
                 end_of_block(&r)?;
                 for (&v, &len) in values.iter().zip(&lengths) {
                     self.fold_int_run(v, len as usize);
@@ -234,7 +233,7 @@ impl AggState {
             }
             (SchemeCode::Rle, ColumnType::Double) => {
                 let mut values = Vec::new();
-                rle_double::read_runs_into(&mut r, count, cfg, &mut scratch, &mut values, &mut lengths)?;
+                rle::read_runs_into::<f64>(&mut r, count, cfg, &mut scratch, &mut values, &mut lengths)?;
                 end_of_block(&r)?;
                 for (&v, &len) in values.iter().zip(&lengths) {
                     self.fold_double_run(v, len as usize);

@@ -78,10 +78,8 @@ pub fn compress_block_into(
 ) -> SchemeCode {
     out.clear();
     match data {
-        BlockRef::Int(v) => scheme::compress_int_into(v, cfg.max_cascade_depth, cfg, scratch, out, None),
-        BlockRef::Double(v) => {
-            scheme::compress_double_into(v, cfg.max_cascade_depth, cfg, scratch, out)
-        }
+        BlockRef::Int(v) => scheme::compress_into(v, cfg.max_cascade_depth, cfg, scratch, out, None),
+        BlockRef::Double(v) => scheme::compress_into(v, cfg.max_cascade_depth, cfg, scratch, out, None),
         BlockRef::Str(a) => scheme::compress_str_into(a, cfg.max_cascade_depth, cfg, scratch, out),
     }
 }
@@ -106,10 +104,10 @@ pub fn compress_block_with_into(
     out.clear();
     match data {
         BlockRef::Int(v) => {
-            scheme::compress_int_with_into(code, v, cfg.max_cascade_depth, cfg, scratch, out)
+            scheme::compress_with_into(code, v, cfg.max_cascade_depth, cfg, scratch, out)
         }
         BlockRef::Double(v) => {
-            scheme::compress_double_with_into(code, v, cfg.max_cascade_depth, cfg, scratch, out)
+            scheme::compress_with_into(code, v, cfg.max_cascade_depth, cfg, scratch, out)
         }
         BlockRef::Str(a) => {
             scheme::compress_str_with_into(code, a, cfg.max_cascade_depth, cfg, scratch, out)
@@ -145,8 +143,8 @@ pub fn decompress_block_into(
     }
     let mut r = Reader::new(bytes);
     match out {
-        DecodedColumn::Int(v) => scheme::decompress_int_into(&mut r, cfg, scratch, v)?,
-        DecodedColumn::Double(v) => scheme::decompress_double_into(&mut r, cfg, scratch, v)?,
+        DecodedColumn::Int(v) => scheme::decompress_into(&mut r, cfg, scratch, v)?,
+        DecodedColumn::Double(v) => scheme::decompress_into(&mut r, cfg, scratch, v)?,
         DecodedColumn::Str(s) => scheme::decompress_str_into(&mut r, cfg, scratch, s)?,
     }
     if !r.rest().is_empty() {

@@ -18,6 +18,10 @@
 //! Dictionary and Frequency for every type; SIMD-FastPFOR and FastBP128 for
 //! integers; FSST and Dict+FSST for strings; the novel **Pseudodecimal
 //! Encoding** for doubles; Roaring bitmaps for NULLs and scheme exceptions.
+//! Integers and doubles share one implementation of the schemes, statistics,
+//! sampling and selection they have in common, generic over the sealed
+//! [`scheme::fixed::Value`] trait ([`scheme::fixed`]); [`scheme::int`] and
+//! [`scheme::double`] hold only what is each type's own.
 //!
 //! # Quick start
 //!

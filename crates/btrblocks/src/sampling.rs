@@ -43,22 +43,15 @@ impl XorShift {
     }
 }
 
-/// Returns `(start, len)` windows for a sample of `runs` runs of `run_len`
-/// values over a block of `n` values.
+/// Writes `(start, len)` windows for a sample of `runs` runs of `run_len`
+/// values over a block of `n` values into `out` (cleared first), so the
+/// selection loop can reuse one ranges buffer across candidate trials and
+/// cascade levels.
 ///
 /// The block is split into `runs` non-overlapping parts; each part
 /// contributes one window at a pseudo-random offset. Small blocks degrade
 /// gracefully: if `n` is at most the total sample size, the entire block is
 /// returned as a single window (sampling would not save any work).
-pub fn sample_ranges(n: usize, runs: usize, run_len: usize, seed: u64) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    sample_ranges_into(n, runs, run_len, seed, &mut out);
-    out
-}
-
-/// [`sample_ranges`] writing into a caller-owned vector (cleared first) so
-/// the selection loop can reuse one ranges buffer across candidate trials
-/// and cascade levels.
 pub fn sample_ranges_into(
     n: usize,
     runs: usize,
@@ -86,47 +79,18 @@ pub fn sample_ranges_into(
     }
 }
 
-/// Gathers sampled integers.
-pub fn gather_int(values: &[i32], ranges: &[(usize, usize)]) -> Vec<i32> {
-    let mut out = Vec::with_capacity(ranges.iter().map(|&(_, l)| l).sum());
-    gather_int_into(values, ranges, &mut out);
-    out
-}
-
-/// [`gather_int`] into a caller-owned buffer (cleared first).
-pub fn gather_int_into(values: &[i32], ranges: &[(usize, usize)], out: &mut Vec<i32>) {
+/// Gathers the sampled values of a fixed-width block into a caller-owned
+/// buffer (cleared first).
+pub fn gather_into<T: Copy>(values: &[T], ranges: &[(usize, usize)], out: &mut Vec<T>) {
     out.clear();
     for &(start, len) in ranges {
-        // lint: allow(indexing) sample_ranges only yields in-bounds ranges
+        // lint: allow(indexing) sample_ranges_into only yields in-bounds ranges
         out.extend_from_slice(&values[start..start + len]);
     }
 }
 
-/// Gathers sampled doubles.
-pub fn gather_double(values: &[f64], ranges: &[(usize, usize)]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(ranges.iter().map(|&(_, l)| l).sum());
-    gather_double_into(values, ranges, &mut out);
-    out
-}
-
-/// [`gather_double`] into a caller-owned buffer (cleared first).
-pub fn gather_double_into(values: &[f64], ranges: &[(usize, usize)], out: &mut Vec<f64>) {
-    out.clear();
-    for &(start, len) in ranges {
-        // lint: allow(indexing) sample_ranges only yields in-bounds ranges
-        out.extend_from_slice(&values[start..start + len]);
-    }
-}
-
-/// Gathers sampled strings.
-pub fn gather_str(arena: &StringArena, ranges: &[(usize, usize)]) -> StringArena {
-    let mut out = StringArena::new();
-    gather_str_into(arena, ranges, &mut out);
-    out
-}
-
-/// [`gather_str`] into a caller-owned arena (cleared first) — the encode
-/// path leases one arena per worker instead of allocating a fresh
+/// Gathers sampled strings into a caller-owned arena (cleared first) — the
+/// encode path leases one arena per worker instead of allocating a fresh
 /// [`StringArena`] for every block's sample.
 pub fn gather_str_into(arena: &StringArena, ranges: &[(usize, usize)], out: &mut StringArena) {
     arena.gather_into(
@@ -140,6 +104,12 @@ pub fn gather_str_into(arena: &StringArena, ranges: &[(usize, usize)], out: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn sample_ranges(n: usize, runs: usize, run_len: usize, seed: u64) -> Vec<(usize, usize)> {
+        let mut out = vec![(9, 9)]; // dirty: `_into` must clear, not append
+        sample_ranges_into(n, runs, run_len, seed, &mut out);
+        out
+    }
 
     #[test]
     fn default_sampling_is_one_percent() {
@@ -178,15 +148,21 @@ mod tests {
     fn gather_pulls_correct_values() {
         let values: Vec<i32> = (0..1000).collect();
         let ranges = vec![(10, 3), (500, 2)];
-        assert_eq!(gather_int(&values, &ranges), vec![10, 11, 12, 500, 501]);
+        let mut ints = vec![-1]; // dirty: `_into` must clear, not append
+        gather_into(&values, &ranges, &mut ints);
+        assert_eq!(ints, vec![10, 11, 12, 500, 501]);
         let doubles: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-        assert_eq!(gather_double(&doubles, &ranges), vec![10.0, 11.0, 12.0, 500.0, 501.0]);
+        let mut sampled = Vec::new();
+        gather_into(&doubles, &ranges, &mut sampled);
+        assert_eq!(sampled, vec![10.0, 11.0, 12.0, 500.0, 501.0]);
     }
 
     #[test]
     fn gather_strings() {
         let arena = StringArena::from_strs(&["a", "b", "c", "d", "e"]);
-        let sampled = gather_str(&arena, &[(1, 2), (4, 1)]);
+        let mut sampled = StringArena::from_strs(&["stale"]);
+        gather_str_into(&arena, &[(1, 2), (4, 1)], &mut sampled);
+        assert_eq!(sampled.len(), 3);
         assert_eq!(sampled.get(0), b"b");
         assert_eq!(sampled.get(1), b"c");
         assert_eq!(sampled.get(2), b"e");

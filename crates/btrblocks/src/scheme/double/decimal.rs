@@ -108,8 +108,8 @@ pub fn compress(
     // lint: allow(cast) encode side; serialized bitmap of one block fits u32
     out.put_u32(bitmap_bytes.len() as u32);
     out.extend_from_slice(&bitmap_bytes);
-    scheme::compress_int_into(&digits, child_depth, cfg, scratch, out, None);
-    scheme::compress_int_into(&exponents, child_depth, cfg, scratch, out, None);
+    scheme::compress_into(&digits, child_depth, cfg, scratch, out, None);
+    scheme::compress_into(&exponents, child_depth, cfg, scratch, out, None);
     // lint: allow(cast) encode side; patches.len() <= block row count
     out.put_u32(patches.len() as u32);
     out.put_f64_slice(&patches);
@@ -135,10 +135,10 @@ pub fn decompress_into(
     let mut exponents = scratch.lease_i32(count);
     let mut patches = scratch.lease_f64(0);
     let result = (|| -> Result<()> {
-        scheme::decompress_int_into(r, cfg, scratch, &mut digits)?;
-        scheme::decompress_int_into(r, cfg, scratch, &mut exponents)?;
+        scheme::decompress_into(r, cfg, scratch, &mut digits)?;
+        scheme::decompress_into(r, cfg, scratch, &mut exponents)?;
         let patch_count = r.u32()? as usize;
-        r.f64_vec_into(patch_count, &mut patches)?;
+        r.vec_into(patch_count, &mut patches)?;
         if digits.len() != count || exponents.len() != count {
             return Err(Error::Corrupt("pseudodecimal column length mismatch"));
         }
@@ -287,14 +287,14 @@ unsafe fn decode4_avx2(digits: &[i32], exponents: &[i32], out: *mut f64) {
 mod tests {
     use super::*;
     use crate::config::SimdMode;
-    use crate::scheme::testutil::roundtrip_double;
+    use crate::scheme::testutil::roundtrip as roundtrip_with;
     use crate::scheme::SchemeCode;
 
     /// Round-trips under both decode kernels; returns the compressed size.
     fn roundtrip(values: &[f64]) -> usize {
         let scalar = Config { simd: SimdMode::ForceScalar, ..Config::default() };
-        roundtrip_double(SchemeCode::Pseudodecimal, values, &scalar);
-        roundtrip_double(SchemeCode::Pseudodecimal, values, &Config { simd: SimdMode::Auto, ..scalar })
+        roundtrip_with(SchemeCode::Pseudodecimal, values, &scalar);
+        roundtrip_with(SchemeCode::Pseudodecimal, values, &Config { simd: SimdMode::Auto, ..scalar })
     }
 
     #[test]

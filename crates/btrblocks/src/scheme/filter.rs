@@ -22,6 +22,7 @@
 
 use crate::block::decompress_block_into;
 use crate::config::Config;
+use crate::scheme::fixed::{self, Value};
 use crate::scheme::{self, SchemeCode};
 use crate::scratch::DecodeScratch;
 use crate::types::{CmpOp, ColumnType, DecodedColumn, Literal};
@@ -83,10 +84,10 @@ pub fn filter_block(
     let mut scratch = DecodeScratch::new();
     let fast = match (ty, literal) {
         (ColumnType::Integer, Literal::Int(lit)) => {
-            filter_int(&mut r, code, count, op, *lit, cfg, &mut scratch)?
+            filter_fixed(&mut r, code, count, op, *lit, cfg, &mut scratch)?
         }
         (ColumnType::Double, Literal::Double(lit)) => {
-            filter_double(&mut r, code, count, op, *lit, cfg, &mut scratch)?
+            filter_fixed(&mut r, code, count, op, *lit, cfg, &mut scratch)?
         }
         (ColumnType::String, Literal::Str(lit)) => filter_str(&mut r, code, count, op, lit)?,
         _ => return Err(Error::Corrupt("predicate literal type mismatch")),
@@ -185,75 +186,39 @@ fn patch_exceptions(
     Ok(out)
 }
 
-/// The integer compressed-domain kernels; `None` = this scheme has none.
-fn filter_int(
+/// The integer and double compressed-domain kernels; `None` = this scheme
+/// has none.
+fn filter_fixed<V: Value>(
     r: &mut Reader<'_>,
     code: SchemeCode,
     count: usize,
     op: CmpOp,
-    lit: i32,
+    lit: V,
     cfg: &Config,
     scratch: &mut DecodeScratch,
 ) -> Result<Option<RoaringBitmap>> {
     Ok(Some(match code {
-        SchemeCode::OneValue => all_or_none(count, op.matches(&r.i32()?, &lit)),
+        SchemeCode::OneValue => all_or_none(count, op.matches(&r.value()?, &lit)),
         SchemeCode::Rle => {
             let (mut values, mut lengths) = (Vec::new(), Vec::new());
-            scheme::int::rle::read_runs_into(r, count, cfg, scratch, &mut values, &mut lengths)?;
+            fixed::rle::read_runs_into(r, count, cfg, scratch, &mut values, &mut lengths)?;
             expand_runs(values.iter().map(|v| op.matches(v, &lit)), &lengths)
         }
         SchemeCode::Dict => {
             let dict_len = r.u32()? as usize;
-            let dict = r.i32_vec(dict_len)?;
+            let mut dict = Vec::<V>::new();
+            r.vec_into(dict_len, &mut dict)?;
             let verdict: Vec<bool> = dict.iter().map(|v| op.matches(v, &lit)).collect();
             let mut codes = Vec::new();
-            scheme::decompress_int_into(r, cfg, scratch, &mut codes)?;
+            scheme::decompress_into(r, cfg, scratch, &mut codes)?;
             positions_of_codes(&codes, count, &verdict)?
         }
         SchemeCode::Frequency => {
-            let top = r.i32()?;
+            let top: V = r.value()?;
             let bitmap_len = r.u32()? as usize;
             let bitmap = RoaringBitmap::deserialize(r.take(bitmap_len)?)?;
-            let mut exceptions = Vec::new();
-            scheme::decompress_int_into(r, cfg, scratch, &mut exceptions)?;
-            let verdicts = exceptions.iter().map(|v| op.matches(v, &lit));
-            patch_exceptions(count, op.matches(&top, &lit), &bitmap, verdicts)?
-        }
-        _ => return Ok(None),
-    }))
-}
-
-/// The double compressed-domain kernels; `None` = this scheme has none.
-fn filter_double(
-    r: &mut Reader<'_>,
-    code: SchemeCode,
-    count: usize,
-    op: CmpOp,
-    lit: f64,
-    cfg: &Config,
-    scratch: &mut DecodeScratch,
-) -> Result<Option<RoaringBitmap>> {
-    Ok(Some(match code {
-        SchemeCode::OneValue => all_or_none(count, op.matches(&r.f64()?, &lit)),
-        SchemeCode::Rle => {
-            let (mut values, mut lengths) = (Vec::new(), Vec::new());
-            scheme::double::rle::read_runs_into(r, count, cfg, scratch, &mut values, &mut lengths)?;
-            expand_runs(values.iter().map(|v| op.matches(v, &lit)), &lengths)
-        }
-        SchemeCode::Dict => {
-            let dict_len = r.u32()? as usize;
-            let dict = r.f64_vec(dict_len)?;
-            let verdict: Vec<bool> = dict.iter().map(|v| op.matches(v, &lit)).collect();
-            let mut codes = Vec::new();
-            scheme::decompress_int_into(r, cfg, scratch, &mut codes)?;
-            positions_of_codes(&codes, count, &verdict)?
-        }
-        SchemeCode::Frequency => {
-            let top = r.f64()?;
-            let bitmap_len = r.u32()? as usize;
-            let bitmap = RoaringBitmap::deserialize(r.take(bitmap_len)?)?;
-            let mut exceptions = Vec::new();
-            scheme::decompress_double_into(r, cfg, scratch, &mut exceptions)?;
+            let mut exceptions = Vec::<V>::new();
+            scheme::decompress_into(r, cfg, scratch, &mut exceptions)?;
             let verdicts = exceptions.iter().map(|v| op.matches(v, &lit));
             patch_exceptions(count, op.matches(&top, &lit), &bitmap, verdicts)?
         }

@@ -68,22 +68,22 @@ pub fn decompress_into(
 #[cfg(test)]
 mod tests {
     use crate::config::Config;
-    use crate::scheme::testutil::{encode_int, roundtrip_int};
+    use crate::scheme::testutil::{encode, roundtrip};
     use crate::scheme::SchemeCode;
 
     #[test]
     fn roundtrip_small_values() {
         let values: Vec<i32> = (0..12_800).map(|i| i % 16).collect();
-        let size = roundtrip_int(SchemeCode::FastBp128, &values);
+        let size = roundtrip(SchemeCode::FastBp128, &values, &Config::default());
         // 4-bit packing => ~8x smaller.
         assert!(size * 6 < values.len() * 4, "got {size} bytes");
     }
 
     #[test]
     fn roundtrip_negative_and_extremes() {
-        roundtrip_int(SchemeCode::FastBp128, &[-5, -4, -3, 0, 100]);
-        roundtrip_int(SchemeCode::FastBp128, &[i32::MIN, i32::MAX, 0]);
-        roundtrip_int(SchemeCode::FastBp128, &[]);
+        roundtrip(SchemeCode::FastBp128, &[-5, -4, -3, 0, 100], &Config::default());
+        roundtrip(SchemeCode::FastBp128, &[i32::MIN, i32::MAX, 0], &Config::default());
+        roundtrip::<i32>(SchemeCode::FastBp128, &[], &Config::default());
     }
 
     #[test]
@@ -93,8 +93,8 @@ mod tests {
         for i in (0..values.len()).step_by(128) {
             values[i] = i32::MAX;
         }
-        let bp = encode_int(SchemeCode::FastBp128, &values, &cfg).len();
-        let pfor = encode_int(SchemeCode::FastPfor, &values, &cfg).len();
+        let bp = encode(SchemeCode::FastBp128, &values, &cfg).len();
+        let pfor = encode(SchemeCode::FastPfor, &values, &cfg).len();
         assert!(pfor * 2 < bp, "pfor {pfor} vs bp {bp}");
     }
 }

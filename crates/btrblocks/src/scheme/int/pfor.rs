@@ -66,13 +66,14 @@ pub fn decompress_into(
 
 #[cfg(test)]
 mod tests {
-    use crate::scheme::testutil::roundtrip_int;
+    use crate::config::Config;
+    use crate::scheme::testutil::roundtrip;
     use crate::scheme::SchemeCode;
 
     #[test]
     fn roundtrip_narrow_range() {
         let values: Vec<i32> = (0..10_000).map(|i| 1_000_000 + (i % 100)).collect();
-        let size = roundtrip_int(SchemeCode::FastPfor, &values);
+        let size = roundtrip(SchemeCode::FastPfor, &values, &Config::default());
         assert!(size * 3 < values.len() * 4, "got {size} bytes");
     }
 
@@ -81,13 +82,13 @@ mod tests {
         let mut values: Vec<i32> = (0..2_000).map(|i| i % 50).collect();
         values[13] = i32::MAX;
         values[1500] = i32::MIN;
-        roundtrip_int(SchemeCode::FastPfor, &values);
+        roundtrip(SchemeCode::FastPfor, &values, &Config::default());
     }
 
     #[test]
     fn roundtrip_extremes_and_empty() {
-        roundtrip_int(SchemeCode::FastPfor, &[i32::MIN, i32::MAX]);
-        roundtrip_int(SchemeCode::FastPfor, &[]);
-        roundtrip_int(SchemeCode::FastPfor, &[0]);
+        roundtrip(SchemeCode::FastPfor, &[i32::MIN, i32::MAX], &Config::default());
+        roundtrip::<i32>(SchemeCode::FastPfor, &[], &Config::default());
+        roundtrip(SchemeCode::FastPfor, &[0], &Config::default());
     }
 }

@@ -3,38 +3,47 @@
 //! Every compressed block is framed as `[scheme code: u8][count: u32][payload]`.
 //! Scheme payloads embed *child blocks* with the same framing (e.g. RLE's
 //! value and run-length arrays), which is how cascading works: compression
-//! recursively calls [`compress_int_into`] / [`compress_double_into`] /
-//! [`compress_str_into`] with a decremented depth budget, and decompression
-//! recurses by reading the child frames. Depth 0 always yields
-//! `Uncompressed`, bounding the recursion (paper §3.2).
+//! recursively calls [`compress_into`] / [`compress_str_into`] with a
+//! decremented depth budget, and decompression recurses by reading the child
+//! frames. Depth 0 always yields `Uncompressed`, bounding the recursion
+//! (paper §3.2).
 //!
-//! Scheme *selection* (paper Listing 1) lives in [`pick_int`]/[`pick_double`]/
-//! [`pick_str`]: collect full-block statistics, filter non-viable schemes,
-//! compress a small sample with each survivor, and keep the best observed
-//! ratio. All three selection paths share one generic candidate loop
-//! (`run_selection`); statistics are collected **once** per (values,
-//! cascade level) and passed by reference into viability checks, analytic
-//! estimates, and the chosen scheme's compressor.
+//! Integers and doubles share one implementation, generic over the sealed
+//! [`fixed::Value`] trait (`i32`, `f64`): the five schemes both types have
+//! live in [`fixed`], dispatch is a `match` on [`SchemeCode`], and a code
+//! outside the shared five goes through the type's own hooks ([`int`]:
+//! FastPFOR and FastBP128; [`double`]: Pseudodecimal). Strings are their own
+//! path ([`mod@str`]).
+//!
+//! Scheme *selection* (paper Listing 1) lives in [`pick`] / [`pick_str`]:
+//! collect full-block statistics, filter non-viable schemes, compress a small
+//! sample with each survivor, and keep the best observed ratio. Both
+//! selection paths share one candidate loop (`run_selection`); statistics
+//! are collected **once** per (values, cascade level) and passed by
+//! reference into viability checks, analytic estimates, and the chosen
+//! scheme's compressor.
 //!
 //! Every codec entry point threads a scratch arena ([`EncodeScratch`] /
 //! [`DecodeScratch`]) through the whole pipeline so sample gathers, candidate
 //! trial buffers, and scheme side-arrays are leased rather than allocated.
-//! Each type has exactly three: a selecting compressor, a forced-scheme
+//! Each path has exactly three: a selecting compressor, a forced-scheme
 //! compressor, and a decompressor. The allocate-for-me conveniences live one
 //! level up, in [`crate::block`].
 
 pub mod double;
 pub mod filter;
+pub mod fixed;
 pub mod int;
 pub mod str;
 
 use crate::config::Config;
 use crate::sampling;
 use crate::scratch::{DecodeScratch, EncodeScratch};
-use crate::stats::{DoubleStats, IntegerStats, StringStats};
+use crate::stats::{NumericStats, StringStats};
 use crate::types::{ColumnType, StringArena, StringViews};
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
+use fixed::Value;
 
 /// Reads and validates one framed block header: `[scheme code: u8][count: u32]`.
 ///
@@ -226,20 +235,29 @@ fn sample_cap(n: usize, cfg: &Config) -> usize {
     }
 }
 
-// ------------------------------------------------------------------ integers
+// ------------------------------------------------- integers and doubles
 
-/// Compresses an integer block with automatic scheme selection, appending a
-/// framed block to `out` and leasing all temporaries from `scratch`. Returns
-/// the root scheme chosen. This is the cascade's workhorse: statistics are
-/// collected once (into a pooled map) and shared by selection and the chosen
-/// scheme's compressor.
+/// One statistics pass over `values` through a count map leased from
+/// `scratch`.
+fn pooled_stats<V: Value>(values: &[V], scratch: &mut EncodeScratch) -> NumericStats<V> {
+    let mut counts = V::lease_map(scratch);
+    let stats = NumericStats::collect_with_map(values, &mut counts);
+    V::release_map(scratch, counts);
+    stats
+}
+
+/// Compresses an integer or double block with automatic scheme selection,
+/// appending a framed block to `out` and leasing all temporaries from
+/// `scratch`. Returns the root scheme chosen. This is the cascade's
+/// workhorse: statistics are collected once (into a pooled map) and shared by
+/// selection and the chosen scheme's compressor.
 ///
 /// `exclude` bans one scheme from the *root* choice. Schemes compressing their
 /// own outputs use it: a dictionary's code sequence must not immediately pick
 /// Dictionary again — the inner dictionary would be an identity mapping that
 /// burns cascade depth without shrinking anything.
-pub fn compress_int_into(
-    values: &[i32],
+pub fn compress_into<V: Value>(
+    values: &[V],
     depth: u8,
     cfg: &Config,
     scratch: &mut EncodeScratch,
@@ -247,39 +265,47 @@ pub fn compress_int_into(
     exclude: Option<SchemeCode>,
 ) -> SchemeCode {
     if depth == 0 || values.is_empty() {
-        emit_int(SchemeCode::Uncompressed, values, None, depth, cfg, scratch, out);
+        emit(SchemeCode::Uncompressed, values, None, depth, cfg, scratch, out);
         return SchemeCode::Uncompressed;
     }
-    let mut counts = scratch.lease_int_map();
-    let stats = IntegerStats::collect_with_map(values, &mut counts);
-    scratch.release_int_map(counts);
-    let code = select_int(values, depth, cfg, exclude, &stats, scratch, None);
-    emit_int(code, values, Some(&stats), depth, cfg, scratch, out);
+    let stats = pooled_stats(values, scratch);
+    let code = select(values, depth, cfg, exclude, &stats, scratch, None);
+    emit(code, values, Some(&stats), depth, cfg, scratch, out);
     code
 }
 
-/// Selects the best scheme for an integer block (paper Listing 1).
-pub fn pick_int(values: &[i32], depth: u8, cfg: &Config) -> Selection {
+/// Selects the best scheme for an integer or double block (paper Listing 1).
+pub fn pick<V: Value>(values: &[V], depth: u8, cfg: &Config) -> Selection {
     if depth == 0 || values.is_empty() {
         return trivial_selection();
     }
-    let stats = IntegerStats::collect(values);
+    let stats = NumericStats::collect(values);
     let mut scratch = EncodeScratch::new();
     let mut estimates = Vec::new();
-    let code = select_int(values, depth, cfg, None, &stats, &mut scratch, Some(&mut estimates));
+    let code = select(values, depth, cfg, None, &stats, &mut scratch, Some(&mut estimates));
     Selection { code, estimates }
 }
 
-/// Selection body shared by [`pick_int`] (which records estimates) and
-/// [`compress_int_into`] (which does not): OneValue shortcut, sample gather
-/// into leased buffers, then the generic candidate loop with
-/// trial compressions reusing one leased output buffer.
-fn select_int(
-    values: &[i32],
+/// [`pick`] for an integer block.
+pub fn pick_int(values: &[i32], depth: u8, cfg: &Config) -> Selection {
+    pick(values, depth, cfg)
+}
+
+/// [`pick`] for a double block.
+pub fn pick_double(values: &[f64], depth: u8, cfg: &Config) -> Selection {
+    pick(values, depth, cfg)
+}
+
+/// Selection body shared by [`pick`] (which records estimates) and
+/// [`compress_into`] (which does not): OneValue shortcut, sample gather into
+/// leased buffers, then the generic candidate loop with trial compressions
+/// reusing one leased output buffer.
+fn select<V: Value>(
+    values: &[V],
     depth: u8,
     cfg: &Config,
     exclude: Option<SchemeCode>,
-    stats: &IntegerStats,
+    stats: &NumericStats<V>,
     scratch: &mut EncodeScratch,
     mut estimates: Option<&mut Vec<Estimate>>,
 ) -> SchemeCode {
@@ -292,30 +318,30 @@ fn select_int(
     }
     let mut ranges = scratch.lease_ranges(cfg.sample_runs);
     sampling::sample_ranges_into(values.len(), cfg.sample_runs, cfg.sample_run_len, depth as u64, &mut ranges);
-    let mut sample = scratch.lease_i32(sample_cap(values.len(), cfg));
-    sampling::gather_int_into(values, &ranges, &mut sample);
-    let sample_bytes = (sample.len() * 4) as f64;
-    let mut trial = scratch.lease_u8(sample.len() * 4 + 64);
+    let mut sample = V::lease_enc(scratch, sample_cap(values.len(), cfg));
+    sampling::gather_into(values, &ranges, &mut sample);
+    let sample_bytes = (sample.len() * V::SIZE) as f64;
+    let mut trial = scratch.lease_u8(sample.len() * V::SIZE + 64);
     let code = run_selection(
-        ColumnType::Integer,
+        V::TYPE,
         cfg,
         exclude,
         |code| {
-            if !int::viable(code, stats, cfg) {
+            if !fixed::viable(code, stats, &sample, cfg) {
                 return None;
             }
             Some(if code == SchemeCode::Dict && cfg.analytic_estimates {
-                dict_ratio(values.len(), stats.unique_count, values.len() * 4, stats.unique_count * 4)
+                dict_ratio(values.len(), stats.unique_count, values.len() * V::SIZE, stats.unique_count * V::SIZE)
             } else {
                 trial.clear();
-                emit_int(code, &sample, None, depth, cfg, scratch, &mut trial);
+                emit(code, &sample, None, depth, cfg, scratch, &mut trial);
                 let sampled = sample_bytes / trial.len() as f64;
                 if code == SchemeCode::Rle && cfg.analytic_estimates {
                     // Sample runs are at most `sample_run_len` values long, so the
                     // sample systematically underestimates RLE on extreme-run
                     // data; the full-block run count gives a conservative floor
                     // (it ignores cascade gains on the run arrays).
-                    sampled.max(rle_floor(values.len(), stats.average_run_length, 4))
+                    sampled.max(rle_floor(values.len(), stats.average_run_length, V::SIZE))
                 } else {
                     sampled
                 }
@@ -324,34 +350,35 @@ fn select_int(
         estimates,
     );
     scratch.release_u8(trial);
-    scratch.release_i32(sample);
+    V::release_enc(scratch, sample);
     scratch.release_ranges(ranges);
     code
 }
 
-/// Compresses an integer block with a forced root scheme (used by selection
-/// itself, by ablation benchmarks, and by the Figure 5/6 harnesses), leasing
-/// all temporaries from `scratch`.
-pub fn compress_int_with_into(
+/// Compresses an integer or double block with a forced root scheme (used by
+/// ablation benchmarks and the Figure 5/6 harnesses), leasing all temporaries
+/// from `scratch`.
+pub fn compress_with_into<V: Value>(
     code: SchemeCode,
-    values: &[i32],
+    values: &[V],
     depth: u8,
     cfg: &Config,
     scratch: &mut EncodeScratch,
     out: &mut Vec<u8>,
 ) {
-    emit_int(code, values, None, depth, cfg, scratch, out);
+    emit(code, values, None, depth, cfg, scratch, out);
 }
 
-/// Writes the frame header and dispatches to the scheme compressor.
+/// Writes the frame header and dispatches to the scheme compressor: the five
+/// shared schemes by `match`, anything else through the type's own hook.
 ///
 /// `stats` carries the selection layer's one-pass statistics into schemes
 /// that need them (Frequency's top value); a forced compression without
-/// prior selection passes `None` and Frequency re-collects for itself.
-fn emit_int(
+/// prior selection passes `None` and Frequency's are collected here.
+fn emit<V: Value>(
     code: SchemeCode,
-    values: &[i32],
-    stats: Option<&IntegerStats>,
+    values: &[V],
+    stats: Option<&NumericStats<V>>,
     depth: u8,
     cfg: &Config,
     scratch: &mut EncodeScratch,
@@ -363,204 +390,46 @@ fn emit_int(
     out.put_u32(values.len() as u32);
     let child_depth = depth.saturating_sub(1);
     match code {
-        SchemeCode::Uncompressed => int::uncompressed::compress(values, out),
-        SchemeCode::OneValue => int::onevalue::compress(values, out),
-        SchemeCode::Rle => int::rle::compress(values, child_depth, cfg, scratch, out),
-        SchemeCode::Dict => int::dict::compress(values, child_depth, cfg, scratch, out),
+        SchemeCode::Uncompressed => fixed::uncompressed::compress(values, out),
+        SchemeCode::OneValue => fixed::onevalue::compress(values, out),
+        SchemeCode::Rle => fixed::rle::compress(values, child_depth, cfg, scratch, out),
+        SchemeCode::Dict => fixed::dict::compress(values, child_depth, cfg, scratch, out),
         SchemeCode::Frequency => match stats {
-            Some(stats) => int::frequency::compress(values, stats, child_depth, cfg, scratch, out),
+            Some(stats) => fixed::frequency::compress(values, stats, child_depth, cfg, scratch, out),
             None => {
-                let mut counts = scratch.lease_int_map();
-                let stats = IntegerStats::collect_with_map(values, &mut counts);
-                scratch.release_int_map(counts);
-                int::frequency::compress(values, &stats, child_depth, cfg, scratch, out)
+                let stats = pooled_stats(values, scratch);
+                fixed::frequency::compress(values, &stats, child_depth, cfg, scratch, out)
             }
         },
-        SchemeCode::FastPfor => int::pfor::compress_into(values, scratch, out),
-        SchemeCode::FastBp128 => int::bp::compress_into(values, scratch, out),
-        _ => unreachable!("scheme {code:?} is not an integer scheme"),
+        own => V::emit_own(own, values, child_depth, cfg, scratch, out),
     }
 }
 
-/// Decompresses one framed integer block from `r` into `out` (cleared
-/// first), leasing cascade temporaries from `scratch` instead of allocating.
-pub fn decompress_int_into(
+/// Decompresses one framed integer or double block from `r` into `out`
+/// (cleared first), leasing cascade temporaries from `scratch` instead of
+/// allocating.
+pub fn decompress_into<V: Value>(
     r: &mut Reader<'_>,
     cfg: &Config,
     scratch: &mut DecodeScratch,
-    out: &mut Vec<i32>,
+    out: &mut Vec<V>,
 ) -> Result<()> {
     let (code, count) = read_frame_header(r, cfg)?;
     match code {
-        SchemeCode::Uncompressed => int::uncompressed::decompress_into(r, count, cfg, scratch, out),
-        SchemeCode::OneValue => int::onevalue::decompress_into(r, count, cfg, scratch, out),
-        SchemeCode::Rle => int::rle::decompress_into(r, count, cfg, scratch, out),
-        SchemeCode::Dict => int::dict::decompress_into(r, count, cfg, scratch, out),
-        SchemeCode::Frequency => int::frequency::decompress_into(r, count, cfg, scratch, out),
-        SchemeCode::FastPfor => int::pfor::decompress_into(r, count, cfg, scratch, out),
-        SchemeCode::FastBp128 => int::bp::decompress_into(r, count, cfg, scratch, out),
-        other => Err(Error::InvalidScheme(other.as_u8())),
-    }
-}
-
-// ------------------------------------------------------------------- doubles
-
-/// Compresses a double block with automatic scheme selection, leasing all
-/// temporaries from `scratch`; statistics are collected once and shared (see
-/// [`compress_int_into`]).
-pub fn compress_double_into(
-    values: &[f64],
-    depth: u8,
-    cfg: &Config,
-    scratch: &mut EncodeScratch,
-    out: &mut Vec<u8>,
-) -> SchemeCode {
-    if depth == 0 || values.is_empty() {
-        emit_double(SchemeCode::Uncompressed, values, None, depth, cfg, scratch, out);
-        return SchemeCode::Uncompressed;
-    }
-    let mut counts = scratch.lease_bits_map();
-    let stats = DoubleStats::collect_with_map(values, &mut counts);
-    scratch.release_bits_map(counts);
-    let code = select_double(values, depth, cfg, &stats, scratch, None);
-    emit_double(code, values, Some(&stats), depth, cfg, scratch, out);
-    code
-}
-
-/// Selects the best scheme for a double block.
-pub fn pick_double(values: &[f64], depth: u8, cfg: &Config) -> Selection {
-    if depth == 0 || values.is_empty() {
-        return trivial_selection();
-    }
-    let stats = DoubleStats::collect(values);
-    let mut scratch = EncodeScratch::new();
-    let mut estimates = Vec::new();
-    let code = select_double(values, depth, cfg, &stats, &mut scratch, Some(&mut estimates));
-    Selection { code, estimates }
-}
-
-/// Selection body for doubles (see [`select_int`]).
-fn select_double(
-    values: &[f64],
-    depth: u8,
-    cfg: &Config,
-    stats: &DoubleStats,
-    scratch: &mut EncodeScratch,
-    mut estimates: Option<&mut Vec<Estimate>>,
-) -> SchemeCode {
-    if stats.unique_count == 1 && cfg.allows(SchemeCode::OneValue) {
-        if let Some(list) = estimates.as_deref_mut() {
-            list.push(Estimate { code: SchemeCode::OneValue, ratio: values.len() as f64 });
-        }
-        return SchemeCode::OneValue;
-    }
-    let mut ranges = scratch.lease_ranges(cfg.sample_runs);
-    sampling::sample_ranges_into(values.len(), cfg.sample_runs, cfg.sample_run_len, depth as u64, &mut ranges);
-    let mut sample = scratch.lease_f64(sample_cap(values.len(), cfg));
-    sampling::gather_double_into(values, &ranges, &mut sample);
-    let sample_bytes = (sample.len() * 8) as f64;
-    let mut trial = scratch.lease_u8(sample.len() * 8 + 64);
-    let code = run_selection(
-        ColumnType::Double,
-        cfg,
-        None,
-        |code| {
-            if !double::viable(code, stats, &sample, cfg) {
-                return None;
-            }
-            Some(if code == SchemeCode::Dict && cfg.analytic_estimates {
-                dict_ratio(values.len(), stats.unique_count, values.len() * 8, stats.unique_count * 8)
-            } else {
-                trial.clear();
-                emit_double(code, &sample, None, depth, cfg, scratch, &mut trial);
-                let sampled = sample_bytes / trial.len() as f64;
-                if code == SchemeCode::Rle && cfg.analytic_estimates {
-                    sampled.max(rle_floor(values.len(), stats.average_run_length, 8))
-                } else {
-                    sampled
-                }
-            })
-        },
-        estimates,
-    );
-    scratch.release_u8(trial);
-    scratch.release_f64(sample);
-    scratch.release_ranges(ranges);
-    code
-}
-
-/// Compresses a double block with a forced root scheme, leasing all
-/// temporaries from `scratch`.
-pub fn compress_double_with_into(
-    code: SchemeCode,
-    values: &[f64],
-    depth: u8,
-    cfg: &Config,
-    scratch: &mut EncodeScratch,
-    out: &mut Vec<u8>,
-) {
-    emit_double(code, values, None, depth, cfg, scratch, out);
-}
-
-/// Writes the frame header and dispatches to the scheme compressor (see
-/// [`emit_int`] for the `stats` contract).
-fn emit_double(
-    code: SchemeCode,
-    values: &[f64],
-    stats: Option<&DoubleStats>,
-    depth: u8,
-    cfg: &Config,
-    scratch: &mut EncodeScratch,
-    out: &mut Vec<u8>,
-) {
-    let code = if depth == 0 || values.is_empty() { SchemeCode::Uncompressed } else { code };
-    out.put_u8(code.as_u8());
-    // lint: allow(cast) encode side: block length is capped at max_block_values
-    out.put_u32(values.len() as u32);
-    let child_depth = depth.saturating_sub(1);
-    match code {
-        SchemeCode::Uncompressed => double::uncompressed::compress(values, out),
-        SchemeCode::OneValue => double::onevalue::compress(values, out),
-        SchemeCode::Rle => double::rle::compress(values, child_depth, cfg, scratch, out),
-        SchemeCode::Dict => double::dict::compress(values, child_depth, cfg, scratch, out),
-        SchemeCode::Frequency => match stats {
-            Some(stats) => double::frequency::compress(values, stats, child_depth, cfg, scratch, out),
-            None => {
-                let mut counts = scratch.lease_bits_map();
-                let stats = DoubleStats::collect_with_map(values, &mut counts);
-                scratch.release_bits_map(counts);
-                double::frequency::compress(values, &stats, child_depth, cfg, scratch, out)
-            }
-        },
-        SchemeCode::Pseudodecimal => double::decimal::compress(values, child_depth, cfg, scratch, out),
-        _ => unreachable!("scheme {code:?} is not a double scheme"),
-    }
-}
-
-/// Decompresses one framed double block from `r` into `out` (cleared first),
-/// leasing cascade temporaries from `scratch` instead of allocating.
-pub fn decompress_double_into(
-    r: &mut Reader<'_>,
-    cfg: &Config,
-    scratch: &mut DecodeScratch,
-    out: &mut Vec<f64>,
-) -> Result<()> {
-    let (code, count) = read_frame_header(r, cfg)?;
-    match code {
-        SchemeCode::Uncompressed => double::uncompressed::decompress_into(r, count, cfg, scratch, out),
-        SchemeCode::OneValue => double::onevalue::decompress_into(r, count, cfg, scratch, out),
-        SchemeCode::Rle => double::rle::decompress_into(r, count, cfg, scratch, out),
-        SchemeCode::Dict => double::dict::decompress_into(r, count, cfg, scratch, out),
-        SchemeCode::Frequency => double::frequency::decompress_into(r, count, cfg, scratch, out),
-        SchemeCode::Pseudodecimal => double::decimal::decompress_into(r, count, cfg, scratch, out),
-        other => Err(Error::InvalidScheme(other.as_u8())),
+        SchemeCode::Uncompressed => fixed::uncompressed::decompress_into(r, count, out),
+        SchemeCode::OneValue => fixed::onevalue::decompress_into(r, count, out),
+        SchemeCode::Rle => fixed::rle::decompress_into(r, count, cfg, scratch, out),
+        SchemeCode::Dict => fixed::dict::decompress_into(r, count, cfg, scratch, out),
+        SchemeCode::Frequency => fixed::frequency::decompress_into(r, count, cfg, scratch, out),
+        own => V::decode_own(own, r, count, cfg, scratch, out),
     }
 }
 
 // ------------------------------------------------------------------- strings
 
 /// Compresses a string block with automatic scheme selection, leasing
-/// temporaries from `scratch`, with statistics collected once and shared.
+/// temporaries from `scratch`, with statistics collected once and shared (see
+/// [`compress_into`]).
 /// (String stats key a map by borrowed string slices, whose lifetime ties it
 /// to `arena` — that map still allocates; the sample arena, trial buffer, and
 /// scheme side-arrays are pooled.)
@@ -593,7 +462,7 @@ pub fn pick_str(arena: &StringArena, depth: u8, cfg: &Config) -> Selection {
     Selection { code, estimates }
 }
 
-/// Selection body for strings (see [`select_int`]).
+/// Selection body for strings (see `select`).
 fn select_str(
     arena: &StringArena,
     depth: u8,
@@ -764,15 +633,15 @@ fn trivial_selection() -> Selection {
 pub(crate) mod testutil {
     use super::*;
 
-    pub fn encode_int(code: SchemeCode, values: &[i32], cfg: &Config) -> Vec<u8> {
+    pub fn encode<V: Value>(code: SchemeCode, values: &[V], cfg: &Config) -> Vec<u8> {
         let mut out = Vec::new();
-        compress_int_with_into(code, values, 3, cfg, &mut EncodeScratch::new(), &mut out);
+        compress_with_into(code, values, 3, cfg, &mut EncodeScratch::new(), &mut out);
         out
     }
 
-    pub fn decode_int(bytes: &[u8], cfg: &Config) -> Result<Vec<i32>> {
+    pub fn decode<V: Value>(bytes: &[u8], cfg: &Config) -> Result<Vec<V>> {
         let mut out = Vec::new();
-        decompress_int_into(&mut Reader::new(bytes), cfg, &mut DecodeScratch::new(), &mut out)?;
+        decompress_into(&mut Reader::new(bytes), cfg, &mut DecodeScratch::new(), &mut out)?;
         Ok(out)
     }
 
@@ -788,24 +657,14 @@ pub(crate) mod testutil {
         Ok(out)
     }
 
-    /// Round-trips `values` through `code`; returns the compressed size.
-    pub fn roundtrip_int(code: SchemeCode, values: &[i32]) -> usize {
-        let cfg = Config::default();
-        let bytes = encode_int(code, values, &cfg);
-        assert_eq!(decode_int(&bytes, &cfg).unwrap(), values, "{code:?}");
-        bytes.len()
-    }
-
-    /// Round-trips `values` through `code` under `cfg`, comparing bit
-    /// patterns (NaN payloads, `-0.0`); returns the compressed size.
-    pub fn roundtrip_double(code: SchemeCode, values: &[f64], cfg: &Config) -> usize {
-        let (mut bytes, mut out) = (Vec::new(), Vec::new());
-        compress_double_with_into(code, values, 3, cfg, &mut EncodeScratch::new(), &mut bytes);
-        decompress_double_into(&mut Reader::new(&bytes), cfg, &mut DecodeScratch::new(), &mut out)
-            .unwrap();
+    /// Round-trips `values` through `code` under `cfg`, comparing
+    /// [`Value::to_bits`] (NaN payloads, `-0.0`); returns the compressed size.
+    pub fn roundtrip<V: Value>(code: SchemeCode, values: &[V], cfg: &Config) -> usize {
+        let bytes = encode(code, values, cfg);
+        let out = decode::<V>(&bytes, cfg).unwrap();
         assert_eq!(out.len(), values.len(), "{code:?}");
         for (i, (a, b)) in values.iter().zip(&out).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "{code:?} index {i}: {a} vs {b}");
+            assert!(a.to_bits() == b.to_bits(), "{code:?} index {i}: {a:?} vs {b:?}");
         }
         bytes.len()
     }

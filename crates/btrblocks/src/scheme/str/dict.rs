@@ -12,7 +12,7 @@
 //! skipping the intermediate code array entirely.
 
 use crate::config::Config;
-use crate::scheme::int::rle;
+use crate::scheme::fixed::rle;
 use crate::scheme::{self, SchemeCode};
 use crate::scratch::{DecodeScratch, EncodeScratch};
 use crate::simd;
@@ -54,7 +54,7 @@ pub fn compress(
     let mut codes = scratch.lease_i32(arena.len());
     encode_dict_into(arena, &mut dict, &mut codes);
     write_dict(&dict, out);
-    scheme::compress_int_into(&codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict));
+    scheme::compress_into(&codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict));
     scratch.release_arena(dict);
     scratch.release_i32(codes);
 }
@@ -130,7 +130,7 @@ pub(crate) fn decode_codes_to_views_into(
                     run_views.push(*view.ok_or(Error::Corrupt("string dict code out of range"))?);
                 }
                 *r = peek;
-                simd::rle_decode_u64_into(&run_views, &lengths, count, cfg.simd, out);
+                simd::rle_decode_into(&run_views, &lengths, count, cfg.simd, out);
                 Ok(())
             })();
             scratch.release_i32(run_codes);
@@ -143,7 +143,7 @@ pub(crate) fn decode_codes_to_views_into(
     let mut codes = scratch.lease_i32(count);
     let mut codes_u32 = scratch.lease_u32(count);
     let result = (|| -> Result<()> {
-        scheme::decompress_int_into(r, cfg, scratch, &mut codes)?;
+        scheme::decompress_into(r, cfg, scratch, &mut codes)?;
         if codes.len() != count {
             return Err(Error::Corrupt("string dict code count mismatch"));
         }
@@ -155,7 +155,7 @@ pub(crate) fn decode_codes_to_views_into(
             // lint: allow(cast) c was range-checked non-negative and < dict len above
             codes_u32.push(c as u32);
         }
-        simd::dict_decode_u64_into(&codes_u32, dict_views, cfg.simd, out);
+        simd::dict_decode_into(&codes_u32, dict_views, cfg.simd, out);
         Ok(())
     })();
     scratch.release_i32(codes);

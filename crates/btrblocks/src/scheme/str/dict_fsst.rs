@@ -46,7 +46,7 @@ pub fn compress(
     out.put_u32(compressed.len() as u32);
     out.extend_from_slice(&compressed);
     out.put_u32_slice(&lengths);
-    scheme::compress_int_into(
+    scheme::compress_into(
         &codes,
         child_depth,
         cfg,

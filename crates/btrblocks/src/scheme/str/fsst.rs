@@ -39,7 +39,7 @@ pub fn compress(
     // lint: allow(cast) encode side: compressed pool is far smaller than 4 GiB
     out.put_u32(compressed.len() as u32);
     out.extend_from_slice(&compressed);
-    scheme::compress_int_into(&lengths, child_depth, cfg, scratch, out, None);
+    scheme::compress_into(&lengths, child_depth, cfg, scratch, out, None);
     scratch.release_u8(compressed);
     scratch.release_i32(lengths);
 }
@@ -61,7 +61,7 @@ pub fn decompress_into(
     let compressed = r.take(comp_len)?;
     let mut lengths = scratch.lease_i32(count);
     let result = (|| -> Result<()> {
-        scheme::decompress_int_into(r, cfg, scratch, &mut lengths)?;
+        scheme::decompress_into(r, cfg, scratch, &mut lengths)?;
         if lengths.len() != count {
             return Err(Error::Corrupt("fsst length count mismatch"));
         }

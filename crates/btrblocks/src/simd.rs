@@ -38,16 +38,70 @@ pub fn avx2_available() -> bool {
     }
 }
 
+// ------------------------------------------------------ per-type AVX2 lanes
+
+/// An element type with its own AVX2 decode kernels. Lane widths genuinely
+/// differ (8 × `i32`, 4 × `f64` / `u64`), so each type brings the `unsafe`
+/// kernels; the safe dispatch around them — clear, reserve with slack,
+/// scalar twin — is written once, in [`rle_decode_into`] and
+/// [`dict_decode_into`].
+pub trait Lane: Copy {
+    /// The type's splat-store RLE kernel.
+    ///
+    /// # Safety
+    /// AVX2 must be available, `values.len() == lengths.len()`, and `out`
+    /// must have capacity for the sum of `lengths` plus [`DECODE_SLACK`]
+    /// elements.
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: declaration only; the contract is the `# Safety` section above.
+    unsafe fn rle_avx2(values: &[Self], lengths: &[u32], out: *mut Self);
+
+    /// The type's gather dictionary kernel.
+    ///
+    /// # Safety
+    /// AVX2 must be available, every code must be `< dict.len()`, and `out`
+    /// must have capacity for `codes.len()` elements.
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: declaration only; the contract is the `# Safety` section above.
+    unsafe fn dict_avx2(codes: &[u32], dict: &[Self], out: *mut Self);
+}
+
+macro_rules! lane {
+    ($ty:ty, $rle:ident, $dict:ident) => {
+        impl Lane for $ty {
+            #[cfg(target_arch = "x86_64")]
+            #[inline]
+            // SAFETY: the trait's contract is the kernel's contract.
+            unsafe fn rle_avx2(values: &[$ty], lengths: &[u32], out: *mut $ty) {
+                $rle(values, lengths, out)
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            #[inline]
+            // SAFETY: the trait's contract is the kernel's contract.
+            unsafe fn dict_avx2(codes: &[u32], dict: &[$ty], out: *mut $ty) {
+                $dict(codes, dict, out)
+            }
+        }
+    };
+}
+
+lane!(i32, rle_decode_i32_avx2, dict_decode_i32_avx2);
+lane!(f64, rle_decode_f64_avx2, dict_decode_f64_avx2);
+lane!(u64, rle_decode_u64_avx2, dict_decode_u64_avx2);
+
 // ---------------------------------------------------------------- RLE decode
 
-/// Decodes RLE runs of i32 into `out`, clearing it first and reusing its
-/// capacity (plus [`DECODE_SLACK`] for the splat-store overshoot).
-pub fn rle_decode_i32_into(
-    values: &[i32],
+/// Decodes RLE runs into `out`, clearing it first and reusing its capacity
+/// (plus [`DECODE_SLACK`] for the splat-store overshoot). A single run is a
+/// fill: Frequency's "everything is the top value" base layer comes through
+/// here too.
+pub fn rle_decode_into<T: Lane>(
+    values: &[T],
     lengths: &[u32],
     total: usize,
     mode: SimdMode,
-    out: &mut Vec<i32>,
+    out: &mut Vec<T>,
 ) {
     debug_assert_eq!(values.len(), lengths.len());
     out.clear();
@@ -57,61 +111,7 @@ pub fn rle_decode_i32_into(
         // SAFETY: capacity reserved above includes DECODE_SLACK; lengths sum
         // to `total` (validated by the caller).
         unsafe {
-            rle_decode_i32_avx2(values, lengths, out.as_mut_ptr());
-            out.set_len(total);
-        }
-        return;
-    }
-    let _ = mode;
-    for (&v, &l) in values.iter().zip(lengths) {
-        out.extend(std::iter::repeat_n(v, l as usize));
-    }
-    debug_assert_eq!(out.len(), total);
-}
-
-/// Decodes RLE runs of f64 into `out`; see [`rle_decode_i32_into`].
-pub fn rle_decode_f64_into(
-    values: &[f64],
-    lengths: &[u32],
-    total: usize,
-    mode: SimdMode,
-    out: &mut Vec<f64>,
-) {
-    debug_assert_eq!(values.len(), lengths.len());
-    out.clear();
-    out.reserve(total + DECODE_SLACK);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(mode) {
-        // SAFETY: as above.
-        unsafe {
-            rle_decode_f64_avx2(values, lengths, out.as_mut_ptr());
-            out.set_len(total);
-        }
-        return;
-    }
-    let _ = mode;
-    for (&v, &l) in values.iter().zip(lengths) {
-        out.extend(std::iter::repeat_n(v, l as usize));
-    }
-    debug_assert_eq!(out.len(), total);
-}
-
-/// Decodes RLE runs of u64 into `out`; see [`rle_decode_i32_into`].
-pub fn rle_decode_u64_into(
-    values: &[u64],
-    lengths: &[u32],
-    total: usize,
-    mode: SimdMode,
-    out: &mut Vec<u64>,
-) {
-    debug_assert_eq!(values.len(), lengths.len());
-    out.clear();
-    out.reserve(total + DECODE_SLACK);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(mode) {
-        // SAFETY: as above.
-        unsafe {
-            rle_decode_u64_avx2(values, lengths, out.as_mut_ptr());
+            T::rle_avx2(values, lengths, out.as_mut_ptr());
             out.set_len(total);
         }
         return;
@@ -182,54 +182,16 @@ unsafe fn rle_decode_u64_avx2(values: &[u64], lengths: &[u32], out: *mut u64) {
 
 // --------------------------------------------------------------- Dict decode
 
-/// Decodes dictionary codes to i32 values into `out`, clearing it first and
-/// reusing its capacity.
-pub fn dict_decode_i32_into(codes: &[u32], dict: &[i32], mode: SimdMode, out: &mut Vec<i32>) {
+/// Decodes dictionary codes to values (or string views) into `out`, clearing
+/// it first and reusing its capacity.
+pub fn dict_decode_into<T: Lane>(codes: &[u32], dict: &[T], mode: SimdMode, out: &mut Vec<T>) {
     out.clear();
     out.reserve(codes.len() + DECODE_SLACK);
     #[cfg(target_arch = "x86_64")]
     if use_avx2(mode) {
         // SAFETY: codes are validated against dict length by the caller.
         unsafe {
-            dict_decode_i32_avx2(codes, dict, out.as_mut_ptr());
-            out.set_len(codes.len());
-        }
-        return;
-    }
-    let _ = mode;
-    // lint: allow(indexing) hot path; codes validated < dict.len() by the block decoder
-    out.extend(codes.iter().map(|&c| dict[c as usize]));
-}
-
-/// Decodes dictionary codes to f64 values into `out`; see
-/// [`dict_decode_i32_into`].
-pub fn dict_decode_f64_into(codes: &[u32], dict: &[f64], mode: SimdMode, out: &mut Vec<f64>) {
-    out.clear();
-    out.reserve(codes.len() + DECODE_SLACK);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(mode) {
-        // SAFETY: as above.
-        unsafe {
-            dict_decode_f64_avx2(codes, dict, out.as_mut_ptr());
-            out.set_len(codes.len());
-        }
-        return;
-    }
-    let _ = mode;
-    // lint: allow(indexing) hot path; codes validated < dict.len() by the block decoder
-    out.extend(codes.iter().map(|&c| dict[c as usize]));
-}
-
-/// Decodes dictionary codes to u64 string views into `out`; see
-/// [`dict_decode_i32_into`].
-pub fn dict_decode_u64_into(codes: &[u32], dict: &[u64], mode: SimdMode, out: &mut Vec<u64>) {
-    out.clear();
-    out.reserve(codes.len() + DECODE_SLACK);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(mode) {
-        // SAFETY: as above.
-        unsafe {
-            dict_decode_u64_avx2(codes, dict, out.as_mut_ptr());
+            T::dict_avx2(codes, dict, out.as_mut_ptr());
             out.set_len(codes.len());
         }
         return;
@@ -320,59 +282,7 @@ unsafe fn dict_decode_u64_avx2(codes: &[u32], dict: &[u64], out: *mut u64) {
     }
 }
 
-// ------------------------------------------------ Frequency fill + patch
-
-/// Fills `out` with `count` copies of `value`, clearing it first (the
-/// Frequency scheme's "everything is the top value" base layer). The AVX2
-/// path splat-stores 8-wide and may overshoot into [`DECODE_SLACK`].
-pub fn fill_i32(value: i32, count: usize, mode: SimdMode, out: &mut Vec<i32>) {
-    out.clear();
-    out.reserve(count + DECODE_SLACK);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(mode) {
-        // SAFETY: capacity reserved above includes DECODE_SLACK, so the
-        // 8-wide splat stores may overshoot `count` by up to one vector.
-        unsafe {
-            let dst = out.as_mut_ptr();
-            use std::arch::x86_64::*;
-            let splat = _mm256_set1_epi32(value);
-            let mut i = 0usize;
-            while i < count {
-                _mm256_storeu_si256(dst.add(i) as *mut __m256i, splat);
-                i += 8;
-            }
-            out.set_len(count);
-        }
-        return;
-    }
-    let _ = mode;
-    out.resize(count, value);
-}
-
-/// Fills `out` with `count` copies of `value`; see [`fill_i32`].
-pub fn fill_f64(value: f64, count: usize, mode: SimdMode, out: &mut Vec<f64>) {
-    out.clear();
-    out.reserve(count + DECODE_SLACK);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(mode) {
-        // SAFETY: as in `fill_i32`, with 4-wide f64 stores overshooting into
-        // the DECODE_SLACK reserve.
-        unsafe {
-            let dst = out.as_mut_ptr();
-            use std::arch::x86_64::*;
-            let splat = _mm256_set1_pd(value);
-            let mut i = 0usize;
-            while i < count {
-                _mm256_storeu_pd(dst.add(i), splat);
-                i += 4;
-            }
-            out.set_len(count);
-        }
-        return;
-    }
-    let _ = mode;
-    out.resize(count, value);
-}
+// ----------------------------------------------------------- Frequency patch
 
 /// Validates that every position is `< limit`: the range check of the
 /// Frequency scheme's exception patch, vectorized as an 8-wide unsigned max
@@ -397,20 +307,7 @@ pub fn positions_in_range(positions: &[u32], limit: usize, mode: SimdMode) -> bo
 /// `false` (writing nothing) if any position is out of range — the caller
 /// maps that to a corruption error. With a vectorized range check up front,
 /// the patch loop itself needs no per-element branch.
-pub fn patch_i32(out: &mut [i32], positions: &[u32], values: &[i32], mode: SimdMode) -> bool {
-    debug_assert_eq!(positions.len(), values.len());
-    if !positions_in_range(positions, out.len(), mode) {
-        return false;
-    }
-    for (&pos, &v) in positions.iter().zip(values) {
-        // lint: allow(indexing) every position was range-checked above
-        out[pos as usize] = v;
-    }
-    true
-}
-
-/// Applies Frequency exceptions for f64; see [`patch_i32`].
-pub fn patch_f64(out: &mut [f64], positions: &[u32], values: &[f64], mode: SimdMode) -> bool {
+pub fn patch<T: Copy>(out: &mut [T], positions: &[u32], values: &[T], mode: SimdMode) -> bool {
     debug_assert_eq!(positions.len(), values.len());
     if !positions_in_range(positions, out.len(), mode) {
         return false;
@@ -592,7 +489,7 @@ mod tests {
         }
         for mode in both_modes() {
             let mut out = vec![77; 3]; // dirty: `_into` must clear, not append
-            rle_decode_i32_into(&values, &lengths, total, mode, &mut out);
+            rle_decode_into(&values, &lengths, total, mode, &mut out);
             assert_eq!(out, expected);
         }
     }
@@ -608,7 +505,7 @@ mod tests {
         }
         for mode in both_modes() {
             let mut out = vec![7.7; 3];
-            rle_decode_f64_into(&values, &lengths, total, mode, &mut out);
+            rle_decode_into(&values, &lengths, total, mode, &mut out);
             assert_eq!(out, expected);
         }
     }
@@ -617,10 +514,10 @@ mod tests {
     fn rle_empty_runs() {
         for mode in both_modes() {
             let mut out = vec![77; 3];
-            rle_decode_i32_into(&[], &[], 0, mode, &mut out);
+            rle_decode_into::<i32>(&[], &[], 0, mode, &mut out);
             assert!(out.is_empty());
             // Zero-length runs are legal and contribute nothing.
-            rle_decode_i32_into(&[9, 8], &[0, 2], 2, mode, &mut out);
+            rle_decode_into(&[9, 8], &[0, 2], 2, mode, &mut out);
             assert_eq!(out, vec![8, 8]);
         }
     }
@@ -634,11 +531,11 @@ mod tests {
         for mode in both_modes() {
             // Dirty buffers: `_into` must clear, not append.
             let (mut out_i, mut out_f, mut out_u) = (vec![77; 3], vec![7.7; 3], vec![77; 3]);
-            dict_decode_i32_into(&codes, &dict_i, mode, &mut out_i);
+            dict_decode_into(&codes, &dict_i, mode, &mut out_i);
             assert!(codes.iter().map(|&c| dict_i[c as usize]).eq(out_i));
-            dict_decode_f64_into(&codes, &dict_f, mode, &mut out_f);
+            dict_decode_into(&codes, &dict_f, mode, &mut out_f);
             assert!(codes.iter().map(|&c| dict_f[c as usize]).eq(out_f));
-            dict_decode_u64_into(&codes, &dict_u, mode, &mut out_u);
+            dict_decode_into(&codes, &dict_u, mode, &mut out_u);
             assert!(codes.iter().map(|&c| dict_u[c as usize]).eq(out_u));
         }
     }
@@ -652,7 +549,7 @@ mod tests {
             let codes: Vec<u32> = (0..n as u32).map(|i| i % 16).collect();
             for mode in both_modes() {
                 // `out` is dirty with the previous length's values.
-                dict_decode_i32_into(&codes, &dict, mode, &mut out);
+                dict_decode_into(&codes, &dict, mode, &mut out);
                 assert_eq!(out.len(), n);
                 assert!(codes.iter().zip(&out).all(|(&c, &o)| dict[c as usize] == o));
             }
@@ -667,23 +564,23 @@ mod tests {
         let codes = vec![3u32, 0, 7];
         for mode in both_modes() {
             let mut out = vec![42; 17];
-            rle_decode_i32_into(&values, &lengths, 5, mode, &mut out);
+            rle_decode_into(&values, &lengths, 5, mode, &mut out);
             assert_eq!(out, vec![5, 5, 5, -3, -3]);
             let mut out = vec![-1; 100];
-            dict_decode_i32_into(&codes, &dict, mode, &mut out);
+            dict_decode_into(&codes, &dict, mode, &mut out);
             assert_eq!(out, vec![3, 0, 7]);
         }
     }
 
     #[test]
-    fn fill_both_paths_match_including_dirty_out() {
+    fn single_run_fills_at_every_tail_length() {
         for mode in both_modes() {
             for count in [0usize, 1, 7, 8, 9, 63, 64, 100] {
                 let mut out = vec![99i32; 5]; // dirty buffer must be cleared
-                fill_i32(-42, count, mode, &mut out);
+                rle_decode_into(&[-42], &[count as u32], count, mode, &mut out);
                 assert_eq!(out, vec![-42; count], "mode {mode:?} count {count}");
                 let mut out = vec![3.5f64; 11];
-                fill_f64(0.25, count, mode, &mut out);
+                rle_decode_into(&[0.25], &[count as u32], count, mode, &mut out);
                 assert_eq!(out, vec![0.25; count], "mode {mode:?} count {count}");
             }
         }
@@ -695,7 +592,7 @@ mod tests {
             let mut base = vec![7i32; 50];
             let positions: Vec<u32> = vec![0, 3, 8, 17, 31, 49];
             let values: Vec<i32> = vec![-1, -2, -3, -4, -5, -6];
-            assert!(patch_i32(&mut base, &positions, &values, mode));
+            assert!(patch(&mut base, &positions, &values, mode));
             let mut expected = vec![7i32; 50];
             for (&p, &v) in positions.iter().zip(&values) {
                 expected[p as usize] = v;
@@ -703,7 +600,7 @@ mod tests {
             assert_eq!(base, expected, "mode {mode:?}");
 
             let mut based = vec![1.0f64; 20];
-            assert!(patch_f64(&mut based, &[2, 19], &[f64::NAN, -0.0], mode));
+            assert!(patch(&mut based, &[2, 19], &[f64::NAN, -0.0], mode));
             assert!(based[2].is_nan());
             assert_eq!(based[19].to_bits(), (-0.0f64).to_bits());
         }
@@ -715,13 +612,13 @@ mod tests {
             let mut base = vec![7i32; 10];
             // One in-range position followed by an out-of-range one: the
             // whole patch must be refused with no partial writes.
-            assert!(!patch_i32(&mut base, &[1, 10], &[5, 6], mode));
+            assert!(!patch(&mut base, &[1, 10], &[5, 6], mode));
             assert_eq!(base, vec![7; 10], "mode {mode:?} must not partially patch");
             let mut based = vec![0.0f64; 4];
-            assert!(!patch_f64(&mut based, &[4], &[1.0], mode));
+            assert!(!patch(&mut based, &[4], &[1.0], mode));
             assert_eq!(based, vec![0.0; 4]);
             // Empty patch always succeeds, even on an empty output.
-            assert!(patch_i32(&mut [], &[], &[], mode));
+            assert!(patch::<i32>(&mut [], &[], &[], mode));
         }
     }
 
@@ -785,7 +682,7 @@ mod tests {
         }
         for mode in both_modes() {
             let mut out = vec![77; 3];
-            rle_decode_u64_into(&values, &lengths, 14, mode, &mut out);
+            rle_decode_into(&values, &lengths, 14, mode, &mut out);
             assert_eq!(out, expected);
         }
     }

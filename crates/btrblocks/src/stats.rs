@@ -6,108 +6,46 @@
 //! the values are unique.
 
 use crate::fxhash::FxHashMap;
+use crate::scheme::fixed::Value;
 use crate::types::StringArena;
 
-/// Statistics over a block of integers.
+/// Statistics over a block of integers or doubles. Values are keyed by
+/// [`Value::to_bits`]: for doubles `-0.0` and `0.0` count as distinct and
+/// every NaN payload is distinct — matching the bitwise-lossless contract of
+/// the format.
 #[derive(Debug, Clone)]
-pub struct IntegerStats {
+pub struct NumericStats<V: Value> {
     /// Number of values.
     pub count: usize,
-    /// Minimum value (0 for empty blocks).
-    pub min: i32,
-    /// Maximum value (0 for empty blocks).
-    pub max: i32,
     /// Number of distinct values.
     pub unique_count: usize,
     /// Average length of equal-value runs.
     pub average_run_length: f64,
-    /// Most frequent value and its occurrence count.
-    pub top_value: i32,
+    /// Most frequent value (the type's default for empty blocks).
+    pub top_value: V,
     /// Occurrences of `top_value`.
     pub top_count: usize,
 }
 
-impl IntegerStats {
+/// [`NumericStats`] over an integer block.
+pub type IntegerStats = NumericStats<i32>;
+/// [`NumericStats`] over a double block.
+pub type DoubleStats = NumericStats<f64>;
+
+impl<V: Value> NumericStats<V> {
     /// Collects statistics over `values`.
-    pub fn collect(values: &[i32]) -> Self {
-        let mut counts: FxHashMap<i32, usize> =
+    pub fn collect(values: &[V]) -> Self {
+        let mut counts =
             FxHashMap::with_capacity_and_hasher(values.len() / 4 + 1, Default::default());
         Self::collect_with_map(values, &mut counts)
     }
 
     /// [`collect`](Self::collect) reusing a caller-owned count map (cleared
     /// first) so the encode scratch arena can pool it across blocks.
-    pub fn collect_with_map(values: &[i32], counts: &mut FxHashMap<i32, usize>) -> Self {
-        counts.clear();
-        let mut min = i32::MAX;
-        let mut max = i32::MIN;
-        let mut runs = 0usize;
-        let mut prev: Option<i32> = None;
-        for &v in values {
-            min = min.min(v);
-            max = max.max(v);
-            *counts.entry(v).or_insert(0) += 1;
-            if prev != Some(v) {
-                runs += 1;
-            }
-            prev = Some(v);
-        }
-        // Ties on count break toward the larger value: the winner must not
-        // depend on hash-map iteration order (and hence map capacity), or
-        // pooled maps would make serial and parallel output diverge.
-        let (top_value, top_count) = counts
-            .iter()
-            .max_by_key(|&(&v, &c)| (c, v))
-            .map(|(&v, &c)| (v, c))
-            .unwrap_or((0, 0));
-        IntegerStats {
-            count: values.len(),
-            min: if values.is_empty() { 0 } else { min },
-            max: if values.is_empty() { 0 } else { max },
-            unique_count: counts.len(),
-            average_run_length: avg_run(values.len(), runs),
-            top_value,
-            top_count,
-        }
-    }
-
-    /// Fraction of values that are distinct (0.0 for empty blocks).
-    pub fn unique_fraction(&self) -> f64 {
-        fraction(self.unique_count, self.count)
-    }
-}
-
-/// Statistics over a block of doubles. Values are keyed by their raw bits, so
-/// `-0.0` and `0.0` count as distinct and every NaN payload is distinct —
-/// matching the bitwise-lossless contract of the format.
-#[derive(Debug, Clone)]
-pub struct DoubleStats {
-    /// Number of values.
-    pub count: usize,
-    /// Number of distinct bit patterns.
-    pub unique_count: usize,
-    /// Average length of equal-bit-pattern runs.
-    pub average_run_length: f64,
-    /// Most frequent value (by bit pattern).
-    pub top_value: f64,
-    /// Occurrences of `top_value`.
-    pub top_count: usize,
-}
-
-impl DoubleStats {
-    /// Collects statistics over `values`.
-    pub fn collect(values: &[f64]) -> Self {
-        let mut counts: FxHashMap<u64, usize> =
-            FxHashMap::with_capacity_and_hasher(values.len() / 4 + 1, Default::default());
-        Self::collect_with_map(values, &mut counts)
-    }
-
-    /// [`collect`](Self::collect) reusing a caller-owned count map (cleared
-    /// first) so the encode scratch arena can pool it across blocks.
-    pub fn collect_with_map(values: &[f64], counts: &mut FxHashMap<u64, usize>) -> Self {
+    pub fn collect_with_map(values: &[V], counts: &mut FxHashMap<V::Bits, usize>) -> Self {
         counts.clear();
         let mut runs = 0usize;
-        let mut prev: Option<u64> = None;
+        let mut prev: Option<V::Bits> = None;
         for &v in values {
             let bits = v.to_bits();
             *counts.entry(bits).or_insert(0) += 1;
@@ -116,17 +54,20 @@ impl DoubleStats {
             }
             prev = Some(bits);
         }
-        // Deterministic tie-break by bit pattern (see IntegerStats).
+        // Ties on count break toward the larger `Bits` (the larger integer,
+        // the larger bit pattern): the winner must not depend on hash-map
+        // iteration order (and hence map capacity), or pooled maps would make
+        // serial and parallel output diverge.
         let (top_bits, top_count) = counts
             .iter()
             .max_by_key(|&(&v, &c)| (c, v))
             .map(|(&v, &c)| (v, c))
-            .unwrap_or((0, 0));
-        DoubleStats {
+            .unwrap_or_default();
+        NumericStats {
             count: values.len(),
             unique_count: counts.len(),
             average_run_length: avg_run(values.len(), runs),
-            top_value: f64::from_bits(top_bits),
+            top_value: V::from_bits(top_bits),
             top_count,
         }
     }
@@ -177,7 +118,7 @@ impl StringStats {
             prev = Some(s);
         }
         // Deterministic tie-break toward the earliest first occurrence
-        // (see IntegerStats for why iteration order must not decide).
+        // (see NumericStats for why iteration order must not decide).
         let (top_index, top_count) = counts
             .values()
             .max_by_key(|&&(c, i)| (c, std::cmp::Reverse(i)))
@@ -224,8 +165,6 @@ mod tests {
     fn integer_stats_basic() {
         let s = IntegerStats::collect(&[5, 5, 5, 1, 1, 9]);
         assert_eq!(s.count, 6);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 9);
         assert_eq!(s.unique_count, 3);
         assert_eq!(s.top_value, 5);
         assert_eq!(s.top_count, 3);
@@ -287,8 +226,8 @@ mod tests {
         map.insert(999, 999); // dirty map must be cleared
         let pooled = IntegerStats::collect_with_map(&values, &mut map);
         assert_eq!(
-            (fresh.unique_count, fresh.top_value, fresh.top_count, fresh.min, fresh.max),
-            (pooled.unique_count, pooled.top_value, pooled.top_count, pooled.min, pooled.max)
+            (fresh.unique_count, fresh.top_value, fresh.top_count),
+            (pooled.unique_count, pooled.top_value, pooled.top_count)
         );
     }
 

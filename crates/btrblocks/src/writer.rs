@@ -3,6 +3,7 @@
 //! [`Reader`] is public because the per-scheme `decompress` entry points take
 //! it; typical users go through [`crate::decompress`] instead.
 
+use crate::scheme::fixed::Value;
 use crate::{Error, Result};
 
 /// Appends primitives to a byte buffer.
@@ -119,18 +120,6 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    pub fn i32_vec(&mut self, count: usize) -> Result<Vec<i32>> {
-        let mut out = Vec::new();
-        self.i32_vec_into(count, &mut out)?;
-        Ok(out)
-    }
-
-    pub fn f64_vec(&mut self, count: usize) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.f64_vec_into(count, &mut out)?;
-        Ok(out)
-    }
-
     /// Reads `count` little-endian u32s into `out`, clearing it first.
     /// Reuses `out`'s existing capacity — the zero-allocation decode path's
     /// primitive reader. `out` is left empty on error.
@@ -146,29 +135,19 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    /// Reads `count` little-endian i32s into `out`; see [`Self::u32_vec_into`].
-    pub fn i32_vec_into(&mut self, count: usize, out: &mut Vec<i32>) -> Result<()> {
-        out.clear();
-        let bytes = count.checked_mul(4).ok_or(Error::UnexpectedEnd)?;
-        let raw = self.take(bytes)?;
-        out.reserve(count);
-        out.extend(
-            raw.chunks_exact(4)
-                .map(|c| i32::from_le_bytes(c.try_into().unwrap_or_default())),
-        );
-        Ok(())
+    /// Reads one little-endian `i32` or `f64`.
+    pub fn value<V: Value>(&mut self) -> Result<V> {
+        Ok(V::from_le(self.take(V::SIZE)?))
     }
 
-    /// Reads `count` little-endian f64s into `out`; see [`Self::u32_vec_into`].
-    pub fn f64_vec_into(&mut self, count: usize, out: &mut Vec<f64>) -> Result<()> {
+    /// Reads `count` little-endian `i32`s or `f64`s into `out`; see
+    /// [`Self::u32_vec_into`].
+    pub fn vec_into<V: Value>(&mut self, count: usize, out: &mut Vec<V>) -> Result<()> {
         out.clear();
-        let bytes = count.checked_mul(8).ok_or(Error::UnexpectedEnd)?;
+        let bytes = count.checked_mul(V::SIZE).ok_or(Error::UnexpectedEnd)?;
         let raw = self.take(bytes)?;
         out.reserve(count);
-        out.extend(
-            raw.chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().unwrap_or_default())),
-        );
+        out.extend(raw.chunks_exact(V::SIZE).map(V::from_le));
         Ok(())
     }
 
@@ -206,10 +185,13 @@ mod tests {
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 123_456);
-        assert_eq!(r.i32().unwrap(), -99);
-        assert_eq!(r.f64().unwrap(), 2.5);
-        assert_eq!(r.i32_vec(3).unwrap(), vec![1, -2, 3]);
-        assert_eq!(r.f64_vec(2).unwrap(), vec![0.5, -0.5]);
+        assert_eq!(r.value::<i32>().unwrap(), -99);
+        assert_eq!(r.value::<f64>().unwrap(), 2.5);
+        let (mut ints, mut doubles) = (vec![9], vec![9.0]);
+        r.vec_into(3, &mut ints).unwrap();
+        assert_eq!(ints, vec![1, -2, 3]);
+        r.vec_into(2, &mut doubles).unwrap();
+        assert_eq!(doubles, vec![0.5, -0.5]);
         let mut codes = vec![77; 3]; // dirty: `_into` must clear, not append
         r.u32_vec_into(2, &mut codes).unwrap();
         assert_eq!(codes, vec![10, 20]);
@@ -222,12 +204,12 @@ mod tests {
         buf.put_i32_slice(&[4, 5]);
         let mut out = vec![9, 9, 9, 9];
         let mut r = Reader::new(&buf);
-        r.i32_vec_into(2, &mut out).unwrap();
+        r.vec_into(2, &mut out).unwrap();
         assert_eq!(out, vec![4, 5]);
         // Error paths leave the buffer empty, never with stale garbage.
         let mut r = Reader::new(&buf);
         let mut out = vec![9, 9];
-        assert!(r.i32_vec_into(3, &mut out).is_err());
+        assert!(r.vec_into(3, &mut out).is_err());
         assert!(out.is_empty());
     }
 
@@ -236,6 +218,7 @@ mod tests {
         let mut r = Reader::new(&[1, 2]);
         assert!(r.u32().is_err());
         assert_eq!(r.u8().unwrap(), 1);
-        assert!(r.i32_vec(1).is_err());
+        assert!(r.vec_into::<i32>(1, &mut Vec::new()).is_err());
+        assert_eq!(r.value::<f64>(), Err(Error::UnexpectedEnd));
     }
 }

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example floating_point`
 
 use btrblocks_repro::btrblocks::scheme::double::decimal;
-use btrblocks_repro::btrblocks::scheme::{compress_double_with_into, decompress_double_into};
+use btrblocks_repro::btrblocks::scheme::{compress_with_into, decompress_into};
 use btrblocks_repro::btrblocks::writer::Reader;
 use btrblocks_repro::btrblocks::{Config, DecodeScratch, EncodeScratch, SchemeCode};
 use btrblocks_repro::float::FloatCodec;
@@ -40,11 +40,11 @@ fn main() {
         // PDE in its fixed two-level cascade (always FastBP128 on outputs).
         let cfg = Config::default().with_pool(&[SchemeCode::Pseudodecimal, SchemeCode::FastBp128]);
         let (mut scratch, mut buf) = (EncodeScratch::new(), Vec::new());
-        compress_double_with_into(SchemeCode::Pseudodecimal, values, 2, &cfg, &mut scratch, &mut buf);
+        compress_with_into(SchemeCode::Pseudodecimal, values, 2, &cfg, &mut scratch, &mut buf);
         println!("  {:<10} {:>6.2}x", "PDE", raw as f64 / buf.len() as f64);
         // And verify bitwise losslessness.
-        let mut out = Vec::new();
-        decompress_double_into(&mut Reader::new(&buf), &cfg, &mut DecodeScratch::new(), &mut out)
+        let mut out: Vec<f64> = Vec::new();
+        decompress_into(&mut Reader::new(&buf), &cfg, &mut DecodeScratch::new(), &mut out)
             .expect("decompress");
         assert!(values.iter().zip(&out).all(|(a, b)| a.to_bits() == b.to_bits()));
     }

@@ -60,6 +60,16 @@ echo "== chaos campaigns under the runtime lock-order checker"
 # not just the lint's static view, respect the ranking.
 cargo test --release --quiet -p btr-sync -p btr-scan -p btr-server --features lock-order
 
+echo "== DESIGN.md does not grow"
+# House rule (ROADMAP): a PR rewrites the design document in place; history
+# belongs in CHANGES.md.
+design_now="$(wc -c < DESIGN.md)"
+design_head="$(git show HEAD:DESIGN.md | wc -c)"
+if [ "${design_now}" -gt "${design_head}" ]; then
+  echo "error: DESIGN.md is ${design_now} bytes, HEAD's is ${design_head}; it may not grow" >&2
+  exit 1
+fi
+
 echo "== benchmark harness smoke (every workload at smoke size)"
 # `cargo --offline` rewrites the tracked benchmark/Cargo.lock in place; put
 # the committed bytes back however this step ends.
