@@ -35,6 +35,8 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
 /// Feed more bytes into a running (pre-xorout) CRC state. Start from `!0`,
 /// finish by xoring with `!0`; `crc32c` does both for the one-shot case.
 pub fn extend(state: u32, bytes: &[u8]) -> u32 {
+    #[cfg(test)]
+    HASHED_BYTES.with(|n| n.set(n.get() + bytes.len() as u64));
     let mut crc = state;
     for &b in bytes {
         // lint: allow(cast) widening u8 -> u32; index is masked to 0..256
@@ -42,6 +44,84 @@ pub fn extend(state: u32, bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     crc
+}
+
+/// Product of two polynomials modulo the Castagnoli polynomial, both in the
+/// reflected representation the CRC uses (bit 31 is `x^0`).
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        bit >>= 1;
+    }
+    product
+}
+
+/// `SHIFT[k]` is `x^(8 * 2^k) mod P`: multiplying a CRC by it appends `2^k`
+/// zero bytes. 64 entries cover every `u64` length.
+const SHIFT: [u32; 64] = build_shift();
+
+const fn build_shift() -> [u32; 64] {
+    let mut table = [0u32; 64];
+    // x^1, squared three times: x^8, one zero byte.
+    let mut power = 1u32 << 30;
+    let mut squarings = 0;
+    while squarings < 3 {
+        power = mul_mod_p(power, power);
+        squarings += 1;
+    }
+    let mut k = 0;
+    while k < 64 {
+        // lint: allow(indexing) const table builder: k < 64
+        table[k] = power;
+        power = mul_mod_p(power, power);
+        k += 1;
+    }
+    table
+}
+
+/// CRC32C of `A || B` from `crc_a = crc32c(A)`, `crc_b = crc32c(B)` and
+/// `len_b = B.len()`, without touching a byte of either.
+///
+/// A CRC is linear over GF(2): appending `len_b` bytes multiplies the CRC of
+/// `A` by `x^(8 * len_b) mod P`, and `B` contributes its own CRC on top
+/// (the init/xorout terms of the two finished values cancel). The multiplier
+/// is assembled from `SHIFT` by the bits of `len_b`, so a call costs one
+/// 32-step shift/xor multiply per set bit - at most 64, independent of the
+/// data size. This is an identity, not an approximation:
+/// `combine(crc32c(a), crc32c(b), b.len()) == crc32c(a ++ b)` for all inputs.
+pub fn combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    let mut crc = crc_a;
+    let mut rest = len_b;
+    for &shift in &SHIFT {
+        if rest == 0 {
+            break;
+        }
+        if rest & 1 != 0 {
+            crc = mul_mod_p(shift, crc);
+        }
+        rest >>= 1;
+    }
+    crc ^ crc_b
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Bytes this thread has fed through [`extend`]: lets a test assert that a
+    /// reader or writer hashed each byte once, as a count instead of a timing.
+    static HASHED_BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Runs `f` and returns its result with the number of bytes it hashed.
+#[cfg(test)]
+pub(crate) fn count_hashed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = HASHED_BYTES.with(|n| n.get());
+    let out = f();
+    (out, HASHED_BYTES.with(|n| n.get()) - before)
 }
 
 #[cfg(test)]
@@ -80,5 +160,86 @@ mod tests {
                 assert_ne!(crc32c(&copy), base, "flip at {byte}:{bit} undetected");
             }
         }
+    }
+
+    /// `combine` applied to the two halves of `data` split at `at`.
+    fn combined(data: &[u8], at: usize) -> u32 {
+        let (a, b) = data.split_at(at);
+        combine(crc32c(a), crc32c(b), b.len() as u64)
+    }
+
+    #[test]
+    fn combine_equals_one_shot_at_every_split() {
+        let mut x = 0x2545_F491u32;
+        let data: Vec<u8> = (0..5_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 24) as u8
+            })
+            .collect();
+        let whole = crc32c(&data);
+        for at in 0..=data.len() {
+            assert_eq!(combined(&data, at), whole, "split at {at}");
+        }
+        // Part-sized lengths (a string block is 2-3 MB), where the high
+        // `SHIFT` entries do the work.
+        let big: Vec<u8> = data.iter().cycle().take((3 << 20) + 7).copied().collect();
+        let whole = crc32c(&big);
+        for at in [1, 1 << 20, (1 << 21) + 5, big.len() - 1] {
+            assert_eq!(combined(&big, at), whole, "split at {at}");
+        }
+        // Degenerate inputs: empty, and one byte split on either side.
+        assert_eq!(combined(b"", 0), crc32c(b""));
+        assert_eq!(combined(b"z", 0), crc32c(b"z"));
+        assert_eq!(combined(b"z", 1), crc32c(b"z"));
+    }
+
+    #[test]
+    fn combine_with_empty_suffix_is_identity() {
+        for a in [0, 1, 0xE306_9283, u32::MAX] {
+            assert_eq!(combine(a, crc32c(b""), 0), a);
+        }
+    }
+
+    #[test]
+    fn combine_is_associative() {
+        let (a, b, c) = (0xE306_9283, 0x8A91_36AA, 0x46DD_794E);
+        let lens = [0u64, 1, 7, 4_096, u64::from(u32::MAX), 3 << 40];
+        for lb in lens {
+            for lc in lens {
+                assert_eq!(
+                    combine(combine(a, b, lb), c, lc),
+                    combine(a, combine(b, c, lc), lb + lc),
+                    "lb {lb} lc {lc}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn known_vectors_reassemble_from_two_halves() {
+        let ascending: Vec<u8> = (0u8..32).collect();
+        let descending: Vec<u8> = (0u8..32).rev().collect();
+        for (data, want) in [
+            (&b"123456789"[..], 0xE306_9283),
+            (&[0u8; 32][..], 0x8A91_36AA),
+            (&[0xFFu8; 32][..], 0x62A8_AB43),
+            (&ascending[..], 0x46DD_794E),
+            (&descending[..], 0x113F_DB5C),
+        ] {
+            assert_eq!(combined(data, data.len() / 2), want);
+        }
+    }
+
+    #[test]
+    fn extend_counts_the_bytes_it_hashes() {
+        let ((), n) = count_hashed(|| {
+            crc32c(&[0u8; 100]);
+            extend(!0, &[1, 2, 3]);
+            combine(1, 2, 1 << 20);
+        });
+        assert_eq!(n, 103);
     }
 }

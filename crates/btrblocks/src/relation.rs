@@ -33,6 +33,18 @@
 //!   NULL bitmaps) and any trailing garbage; a mismatch that cannot be
 //!   localized to a part is [`Error::FileChecksumMismatch`].
 //!
+//! Both layers are checked, and written, in **one pass** over the bytes
+//! (`BodyCrc`). Framing bytes are hashed directly; a block is hashed once,
+//! for its part CRC, and that *computed* value is folded into the running
+//! file CRC with [`crate::crc32c::combine`]. Because `combine` is an
+//! algebraic identity, the value compared with (or written as) the footer
+//! *is* `crc32c(body)`: the stored part CRCs never enter it, so damage to a
+//! block, to its stored CRC or to any framing byte is detected exactly as
+//! by hashing the body a second time. When parsing stops at a structural
+//! error, the unread rest of the body is hashed before the footer is
+//! judged, so the precedence part mismatch > footer mismatch > structural
+//! error holds for every input.
+//!
 //! Version-1 files (no checksums, `byte_len | block bytes`, no footer) are
 //! still read transparently (there is no v1 writer; `tests/fixtures/` pins a
 //! v1 file for the reader). All length/count fields parsed from the wire
@@ -41,7 +53,7 @@
 
 use crate::block::{self, BlockRef};
 use crate::config::Config;
-use crate::crc32c::crc32c;
+use crate::crc32c::{self, crc32c};
 use crate::scheme::SchemeCode;
 use crate::scratch::{DecodeScratch, EncodeScratch};
 use crate::types::{ColumnData, ColumnType, DecodedColumn, StringArena};
@@ -52,6 +64,48 @@ use btr_roaring::RoaringBitmap;
 const MAGIC: &[u8; 4] = b"BTRB";
 const VERSION_V1: u32 = 1;
 const VERSION: u32 = 2;
+/// `magic | version | row_count | column_count`.
+const FILE_HEADER_LEN: usize = 4 + 4 + 8 + 4;
+
+/// CRC32C of a v2 file body, built in the same pass that reads or writes it.
+///
+/// Framing bytes are hashed as they are; a block enters as its part CRC,
+/// which the caller computed from the block's bytes anyway, so no byte of
+/// the file is hashed twice. `crc` is always the finished CRC32C of
+/// `file[..hashed_to]`.
+struct BodyCrc {
+    crc: u32,
+    hashed_to: usize,
+}
+
+impl BodyCrc {
+    fn new() -> Self {
+        BodyCrc { crc: crc32c(b""), hashed_to: 0 }
+    }
+
+    /// Hashes the framing `file[self.hashed_to..until]`. Callers move
+    /// forward and stay inside `file`; if one did not, the bytes would go
+    /// unhashed and the footer comparison would fail, never pass.
+    fn framing(&mut self, file: &[u8], until: usize) {
+        let framing = file.get(self.hashed_to..until).unwrap_or_default();
+        self.crc = !crc32c::extend(!self.crc, framing);
+        self.hashed_to = until;
+    }
+
+    /// Advances over the framing before `part_start` and the `part_len`-byte
+    /// part behind it, whose CRC32C is `part_crc`.
+    fn part(&mut self, file: &[u8], part_start: usize, part_len: usize, part_crc: u32) {
+        self.framing(file, part_start);
+        self.crc = crc32c::combine(self.crc, part_crc, part_len as u64);
+        self.hashed_to = part_start + part_len;
+    }
+
+    /// Hashes what is left of `body` and returns `crc32c(body)`.
+    fn finish(mut self, body: &[u8]) -> u32 {
+        self.framing(body, body.len());
+        self.crc
+    }
+}
 
 /// A named, typed column with optional NULLs.
 ///
@@ -203,10 +257,16 @@ pub struct CompressedColumn {
 }
 
 impl CompressedColumn {
-    /// Compressed size in bytes (blocks + per-part checksums + null bitmap
-    /// + framing), matching the v2 on-disk layout.
+    /// Bytes of the column's v2 framing ahead of its first block:
+    /// `name_len | name | type tag | null_len | NULL bitmap | block_count`.
+    fn header_len(&self) -> usize {
+        2 + self.name.len() + 1 + 4 + self.nulls.len() + 4
+    }
+
+    /// Exact bytes the column occupies in the v2 file: its framing, NULL
+    /// bitmap, and every block with its length and checksum fields.
     pub fn compressed_size(&self) -> usize {
-        self.blocks.iter().map(|b| b.len() + 8).sum::<usize>() + self.nulls.len() + 16
+        self.header_len() + self.blocks.iter().map(|b| 8 + b.len()).sum::<usize>()
     }
 }
 
@@ -234,19 +294,16 @@ pub struct BlockRange {
 }
 
 impl CompressedRelation {
-    /// Total compressed size in bytes, including framing and the footer.
+    /// Exact serialized length of [`CompressedRelation::to_bytes`] output:
+    /// file header, every column's [`CompressedColumn::compressed_size`],
+    /// footer CRC.
     pub fn compressed_size(&self) -> usize {
-        self.columns.iter().map(|c| c.compressed_size()).sum::<usize>() + 16 + 4
+        FILE_HEADER_LEN + self.columns.iter().map(|c| c.compressed_size()).sum::<usize>() + 4
     }
 
-    /// Exact serialized length of [`CompressedRelation::to_bytes`] output.
+    /// [`Self::compressed_size`] as a file offset.
     pub fn file_len(&self) -> u64 {
-        let mut len = 4 + 4 + 8 + 4u64; // magic | version | rows | column_count
-        for col in &self.columns {
-            len += 2 + col.name.len() as u64 + 1 + 4 + col.nulls.len() as u64 + 4;
-            len += col.blocks.iter().map(|b| 8 + b.len() as u64).sum::<u64>();
-        }
-        len + 4 // footer CRC
+        self.compressed_size() as u64
     }
 
     /// Byte ranges of every block payload within the v2 file written by
@@ -257,11 +314,11 @@ impl CompressedRelation {
     /// with ranged GETs and verify each against its CRC, never touching the
     /// rest of the file.
     pub fn block_byte_ranges(&self) -> Vec<Vec<BlockRange>> {
-        let mut pos = 4 + 4 + 8 + 4u64; // magic | version | rows | column_count
+        let mut pos = FILE_HEADER_LEN as u64;
         self.columns
             .iter()
             .map(|col| {
-                pos += 2 + col.name.len() as u64 + 1 + 4 + col.nulls.len() as u64 + 4;
+                pos += col.header_len() as u64;
                 col.blocks
                     .iter()
                     .map(|b| {
@@ -281,8 +338,11 @@ impl CompressedRelation {
     }
 
     /// Serializes to the checksummed v2 layout described in the module docs.
+    /// Each block is hashed once, for its part CRC; the footer is derived
+    /// from those (`BodyCrc`).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.compressed_size() + 64);
+        let mut out = Vec::with_capacity(self.compressed_size());
+        let mut file_crc = BodyCrc::new();
         out.extend_from_slice(MAGIC);
         out.put_u32(VERSION);
         out.extend_from_slice(&self.rows.to_le_bytes());
@@ -302,22 +362,26 @@ impl CompressedRelation {
             for b in &col.blocks {
                 // lint: allow(cast) encode side: a block is far smaller than 4 GiB
                 out.put_u32(b.len() as u32);
-                out.put_u32(crc32c(b));
+                let part_crc = crc32c(b);
+                out.put_u32(part_crc);
+                file_crc.part(&out, out.len(), b.len(), part_crc);
                 out.extend_from_slice(b);
             }
         }
-        let footer = crc32c(&out);
+        let footer = file_crc.finish(&out);
         out.put_u32(footer);
         out
     }
 
     /// Parses the single-file layout (v1 or v2).
     ///
-    /// For v2 the whole-file footer CRC is computed up front, then every
-    /// column part's CRC is verified before its scheme byte is inspected.
-    /// The most localized error wins: a part mismatch is reported as
-    /// [`Error::ChecksumMismatch`]; corruption that only the footer catches
-    /// (framing bytes, trailing garbage) as [`Error::FileChecksumMismatch`].
+    /// For v2 every column part's CRC is verified before its scheme byte is
+    /// inspected, and the whole-file CRC is accumulated in the same pass
+    /// (`BodyCrc`), so each byte is hashed once. The most localized error
+    /// wins: a part mismatch is reported as [`Error::ChecksumMismatch`];
+    /// corruption that only the footer catches (framing bytes, trailing
+    /// garbage) as [`Error::FileChecksumMismatch`]; a structural error
+    /// survives only under a matching footer.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let mut r = Reader::new(bytes);
         if r.take(4)? != MAGIC {
@@ -327,8 +391,7 @@ impl CompressedRelation {
             VERSION_V1 => Self::parse_columns(&mut r, None),
             VERSION => {
                 // The footer is the last 4 bytes; everything before it is
-                // covered by the file CRC. Verify the footer first so the
-                // outcome is decided before any parsing of corrupt framing.
+                // covered by the file CRC.
                 let body_len = bytes
                     .len()
                     .checked_sub(4)
@@ -340,26 +403,34 @@ impl CompressedRelation {
                     .and_then(|s| s.try_into().ok())
                     .ok_or(Error::UnexpectedEnd)?;
                 let footer = u32::from_le_bytes(footer_bytes);
-                let footer_ok = crc32c(body) == footer;
-                let parsed = Self::parse_columns(&mut r, Some(body_len));
-                match parsed {
+                let mut file_crc = BodyCrc::new();
+                let parsed = match Self::parse_columns(&mut r, Some((body, &mut file_crc))) {
                     // A localized part checksum failure beats the footer.
-                    Err(e @ Error::ChecksumMismatch { .. }) => Err(e),
+                    Err(e @ Error::ChecksumMismatch { .. }) => return Err(e),
+                    parsed => parsed,
+                };
+                // Wherever parsing stopped, the rest of the body is hashed
+                // now: the verdict is on every byte, as if hashed up front.
+                if file_crc.finish(body) != footer {
                     // Structural damage the part CRCs couldn't localize.
-                    Err(e) => Err(if footer_ok { e } else { Error::FileChecksumMismatch }),
-                    Ok(_) if !footer_ok => Err(Error::FileChecksumMismatch),
-                    Ok(rel) => Ok(rel),
+                    return Err(Error::FileChecksumMismatch);
                 }
+                parsed
             }
             _ => Err(Error::Corrupt("unsupported version")),
         }
     }
 
-    /// Parses the column table. `checksummed_until` is `Some(body_len)` for
-    /// v2 (per-part CRCs present, parsing must stop exactly at `body_len`)
-    /// and `None` for v1 (no CRCs, no footer).
-    fn parse_columns(r: &mut Reader<'_>, checksummed_until: Option<usize>) -> Result<Self> {
-        let v2 = checksummed_until.is_some();
+    /// Parses the column table. `checksummed` is `Some((body, file_crc))`
+    /// for v2 (per-part CRCs present, parsing must stop exactly at the end
+    /// of `body`, every part read is folded into `file_crc`) and `None` for
+    /// v1 (no CRCs, no footer).
+    fn parse_columns(
+        r: &mut Reader<'_>,
+        mut checksummed: Option<(&[u8], &mut BodyCrc)>,
+    ) -> Result<Self> {
+        let v2 = checksummed.is_some();
+        let checksummed_until = checksummed.as_ref().map(|(body, _)| body.len());
         // In v2, never read framing out of the footer's bytes.
         let limit = |r: &Reader<'_>| match checksummed_until {
             Some(body_len) => body_len - r.position().min(body_len),
@@ -400,11 +471,17 @@ impl CompressedRelation {
                 if len > limit(r) {
                     return Err(Error::UnexpectedEnd);
                 }
+                let part_start = r.position();
                 let raw = r.take(len)?;
-                if let Some(crc) = stored_crc {
+                if let (Some(stored), Some((body, file_crc))) = (stored_crc, checksummed.as_mut()) {
+                    // The one hash of these bytes serves both layers: the
+                    // computed value (never the stored one) goes into the
+                    // file CRC, then decides the part.
+                    let computed = crc32c(raw);
+                    file_crc.part(body, part_start, len, computed);
                     // Verified before the scheme byte is even peeked at:
                     // damaged parts never reach a decoder.
-                    if crc32c(raw) != crc {
+                    if computed != stored {
                         return Err(Error::ChecksumMismatch {
                             // lint: allow(cast) bounded by a count read from a u32 field
                             column: col_idx as u32,
@@ -572,7 +649,7 @@ pub fn decompress_relation(compressed: &CompressedRelation, cfg: &Config) -> Res
     let mut scratch = DecodeScratch::new();
     let mut columns = Vec::with_capacity(compressed.columns.len());
     for col in &compressed.columns {
-        columns.push(decompress_column(col, cfg, &mut scratch)?);
+        columns.push(decompress_column(col, compressed.rows, cfg, &mut scratch)?);
     }
     Ok(Relation { columns })
 }
@@ -580,15 +657,30 @@ pub fn decompress_relation(compressed: &CompressedRelation, cfg: &Config) -> Res
 /// Decompresses a single column (all blocks, concatenated): one leased block
 /// buffer is reused across all of the column's blocks and returned to the
 /// pool at the end, so a warm pool makes per-block decode allocation-free.
+/// `rows` (the file's row count) sizes the output once, up front.
 fn decompress_column(
     col: &CompressedColumn,
+    rows: u64,
     cfg: &Config,
     scratch: &mut DecodeScratch,
 ) -> Result<Column> {
+    // `rows` is a field of the file: trust it only as far as the block
+    // headers back it up, and let an allocator refusal fall back to growth.
+    let held: usize = col
+        .blocks
+        .iter()
+        .map(|b| block::peek_count(b).map_or(0, |n| n.min(cfg.max_block_values)))
+        .fold(0, usize::saturating_add);
+    let expected = usize::try_from(rows).map_or(held, |rows| rows.min(held));
     let mut data = match col.column_type {
         ColumnType::Integer => ColumnData::Int(Vec::new()),
         ColumnType::Double => ColumnData::Double(Vec::new()),
         ColumnType::String => ColumnData::Str(StringArena::new()),
+    };
+    let _ = match &mut data {
+        ColumnData::Int(acc) => acc.try_reserve_exact(expected),
+        ColumnData::Double(acc) => acc.try_reserve_exact(expected),
+        ColumnData::Str(acc) => acc.offsets.try_reserve_exact(expected),
     };
     let mut decoded = scratch.lease_decoded(col.column_type);
     let result = (|| -> Result<()> {
@@ -597,11 +689,7 @@ fn decompress_column(
             match (&mut data, &decoded) {
                 (ColumnData::Int(acc), DecodedColumn::Int(v)) => acc.extend_from_slice(v),
                 (ColumnData::Double(acc), DecodedColumn::Double(v)) => acc.extend_from_slice(v),
-                (ColumnData::Str(acc), DecodedColumn::Str(v)) => {
-                    for i in 0..v.len() {
-                        acc.push(v.get(i));
-                    }
-                }
+                (ColumnData::Str(acc), DecodedColumn::Str(v)) => acc.extend_from_views(v),
                 _ => return Err(Error::Corrupt("mixed block types in column")),
             }
         }
@@ -851,6 +939,59 @@ mod tests {
     }
 
     #[test]
+    fn serialized_file_is_exactly_as_large_as_reserved() {
+        // `compressed_size` once undercounted the per-column framing, so the
+        // footer's push reallocated every file into a 2x-capacity buffer.
+        let rel = two_pass::edge_case_relation();
+        assert!(rel.columns.iter().any(|c| c.name.is_empty()));
+        assert!(rel.columns.iter().any(|c| c.name.len() > 30));
+        assert!(rel.columns.iter().any(|c| !c.nulls.is_empty()));
+        let bytes = rel.to_bytes();
+        assert_eq!(bytes.len(), bytes.capacity());
+        assert_eq!(bytes.len(), rel.compressed_size());
+        assert_eq!(bytes.len() as u64, rel.file_len());
+        let columns: usize = rel.columns.iter().map(|c| c.compressed_size()).sum();
+        assert_eq!(bytes.len(), FILE_HEADER_LEN + columns + 4);
+    }
+
+    #[test]
+    fn every_file_byte_is_hashed_once() {
+        use crate::crc32c::count_hashed;
+        let rel = two_pass::edge_case_relation();
+        let (file, hashed) = count_hashed(|| rel.to_bytes());
+        let body_len = file.len() as u64 - 4;
+        assert_eq!(hashed, body_len, "to_bytes");
+
+        let (parsed, hashed) = count_hashed(|| CompressedRelation::from_bytes(&file));
+        assert_eq!(parsed.unwrap(), rel);
+        assert_eq!(hashed, body_len, "from_bytes, intact file");
+
+        // Structural error: the first column's block count, corrupted. The
+        // unread rest of the body is still hashed, exactly once.
+        let block_count_at = FILE_HEADER_LEN + rel.columns[0].header_len() - 4;
+        let mut corrupt = file.clone();
+        corrupt[block_count_at..block_count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let (parsed, hashed) = count_hashed(|| CompressedRelation::from_bytes(&corrupt));
+        assert_eq!(parsed.unwrap_err(), Error::FileChecksumMismatch);
+        assert_eq!(hashed, body_len, "from_bytes, corrupt block count");
+
+        // Footer-only flip.
+        let mut corrupt = file.clone();
+        *corrupt.last_mut().unwrap() ^= 0x01;
+        let (parsed, hashed) = count_hashed(|| CompressedRelation::from_bytes(&corrupt));
+        assert_eq!(parsed.unwrap_err(), Error::FileChecksumMismatch);
+        assert_eq!(hashed, body_len, "from_bytes, footer flip");
+
+        // Part mismatch: reading stops at the damaged part, so less is hashed.
+        let range = rel.block_byte_ranges()[1][2];
+        let mut corrupt = file.clone();
+        corrupt[range.offset as usize] ^= 0x80;
+        let (parsed, hashed) = count_hashed(|| CompressedRelation::from_bytes(&corrupt));
+        assert_eq!(parsed.unwrap_err(), Error::ChecksumMismatch { column: 1, part: 2 });
+        assert_eq!(hashed, range.offset + u64::from(range.len), "from_bytes, part mismatch");
+    }
+
+    #[test]
     fn schemes_are_reported() {
         let cfg = Config::default();
         let rel = Relation::new(vec![Column::new("zeros", ColumnData::Int(vec![0; 5000]))]);
@@ -858,5 +999,246 @@ mod tests {
         assert_eq!(compressed.columns[0].schemes, vec![SchemeCode::OneValue]);
         let parsed = CompressedRelation::from_bytes(&compressed.to_bytes()).unwrap();
         assert_eq!(parsed.columns[0].schemes, vec![SchemeCode::OneValue]);
+    }
+}
+
+/// Test-only reference: the two-pass v2 reader [`CompressedRelation::from_bytes`]
+/// replaced, and the differential test holding the one-pass reader to it.
+///
+/// `from_bytes_two_pass` hashes the whole body up front (`crc32c(body)`),
+/// then parses and hashes every block a second time for its part CRC. It is
+/// kept as written, with its own parser, so the comparison below does not
+/// share a line with the code under test.
+#[cfg(test)]
+mod two_pass {
+    use super::*;
+
+    /// The reader as it stood before the file layer went single-pass.
+    pub(crate) fn from_bytes_two_pass(bytes: &[u8]) -> Result<CompressedRelation> {
+        let mut r = Reader::new(bytes);
+        if r.take(4)? != b"BTRB" {
+            return Err(Error::Corrupt("bad magic"));
+        }
+        match r.u32()? {
+            1 => parse_columns(&mut r, None),
+            2 => {
+                let body_len = bytes
+                    .len()
+                    .checked_sub(4)
+                    .filter(|&l| l >= r.position())
+                    .ok_or(Error::UnexpectedEnd)?;
+                let body = &bytes[..body_len];
+                let footer = u32::from_le_bytes(bytes[body_len..].try_into().unwrap());
+                let footer_ok = crc32c(body) == footer;
+                match parse_columns(&mut r, Some(body_len)) {
+                    Err(e @ Error::ChecksumMismatch { .. }) => Err(e),
+                    Err(e) => Err(if footer_ok { e } else { Error::FileChecksumMismatch }),
+                    Ok(_) if !footer_ok => Err(Error::FileChecksumMismatch),
+                    Ok(rel) => Ok(rel),
+                }
+            }
+            _ => Err(Error::Corrupt("unsupported version")),
+        }
+    }
+
+    fn parse_columns(
+        r: &mut Reader<'_>,
+        checksummed_until: Option<usize>,
+    ) -> Result<CompressedRelation> {
+        let v2 = checksummed_until.is_some();
+        let limit = |r: &Reader<'_>| match checksummed_until {
+            Some(body_len) => body_len - r.position().min(body_len),
+            None => r.remaining(),
+        };
+        let rows = r.u64()?;
+        let n_cols = r.u32()? as usize;
+        if n_cols > limit(r) / 11 {
+            return Err(Error::LimitExceeded("column count"));
+        }
+        let mut columns = Vec::with_capacity(n_cols);
+        for col_idx in 0..n_cols {
+            let name_len = r.u16()? as usize;
+            if name_len > limit(r) {
+                return Err(Error::UnexpectedEnd);
+            }
+            let name = String::from_utf8(r.take(name_len)?.to_vec())
+                .map_err(|_| Error::Corrupt("column name not utf-8"))?;
+            let column_type =
+                ColumnType::from_tag(r.u8()?).ok_or(Error::Corrupt("bad column type tag"))?;
+            let null_len = r.u32()? as usize;
+            if null_len > limit(r) {
+                return Err(Error::UnexpectedEnd);
+            }
+            let nulls = r.take(null_len)?.to_vec();
+            let n_blocks = r.u32()? as usize;
+            if n_blocks > limit(r) / if v2 { 8 } else { 4 } {
+                return Err(Error::LimitExceeded("block count"));
+            }
+            let mut blocks = Vec::with_capacity(n_blocks);
+            let mut schemes = Vec::with_capacity(n_blocks);
+            for part_idx in 0..n_blocks {
+                let len = r.u32()? as usize;
+                let stored_crc = if v2 { Some(r.u32()?) } else { None };
+                if len > limit(r) {
+                    return Err(Error::UnexpectedEnd);
+                }
+                let raw = r.take(len)?;
+                if let Some(crc) = stored_crc {
+                    if crc32c(raw) != crc {
+                        return Err(Error::ChecksumMismatch {
+                            column: col_idx as u32,
+                            part: part_idx as u32,
+                        });
+                    }
+                }
+                let b = raw.to_vec();
+                schemes.push(block::peek_scheme(&b)?);
+                blocks.push(b);
+            }
+            columns.push(CompressedColumn { name, column_type, nulls, blocks, schemes });
+        }
+        if let Some(body_len) = checksummed_until {
+            if r.position() != body_len {
+                return Err(Error::Corrupt("trailing bytes before footer"));
+            }
+        }
+        Ok(CompressedRelation { rows, columns })
+    }
+
+    /// Both readers on `bytes`: same `Ok` value, or the same error down to the
+    /// `column` / `part` of a [`Error::ChecksumMismatch`].
+    fn assert_readers_agree(bytes: &[u8], what: std::fmt::Arguments<'_>) {
+        assert_eq!(
+            CompressedRelation::from_bytes(bytes),
+            from_bytes_two_pass(bytes),
+            "one-pass (left) and two-pass (right) readers disagree on {what}"
+        );
+    }
+
+    /// Every single-byte XOR with `0x01`, `0x80`, `0xFF`, every truncation, and
+    /// 1-16 appended bytes.
+    fn assert_readers_agree_under_damage(file: &[u8]) {
+        assert_readers_agree(file, format_args!("the undamaged file"));
+        let mut damaged = file.to_vec();
+        for at in 0..file.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                damaged[at] ^= mask;
+                assert_readers_agree(&damaged, format_args!("byte {at} ^ {mask:#04x}"));
+                damaged[at] ^= mask;
+            }
+        }
+        for len in 0..file.len() {
+            assert_readers_agree(&file[..len], format_args!("truncation to {len} bytes"));
+        }
+        for extra in 1..=16usize {
+            for fill in [0x00u8, 0xA5] {
+                damaged.truncate(file.len());
+                damaged.resize(file.len() + extra, fill);
+                assert_readers_agree(&damaged, format_args!("{extra} appended {fill:#04x} bytes"));
+            }
+        }
+    }
+
+    /// Multi-column, multi-block relation: NULL bitmaps, a long and an empty
+    /// column name, an empty column (one zero-value block) and a column with no
+    /// blocks at all.
+    pub(crate) fn edge_case_relation() -> CompressedRelation {
+        let cfg = Config { block_size: 100, ..Config::default() };
+        let ints: Vec<Option<i32>> = (0..350).map(|i| (i % 9 != 0).then_some(i * 7 % 41)).collect();
+        let doubles: Vec<Option<f64>> =
+            (0..350).map(|i| (i % 13 != 0).then_some(f64::from(i % 50) * 0.25)).collect();
+        let strings: Vec<String> = (0..350).map(|i| format!("name-{}", i % 17)).collect();
+        let mut rel = compress(
+            &Relation::new(vec![
+                Column::from_int_options("", &ints),
+                Column::from_double_options("a_rather_long_column_name_for_a_price", &doubles),
+                Column::new("s", ColumnData::Str(StringArena::from_strs(&strings))),
+            ]),
+            &cfg,
+        )
+        .unwrap();
+        let empty = Relation::new(vec![Column::new("empty", ColumnData::Int(Vec::new()))]);
+        rel.columns.extend(compress(&empty, &cfg).unwrap().columns);
+        rel.columns.push(CompressedColumn {
+            name: "no_blocks".into(),
+            column_type: ColumnType::Double,
+            nulls: Vec::new(),
+            blocks: Vec::new(),
+            schemes: Vec::new(),
+        });
+        rel
+    }
+
+    #[test]
+    fn readers_agree_on_the_v2_fixture_under_damage() {
+        let file = include_bytes!("../tests/fixtures/v2_sample.btr");
+        assert!(CompressedRelation::from_bytes(file).is_ok());
+        assert_readers_agree_under_damage(file);
+    }
+
+    #[test]
+    fn readers_agree_on_a_fresh_file_under_damage() {
+        let rel = edge_case_relation();
+        let file = rel.to_bytes();
+        assert_eq!(CompressedRelation::from_bytes(&file).unwrap(), rel);
+        assert_readers_agree_under_damage(&file);
+    }
+
+    #[test]
+    fn readers_agree_on_a_zero_length_block_under_damage() {
+        // The file layer frames and checksums an empty block like any other;
+        // `peek_scheme` then rejects it, so the undamaged file is already a
+        // structural error under a matching footer.
+        let mut rel = edge_case_relation();
+        rel.columns[1].blocks.push(Vec::new());
+        let file = rel.to_bytes();
+        assert_eq!(CompressedRelation::from_bytes(&file), Err(Error::UnexpectedEnd));
+        assert_readers_agree_under_damage(&file);
+    }
+
+    #[test]
+    fn readers_agree_on_structural_errors_under_a_matching_footer() {
+        // Damage that a single-byte flip cannot produce: the framing is wrong
+        // *and* the footer was recomputed over it, so the structural error is
+        // the verdict and both readers must name the same one.
+        let rel = edge_case_relation();
+        let file = rel.to_bytes();
+        let body_len = file.len() - 4;
+        let reseal = |mut body: Vec<u8>| {
+            let footer = crc32c(&body);
+            body.extend_from_slice(&footer.to_le_bytes());
+            body
+        };
+        let first_block_count = 20 + 2 + 1 + 4 + rel.columns[0].nulls.len();
+        let mut cases: Vec<(&str, Vec<u8>)> = Vec::new();
+        for (what, at, value) in [
+            ("column count", 16, u32::MAX),
+            ("column count + 1", 16, rel.columns.len() as u32 + 1),
+            ("column count - 1", 16, rel.columns.len() as u32 - 1),
+            ("block count", first_block_count, u32::MAX),
+            ("block count + 1", first_block_count, rel.columns[0].blocks.len() as u32 + 1),
+            ("first block length", first_block_count + 4, u32::MAX),
+        ] {
+            let mut body = file[..body_len].to_vec();
+            body[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            cases.push((what, reseal(body)));
+        }
+        let mut bad_tag = file[..body_len].to_vec();
+        bad_tag[22] = 9;
+        cases.push(("type tag", reseal(bad_tag)));
+        for cut in [1, 4, 11, 40] {
+            cases.push(("short body", reseal(file[..body_len - cut].to_vec())));
+        }
+        let mut long = file[..body_len].to_vec();
+        long.extend_from_slice(&[0; 7]);
+        cases.push(("long body", reseal(long)));
+        for (what, bytes) in &cases {
+            let verdict = from_bytes_two_pass(bytes);
+            assert!(
+                !matches!(verdict, Ok(_) | Err(Error::FileChecksumMismatch)),
+                "{what}: expected a structural or part error, got {verdict:?}"
+            );
+            assert_readers_agree(bytes, format_args!("{what}"));
+        }
     }
 }

@@ -140,6 +140,33 @@ impl StringArena {
         }
     }
 
+    /// Appends every string of a decoded block: one pass writing the offsets,
+    /// one reservation for the bytes, and one pass copying them, in which
+    /// views that follow each other in the pool (any block that was not
+    /// dictionary-decoded) move as a single run.
+    pub(crate) fn extend_from_views(&mut self, views: &StringViews) {
+        let len_of = |v: u64| (v & 0xFFFF_FFFF) as usize;
+        let mut end = self.bytes.len();
+        self.offsets.extend(views.views.iter().map(|&v| {
+            end += len_of(v);
+            // lint: allow(cast) encode side: arena pools are far smaller than 4 GiB
+            end as u32
+        }));
+        self.bytes.reserve(end - self.bytes.len());
+        let mut run = 0..0;
+        for &v in &views.views {
+            let start = (v >> 32) as usize;
+            if start != run.end {
+                // lint: allow(indexing) views invariant: every view was validated against the pool at decode time
+                self.bytes.extend_from_slice(&views.pool[run]);
+                run = start..start;
+            }
+            run.end += len_of(v);
+        }
+        // lint: allow(indexing) views invariant: every view was validated against the pool at decode time
+        self.bytes.extend_from_slice(&views.pool[run]);
+    }
+
     /// Empties the arena, keeping both buffers' capacity.
     pub fn clear(&mut self) {
         self.bytes.clear();
@@ -248,15 +275,8 @@ impl StringViews {
 
     /// Materializes into a contiguous [`StringArena`] (copies bytes).
     pub fn to_arena(&self) -> StringArena {
-        let total: usize = self
-            .views
-            .iter()
-            .map(|&v| (v & 0xFFFF_FFFF) as usize)
-            .sum();
-        let mut arena = StringArena::with_capacity(self.len(), total);
-        for i in 0..self.len() {
-            arena.push(self.get(i));
-        }
+        let mut arena = StringArena::new();
+        arena.extend_from_views(self);
         arena
     }
 
