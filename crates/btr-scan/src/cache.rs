@@ -209,7 +209,7 @@ impl BlockCache {
     }
 
     /// Byte-budget pressure in `[0, 1+]`: held bytes over budget. The
-    /// engine's degradation ladder bypasses cache inserts for streamed
+    /// pipeline's degradation ladder bypasses cache inserts for streamed
     /// blocks once this crosses its threshold, so a fault-storm scan cannot
     /// churn the working set of healthy scans. A zero-budget cache is always
     /// fully pressured.

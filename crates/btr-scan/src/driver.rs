@@ -1,10 +1,9 @@
-//! The scan driver: what every executor of a scan does the same way.
+//! The scan driver: what happens to a scan between "a spec arrives" and
+//! "batches come out", apart from scheduling.
 //!
-//! [`crate::ScanEngine`] runs one scan on its own worker pool behind a
-//! prefetch window; the scan service (btr-server) runs many on one pool
-//! behind admission control and a fair scheduler. Between "a spec arrives"
-//! and "batches come out" both do the same four things, each written here
-//! once:
+//! Scheduling — which worker runs which row group when, for
+//! [`crate::ScanEngine`] and the scan service (btr-server) alike — is
+//! [`crate::executor`]. The four steps around it are written here once:
 //!
 //! 1. [`prepare`] turns a spec into a pruned [`ScanPlan`] and the
 //!    [`BlockPipeline`] that processes its row groups, the spec's deadline
@@ -17,8 +16,9 @@
 //!    [`RecordBatch`]es and ends the scan exactly once
 //!    ([`GroupFeed::finish`]) on drain, error, cancel, or drop.
 //!
-//! What differs per executor is behind [`GroupFeed`]: how workers claim
-//! groups, how the consumer waits, and what ending the scan releases.
+//! [`GroupFeed`] is the seam between 4 and the executor: where ordered row
+//! groups come from and what ending the scan releases. The executor's feed
+//! is the one implementation outside this module's tests.
 
 use crate::batch::{append, split_front, RecordBatch};
 use crate::cache::BlockCache;
@@ -41,7 +41,8 @@ use std::sync::Arc;
 /// cross-scan decode single-flight (`None` when nothing else shares `cache`
 /// concurrently).
 // Each argument is an independent input of one scan; a struct bundling them
-// would be built at exactly the two call sites and read here.
+// would be built at exactly the two call sites (engine, service) and read
+// here.
 #[allow(clippy::too_many_arguments)]
 pub fn prepare(
     source: Arc<dyn BlockSource>,
@@ -150,7 +151,8 @@ pub enum ScanEnd {
 /// from and what ending the scan releases.
 pub trait GroupFeed {
     /// Blocks until the next row group in block order is done. `None` means
-    /// no group will follow: all were taken, or the scan was cancelled.
+    /// every group was taken; a scan that cannot continue says so with an
+    /// `Err`, never with an early `None`.
     fn next_block(&mut self) -> Option<Result<BlockResult>>;
 
     /// Releases everything the scan holds (threads, queue slots, budgets).
@@ -323,8 +325,7 @@ mod tests {
 
     #[test]
     fn uneven_groups_rechunk_into_fixed_batches_and_finish_once() {
-        // Same shape as the engine's `full_scan_rechunks_into_fixed_batches`
-        // (4500 rows, 700-row batches) but from groups of uneven size,
+        // 4500 rows into 700-row batches, from groups of uneven size,
         // including empty ones (a filter that matched nothing).
         let cuts = [0, 1_000, 1_000, 1_003, 2_950, 2_950, 4_499, 4_500];
         let blocks = cuts.windows(2).map(|w| block(w[0]..w[1])).collect();

@@ -1,52 +1,41 @@
-//! The scan engine: one scan, its own worker pool, a bounded prefetch window.
+//! The scan engine: the [`crate::executor`] with one anonymous tenant.
 //!
-//! [`ScanEngine`] is the single-tenant executor of the shared scan
-//! [`crate::driver`] (the scan service in btr-server is the other). The
-//! driver plans the scan, contains worker panics, re-sequences finished row
-//! groups and assembles batches; what the engine adds is *how groups get
-//! claimed*: a scan spawns a small pool over the planner's surviving row
-//! groups, and workers claim them in block order but only within a bounded
+//! [`ScanEngine`] owns a worker pool ([`Executor`], spawned in
+//! [`ScanEngine::new`], joined on drop) and a decoded-block cache, and runs
+//! every scan handed to it on that pool: the shared scan [`crate::driver`]
+//! plans the scan, the executor dispatches its row groups within a bounded
 //! look-ahead window (`EngineOptions::prefetch`) past the consumer — fetches
 //! and decodes for group `i + k` overlap with the consumer draining group
 //! `i`, while the window bounds how much decoded data can pile up ahead of
-//! it. What a worker does with a claimed group is
-//! [`BlockPipeline::process`].
+//! it. There are no admission limits and no GET coalescing; the scan
+//! service (btr-server) adds those on the same executor.
+//! [`ScanEngine::aggregate`] folds on the caller's thread.
 //!
 //! NULL semantics follow [`btrblocks::metadata::pruned_filter`]: NULL
 //! positions hold neutral values and participate in predicates like any
 //! other value (SQL three-valued logic is future work).
 //!
-//! # Fault tolerance and degradation
-//!
 //! Each scan carries a [`crate::retry::Tolerance`] (deadline + retry
 //! budget) threaded to the source through [`crate::retry::FetchCtl`];
-//! workers also check the deadline before starting a row group, so a scan
-//! past its budget stops promptly instead of grinding through remaining
-//! groups. Under stress the pipeline *degrades* before it fails, one rung at
-//! a time (see DESIGN.md §13):
-//!
-//! 1. decoded-cache byte pressure → streamed blocks bypass cache inserts,
-//! 2. source breaker half-open → prefetch window halves,
-//! 3. source breaker open → prefetch shrinks to 1 (and the source itself
-//!    sheds hedged GETs while not closed).
+//! workers check the deadline before starting a row group, and under stress
+//! a scan degrades before it fails (cache bypass, then a shrinking window:
+//! [`BlockPipeline::refresh_window`], DESIGN.md §13.4).
 
 use crate::cache::BlockCache;
-use crate::driver::{prepare, process_contained, GroupFeed, Reorder, ScanEnd, ScanStream};
-use crate::pipeline::{AggSourceCounts, BlockPipeline, BlockResult, PipelineCounters};
-use crate::plan::{RowGroup, ScanPlan, ScanSpec};
-use crate::source::{BlockSource, FetchStats};
+use crate::driver::prepare;
+use crate::executor::{Executor, Scan, ScanJob};
+use crate::pipeline::{AggSourceCounts, BlockPipeline, PipelineCounters};
+use crate::plan::{ScanPlan, ScanSpec};
+use crate::source::BlockSource;
 use crate::{Result, ScanError};
 use btr_expr::{AggState, AggValue};
-use btr_sync::{CachePadded, OrderedCondvar, OrderedMutex, Rank};
 use btrblocks::{BlockZone, Config, DecodeScratch, Sidecar};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Tuning knobs for [`ScanEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
-    /// Decode worker threads per scan.
+    /// Worker threads of the engine's pool, shared by its scans.
     pub workers: usize,
     /// Bounded look-ahead: how many row groups may be in flight past the
     /// consumer's position.
@@ -74,169 +63,29 @@ impl Default for EngineOptions {
     }
 }
 
-/// What a scan did, quantifying the paper's fetch-vs-decode trade-off.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ScanReport {
-    /// Row groups in the relation.
-    pub blocks_total: u64,
-    /// Row groups the zone maps eliminated before any fetch.
-    pub blocks_pruned: u64,
-    /// Predicate blocks evaluated in the compressed domain (no decode).
-    pub blocks_pushdown_fast_path: u64,
-    /// Blocks decompressed.
-    pub blocks_decoded: u64,
-    /// Blocks fetched from the source (cache hits fetch nothing).
-    pub blocks_fetched: u64,
-    /// Decoded-block cache hits.
-    pub cache_hits: u64,
-    /// Decoded-block cache misses.
-    pub cache_misses: u64,
-    /// Blocks received from another scan's in-flight decode through a shared
-    /// [`crate::pipeline::DecodeGate`] (always 0 for engine-driven scans,
-    /// which run gateless; the scan service wires the gate in).
-    pub dedup_hits: u64,
-    /// Compressed bytes pulled from the source.
-    pub bytes_fetched: u64,
-    /// Fetch requests issued (every retry attempt counts).
-    pub fetch_requests: u64,
-    /// Fetch retries after transient faults or checksum mismatches.
-    pub fetch_retries: u64,
-    /// Rows in the relation.
-    pub rows_total: u64,
-    /// Rows that matched the predicate (all rows when there is none).
-    pub rows_matched: u64,
-    /// Record batches emitted.
-    pub batches: u64,
-    /// CPU time spent in `decompress_block`, summed across workers.
-    pub decode_seconds: f64,
-    /// Wall-clock time from scan start to exhaustion (or to now, if the scan
-    /// is still running).
-    pub wall_seconds: f64,
-    /// Simulated backoff charged to this scan's fetches, in seconds.
-    pub fetch_backoff_seconds: f64,
-    /// Hedged GETs issued during this scan.
-    pub hedges_issued: u64,
-    /// Hedged GETs whose response won the race during this scan.
-    pub hedges_won: u64,
-    /// Circuit-breaker state transitions observed during this scan.
-    pub breaker_transitions: u64,
-    /// Blocks quarantined as permanently corrupt during this scan.
-    pub blocks_quarantined: u64,
-    /// Upward degradation-ladder moves (cache bypass, shrunk prefetch)
-    /// taken while this scan ran.
-    pub degradation_steps: u64,
-    /// Claim batches workers took from the shared dispenser state — the
-    /// per-scan lock-acquisition count of the morsel claim path.
-    pub morsels_claimed: u64,
-}
-
-/// Claim/backpressure state of one scan's worker pool.
-struct PipeState {
-    /// Next row-group index a worker may claim.
-    next_task: usize,
-    /// Finished groups waiting for the consumer, in block order.
-    reorder: Reorder,
-    /// Set when the consumer goes away or errors out.
-    cancelled: bool,
-}
-
-/// Engine ranks (DESIGN.md §15): the pipe state is acquired with no other
-/// lock held and released before `pipeline.process` runs, so it sits below
-/// the pipeline/cache/source ranks a worker acquires afterwards.
-const ENGINE_STATE_RANK: Rank = Rank::new(50, "scan.engine.state");
-const ENGINE_TASK_FREE_RANK: Rank = Rank::new(51, "scan.engine.task_free");
-const ENGINE_OUT_READY_RANK: Rank = Rank::new(52, "scan.engine.out_ready");
-
-/// How many row groups one claim may take at most once the per-worker ramp
-/// is fully open (see [`worker_loop`]).
-const MAX_CLAIM_BATCH: usize = 8;
-
-struct Shared {
-    state: OrderedMutex<PipeState>,
-    /// Signals workers that the window moved (or the scan was cancelled).
-    task_free: OrderedCondvar,
-    /// Signals the consumer that a result landed.
-    out_ready: OrderedCondvar,
-    /// Live prefetch window size; the degradation ladder shrinks it while
-    /// the source's breaker is not closed. Padded: workers re-read it every
-    /// claim while one worker stores the refreshed window, and it must not
-    /// share a line with the morsel counter next to it.
-    capacity: CachePadded<AtomicUsize>,
-    /// Claim batches ("morsels") workers took from the dispenser state.
-    morsels_claimed: CachePadded<AtomicU64>,
-}
-
-fn worker_loop(shared: &Shared, pipeline: &BlockPipeline, groups: &[RowGroup]) {
-    // One decode arena per worker, living for the whole scan: buffers leased
-    // while decoding block i are pooled and reused for block i + workers,
-    // so a steady-state scan decodes without heap allocation.
-    let mut scratch = DecodeScratch::new();
-    // Morsel ramp: each claim doubles this worker's batch (1, 2, 4, 8) so
-    // tiny scans still spread across workers while long scans amortize the
-    // state lock over MAX_CLAIM_BATCH groups per acquisition.
-    let mut claims = 0u32;
-    loop {
-        shared
-            .capacity
-            // ordering: advisory prefetch window; workers re-read it every
-            // iteration and a stale value only delays the resize one step
-            .store(pipeline.refresh_window(), Ordering::Relaxed);
-        let (start, take) = {
-            // Park while the scan is live and the prefetch window is full;
-            // spurious wakeups re-test the window like the old manual loop.
-            let mut st = shared.task_free.wait_while(shared.state.lock(), |st| {
-                // ordering: advisory window; see the store above
-                let window_end = st.reorder.next_emit() + shared.capacity.load(Ordering::Relaxed);
-                !st.cancelled && st.next_task < groups.len() && st.next_task >= window_end
-            });
-            if st.cancelled || st.next_task >= groups.len() {
-                return;
-            }
-            // One lock acquisition claims a contiguous run of groups, capped
-            // by the ramp target, the prefetch window space, and what's left.
-            // ordering: advisory window; see the store above
-            let cap = shared.capacity.load(Ordering::Relaxed).max(1);
-            let space = (st.reorder.next_emit() + cap).saturating_sub(st.next_task).max(1);
-            let ramp = (1usize << claims.min(3)).min(MAX_CLAIM_BATCH);
-            let take = ramp.min(space).min(groups.len() - st.next_task);
-            let start = st.next_task;
-            st.next_task += take;
-            (start, take)
-        };
-        claims += 1;
-        // ordering: statistics counter, no synchronization implied
-        shared.morsels_claimed.fetch_add(1, Ordering::Relaxed);
-        for (i, &group) in groups.iter().enumerate().skip(start).take(take) {
-            let result = process_contained(pipeline, i, group, &mut scratch);
-            let mut st = shared.state.lock();
-            let stop = st.cancelled;
-            st.reorder.insert(i, result);
-            drop(st);
-            shared.out_ready.notify_all();
-            if stop {
-                return;
-            }
-        }
-    }
-}
-
-/// Executes scans; owns (or shares) the decoded-block cache so repeated
-/// scans benefit from each other.
+/// Executes scans on its own worker pool; owns (or shares) the decoded-block
+/// cache so repeated scans benefit from each other. Dropping the engine ends
+/// scans still running on it with [`ScanError::Shutdown`].
 pub struct ScanEngine {
     options: EngineOptions,
     cache: Arc<BlockCache>,
+    executor: Executor,
+    /// The one tenant every scan of this engine runs as.
+    tenant: Arc<str>,
 }
 
 impl ScanEngine {
     /// An engine with its own cache of `options.cache_bytes` bytes.
     pub fn new(options: EngineOptions) -> ScanEngine {
         let cache = Arc::new(BlockCache::new(options.cache_bytes));
-        ScanEngine { options, cache }
+        ScanEngine::with_cache(options, cache)
     }
 
     /// An engine sharing an existing cache (e.g. across engines or tests).
     pub fn with_cache(options: EngineOptions, cache: Arc<BlockCache>) -> ScanEngine {
-        ScanEngine { options, cache }
+        // One tenant: the quantum only has to cover any single task.
+        let executor = Executor::new(options.workers, u64::MAX);
+        ScanEngine { options, cache, executor, tenant: Arc::from("") }
     }
 
     /// The engine's decoded-block cache.
@@ -252,60 +101,15 @@ impl ScanEngine {
         sidecar: &Sidecar,
         spec: &ScanSpec,
     ) -> Result<Scan> {
-        let capacity = self.options.prefetch.max(1);
-        // A single scan never races itself past its own cache lookups, so
-        // the engine runs gateless; the scan service installs a shared
-        // DecodeGate when many scans share one cache.
-        let (plan, pipeline) = self.prepare(&source, sidecar, spec, capacity)?;
-        let pipeline = Arc::new(pipeline);
-        let groups: Arc<[RowGroup]> = plan.row_groups.into();
-        let shared = Arc::new(Shared {
-            state: OrderedMutex::new(ENGINE_STATE_RANK, PipeState {
-                next_task: 0,
-                reorder: Reorder::default(),
-                cancelled: false,
-            }),
-            task_free: OrderedCondvar::new(ENGINE_TASK_FREE_RANK),
-            out_ready: OrderedCondvar::new(ENGINE_OUT_READY_RANK),
-            capacity: CachePadded::new(AtomicUsize::new(capacity)),
-            morsels_claimed: CachePadded::new(AtomicU64::new(0)),
-        });
-        let n_workers = self.options.workers.max(1).min(groups.len().max(1));
-        // Snapshot before spawning: workers may finish fetching before this
-        // function returns, and the report must see those bytes as deltas.
-        let fetch_base = source.stats();
-        let handles = (0..n_workers)
-            .map(|_| {
-                let shared = shared.clone();
-                let pipeline = pipeline.clone();
-                let groups = groups.clone();
-                std::thread::spawn(move || worker_loop(&shared, &pipeline, &groups))
-            })
-            .collect();
-        let buffers = pipeline.empty_columns();
-        let feed = EngineFeed {
-            shared,
-            handles,
-            pipeline,
-            total: groups.len(),
-            blocks_total: plan.blocks_total as u64,
-            blocks_pruned: plan.blocks_pruned as u64,
-            rows_total: plan.rows_total,
-            source,
-            fetch_base,
-            started: Instant::now(),
-            wall_seconds: None,
-        };
-        Ok(ScanStream::new(
-            feed,
-            spec.projection.clone(),
-            buffers,
-            self.options.batch_rows,
-        ))
+        let (plan, pipeline) = self.prepare(&source, sidecar, spec, self.options.prefetch)?;
+        let job = ScanJob::new(self.tenant.clone(), plan, pipeline);
+        self.executor.handle().start(job, spec.projection.clone(), self.options.batch_rows)
     }
 
     /// The shared driver's plan + pipeline over this engine's cache and
-    /// codec configuration (gateless, no tenant).
+    /// codec configuration. Gateless: one engine's scans do share its cache,
+    /// but a duplicate decode only costs time, and the source's in-flight
+    /// table already dedups the GET.
     fn prepare(
         &self,
         source: &Arc<dyn BlockSource>,
@@ -403,97 +207,6 @@ pub struct AggReport {
     pub counters: PipelineCounters,
 }
 
-/// A running engine scan: an iterator of [`crate::RecordBatch`]es plus a
-/// [`ScanReport`]. Dropping it early cancels the pipeline and joins the
-/// workers.
-pub type Scan = ScanStream<EngineFeed>;
-
-/// The engine's side of a [`Scan`]: its worker pool and what the report
-/// reads.
-pub struct EngineFeed {
-    shared: Arc<Shared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    pipeline: Arc<BlockPipeline>,
-    total: usize,
-    blocks_total: u64,
-    blocks_pruned: u64,
-    rows_total: u64,
-    source: Arc<dyn BlockSource>,
-    fetch_base: FetchStats,
-    started: Instant,
-    wall_seconds: Option<f64>,
-}
-
-impl GroupFeed for EngineFeed {
-    fn next_block(&mut self) -> Option<Result<BlockResult>> {
-        let total = self.total;
-        // Park until the next in-order result lands (or the scan ends).
-        let mut st = self
-            .shared
-            .out_ready
-            .wait_while(self.shared.state.lock(), |st| {
-                !st.cancelled && st.reorder.awaiting(total)
-            });
-        if st.cancelled {
-            return None;
-        }
-        let result = st.reorder.pop()?;
-        drop(st);
-        // The window moved: a parked worker may claim again.
-        self.shared.task_free.notify_all();
-        Some(result)
-    }
-
-    /// Freezes wall time, cancels the pipeline and joins the worker pool.
-    fn finish(&mut self, _end: ScanEnd, _rows_matched: u64) {
-        self.wall_seconds = Some(self.started.elapsed().as_secs_f64());
-        self.shared.state.lock().cancelled = true;
-        self.shared.task_free.notify_all();
-        self.shared.out_ready.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl ScanStream<EngineFeed> {
-    /// Execution statistics so far; final once the iterator is exhausted.
-    pub fn report(&self) -> ScanReport {
-        let feed = self.feed();
-        let fetch = feed.source.stats();
-        let base = &feed.fetch_base;
-        let c = feed.pipeline.counters();
-        ScanReport {
-            blocks_total: feed.blocks_total,
-            blocks_pruned: feed.blocks_pruned,
-            blocks_pushdown_fast_path: c.blocks_pushdown_fast_path,
-            blocks_decoded: c.blocks_decoded,
-            blocks_fetched: c.blocks_fetched,
-            cache_hits: c.cache_hits,
-            cache_misses: c.cache_misses,
-            dedup_hits: c.dedup_hits,
-            bytes_fetched: fetch.bytes_fetched - base.bytes_fetched,
-            fetch_requests: fetch.requests - base.requests,
-            fetch_retries: fetch.retries - base.retries,
-            rows_total: feed.rows_total,
-            rows_matched: self.rows_matched(),
-            batches: self.batches(),
-            decode_seconds: c.decode_seconds,
-            wall_seconds: feed
-                .wall_seconds
-                .unwrap_or_else(|| feed.started.elapsed().as_secs_f64()),
-            fetch_backoff_seconds: fetch.backoff_seconds - base.backoff_seconds,
-            hedges_issued: fetch.hedges_issued - base.hedges_issued,
-            hedges_won: fetch.hedges_won - base.hedges_won,
-            breaker_transitions: fetch.breaker_transitions - base.breaker_transitions,
-            blocks_quarantined: fetch.blocks_quarantined - base.blocks_quarantined,
-            degradation_steps: c.degradation_steps,
-            // ordering: statistics read, no synchronization implied
-            morsels_claimed: feed.shared.morsels_claimed.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,28 +247,6 @@ mod tests {
             _ => unreachable!("projected an int column"),
         };
         scan.flat_map(column).collect()
-    }
-
-    #[test]
-    fn full_scan_rechunks_into_fixed_batches() {
-        let engine = ScanEngine::new(options(1_000, 700));
-        let (source, sidecar) = open(&engine, &ids(4_500), "full");
-        let scan = engine
-            .scan(source, &sidecar, &ScanSpec::project(["id"]))
-            .unwrap();
-        let batches: Vec<_> = scan.map(|b| b.unwrap()).collect();
-        // 4500 rows in 700-row batches: 6 full + one 300-row remainder.
-        assert_eq!(batches.len(), 7);
-        assert!(batches[..6].iter().all(|b| b.rows() == 700));
-        assert_eq!(batches[6].rows(), 300);
-        let all: Vec<i32> = batches
-            .iter()
-            .flat_map(|b| match b.column("id").unwrap() {
-                ColumnData::Int(v) => v.clone(),
-                _ => unreachable!("projected an int column"),
-            })
-            .collect();
-        assert_eq!(all, (0..4_500).collect::<Vec<_>>());
     }
 
     #[test]
@@ -747,9 +438,9 @@ mod tests {
 
     #[test]
     fn morsel_claims_batch_up_without_changing_output() {
-        // 100 row groups through 2 workers: the ramp must coalesce claims
-        // (fewer lock acquisitions than groups) and the ordered output must
-        // be unaffected.
+        // 100 row groups through 2 workers: claims must batch (fewer
+        // scheduler-lock acquisitions than groups) and the ordered output
+        // must be unaffected.
         let engine = ScanEngine::new(EngineOptions {
             workers: 2,
             prefetch: 32,
@@ -765,7 +456,7 @@ mod tests {
         assert!(report.morsels_claimed > 0);
         assert!(
             report.morsels_claimed < 100,
-            "ramped claims must batch groups: {} claims for 100 groups",
+            "claims must batch groups: {} claims for 100 groups",
             report.morsels_claimed
         );
     }

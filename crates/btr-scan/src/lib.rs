@@ -23,12 +23,14 @@
 //! * **Planner** ([`plan`]): resolves the projection and predicate against
 //!   the source schema and consults the zone-map sidecar; blocks whose zones
 //!   cannot match are pruned before any byte is fetched.
-//! * **Prefetch + decode** ([`engine`], one executor of the shared scan
-//!   [`driver`]): a worker pool claims surviving row groups with a
-//!   bounded look-ahead window, fetches block payloads
-//!   (ranged GETs with retry/backoff against an object store, or slices of
-//!   an in-memory relation), evaluates the predicate in the compressed
-//!   domain when the scheme has a fast path, and decodes only what survives.
+//! * **Prefetch + decode** ([`executor`], around the shared scan
+//!   [`driver`]): one worker pool dispatches surviving row groups within a
+//!   bounded look-ahead window past each scan's consumer, fetches block
+//!   payloads (ranged GETs with retry/backoff against an object store, or
+//!   slices of an in-memory relation), evaluates the predicate in the
+//!   compressed domain when the scheme has a fast path, and decodes only
+//!   what survives. [`ScanEngine`] is that executor with one tenant; the
+//!   scan service (btr-server) runs many tenants on the same loop.
 //! * **Cache** ([`cache`]): a sharded LRU of *decoded* blocks keyed by
 //!   `(relation, column, block)` under a byte budget — repeated scans of hot
 //!   columns skip decompression entirely.
@@ -67,23 +69,27 @@ pub mod cache;
 pub mod chaos;
 pub mod driver;
 pub mod engine;
+pub mod executor;
 pub mod layout;
 pub mod pipeline;
 pub mod plan;
 pub mod retry;
+mod sched;
 pub mod source;
 
 pub use batch::RecordBatch;
 pub use cache::{BlockCache, BlockKey, CacheStats};
 pub use chaos::{ChaosConfig, ChaosReport};
 pub use driver::{GroupFeed, Reorder, ScanEnd, ScanStream};
-pub use engine::{AggReport, EngineOptions, Scan, ScanEngine, ScanReport};
+pub use engine::{AggReport, EngineOptions, ScanEngine};
+pub use executor::{Executor, ExecutorHandle, ExecutorStats, Scan, ScanJob, ScanReport};
 pub use layout::{ColumnLayout, RelationLayout};
 pub use pipeline::{
     AggSourceCounts, BlockPipeline, BlockResult, DecodeGate, GroupCtx, PipelineCounters,
     PipelineFilter, PipelineParams,
 };
 pub use plan::{plan_scan, Predicate, RowGroup, ScanPlan, ScanSpec};
+pub use sched::TenantStats;
 pub use retry::{
     BreakerConfig, BreakerState, CircuitBreaker, FetchCtl, HedgeConfig, RetryBudgetConfig,
     SourceHealth, Tolerance,
@@ -193,6 +199,10 @@ pub enum ScanError {
         /// The configured limit for that resource.
         limit: u64,
     },
+    /// The executor running the scan (its [`ScanEngine`], or the scan
+    /// service) was dropped before the scan was drained. Rows handed out so
+    /// far are a prefix, not the answer.
+    Shutdown,
 }
 
 impl std::fmt::Display for ScanError {
@@ -256,6 +266,7 @@ impl std::fmt::Display for ScanError {
                 f,
                 "scan admission rejected: {resource} full ({queued} outstanding of {limit})"
             ),
+            ScanError::Shutdown => write!(f, "scan executor shut down before the scan was drained"),
         }
     }
 }

@@ -1,12 +1,10 @@
-//! The shareable per-scan block pipeline: resolve → filter → decode → gather.
+//! The per-scan block pipeline: resolve → filter → decode → gather.
 //!
 //! [`BlockPipeline`] is the piece of a scan that processes one row group —
 //! cache lookup, fetch, compressed-domain predicate evaluation, decode, and
-//! row gathering — factored out of the engine so it can be driven by more
-//! than one executor. [`crate::ScanEngine`] wraps it in a per-scan worker
-//! pool; a scan *service* (btr-server) builds one pipeline per admitted scan
-//! over a **shared** cache and a **shared** source, and drives many of them
-//! from one service-wide pool.
+//! row gathering. The [`crate::executor`]'s workers call
+//! [`BlockPipeline::process`]; [`crate::ScanEngine::aggregate`] calls
+//! [`BlockPipeline::aggregate_group`] on the caller's thread.
 //!
 //! Everything a pipeline borrows is behind `Arc`, so N pipelines over the
 //! same relation share:
@@ -22,8 +20,7 @@
 //!   are counted as `dedup_hits` in [`PipelineCounters`]. A failed owner
 //!   publishes nothing; waiters retry under their own deadline/budget, never
 //!   inheriting the owner's error (same contract as the source's in-flight
-//!   table). The engine leaves the gate off: a single scan cannot race
-//!   itself past the cache.
+//!   table). The scan service installs one; the engine runs gateless.
 
 use crate::batch::{empty_like, gather};
 use crate::cache::{BlockCache, BlockKey};
@@ -167,6 +164,20 @@ pub struct PipelineCounters {
     pub degradation_steps: u64,
 }
 
+impl PipelineCounters {
+    /// Accumulates another pipeline's counters.
+    pub fn add(&mut self, other: &PipelineCounters) {
+        self.blocks_pushdown_fast_path += other.blocks_pushdown_fast_path;
+        self.blocks_decoded += other.blocks_decoded;
+        self.blocks_fetched += other.blocks_fetched;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.dedup_hits += other.dedup_hits;
+        self.decode_seconds += other.decode_seconds;
+        self.degradation_steps += other.degradation_steps;
+    }
+}
+
 /// One processed row group: selected rows of every projected column.
 pub struct BlockResult {
     /// Rows that survived the predicate (all rows when there is none).
@@ -228,6 +239,11 @@ impl BlockPipeline {
             .collect()
     }
 
+    /// Where this pipeline's block bytes come from.
+    pub fn source(&self) -> &Arc<dyn BlockSource> {
+        &self.source
+    }
+
     /// Activity snapshot.
     pub fn counters(&self) -> PipelineCounters {
         let c = &self.counters;
@@ -275,7 +291,7 @@ impl BlockPipeline {
         Ok(())
     }
 
-    /// Current degradation-ladder rung; see the engine's module docs.
+    /// Current degradation-ladder rung (DESIGN.md §13.4).
     fn degradation_level(&self) -> u64 {
         match self
             .source
@@ -295,8 +311,8 @@ impl BlockPipeline {
     }
 
     /// Re-evaluates the degradation ladder: records upward moves and returns
-    /// the prefetch window the executor should run with right now. Callers
-    /// re-check once per claimed row group, so a scan reacts to a breaker
+    /// the look-ahead window the scan should run with right now. The executor
+    /// re-checks once per emitted row group, so a scan reacts to a breaker
     /// opening mid-flight.
     pub fn refresh_window(&self) -> usize {
         let level = self.degradation_level();
@@ -705,7 +721,7 @@ impl AggSourceCounts {
     }
 }
 
-/// Gate ranks (DESIGN.md §15): above the engine/service dispatch locks a
+/// Gate ranks (DESIGN.md §15): above the executor's dispatch locks a
 /// worker has already released, below the cache shards and source locks the
 /// owner of a slot goes on to take.
 const GATE_SLOTS_RANK: Rank = Rank::new(60, "scan.gate.slots");

@@ -75,7 +75,7 @@ pub struct FetchStats {
 
 /// A supplier of compressed block payloads.
 ///
-/// Implementations must be thread-safe: the engine's workers fetch
+/// Implementations must be thread-safe: the executor's workers fetch
 /// concurrently.
 pub trait BlockSource: Send + Sync {
     /// Stable identity of the relation (cache key component).
@@ -121,6 +121,21 @@ pub trait BlockSource: Send + Sync {
         (0..count)
             .map(|i| self.fetch_ctl(column, block.saturating_add(i), ctl))
             .collect()
+    }
+
+    /// Declares that a queued row-group task will read `(column, block)`.
+    /// The executor calls this before the task can run and pairs it with one
+    /// [`BlockSource::release_interest`]; a source that fuses adjacent
+    /// fetches into ranged GETs uses it to see what is about to be asked
+    /// for. The default ignores it.
+    fn register_interest(&self, column: u32, block: u32) {
+        let _ = (column, block);
+    }
+
+    /// Withdraws one [`BlockSource::register_interest`]: the task ran, or
+    /// its scan ended first.
+    fn release_interest(&self, column: u32, block: u32) {
+        let _ = (column, block);
     }
 
     /// The source's fault-tolerance state (clock, breaker, quarantine), if

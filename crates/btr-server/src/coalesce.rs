@@ -2,8 +2,9 @@
 //!
 //! Object stores price per request (§6.7), so two adjacent blocks fetched
 //! as one ranged GET cost half the requests of two — and the service knows
-//! *ahead of time* which blocks are about to be read, because every queued
-//! task registered interest in its blocks at enqueue time.
+//! *ahead of time* which blocks are about to be read, because the executor
+//! registers every task's interest in its blocks before the task can run
+//! ([`BlockSource::register_interest`]).
 //!
 //! [`CoalescingSource`] wraps the relation's real [`BlockSource`]. When a
 //! worker fetches block `i` of a column, the wrapper extends the request
@@ -106,30 +107,6 @@ impl CoalescingSource {
     /// The wrapped source.
     pub fn inner(&self) -> &Arc<dyn BlockSource> {
         &self.inner
-    }
-
-    /// Declares that a queued task will read `(column, block)`; fetches of
-    /// a preceding block may now extend their GET to carry this one.
-    pub fn register_interest(&self, column: u32, block: u32) {
-        let mut st = self.state.lock();
-        *st.interest.entry((column, block)).or_insert(0) += 1;
-    }
-
-    /// Releases one registration; at zero, any staged body for the block is
-    /// dropped (nobody is coming for it).
-    pub fn release_interest(&self, column: u32, block: u32) {
-        let mut st = self.state.lock();
-        let gone = match st.interest.get_mut(&(column, block)) {
-            Some(n) => {
-                *n = n.saturating_sub(1);
-                *n == 0
-            }
-            None => false,
-        };
-        if gone {
-            st.interest.remove(&(column, block));
-            st.staged.remove(&(column, block));
-        }
     }
 
     /// Activity snapshot.
@@ -258,6 +235,30 @@ impl BlockSource for CoalescingSource {
         ctl: &FetchCtl,
     ) -> Result<Vec<Vec<u8>>> {
         self.inner.fetch_span_ctl(column, block, count, ctl)
+    }
+
+    /// Declares that a queued task will read `(column, block)`; fetches of
+    /// a preceding block may now extend their GET to carry this one.
+    fn register_interest(&self, column: u32, block: u32) {
+        let mut st = self.state.lock();
+        *st.interest.entry((column, block)).or_insert(0) += 1;
+    }
+
+    /// Releases one registration; at zero, any staged body for the block is
+    /// dropped (nobody is coming for it).
+    fn release_interest(&self, column: u32, block: u32) {
+        let mut st = self.state.lock();
+        let gone = match st.interest.get_mut(&(column, block)) {
+            Some(n) => {
+                *n = n.saturating_sub(1);
+                *n == 0
+            }
+            None => false,
+        };
+        if gone {
+            st.interest.remove(&(column, block));
+            st.staged.remove(&(column, block));
+        }
     }
 
     fn health(&self) -> Option<&SourceHealth> {

@@ -1,20 +1,20 @@
 //! btr-server: an in-process, multi-tenant scan service over BtrBlocks
 //! relations.
 //!
-//! [`btr_scan::ScanEngine`] executes one scan well: it owns a worker pool
-//! and a decoded-block cache per engine, and each scan runs to completion
-//! as if it were alone. A data-lake serving tier is not like that — many
-//! tenants scan overlapping relations at once, and the paper's economics
-//! (§6.7: scans should stay network-bound, every GET is billed) reward
-//! *sharing* aggressively across them. This crate is that serving tier,
-//! built from the shareable pieces btr-scan exposes:
+//! [`btr_scan::ScanEngine`] runs scans as if each were alone. A data-lake
+//! serving tier is not like that — many tenants scan overlapping relations
+//! at once, and the paper's economics (§6.7: scans should stay
+//! network-bound, every GET is billed) reward *sharing* aggressively across
+//! them. This crate is that serving tier: the same executor the engine runs
+//! on ([`btr_scan::Executor`]: worker pool, per-tenant deficit round-robin,
+//! look-ahead window), plus what only a shared tier needs.
 //!
 //! ```text
 //!  ScanClient(tenant A) ─┐ submit(ScanSpec)
 //!  ScanClient(tenant B) ─┼──> admission control (task + byte budgets)
-//!  ScanClient(tenant C) ─┘        │ per-tenant deficit round-robin
+//!  ScanClient(tenant C) ─┘        │
 //!                                 ▼
-//!                        fixed worker pool ──> BlockPipeline::process
+//!             btr_scan::Executor (DRR, one pool) ──> BlockPipeline::process
 //!                          │        │                 │
 //!                          ▼        ▼                 ▼
 //!                   DecodeGate   CoalescingSource   shared BlockCache
@@ -26,8 +26,7 @@
 //! * **One cache, one source, one pool.** The service owns a single
 //!   sharded [`btr_scan::BlockCache`] and one registered
 //!   [`btr_scan::BlockSource`] per backing file; every admitted scan gets
-//!   a [`btr_scan::BlockPipeline`] over those shared structures and is
-//!   driven by the service-wide worker pool — never by per-scan threads.
+//!   a [`btr_scan::BlockPipeline`] over those shared structures.
 //! * **Cross-scan single-flight** ([`btr_scan::DecodeGate`]): two scans
 //!   missing the same block at the same moment issue one GET and one
 //!   decode; the waiter receives the owner's decoded `Arc` directly and
@@ -73,12 +72,11 @@
 
 pub mod coalesce;
 pub mod metrics;
-mod sched;
 mod service;
 
 pub use coalesce::{CoalesceStats, CoalescingSource};
 pub use metrics::{ServiceReport, TenantReport};
-pub use service::{ScanClient, ScanHandle, ScanService, ServiceFeed};
+pub use service::{ScanClient, ScanHandle, ScanService};
 
 // The service speaks btr-scan's vocabulary; re-export the types client code
 // needs so most users depend on this crate alone.

@@ -456,3 +456,59 @@ fn dropping_a_handle_cancels_and_returns_its_budget() {
     assert_eq!(report.outstanding_bytes, 0);
     assert_eq!(report.tenants[0].scans_cancelled, 1);
 }
+
+#[test]
+fn an_open_breaker_shrinks_a_service_scans_window() {
+    use btr_scan::BreakerConfig;
+
+    let fx = fixture(8_000, 500); // 16 row groups
+    let store = Arc::new(ObjectStore::new());
+    store.put("rel.btr", fx.bytes.clone());
+    let source = Arc::new(
+        ObjectStoreSource::new(store, "rel.btr", fx.layout.clone(), RetryPolicy::default())
+            .with_breaker(BreakerConfig {
+                failure_threshold: 1,
+                open_seconds: 1e9,
+            }),
+    );
+    let service = ScanService::new(ServiceOptions {
+        workers: 1,
+        window: 4,
+        batch_rows: 500, // one batch per row group
+        config: fx.codec.clone(),
+        ..ServiceOptions::default()
+    });
+    service.register("rel", source.clone(), fx.sidecar.clone());
+    let client = service.client("t");
+    let spec = ScanSpec::project(["id"]);
+
+    // A first scan fills the shared cache, so the second keeps going when
+    // the breaker refuses every fetch.
+    let want = drain(client.submit("rel", &spec).expect("warm-up submit")).expect("warm-up");
+    let mut handle = client.submit("rel", &spec).expect("submit");
+    let mut batches = vec![handle.next().expect("first batch")];
+    assert_eq!(service.report().outstanding_tasks, 4, "the healthy window");
+
+    let health = source.health().expect("object-store sources carry health");
+    health.breaker().expect("configured above").record(health.clock(), false);
+
+    // Rung 3: the window is 1. Nothing is enqueued past it, so what the
+    // healthy window had put in flight only drains.
+    for k in 1.. {
+        let Some(batch) = handle.next() else { break };
+        batches.push(batch);
+        let outstanding = service.report().outstanding_tasks;
+        assert!(outstanding <= 4u64.saturating_sub(k).max(1), "batch {k}: {outstanding} outstanding");
+    }
+    assert_eq!(drain(batches.into_iter()).expect("served from the cache"), want);
+    let report = handle.report();
+    assert!(report.degradation_steps > 0, "{report:?}");
+    assert_eq!((report.rows_matched, report.blocks_fetched), (8_000, 0));
+}
+
+/// An engine scan and a service scan are one type: whatever one can do
+/// (`report`, `cancel`), the other can.
+#[test]
+fn scan_and_scan_handle_are_the_same_type() {
+    let _: fn(btr_scan::Scan) -> btr_server::ScanHandle = |s| s;
+}

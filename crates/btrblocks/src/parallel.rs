@@ -28,11 +28,13 @@
 
 use crate::block::{self, BlockRef};
 use crate::config::Config;
-use crate::relation::{Column, CompressedColumn, CompressedRelation, Relation};
+use crate::relation::{
+    append_block, column_with_capacity, Column, CompressedColumn, CompressedRelation, Relation,
+};
 use crate::scheme::SchemeCode;
 use crate::scratch::{DecodeScratch, EncodeScratch};
-use crate::types::{ColumnData, ColumnType, DecodedColumn, StringArena};
-use crate::{Error, Result};
+use crate::types::{ColumnData, DecodedColumn};
+use crate::Result;
 use btr_sync::morsel::{Granularity, MorselDispenser, WorkerStats};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -349,33 +351,26 @@ pub fn assemble_decompressed(
     items: &[DecodeItem],
     results: Vec<Result<DecodedColumn>>,
 ) -> Result<Relation> {
+    // Every block is decoded by now, so each column's row count is known.
+    let mut rows = vec![0usize; compressed.columns.len()];
+    for (item, result) in items.iter().zip(&results) {
+        if let (Some(n), Ok(decoded)) = (rows.get_mut(item.col), result) {
+            *n += decoded.len();
+        }
+    }
     let mut columns: Vec<Column> = Vec::with_capacity(compressed.columns.len());
-    for col in &compressed.columns {
-        let data = match col.column_type {
-            ColumnType::Integer => ColumnData::Int(Vec::new()),
-            ColumnType::Double => ColumnData::Double(Vec::new()),
-            ColumnType::String => ColumnData::Str(StringArena::new()),
-        };
+    for (col, &rows) in compressed.columns.iter().zip(&rows) {
         let nulls = if col.nulls.is_empty() {
             None
         } else {
             Some(btr_roaring::RoaringBitmap::deserialize(&col.nulls)?)
         };
+        let data = column_with_capacity(col.column_type, rows);
         columns.push(Column { name: col.name.clone(), data, nulls });
     }
     for (item, result) in items.iter().zip(results) {
-        let decoded = result?;
         let col = columns.get_mut(item.col).expect("items index existing columns");
-        match (&mut col.data, &decoded) {
-            (ColumnData::Int(acc), DecodedColumn::Int(v)) => acc.extend_from_slice(v),
-            (ColumnData::Double(acc), DecodedColumn::Double(v)) => acc.extend_from_slice(v),
-            (ColumnData::Str(acc), DecodedColumn::Str(v)) => {
-                for i in 0..v.len() {
-                    acc.push(v.get(i));
-                }
-            }
-            _ => return Err(Error::Corrupt("mixed block types in column")),
-        }
+        append_block(&mut col.data, &result?)?;
     }
     Ok(Relation { columns })
 }

@@ -654,6 +654,36 @@ pub fn decompress_relation(compressed: &CompressedRelation, cfg: &Config) -> Res
     Ok(Relation { columns })
 }
 
+/// An empty output column of type `ty` with room for `expected` rows (for
+/// strings: their offsets; the byte pool grows per block). `expected` comes
+/// from file fields or block headers, so an allocator refusal just falls
+/// back to growth.
+pub(crate) fn column_with_capacity(ty: ColumnType, expected: usize) -> ColumnData {
+    let mut data = match ty {
+        ColumnType::Integer => ColumnData::Int(Vec::new()),
+        ColumnType::Double => ColumnData::Double(Vec::new()),
+        ColumnType::String => ColumnData::Str(StringArena::new()),
+    };
+    let _ = match &mut data {
+        ColumnData::Int(acc) => acc.try_reserve_exact(expected),
+        ColumnData::Double(acc) => acc.try_reserve_exact(expected),
+        ColumnData::Str(acc) => acc.offsets.try_reserve_exact(expected),
+    };
+    data
+}
+
+/// Appends one decoded block to its column's output; a string block moves
+/// as runs of pool bytes, not string by string.
+pub(crate) fn append_block(data: &mut ColumnData, decoded: &DecodedColumn) -> Result<()> {
+    match (data, decoded) {
+        (ColumnData::Int(acc), DecodedColumn::Int(v)) => acc.extend_from_slice(v),
+        (ColumnData::Double(acc), DecodedColumn::Double(v)) => acc.extend_from_slice(v),
+        (ColumnData::Str(acc), DecodedColumn::Str(v)) => acc.extend_from_views(v),
+        _ => return Err(Error::Corrupt("mixed block types in column")),
+    }
+    Ok(())
+}
+
 /// Decompresses a single column (all blocks, concatenated): one leased block
 /// buffer is reused across all of the column's blocks and returned to the
 /// pool at the end, so a warm pool makes per-block decode allocation-free.
@@ -672,26 +702,12 @@ fn decompress_column(
         .map(|b| block::peek_count(b).map_or(0, |n| n.min(cfg.max_block_values)))
         .fold(0, usize::saturating_add);
     let expected = usize::try_from(rows).map_or(held, |rows| rows.min(held));
-    let mut data = match col.column_type {
-        ColumnType::Integer => ColumnData::Int(Vec::new()),
-        ColumnType::Double => ColumnData::Double(Vec::new()),
-        ColumnType::String => ColumnData::Str(StringArena::new()),
-    };
-    let _ = match &mut data {
-        ColumnData::Int(acc) => acc.try_reserve_exact(expected),
-        ColumnData::Double(acc) => acc.try_reserve_exact(expected),
-        ColumnData::Str(acc) => acc.offsets.try_reserve_exact(expected),
-    };
+    let mut data = column_with_capacity(col.column_type, expected);
     let mut decoded = scratch.lease_decoded(col.column_type);
     let result = (|| -> Result<()> {
         for b in &col.blocks {
             block::decompress_block_into(b, col.column_type, cfg, scratch, &mut decoded)?;
-            match (&mut data, &decoded) {
-                (ColumnData::Int(acc), DecodedColumn::Int(v)) => acc.extend_from_slice(v),
-                (ColumnData::Double(acc), DecodedColumn::Double(v)) => acc.extend_from_slice(v),
-                (ColumnData::Str(acc), DecodedColumn::Str(v)) => acc.extend_from_views(v),
-                _ => return Err(Error::Corrupt("mixed block types in column")),
-            }
+            append_block(&mut data, &decoded)?;
         }
         Ok(())
     })();

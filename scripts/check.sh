@@ -54,10 +54,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== chaos campaigns under the runtime lock-order checker"
 # The concurrency contract (DESIGN.md §15): with the btr-sync `lock-order`
 # feature on, every lock acquisition is checked against the declared
-# hierarchy, so the one campaign through both of its runners — the engine's
+# hierarchy. Both runners of the one campaign — the engine's
 # (btr-scan/tests/chaos.rs) and the service's plus the cross-path
-# differential (btr-server/tests/chaos.rs) — proves the real interleavings,
-# not just the lint's static view, respect the ranking.
+# differential (btr-server/tests/chaos.rs) — drive the same worker loop
+# (btr_scan::executor), so its real interleavings, not just the lint's
+# static view, are shown to respect the ranking under both front ends.
 cargo test --release --quiet -p btr-sync -p btr-scan -p btr-server --features lock-order
 
 echo "== DESIGN.md does not grow"
