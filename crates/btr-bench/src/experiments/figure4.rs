@@ -1,7 +1,7 @@
-//! Figure 4: compression ratio and single-thread decompression throughput as
-//! encoding techniques are successively added to the scheme pool, per type.
+//! Figure 4: compression ratio as encoding techniques are successively added
+//! to the scheme pool, per type.
 
-use crate::{gbps, time_avg, Table};
+use crate::Table;
 use btr_datagen::pbi;
 use btrblocks::{ColumnData, Config, Relation, SchemeCode};
 
@@ -13,31 +13,18 @@ fn columns_of_type(rows: usize, seed: u64, want: fn(&ColumnData) -> bool) -> Vec
         .collect()
 }
 
-fn measure(rels: &[Relation], pool: &[SchemeCode]) -> (f64, f64) {
+fn ratio(rels: &[Relation], pool: &[SchemeCode]) -> f64 {
     let cfg = Config::default().with_pool(pool);
     let mut unc = 0usize;
     let mut comp = 0usize;
-    let mut total_secs = 0.0;
     for rel in rels {
-        let compressed = btrblocks::compress(rel, &cfg).expect("compress").to_bytes();
         unc += rel.heap_size();
-        comp += compressed.len();
-        let (_, secs) = time_avg(3, || {
-            // Scan-style decode: strings stay as views (paper methodology).
-            let parsed = btrblocks::CompressedRelation::from_bytes(&compressed).expect("parse");
-            let mut touched = 0usize;
-            for col in &parsed.columns {
-                for block in &col.blocks {
-                    let d = btrblocks::block::decompress_block(block, col.column_type, &cfg)
-                        .expect("decompress");
-                    touched += d.len();
-                }
-            }
-            touched
-        });
-        total_secs += secs;
+        comp += btrblocks::compress(rel, &cfg)
+            .expect("compress")
+            .to_bytes()
+            .len();
     }
-    (unc as f64 / comp.max(1) as f64, gbps(unc, total_secs))
+    unc as f64 / comp.max(1) as f64
 }
 
 fn sequence(
@@ -46,23 +33,20 @@ fn sequence(
     rels: &[Relation],
     steps: &[(&str, &[SchemeCode])],
 ) {
-    let mut table = Table::new(&["pool", "compression-ratio", "decompression GB/s"]);
+    let mut table = Table::new(&["pool", "compression-ratio"]);
     for (name, pool) in steps {
-        let (ratio, speed) = measure(rels, pool);
-        table.row(vec![name.to_string(), format!("{ratio:.2}"), format!("{speed:.2}")]);
+        table.row(vec![name.to_string(), format!("{:.2}", ratio(rels, pool))]);
     }
     out.push_str(&format!("== {label} ==\n"));
     out.push_str(&table.render());
     out.push('\n');
 }
 
-/// Regenerates Figure 4 (both panels, all three types).
+/// Regenerates Figure 4's ratio panel for all three types.
 pub fn run(rows: usize, seed: u64) -> String {
     use SchemeCode::*;
-    let mut out = String::from(
-        "Figure 4: ratio and single-thread decompression speed while successively \
-         enabling techniques\n\n",
-    );
+    let mut out =
+        String::from("Figure 4: compression ratio while successively enabling techniques\n\n");
 
     let doubles = columns_of_type(rows, seed, |d| matches!(d, ColumnData::Double(_)));
     sequence(

@@ -8,7 +8,7 @@ use crate::Table;
 use btr_datagen::pbi;
 use btrblocks::block::{compress_block_with, BlockRef};
 use btrblocks::scheme::{pick, pick_str};
-use btrblocks::{ColumnData, Config, SchemeCode, ColumnType};
+use btrblocks::{ColumnData, Config, SchemeCode};
 
 /// The sampling strategies of Figure 5 as `(runs, run_len)`.
 pub const STRATEGIES: [(&str, usize, usize); 7] = [
@@ -22,8 +22,8 @@ pub const STRATEGIES: [(&str, usize, usize); 7] = [
 ];
 
 /// Exhaustive best: compress with every applicable root scheme, take the min.
-fn optimal_size(data: &ColumnData, cfg: &Config) -> (usize, SchemeCode) {
-    let mut best = (usize::MAX, SchemeCode::Uncompressed);
+fn optimal_size(data: &ColumnData, cfg: &Config) -> usize {
+    let mut best = usize::MAX;
     for &code in SchemeCode::applicable(data.column_type()) {
         // OneValue only applies to constant blocks.
         if code == SchemeCode::OneValue {
@@ -41,9 +41,7 @@ fn optimal_size(data: &ColumnData, cfg: &Config) -> (usize, SchemeCode) {
             ColumnData::Double(v) => compress_block_with(code, BlockRef::Double(v), cfg),
             ColumnData::Str(a) => compress_block_with(code, BlockRef::Str(a), cfg),
         };
-        if bytes.len() < best.0 {
-            best = (bytes.len(), code);
-        }
+        best = best.min(bytes.len());
     }
     best
 }
@@ -61,39 +59,35 @@ fn chosen_size(data: &ColumnData, cfg: &Config) -> usize {
     }
 }
 
-/// Evaluates one strategy, returning the fraction of correct choices.
-pub fn strategy_accuracy(rows: usize, seed: u64, runs: usize, run_len: usize) -> f64 {
-    let cols = pbi::registry(rows, seed);
-    let base_cfg = Config::default();
-    // Pure sampling, as in the paper's experiment: analytic estimates would
-    // make every strategy look identical because they ignore the sample.
-    let cfg = Config {
-        sample_runs: runs,
-        sample_run_len: run_len,
-        analytic_estimates: false,
-        ..Config::default()
-    };
-    let mut correct = 0usize;
-    for col in &cols {
-        let (opt, _) = optimal_size(&col.data, &base_cfg);
-        let got = chosen_size(&col.data, &cfg);
-        if got as f64 <= opt as f64 * 1.02 {
-            correct += 1;
-        }
-    }
-    correct as f64 / cols.len() as f64
-}
-
 /// Regenerates Figure 5. `rows` should be one block (the paper uses the
 /// first 64 000-tuple block of every column).
 pub fn run(rows: usize, seed: u64) -> String {
     let block = rows.min(64_000);
+    let cols = pbi::registry(block, seed);
+    let base_cfg = Config::default();
+    let optimal: Vec<usize> = cols
+        .iter()
+        .map(|c| optimal_size(&c.data, &base_cfg))
+        .collect();
     let mut table = Table::new(&["strategy", "correct choices %"]);
     for &(name, runs, run_len) in &STRATEGIES {
-        let acc = strategy_accuracy(block, seed, runs, run_len);
+        // Pure sampling, as in the paper's experiment: analytic estimates
+        // would make every strategy look identical because they ignore the
+        // sample.
+        let cfg = Config {
+            sample_runs: runs,
+            sample_run_len: run_len,
+            analytic_estimates: false,
+            ..Config::default()
+        };
+        let correct = cols
+            .iter()
+            .zip(&optimal)
+            .filter(|(col, &opt)| chosen_size(&col.data, &cfg) as f64 <= opt as f64 * 1.02)
+            .count();
+        let acc = correct as f64 / cols.len() as f64;
         table.row(vec![name.to_string(), format!("{:.1}", acc * 100.0)]);
     }
-    let _ = ColumnType::Integer;
     format!(
         "Figure 5: correct scheme choices per sampling strategy (N = 640, first {block}-tuple block)\n\n{}",
         table.render()

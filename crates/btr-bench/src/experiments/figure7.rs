@@ -6,7 +6,6 @@ use crate::formats::Format;
 use crate::proxies;
 use crate::Table;
 use btr_datagen::pbi;
-use btrblocks::Relation;
 
 /// Regenerates Figure 7.
 pub fn run(rows: usize, seed: u64) -> String {
@@ -23,7 +22,6 @@ pub fn run(rows: usize, seed: u64) -> String {
     for fmt in Format::table2_lineup() {
         entry(fmt.name(), fmt.compress(&rel).len());
     }
-    let _ = Relation::new(vec![]);
     format!(
         "Figure 7: Public-BI-like compression ratios; proprietary systems A-D are \
          replaced by open proxies of their published designs (see DESIGN.md)\n\n{}",

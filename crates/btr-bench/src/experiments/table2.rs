@@ -21,8 +21,6 @@ fn type_index(data: &ColumnData) -> usize {
     }
 }
 
-const TYPE_NAMES: [&str; 3] = ["String", "Double", "Integer"];
-
 fn aggregate(cols: &[GenColumn], fmt: Format) -> [TypeAgg; 3] {
     let mut agg = [TypeAgg::default(); 3];
     for col in cols {
@@ -73,7 +71,6 @@ pub fn run(rows: usize, seed: u64) -> String {
         out.push_str(&format!("== {bench} ({} columns, {} rows each) ==\n", cols.len(), rows));
         out.push_str(&table.render());
         out.push('\n');
-        let _ = TYPE_NAMES;
     }
     out
 }

@@ -1,8 +1,8 @@
-//! Table 4: per-column compression ratios and decompression throughput,
-//! BtrBlocks vs Parquet+Zstd, with the root scheme BtrBlocks chose.
+//! Table 4: per-column compression ratios, BtrBlocks vs Parquet+Zstd, with
+//! the root scheme BtrBlocks chose.
 
 use crate::formats::Format;
-use crate::{gbps, time_avg, Table};
+use crate::Table;
 use btr_datagen::pbi;
 use btr_lz::Codec;
 use btrblocks::{Config, Relation};
@@ -10,8 +10,7 @@ use btrblocks::{Config, Relation};
 /// Regenerates Table 4.
 pub fn run(rows: usize, seed: u64) -> String {
     let mut table = Table::new(&[
-        "column", "type", "size MB", "btr GB/s", "zstd GB/s", "btr ratio", "zstd ratio",
-        "scheme (root)",
+        "column", "type", "size MB", "btr ratio", "zstd ratio", "scheme (root)",
     ]);
     for col in pbi::table4_columns(rows, seed) {
         let ty = match col.data {
@@ -30,26 +29,20 @@ pub fn run(rows: usize, seed: u64) -> String {
             .map(|s| s.name())
             .unwrap_or("-");
         let btr_bytes = compressed.to_bytes();
-        let (_, btr_secs) = time_avg(3, || Format::Btr.decompress_scan(&btr_bytes));
-
-        let zstd_fmt = Format::Parquet(Codec::Heavy);
-        let zstd_bytes = zstd_fmt.compress(&rel);
-        let (_, zstd_secs) = time_avg(3, || zstd_fmt.decompress_scan(&zstd_bytes));
+        let zstd_bytes = Format::Parquet(Codec::Heavy).compress(&rel);
 
         table.row(vec![
             col.full_name(),
             ty.to_string(),
             format!("{:.1}", unc as f64 / 1e6),
-            format!("{:.2}", gbps(unc, btr_secs)),
-            format!("{:.2}", gbps(unc, zstd_secs)),
             format!("{:.1}", unc as f64 / btr_bytes.len().max(1) as f64),
             format!("{:.1}", unc as f64 / zstd_bytes.len().max(1) as f64),
             scheme.to_string(),
         ]);
     }
     format!(
-        "Table 4: per-column ratios and decompression throughput, BtrBlocks vs \
-         Parquet+Zstd (root scheme of the first block shown)\n\n{}",
+        "Table 4: per-column compression ratios, BtrBlocks vs Parquet+Zstd (root scheme of \
+         the first block shown)\n\n{}",
         table.render()
     )
 }

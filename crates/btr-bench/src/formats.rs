@@ -1,53 +1,29 @@
-//! Uniform wrappers over every storage format the paper benchmarks.
+//! Uniform wrappers over the storage formats the byte-count tables compare.
 
 use btr_lz::Codec;
-use btrblocks::{Config, Relation, SimdMode};
+use btrblocks::{Config, Relation};
 
-/// Every format variant that appears in the paper's evaluation.
+/// A format variant of the paper's ratio comparisons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
-    /// The in-memory binary representation (the "Uncompressed" row).
-    Binary,
     /// BtrBlocks with default config.
     Btr,
-    /// BtrBlocks with all-scalar decompression (the §6.8 ablation).
-    BtrScalar,
     /// parquet-lite with a general-purpose codec on top.
     Parquet(Codec),
-    /// orc-lite with a general-purpose codec on top.
-    Orc(Codec),
 }
 
 impl Format {
     /// Label matching the paper's figures.
     pub fn name(self) -> &'static str {
         match self {
-            Format::Binary => "uncompressed",
             Format::Btr => "btrblocks",
-            Format::BtrScalar => "btrblocks-scalar",
             Format::Parquet(Codec::None) => "parquet",
             Format::Parquet(Codec::SnappyLike) => "parquet+snappy",
             Format::Parquet(Codec::Heavy) => "parquet+zstd",
-            Format::Orc(Codec::None) => "orc",
-            Format::Orc(Codec::SnappyLike) => "orc+snappy",
-            Format::Orc(Codec::Heavy) => "orc+zstd",
         }
     }
 
-    /// The format lineup of Figure 8 (without the raw-binary row).
-    pub fn figure8_lineup() -> Vec<Format> {
-        vec![
-            Format::Parquet(Codec::None),
-            Format::Parquet(Codec::SnappyLike),
-            Format::Parquet(Codec::Heavy),
-            Format::Orc(Codec::None),
-            Format::Orc(Codec::SnappyLike),
-            Format::Orc(Codec::Heavy),
-            Format::Btr,
-        ]
-    }
-
-    /// The Parquet-family lineup of Table 2 / Figure 1.
+    /// The Parquet-family lineup of Table 2 / Figure 7.
     pub fn table2_lineup() -> Vec<Format> {
         vec![
             Format::Parquet(Codec::None),
@@ -60,11 +36,9 @@ impl Format {
     /// Serializes `rel` in this format.
     pub fn compress(self, rel: &Relation) -> Vec<u8> {
         match self {
-            Format::Binary => binary_encode(rel),
-            Format::Btr | Format::BtrScalar => {
-                let cfg = self.btr_config();
-                btrblocks::compress(rel, &cfg).expect("compress").to_bytes()
-            }
+            Format::Btr => btrblocks::compress(rel, &Config::default())
+                .expect("compress")
+                .to_bytes(),
             Format::Parquet(codec) => parquet_lite::write(
                 rel,
                 &parquet_lite::WriteOptions {
@@ -72,97 +46,8 @@ impl Format {
                     ..parquet_lite::WriteOptions::default()
                 },
             ),
-            Format::Orc(codec) => orc_lite::write(
-                rel,
-                &orc_lite::WriteOptions {
-                    codec,
-                    ..orc_lite::WriteOptions::default()
-                },
-            ),
         }
     }
-
-    /// Deserializes bytes produced by [`Format::compress`], returning the
-    /// relation (the "decompress into memory" step of a scan).
-    pub fn decompress(self, bytes: &[u8]) -> Relation {
-        match self {
-            Format::Binary => binary_decode(bytes),
-            Format::Btr | Format::BtrScalar => {
-                btrblocks::decompress(bytes, &self.btr_config()).expect("decompress")
-            }
-            Format::Parquet(_) => parquet_lite::read(bytes).expect("parquet read"),
-            Format::Orc(_) => orc_lite::read(bytes).expect("orc read"),
-        }
-    }
-
-    /// Scan-style decompression: decodes every value but — like a real scan
-    /// consumer and like the paper's measurements — takes BtrBlocks strings
-    /// as `(offset, len)` views without materializing a contiguous arena.
-    /// Returns the number of uncompressed bytes produced.
-    pub fn decompress_scan(self, bytes: &[u8]) -> usize {
-        match self {
-            Format::Btr | Format::BtrScalar | Format::Binary => {
-                let cfg = self.btr_config();
-                let compressed =
-                    btrblocks::CompressedRelation::from_bytes(bytes).expect("parse");
-                let mut total = 0usize;
-                for col in &compressed.columns {
-                    for block in &col.blocks {
-                        let decoded =
-                            btrblocks::block::decompress_block(block, col.column_type, &cfg)
-                                .expect("decompress");
-                        total += match decoded {
-                            btrblocks::DecodedColumn::Int(v) => v.len() * 4,
-                            btrblocks::DecodedColumn::Double(v) => v.len() * 8,
-                            btrblocks::DecodedColumn::Str(views) => {
-                                // Touch every view (sums the string lengths)
-                                // without copying bytes.
-                                let payload: usize = views
-                                    .views
-                                    .iter()
-                                    .map(|&v| (v & 0xFFFF_FFFF) as usize)
-                                    .sum();
-                                payload + 4 * (views.len() + 1)
-                            }
-                        };
-                    }
-                }
-                total
-            }
-            Format::Parquet(_) | Format::Orc(_) => self.decompress(bytes).heap_size(),
-        }
-    }
-
-    fn btr_config(self) -> Config {
-        match self {
-            Format::BtrScalar => Config {
-                simd: SimdMode::ForceScalar,
-                ..Config::default()
-            },
-            _ => Config::default(),
-        }
-    }
-}
-
-/// The flat in-memory binary layout used as the "uncompressed" baseline:
-/// the same framing as btrblocks files but every block is `Uncompressed`.
-pub fn binary_encode(rel: &Relation) -> Vec<u8> {
-    let cfg = uncompressed_config();
-    btrblocks::compress(rel, &cfg).expect("compress").to_bytes()
-}
-
-/// Decodes the binary baseline.
-pub fn binary_decode(bytes: &[u8]) -> Relation {
-    btrblocks::decompress(bytes, &uncompressed_config()).expect("decompress")
-}
-
-fn uncompressed_config() -> Config {
-    Config::default().with_pool(&[])
-}
-
-/// Compression ratio of `bytes` against the relation's in-memory size.
-pub fn ratio(rel: &Relation, compressed_len: usize) -> f64 {
-    rel.heap_size() as f64 / compressed_len.max(1) as f64
 }
 
 #[cfg(test)]
@@ -170,50 +55,21 @@ mod tests {
     use super::*;
     use btrblocks::{Column, ColumnData, StringArena};
 
-    fn sample() -> Relation {
-        let strings: Vec<String> = (0..3_000).map(|i| format!("v{}", i % 9)).collect();
-        let refs: Vec<&str> = strings.iter().map(|s| s.as_str()).collect();
-        Relation::new(vec![
-            Column::new("i", ColumnData::Int((0..3_000).map(|i| i % 40).collect())),
-            Column::new("d", ColumnData::Double((0..3_000).map(|i| (i % 70) as f64 * 0.25).collect())),
-            Column::new("s", ColumnData::Str(StringArena::from_strs(&refs))),
-        ])
-    }
-
-    #[test]
-    fn every_format_roundtrips() {
-        let rel = sample();
-        for fmt in [
-            Format::Binary,
-            Format::Btr,
-            Format::BtrScalar,
-            Format::Parquet(Codec::None),
-            Format::Parquet(Codec::SnappyLike),
-            Format::Parquet(Codec::Heavy),
-            Format::Orc(Codec::None),
-            Format::Orc(Codec::SnappyLike),
-            Format::Orc(Codec::Heavy),
-        ] {
-            let bytes = fmt.compress(&rel);
-            assert_eq!(fmt.decompress(&bytes), rel, "{}", fmt.name());
-        }
-    }
-
     #[test]
     fn btr_beats_plain_parquet_on_ratio() {
         // The qualitative Table 2 relationship on compressible data.
-        let rel = sample();
+        let strings: Vec<String> = (0..3_000).map(|i| format!("v{}", i % 9)).collect();
+        let refs: Vec<&str> = strings.iter().map(|s| s.as_str()).collect();
+        let rel = Relation::new(vec![
+            Column::new("i", ColumnData::Int((0..3_000).map(|i| i % 40).collect())),
+            Column::new(
+                "d",
+                ColumnData::Double((0..3_000).map(|i| (i % 70) as f64 * 0.25).collect()),
+            ),
+            Column::new("s", ColumnData::Str(StringArena::from_strs(&refs))),
+        ]);
         let btr = Format::Btr.compress(&rel).len();
         let parquet = Format::Parquet(Codec::None).compress(&rel).len();
         assert!(btr < parquet, "btr {btr} vs parquet {parquet}");
-    }
-
-    #[test]
-    fn binary_baseline_is_roughly_heap_size() {
-        let rel = sample();
-        let bytes = binary_encode(&rel);
-        let heap = rel.heap_size();
-        assert!(bytes.len() as f64 > heap as f64 * 0.9);
-        assert!((bytes.len() as f64) < heap as f64 * 1.2);
     }
 }

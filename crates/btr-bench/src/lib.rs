@@ -1,64 +1,50 @@
-//! Benchmark harness for the BtrBlocks reproduction.
+//! The paper's byte-count tables, regenerated deterministically.
 //!
-//! Every table and figure of the paper's evaluation has a module under
-//! [`experiments`] and a binary under `src/bin/` that prints the regenerated
-//! rows/series. Binaries accept the environment variables:
+//! [`tables`] renders Table 2, Figure 4 (ratio), Figure 5, Figure 6 (size vs
+//! optimum), Figure 7, Table 3, the §6.5 pool table and Table 4 (ratio and
+//! root scheme) over `btr-datagen`'s synthetic columns at fixed [`ROWS`] and
+//! [`SEED`]. Every cell is a function of compressed byte counts, so the
+//! output is identical on every host; `tests/golden.rs` compares it byte for
+//! byte with `tests/golden/tables.txt`, and the one binary prints it.
 //!
-//! * `BENCH_ROWS` — rows per generated column (default 128 000 = two blocks),
-//! * `BENCH_SEED` — generator seed (default 42).
-//!
-//! Absolute numbers differ from the paper (different hardware, synthetic
-//! data); what must match is the *shape*: which scheme/format wins, by
-//! roughly what factor, and where crossovers happen. `EXPERIMENTS.md` records
-//! paper-vs-measured for every experiment.
+//! Nothing here reads a clock: throughput, latency and cost are measured by
+//! the `benchmark/` harness alone. `EXPERIMENTS.md` maps every paper claim
+//! to a line of the golden file or to a harness metric.
 
 pub mod experiments;
 pub mod formats;
 pub mod proxies;
 
-use std::time::Instant;
-
-/// Rows per generated column for the experiments.
-pub fn bench_rows() -> usize {
-    std::env::var("BENCH_ROWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(128_000)
-}
+/// Rows per generated column.
+pub const ROWS: usize = 16_000;
 
 /// Generator seed.
-pub fn bench_seed() -> u64 {
-    std::env::var("BENCH_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
-}
+pub const SEED: u64 = 42;
 
-/// Times a closure, returning `(result, seconds)`.
-pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64())
-}
-
-/// Times a closure averaged over `reps` runs (first run warms caches).
-pub fn time_avg<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut result = f(); // warm-up
-    let start = Instant::now();
-    for _ in 0..reps {
-        result = f();
+/// Renders every table, each under a rule line, in the paper's order.
+pub fn tables() -> String {
+    use experiments as e;
+    let sections = [
+        e::table2::run(ROWS, SEED),
+        e::figure4::run(ROWS, SEED),
+        e::figure5::run(ROWS, SEED),
+        e::figure6::run(ROWS, SEED),
+        e::figure7::run(ROWS, SEED),
+        e::table3::run(ROWS, SEED),
+        e::pde_pool::run(ROWS, SEED),
+        e::table4::run(ROWS, SEED),
+    ];
+    let mut out = format!(
+        "BtrBlocks reproduction: the paper's byte-count tables at {ROWS} rows per column, \
+         seed {SEED}\n"
+    );
+    for section in sections {
+        out.push_str(&"=".repeat(78));
+        out.push('\n');
+        out.push_str(section.trim_end());
+        out.push('\n');
     }
-    (result, start.elapsed().as_secs_f64() / reps.max(1) as f64)
-}
-
-/// Bytes → gigabytes.
-pub fn gb(bytes: usize) -> f64 {
-    bytes as f64 / 1e9
-}
-
-/// Throughput in GB/s given bytes and seconds.
-pub fn gbps(bytes: usize, seconds: f64) -> f64 {
-    gb(bytes) / seconds.max(1e-12)
+    out
 }
 
 /// Simple fixed-width table printer.
@@ -123,13 +109,5 @@ mod tests {
         let s = t.render();
         assert!(s.contains("longer-name"));
         assert_eq!(s.lines().count(), 4);
-    }
-
-    #[test]
-    fn helpers() {
-        assert!((gbps(2_000_000_000, 2.0) - 1.0).abs() < 1e-9);
-        let (v, secs) = time_it(|| 41 + 1);
-        assert_eq!(v, 42);
-        assert!(secs >= 0.0);
     }
 }

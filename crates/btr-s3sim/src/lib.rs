@@ -15,17 +15,13 @@
 //! * [`CostModel`] — the paper's pricing: $3.89/h for the instance,
 //!   $0.0004 per 1 000 GET requests, 100 Gbit/s of aggregate network
 //!   bandwidth, and a per-request first-byte latency hidden by concurrency.
-//! * [`Simulator::scan`] — drives a scan: it issues the GETs, *measures the
-//!   real CPU time* your decompression closure takes on this machine, scales
-//!   it to the simulated core count (the paper's 36 cores, perfect-scaling
-//!   assumption documented in `DESIGN.md`), overlaps it with the simulated
-//!   network timeline, and reports duration, throughputs and dollars.
-//! * [`Simulator::scan_with_retries`] — the same scan under a fault plan:
-//!   bounded retries with exponential backoff on transient errors, plus
-//!   re-fetch when the decompression callback rejects a payload (e.g. a
-//!   BtrBlocks v2 checksum mismatch). Retry counts and the added backoff
-//!   latency are surfaced in [`ScanStats`], so the cost model can price
-//!   degraded object storage.
+//! * [`ScanStats`] — what one scan moved and how long it took, the input
+//!   [`CostModel::scan_cost_usd`] prices. The store never drives a scan
+//!   itself: `btr_scan`'s executor fetches through `ObjectStoreSource`, and
+//!   its `ScanReport` (requests, bytes, decode and backoff seconds) is what a
+//!   caller turns into a [`ScanStats`].
+//! * [`retry`] — [`RetryPolicy`] and [`run_with_retries`], the one
+//!   deadline-aware retry loop, on a simulated clock.
 //!
 //! The simulation preserves exactly the trade-off the paper measures: a
 //! denser format moves fewer bytes (less network time) but may burn more CPU
@@ -35,16 +31,14 @@
 pub mod retry;
 
 pub use retry::{
-    run_with_retries, Attempt, Deadline, RetryBudget, RetryError, RetryFailure, RetryStats,
-    SimClock,
+    run_with_retries, Attempt, Deadline, RetryBudget, RetryError, RetryFailure, RetryPolicy,
+    RetryStats, SimClock,
 };
 
 use btr_corrupt::rng::Xorshift;
 use std::collections::HashMap;
 use btr_sync::{OrderedCondvar, OrderedMutex, OrderedRwLock, Rank};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Default chunk size for multi-part objects: 16 MB (paper §6.7).
 pub const DEFAULT_CHUNK: usize = 16 * 1024 * 1024;
@@ -237,8 +231,7 @@ pub enum GetError {
 impl GetError {
     /// Whether retrying the request could plausibly succeed. This is the
     /// single place GET errors are classified as retryable vs permanent;
-    /// both [`Simulator::scan_with_retries`] and btr-scan's object-store
-    /// source defer to it.
+    /// btr-scan's object-store source defers to it.
     pub fn is_retryable(&self) -> bool {
         match self {
             GetError::NotFound => false,
@@ -670,7 +663,8 @@ impl ObjectStore {
     }
 }
 
-/// Outcome of one simulated scan.
+/// What one scan moved and how long it took in simulated time — the input
+/// of [`CostModel::scan_cost_usd`].
 #[derive(Debug, Clone, Default)]
 pub struct ScanStats {
     /// Number of GET requests issued (including failed and retried ones).
@@ -685,15 +679,6 @@ pub struct ScanStats {
     pub cpu_seconds: f64,
     /// Simulated scan duration (network and CPU overlap, plus backoff).
     pub duration_seconds: f64,
-    /// Retried GETs (transient failures plus checksum-triggered re-fetches).
-    pub retries: u64,
-    /// Retries caused by injected transient GET failures.
-    pub transient_failures: u64,
-    /// Re-fetches triggered by the payload failing verification
-    /// (truncated/corrupted body rejected by a checksum).
-    pub checksum_refetches: u64,
-    /// Simulated seconds spent in exponential backoff before retries.
-    pub retry_backoff_seconds: f64,
 }
 
 impl ScanStats {
@@ -723,241 +708,6 @@ impl CostModel {
     pub fn scan_cost_usd(&self, stats: &ScanStats) -> f64 {
         stats.duration_seconds / 3600.0 * self.instance_usd_per_hour
             + stats.requests as f64 / 1000.0 * self.usd_per_1000_gets
-    }
-}
-
-/// Retry/backoff policy for [`Simulator::scan_with_retries`].
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Maximum GET attempts per key (first try included).
-    pub max_attempts: u32,
-    /// Simulated backoff before the first retry, in seconds.
-    pub base_backoff_seconds: f64,
-    /// Backoff multiplier per further retry (exponential).
-    pub backoff_multiplier: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base_backoff_seconds: 0.05,
-            backoff_multiplier: 2.0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Simulated backoff before retry number `retry` (zero-based).
-    pub fn backoff_seconds(&self, retry: u32) -> f64 {
-        self.base_backoff_seconds * self.backoff_multiplier.powi(retry as i32)
-    }
-}
-
-/// Terminal failure of a retried scan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScanError {
-    /// A key had no object behind it.
-    MissingObject {
-        /// The missing key.
-        key: String,
-    },
-    /// All attempts for a key failed (transient faults and/or rejected
-    /// payloads).
-    RetriesExhausted {
-        /// The failing key.
-        key: String,
-        /// Attempts made.
-        attempts: u32,
-    },
-}
-
-impl std::fmt::Display for ScanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScanError::MissingObject { key } => write!(f, "object '{key}' not found"),
-            ScanError::RetriesExhausted { key, attempts } => {
-                write!(f, "object '{key}' still failing after {attempts} attempts")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ScanError {}
-
-/// Drives scans against an [`ObjectStore`] under a [`CostModel`].
-pub struct Simulator {
-    /// The blob store.
-    pub store: ObjectStore,
-    /// The pricing/physics model.
-    pub model: CostModel,
-}
-
-impl Simulator {
-    /// Creates a simulator with the default (paper) cost model.
-    pub fn new() -> Self {
-        Simulator {
-            store: ObjectStore::new(),
-            model: CostModel::default(),
-        }
-    }
-
-    /// Scans `keys`: fetches each object and runs `decompress` on it, which
-    /// must return the number of uncompressed bytes it produced.
-    ///
-    /// CPU time is measured for real on the host, summed across chunks, and
-    /// divided by the simulated core count (chunks are independent, so the
-    /// paper's thread-per-chunk scaling applies). The simulated duration is
-    /// `max(network, cpu)` — fetch and decode pipelines overlap.
-    ///
-    /// This path bypasses fault injection; use
-    /// [`Simulator::scan_with_retries`] to scan under a [`FaultPlan`].
-    pub fn scan<F>(&self, keys: &[String], decompress: F) -> ScanStats
-    where
-        F: Fn(&[u8]) -> usize + Sync,
-    {
-        let mut stats = ScanStats::default();
-        let chunks: Vec<Arc<Vec<u8>>> = keys.iter().filter_map(|k| self.store.get(k)).collect();
-        stats.requests = chunks.len() as u64;
-        stats.compressed_bytes = chunks.iter().map(|c| c.len() as u64).sum();
-
-        // Real measured decompression time, one task per chunk.
-        let produced = AtomicUsize::new(0);
-        let started = Instant::now();
-        for chunk in &chunks {
-            produced.fetch_add(decompress(chunk), Ordering::Relaxed); // ordering: thread::scope join publishes
-        }
-        let cpu_single_thread = started.elapsed().as_secs_f64();
-
-        stats.uncompressed_bytes = produced.load(Ordering::Relaxed) as u64; // ordering: read after scope join
-        stats.cpu_seconds = cpu_single_thread / self.model.cores.max(1) as f64;
-        stats.network_seconds = self
-            .model
-            .network_seconds(stats.compressed_bytes, stats.requests);
-        stats.duration_seconds = stats.network_seconds.max(stats.cpu_seconds);
-        stats
-    }
-
-    /// Scans selected byte ranges of one object — the selective-scan
-    /// counterpart of [`Simulator::scan`]. Each `(start, len)` range is one
-    /// ranged GET: it is billed as a request, only its bytes cross the
-    /// simulated network, and `decompress` runs per range body. A scan that
-    /// prunes most blocks therefore prices as many small requests and few
-    /// bytes instead of a whole-object download, which is what the
-    /// [`CostModel`] needs to compare full and selective scans honestly.
-    ///
-    /// Ranges that fall outside the object are skipped (not billed).
-    pub fn scan_ranges<F>(&self, key: &str, ranges: &[(usize, usize)], decompress: F) -> ScanStats
-    where
-        F: Fn(&[u8]) -> usize + Sync,
-    {
-        let mut stats = ScanStats::default();
-        let bodies: Vec<Vec<u8>> = ranges
-            .iter()
-            .filter_map(|&(start, len)| self.store.get_range(key, start, len))
-            .collect();
-        stats.requests = bodies.len() as u64;
-        stats.compressed_bytes = bodies.iter().map(|b| b.len() as u64).sum();
-
-        let produced = AtomicUsize::new(0);
-        let started = Instant::now();
-        for body in &bodies {
-            produced.fetch_add(decompress(body), Ordering::Relaxed); // ordering: thread::scope join publishes
-        }
-        let cpu_single_thread = started.elapsed().as_secs_f64();
-
-        stats.uncompressed_bytes = produced.load(Ordering::Relaxed) as u64; // ordering: read after scope join
-        stats.cpu_seconds = cpu_single_thread / self.model.cores.max(1) as f64;
-        stats.network_seconds = self
-            .model
-            .network_seconds(stats.compressed_bytes, stats.requests);
-        stats.duration_seconds = stats.network_seconds.max(stats.cpu_seconds);
-        stats
-    }
-
-    /// Scans `keys` through the store's [`FaultPlan`] with bounded retries
-    /// and exponential backoff.
-    ///
-    /// `decompress` verifies *and* decodes one payload: return
-    /// `Ok(uncompressed_bytes)` to accept it, or `Err(reason)` to reject it —
-    /// a rejected payload (e.g. a BtrBlocks v2 checksum mismatch on a
-    /// truncated or bit-flipped body) triggers a re-fetch, exactly like a
-    /// transient network failure, and is counted in
-    /// [`ScanStats::checksum_refetches`].
-    ///
-    /// Every attempt is billed as a GET request; backoff time is added to
-    /// the simulated duration on top of the overlapped network/CPU time.
-    pub fn scan_with_retries<F>(
-        &self,
-        keys: &[String],
-        policy: &RetryPolicy,
-        mut decompress: F,
-    ) -> Result<ScanStats, ScanError>
-    where
-        F: FnMut(&[u8]) -> Result<usize, String>,
-    {
-        let mut stats = ScanStats::default();
-        let mut cpu = 0.0f64;
-        let clock = SimClock::new();
-        for key in keys {
-            let mut rstats = RetryStats::default();
-            let result = run_with_retries(policy, &clock, None, None, &mut rstats, |attempt| {
-                stats.requests += 1;
-                match self.store.get_with_attempt(key, attempt) {
-                    Err(err) if err.is_retryable() => {
-                        stats.transient_failures += 1;
-                        Attempt::Retry
-                    }
-                    Err(_) => Attempt::Fatal(ScanError::MissingObject { key: key.clone() }),
-                    Ok(body) => {
-                        stats.compressed_bytes += body.len() as u64;
-                        let started = Instant::now();
-                        let verdict = decompress(&body);
-                        cpu += started.elapsed().as_secs_f64();
-                        match verdict {
-                            Ok(produced) => {
-                                stats.uncompressed_bytes += produced as u64;
-                                Attempt::Success(())
-                            }
-                            Err(_) => {
-                                stats.checksum_refetches += 1;
-                                Attempt::Retry
-                            }
-                        }
-                    }
-                }
-            });
-            stats.retries += u64::from(rstats.retries);
-            stats.retry_backoff_seconds += rstats.backoff_seconds;
-            match result {
-                Ok(()) => {}
-                Err(RetryFailure::Fatal(err)) => return Err(err),
-                Err(RetryFailure::Stopped(_)) => {
-                    return Err(ScanError::RetriesExhausted {
-                        key: key.clone(),
-                        attempts: policy.max_attempts.max(1),
-                    })
-                }
-            }
-        }
-        stats.cpu_seconds = cpu / self.model.cores.max(1) as f64;
-        stats.network_seconds = self
-            .model
-            .network_seconds(stats.compressed_bytes, stats.requests);
-        stats.duration_seconds =
-            stats.network_seconds.max(stats.cpu_seconds) + stats.retry_backoff_seconds;
-        Ok(stats)
-    }
-
-    /// Dollar cost of the scan under this simulator's model.
-    pub fn cost_usd(&self, stats: &ScanStats) -> f64 {
-        self.model.scan_cost_usd(stats)
-    }
-}
-
-impl Default for Simulator {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -998,29 +748,26 @@ mod tests {
     }
 
     #[test]
-    fn scan_accounts_bytes_and_requests() {
-        let sim = Simulator::new();
-        let keys = sim.store.put_chunked("x", &vec![0u8; 1000], 100);
-        let stats = sim.scan(&keys, |chunk| chunk.len() * 3);
-        assert_eq!(stats.requests, 10);
-        assert_eq!(stats.compressed_bytes, 1000);
-        assert_eq!(stats.uncompressed_bytes, 3000);
-        assert!(stats.duration_seconds > 0.0);
-        assert!(sim.cost_usd(&stats) > 0.0);
-    }
-
-    #[test]
     fn denser_format_is_cheaper_when_network_bound() {
-        // Same uncompressed data; format B is 4x denser. With negligible CPU,
-        // B's scan must cost less — the core claim of the paper's Table 5.
-        let sim = Simulator::new();
-        let a = sim.store.put_chunked("a", &vec![1u8; 40_000_000], DEFAULT_CHUNK);
-        let b = sim.store.put_chunked("b", &vec![1u8; 10_000_000], DEFAULT_CHUNK);
-        let sa = sim.scan(&a, |c| c.len());
-        let sb = sim.scan(&b, |c| c.len() * 4);
-        assert!(sim.cost_usd(&sb) < sim.cost_usd(&sa));
-        assert_eq!(sa.uncompressed_bytes, 40_000_000);
-        assert_eq!(sb.uncompressed_bytes, 40_000_000);
+        // Same uncompressed data in 16 MB GETs; format B is 4x denser. With
+        // negligible CPU both scans are network-bound, so B must cost less —
+        // the core claim of the paper's Table 5.
+        let model = CostModel::default();
+        let scan = |compressed_bytes: u64| {
+            let requests = compressed_bytes.div_ceil(DEFAULT_CHUNK as u64);
+            let network_seconds = model.network_seconds(compressed_bytes, requests);
+            ScanStats {
+                requests,
+                compressed_bytes,
+                uncompressed_bytes: 40_000_000,
+                network_seconds,
+                cpu_seconds: 0.0,
+                duration_seconds: network_seconds,
+            }
+        };
+        let (a, b) = (scan(40_000_000), scan(10_000_000));
+        assert!(model.scan_cost_usd(&b) < model.scan_cost_usd(&a));
+        assert!(b.t_r_gb_per_s() > a.t_r_gb_per_s());
     }
 
     #[test]
@@ -1032,7 +779,6 @@ mod tests {
             network_seconds: 1.0,
             cpu_seconds: 0.5,
             duration_seconds: 1.0,
-            ..ScanStats::default()
         };
         assert!((stats.t_r_gb_per_s() - 4.0).abs() < 1e-9);
         assert!((stats.t_c_gbit_per_s() - 8.0).abs() < 1e-9);
@@ -1106,27 +852,6 @@ mod tests {
         assert_eq!(stats.requests(), 3);
         store.reset_counters();
         assert_eq!(store.counters(), GetStats::default());
-    }
-
-    #[test]
-    fn scan_ranges_prices_selective_scans() {
-        let sim = Simulator::new();
-        sim.store.put("obj", vec![5u8; 100_000]);
-        let full = sim.scan(&["obj".to_string()], |c| c.len());
-        // Fetch only 3 of ~100 1 kB blocks.
-        let selective =
-            sim.scan_ranges("obj", &[(0, 1_000), (50_000, 1_000), (99_000, 1_000)], |c| {
-                c.len()
-            });
-        assert_eq!(selective.requests, 3);
-        assert_eq!(selective.compressed_bytes, 3_000);
-        assert_eq!(selective.uncompressed_bytes, 3_000);
-        assert!(selective.compressed_bytes < full.compressed_bytes);
-        // Fewer bytes at more requests: the cost model still sees both.
-        assert!(sim.cost_usd(&selective) < sim.cost_usd(&full) * 3.5);
-        let counters = sim.store.counters();
-        assert_eq!(counters.ranged_get_requests, 3);
-        assert_eq!(counters.get_requests, 1);
     }
 
     #[test]
@@ -1211,88 +936,6 @@ mod tests {
         assert_eq!(body.len(), 64);
         let flipped: u32 = body.iter().map(|b| (b ^ 0xAB).count_ones()).sum();
         assert_eq!(flipped, 1);
-    }
-
-    #[test]
-    fn retries_recover_from_transient_plan() {
-        let sim = Simulator::new();
-        let keys = sim.store.put_chunked("d", &vec![3u8; 10_000], 500);
-        assert_eq!(keys.len(), 20);
-        // 10% transient failures — several keys will need retries.
-        sim.store.set_fault_plan(Some(FaultPlan::transient(0.10, 42)));
-        let clean = sim.scan(&keys, |c| c.len());
-        let stats = sim
-            .scan_with_retries(&keys, &RetryPolicy::default(), |c| Ok(c.len()))
-            .expect("must converge under bounded faults");
-        assert_eq!(stats.uncompressed_bytes, 10_000);
-        assert!(stats.retries > 0, "a 10% plan over 20 keys should retry");
-        assert_eq!(stats.transient_failures, stats.retries);
-        assert!(stats.retry_backoff_seconds > 0.0);
-        assert!(stats.duration_seconds > clean.duration_seconds);
-        assert_eq!(stats.requests, 20 + stats.retries);
-    }
-
-    #[test]
-    fn rejected_payloads_trigger_refetch() {
-        let sim = Simulator::new();
-        sim.store.put("obj", vec![9u8; 256]);
-        sim.store.set_fault_plan(Some(FaultPlan {
-            corrupt_rate: 1.0,
-            max_faults_per_key: 2,
-            ..FaultPlan::default()
-        }));
-        // "Checksum": reject any body that differs from all-nines.
-        let stats = sim
-            .scan_with_retries(&["obj".to_string()], &RetryPolicy::default(), |c| {
-                if c.iter().all(|&b| b == 9) {
-                    Ok(c.len())
-                } else {
-                    Err("checksum mismatch".into())
-                }
-            })
-            .unwrap();
-        assert_eq!(stats.checksum_refetches, 2);
-        assert_eq!(stats.uncompressed_bytes, 256);
-        assert_eq!(stats.requests, 3);
-    }
-
-    #[test]
-    fn exhausted_retries_error() {
-        let sim = Simulator::new();
-        sim.store.put("obj", vec![1u8; 16]);
-        sim.store.set_fault_plan(Some(FaultPlan {
-            transient_rate: 1.0,
-            max_faults_per_key: 100,
-            ..FaultPlan::default()
-        }));
-        let err = sim
-            .scan_with_retries(
-                &["obj".to_string()],
-                &RetryPolicy {
-                    max_attempts: 4,
-                    ..RetryPolicy::default()
-                },
-                |c| Ok(c.len()),
-            )
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ScanError::RetriesExhausted {
-                key: "obj".into(),
-                attempts: 4
-            }
-        );
-        let missing = sim
-            .scan_with_retries(&["nope".to_string()], &RetryPolicy::default(), |c| Ok(c.len()))
-            .unwrap_err();
-        assert_eq!(missing, ScanError::MissingObject { key: "nope".into() });
-    }
-
-    #[test]
-    fn backoff_grows_exponentially() {
-        let p = RetryPolicy::default();
-        assert!((p.backoff_seconds(0) - 0.05).abs() < 1e-12);
-        assert!((p.backoff_seconds(2) - 0.2).abs() < 1e-12);
     }
 
     #[test]

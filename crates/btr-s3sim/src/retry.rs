@@ -1,11 +1,7 @@
 //! Deadline-, budget- and clock-aware retry driving.
 //!
-//! Before this module existed, the exponential-backoff loop was written
-//! twice — once in [`crate::Simulator::scan_with_retries`] and once in
-//! btr-scan's object-store source — and neither copy knew about deadlines,
-//! so a scan under a fault storm would retry until its attempt cap no matter
-//! how much simulated time it had already burned. Everything time-related
-//! here runs on a **simulated clock**: backoff and injected latency advance
+//! Everything time-related here runs on a **simulated clock**: backoff and
+//! injected latency advance
 //! [`SimClock`] instead of sleeping, which keeps fault campaigns fast and
 //! makes deadline behavior exactly reproducible.
 //!
@@ -24,16 +20,43 @@
 //!   retries total until time passes, no matter how many blocks are failing
 //!   simultaneously.
 //!
-//! [`run_with_retries`] is the single retry loop both crates drive. The
-//! caller classifies each attempt as [`Attempt::Success`],
+//! [`run_with_retries`] is the single retry loop (btr-scan's object-store
+//! source drives it), shaped by a [`RetryPolicy`]. The caller classifies each attempt as [`Attempt::Success`],
 //! [`Attempt::Retry`] (transient — worth another try) or [`Attempt::Fatal`]
 //! (permanent — retrying cannot help); the driver owns backoff, accounting,
 //! deadline and budget enforcement.
 
-use crate::RetryPolicy;
 use btr_sync::{OrderedMutex, Rank};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Retry/backoff policy for [`run_with_retries`].
+#[derive(Debug, Clone)]
+pub struct RetryPolicy {
+    /// Maximum GET attempts per key (first try included).
+    pub max_attempts: u32,
+    /// Simulated backoff before the first retry, in seconds.
+    pub base_backoff_seconds: f64,
+    /// Backoff multiplier per further retry (exponential).
+    pub backoff_multiplier: f64,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            max_attempts: 5,
+            base_backoff_seconds: 0.05,
+            backoff_multiplier: 2.0,
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// Simulated backoff before retry number `retry` (zero-based).
+    pub fn backoff_seconds(&self, retry: u32) -> f64 {
+        self.base_backoff_seconds * self.backoff_multiplier.powi(retry as i32)
+    }
+}
 
 /// A shared simulated clock counting nanoseconds since "boot".
 ///
@@ -274,6 +297,13 @@ pub fn run_with_retries<T, E>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn backoff_grows_exponentially() {
+        let p = RetryPolicy::default();
+        assert!((p.backoff_seconds(0) - 0.05).abs() < 1e-12);
+        assert!((p.backoff_seconds(2) - 0.2).abs() < 1e-12);
+    }
 
     #[test]
     fn clock_is_shared_across_clones() {

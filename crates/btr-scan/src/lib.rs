@@ -101,8 +101,8 @@ pub use source::{BlockSource, FetchStats, MemorySource, ObjectStoreSource, Sourc
 // `AggValue`s. All of it lives in the btr-expr kernel crate.
 pub use btr_expr::{col, lit, AggKind, AggValue, Aggregate, Expr, ExprError, ExprPlan, Selection};
 
-// The time/budget primitives live next to the simulator's retry driver so
-// both crates share one definition; re-export them as part of this API.
+// The time/budget primitives live next to btr-s3sim's retry loop; re-export
+// them as part of this API.
 pub use btr_s3sim::{Deadline, RetryBudget, SimClock};
 
 /// Errors produced while planning or executing a scan.

@@ -1,9 +1,8 @@
 //! Fault-tolerance control plane: deadlines, retry budgets, circuit
 //! breaking, quarantine, and hedged-fetch bookkeeping.
 //!
-//! The mechanics of *retrying one request* live in [`btr_s3sim::retry`]
-//! (shared with the simulator); this module holds the policy layer a scan
-//! service needs around it:
+//! The mechanics of *retrying one request* live in [`btr_s3sim::retry`];
+//! this module holds the policy layer a scan service needs around it:
 //!
 //! * [`Tolerance`] — per-scan knobs carried by
 //!   [`crate::ScanSpec`]: a wall-clock budget on the simulated clock

@@ -5,9 +5,9 @@
 //! over a `CompressedRelation` already in memory (tests, local files) and
 //! over `btr-s3sim`'s costed store (the paper's cloud setting, §6.7). The
 //! object-store source fetches exactly one block payload per ranged GET,
-//! verifies the framing CRC, and drives [`btr_s3sim::run_with_retries`] —
-//! the same deadline-aware retry loop `Simulator::scan_with_retries` uses;
-//! backoff is charged to a simulated clock, never slept.
+//! verifies the framing CRC, and drives [`btr_s3sim::run_with_retries`],
+//! the one deadline-aware retry loop; backoff is charged to a simulated
+//! clock, never slept.
 //!
 //! On top of the retry loop the object-store source layers the
 //! fault-tolerance mechanisms from [`crate::retry`]:

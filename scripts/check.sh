@@ -92,4 +92,12 @@ if [ -n "${dirty}" ]; then
   exit 1
 fi
 
+echo "== only benchmark/ times results"
+# btr-bench prints byte counts and btr-s3sim runs on a simulated clock; a
+# stopwatch in either is a second instrument beside the harness.
+if grep -rn 'Instant' crates/btr-bench crates/btr-s3sim; then
+  echo "error: crates/btr-bench and crates/btr-s3sim may not read the host clock" >&2
+  exit 1
+fi
+
 echo "ok"

@@ -11,6 +11,7 @@ pub use btr_fsst as fsst;
 pub use btr_lz as lz;
 pub use btr_roaring as roaring;
 pub use btr_s3sim as s3sim;
+pub use btr_scan as scan;
 pub use btrblocks;
 pub use orc_lite;
 pub use parquet_lite;

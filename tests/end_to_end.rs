@@ -1,11 +1,18 @@
 //! End-to-end integration tests spanning the whole workspace: generators →
-//! every storage format → the object-store simulator.
+//! every storage format → the scan executor over the simulated object store.
 
-use btrblocks_repro::btrblocks::{self, Column, ColumnData, Config, Relation, StringArena};
+use btrblocks_repro::btrblocks::{
+    self, Column, ColumnData, Config, Relation, Sidecar, StringArena,
+};
 use btrblocks_repro::datagen::{dataset_relation, pbi, tpch};
 use btrblocks_repro::lz::Codec;
-use btrblocks_repro::s3sim::{Simulator, DEFAULT_CHUNK};
+use btrblocks_repro::s3sim::{FaultPlan, ObjectStore, RetryPolicy};
+use btrblocks_repro::scan::chaos::drain;
+use btrblocks_repro::scan::{
+    EngineOptions, ObjectStoreSource, RelationLayout, ScanEngine, ScanReport, ScanSpec,
+};
 use btrblocks_repro::{orc_lite, parquet_lite};
+use std::sync::Arc;
 
 fn pbi_relation(rows: usize) -> Relation {
     dataset_relation(pbi::registry(rows, 99))
@@ -81,26 +88,60 @@ fn projection_reads_agree_across_formats() {
     }
 }
 
+/// Uploads `rel` to a fresh store, scans every column through the executor
+/// and checks the drained batches against the input. Returns the store and
+/// the scan's report.
+fn scan_from_store(rel: &Relation, plan: Option<FaultPlan>) -> (Arc<ObjectStore>, ScanReport) {
+    let cfg = Config {
+        block_size: 500,
+        ..Config::default()
+    };
+    let compressed = btrblocks::compress(rel, &cfg).unwrap();
+    let store = Arc::new(ObjectStore::new());
+    store.put("pbi.btr", compressed.to_bytes());
+    store.set_fault_plan(plan);
+    let source = Arc::new(ObjectStoreSource::new(
+        store.clone(),
+        "pbi.btr",
+        RelationLayout::of(&compressed),
+        RetryPolicy::default(),
+    ));
+    let engine = ScanEngine::new(EngineOptions {
+        config: cfg.clone(),
+        workers: 2,
+        ..EngineOptions::default()
+    });
+    let sidecar = Sidecar::build(rel, cfg.block_size);
+    let spec = ScanSpec::project(rel.columns.iter().map(|c| c.name.clone()));
+    let mut scan = engine.scan(source, &sidecar, &spec).unwrap();
+    let got = drain(scan.by_ref()).unwrap();
+    assert_eq!(got.len(), rel.columns.len());
+    for (col, (name, data)) in rel.columns.iter().zip(&got) {
+        assert_eq!((&col.name, &col.data), (name, data));
+    }
+    (store, scan.report())
+}
+
 #[test]
 fn s3_scan_reproduces_stored_data() {
-    let cfg = Config::default();
     let rel = pbi_relation(2_000);
-    let bytes = btrblocks::compress(&rel, &cfg).unwrap().to_bytes();
 
-    let sim = Simulator::new();
-    let keys = sim.store.put_chunked("pbi", &bytes, DEFAULT_CHUNK.min(64 * 1024));
-    // Reassemble the chunks like a scan client and verify the data survives.
-    let mut assembled = Vec::new();
-    for k in &keys {
-        assembled.extend_from_slice(&sim.store.get(k).unwrap());
-    }
-    assert_eq!(assembled, bytes);
-    assert_eq!(btrblocks::decompress(&assembled, &cfg).unwrap(), rel);
+    // Under transient faults the rows still come back, and every attempt —
+    // failed ones included — is a GET the store billed (paper §6.7). Both
+    // sides count per attempt, so the request counts are equal.
+    let (store, report) = scan_from_store(&rel, Some(FaultPlan::transient(0.10, 42)));
+    assert!(report.fetch_retries > 0, "a 10% plan over 156 block GETs retries");
+    assert!(report.fetch_backoff_seconds > 0.0);
+    assert_eq!(report.fetch_requests, store.counters().requests());
+    assert_eq!(report.fetch_requests, report.blocks_fetched + report.fetch_retries);
 
-    // And the simulator's accounting matches the chunking.
-    let stats = sim.scan(&keys, |chunk| chunk.len());
-    assert_eq!(stats.requests as usize, keys.len());
-    assert_eq!(stats.compressed_bytes as usize, bytes.len());
+    // Fault-free, the bytes agree as well: one ranged GET per block payload,
+    // nothing else read from the object.
+    let (store, report) = scan_from_store(&rel, None);
+    assert_eq!(report.fetch_retries, 0);
+    assert_eq!(report.fetch_requests, store.counters().requests());
+    assert_eq!(report.bytes_fetched, store.counters().bytes_served);
+    assert_eq!(store.counters().get_requests, 0, "only ranged GETs");
 }
 
 #[test]
