@@ -13,6 +13,8 @@
 //!   above (or on the same line).
 //! * **U2** `unsafe_outside_allowlist` — `unsafe` only in modules listed in
 //!   `btr-lint.toml`.
+//! * **U3** `intrinsic_outside_target_feature` — an `_mm…` intrinsic is
+//!   called only inside a `#[target_feature(enable = …)]` fn.
 //! * **P1** `indexing` — no `expr[idx]` in decode-path lib code; use
 //!   `.get()` + typed errors, or `// lint: allow(indexing) <reason>`.
 //! * **P2** `cast` — no `as`-casts to ≤32-bit integer types in decode-path

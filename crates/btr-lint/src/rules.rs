@@ -1,17 +1,18 @@
 //! The lint rules, run over one file's token stream.
 //!
-//! | Rule | Key                        | Scope                               |
-//! |------|----------------------------|-------------------------------------|
-//! | U1   | `unsafe_no_safety`         | every target, whole workspace       |
-//! | U2   | `unsafe_outside_allowlist` | every target, whole workspace       |
-//! | P1   | `indexing`                 | lib targets of decode-path crates   |
-//! | P2   | `cast`                     | lib targets of decode-path crates   |
-//! | P3   | `banned_macro`             | lib targets of every crate          |
-//! | C1   | `rawlock`                  | lib targets of concurrency crates   |
-//! | C2   | `lock_rank`                | lib targets of concurrency crates   |
-//! | C3   | `atomic_ordering`          | lib targets of every crate          |
-//! | C4   | `bare_wait`                | lib targets of concurrency crates   |
-//! |      | `bad_annotation`           | wherever an escape hatch is used    |
+//! | Rule | Key                                | Scope                             |
+//! |------|------------------------------------|-----------------------------------|
+//! | U1   | `unsafe_no_safety`                 | every target, whole workspace     |
+//! | U2   | `unsafe_outside_allowlist`         | every target, whole workspace     |
+//! | U3   | `intrinsic_outside_target_feature` | every target, whole workspace     |
+//! | P1   | `indexing`                         | lib targets of decode-path crates |
+//! | P2   | `cast`                             | lib targets of decode-path crates |
+//! | P3   | `banned_macro`                     | lib targets of every crate        |
+//! | C1   | `rawlock`                          | lib targets of concurrency crates |
+//! | C2   | `lock_rank`                        | lib targets of concurrency crates |
+//! | C3   | `atomic_ordering`                  | lib targets of every crate        |
+//! | C4   | `bare_wait`                        | lib targets of concurrency crates |
+//! |      | `bad_annotation`                   | wherever an escape hatch is used  |
 //!
 //! Escape hatches: `// lint: allow(indexing) <reason>`,
 //! `// lint: allow(cast) <reason>`, and `// lint: allow(rawlock) <reason>`.
@@ -33,6 +34,12 @@
 //! Test code (a `#[cfg(test)]` module, a `#[test]` fn, or any item under a
 //! test-gated brace region) is exempt from P1/P2/P3 but not from U1/U2:
 //! an unsound `unsafe` block is no more acceptable in a test.
+//!
+//! U3 exists because the compiler does not complain: an `_mm…` intrinsic
+//! called from a fn without `#[target_feature(enable = …)]` still compiles,
+//! but cannot be inlined into its caller, so each call becomes a function
+//! call around one instruction. The rule flags an intrinsic call that is not
+//! inside the brace region of a `#[target_feature(…)]` item.
 
 use crate::lexer::{lex, TokKind, Token};
 
@@ -43,6 +50,8 @@ pub enum Rule {
     UnsafeNoSafety,
     /// U2: `unsafe` in a file missing from the `btr-lint.toml` allowlist.
     UnsafeOutsideAllowlist,
+    /// U3: an `_mm…` intrinsic called outside a `#[target_feature(…)]` fn.
+    IntrinsicOutsideTargetFeature,
     /// P1: direct slice/array indexing `expr[idx]` on a decode path.
     Indexing,
     /// P2: `as` cast to a ≤32-bit integer type on a decode path.
@@ -71,6 +80,7 @@ impl Rule {
         match self {
             Rule::UnsafeNoSafety => "unsafe_no_safety",
             Rule::UnsafeOutsideAllowlist => "unsafe_outside_allowlist",
+            Rule::IntrinsicOutsideTargetFeature => "intrinsic_outside_target_feature",
             Rule::Indexing => "indexing",
             Rule::Cast => "cast",
             Rule::BannedMacro => "banned_macro",
@@ -83,9 +93,10 @@ impl Rule {
     }
 
     /// All rules, in report order.
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 11] = [
         Rule::UnsafeNoSafety,
         Rule::UnsafeOutsideAllowlist,
+        Rule::IntrinsicOutsideTargetFeature,
         Rule::Indexing,
         Rule::Cast,
         Rule::BannedMacro,
@@ -218,10 +229,11 @@ pub fn analyze(src: &str, rules: FileRules) -> FileAnalysis {
     let mut out = FileAnalysis::default();
     let allows = collect_allows(&tokens, &mut out);
     let lines = LineMap::build(&tokens);
-    let test_lines = test_region_lines(&tokens);
+    let test_lines = attr_region_lines(&tokens, attr_is_test_marker);
+    let feature_lines = attr_region_lines(&tokens, attr_is_target_feature);
 
-    let in_test =
-        |line: u32| test_lines.binary_search_by(|r| cmp_range(r, line)).is_ok();
+    let in_test = |line: u32| covers(&test_lines, line);
+    let in_target_feature = |line: u32| covers(&feature_lines, line);
     let mut suppressed_hits = 0usize;
     // Most recent `const`/`static` identifier, for naming rank decls.
     let mut last_decl_name: Option<String> = None;
@@ -268,6 +280,21 @@ pub fn analyze(src: &str, rules: FileRules) -> FileAnalysis {
                         what: format!("unsafe {kind} outside the allowlisted module set"),
                     });
                 }
+            }
+            // U3: a call (plain or turbofish) of an `_mm…` intrinsic.
+            TokKind::Ident
+                if is_simd_intrinsic(tok.text)
+                    && matches!(
+                        next.map(|t| t.kind),
+                        Some(TokKind::Punct('(') | TokKind::Punct(':'))
+                    )
+                    && !in_target_feature(tok.line) =>
+            {
+                out.violations.push(Violation {
+                    rule: Rule::IntrinsicOutsideTargetFeature,
+                    line: tok.line,
+                    what: format!("`{}` called outside a `#[target_feature]` fn", tok.text),
+                });
             }
             TokKind::Punct('[')
                 if rules.decode_path && !in_test(tok.line) && is_indexing(prev) =>
@@ -699,16 +726,19 @@ fn push_sorted(v: &mut Vec<u32>, x: u32) {
     }
 }
 
-/// Computes the line ranges belonging to test-gated code: any brace region
-/// whose governing item carries `#[test]`, `#[cfg(test)]`, or a `cfg`
-/// attribute mentioning `test` (e.g. `#[cfg(any(test, fuzzing))]`).
+/// Computes the line ranges governed by a marker attribute: any brace region
+/// whose item carries an attribute `is_marker` accepts — [`attr_is_test_marker`]
+/// for test-gated code, [`attr_is_target_feature`] for SIMD kernels.
 /// Returns disjoint sorted `(start, end)` inclusive line ranges.
-fn test_region_lines(tokens: &[Token<'_>]) -> Vec<(u32, u32)> {
+fn attr_region_lines(
+    tokens: &[Token<'_>],
+    is_marker: fn(&[&Token<'_>]) -> bool,
+) -> Vec<(u32, u32)> {
     let sig: Vec<&Token<'_>> = tokens.iter().filter(|t| !t.is_comment()).collect();
     let mut ranges: Vec<(u32, u32)> = Vec::new();
-    let mut stack: Vec<bool> = Vec::new(); // test flag per open brace
+    let mut stack: Vec<bool> = Vec::new(); // marker flag per open brace
     let mut region_start: Vec<u32> = Vec::new();
-    let mut pending_test = false;
+    let mut pending = false;
     let mut i = 0usize;
     while i < sig.len() {
         let t = sig[i];
@@ -736,26 +766,26 @@ fn test_region_lines(tokens: &[Token<'_>]) -> Vec<(u32, u32)> {
                         attr_tokens.push(sig[j]);
                         j += 1;
                     }
-                    if attr_is_test_marker(&attr_tokens) {
-                        pending_test = true;
+                    if is_marker(&attr_tokens) {
+                        pending = true;
                     }
                     i = j + 1;
                     continue;
                 }
             }
             TokKind::Punct('{') => {
-                let parent_test = stack.iter().any(|&b| b);
-                let test = pending_test || parent_test;
-                if test && !parent_test {
+                let parent_marked = stack.iter().any(|&b| b);
+                let marked = pending || parent_marked;
+                if marked && !parent_marked {
                     region_start.push(t.line);
                 }
-                stack.push(pending_test || parent_test);
-                pending_test = false;
+                stack.push(pending || parent_marked);
+                pending = false;
             }
             TokKind::Punct('}') => {
-                let was_test = stack.pop().unwrap_or(false);
-                let still_test = stack.iter().any(|&b| b);
-                if was_test && !still_test {
+                let was_marked = stack.pop().unwrap_or(false);
+                let still_marked = stack.iter().any(|&b| b);
+                if was_marked && !still_marked {
                     if let Some(start) = region_start.pop() {
                         ranges.push((start, t.line));
                     }
@@ -763,7 +793,7 @@ fn test_region_lines(tokens: &[Token<'_>]) -> Vec<(u32, u32)> {
             }
             TokKind::Punct(';') => {
                 // `#[cfg(test)] use foo;` — attribute consumed by the item.
-                pending_test = false;
+                pending = false;
             }
             _ => {}
         }
@@ -789,14 +819,33 @@ fn attr_is_test_marker(inner: &[&Token<'_>]) -> bool {
     }
 }
 
-fn cmp_range(r: &(u32, u32), line: u32) -> std::cmp::Ordering {
-    if line < r.0 {
-        std::cmp::Ordering::Greater
-    } else if line > r.1 {
-        std::cmp::Ordering::Less
-    } else {
-        std::cmp::Ordering::Equal
-    }
+/// Whether an attribute's inner tokens are `target_feature(…)`.
+fn attr_is_target_feature(inner: &[&Token<'_>]) -> bool {
+    let first_ident = inner.iter().find(|t| t.kind == TokKind::Ident);
+    first_ident.is_some_and(|t| t.text == "target_feature")
+}
+
+/// Whether `ident` names an x86 SIMD intrinsic: `_mm`, optional width
+/// digits, `_` (`_mm_popcnt_u32`, `_mm256_set1_epi32`, `_mm512_…`).
+fn is_simd_intrinsic(ident: &str) -> bool {
+    ident
+        .strip_prefix("_mm")
+        .is_some_and(|rest| rest.trim_start_matches(|c: char| c.is_ascii_digit()).starts_with('_'))
+}
+
+/// Whether `line` falls in one of the disjoint sorted inclusive `ranges`.
+fn covers(ranges: &[(u32, u32)], line: u32) -> bool {
+    ranges
+        .binary_search_by(|r| {
+            if line < r.0 {
+                std::cmp::Ordering::Greater
+            } else if line > r.1 {
+                std::cmp::Ordering::Less
+            } else {
+                std::cmp::Ordering::Equal
+            }
+        })
+        .is_ok()
 }
 
 #[cfg(test)]
@@ -883,6 +932,27 @@ mod tests {
         // `unsafe` in tests still needs SAFETY and allowlisting.
         assert_eq!(rule_count(&a, Rule::UnsafeNoSafety), 1);
         assert_eq!(rule_count(&a, Rule::UnsafeOutsideAllowlist), 1);
+    }
+
+    #[test]
+    fn intrinsic_in_a_plain_fn_is_flagged() {
+        let src = "fn sum(v: &[u8]) -> u32 {\n    let mut c = 0;\n    for &b in v { c += _mm_popcnt_u32(b); }\n    c\n}\n\
+                   fn gather(d: *const i32, i: __m256i) -> __m256i { unsafe { _mm256_i32gather_epi32::<4>(d, i) } }\n";
+        let a = analyze(src, DECODE);
+        assert_eq!(rule_count(&a, Rule::IntrinsicOutsideTargetFeature), 2, "{:?}", a.violations);
+        // Tests are not exempt: the deoptimisation is the same there.
+        let in_test = analyze("#[test]\nfn t() { _mm_setzero_si128(); }", DECODE);
+        assert_eq!(rule_count(&in_test, Rule::IntrinsicOutsideTargetFeature), 1);
+    }
+
+    #[test]
+    fn intrinsic_under_target_feature_is_not_flagged() {
+        let src = "use std::arch::x86_64::{_mm_popcnt_u32, _mm_popcnt_u64};\n\
+                   #[cfg(target_arch = \"x86_64\")]\n#[target_feature(enable = \"sse4.2\")]\n\
+                   unsafe fn kernel(v: &[u8]) -> u32 {\n    let mut c = 0;\n    for &b in v {\n        c += _mm_popcnt_u32(b);\n    }\n    c\n}\n\
+                   fn not_an_intrinsic() { _mmap(); _mm(); my_mm_popcnt_u32(); }\n";
+        let a = analyze(src, DECODE);
+        assert_eq!(rule_count(&a, Rule::IntrinsicOutsideTargetFeature), 0, "{:?}", a.violations);
     }
 
     #[test]

@@ -2,7 +2,15 @@
 # A/B a change against its parent on the repository's benchmark
 # (choosing-metrics section 8): N pairs of untraced runs, alternating which
 # tree runs first, one seed per pair; per end-to-end metric both medians, both
-# quartile pairs and the win count.
+# quartile pairs, the win count and the spread.
+#
+# spread = the change's inter-quartile distance / (the metric's bound x the
+# parent's median): the steadiness test the driver applies to every metric,
+# whichever way it moved. Above 1.0 the row is marked UNSTEADY even when every
+# change run beats every parent run - a metric that improves by more than
+# ~1.6x carries this host's 12-15 % memory-mode swing on a larger base and can
+# be refused on that alone (PR 21: svc_scans_per_s read "better", IQR 94.6
+# against 87.0).
 #
 #   scripts/ab.sh <parent-tree> <change-tree> --workload pbi|tpch --pairs N
 #                 [--seed-base S] [--out DIR] [--report-only]
@@ -20,7 +28,7 @@
 # table again from the lines an earlier call left in --out.
 set -euo pipefail
 
-usage() { sed -n '2,20p' "$0" >&2; exit 2; }
+usage() { sed -n '2,28p' "$0" >&2; exit 2; }
 
 [ $# -ge 2 ] || usage
 parent="$(cd "$1" && pwd)"; change="$(cd "$2" && pwd)"; shift 2
@@ -90,7 +98,7 @@ for side, rs in runs.items():
     failed = sum(r["failed"] for r in rs)
     attempted = sum(r["attempted"] for r in rs)
     print(f"{side}: failed {failed} of {attempted} attempted")
-head = f"{'metric':<21} {'parent median [q1, q3]':<28} {'change median [q1, q3]':<28} {'ratio':>6} {'wins':>6}  verdict"
+head = f"{'metric':<21} {'parent median [q1, q3]':<28} {'change median [q1, q3]':<28} {'ratio':>6} {'wins':>6} {'spread':>6}  verdict"
 print(head)
 for m in metrics:
     name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
@@ -106,11 +114,12 @@ for m in metrics:
         verdict = "better"
     elif worse_by > bound:
         verdict = f"WORSE than bound {bound:.0%}"
-    elif (c3 - c1) > bound * abs(pm) and not all((y >= x) if higher else (y <= x) for x in p for y in c):
-        verdict = "unresolved (spread > bound)"
     else:
         verdict = "within bound"
+    spread = (c3 - c1) / (bound * abs(pm)) if pm else 0.0
+    if spread > 1.0:
+        verdict += "  UNSTEADY"
     fmt = lambda m_, a, b: f"{m_:.4g} [{a:.4g}, {b:.4g}]"
     ratio = cm / pm if pm else float("nan")
-    print(f"{name:<21} {fmt(pm, p1, p3):<28} {fmt(cm, c1, c3):<28} {ratio:>6.3f} {wins:>3}/{pairs:<2}  {verdict}")
+    print(f"{name:<21} {fmt(pm, p1, p3):<28} {fmt(cm, c1, c3):<28} {ratio:>6.3f} {wins:>3}/{pairs:<2} {spread:>6.2f}  {verdict}")
 PY

@@ -10,8 +10,9 @@
 //!
 //! CSV handling is deliberately simple (no quoting/escapes): the tool exists
 //! to exercise the library end-to-end from a shell, not to be a CSV parser.
-//! Doubles are printed in Rust's canonical shortest form on decompression
-//! (`12.50` comes back as `12.5`) — values round-trip bitwise, text may not.
+//! A column is typed Integer or Double only when every field prints back to
+//! the text it was parsed from, so `decompress` restores the input byte for
+//! byte: `00501`, `+7` and `12.50` parse as numbers but stay strings.
 
 use btrblocks_repro::btrblocks::{
     self, CmpOp, Column, ColumnData, ColumnType, Config, Literal, Relation, StringArena,
@@ -43,6 +44,16 @@ fn main() -> ExitCode {
 
 type AnyError = Box<dyn std::error::Error>;
 
+/// Parses a column as `T` if every field is the text `T` prints (`to_csv`
+/// uses the same `{}`), so typing it cannot change what comes back. `None`
+/// for an empty column.
+fn parse_faithful<T: std::str::FromStr + ToString>(fields: &[&str]) -> Option<Vec<T>> {
+    if fields.is_empty() {
+        return None;
+    }
+    fields.iter().map(|f| f.parse::<T>().ok().filter(|v| v.to_string() == *f)).collect()
+}
+
 /// Infers each column's type from its values: Integer ⊂ Double ⊂ String.
 fn infer_relation(csv: &str) -> Result<Relation, AnyError> {
     let mut lines = csv.lines();
@@ -59,15 +70,15 @@ fn infer_relation(csv: &str) -> Result<Relation, AnyError> {
         .iter()
         .enumerate()
         .map(|(ci, name)| {
-            let all_int = rows.iter().all(|r| r[ci].parse::<i32>().is_ok());
-            let data = if all_int && !rows.is_empty() {
-                ColumnData::Int(rows.iter().map(|r| r[ci].parse().expect("checked")).collect())
-            } else if !rows.is_empty() && rows.iter().all(|r| r[ci].parse::<f64>().is_ok()) {
-                ColumnData::Double(rows.iter().map(|r| r[ci].parse().expect("checked")).collect())
+            let fields: Vec<&str> = rows.iter().map(|r| r[ci]).collect();
+            let data = if let Some(ints) = parse_faithful(&fields) {
+                ColumnData::Int(ints)
+            } else if let Some(doubles) = parse_faithful(&fields) {
+                ColumnData::Double(doubles)
             } else {
                 let mut arena = StringArena::new();
-                for r in &rows {
-                    arena.push(r[ci].as_bytes());
+                for f in &fields {
+                    arena.push(f.as_bytes());
                 }
                 ColumnData::Str(arena)
             };
@@ -188,4 +199,44 @@ fn filter(input: &str, column: &str, op: &str, literal: &str) -> Result<(), AnyE
     }
     println!("{matches} rows match (evaluated on compressed blocks)");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fields_that_do_not_print_back_are_not_numeric() {
+        for field in ["00501", "+7", "1.50", "2.00", "1e3", "-0.0"] {
+            assert_eq!(parse_faithful::<i32>(&[field]), None, "{field} as i32");
+            assert_eq!(parse_faithful::<f64>(&[field]), None, "{field} as f64");
+        }
+        // `-0` is no integer (0 prints `0`) but is the text of the double -0.0.
+        assert_eq!(parse_faithful::<i32>(&["-0"]), None);
+        assert!(parse_faithful::<f64>(&["-0"]).is_some_and(|v| v[0].is_sign_negative()));
+        // One unfaithful field makes the whole column a string.
+        assert_eq!(parse_faithful::<i32>(&["7", "08"]), None);
+        assert_eq!(parse_faithful::<i32>(&[]), None);
+    }
+
+    #[test]
+    fn fields_that_print_back_are_numeric() {
+        assert_eq!(parse_faithful::<i32>(&["7", "-12"]), Some(vec![7, -12]));
+        assert_eq!(parse_faithful::<i32>(&["1.5"]), None);
+        assert_eq!(parse_faithful::<f64>(&["7", "-12", "1.5"]), Some(vec![7.0, -12.0, 1.5]));
+        assert!(parse_faithful::<f64>(&["NaN"]).is_some_and(|v| v[0].is_nan()));
+    }
+
+    #[test]
+    fn inferred_relation_prints_back_to_its_csv() {
+        let csv = "zip,price,qty\n00501,1.50,+7\n02134,2.00,8\n";
+        let rel = infer_relation(csv).expect("well-formed csv");
+        assert!(rel.columns.iter().all(|c| matches!(c.data, ColumnData::Str(_))));
+        assert_eq!(to_csv(&rel), csv);
+        let csv = "id,ratio,tag\n7,1.5,a\n-12,NaN,b\n";
+        let rel = infer_relation(csv).expect("well-formed csv");
+        assert!(matches!(rel.columns[0].data, ColumnData::Int(_)));
+        assert!(matches!(rel.columns[1].data, ColumnData::Double(_)));
+        assert_eq!(to_csv(&rel), csv);
+    }
 }
