@@ -275,21 +275,6 @@ impl ExprPlan {
         columns.dedup();
         Ok(ExprPlan { conjuncts, columns })
     }
-
-    /// If the whole plan is a single leaf conjunct, its
-    /// `(column, op, literal)` — the shape the original single-predicate
-    /// pushdown handled.
-    pub fn single_leaf(&self) -> Option<(usize, CmpOp, &Literal)> {
-        match self.conjuncts.as_slice() {
-            [Conjunct {
-                kind: ConjunctKind::Leaf {
-                    column, op, literal, ..
-                },
-                ..
-            }] => Some((*column, *op, literal)),
-            _ => None,
-        }
-    }
 }
 
 fn bind<F>(expr: &Expr, resolve: &mut F) -> Result<BoundExpr, ExprError>
@@ -451,15 +436,13 @@ mod tests {
             ConjunctKind::Leaf { column: 1, op: CmpOp::Ge, .. }
         ));
         assert!(matches!(&plan.conjuncts[2].kind, ConjunctKind::General(_)));
-        assert!(plan.single_leaf().is_none());
-    }
-
-    #[test]
-    fn single_leaf_matches_legacy_predicate_shape() {
+        // A lone string comparison is one leaf carrying its literal.
         let plan = ExprPlan::compile(&col("tag").eq(lit("x")), schema).unwrap();
-        let (column, op, literal) = plan.single_leaf().unwrap();
-        assert_eq!((column, op), (2, CmpOp::Eq));
-        assert_eq!(literal, &Literal::from("x"));
+        assert!(matches!(
+            plan.conjuncts.as_slice(),
+            [Conjunct { kind: ConjunctKind::Leaf { column: 2, op: CmpOp::Eq, literal, .. }, .. }]
+                if *literal == Literal::from("x")
+        ));
     }
 
     #[test]

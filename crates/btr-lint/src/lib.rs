@@ -27,9 +27,10 @@
 //! * **C1** `rawlock` — no raw `std::sync::Mutex`/`RwLock`/`Condvar` in
 //!   crates listed under `[concurrency]`; use the `btr-sync` ordered
 //!   wrappers, or `// lint: allow(rawlock) <reason>`.
-//! * **C2** `lock_rank` — every `Ordered*::new(RANK, …)` names a constant
-//!   whose rank exists in the `[lock_order]` hierarchy table, and every
-//!   table row is backed by a declaration that is actually constructed.
+//! * **C2** `lock_rank` — every `Ordered*::new(RANK, …)` in a concurrency
+//!   crate names a constant whose rank exists in the `[lock_order]`
+//!   hierarchy table, and every table row is backed by a declaration (in
+//!   any lib target, btr-sync's own included) that is actually constructed.
 //! * **C3** `atomic_ordering` — every `Ordering::<mode>` token carries an
 //!   `// ordering: <reason>` annotation (same line or the comment block
 //!   directly above) unless the file is listed under `[atomics] allow`.

@@ -9,7 +9,7 @@
 //! | P2   | `cast`                             | lib targets of decode-path crates |
 //! | P3   | `banned_macro`                     | lib targets of every crate        |
 //! | C1   | `rawlock`                          | lib targets of concurrency crates |
-//! | C2   | `lock_rank`                        | lib targets of concurrency crates |
+//! | C2   | `lock_rank`                        | lib targets of every crate        |
 //! | C3   | `atomic_ordering`                  | lib targets of every crate        |
 //! | C4   | `bare_wait`                        | lib targets of concurrency crates |
 //! |      | `bad_annotation`                   | wherever an escape hatch is used  |
@@ -25,11 +25,13 @@
 //! concurrency crates are `btr_sync` wrappers carrying a declared rank from
 //! the `[lock_order]` hierarchy in `btr-lint.toml` (C1; the cross-check of
 //! construction sites against the table is C2, finished by the workspace
-//! driver), every `Ordering::<mode>` token states *why* the chosen ordering
-//! suffices via an `// ordering: <reason>` comment on the same line or the
-//! comment block directly above (C3), and blocking primitives that invite
-//! lost-wakeup bugs — bare `Condvar::wait`, `thread::sleep` — are banned in
-//! favor of `wait_while` and the simulated clock (C4).
+//! driver; it reads every lib target, so a rank btr-sync declares for its
+//! own lock is checked too), every `Ordering::<mode>` token states *why* the
+//! chosen ordering suffices via an `// ordering: <reason>` comment on the
+//! same line or the comment block directly above (C3), and blocking
+//! primitives that invite lost-wakeup bugs — bare `Condvar::wait`,
+//! `thread::sleep` — are banned in favor of `wait_while` and the simulated
+//! clock (C4).
 //!
 //! Test code (a `#[cfg(test)]` module, a `#[test]` fn, or any item under a
 //! test-gated brace region) is exempt from P1/P2/P3 but not from U1/U2:
@@ -135,14 +137,14 @@ pub struct FileRules {
     pub decode_path: bool,
     /// P3 applies (lib target of any crate).
     pub lib_target: bool,
-    /// C1/C2/C4 apply (lib target of a concurrency crate).
+    /// C1/C4 apply (lib target of a concurrency crate).
     pub concurrency_lib: bool,
     /// C3 applies (lib target not on the `[atomics] allow` list).
     pub atomics: bool,
 }
 
 /// A `const NAME: Rank = Rank::new(rank, "name")` declaration found in a
-/// concurrency crate's lib target (raw material for the C2 cross-check).
+/// lib target (raw material for the C2 cross-check).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankDecl {
     /// The Rust const (or static) identifier.
@@ -170,9 +172,9 @@ pub struct WrapperSite {
 pub struct FileAnalysis {
     pub violations: Vec<Violation>,
     pub unsafe_sites: Vec<UnsafeSite>,
-    /// Rank consts declared in this file (concurrency lib targets only).
+    /// Rank consts declared in this file (lib targets only).
     pub rank_decls: Vec<RankDecl>,
-    /// Ordered-wrapper construction sites (concurrency lib targets only).
+    /// Ordered-wrapper construction sites (lib targets only).
     pub wrapper_sites: Vec<WrapperSite>,
     /// Count of correctly-used escape hatches (for the report).
     pub suppressed: usize,
@@ -410,7 +412,7 @@ pub fn analyze(src: &str, rules: FileRules) -> FileAnalysis {
         // C2 raw material (cross-checked against the `[lock_order]` table by
         // the workspace driver): rank-const declarations and ordered-wrapper
         // construction sites.
-        if rules.concurrency_lib && !in_test(tok.line) {
+        if rules.lib_target && !in_test(tok.line) {
             if tok.kind == TokKind::Ident && (tok.text == "const" || tok.text == "static") {
                 last_decl_name = next
                     .filter(|t| t.kind == TokKind::Ident)
@@ -1169,8 +1171,8 @@ fn f() {\n\
         assert_eq!(a.wrapper_sites[0].rank_const, "CACHE_RANK");
         assert_eq!(a.wrapper_sites[1].wrapper, "OrderedCondvar");
         assert_eq!(a.wrapper_sites[1].rank_const, "OTHER_RANK");
-        // Non-concurrency files collect nothing.
-        let off = analyze(src, DECODE);
+        // Non-lib files (tests, examples) collect nothing.
+        let off = analyze(src, FileRules { lib_target: false, ..CONCURRENCY });
         assert!(off.rank_decls.is_empty() && off.wrapper_sites.is_empty());
     }
 

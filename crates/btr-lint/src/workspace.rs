@@ -406,10 +406,14 @@ fn cross_check_lock_order(
             );
         }
     }
-    // Every wrapper construction names a known rank const, and every rank
-    // const is constructed with at least once (unused ranks rot).
+    // Every wrapper construction in a concurrency crate names a known rank
+    // const, and every rank const is constructed with at least once (unused
+    // ranks rot). btr-sync's generic tables (SingleFlight) build wrappers
+    // from rank parameters; the consts are checked where callers pass them.
     for (krate, file, w) in wrapper_sites {
-        if !rank_decls.iter().any(|(_, _, d)| d.const_name == w.rank_const) {
+        if config.concurrency_crates.contains(krate)
+            && !rank_decls.iter().any(|(_, _, d)| d.const_name == w.rank_const)
+        {
             record_lock_rank(
                 run,
                 krate,

@@ -7,11 +7,13 @@
 //!
 //! * [`ObjectStore`] — an in-memory keyed blob store with ranged GETs and a
 //!   16 MB chunking helper (the request size AWS' performance guidelines
-//!   recommend and the paper uses).
+//!   recommend and the paper uses). Exactly one read goes through the fault
+//!   plan: [`ObjectStore::get_range_timed_as`], the ranged GET a scan
+//!   issues, which reports its simulated latency instead of sleeping.
 //! * [`FaultPlan`] — deterministic injected failures: transient GET errors,
-//!   truncated responses, and corrupted payloads, all decided by a seeded
-//!   hash of `(key, attempt)` so every run of a simulation sees the same
-//!   faults.
+//!   truncated responses, corrupted payloads, partial bodies and latency
+//!   spikes, all decided by a seeded hash of `(key, range, attempt)` so
+//!   every run of a simulation sees the same faults.
 //! * [`CostModel`] — the paper's pricing: $3.89/h for the instance,
 //!   $0.0004 per 1 000 GET requests, 100 Gbit/s of aggregate network
 //!   bandwidth, and a per-request first-byte latency hidden by concurrency.
@@ -20,24 +22,23 @@
 //!   itself: `btr_scan`'s executor fetches through `ObjectStoreSource`, and
 //!   its `ScanReport` (requests, bytes, decode and backoff seconds) is what a
 //!   caller turns into a [`ScanStats`].
-//! * [`retry`] — [`RetryPolicy`] and [`run_with_retries`], the one
-//!   deadline-aware retry loop, on a simulated clock.
+//!
+//! The store owns no time and no retry policy: the simulated clock,
+//! deadlines, retry budgets and [`RetryPolicy`] live in `btr_sync`, and the
+//! retry loop in btr-scan's object-store source.
 //!
 //! The simulation preserves exactly the trade-off the paper measures: a
 //! denser format moves fewer bytes (less network time) but may burn more CPU
 //! per byte; scans are network-bound only while `T_c` — decompression
 //! throughput in *compressed* bytes — exceeds the wire speed.
 
-pub mod retry;
-
-pub use retry::{
-    run_with_retries, Attempt, Deadline, RetryBudget, RetryError, RetryFailure, RetryPolicy,
-    RetryStats, SimClock,
-};
+// Re-exported where the benchmark, the examples and the end-to-end tests
+// import it from, next to the store they configure a source over.
+pub use btr_sync::RetryPolicy;
 
 use btr_corrupt::rng::Xorshift;
 use std::collections::HashMap;
-use btr_sync::{OrderedCondvar, OrderedMutex, OrderedRwLock, Rank};
+use btr_sync::{OrderedRwLock, Rank};
 use std::sync::Arc;
 
 /// Default chunk size for multi-part objects: 16 MB (paper §6.7).
@@ -120,10 +121,10 @@ pub struct FaultPlan {
     pub latency_spike_ms: u32,
     /// Request timeout in milliseconds; `0` disables timeouts. A request
     /// whose total latency reaches the timeout returns
-    /// [`GetError::TimedOut`] on the timed GET path.
+    /// [`GetError::TimedOut`].
     pub request_timeout_ms: u32,
-    /// Base latency of every request in milliseconds (first-byte latency on
-    /// the timed GET path; hedging decisions key off it).
+    /// Base latency of every faulted ranged GET in milliseconds (first-byte
+    /// latency; hedging decisions key off it).
     pub base_latency_ms: u32,
     /// Attempts per key after which GETs are always clean.
     pub max_faults_per_key: u32,
@@ -255,9 +256,9 @@ impl std::fmt::Display for GetError {
 
 impl std::error::Error for GetError {}
 
-/// Outcome of a GET on the timed path: what came back and how long the
+/// Outcome of a faulted ranged GET: what came back and how long the
 /// request took in simulated time. Latency is reported, never slept —
-/// callers charge it to their [`SimClock`].
+/// callers charge it to their [`btr_sync::SimClock`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimedGet {
     /// The response body or typed error.
@@ -303,8 +304,6 @@ impl GetStats {
 /// §15; the table lives in btr-lint.toml's `[lock_order]` section). Store
 /// locks are only ever taken with scan/service locks already released, so
 /// they rank above every consumer.
-const S3_INFLIGHT_RANK: Rank = Rank::new(120, "s3.inflight");
-const S3_INFLIGHT_CV_RANK: Rank = Rank::new(121, "s3.inflight.cv");
 const S3_OBJECTS_RANK: Rank = Rank::new(130, "s3.objects");
 const S3_FAULT_PLAN_RANK: Rank = Rank::new(132, "s3.fault_plan");
 const S3_TENANTS_RANK: Rank = Rank::new(134, "s3.tenants");
@@ -317,37 +316,11 @@ pub struct ObjectStore {
     ranged_get_requests: std::sync::atomic::AtomicU64,
     bytes_served: std::sync::atomic::AtomicU64,
     tenant_stats: OrderedRwLock<HashMap<String, GetStats>>,
-    inflight: OrderedMutex<InflightState>,
-    inflight_cv: OrderedCondvar,
 }
 
 impl Default for ObjectStore {
     fn default() -> ObjectStore {
         ObjectStore::new()
-    }
-}
-
-/// Book-keeping for the optional global in-flight GET cap: how many requests
-/// are currently being served, the cap (None = unlimited), and the high-water
-/// mark since the last reset.
-#[derive(Debug, Default)]
-struct InflightState {
-    cap: Option<usize>,
-    current: usize,
-    peak: usize,
-}
-
-/// RAII token for one in-flight GET slot; releasing wakes one blocked caller.
-struct InflightSlot<'a> {
-    store: &'a ObjectStore,
-}
-
-impl Drop for InflightSlot<'_> {
-    fn drop(&mut self) {
-        let mut st = self.store.inflight.lock();
-        st.current = st.current.saturating_sub(1);
-        drop(st);
-        self.store.inflight_cv.notify_one();
     }
 }
 
@@ -363,13 +336,11 @@ impl ObjectStore {
             ranged_get_requests: std::sync::atomic::AtomicU64::new(0),
             bytes_served: std::sync::atomic::AtomicU64::new(0),
             tenant_stats: OrderedRwLock::new(S3_TENANTS_RANK, HashMap::new()),
-            inflight: OrderedMutex::new(S3_INFLIGHT_RANK, InflightState::default()),
-            inflight_cv: OrderedCondvar::new(S3_INFLIGHT_CV_RANK),
         }
     }
 
     /// Installs (or clears) the fault plan consulted by
-    /// [`ObjectStore::get_with_attempt`].
+    /// [`ObjectStore::get_range_timed_as`].
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
         *self.fault_plan.write() = plan;
     }
@@ -403,27 +374,6 @@ impl ObjectStore {
         self.objects.read().get(key).cloned()
     }
 
-    /// Applies `fault` to a clean body. Latency ([`Fault::Spike`]) is the
-    /// timed path's concern; here a spiked body is otherwise clean.
-    fn apply_fault(body: &[u8], fault: Fault) -> Result<Vec<u8>, GetError> {
-        match fault {
-            Fault::None | Fault::Spike { .. } => Ok(body.to_vec()),
-            Fault::Transient => Err(GetError::Transient),
-            Fault::Truncate(len) => Ok(body[..len.min(body.len())].to_vec()),
-            Fault::CorruptBit { offset, bit } => {
-                let mut out = body.to_vec();
-                if let Some(b) = out.get_mut(offset) {
-                    *b ^= 1 << (bit & 7);
-                }
-                Ok(out)
-            }
-            Fault::Partial { got } => Err(GetError::PartialBody {
-                got: got.min(body.len()),
-                expected: body.len(),
-            }),
-        }
-    }
-
     /// Bytes a response actually moved over the wire: full bodies for
     /// successes, the received prefix for partial reads, nothing otherwise.
     fn billed_bytes(outcome: &Result<Vec<u8>, GetError>) -> usize {
@@ -434,7 +384,9 @@ impl ObjectStore {
         }
     }
 
-    fn account(&self, ranged: bool, bytes: usize) {
+    /// Bills one request to the global counters and, when `tenant` is
+    /// `Some`, to that tenant's breakdown too.
+    fn account(&self, ranged: bool, bytes: usize, tenant: Option<&str>) {
         // ordering: request counters are pure statistics, read after the
         // calls that bump them have returned
         use std::sync::atomic::Ordering::Relaxed;
@@ -444,12 +396,6 @@ impl ObjectStore {
             self.get_requests.fetch_add(1, Relaxed);
         }
         self.bytes_served.fetch_add(bytes as u64, Relaxed);
-    }
-
-    /// [`ObjectStore::account`] plus the per-tenant breakdown. Anonymous
-    /// requests (`tenant == None`) only hit the global counters.
-    fn account_as(&self, ranged: bool, bytes: usize, tenant: Option<&str>) {
-        self.account(ranged, bytes);
         let Some(tenant) = tenant else { return };
         let mut map = self.tenant_stats.write();
         let stats = map.entry(tenant.to_string()).or_default();
@@ -459,37 +405,6 @@ impl ObjectStore {
             stats.get_requests += 1;
         }
         stats.bytes_served += bytes as u64;
-    }
-
-    /// Installs (or clears) a global cap on concurrently served GETs. While
-    /// `current == cap`, further GETs block until a slot frees — letting a
-    /// harness prove that cross-scan deduplication, not luck, keeps request
-    /// counts down even when the store throttles concurrency.
-    pub fn set_inflight_cap(&self, cap: Option<usize>) {
-        let mut st = self.inflight.lock();
-        st.cap = cap;
-        drop(st);
-        self.inflight_cv.notify_all();
-    }
-
-    /// High-water mark of concurrently served GETs since creation (or the
-    /// last [`ObjectStore::reset_counters`]). Tracked whether or not a cap is
-    /// installed.
-    pub fn inflight_peak(&self) -> usize {
-        self.inflight.lock().peak
-    }
-
-    /// Claims one in-flight GET slot, blocking while the store is at its cap.
-    fn acquire_slot(&self) -> InflightSlot<'_> {
-        let mut st = self
-            .inflight_cv
-            .wait_while(self.inflight.lock(), |st| {
-                st.cap.is_some_and(|cap| st.current >= cap.max(1))
-            });
-        st.current += 1;
-        st.peak = st.peak.max(st.current);
-        drop(st);
-        InflightSlot { store: self }
     }
 
     /// Request counters accumulated since creation (or the last
@@ -505,8 +420,7 @@ impl ObjectStore {
         }
     }
 
-    /// Zeroes the request counters, the per-tenant breakdown and the
-    /// in-flight high-water mark.
+    /// Zeroes the request counters and the per-tenant breakdown.
     pub fn reset_counters(&self) {
         // ordering: counter reset is advisory; callers quiesce requests first
         use std::sync::atomic::Ordering::Relaxed;
@@ -514,7 +428,6 @@ impl ObjectStore {
         self.ranged_get_requests.store(0, Relaxed);
         self.bytes_served.store(0, Relaxed);
         self.tenant_stats.write().clear();
-        self.inflight.lock().peak = 0;
     }
 
     /// Request counters attributed to one tenant via
@@ -537,23 +450,8 @@ impl ObjectStore {
     /// Fetches a whole object, bypassing fault injection.
     pub fn get(&self, key: &str) -> Option<Arc<Vec<u8>>> {
         let obj = self.lookup(key)?;
-        self.account(false, obj.len());
+        self.account(false, obj.len(), None);
         Some(obj)
-    }
-
-    /// Fetches a whole object through the fault plan. `attempt` is the
-    /// zero-based retry counter; the same `(key, attempt)` pair always
-    /// produces the same outcome. Without a plan this is a clean copy.
-    pub fn get_with_attempt(&self, key: &str, attempt: u32) -> Result<Vec<u8>, GetError> {
-        let obj = self.lookup(key).ok_or(GetError::NotFound)?;
-        let plan = self.fault_plan.read();
-        let fault = plan
-            .as_ref()
-            .map_or(Fault::None, |p| p.draw(key, attempt, obj.len()));
-        drop(plan);
-        let body = Self::apply_fault(&obj, fault);
-        self.account(false, Self::billed_bytes(&body));
-        body
     }
 
     /// Fetches a byte range of an object (an HTTP range GET).
@@ -563,40 +461,27 @@ impl ObjectStore {
         if end > obj.len() {
             return None;
         }
-        self.account(true, len);
+        self.account(true, len, None);
         Some(obj[start..end].to_vec())
     }
 
-    /// Fetches a byte range through the fault plan, the ranged-GET analogue
-    /// of [`ObjectStore::get_with_attempt`]. Faults draw on
-    /// `(key, range, attempt)`, so different ranges of one object fail
-    /// independently — exactly how real per-request faults behave — and
-    /// truncation/corruption apply within the returned range body.
-    pub fn get_range_with_attempt(
-        &self,
-        key: &str,
-        start: usize,
-        len: usize,
-        attempt: u32,
-    ) -> Result<Vec<u8>, GetError> {
-        self.get_range_timed(key, start, len, attempt).outcome
-    }
-
-    /// [`ObjectStore::get_range_with_attempt`] plus a simulated latency
-    /// reading — the path fault-aware scanners use. The latency is the
-    /// plan's base latency plus any injected spike; when a spike pushes it
-    /// to the plan's `request_timeout_ms` the outcome becomes
-    /// [`GetError::TimedOut`] and the latency is capped at the timeout
-    /// (the client stops waiting). Nothing sleeps: callers advance their
-    /// [`SimClock`] by the reported latency.
-    pub fn get_range_timed(&self, key: &str, start: usize, len: usize, attempt: u32) -> TimedGet {
-        self.get_range_timed_as(key, start, len, attempt, None)
-    }
-
-    /// [`ObjectStore::get_range_timed`] with the request attributed to a
-    /// tenant: the global counters advance as usual, and when `tenant` is
-    /// `Some` the same deltas land in that tenant's [`GetStats`] (read back
-    /// via [`ObjectStore::tenant_counters`]). Respects the in-flight cap.
+    /// Fetches a byte range through the fault plan — the one faulted read,
+    /// the path fault-aware scanners use. `attempt` is the zero-based retry
+    /// counter; faults draw on `(key, range, attempt)`, so the same request
+    /// always produces the same outcome and different ranges of one object
+    /// fail independently — exactly how real per-request faults behave.
+    /// Truncation and corruption apply within the returned range body; a
+    /// missing key or out-of-bounds range is [`GetError::NotFound`].
+    ///
+    /// The latency is the plan's base latency plus any injected spike; when
+    /// a spike pushes it to the plan's `request_timeout_ms` the outcome
+    /// becomes [`GetError::TimedOut`] and the latency is capped at the
+    /// timeout (the client stops waiting). Nothing sleeps: callers advance
+    /// their [`btr_sync::SimClock`] by the reported latency.
+    ///
+    /// The global counters always advance; when `tenant` is `Some` the same
+    /// deltas land in that tenant's [`GetStats`] (read back via
+    /// [`ObjectStore::tenant_counters`]).
     pub fn get_range_timed_as(
         &self,
         key: &str,
@@ -605,7 +490,6 @@ impl ObjectStore {
         attempt: u32,
         tenant: Option<&str>,
     ) -> TimedGet {
-        let _slot = self.acquire_slot();
         let Some(obj) = self.lookup(key) else {
             return TimedGet {
                 outcome: Err(GetError::NotFound),
@@ -627,40 +511,40 @@ impl ObjectStore {
             )
         });
         drop(plan);
+        let body = &obj[start..end];
         let mut latency_ms = base_ms;
-        let outcome = if let Fault::Spike { ms } = fault {
-            latency_ms = latency_ms.saturating_add(ms);
-            if timeout_ms > 0 && latency_ms >= timeout_ms {
-                latency_ms = timeout_ms;
-                Err(GetError::TimedOut { after_ms: timeout_ms })
-            } else {
-                Ok(obj[start..end].to_vec())
+        let outcome = match fault {
+            Fault::None => Ok(body.to_vec()),
+            Fault::Spike { ms } => {
+                latency_ms = latency_ms.saturating_add(ms);
+                if timeout_ms > 0 && latency_ms >= timeout_ms {
+                    latency_ms = timeout_ms;
+                    Err(GetError::TimedOut { after_ms: timeout_ms })
+                } else {
+                    Ok(body.to_vec())
+                }
             }
-        } else {
-            Self::apply_fault(&obj[start..end], fault)
+            Fault::Transient => Err(GetError::Transient),
+            Fault::Truncate(cut) => Ok(body[..cut.min(len)].to_vec()),
+            Fault::CorruptBit { offset, bit } => {
+                let mut out = body.to_vec();
+                if let Some(b) = out.get_mut(offset) {
+                    *b ^= 1 << (bit & 7);
+                }
+                Ok(out)
+            }
+            Fault::Partial { got } => Err(GetError::PartialBody {
+                got: got.min(len),
+                expected: len,
+            }),
         };
-        self.account_as(true, Self::billed_bytes(&outcome), tenant);
+        self.account(true, Self::billed_bytes(&outcome), tenant);
         TimedGet {
             outcome,
             latency_ms,
         }
     }
 
-    /// Size of an object (a HEAD request; not counted as a GET).
-    pub fn size_of(&self, key: &str) -> Option<usize> {
-        self.lookup(key).map(|o| o.len())
-    }
-
-    /// Lists keys with a prefix, sorted.
-    pub fn list(&self, prefix: &str) -> Vec<String> {
-        let mut keys: Vec<String> = self.objects.read()
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect();
-        keys.sort();
-        keys
-    }
 }
 
 /// What one scan moved and how long it took in simulated time — the input
@@ -711,9 +595,15 @@ impl CostModel {
     }
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An anonymous faulted ranged GET.
+    fn get(store: &ObjectStore, key: &str, start: usize, len: usize, attempt: u32) -> TimedGet {
+        store.get_range_timed_as(key, start, len, attempt, None)
+    }
 
     #[test]
     fn put_get_roundtrip_and_ranges() {
@@ -723,17 +613,15 @@ mod tests {
         assert_eq!(store.get_range("a", 1, 3).unwrap(), vec![2, 3, 4]);
         assert!(store.get_range("a", 3, 5).is_none());
         assert!(store.get("missing").is_none());
-        assert_eq!(store.size_of("a"), Some(5));
     }
 
     #[test]
-    fn chunked_put_splits_and_lists() {
+    fn chunked_put_splits_into_parts() {
         let store = ObjectStore::new();
         let data = vec![7u8; 100];
         let keys = store.put_chunked("ds", &data, 30);
-        assert_eq!(keys.len(), 4);
-        assert_eq!(store.list("ds/"), keys);
-        let total: usize = keys.iter().map(|k| store.size_of(k).unwrap()).sum();
+        assert_eq!(keys, ["ds/part-0", "ds/part-1", "ds/part-2", "ds/part-3"]);
+        let total: usize = keys.iter().map(|k| store.get(k).unwrap().len()).sum();
         assert_eq!(total, 100);
     }
 
@@ -790,7 +678,7 @@ mod tests {
         store.put("a", (0u8..200).collect());
         store.get_range_timed_as("a", 0, 100, 0, Some("alice"));
         store.get_range_timed_as("a", 100, 50, 0, Some("bob"));
-        store.get_range_timed_as("a", 150, 50, 0, None);
+        get(&store, "a", 150, 50, 0);
         let alice = store.tenant_counters("alice");
         let bob = store.tenant_counters("bob");
         assert_eq!(alice.ranged_get_requests, 1);
@@ -809,31 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn inflight_cap_bounds_concurrency_and_records_peak() {
-        let store = Arc::new(ObjectStore::new());
-        store.put("a", vec![0u8; 64]);
-        store.set_inflight_cap(Some(1));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let s = Arc::clone(&store);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..16 {
-                    let got = s.get_range_timed_as("a", 0, 64, 0, Some("t"));
-                    assert!(got.outcome.is_ok());
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(store.inflight_peak(), 1);
-        assert_eq!(store.counters().ranged_get_requests, 8 * 16);
-        store.set_inflight_cap(None);
-        store.reset_counters();
-        assert_eq!(store.inflight_peak(), 0);
-    }
-
-    #[test]
     fn ranged_gets_are_accounted_separately() {
         let store = ObjectStore::new();
         store.put("a", (0u8..200).collect());
@@ -843,8 +706,6 @@ mod tests {
         store.get_range("a", 100, 25);
         // Out-of-bounds range: no request served, nothing billed.
         assert!(store.get_range("a", 190, 50).is_none());
-        // HEAD-style size probe: not a GET.
-        store.size_of("a");
         let stats = store.counters();
         assert_eq!(stats.get_requests, 1);
         assert_eq!(stats.ranged_get_requests, 2);
@@ -855,20 +716,14 @@ mod tests {
     }
 
     #[test]
-    fn ranged_get_with_attempt_applies_faults_per_range() {
+    fn ranged_get_applies_faults_per_range() {
         let store = ObjectStore::new();
         store.put("k", vec![0xCD; 1_000]);
         // No plan: clean range.
+        assert_eq!(get(&store, "k", 100, 16, 0).outcome, Ok(vec![0xCD; 16]));
+        assert_eq!(get(&store, "missing", 0, 4, 0).outcome, Err(GetError::NotFound));
         assert_eq!(
-            store.get_range_with_attempt("k", 100, 16, 0).unwrap(),
-            vec![0xCD; 16]
-        );
-        assert_eq!(
-            store.get_range_with_attempt("missing", 0, 4, 0),
-            Err(GetError::NotFound)
-        );
-        assert_eq!(
-            store.get_range_with_attempt("k", 990, 100, 0),
+            get(&store, "k", 990, 100, 0).outcome,
             Err(GetError::NotFound),
             "out-of-bounds range"
         );
@@ -880,19 +735,26 @@ mod tests {
             ..FaultPlan::default()
         }));
         let outcomes: Vec<bool> = (0..20)
-            .map(|i| store.get_range_with_attempt("k", i * 16, 16, 0).is_ok())
+            .map(|i| get(&store, "k", i * 16, 16, 0).outcome.is_ok())
             .collect();
         let repeat: Vec<bool> = (0..20)
-            .map(|i| store.get_range_with_attempt("k", i * 16, 16, 0).is_ok())
+            .map(|i| get(&store, "k", i * 16, 16, 0).outcome.is_ok())
             .collect();
         assert_eq!(outcomes, repeat);
         assert!(outcomes.iter().any(|&ok| ok) && outcomes.iter().any(|&ok| !ok));
-        // Corruption stays inside the requested range.
+        // Certain truncation: the range body comes back short.
+        store.set_fault_plan(Some(FaultPlan {
+            truncate_rate: 1.0,
+            ..FaultPlan::default()
+        }));
+        assert!(get(&store, "k", 200, 64, 0).outcome.unwrap().len() < 64);
+        // Certain corruption: same length, one bit differs, and it stays
+        // inside the requested range.
         store.set_fault_plan(Some(FaultPlan {
             corrupt_rate: 1.0,
             ..FaultPlan::default()
         }));
-        let body = store.get_range_with_attempt("k", 200, 64, 0).unwrap();
+        let body = get(&store, "k", 200, 64, 0).outcome.unwrap();
         assert_eq!(body.len(), 64);
         let flipped: u32 = body.iter().map(|b| (b ^ 0xCD).count_ones()).sum();
         assert_eq!(flipped, 1);
@@ -915,30 +777,6 @@ mod tests {
     }
 
     #[test]
-    fn get_with_attempt_applies_faults() {
-        let store = ObjectStore::new();
-        store.put("k", vec![0xAB; 64]);
-        // No plan: always clean.
-        assert_eq!(store.get_with_attempt("k", 0).unwrap(), vec![0xAB; 64]);
-        assert_eq!(store.get_with_attempt("missing", 0), Err(GetError::NotFound));
-        // Plan with certain truncation: body is shorter.
-        store.set_fault_plan(Some(FaultPlan {
-            truncate_rate: 1.0,
-            ..FaultPlan::default()
-        }));
-        assert!(store.get_with_attempt("k", 0).unwrap().len() < 64);
-        // Certain corruption: same length, one bit differs.
-        store.set_fault_plan(Some(FaultPlan {
-            corrupt_rate: 1.0,
-            ..FaultPlan::default()
-        }));
-        let body = store.get_with_attempt("k", 0).unwrap();
-        assert_eq!(body.len(), 64);
-        let flipped: u32 = body.iter().map(|b| (b ^ 0xAB).count_ones()).sum();
-        assert_eq!(flipped, 1);
-    }
-
-    #[test]
     fn partial_reads_produce_typed_errors_and_bill_received_bytes() {
         let store = ObjectStore::new();
         store.put("k", vec![0x11; 500]);
@@ -946,7 +784,7 @@ mod tests {
             partial_rate: 1.0,
             ..FaultPlan::default()
         }));
-        let err = store.get_range_with_attempt("k", 100, 64, 0).unwrap_err();
+        let err = get(&store, "k", 100, 64, 0).outcome.unwrap_err();
         match err {
             GetError::PartialBody { got, expected } => {
                 assert_eq!(expected, 64);
@@ -956,13 +794,10 @@ mod tests {
             other => panic!("expected PartialBody, got {other:?}"),
         }
         // Deterministic: the same (range, attempt) repeats its outcome.
-        let repeat = store.get_range_with_attempt("k", 100, 64, 0).unwrap_err();
+        let repeat = get(&store, "k", 100, 64, 0).outcome.unwrap_err();
         assert_eq!(err, repeat);
         // Past the fault window the read is whole again.
-        assert_eq!(
-            store.get_range_with_attempt("k", 100, 64, 9).unwrap(),
-            vec![0x11; 64]
-        );
+        assert_eq!(get(&store, "k", 100, 64, 9).outcome, Ok(vec![0x11; 64]));
     }
 
     #[test]
@@ -976,14 +811,14 @@ mod tests {
             base_latency_ms: 30,
             ..FaultPlan::default()
         }));
-        let slow = store.get_range_timed("k", 0, 64, 0);
+        let slow = get(&store, "k", 0, 64, 0);
         assert_eq!(slow.outcome, Ok(vec![0x22; 64]));
         assert!(
             (530..=1_030).contains(&slow.latency_ms),
             "spike + base latency, got {} ms",
             slow.latency_ms
         );
-        assert_eq!(store.get_range_timed("k", 0, 64, 0), slow, "deterministic");
+        assert_eq!(get(&store, "k", 0, 64, 0), slow, "deterministic");
         // Same spike under a 400 ms timeout: the exact error is TimedOut and
         // the client stops waiting at the timeout.
         store.set_fault_plan(Some(FaultPlan {
@@ -993,7 +828,7 @@ mod tests {
             request_timeout_ms: 400,
             ..FaultPlan::default()
         }));
-        let timed_out = store.get_range_timed("k", 0, 64, 0);
+        let timed_out = get(&store, "k", 0, 64, 0);
         assert_eq!(timed_out.outcome, Err(GetError::TimedOut { after_ms: 400 }));
         assert_eq!(timed_out.latency_ms, 400);
         assert!((timed_out.latency_seconds() - 0.4).abs() < 1e-12);
@@ -1003,7 +838,7 @@ mod tests {
             request_timeout_ms: 400,
             ..FaultPlan::default()
         }));
-        let clean = store.get_range_timed("k", 0, 64, 0);
+        let clean = get(&store, "k", 0, 64, 0);
         assert_eq!(clean.outcome, Ok(vec![0x22; 64]));
         assert_eq!(clean.latency_ms, 30);
     }
@@ -1029,8 +864,8 @@ mod tests {
         // (same range, salted attempt) succeeds — the draws are independent.
         let mut hedge_saved = 0;
         for i in 0..40 {
-            let primary = store.get_range_with_attempt("k", i * 64, 64, 0);
-            let hedge = store.get_range_with_attempt("k", i * 64, 64, HEDGE_ATTEMPT_SALT);
+            let primary = get(&store, "k", i * 64, 64, 0).outcome;
+            let hedge = get(&store, "k", i * 64, 64, HEDGE_ATTEMPT_SALT).outcome;
             if primary.is_err() && hedge.is_ok() {
                 hedge_saved += 1;
             }
@@ -1039,7 +874,7 @@ mod tests {
         // The convergence guarantee masks the salt off: a salted attempt past
         // the fault window is clean.
         assert_eq!(
-            store.get_range_with_attempt("k", 0, 64, HEDGE_ATTEMPT_SALT | 4),
+            get(&store, "k", 0, 64, HEDGE_ATTEMPT_SALT | 4).outcome,
             Ok(vec![0x33; 64])
         );
     }

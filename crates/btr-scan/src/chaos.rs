@@ -31,15 +31,15 @@
 use crate::batch::{append, RecordBatch};
 use crate::engine::{EngineOptions, ScanEngine};
 use crate::layout::RelationLayout;
-use crate::plan::{Predicate, ScanSpec};
+use crate::plan::ScanSpec;
 use crate::retry::{BreakerConfig, HedgeConfig};
 use crate::source::{BlockSource, MemorySource, ObjectStoreSource};
 use crate::{Result, ScanError};
 use btr_corrupt::{Mutation, Xorshift};
-use btr_s3sim::{FaultPlan, ObjectStore, RetryPolicy};
-use btrblocks::{
-    CmpOp, Column, ColumnData, Config, Literal, Relation, Sidecar, StringArena,
-};
+use btr_expr::{col, lit};
+use btr_s3sim::{FaultPlan, ObjectStore};
+use btr_sync::RetryPolicy;
+use btrblocks::{Column, ColumnData, Config, Relation, Sidecar, StringArena};
 use std::sync::Arc;
 
 /// Campaign shape; the default is a quick smoke, tests scale `schedules` up.
@@ -264,16 +264,8 @@ pub fn spec_pool(rows: usize) -> Vec<ScanSpec> {
     let rows = rows as i32;
     vec![
         ScanSpec::project(["id", "val", "tag"]),
-        ScanSpec::project(["id"]).with_predicate(Predicate {
-            column: "id".into(),
-            op: CmpOp::Lt,
-            literal: Literal::Int(rows / 3),
-        }),
-        ScanSpec::project(["val", "tag"]).with_predicate(Predicate {
-            column: "id".into(),
-            op: CmpOp::Ge,
-            literal: Literal::Int(rows / 2),
-        }),
+        ScanSpec::project(["id"]).with_expr(col("id").lt(lit(rows / 3))),
+        ScanSpec::project(["val", "tag"]).with_expr(col("id").ge(lit(rows / 2))),
         ScanSpec::project(["tag"]),
     ]
 }

@@ -27,7 +27,7 @@ use crate::plan::{plan_scan, RowGroup, ScanPlan, ScanSpec};
 use crate::retry::FetchCtl;
 use crate::source::BlockSource;
 use crate::{Result, ScanError};
-use btr_s3sim::{Deadline, RetryBudget};
+use btr_sync::{Deadline, RetryBudget};
 use btrblocks::{ColumnData, Config, DecodeScratch, Sidecar};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};

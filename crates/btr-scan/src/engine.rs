@@ -212,8 +212,9 @@ mod tests {
     use super::*;
     use crate::source::fixtures::{attempts, stored};
     use crate::source::MemorySource;
-    use btr_s3sim::SimClock;
-    use btrblocks::{CmpOp, Column, ColumnData, Literal, Relation, StringArena};
+    use btr_expr::{col, lit};
+    use btr_sync::SimClock;
+    use btrblocks::{Column, ColumnData, Relation, StringArena};
 
     fn options(block_size: usize, batch_rows: usize) -> EngineOptions {
         EngineOptions {
@@ -259,11 +260,7 @@ mod tests {
             ColumnData::Int((0..4_000).map(|i| i % 3).collect()),
         )]);
         let (source, sidecar) = open(&engine, &rel, "pushdown");
-        let spec = ScanSpec::project(["k"]).with_predicate(crate::plan::Predicate {
-            column: "k".into(),
-            op: CmpOp::Eq,
-            literal: Literal::Int(7),
-        });
+        let spec = ScanSpec::project(["k"]).with_expr(col("k").eq(lit(7)));
         let mut scan = engine.scan(source, &sidecar, &spec).unwrap();
         assert_eq!(scan.by_ref().count(), 0);
         let report = scan.report();
@@ -278,11 +275,7 @@ mod tests {
             ColumnData::Int((0..4_000).map(|i| (i % 3) * 2).collect()),
         )]);
         let (source, sidecar) = open(&engine, &rel, "pushdown2");
-        let spec = ScanSpec::project(["k"]).with_predicate(crate::plan::Predicate {
-            column: "k".into(),
-            op: CmpOp::Eq,
-            literal: Literal::Int(3),
-        });
+        let spec = ScanSpec::project(["k"]).with_expr(col("k").eq(lit(3)));
         let mut scan = engine.scan(source, &sidecar, &spec).unwrap();
         assert_eq!(scan.by_ref().count(), 0);
         let report = scan.report();
@@ -293,14 +286,10 @@ mod tests {
     }
 
     #[test]
-    fn predicate_column_decode_is_reused_for_projection() {
+    fn filter_column_decode_is_reused_for_projection() {
         let engine = ScanEngine::new(options(1_000, 4_096));
         let (source, sidecar) = open(&engine, &ids(2_000), "reuse");
-        let spec = ScanSpec::project(["id"]).with_predicate(crate::plan::Predicate {
-            column: "id".into(),
-            op: CmpOp::Ge,
-            literal: Literal::Int(0),
-        });
+        let spec = ScanSpec::project(["id"]).with_expr(col("id").ge(lit(0)));
         let mut scan = engine.scan(source, &sidecar, &spec).unwrap();
         let rows: usize = scan.by_ref().map(|b| b.unwrap().rows()).sum();
         assert_eq!(rows, 2_000);
@@ -345,11 +334,7 @@ mod tests {
         // is a typed error from `scan` instead of a mid-scan decode failure.
         let engine = ScanEngine::new(options(1_000, 4_096));
         let (source, sidecar) = open(&engine, &ids(2_000), "mismatch");
-        let spec = ScanSpec::project(["id"]).with_predicate(crate::plan::Predicate {
-            column: "id".into(),
-            op: CmpOp::Eq,
-            literal: Literal::Double(1.0),
-        });
+        let spec = ScanSpec::project(["id"]).with_expr(col("id").eq(lit(1.0)));
         let err = match engine.scan(source, &sidecar, &spec) {
             Err(e) => e,
             Ok(_) => panic!("ill-typed predicate must fail at plan time"),
@@ -491,7 +476,7 @@ mod tests {
             ..btr_s3sim::FaultPlan::default()
         };
         let clock = SimClock::default();
-        let (_, _, source) = stored(Some(plan), btr_s3sim::RetryPolicy::default());
+        let (_, _, source) = stored(Some(plan), btr_sync::RetryPolicy::default());
         let source = source.with_clock(clock.clone());
         let spec = ScanSpec::project(["id"]).with_deadline(0.25);
         let scan = engine.scan(Arc::new(source), &sidecar, &spec).unwrap();

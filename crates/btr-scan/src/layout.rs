@@ -14,23 +14,6 @@ use btrblocks::{BlockRange, ColumnType, CompressedRelation};
 const MAGIC: &[u8; 4] = b"BTRL";
 const VERSION: u32 = 1;
 
-fn type_tag(ty: ColumnType) -> u8 {
-    match ty {
-        ColumnType::Integer => 0,
-        ColumnType::Double => 1,
-        ColumnType::String => 2,
-    }
-}
-
-fn type_from_tag(tag: u8) -> Option<ColumnType> {
-    match tag {
-        0 => Some(ColumnType::Integer),
-        1 => Some(ColumnType::Double),
-        2 => Some(ColumnType::String),
-        _ => None,
-    }
-}
-
 /// Block locations for one column.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnLayout {
@@ -94,7 +77,7 @@ impl RelationLayout {
             // lint: allow(cast) encode side: column names are far shorter than 64 KiB
             out.extend_from_slice(&(name.len() as u16).to_le_bytes());
             out.extend_from_slice(name);
-            out.put_u8(type_tag(col.column_type));
+            out.put_u8(col.column_type.tag());
             // lint: allow(cast) encode side: block count is far smaller than 4 GiB
             out.put_u32(col.blocks.len() as u32);
             for b in &col.blocks {
@@ -136,7 +119,7 @@ impl RelationLayout {
             }
             let name = String::from_utf8(r.take(name_len)?.to_vec())
                 .map_err(|_| ScanError::CorruptLayout("column name not utf-8"))?;
-            let column_type = type_from_tag(r.u8()?)
+            let column_type = ColumnType::from_tag(r.u8()?)
                 .ok_or(ScanError::CorruptLayout("bad column type tag"))?;
             let n_blocks = r.u32()? as usize;
             if n_blocks > r.remaining() / 16 {

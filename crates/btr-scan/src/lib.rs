@@ -20,7 +20,7 @@
 //!          decoded-block cache (sharded LRU, byte budget)
 //! ```
 //!
-//! * **Planner** ([`plan`]): resolves the projection and predicate against
+//! * **Planner** ([`plan`]): resolves the projection and filter against
 //!   the source schema and consults the zone-map sidecar; blocks whose zones
 //!   cannot match are pruned before any byte is fetched.
 //! * **Prefetch + decode** ([`executor`], around the shared scan
@@ -42,8 +42,8 @@
 //! # Quick start
 //!
 //! ```
-//! use btrblocks::{Column, ColumnData, Config, Relation, Sidecar, CmpOp, Literal};
-//! use btr_scan::{EngineOptions, MemorySource, Predicate, ScanEngine, ScanSpec};
+//! use btrblocks::{Column, ColumnData, Config, Relation, Sidecar};
+//! use btr_scan::{col, lit, EngineOptions, MemorySource, ScanEngine, ScanSpec};
 //! use std::sync::Arc;
 //!
 //! let cfg = Config { block_size: 1_000, ..Config::default() };
@@ -53,11 +53,7 @@
 //!
 //! let engine = ScanEngine::new(EngineOptions { config: cfg, ..EngineOptions::default() });
 //! let source = Arc::new(MemorySource::new("rel", compressed));
-//! let spec = ScanSpec::project(["id"]).with_predicate(Predicate {
-//!     column: "id".into(),
-//!     op: CmpOp::Lt,
-//!     literal: Literal::Int(1_500),
-//! });
+//! let spec = ScanSpec::project(["id"]).with_expr(col("id").lt(lit(1_500)));
 //! let mut scan = engine.scan(source, &sidecar, &spec).unwrap();
 //! let rows: usize = scan.by_ref().map(|b| b.unwrap().rows()).sum();
 //! assert_eq!(rows, 1_500);
@@ -88,7 +84,7 @@ pub use pipeline::{
     AggSourceCounts, BlockPipeline, BlockResult, DecodeGate, GroupCtx, PipelineCounters,
     PipelineFilter, PipelineParams,
 };
-pub use plan::{plan_scan, Predicate, RowGroup, ScanPlan, ScanSpec};
+pub use plan::{plan_scan, RowGroup, ScanPlan, ScanSpec};
 pub use sched::TenantStats;
 pub use retry::{
     BreakerConfig, BreakerState, CircuitBreaker, FetchCtl, HedgeConfig, RetryBudgetConfig,
@@ -101,9 +97,9 @@ pub use source::{BlockSource, FetchStats, MemorySource, ObjectStoreSource, Sourc
 // `AggValue`s. All of it lives in the btr-expr kernel crate.
 pub use btr_expr::{col, lit, AggKind, AggValue, Aggregate, Expr, ExprError, ExprPlan, Selection};
 
-// The time/budget primitives live next to btr-s3sim's retry loop; re-export
-// them as part of this API.
-pub use btr_s3sim::{Deadline, RetryBudget, SimClock};
+// The time vocabulary lives beside the locks in btr-sync; re-export it as
+// part of this API.
+pub use btr_sync::{Deadline, RetryBudget, SimClock};
 
 /// Errors produced while planning or executing a scan.
 #[derive(Debug, Clone, PartialEq)]

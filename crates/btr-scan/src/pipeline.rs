@@ -33,13 +33,12 @@ use btr_expr::{
     LeafVerdict, Selection,
 };
 use btr_roaring::RoaringBitmap;
-use btr_s3sim::SimClock;
 use btrblocks::{
     decompress_block_into, filter_decoded, BlockZone, CmpOp, ColumnData, ColumnType, Config,
     DecodeScratch, DecodedColumn, Literal,
 };
 use std::collections::HashMap;
-use btr_sync::{Flight, Rank, SingleFlight};
+use btr_sync::{Flight, Rank, SimClock, SingleFlight};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;

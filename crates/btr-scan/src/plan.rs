@@ -2,7 +2,7 @@
 //!
 //! Every column of a relation is chunked with the same `block_size`, so block
 //! `i` of each column covers the same row range — a row group. The planner
-//! resolves the projection and predicate against the source schema, checks
+//! resolves the projection and filter against the source schema, checks
 //! that the involved columns agree on that structure, and consults the
 //! zone-map sidecar ([`btrblocks::Sidecar`]) to drop row groups whose
 //! predicate-column zones cannot match. Pruned groups are never fetched; the
@@ -12,34 +12,8 @@
 use crate::retry::{RetryBudgetConfig, Tolerance};
 use crate::source::BlockSource;
 use crate::{Result, ScanError};
-use btr_expr::{col, Aggregate, ConjunctKind, Expr, ExprError, ExprPlan, ZoneVerdict};
-use btrblocks::{CmpOp, Literal, Sidecar};
-
-/// A pushed-down comparison against one column.
-///
-/// This is the legacy single-comparison filter shape; it plans as a
-/// single-leaf [`Expr`] (`col(column) op literal`). New code can use
-/// [`ScanSpec::with_expr`] for arbitrary boolean expressions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Predicate {
-    /// Column the predicate applies to.
-    pub column: String,
-    /// Comparison operator.
-    pub op: CmpOp,
-    /// Literal to compare against (must match the column's type).
-    pub literal: Literal,
-}
-
-impl Predicate {
-    /// The equivalent single-node expression.
-    pub fn to_expr(&self) -> Expr {
-        Expr::Cmp(
-            self.op,
-            Box::new(col(self.column.clone())),
-            Box::new(Expr::Lit(self.literal.clone())),
-        )
-    }
-}
+use btr_expr::{Aggregate, ConjunctKind, Expr, ExprError, ExprPlan, ZoneVerdict};
+use btrblocks::Sidecar;
 
 /// What to scan: a projection, an optional filter, optional aggregates, and
 /// the scan's fault-tolerance posture.
@@ -47,9 +21,6 @@ impl Predicate {
 pub struct ScanSpec {
     /// Columns to return, in output order.
     pub projection: Vec<String>,
-    /// Optional single-comparison filter (legacy shape; ANDed with `expr`
-    /// when both are set).
-    pub predicate: Option<Predicate>,
     /// Optional filter expression.
     pub expr: Option<Expr>,
     /// Aggregates to compute (driven by
@@ -83,13 +54,7 @@ impl ScanSpec {
         }
     }
 
-    /// Adds a predicate.
-    pub fn with_predicate(mut self, predicate: Predicate) -> ScanSpec {
-        self.predicate = Some(predicate);
-        self
-    }
-
-    /// Adds a filter expression (ANDed with any `with_predicate` filter).
+    /// Sets the filter expression, e.g. `col("id").lt(lit(1_500))`.
     pub fn with_expr(mut self, expr: Expr) -> ScanSpec {
         self.expr = Some(expr);
         self
@@ -99,17 +64,6 @@ impl ScanSpec {
     pub fn with_aggregate(mut self, aggregate: Aggregate) -> ScanSpec {
         self.aggregates.push(aggregate);
         self
-    }
-
-    /// The effective filter expression: `expr AND predicate`, either alone,
-    /// or `None`.
-    pub fn filter_expr(&self) -> Option<Expr> {
-        match (&self.expr, &self.predicate) {
-            (Some(e), Some(p)) => Some(e.clone().and(p.to_expr())),
-            (Some(e), None) => Some(e.clone()),
-            (None, Some(p)) => Some(p.to_expr()),
-            (None, None) => None,
-        }
     }
 
     /// Bounds the scan to `seconds` of simulated time; once elapsed, fetches
@@ -127,12 +81,6 @@ impl ScanSpec {
             capacity,
             refill_per_second,
         });
-        self
-    }
-
-    /// Replaces the whole tolerance bundle.
-    pub fn with_tolerance(mut self, tolerance: Tolerance) -> ScanSpec {
-        self.tolerance = tolerance;
         self
     }
 }
@@ -153,9 +101,6 @@ pub struct RowGroup {
 pub struct ScanPlan {
     /// Source column indices to project, in output order.
     pub projection: Vec<usize>,
-    /// Source column index of the predicate column when the filter is a
-    /// single leaf comparison (the legacy pushdown shape), else `None`.
-    pub predicate_column: Option<usize>,
     /// The compiled filter, if the spec carries one.
     pub filter: Option<ExprPlan>,
     /// Per surviving row group (parallel to `row_groups`): bit `i` set means
@@ -223,9 +168,9 @@ pub fn plan_scan(
         .iter()
         .map(|a| resolve(&a.column))
         .collect::<Result<_>>()?;
-    let filter = match spec.filter_expr() {
+    let filter = match &spec.expr {
         Some(expr) => Some(
-            ExprPlan::compile(&expr, |name| {
+            ExprPlan::compile(expr, |name| {
                 columns
                     .iter()
                     .enumerate()
@@ -239,13 +184,6 @@ pub fn plan_scan(
         ),
         None => None,
     };
-    // The legacy single-comparison pushdown shape, when the whole filter
-    // reduces to one leaf.
-    let predicate_column = filter
-        .as_ref()
-        .and_then(|f| f.single_leaf())
-        .map(|(column, _, _)| column);
-
     // All involved columns must agree on block count, or there is no row
     // group structure to iterate.
     let mut involved: Vec<usize> = projection.clone();
@@ -281,7 +219,6 @@ pub fn plan_scan(
         }
         return Ok(ScanPlan {
             projection,
-            predicate_column,
             filter,
             group_masks: Vec::new(),
             agg_columns,
@@ -365,7 +302,6 @@ pub fn plan_scan(
     let blocks_pruned = blocks_total - row_groups.len();
     Ok(ScanPlan {
         projection,
-        predicate_column,
         filter,
         group_masks,
         agg_columns,
@@ -380,6 +316,7 @@ pub fn plan_scan(
 mod tests {
     use super::*;
     use crate::source::MemorySource;
+    use btr_expr::{col, lit};
     use btrblocks::{Column, ColumnData, Config, Relation, StringArena};
     use std::sync::Arc;
 
@@ -403,14 +340,10 @@ mod tests {
     #[test]
     fn prunes_non_matching_groups_and_keeps_row_offsets() {
         let (source, sidecar) = setup();
-        let spec = ScanSpec::project(["id", "tag"]).with_predicate(Predicate {
-            column: "id".into(),
-            op: CmpOp::Lt,
-            literal: Literal::Int(1_500),
-        });
+        let spec = ScanSpec::project(["id", "tag"]).with_expr(col("id").lt(lit(1_500)));
         let plan = plan_scan(&source, &sidecar, &spec).unwrap();
         assert_eq!(plan.projection, vec![0, 2]);
-        assert_eq!(plan.predicate_column, Some(0));
+        assert_eq!(plan.filter_columns(), &[0]);
         assert_eq!(plan.blocks_total, 5);
         assert_eq!(plan.blocks_pruned, 3);
         assert_eq!(
@@ -437,19 +370,14 @@ mod tests {
     #[test]
     fn string_predicates_never_prune() {
         let (source, sidecar) = setup();
-        let spec = ScanSpec::project(["id"]).with_predicate(Predicate {
-            column: "tag".into(),
-            op: CmpOp::Eq,
-            literal: Literal::Str(b"s3".to_vec()),
-        });
+        let spec = ScanSpec::project(["id"]).with_expr(col("tag").eq(lit("s3")));
         let plan = plan_scan(&source, &sidecar, &spec).unwrap();
         assert_eq!(plan.blocks_pruned, 0);
-        assert_eq!(plan.predicate_column, Some(2));
+        assert_eq!(plan.filter_columns(), &[2]);
     }
 
     #[test]
     fn expr_conjuncts_prune_and_mask_independently() {
-        use btr_expr::lit;
         // id >= 1000 AND val < 2000.0 over blocks of 1000 rows: only block 1
         // satisfies both zone ranges, and both conjuncts are proven there.
         let (source, sidecar) = setup();
@@ -461,14 +389,11 @@ mod tests {
         assert_eq!(plan.row_groups[0].block, 1);
         assert_eq!(plan.group_masks, vec![0b11]);
         assert!(plan.group_fully_selected(0));
-        // Two conjuncts → no single-leaf pushdown shape.
-        assert_eq!(plan.predicate_column, None);
         assert_eq!(plan.filter_columns(), &[0, 1]);
     }
 
     #[test]
     fn general_conjuncts_never_prune_or_mask() {
-        use btr_expr::lit;
         let (source, sidecar) = setup();
         let spec = ScanSpec::project(["id"]).with_expr(col("id").add(lit(0)).ge(lit(1_000)));
         let plan = plan_scan(&source, &sidecar, &spec).unwrap();
@@ -489,29 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn predicate_and_expr_are_conjoined() {
-        use btr_expr::lit;
-        // Legacy predicate and new expr both present: they AND together, so
-        // pruning uses both (id < 1500 keeps blocks 0-1, val >= 1000 prunes
-        // block 0).
-        let (source, sidecar) = setup();
-        let spec = ScanSpec::project(["id"])
-            .with_predicate(Predicate {
-                column: "id".into(),
-                op: CmpOp::Lt,
-                literal: Literal::Int(1_500),
-            })
-            .with_expr(col("val").ge(lit(1_000.0)));
-        let plan = plan_scan(&source, &sidecar, &spec).unwrap();
-        assert_eq!(plan.blocks_pruned, 4);
-        assert_eq!(plan.row_groups.len(), 1);
-        assert_eq!(plan.row_groups[0].block, 1);
-        assert_eq!(plan.predicate_column, None);
-    }
-
-    #[test]
     fn ill_typed_expr_is_rejected() {
-        use btr_expr::lit;
         let (source, sidecar) = setup();
         let spec = ScanSpec::project(["id"]).with_expr(col("id").eq(lit("nope")));
         assert!(matches!(
@@ -534,15 +437,6 @@ mod tests {
         );
         assert_eq!(
             plan_scan(&source, &sidecar, &ScanSpec::project(["ghost"])).unwrap_err(),
-            ScanError::UnknownColumn("ghost".into())
-        );
-        let spec = ScanSpec::project(["id"]).with_predicate(Predicate {
-            column: "ghost".into(),
-            op: CmpOp::Eq,
-            literal: Literal::Int(0),
-        });
-        assert_eq!(
-            plan_scan(&source, &sidecar, &spec).unwrap_err(),
             ScanError::UnknownColumn("ghost".into())
         );
     }

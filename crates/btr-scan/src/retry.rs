@@ -1,8 +1,9 @@
 //! Fault-tolerance control plane: deadlines, retry budgets, circuit
 //! breaking, quarantine, and hedged-fetch bookkeeping.
 //!
-//! The mechanics of *retrying one request* live in [`btr_s3sim::retry`];
-//! this module holds the policy layer a scan service needs around it:
+//! The loop that *retries one request* lives in [`crate::source`] and the
+//! time vocabulary (clock, deadline, budget, policy) in `btr_sync`; this
+//! module holds the policy layer a scan service needs around the loop:
 //!
 //! * [`Tolerance`] — per-scan knobs carried by
 //!   [`crate::ScanSpec`]: a wall-clock budget on the simulated clock
@@ -21,9 +22,8 @@
 //!
 //! Everything time-based runs on [`SimClock`]; nothing here sleeps.
 
-use btr_s3sim::{Deadline, RetryBudget, SimClock};
+use btr_sync::{Deadline, OrderedMutex, Rank, RetryBudget, SimClock};
 use std::collections::HashSet;
-use btr_sync::{OrderedMutex, Rank};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

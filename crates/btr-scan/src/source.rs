@@ -5,11 +5,12 @@
 //! over a `CompressedRelation` already in memory (tests, local files) and
 //! over `btr-s3sim`'s costed store (the paper's cloud setting, §6.7). The
 //! object-store source fetches exactly one block payload per ranged GET,
-//! verifies the framing CRC, and drives [`btr_s3sim::run_with_retries`],
-//! the one deadline-aware retry loop; backoff is charged to a simulated
-//! clock, never slept.
+//! verifies the framing CRC, and owns the workspace's one retry loop
+//! (deadline, retry budget, exponential backoff from a
+//! [`btr_sync::RetryPolicy`]); backoff is charged to a [`btr_sync::SimClock`],
+//! never slept.
 //!
-//! On top of the retry loop the object-store source layers the
+//! Around the retry loop the object-store source layers the
 //! fault-tolerance mechanisms from [`crate::retry`]:
 //!
 //! * per-scan [`FetchCtl`] (deadline + retry budget) threaded in through
@@ -25,13 +26,10 @@
 use crate::layout::RelationLayout;
 use crate::retry::{Admission, BreakerConfig, FetchCtl, HedgeConfig, SourceHealth};
 use crate::{Result, ScanError};
-use btr_s3sim::{
-    run_with_retries, Attempt, ObjectStore, RetryError, RetryFailure, RetryPolicy,
-    RetryStats, SimClock, HEDGE_ATTEMPT_SALT,
-};
+use btr_s3sim::{ObjectStore, HEDGE_ATTEMPT_SALT};
 use btrblocks::crc32c::crc32c;
 use btrblocks::{BlockRange, ColumnType, CompressedRelation};
-use btr_sync::{Flight, Rank, SingleFlight};
+use btr_sync::{Flight, Rank, RetryPolicy, SimClock, SingleFlight};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -352,46 +350,35 @@ impl ObjectStoreSource {
             Some(len) => len,
             None => return Err(None),
         };
-        let mut stats = RetryStats::default();
-        let result = run_with_retries(
-            &self.retry,
-            clock,
-            ctl.deadline,
-            ctl.budget.as_deref(),
-            &mut stats,
-            |attempt| {
-                self.requests.fetch_add(1, Ordering::Relaxed); // ordering: statistics counter
-                let got = self.store.get_range_timed_as(
-                    &self.key,
-                    start as usize,
-                    span_len as usize,
-                    attempt,
-                    ctl.tenant.as_deref(),
-                );
-                let latency = got.latency_seconds();
-                self.health.observe_latency(latency);
-                clock.advance_seconds(latency);
-                match got.outcome {
-                    Ok(body) => {
-                        self.bytes.fetch_add(body.len() as u64, Ordering::Relaxed); // ordering: statistics counter
-                        match self.slice_span(&body, start, ranges) {
-                            Some(bodies) => Attempt::Success(bodies),
-                            None => Attempt::Retry,
-                        }
-                    }
-                    Err(err) if err.is_retryable() => Attempt::Retry,
-                    Err(_) => Attempt::Fatal(ScanError::MissingObject(self.key.clone())),
+        self.retry_loop(column, block, self.retry.max_attempts, ctl, |attempt| {
+            self.requests.fetch_add(1, Ordering::Relaxed); // ordering: statistics counter
+            let got = self.store.get_range_timed_as(
+                &self.key,
+                start as usize,
+                span_len as usize,
+                attempt,
+                ctl.tenant.as_deref(),
+            );
+            let latency = got.latency_seconds();
+            self.health.observe_latency(latency);
+            clock.advance_seconds(latency);
+            match got.outcome {
+                Ok(body) => {
+                    self.bytes.fetch_add(body.len() as u64, Ordering::Relaxed); // ordering: statistics counter
+                    Ok(self.slice_span(&body, start, ranges))
                 }
-            },
-        );
-        self.settle(column, block, &stats, result).map_err(|stop| match stop {
+                Err(err) if err.is_retryable() => Ok(None),
+                Err(_) => Err(ScanError::MissingObject(self.key.clone())),
+            }
+        })
+        .map_err(|stop| match stop {
             FetchStop::Scan(err) => Some(err),
             FetchStop::Exhausted { .. } => None,
         })
     }
 
-    /// The owner side of one block fetch: breaker admission, the shared
-    /// retry loop, hedging, and quarantine on permanent corruption.
+    /// The owner side of one block fetch: breaker admission, the retry
+    /// loop, hedging, and quarantine on permanent corruption.
     fn fetch_owned(
         &self,
         column: u32,
@@ -410,79 +397,61 @@ impl ObjectStoreSource {
         };
         // A recovery probe gets exactly one attempt: its job is to sample
         // the source's health, not to grind through a retry schedule.
-        let policy = if probing {
-            RetryPolicy {
-                max_attempts: 1,
-                ..self.retry.clone()
-            }
-        } else {
-            self.retry.clone()
-        };
+        let max_attempts = if probing { 1 } else { self.retry.max_attempts };
         let (start, len) = (range.offset as usize, range.len as usize);
-        let mut stats = RetryStats::default();
         // True once a *full-length* body failed its CRC — the signature of
         // corrupt stored bytes (a truncated body is a transport fault).
         let mut saw_corrupt_body = false;
-        let result = run_with_retries(
-            &policy,
-            clock,
-            ctl.deadline,
-            ctl.budget.as_deref(),
-            &mut stats,
-            |attempt| {
-                self.requests.fetch_add(1, Ordering::Relaxed); // ordering: statistics counter
-                let primary =
-                    self.store
-                        .get_range_timed_as(&self.key, start, len, attempt, ctl.tenant.as_deref());
-                let mut latency = primary.latency_seconds();
-                self.health.observe_latency(latency);
-                let mut outcome = primary.outcome;
-                // Hedge a straggler: once the primary has been out longer
-                // than the recent latency percentile, a second GET (salted so
-                // it draws independent faults) races it; the first valid
-                // response wins and only its latency is charged.
-                if let Some(threshold) = self.health.hedge_threshold() {
-                    if latency > threshold {
-                        self.health.note_hedge_issued();
-                        self.requests.fetch_add(1, Ordering::Relaxed); // ordering: statistics counter
-                        let hedge = self.store.get_range_timed_as(
-                            &self.key,
-                            start,
-                            len,
-                            attempt | HEDGE_ATTEMPT_SALT,
-                            ctl.tenant.as_deref(),
-                        );
-                        let hedge_total = threshold + hedge.latency_seconds();
-                        let hedge_valid =
-                            matches!(&hedge.outcome, Ok(b) if self.valid_body(b, range));
-                        let primary_valid =
-                            matches!(&outcome, Ok(b) if self.valid_body(b, range));
-                        if hedge_valid && (!primary_valid || hedge_total < latency) {
-                            self.health.note_hedge_won();
-                            outcome = hedge.outcome;
-                            latency = latency.min(hedge_total);
-                        }
+        let result = self.retry_loop(column, block, max_attempts, ctl, |attempt| {
+            self.requests.fetch_add(1, Ordering::Relaxed); // ordering: statistics counter
+            let primary =
+                self.store
+                    .get_range_timed_as(&self.key, start, len, attempt, ctl.tenant.as_deref());
+            let mut latency = primary.latency_seconds();
+            self.health.observe_latency(latency);
+            let mut outcome = primary.outcome;
+            // Hedge a straggler: once the primary has been out longer than
+            // the recent latency percentile, a second GET (salted so it draws
+            // independent faults) races it; the first valid response wins
+            // and only its latency is charged.
+            if let Some(threshold) = self.health.hedge_threshold() {
+                if latency > threshold {
+                    self.health.note_hedge_issued();
+                    self.requests.fetch_add(1, Ordering::Relaxed); // ordering: statistics counter
+                    let hedge = self.store.get_range_timed_as(
+                        &self.key,
+                        start,
+                        len,
+                        attempt | HEDGE_ATTEMPT_SALT,
+                        ctl.tenant.as_deref(),
+                    );
+                    let hedge_total = threshold + hedge.latency_seconds();
+                    let hedge_valid = matches!(&hedge.outcome, Ok(b) if self.valid_body(b, range));
+                    let primary_valid = matches!(&outcome, Ok(b) if self.valid_body(b, range));
+                    if hedge_valid && (!primary_valid || hedge_total < latency) {
+                        self.health.note_hedge_won();
+                        outcome = hedge.outcome;
+                        latency = latency.min(hedge_total);
                     }
                 }
-                clock.advance_seconds(latency);
-                match outcome {
-                    Ok(body) => {
-                        self.bytes.fetch_add(body.len() as u64, Ordering::Relaxed); // ordering: statistics counter
-                        if self.valid_body(&body, range) {
-                            Attempt::Success(body)
-                        } else {
-                            if body.len() == len {
-                                saw_corrupt_body = true;
-                            }
-                            Attempt::Retry
-                        }
+            }
+            clock.advance_seconds(latency);
+            match outcome {
+                Ok(body) => {
+                    self.bytes.fetch_add(body.len() as u64, Ordering::Relaxed); // ordering: statistics counter
+                    if self.valid_body(&body, range) {
+                        return Ok(Some(body));
                     }
-                    Err(err) if err.is_retryable() => Attempt::Retry,
-                    Err(_) => Attempt::Fatal(ScanError::MissingObject(self.key.clone())),
+                    if body.len() == len {
+                        saw_corrupt_body = true;
+                    }
+                    Ok(None)
                 }
-            },
-        );
-        self.settle(column, block, &stats, result).map_err(|stop| match stop {
+                Err(err) if err.is_retryable() => Ok(None),
+                Err(_) => Err(ScanError::MissingObject(self.key.clone())),
+            }
+        });
+        result.map_err(|stop| match stop {
             FetchStop::Scan(err) => err,
             // Every full-length body failed its CRC until the policy gave
             // up: the stored bytes themselves are bad. Poison this block
@@ -499,56 +468,81 @@ impl ObjectStoreSource {
         })
     }
 
-    /// The shared tail of every retried fetch (one block or a span): folds
-    /// the retry accounting into the source counters, feeds the breaker, and
-    /// classifies the failure.
-    fn settle<T>(
+    /// The one retry loop, shared by block and span fetches. `attempt(n)`
+    /// issues attempt `n` (zero-based; it feeds the store's deterministic
+    /// fault draw) and answers `Ok(Some(_))` for a usable body, `Ok(None)`
+    /// for a transient failure worth retrying, and `Err(_)` for a permanent
+    /// one. Before each retry the loop checks, in order: the deadline, a
+    /// token from the retry budget, the policy's backoff (charged to the
+    /// clock and the `backoff_nanos` counter), and the deadline again. A
+    /// retry is counted once its attempt is issued, so a deadline that the
+    /// last backoff ran into costs that backoff and its budget token but no
+    /// retry.
+    ///
+    /// Breaker evidence: success and a permanent error (an authoritative
+    /// answer, such as NotFound, from a healthy store) count as health, an
+    /// exhausted policy as failure. Deadline and budget stops are the *scan*
+    /// giving up, not the store failing — no evidence either way.
+    fn retry_loop<T>(
         &self,
         column: u32,
         block: u32,
-        stats: &RetryStats,
-        result: std::result::Result<T, RetryFailure<ScanError>>,
+        max_attempts: u32,
+        ctl: &FetchCtl,
+        mut attempt: impl FnMut(u32) -> std::result::Result<Option<T>, ScanError>,
     ) -> std::result::Result<T, FetchStop> {
-        self.retries
-            .fetch_add(u64::from(stats.retries), Ordering::Relaxed); // ordering: statistics counter
-        self.backoff_nanos
-            .fetch_add((stats.backoff_seconds * 1e9) as u64, Ordering::Relaxed); // ordering: statistics counter
-        // Breaker evidence: success and NotFound (an authoritative answer
-        // from a healthy store) count as health, an exhausted policy as
-        // failure. Deadline and budget stops are the *scan* giving up, not
-        // the store failing — no evidence either way.
-        let evidence = match &result {
-            Ok(_) | Err(RetryFailure::Fatal(_)) => Some(true),
-            Err(RetryFailure::Stopped(RetryError::Exhausted { .. })) => Some(false),
-            Err(RetryFailure::Stopped(_)) => None,
-        };
-        if let (Some(breaker), Some(ok)) = (self.health.breaker(), evidence) {
-            breaker.record(self.health.clock(), ok);
-        }
-        result.map_err(|failure| match failure {
-            RetryFailure::Fatal(err) => FetchStop::Scan(err),
-            RetryFailure::Stopped(RetryError::Exhausted { attempts }) => {
-                FetchStop::Exhausted { attempts }
-            }
-            RetryFailure::Stopped(RetryError::DeadlineExceeded {
-                elapsed_seconds,
-                budget_seconds,
-            }) => FetchStop::Scan(ScanError::DeadlineExceeded {
-                elapsed_seconds,
-                budget_seconds,
-            }),
-            RetryFailure::Stopped(RetryError::BudgetExhausted { attempts }) => {
-                FetchStop::Scan(ScanError::RetryBudgetExhausted {
-                    column,
-                    block,
-                    attempts,
+        let clock = self.health.clock();
+        let deadline_stop = || {
+            ctl.deadline.filter(|d| d.exceeded(clock)).map(|d| {
+                FetchStop::Scan(ScanError::DeadlineExceeded {
+                    elapsed_seconds: d.elapsed_seconds(clock),
+                    budget_seconds: d.budget_seconds,
                 })
+            })
+        };
+        let record = |healthy: bool| {
+            if let Some(breaker) = self.health.breaker() {
+                breaker.record(clock, healthy);
             }
+        };
+        let max_attempts = max_attempts.max(1);
+        for n in 0..max_attempts {
+            if n > 0 {
+                if let Some(stop) = deadline_stop() {
+                    return Err(stop);
+                }
+                if ctl.budget.as_ref().is_some_and(|b| !b.try_take(clock)) {
+                    return Err(FetchStop::Scan(ScanError::RetryBudgetExhausted {
+                        column,
+                        block,
+                        attempts: n,
+                    }));
+                }
+                let backoff = self.retry.backoff_seconds(n - 1);
+                clock.advance_seconds(backoff);
+                self.backoff_nanos.fetch_add((backoff * 1e9) as u64, Ordering::Relaxed); // ordering: statistics counter
+                if let Some(stop) = deadline_stop() {
+                    return Err(stop);
+                }
+                self.retries.fetch_add(1, Ordering::Relaxed); // ordering: statistics counter
+            }
+            let outcome = match attempt(n) {
+                Ok(None) => continue,
+                Ok(Some(body)) => Ok(body),
+                Err(err) => Err(FetchStop::Scan(err)),
+            };
+            record(true);
+            return outcome;
+        }
+        record(false);
+        Err(FetchStop::Exhausted {
+            attempts: max_attempts,
         })
     }
 }
 
-/// Why a retried fetch ended without a body; see [`ObjectStoreSource::settle`].
+/// Why a retried fetch ended without a body; see
+/// [`ObjectStoreSource::retry_loop`].
 enum FetchStop {
     /// The scan's own stop (deadline, budget) or an authoritative answer
     /// (missing object): fetching again could only repeat it.
@@ -806,7 +800,7 @@ mod tests {
         let (_, _, source) = stored(Some(never_converging(1.0, 9)), policy);
         let source = source.with_clock(clock.clone());
         let ctl = FetchCtl {
-            deadline: Some(btr_s3sim::Deadline::after(&clock, 0.2)),
+            deadline: Some(btr_sync::Deadline::after(&clock, 0.2)),
             budget: None,
             tenant: None,
         };
@@ -822,6 +816,76 @@ mod tests {
             }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
+        // The backoff that ran into the deadline is charged, but the retry
+        // it was for is never issued, so it is not counted.
+        let stats = source.stats();
+        assert_eq!(stats.requests, stats.retries + 1, "{stats:?}");
+    }
+
+    #[test]
+    fn transient_failures_charge_exponential_backoff() {
+        // Two transient failures, then the per-key fault window is spent.
+        let plan = btr_s3sim::FaultPlan {
+            max_faults_per_key: 2,
+            ..btr_s3sim::FaultPlan::transient(1.0, 11)
+        };
+        let clock = SimClock::default();
+        let (compressed, _, source) = stored(Some(plan), RetryPolicy::default());
+        let source = source.with_clock(clock.clone());
+        assert_eq!(source.fetch(0, 0).unwrap(), compressed.columns[0].blocks[0]);
+        let stats = source.stats();
+        assert_eq!((stats.requests, stats.retries), (3, 2));
+        // 0.05 + 0.1 of exponential backoff, on the clock and in the stats.
+        assert!((stats.backoff_seconds - 0.15).abs() < 1e-9, "{stats:?}");
+        assert!((clock.now_seconds() - 0.15).abs() < 1e-9);
+    }
+
+    #[test]
+    fn missing_object_stops_after_one_request() {
+        let (compressed, store, _) = stored(None, RetryPolicy::default());
+        let layout = RelationLayout::of(&compressed);
+        let absent = ObjectStoreSource::new(store, "absent.btr", layout, attempts(5));
+        assert_eq!(
+            absent.fetch(0, 0).unwrap_err(),
+            ScanError::MissingObject("absent.btr".into())
+        );
+        let stats = absent.stats();
+        assert_eq!((stats.requests, stats.retries), (1, 0));
+        assert_eq!(stats.backoff_seconds, 0.0);
+    }
+
+    #[test]
+    fn one_retry_budget_is_shared_across_blocks() {
+        // Five blocks that never converge share one scan's 4 retry tokens.
+        let cfg = Config {
+            block_size: 800,
+            ..Config::default()
+        };
+        let rel = Relation::new(vec![Column::new(
+            "id",
+            ColumnData::Int((0..4_000).collect()),
+        )]);
+        let compressed = btrblocks::compress(&rel, &cfg).unwrap();
+        let store = Arc::new(ObjectStore::new());
+        store.put("rel.btr", compressed.to_bytes());
+        store.set_fault_plan(Some(never_converging(1.0, 13)));
+        let layout = RelationLayout::of(&compressed);
+        assert_eq!(layout.columns[0].blocks.len(), 5);
+        let source = ObjectStoreSource::new(store, "rel.btr", layout, attempts(10));
+        let ctl = FetchCtl {
+            deadline: None,
+            budget: Some(Arc::new(btr_sync::RetryBudget::new(4.0, 0.0))),
+            tenant: None,
+        };
+        for block in 0..5 {
+            assert!(matches!(
+                source.fetch_ctl(0, block, &ctl).unwrap_err(),
+                ScanError::RetryBudgetExhausted { .. }
+            ));
+        }
+        let stats = source.stats();
+        assert_eq!(stats.retries, 4, "{stats:?}");
+        assert_eq!(stats.requests, 5 + 4);
     }
 
     #[test]
@@ -829,7 +893,7 @@ mod tests {
         let (_, _, source) = stored(Some(never_converging(1.0, 3)), attempts(1_000));
         let ctl = FetchCtl {
             deadline: None,
-            budget: Some(Arc::new(btr_s3sim::RetryBudget::new(2.0, 0.0))),
+            budget: Some(Arc::new(btr_sync::RetryBudget::new(2.0, 0.0))),
             tenant: None,
         };
         // One free first attempt plus two budgeted retries.

@@ -8,11 +8,11 @@
 //! drop-mid-storm cancellation at several worker counts.
 
 use btr_corrupt::Xorshift;
-use btr_s3sim::{FaultPlan, ObjectStore, RetryPolicy, SimClock};
+use btr_s3sim::{FaultPlan, ObjectStore, RetryPolicy};
 use btr_scan::chaos::{build_relation, drain, run_campaign, EngineRunner};
 use btr_scan::{
     BlockSource, ChaosConfig, EngineOptions, ObjectStoreSource, RelationLayout,
-    ScanEngine, ScanError, ScanSpec,
+    ScanEngine, ScanError, ScanSpec, SimClock,
 };
 use btrblocks::{Config, Sidecar};
 use std::sync::Arc;

@@ -10,10 +10,10 @@ use btr_s3sim::{FaultPlan, ObjectStore, RetryPolicy};
 use btr_scan::batch::append;
 use btr_scan::chaos::build_relation;
 use btr_scan::{
-    BlockSource, EngineOptions, ObjectStoreSource, Predicate, RecordBatch, RelationLayout,
+    col, lit, BlockSource, EngineOptions, ObjectStoreSource, RecordBatch, RelationLayout,
     ScanEngine, ScanSpec,
 };
-use btrblocks::{CmpOp, ColumnData, Config, Literal, Sidecar};
+use btrblocks::{ColumnData, Config, Sidecar};
 use std::sync::Arc;
 
 const BLOCK_SIZE: usize = 1_000;
@@ -54,11 +54,7 @@ fn concat(batches: &[RecordBatch], column: &str) -> ColumnData {
 }
 
 fn spec() -> ScanSpec {
-    ScanSpec::project(["id", "tag"]).with_predicate(Predicate {
-        column: "id".into(),
-        op: CmpOp::Lt,
-        literal: Literal::Int(CUTOFF),
-    })
+    ScanSpec::project(["id", "tag"]).with_expr(col("id").lt(lit(CUTOFF)))
 }
 
 #[test]
@@ -172,7 +168,7 @@ impl BlockSource for RecordingSource {
 
 #[test]
 fn zone_pruned_blocks_are_never_fetched_with_multi_conjunct_filters() {
-    use btr_scan::{col, lit, MemorySource};
+    use btr_scan::MemorySource;
 
     let cfg = config();
     let rel = build_relation(ROWS);

@@ -6,9 +6,9 @@ use btr_s3sim::{ObjectStore, RetryPolicy};
 use btr_scan::chaos::{build_relation, drain, Columns};
 use btr_scan::engine::{EngineOptions, ScanEngine};
 use btr_scan::layout::RelationLayout;
-use btr_scan::{BlockSource, MemorySource, ObjectStoreSource, Predicate};
+use btr_scan::{col, lit, BlockSource, MemorySource, ObjectStoreSource};
 use btr_server::{ScanError, ScanService, ScanSpec, ServiceOptions};
-use btrblocks::{CmpOp, CompressedRelation, Config, Literal, Sidecar};
+use btrblocks::{CompressedRelation, Config, Sidecar};
 use std::sync::Arc;
 
 struct Fixture {
@@ -199,11 +199,7 @@ fn point_query_is_not_starved_behind_a_table_scan() {
 
     // A point query from a second tenant, pruned to one row group by the
     // zone maps, submitted while the heavy backlog is queued.
-    let point_spec = ScanSpec::project(["id"]).with_predicate(Predicate {
-        column: "id".into(),
-        op: CmpOp::Lt,
-        literal: Literal::Int(500),
-    });
+    let point_spec = ScanSpec::project(["id"]).with_expr(col("id").lt(lit(500)));
     let mut point = service
         .client("point")
         .submit("rel", &point_spec)

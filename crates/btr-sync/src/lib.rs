@@ -30,7 +30,11 @@
 //!
 //! On top of the wrappers sits [`SingleFlight`], the workspace's one keyed
 //! single-flight table (btr-scan's in-flight fetch table and decode gate
-//! are instantiations), and [`morsel`], the shared work dispenser.
+//! are instantiations), and [`morsel`], the shared work dispenser. Beside
+//! them lives the one time vocabulary: [`SimClock`] and the [`Deadline`],
+//! [`RetryBudget`] and [`RetryPolicy`] measured on it — simulated time that
+//! never reads the host clock, so the store is a user of time, not its
+//! owner.
 //!
 //! All methods recover from poisoning (`PoisonError::into_inner`): the
 //! workspace guards its shared state with data-level invariants (mutations
@@ -41,9 +45,11 @@
 mod flight;
 pub mod morsel;
 mod pad;
+mod time;
 
 pub use flight::{Flight, FlightGuard, SingleFlight};
 pub use pad::CachePadded;
+pub use time::{Deadline, RetryBudget, RetryPolicy, SimClock};
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};

@@ -14,8 +14,9 @@ pub enum ColumnType {
 }
 
 impl ColumnType {
-    /// Tag byte used in the serialized format.
-    pub(crate) fn tag(self) -> u8 {
+    /// Tag byte used in the serialized format (and in btr-scan's layout
+    /// sidecar).
+    pub fn tag(self) -> u8 {
         match self {
             ColumnType::Integer => 0,
             ColumnType::Double => 1,
@@ -23,7 +24,8 @@ impl ColumnType {
         }
     }
 
-    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
+    /// The type a [`ColumnType::tag`] byte names; `None` for unknown tags.
+    pub fn from_tag(tag: u8) -> Option<Self> {
         match tag {
             0 => Some(ColumnType::Integer),
             1 => Some(ColumnType::Double),
