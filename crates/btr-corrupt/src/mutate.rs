@@ -6,9 +6,9 @@
 //! * **truncation** — a ranged GET cut short, or an object uploaded partially;
 //! * **single-bit flips** — classic bit rot;
 //! * **random byte stomps** — a corrupted page inside the payload;
-//! * **length-field stomps** — targeted damage to the size/count fields that
-//!   decoders use for allocation, the mutations most likely to turn a parser
-//!   into a memory bomb.
+//! * **length-field stomps** — targeted damage to the size/count/offset
+//!   fields that decoders use for allocation and slicing, the mutations most
+//!   likely to turn a parser into a memory bomb or an overflowing range.
 
 use crate::rng::Xorshift;
 
@@ -24,6 +24,9 @@ pub enum Mutation {
     /// Overwrite four little-endian bytes at `offset` with `value` —
     /// simulates a corrupted length/count field.
     WordSet { offset: usize, value: u32 },
+    /// Overwrite eight little-endian bytes at `offset` with `value` —
+    /// simulates a corrupted 64-bit offset field.
+    QuadSet { offset: usize, value: u64 },
 }
 
 impl Mutation {
@@ -43,15 +46,19 @@ impl Mutation {
                     *b = value;
                 }
             }
-            Mutation::WordSet { offset, value } => {
-                for (i, v) in value.to_le_bytes().iter().enumerate() {
-                    if let Some(b) = out.get_mut(offset + i) {
-                        *b = *v;
-                    }
-                }
-            }
+            Mutation::WordSet { offset, value } => set_le(&mut out, offset, &value.to_le_bytes()),
+            Mutation::QuadSet { offset, value } => set_le(&mut out, offset, &value.to_le_bytes()),
         }
         out
+    }
+}
+
+/// Overwrites `out[offset..]` with `bytes`, clamped to the buffer.
+fn set_le(out: &mut [u8], offset: usize, bytes: &[u8]) {
+    for (i, v) in bytes.iter().enumerate() {
+        if let Some(b) = out.get_mut(offset + i) {
+            *b = *v;
+        }
     }
 }
 
@@ -68,6 +75,23 @@ pub const HOSTILE_LENGTHS: [u32; 8] = [
     u32::MAX,
 ];
 
+/// Extreme values for targeted 64-bit offset damage: the ones whose sum
+/// with any length wraps, and the sign bit.
+pub const HOSTILE_OFFSETS: [u64; 3] = [u64::MAX, u64::MAX - 1, 1 << 63];
+
+/// Every hostile value that fits before `end`, at each of `offsets`.
+fn hostile_words(
+    offsets: impl Iterator<Item = usize>,
+    end: usize,
+) -> impl Iterator<Item = Mutation> {
+    offsets.flat_map(move |offset| {
+        let words = HOSTILE_LENGTHS.iter().filter(move |_| offset + 4 <= end);
+        let quads = HOSTILE_OFFSETS.iter().filter(move |_| offset + 8 <= end);
+        (words.map(move |&value| Mutation::WordSet { offset, value }))
+            .chain(quads.map(move |&value| Mutation::QuadSet { offset, value }))
+    })
+}
+
 /// Builds the deterministic mutation list for an input of `len` bytes.
 ///
 /// The list always contains, in order:
@@ -76,9 +100,12 @@ pub const HOSTILE_LENGTHS: [u32; 8] = [
 /// 2. single-bit flips — every bit when `len * 8 <= max_exhaustive`,
 ///    otherwise `max_exhaustive` seeded-random positions;
 /// 3. `random_bytes` seeded-random byte stomps;
-/// 4. targeted word stomps: every [`HOSTILE_LENGTHS`] value written at each
-///    4-byte-aligned offset in the first `header_window` bytes, plus
-///    `random_words` seeded-random word positions deeper in the buffer.
+/// 4. targeted word stomps: every [`HOSTILE_LENGTHS`] and
+///    [`HOSTILE_OFFSETS`] value written at each 4-byte-aligned offset in the
+///    first `header_window` bytes and at *every* offset in the last
+///    `header_window` bytes (footer-at-end formats keep their lengths and
+///    offsets there, at no particular alignment), plus `random_words`
+///    seeded-random word positions deeper in the buffer.
 pub fn plan_mutations(len: usize, seed: u64, budget: &MutationBudget) -> Vec<Mutation> {
     let mut rng = Xorshift::new(seed ^ (len as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut out = Vec::new();
@@ -119,15 +146,10 @@ pub fn plan_mutations(len: usize, seed: u64, budget: &MutationBudget) -> Vec<Mut
         });
     }
 
-    // 4. Length-field damage: exhaustive over the header window...
+    // 4. Length-field damage: exhaustive over the header and tail windows...
     let window = budget.header_window.min(len);
-    let mut offset = 0;
-    while offset + 4 <= window {
-        for &value in &HOSTILE_LENGTHS {
-            out.push(Mutation::WordSet { offset, value });
-        }
-        offset += 4;
-    }
+    out.extend(hostile_words((0..window).step_by(4), window));
+    out.extend(hostile_words(len - window..len, len));
     // ...and sampled deeper in the buffer, where block headers live.
     for _ in 0..budget.random_words {
         out.push(Mutation::WordSet {
@@ -145,8 +167,8 @@ pub struct MutationBudget {
     pub max_exhaustive: usize,
     /// Count of random byte stomps.
     pub random_bytes: usize,
-    /// Header bytes that get every hostile length value at every aligned
-    /// offset.
+    /// Header bytes that get every hostile value at every aligned offset;
+    /// as many tail bytes get it at every offset.
     pub header_window: usize,
     /// Count of random hostile word stomps beyond the header.
     pub random_words: usize,
@@ -194,6 +216,19 @@ mod tests {
         let m = Mutation::WordSet { offset: 2, value: u32::MAX };
         assert_eq!(m.apply(&orig), vec![1, 2, 255, 255]);
         assert_eq!(orig, vec![1, 2, 3, 4], "input untouched");
+    }
+
+    #[test]
+    fn tail_window_gets_every_offset_and_wide_values() {
+        let plan = plan_mutations(100, 1, &MutationBudget::default());
+        for offset in 68..=96 {
+            assert!(plan.contains(&Mutation::WordSet { offset, value: u32::MAX }), "{offset}");
+        }
+        assert!(plan.contains(&Mutation::QuadSet { offset: 92, value: u64::MAX - 1 }));
+        assert!(!plan.contains(&Mutation::QuadSet { offset: 93, value: u64::MAX - 1 }));
+        assert!(plan.contains(&Mutation::QuadSet { offset: 24, value: 1 << 63 }));
+        let m = Mutation::QuadSet { offset: 1, value: u64::MAX - 1 };
+        assert_eq!(m.apply(&[0; 4]), vec![0, 0xFE, 0xFF, 0xFF]);
     }
 
     #[test]

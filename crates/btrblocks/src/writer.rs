@@ -9,7 +9,9 @@ use crate::{Error, Result};
 /// Appends primitives to a byte buffer.
 pub trait WriteLe {
     fn put_u8(&mut self, v: u8);
+    fn put_u16(&mut self, v: u16);
     fn put_u32(&mut self, v: u32);
+    fn put_u64(&mut self, v: u64);
     fn put_i32(&mut self, v: i32);
     fn put_f64(&mut self, v: f64);
     fn put_u32_slice(&mut self, v: &[u32]);
@@ -24,7 +26,17 @@ impl WriteLe for Vec<u8> {
     }
 
     #[inline]
+    fn put_u16(&mut self, v: u16) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    #[inline]
     fn put_u32(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    #[inline]
+    fn put_u64(&mut self, v: u64) {
         self.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -176,7 +188,9 @@ mod tests {
     fn write_read_roundtrip() {
         let mut buf = Vec::new();
         buf.put_u8(7);
+        buf.put_u16(513);
         buf.put_u32(123_456);
+        buf.put_u64(u64::MAX - 1);
         buf.put_i32(-99);
         buf.put_f64(2.5);
         buf.put_i32_slice(&[1, -2, 3]);
@@ -184,7 +198,9 @@ mod tests {
         buf.put_u32_slice(&[10, 20]);
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u16().unwrap(), 513);
         assert_eq!(r.u32().unwrap(), 123_456);
+        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.value::<i32>().unwrap(), -99);
         assert_eq!(r.value::<f64>().unwrap(), 2.5);
         let (mut ints, mut doubles) = (vec![9], vec![9.0]);

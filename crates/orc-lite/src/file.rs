@@ -1,28 +1,26 @@
-//! Stripe-based file layout with a fixed footer.
-//!
-//! ```text
-//! magic "ORCL"
-//! [stream data ...]
-//! footer:
-//!   column_count u32 | per column: name_len u16, name, type tag u8
-//!   stripe_count u32 | per stripe: row_count u32, per column: offset u64 | comp_len u32
-//!   codec tag u8
-//! footer_len u32 | magic "ORCL"
-//! ```
+//! ORC's per-column streams in parquet-lite's container
+//! ([`parquet_lite::file`]): stripes are its groups, streams its chunks, and
+//! the magic is `ORCL`.
 //!
 //! Per-column stream contents:
 //! * Integer — RLEv2-style stream ([`crate::rle2`]).
 //! * Double — raw IEEE 754 little-endian (as in real ORC).
-//! * String — `[1][dict]` when `distinct/total ≤ dictionary_key_size_threshold`
-//!   (dict strings length-prefixed, codes RLEv2), else `[0][direct]`
-//!   (lengths RLEv2, then concatenated bytes).
+//! * String — `[1][dict_len u32][dict strings][codes RLEv2]` when
+//!   `distinct/total ≤ dictionary_key_size_threshold`, else
+//!   `[0][strings]`; strings are `[len_stream_len u32][lengths RLEv2][bytes]`.
 
 use crate::{rle2, Error, Result};
 use btr_lz::Codec;
+use btrblocks::writer::{Reader, WriteLe};
 use btrblocks::{Column, ColumnData, ColumnType, Relation, StringArena};
+use parquet_lite::file::{wire_u32, Format};
 use std::collections::HashMap;
 
-const MAGIC: &[u8; 4] = b"ORCL";
+/// orc-lite: RLEv2 integers, raw doubles, threshold-gated string dictionaries.
+pub(crate) const ORC: Format = Format {
+    magic: *b"ORCL",
+    decode: decode_stream,
+};
 
 /// Write-time options.
 #[derive(Debug, Clone)]
@@ -46,376 +44,113 @@ impl Default for WriteOptions {
     }
 }
 
-fn encode_stream(data: &ColumnData, opts: &WriteOptions) -> Vec<u8> {
-    let mut out = Vec::new();
-    match data {
-        ColumnData::Int(values) => out.extend_from_slice(&rle2::encode(values)),
-        ColumnData::Double(values) => {
-            for &v in values {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        ColumnData::Str(arena) => {
-            let mut map: HashMap<&[u8], i32> = HashMap::new();
-            let mut dict = StringArena::new();
-            let mut codes = Vec::with_capacity(arena.len());
-            for i in 0..arena.len() {
-                let s = arena.get(i);
-                let code = *map.entry(s).or_insert_with(|| {
-                    dict.push(s);
-                    // lint: allow(cast) encode side: dict sizes are far smaller than 2 GiB
-                    (dict.len() - 1) as i32
-                });
-                codes.push(code);
-            }
-            let use_dict = !arena.is_empty()
-                && (dict.len() as f64 / arena.len() as f64) <= opts.dictionary_key_size_threshold;
-            if use_dict {
-                out.push(1);
-                // lint: allow(cast) encode side: dict sizes are far smaller than 4 GiB
-                out.extend_from_slice(&(dict.len() as u32).to_le_bytes());
-                // lint: allow(cast) encode side: strings are far shorter than 2 GiB
-                let lengths: Vec<i32> = (0..dict.len()).map(|i| dict.str_len(i) as i32).collect();
-                let len_stream = rle2::encode(&lengths);
-                // lint: allow(cast) encode side: length streams are far smaller than 4 GiB
-                out.extend_from_slice(&(len_stream.len() as u32).to_le_bytes());
-                out.extend_from_slice(&len_stream);
-                out.extend_from_slice(&dict.bytes);
-                out.extend_from_slice(&rle2::encode(&codes));
-            } else {
-                out.push(0);
-                // lint: allow(cast) encode side: strings are far shorter than 2 GiB
-                let lengths: Vec<i32> = (0..arena.len()).map(|i| arena.str_len(i) as i32).collect();
-                let len_stream = rle2::encode(&lengths);
-                // lint: allow(cast) encode side: length streams are far smaller than 4 GiB
-                out.extend_from_slice(&(len_stream.len() as u32).to_le_bytes());
-                out.extend_from_slice(&len_stream);
-                out.extend_from_slice(&arena.bytes);
-            }
-        }
-    }
-    out
-}
-
-fn decode_stream(buf: &[u8], count: usize, ty: ColumnType) -> Result<ColumnData> {
-    match ty {
-        ColumnType::Integer => Ok(ColumnData::Int(rle2::decode(buf, count)?)),
-        ColumnType::Double => {
-            if buf.len() < count * 8 {
-                return Err(Error::UnexpectedEnd);
-            }
-            Ok(ColumnData::Double(
-                // lint: allow(indexing) buf.len() >= count * 8 was checked above
-                buf[..count * 8]
-                    .chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().expect("8")))
-                    .collect(),
-            ))
-        }
-        ColumnType::String => {
-            let (&kind, rest) = buf.split_first().ok_or(Error::UnexpectedEnd)?;
-            match kind {
-                1 => {
-                    if rest.len() < 8 {
-                        return Err(Error::UnexpectedEnd);
-                    }
-                    // lint: allow(indexing) rest.len() >= 8 was checked above
-                    let dict_n = u32::from_le_bytes(rest[..4].try_into().expect("4")) as usize;
-                    let len_stream_len =
-                        // lint: allow(indexing) rest.len() >= 8 was checked above
-                        u32::from_le_bytes(rest[4..8].try_into().expect("4")) as usize;
-                    let mut pos = 8usize;
-                    if rest.len() < pos + len_stream_len {
-                        return Err(Error::UnexpectedEnd);
-                    }
-                    // lint: allow(indexing) rest.len() >= pos + len_stream_len was checked above
-                    let lengths = rle2::decode(&rest[pos..pos + len_stream_len], dict_n)?;
-                    pos += len_stream_len;
-                    let total: usize = lengths.iter().map(|&l| l.max(0) as usize).sum();
-                    if rest.len() < pos + total {
-                        return Err(Error::UnexpectedEnd);
-                    }
-                    let mut dict = StringArena::new();
-                    let mut off = pos;
-                    for &l in &lengths {
-                        if l < 0 {
-                            return Err(Error::Corrupt("negative dict string length"));
-                        }
-                        // lint: allow(indexing) off + len stays within pos + total, which was bounds-checked above
-                        dict.push(&rest[off..off + l as usize]);
-                        off += l as usize;
-                    }
-                    // lint: allow(indexing) off never exceeds pos + total <= rest.len()
-                    let codes = rle2::decode(&rest[off..], count)?;
-                    let mut arena = StringArena::new();
-                    for &c in &codes {
-                        if c < 0 || c as usize >= dict.len() {
-                            return Err(Error::Corrupt("dict code out of range"));
-                        }
-                        arena.push(dict.get(c as usize));
-                    }
-                    Ok(ColumnData::Str(arena))
-                }
-                0 => {
-                    if rest.len() < 4 {
-                        return Err(Error::UnexpectedEnd);
-                    }
-                    let len_stream_len =
-                        // lint: allow(indexing) rest.len() >= 4 was checked above
-                        u32::from_le_bytes(rest[..4].try_into().expect("4")) as usize;
-                    let mut pos = 4usize;
-                    if rest.len() < pos + len_stream_len {
-                        return Err(Error::UnexpectedEnd);
-                    }
-                    // lint: allow(indexing) rest.len() >= pos + len_stream_len was checked above
-                    let lengths = rle2::decode(&rest[pos..pos + len_stream_len], count)?;
-                    pos += len_stream_len;
-                    let mut arena = StringArena::new();
-                    for &l in &lengths {
-                        if l < 0 {
-                            return Err(Error::Corrupt("negative string length"));
-                        }
-                        if rest.len() < pos + l as usize {
-                            return Err(Error::UnexpectedEnd);
-                        }
-                        // lint: allow(indexing) rest.len() >= pos + l was checked above
-                        arena.push(&rest[pos..pos + l as usize]);
-                        pos += l as usize;
-                    }
-                    Ok(ColumnData::Str(arena))
-                }
-                _ => Err(Error::Corrupt("unknown string stream kind")),
-            }
-        }
-    }
-}
-
-fn column_slice(data: &ColumnData, start: usize, end: usize) -> ColumnData {
-    match data {
-        // lint: allow(indexing) start..end is clamped to the row count by the caller
-        ColumnData::Int(v) => ColumnData::Int(v[start..end].to_vec()),
-        // lint: allow(indexing) start..end is clamped to the row count by the caller
-        ColumnData::Double(v) => ColumnData::Double(v[start..end].to_vec()),
-        ColumnData::Str(a) => ColumnData::Str(a.gather(start..end)),
-    }
-}
-
 /// Writes `rel` to an orc-lite file.
 pub fn write(rel: &Relation, opts: &WriteOptions) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    let rows = rel.rows();
-    let sr = opts.stripe_rows.max(1);
-    let mut stripes: Vec<(u32, Vec<(u64, u32)>)> = Vec::new();
-    let mut start = 0usize;
-    loop {
-        let end = (start + sr).min(rows);
-        let mut streams = Vec::with_capacity(rel.columns.len());
-        for col in &rel.columns {
-            let slice = column_slice(&col.data, start, end);
-            let encoded = encode_stream(&slice, opts);
-            let compressed = opts.codec.compress(&encoded);
-            // lint: allow(cast) encode side: streams are far smaller than 4 GiB
-            streams.push((out.len() as u64, compressed.len() as u32));
-            out.extend_from_slice(&compressed);
-        }
-        // lint: allow(cast) encode side: stripe row counts are far smaller than 4 GiB
-        stripes.push(((end - start) as u32, streams));
-        start = end;
-        if start >= rows {
-            break;
-        }
-    }
-    let footer_start = out.len();
-    // lint: allow(cast) encode side: column count is far smaller than 4 GiB
-    out.extend_from_slice(&(rel.columns.len() as u32).to_le_bytes());
-    for col in &rel.columns {
-        let name = col.name.as_bytes();
-        // lint: allow(cast) encode side: column names are far shorter than 64 KiB
-        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        out.extend_from_slice(name);
-        out.push(match col.data.column_type() {
-            ColumnType::Integer => 0,
-            ColumnType::Double => 1,
-            ColumnType::String => 2,
-        });
-    }
-    // lint: allow(cast) encode side: stripe count is far smaller than 4 GiB
-    out.extend_from_slice(&(stripes.len() as u32).to_le_bytes());
-    for (count, streams) in &stripes {
-        out.extend_from_slice(&count.to_le_bytes());
-        for &(off, len) in streams {
-            out.extend_from_slice(&off.to_le_bytes());
-            out.extend_from_slice(&len.to_le_bytes());
-        }
-    }
-    out.push(match opts.codec {
-        Codec::None => 0,
-        Codec::SnappyLike => 1,
-        Codec::Heavy => 2,
-    });
-    // lint: allow(cast) encode side: the footer is far smaller than 4 GiB
-    let footer_len = (out.len() - footer_start) as u32;
-    out.extend_from_slice(&footer_len.to_le_bytes());
-    out.extend_from_slice(MAGIC);
-    out
-}
-
-/// Parsed footer.
-#[derive(Debug, Clone)]
-pub struct FileMeta {
-    /// Column names and types.
-    pub columns: Vec<(String, ColumnType)>,
-    /// Per stripe: row count and per-column `(offset, comp_len)`.
-    pub stripes: Vec<(u32, Vec<(u64, u32)>)>,
-    /// Codec for all streams.
-    pub codec: Codec,
-}
-
-/// Parses the footer.
-pub fn read_meta(bytes: &[u8]) -> Result<FileMeta> {
-    // lint: allow(indexing) bytes.len() >= 12 is checked first in the condition
-    if bytes.len() < 12 || &bytes[bytes.len() - 4..] != MAGIC || &bytes[..4] != MAGIC {
-        return Err(Error::Corrupt("bad magic"));
-    }
-    let fl_pos = bytes.len() - 8;
-    // lint: allow(indexing) fl_pos + 4 = bytes.len() - 4 and bytes.len() >= 12
-    let footer_len = u32::from_le_bytes(bytes[fl_pos..fl_pos + 4].try_into().expect("4")) as usize;
-    if footer_len + 12 > bytes.len() {
-        return Err(Error::Corrupt("footer length out of range"));
-    }
-    // lint: allow(indexing) footer_len + 12 <= bytes.len() was checked above
-    let footer = &bytes[fl_pos - footer_len..fl_pos];
-    let mut pos = 0usize;
-    let need = |pos: usize, n: usize| -> Result<()> {
-        if pos + n > footer.len() {
-            Err(Error::UnexpectedEnd)
-        } else {
-            Ok(())
-        }
-    };
-    need(pos, 4)?;
-    // lint: allow(indexing) need(pos, 4) bounds-checked this range
-    let n_cols = u32::from_le_bytes(footer[..4].try_into().expect("4")) as usize;
-    pos += 4;
-    // Each column takes at least 3 footer bytes (name_len + type tag), so a
-    // count past that bound is corrupt — reject before reserving for it.
-    if n_cols > footer.len() / 3 {
-        return Err(Error::Corrupt("column count exceeds footer"));
-    }
-    let mut columns = Vec::with_capacity(n_cols);
-    for _ in 0..n_cols {
-        need(pos, 2)?;
-        // lint: allow(indexing) need(pos, 2) bounds-checked this range
-        let name_len = u16::from_le_bytes([footer[pos], footer[pos + 1]]) as usize;
-        pos += 2;
-        need(pos, name_len + 1)?;
-        // lint: allow(indexing) need(pos, name_len + 1) bounds-checked this range
-        let name = String::from_utf8(footer[pos..pos + name_len].to_vec())
-            .map_err(|_| Error::Corrupt("column name not utf-8"))?;
-        pos += name_len;
-        // lint: allow(indexing) need(pos, name_len + 1) bounds-checked this range
-        let ty = match footer[pos] {
-            0 => ColumnType::Integer,
-            1 => ColumnType::Double,
-            2 => ColumnType::String,
-            _ => return Err(Error::Corrupt("bad type tag")),
-        };
-        pos += 1;
-        columns.push((name, ty));
-    }
-    need(pos, 4)?;
-    // lint: allow(indexing) need(pos, 4) bounds-checked this range
-    let n_stripes = u32::from_le_bytes(footer[pos..pos + 4].try_into().expect("4")) as usize;
-    pos += 4;
-    // Each stripe needs a 4-byte row count at minimum.
-    if n_stripes > footer.len() / 4 {
-        return Err(Error::Corrupt("stripe count exceeds footer"));
-    }
-    let mut stripes = Vec::with_capacity(n_stripes);
-    for _ in 0..n_stripes {
-        need(pos, 4)?;
-        // lint: allow(indexing) need(pos, 4) bounds-checked this range
-        let count = u32::from_le_bytes(footer[pos..pos + 4].try_into().expect("4"));
-        pos += 4;
-        let mut streams = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            need(pos, 12)?;
-            // lint: allow(indexing) need(pos, 12) bounds-checked this range
-            let off = u64::from_le_bytes(footer[pos..pos + 8].try_into().expect("8"));
-            // lint: allow(indexing) need(pos, 12) bounds-checked this range
-            let len = u32::from_le_bytes(footer[pos + 8..pos + 12].try_into().expect("4"));
-            pos += 12;
-            streams.push((off, len));
-        }
-        stripes.push((count, streams));
-    }
-    need(pos, 1)?;
-    // lint: allow(indexing) need(pos, 1) bounds-checked this range
-    let codec = match footer[pos] {
-        0 => Codec::None,
-        1 => Codec::SnappyLike,
-        2 => Codec::Heavy,
-        _ => return Err(Error::Corrupt("unknown codec tag")),
-    };
-    Ok(FileMeta {
-        columns,
-        stripes,
-        codec,
+    ORC.write(rel, opts.stripe_rows, opts.codec, |data, out| {
+        encode_stream(data, opts.dictionary_key_size_threshold, out)
     })
 }
 
 /// Reads the whole file back.
 pub fn read(bytes: &[u8]) -> Result<Relation> {
-    let meta = read_meta(bytes)?;
-    let mut columns = Vec::with_capacity(meta.columns.len());
-    for ci in 0..meta.columns.len() {
-        columns.push(read_column_inner(bytes, &meta, ci)?);
-    }
-    Ok(Relation { columns })
+    ORC.read(bytes)
 }
 
 /// Reads a single column across all stripes.
 pub fn read_column(bytes: &[u8], column_index: usize) -> Result<Column> {
-    let meta = read_meta(bytes)?;
-    if column_index >= meta.columns.len() {
-        return Err(Error::Corrupt("column index out of range"));
-    }
-    read_column_inner(bytes, &meta, column_index)
+    ORC.read_column(bytes, column_index)
 }
 
-fn read_column_inner(bytes: &[u8], meta: &FileMeta, ci: usize) -> Result<Column> {
-    // lint: allow(indexing) callers range-check ci against meta.columns
-    let (name, ty) = &meta.columns[ci];
-    let mut acc: Option<ColumnData> = None;
-    for (count, streams) in &meta.stripes {
-        // lint: allow(indexing) every stripe stores one stream per column; ci < n_cols
-        let (off, len) = streams[ci];
-        let (off, len) = (off as usize, len as usize);
-        if off + len > bytes.len() {
-            return Err(Error::Corrupt("stream offset out of range"));
-        }
-        // lint: allow(indexing) off + len <= bytes.len() was checked above
-        let encoded = meta.codec.decompress(&bytes[off..off + len])?;
-        let chunk = decode_stream(&encoded, *count as usize, *ty)?;
-        match (&mut acc, chunk) {
-            (None, c) => acc = Some(c),
-            (Some(ColumnData::Int(a)), ColumnData::Int(c)) => a.extend_from_slice(&c),
-            (Some(ColumnData::Double(a)), ColumnData::Double(c)) => a.extend_from_slice(&c),
-            (Some(ColumnData::Str(a)), ColumnData::Str(c)) => {
-                for i in 0..c.len() {
-                    a.push(c.get(i));
-                }
+/// A length or code as an RLEv2 value.
+fn wire_i32(n: usize) -> i32 {
+    // lint: allow(cast) encode side: dictionaries and strings are far smaller than 2 GiB
+    n as i32
+}
+
+/// `[len_stream_len u32][lengths RLEv2][bytes]`.
+fn put_strings(arena: &StringArena, out: &mut Vec<u8>) {
+    let lengths: Vec<i32> = arena.iter().map(|s| wire_i32(s.len())).collect();
+    let len_stream = rle2::encode(&lengths);
+    out.put_u32(wire_u32(len_stream.len()));
+    out.extend_from_slice(&len_stream);
+    out.extend_from_slice(&arena.bytes);
+}
+
+/// Reads `n` strings written by [`put_strings`], the bytes in one copy.
+fn read_strings(r: &mut Reader<'_>, n: usize) -> Result<StringArena> {
+    let len_stream_len = r.u32()? as usize;
+    let lengths = rle2::decode(r.take(len_stream_len)?, n)?;
+    let mut offsets = Vec::with_capacity(lengths.len() + 1);
+    let mut end = 0u32;
+    offsets.push(end);
+    for len in lengths {
+        end = u32::try_from(len)
+            .ok()
+            .and_then(|len| end.checked_add(len))
+            .ok_or(Error::Corrupt("string length out of range"))?;
+        offsets.push(end);
+    }
+    let bytes = r.take(end as usize)?.to_vec();
+    Ok(StringArena { bytes, offsets })
+}
+
+fn encode_stream(data: &ColumnData, dictionary_key_size_threshold: f64, out: &mut Vec<u8>) {
+    match data {
+        ColumnData::Int(values) => out.extend_from_slice(&rle2::encode(values)),
+        ColumnData::Double(values) => out.put_f64_slice(values),
+        ColumnData::Str(arena) => {
+            let mut map: HashMap<&[u8], i32> = HashMap::new();
+            let mut dict = StringArena::new();
+            let codes: Vec<i32> = (arena.iter())
+                .map(|s| {
+                    *map.entry(s).or_insert_with(|| {
+                        dict.push(s);
+                        wire_i32(dict.len() - 1)
+                    })
+                })
+                .collect();
+            let use_dict = !arena.is_empty()
+                && (dict.len() as f64 / arena.len() as f64) <= dictionary_key_size_threshold;
+            if use_dict {
+                out.put_u8(1);
+                out.put_u32(wire_u32(dict.len()));
+                put_strings(&dict, out);
+                out.extend_from_slice(&rle2::encode(&codes));
+            } else {
+                out.put_u8(0);
+                put_strings(arena, out);
             }
-            _ => return Err(Error::Corrupt("stripe type mismatch")),
         }
     }
-    let data = acc.unwrap_or(match ty {
-        ColumnType::Integer => ColumnData::Int(Vec::new()),
-        ColumnType::Double => ColumnData::Double(Vec::new()),
-        ColumnType::String => ColumnData::Str(StringArena::new()),
-    });
-    Ok(Column::new(name.clone(), data))
+}
+
+fn decode_stream(buf: &[u8], count: usize, ty: ColumnType) -> Result<ColumnData> {
+    let mut r = Reader::new(buf);
+    Ok(match ty {
+        ColumnType::Integer => ColumnData::Int(rle2::decode(buf, count)?),
+        ColumnType::Double => {
+            let mut values = Vec::new();
+            r.vec_into(count, &mut values)?;
+            ColumnData::Double(values)
+        }
+        ColumnType::String => ColumnData::Str(match r.u8()? {
+            1 => {
+                let dict_len = r.u32()? as usize;
+                let dict = read_strings(&mut r, dict_len)?;
+                let mut arena = StringArena::new();
+                for code in rle2::decode(r.rest(), count)? {
+                    let code = usize::try_from(code)
+                        .ok()
+                        .filter(|&c| c < dict.len())
+                        .ok_or(Error::Corrupt("dict code out of range"))?;
+                    arena.push(dict.get(code));
+                }
+                arena
+            }
+            0 => read_strings(&mut r, count)?,
+            _ => return Err(Error::Corrupt("unknown string stream kind")),
+        }),
+    })
 }
 
 #[cfg(test)]
@@ -440,7 +175,7 @@ mod tests {
             ..WriteOptions::default()
         };
         let bytes = write(&rel, &opts);
-        assert_eq!(read_meta(&bytes).unwrap().stripes.len(), 3);
+        assert_eq!(ORC.read_meta(&bytes).unwrap().rowgroups.len(), 3);
         assert_eq!(read(&bytes).unwrap(), rel);
     }
 

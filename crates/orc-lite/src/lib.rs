@@ -16,50 +16,15 @@
 //! * Optional general-purpose compression per stream ([`btr_lz::Codec`]).
 //!
 //! Omitted relative to real ORC (documented substitution): ORC's protobuf
-//! metadata (a fixed-layout footer instead) and per-stream index data.
+//! metadata and per-stream index data. Files use parquet-lite's container
+//! ([`parquet_lite::file`]) instead, a fixed-layout footer at the end, with
+//! stripes as its groups; [`Error`] and [`Result`] are parquet-lite's.
 
 pub mod file;
 pub mod rle2;
 
 pub use file::{read, read_column, write, WriteOptions};
-
-/// Errors from reading an orc-lite file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Error {
-    /// Buffer ended unexpectedly.
-    UnexpectedEnd,
-    /// Structurally invalid file.
-    Corrupt(&'static str),
-    /// General-purpose codec failure.
-    Codec(&'static str),
-}
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Error::UnexpectedEnd => write!(f, "orc-lite file ended unexpectedly"),
-            Error::Corrupt(m) => write!(f, "corrupt orc-lite file: {m}"),
-            Error::Codec(m) => write!(f, "codec error: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<btr_lz::Error> for Error {
-    fn from(_: btr_lz::Error) -> Self {
-        Error::Codec("decompression failed")
-    }
-}
-
-impl From<btr_bitpacking::Error> for Error {
-    fn from(_: btr_bitpacking::Error) -> Self {
-        Error::Corrupt("bitpacked data invalid")
-    }
-}
-
-/// Result alias for this crate.
-pub type Result<T> = std::result::Result<T, Error>;
+pub use parquet_lite::{Error, Result};
 
 /// The ORC flavours benchmarked in the paper's Figure 8.
 pub fn paper_variants() -> Vec<(&'static str, btr_lz::Codec)> {

@@ -11,9 +11,12 @@
 //! * DICT — `[dict_len: u32][dict payload][width: u8][index_len: u32][hybrid
 //!   indices]`.
 
+use crate::file::wire_u32;
 use crate::hybrid;
 use crate::{Error, Result};
-use btrblocks::{ColumnData, StringArena};
+use btrblocks::scheme::fixed::Value;
+use btrblocks::writer::{Reader, WriteLe};
+use btrblocks::{ColumnData, ColumnType, StringArena};
 use std::collections::HashMap;
 
 /// Maximum dictionary entries before falling back to plain (Parquet's
@@ -30,32 +33,30 @@ const ENC_DICT: u8 = 1;
 /// Encodes one column chunk.
 pub fn encode_chunk(data: &ColumnData, out: &mut Vec<u8>) {
     match data {
-        ColumnData::Int(values) => encode_int(values, out),
-        ColumnData::Double(values) => encode_double(values, out),
+        ColumnData::Int(values) => encode_fixed(values, out),
+        ColumnData::Double(values) => encode_fixed(values, out),
         ColumnData::Str(arena) => encode_str(arena, out),
     }
 }
 
 /// Decodes one column chunk of `count` values.
-pub fn decode_chunk(buf: &[u8], count: usize, ty: btrblocks::ColumnType) -> Result<ColumnData> {
+pub fn decode_chunk(buf: &[u8], count: usize, ty: ColumnType) -> Result<ColumnData> {
+    let mut r = Reader::new(buf);
     match ty {
-        btrblocks::ColumnType::Integer => decode_int(buf, count).map(ColumnData::Int),
-        btrblocks::ColumnType::Double => decode_double(buf, count).map(ColumnData::Double),
-        btrblocks::ColumnType::String => decode_str(buf, count).map(ColumnData::Str),
+        ColumnType::Integer => decode_fixed(&mut r, count).map(ColumnData::Int),
+        ColumnType::Double => decode_fixed(&mut r, count).map(ColumnData::Double),
+        ColumnType::String => decode_str(&mut r, count).map(ColumnData::Str),
     }
 }
 
-fn try_dict<T: Copy, K: std::hash::Hash + Eq>(
-    values: &[T],
-    key: impl Fn(T) -> K,
-) -> Option<(Vec<T>, Vec<u32>)> {
-    let mut map: HashMap<K, u32> = HashMap::new();
+/// The chunk's dictionary and codes, or `None` past [`DICT_SIZE_LIMIT`].
+fn try_dict<V: Value>(values: &[V]) -> Option<(Vec<V>, Vec<u32>)> {
+    let mut map: HashMap<V::Bits, u32> = HashMap::new();
     let mut dict = Vec::new();
     let mut codes = Vec::with_capacity(values.len());
     for &v in values {
-        // lint: allow(cast) dict size is capped at DICT_SIZE_LIMIT = 65536
-        let next = dict.len() as u32;
-        let code = *map.entry(key(v)).or_insert_with(|| {
+        let next = wire_u32(dict.len());
+        let code = *map.entry(v.to_bits()).or_insert_with(|| {
             dict.push(v);
             next
         });
@@ -67,158 +68,77 @@ fn try_dict<T: Copy, K: std::hash::Hash + Eq>(
     Some((dict, codes))
 }
 
-fn width_for(dict_len: usize) -> u8 {
-    if dict_len <= 1 {
-        0
-    } else {
-        // lint: allow(cast) bit width of a usize is at most 64
-        (usize::BITS - (dict_len - 1).leading_zeros()) as u8
-    }
+/// Dictionary chunks are written when they hold fewer than half as many
+/// entries as the chunk has values.
+fn dict_pays(dict_len: usize, values: usize) -> bool {
+    dict_len * 2 < values.max(1)
 }
 
 fn write_indices(codes: &[u32], dict_len: usize, out: &mut Vec<u8>) {
-    let width = width_for(dict_len);
-    out.push(width);
+    // lint: allow(cast) bit width of a usize is at most 64
+    let width = (usize::BITS - dict_len.saturating_sub(1).leading_zeros()) as u8;
+    out.put_u8(width);
     let mut idx = Vec::new();
     hybrid::encode(codes, width, &mut idx);
-    // lint: allow(cast) encode side: index stream is far smaller than 4 GiB
-    out.extend_from_slice(&(idx.len() as u32).to_le_bytes());
+    out.put_u32(wire_u32(idx.len()));
     out.extend_from_slice(&idx);
 }
 
-fn read_indices(buf: &[u8], pos: &mut usize, count: usize, dict_len: usize) -> Result<Vec<u32>> {
-    let width = *buf.get(*pos).ok_or(Error::UnexpectedEnd)?;
-    *pos += 1;
-    if *pos + 4 > buf.len() {
-        return Err(Error::UnexpectedEnd);
-    }
-    // lint: allow(indexing) pos + 4 <= buf.len() was checked above
-    let idx_len = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("4")) as usize;
-    *pos += 4;
-    if *pos + idx_len > buf.len() {
-        return Err(Error::UnexpectedEnd);
-    }
-    // lint: allow(indexing) pos + idx_len <= buf.len() was checked above
-    let codes = hybrid::decode(&buf[*pos..*pos + idx_len], count, width)?;
-    *pos += idx_len;
-    if codes.iter().any(|&c| c as usize >= dict_len.max(1)) {
+/// Reads the dictionary codes; each must name one of the `dict_len` entries.
+fn read_indices(r: &mut Reader<'_>, count: usize, dict_len: usize) -> Result<Vec<u32>> {
+    let width = r.u8()?;
+    let idx_len = r.u32()? as usize;
+    let codes = hybrid::decode(r.take(idx_len)?, count, width)?;
+    if codes.iter().any(|&c| c as usize >= dict_len) {
         return Err(Error::Corrupt("dict index out of range"));
     }
     Ok(codes)
 }
 
-fn encode_int(values: &[i32], out: &mut Vec<u8>) {
-    if let Some((dict, codes)) = try_dict(values, |v| v) {
-        if dict.len() * 2 < values.len().max(1) {
-            out.push(ENC_DICT);
-            // lint: allow(cast) dict size is capped at DICT_SIZE_LIMIT = 65536
-            out.extend_from_slice(&(dict.len() as u32).to_le_bytes());
-            for &v in &dict {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            write_indices(&codes, dict.len(), out);
-            return;
-        }
-    }
-    out.push(ENC_PLAIN);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
+fn encode_fixed<V: Value>(values: &[V], out: &mut Vec<u8>) {
+    let dict = try_dict(values).filter(|(d, _)| dict_pays(d.len(), values.len()));
+    if let Some((dict, codes)) = dict {
+        out.put_u8(ENC_DICT);
+        out.put_u32(wire_u32(dict.len()));
+        V::put_slice(&dict, out);
+        write_indices(&codes, dict.len(), out);
+    } else {
+        out.put_u8(ENC_PLAIN);
+        V::put_slice(values, out);
     }
 }
 
-fn decode_int(buf: &[u8], count: usize) -> Result<Vec<i32>> {
-    let (&enc, rest) = buf.split_first().ok_or(Error::UnexpectedEnd)?;
-    match enc {
-        ENC_PLAIN => {
-            if rest.len() < count * 4 {
-                return Err(Error::UnexpectedEnd);
-            }
-            // lint: allow(indexing) rest.len() >= count * 4 was checked above
-            Ok(rest[..count * 4]
-                .chunks_exact(4)
-                .map(|c| i32::from_le_bytes(c.try_into().expect("4")))
-                .collect())
-        }
+fn decode_fixed<V: Value>(r: &mut Reader<'_>, count: usize) -> Result<Vec<V>> {
+    let mut out = Vec::new();
+    match r.u8()? {
+        ENC_PLAIN => r.vec_into(count, &mut out)?,
         ENC_DICT => {
-            let mut pos = 0usize;
-            if rest.len() < 4 {
-                return Err(Error::UnexpectedEnd);
-            }
-            // lint: allow(indexing) rest.len() >= 4 was checked above
-            let dict_len = u32::from_le_bytes(rest[..4].try_into().expect("4")) as usize;
-            pos += 4;
-            if rest.len() < pos + dict_len * 4 {
-                return Err(Error::UnexpectedEnd);
-            }
-            // lint: allow(indexing) rest.len() >= pos + dict_len * 4 was checked above
-            let dict: Vec<i32> = rest[pos..pos + dict_len * 4]
-                .chunks_exact(4)
-                .map(|c| i32::from_le_bytes(c.try_into().expect("4")))
-                .collect();
-            pos += dict_len * 4;
-            let codes = read_indices(rest, &mut pos, count, dict_len)?;
-            // lint: allow(indexing) codes were range-checked against dict_len in read_indices
-            Ok(codes.iter().map(|&c| dict[c as usize]).collect())
+            let mut dict: Vec<V> = Vec::new();
+            let dict_len = r.u32()? as usize;
+            r.vec_into(dict_len, &mut dict)?;
+            let codes = read_indices(r, count, dict_len)?;
+            // read_indices checked every code against dict_len.
+            out.extend(codes.iter().map(|&c| dict.get(c as usize).copied().unwrap_or_default()));
         }
-        _ => Err(Error::Corrupt("unknown chunk encoding")),
+        _ => return Err(Error::Corrupt("unknown chunk encoding")),
+    }
+    Ok(out)
+}
+
+fn put_strs<'a>(strs: impl Iterator<Item = &'a [u8]>, out: &mut Vec<u8>) {
+    for s in strs {
+        out.put_u32(wire_u32(s.len()));
+        out.extend_from_slice(s);
     }
 }
 
-fn encode_double(values: &[f64], out: &mut Vec<u8>) {
-    if let Some((dict, codes)) = try_dict(values, |v: f64| v.to_bits()) {
-        if dict.len() * 2 < values.len().max(1) {
-            out.push(ENC_DICT);
-            // lint: allow(cast) dict size is capped at DICT_SIZE_LIMIT = 65536
-            out.extend_from_slice(&(dict.len() as u32).to_le_bytes());
-            for &v in &dict {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            write_indices(&codes, dict.len(), out);
-            return;
-        }
+fn read_strs(r: &mut Reader<'_>, count: usize) -> Result<StringArena> {
+    let mut arena = StringArena::new();
+    for _ in 0..count {
+        let len = r.u32()? as usize;
+        arena.push(r.take(len)?);
     }
-    out.push(ENC_PLAIN);
-    for &v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn decode_double(buf: &[u8], count: usize) -> Result<Vec<f64>> {
-    let (&enc, rest) = buf.split_first().ok_or(Error::UnexpectedEnd)?;
-    match enc {
-        ENC_PLAIN => {
-            if rest.len() < count * 8 {
-                return Err(Error::UnexpectedEnd);
-            }
-            // lint: allow(indexing) rest.len() >= count * 8 was checked above
-            Ok(rest[..count * 8]
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8")))
-                .collect())
-        }
-        ENC_DICT => {
-            let mut pos = 0usize;
-            if rest.len() < 4 {
-                return Err(Error::UnexpectedEnd);
-            }
-            // lint: allow(indexing) rest.len() >= 4 was checked above
-            let dict_len = u32::from_le_bytes(rest[..4].try_into().expect("4")) as usize;
-            pos += 4;
-            if rest.len() < pos + dict_len * 8 {
-                return Err(Error::UnexpectedEnd);
-            }
-            // lint: allow(indexing) rest.len() >= pos + dict_len * 8 was checked above
-            let dict: Vec<f64> = rest[pos..pos + dict_len * 8]
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8")))
-                .collect();
-            pos += dict_len * 8;
-            let codes = read_indices(rest, &mut pos, count, dict_len)?;
-            // lint: allow(indexing) codes were range-checked against dict_len in read_indices
-            Ok(codes.iter().map(|&c| dict[c as usize]).collect())
-        }
-        _ => Err(Error::Corrupt("unknown chunk encoding")),
-    }
+    Ok(arena)
 }
 
 fn encode_str(arena: &StringArena, out: &mut Vec<u8>) {
@@ -227,10 +147,8 @@ fn encode_str(arena: &StringArena, out: &mut Vec<u8>) {
     let mut dict = StringArena::new();
     let mut codes = Vec::with_capacity(arena.len());
     let mut ok = true;
-    for i in 0..arena.len() {
-        let s = arena.get(i);
-        // lint: allow(cast) dict size is capped at DICT_SIZE_LIMIT = 65536
-        let next = dict.len() as u32;
+    for s in arena.iter() {
+        let next = wire_u32(dict.len());
         let code = *map.entry(s).or_insert_with(|| {
             dict.push(s);
             next
@@ -241,72 +159,24 @@ fn encode_str(arena: &StringArena, out: &mut Vec<u8>) {
         }
         codes.push(code);
     }
-    if ok && dict.len() * 2 < arena.len().max(1) {
-        out.push(ENC_DICT);
-        // lint: allow(cast) dict size is capped at DICT_SIZE_LIMIT = 65536
-        out.extend_from_slice(&(dict.len() as u32).to_le_bytes());
-        for s in dict.iter() {
-            // lint: allow(cast) encode side: strings are far shorter than 4 GiB
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s);
-        }
+    if ok && dict_pays(dict.len(), arena.len()) {
+        out.put_u8(ENC_DICT);
+        out.put_u32(wire_u32(dict.len()));
+        put_strs(dict.iter(), out);
         write_indices(&codes, dict.len(), out);
-        return;
-    }
-    out.push(ENC_PLAIN);
-    for s in arena.iter() {
-        // lint: allow(cast) encode side: strings are far shorter than 4 GiB
-        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        out.extend_from_slice(s);
+    } else {
+        out.put_u8(ENC_PLAIN);
+        put_strs(arena.iter(), out);
     }
 }
 
-fn decode_str(buf: &[u8], count: usize) -> Result<StringArena> {
-    let (&enc, rest) = buf.split_first().ok_or(Error::UnexpectedEnd)?;
-    match enc {
-        ENC_PLAIN => {
-            let mut arena = StringArena::new();
-            let mut pos = 0usize;
-            for _ in 0..count {
-                if pos + 4 > rest.len() {
-                    return Err(Error::UnexpectedEnd);
-                }
-                // lint: allow(indexing) pos + 4 <= rest.len() was checked above
-                let len = u32::from_le_bytes(rest[pos..pos + 4].try_into().expect("4")) as usize;
-                pos += 4;
-                if pos + len > rest.len() {
-                    return Err(Error::UnexpectedEnd);
-                }
-                // lint: allow(indexing) pos + len <= rest.len() was checked above
-                arena.push(&rest[pos..pos + len]);
-                pos += len;
-            }
-            Ok(arena)
-        }
+fn decode_str(r: &mut Reader<'_>, count: usize) -> Result<StringArena> {
+    match r.u8()? {
+        ENC_PLAIN => read_strs(r, count),
         ENC_DICT => {
-            let mut pos = 0usize;
-            if rest.len() < 4 {
-                return Err(Error::UnexpectedEnd);
-            }
-            // lint: allow(indexing) rest.len() >= 4 was checked above
-            let dict_len = u32::from_le_bytes(rest[..4].try_into().expect("4")) as usize;
-            pos += 4;
-            let mut dict = StringArena::new();
-            for _ in 0..dict_len {
-                if pos + 4 > rest.len() {
-                    return Err(Error::UnexpectedEnd);
-                }
-                // lint: allow(indexing) pos + 4 <= rest.len() was checked above
-                let len = u32::from_le_bytes(rest[pos..pos + 4].try_into().expect("4")) as usize;
-                pos += 4;
-                if pos + len > rest.len() {
-                    return Err(Error::UnexpectedEnd);
-                }
-                // lint: allow(indexing) pos + len <= rest.len() was checked above
-                dict.push(&rest[pos..pos + len]);
-                pos += len;
-            }
-            let codes = read_indices(rest, &mut pos, count, dict_len)?;
+            let dict_len = r.u32()? as usize;
+            let dict = read_strs(r, dict_len)?;
+            let codes = read_indices(r, count, dict.len())?;
             let mut arena = StringArena::new();
             for &c in &codes {
                 arena.push(dict.get(c as usize));
@@ -320,7 +190,6 @@ fn decode_str(buf: &[u8], count: usize) -> Result<StringArena> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btrblocks::ColumnType;
 
     fn roundtrip(data: ColumnData) {
         let mut buf = Vec::new();

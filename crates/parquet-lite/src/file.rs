@@ -1,27 +1,28 @@
-//! File layout: row groups of column chunks, footer metadata at the end.
+//! The container both baselines share: groups of column chunks, footer
+//! metadata at the end. parquet-lite and orc-lite differ only in their
+//! [`Format`]: the magic and how one chunk is encoded and decoded.
 //!
 //! ```text
-//! magic "PQL1"
+//! magic
 //! [chunk data ...]                     (encoded + optionally codec-compressed)
 //! footer:
 //!   column_count: u32
 //!   per column: name_len u16 | name | type tag u8
-//!   rowgroup_count: u32
-//!   per rowgroup: row_count u32, per column: offset u64 | compressed_len u32 | raw_len u32
+//!   group_count: u32
+//!   per group: row_count u32, per column: offset u64 | compressed_len u32 | raw_len u32
 //!   codec tag: u8
-//! footer_len: u32 | magic "PQL1"
+//! footer_len: u32 | magic
 //! ```
 //!
 //! Like real Parquet, the footer sits at the *end*: a reader wanting one
-//! column of one rowgroup must fetch the footer first (two dependent reads —
+//! column of one row group must fetch the footer first (two dependent reads —
 //! the access pattern discussed in the paper's §6.7 cost analysis).
 
 use crate::encoding;
 use crate::{Error, Result};
 use btr_lz::Codec;
+use btrblocks::writer::{Reader, WriteLe};
 use btrblocks::{Column, ColumnData, ColumnType, Relation, StringArena};
-
-const MAGIC: &[u8; 4] = b"PQL1";
 
 /// Write-time options.
 #[derive(Debug, Clone)]
@@ -57,6 +58,42 @@ pub struct FileMeta {
     pub codec: Codec,
 }
 
+/// What one file format puts in the container.
+#[derive(Debug, Clone, Copy)]
+pub struct Format {
+    /// Leading and trailing magic.
+    pub magic: [u8; 4],
+    /// Decodes one chunk of `count` values of the given type.
+    pub decode: fn(&[u8], usize, ColumnType) -> Result<ColumnData>,
+}
+
+/// parquet-lite: Parquet's dictionary-with-fallback and hybrid chunks.
+pub(crate) const PARQUET: Format = Format {
+    magic: *b"PQL1",
+    decode: encoding::decode_chunk,
+};
+
+/// Writes `rel` to a parquet-lite file.
+pub fn write(rel: &Relation, opts: &WriteOptions) -> Vec<u8> {
+    PARQUET.write(rel, opts.rowgroup_size, opts.codec, encoding::encode_chunk)
+}
+
+/// Reads a whole file back into a relation.
+pub fn read(bytes: &[u8]) -> Result<Relation> {
+    PARQUET.read(bytes)
+}
+
+/// Reads a single column by index across all rowgroups (a projection scan).
+pub fn read_column(bytes: &[u8], column_index: usize) -> Result<Column> {
+    PARQUET.read_column(bytes, column_index)
+}
+
+/// A length or count as its u32 wire field.
+pub fn wire_u32(n: usize) -> u32 {
+    // lint: allow(cast) encode side: chunks, counts and strings are far smaller than 4 GiB
+    n as u32
+}
+
 fn codec_tag(codec: Codec) -> u8 {
     match codec {
         Codec::None => 0,
@@ -74,224 +111,175 @@ fn codec_from_tag(tag: u8) -> Result<Codec> {
     })
 }
 
-fn column_slice(data: &ColumnData, start: usize, end: usize) -> ColumnData {
+fn column_slice(data: &ColumnData, rows: std::ops::Range<usize>) -> ColumnData {
     match data {
-        // lint: allow(indexing) start..end is clamped to the row count by the caller
-        ColumnData::Int(v) => ColumnData::Int(v[start..end].to_vec()),
-        // lint: allow(indexing) start..end is clamped to the row count by the caller
-        ColumnData::Double(v) => ColumnData::Double(v[start..end].to_vec()),
-        ColumnData::Str(a) => ColumnData::Str(a.gather(start..end)),
+        ColumnData::Int(v) => ColumnData::Int(v.get(rows).unwrap_or_default().to_vec()),
+        ColumnData::Double(v) => ColumnData::Double(v.get(rows).unwrap_or_default().to_vec()),
+        ColumnData::Str(a) => ColumnData::Str(a.gather(rows)),
     }
 }
 
-/// Writes `rel` to a parquet-lite file.
-pub fn write(rel: &Relation, opts: &WriteOptions) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    let rows = rel.rows();
-    let rg = opts.rowgroup_size.max(1);
-    let mut rowgroups: Vec<RowGroupMeta> = Vec::new();
-    let mut start = 0usize;
-    loop {
-        let end = (start + rg).min(rows);
-        if start >= rows && !(rows == 0 && start == 0) {
-            break;
+/// Appends a decoded chunk to its column, strings as one run of bytes.
+fn append(acc: &mut ColumnData, chunk: ColumnData) -> Result<()> {
+    match (acc, chunk) {
+        (ColumnData::Int(a), ColumnData::Int(c)) => a.extend_from_slice(&c),
+        (ColumnData::Double(a), ColumnData::Double(c)) => a.extend_from_slice(&c),
+        (ColumnData::Str(a), ColumnData::Str(c)) => {
+            // Arena offsets are u32: the column's bytes must stay below 4 GiB.
+            u32::try_from(a.bytes.len() + c.bytes.len())
+                .map_err(|_| Error::Corrupt("string column exceeds 4 GiB"))?;
+            let base = wire_u32(a.bytes.len());
+            a.offsets.extend(c.offsets.iter().skip(1).map(|&o| base + o));
+            a.bytes.extend_from_slice(&c.bytes);
         }
-        let mut chunk_meta = Vec::with_capacity(rel.columns.len());
-        for col in &rel.columns {
-            let slice = column_slice(&col.data, start, end);
-            let mut encoded = Vec::new();
-            encoding::encode_chunk(&slice, &mut encoded);
-            let compressed = opts.codec.compress(&encoded);
-            // lint: allow(cast) encode side: chunk sizes are far smaller than 4 GiB
-            chunk_meta.push((out.len() as u64, compressed.len() as u32, encoded.len() as u32));
-            out.extend_from_slice(&compressed);
-        }
-        // lint: allow(cast) end - start <= rowgroup_size, far smaller than 4 GiB
-        rowgroups.push(((end - start) as u32, chunk_meta));
-        start = end;
-        if start >= rows {
-            break;
-        }
+        _ => return Err(Error::Corrupt("chunk type mismatch")),
     }
-    // Footer.
-    let footer_start = out.len();
-    // lint: allow(cast) encode side: column count is far smaller than 4 GiB
-    out.extend_from_slice(&(rel.columns.len() as u32).to_le_bytes());
-    for col in &rel.columns {
-        let name = col.name.as_bytes();
-        // lint: allow(cast) encode side: column names are far shorter than 64 KiB
-        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        out.extend_from_slice(name);
-        out.push(match col.data.column_type() {
-            ColumnType::Integer => 0,
-            ColumnType::Double => 1,
-            ColumnType::String => 2,
-        });
-    }
-    // lint: allow(cast) encode side: rowgroup count is far smaller than 4 GiB
-    out.extend_from_slice(&(rowgroups.len() as u32).to_le_bytes());
-    for (count, chunks) in &rowgroups {
-        out.extend_from_slice(&count.to_le_bytes());
-        for &(off, clen, rlen) in chunks {
-            out.extend_from_slice(&off.to_le_bytes());
-            out.extend_from_slice(&clen.to_le_bytes());
-            out.extend_from_slice(&rlen.to_le_bytes());
-        }
-    }
-    out.push(codec_tag(opts.codec));
-    // lint: allow(cast) encode side: the footer is far smaller than 4 GiB
-    let footer_len = (out.len() - footer_start) as u32;
-    out.extend_from_slice(&footer_len.to_le_bytes());
-    out.extend_from_slice(MAGIC);
-    out
+    Ok(())
 }
 
-/// Parses only the footer (the metadata fetch a real reader does first).
-pub fn read_meta(bytes: &[u8]) -> Result<FileMeta> {
-    // lint: allow(indexing) bytes.len() >= 12 is checked first in the condition
-    if bytes.len() < 12 || &bytes[bytes.len() - 4..] != MAGIC || &bytes[..4] != MAGIC {
-        return Err(Error::Corrupt("bad magic"));
-    }
-    let fl_pos = bytes.len() - 8;
-    let footer_len =
-        // lint: allow(indexing) fl_pos + 4 = bytes.len() - 4 and bytes.len() >= 12
-        u32::from_le_bytes(bytes[fl_pos..fl_pos + 4].try_into().expect("4")) as usize;
-    if footer_len + 12 > bytes.len() {
-        return Err(Error::Corrupt("footer length out of range"));
-    }
-    // lint: allow(indexing) footer_len + 12 <= bytes.len() was checked above
-    let footer = &bytes[fl_pos - footer_len..fl_pos];
-    let mut pos = 0usize;
-    let need = |pos: usize, n: usize| -> Result<()> {
-        if pos + n > footer.len() {
-            Err(Error::UnexpectedEnd)
-        } else {
-            Ok(())
-        }
-    };
-    need(pos, 4)?;
-    // lint: allow(indexing) need(pos, 4) bounds-checked this range
-    let n_cols = u32::from_le_bytes(footer[pos..pos + 4].try_into().expect("4")) as usize;
-    pos += 4;
-    // Each column takes at least 3 footer bytes (name_len + type tag), so a
-    // count past that bound is corrupt — reject before reserving for it.
-    if n_cols > footer.len() / 3 {
-        return Err(Error::Corrupt("column count exceeds footer"));
-    }
-    let mut columns = Vec::with_capacity(n_cols);
-    for _ in 0..n_cols {
-        need(pos, 2)?;
-        // lint: allow(indexing) need(pos, 2) bounds-checked these bytes
-        let name_len = u16::from_le_bytes([footer[pos], footer[pos + 1]]) as usize;
-        pos += 2;
-        need(pos, name_len + 1)?;
-        // lint: allow(indexing) need(pos, name_len + 1) bounds-checked this range
-        let name = String::from_utf8(footer[pos..pos + name_len].to_vec())
-            .map_err(|_| Error::Corrupt("column name not utf-8"))?;
-        pos += name_len;
-        // lint: allow(indexing) need(pos, name_len + 1) covered the tag byte too
-        let ty = match footer[pos] {
-            0 => ColumnType::Integer,
-            1 => ColumnType::Double,
-            2 => ColumnType::String,
-            _ => return Err(Error::Corrupt("bad type tag")),
-        };
-        pos += 1;
-        columns.push((name, ty));
-    }
-    need(pos, 4)?;
-    // lint: allow(indexing) need(pos, 4) bounds-checked this range
-    let n_rg = u32::from_le_bytes(footer[pos..pos + 4].try_into().expect("4")) as usize;
-    pos += 4;
-    // Each rowgroup needs a 4-byte row count at minimum.
-    if n_rg > footer.len() / 4 {
-        return Err(Error::Corrupt("rowgroup count exceeds footer"));
-    }
-    let mut rowgroups = Vec::with_capacity(n_rg);
-    for _ in 0..n_rg {
-        need(pos, 4)?;
-        // lint: allow(indexing) need(pos, 4) bounds-checked this range
-        let count = u32::from_le_bytes(footer[pos..pos + 4].try_into().expect("4"));
-        pos += 4;
-        let mut chunks = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            need(pos, 16)?;
-            // lint: allow(indexing) need(pos, 16) bounds-checked this range
-            let off = u64::from_le_bytes(footer[pos..pos + 8].try_into().expect("8"));
-            // lint: allow(indexing) need(pos, 16) bounds-checked this range
-            let clen = u32::from_le_bytes(footer[pos + 8..pos + 12].try_into().expect("4"));
-            // lint: allow(indexing) need(pos, 16) bounds-checked this range
-            let rlen = u32::from_le_bytes(footer[pos + 12..pos + 16].try_into().expect("4"));
-            pos += 16;
-            chunks.push((off, clen, rlen));
-        }
-        rowgroups.push((count, chunks));
-    }
-    need(pos, 1)?;
-    // lint: allow(indexing) need(pos, 1) bounds-checked this byte
-    let codec = codec_from_tag(footer[pos])?;
-    Ok(FileMeta {
-        columns,
-        rowgroups,
-        codec,
-    })
-}
-
-/// Reads a whole file back into a relation.
-pub fn read(bytes: &[u8]) -> Result<Relation> {
-    let meta = read_meta(bytes)?;
-    let mut columns: Vec<Column> = Vec::with_capacity(meta.columns.len());
-    for (ci, (name, ty)) in meta.columns.iter().enumerate() {
-        let data = read_column_data(bytes, &meta, ci)?;
-        let _ = ty;
-        columns.push(Column::new(name.clone(), data));
-    }
-    Ok(Relation { columns })
-}
-
-/// Reads a single column by index across all rowgroups (a projection scan).
-pub fn read_column(bytes: &[u8], column_index: usize) -> Result<Column> {
-    let meta = read_meta(bytes)?;
-    if column_index >= meta.columns.len() {
-        return Err(Error::Corrupt("column index out of range"));
-    }
-    let data = read_column_data(bytes, &meta, column_index)?;
-    // lint: allow(indexing) column_index was range-checked above
-    Ok(Column::new(meta.columns[column_index].0.clone(), data))
-}
-
-fn read_column_data(bytes: &[u8], meta: &FileMeta, ci: usize) -> Result<ColumnData> {
-    // lint: allow(indexing) callers range-check ci against meta.columns
-    let ty = meta.columns[ci].1;
-    let mut acc: Option<ColumnData> = None;
-    for (count, chunks) in &meta.rowgroups {
-        // lint: allow(indexing) every rowgroup stores one chunk per column; ci < n_cols
-        let (off, clen, _rlen) = chunks[ci];
-        let (off, clen) = (off as usize, clen as usize);
-        if off + clen > bytes.len() {
-            return Err(Error::Corrupt("chunk offset out of range"));
-        }
-        // lint: allow(indexing) off + clen <= bytes.len() was checked above
-        let encoded = meta.codec.decompress(&bytes[off..off + clen])?;
-        let chunk = encoding::decode_chunk(&encoded, *count as usize, ty)?;
-        match (&mut acc, chunk) {
-            (None, c) => acc = Some(c),
-            (Some(ColumnData::Int(a)), ColumnData::Int(c)) => a.extend_from_slice(&c),
-            (Some(ColumnData::Double(a)), ColumnData::Double(c)) => a.extend_from_slice(&c),
-            (Some(ColumnData::Str(a)), ColumnData::Str(c)) => {
-                for i in 0..c.len() {
-                    a.push(c.get(i));
-                }
+impl Format {
+    /// Writes `rel` in groups of `group_rows` rows, each column chunk
+    /// encoded by `encode` and compressed by `codec`.
+    pub fn write(
+        &self,
+        rel: &Relation,
+        group_rows: usize,
+        codec: Codec,
+        encode: impl Fn(&ColumnData, &mut Vec<u8>),
+    ) -> Vec<u8> {
+        let mut out = self.magic.to_vec();
+        let rows = rel.rows();
+        let mut groups: Vec<RowGroupMeta> = Vec::new();
+        let mut encoded = Vec::new();
+        let mut start = 0usize;
+        loop {
+            let end = start.saturating_add(group_rows.max(1)).min(rows);
+            let mut chunks = Vec::with_capacity(rel.columns.len());
+            for col in &rel.columns {
+                encoded.clear();
+                encode(&column_slice(&col.data, start..end), &mut encoded);
+                let compressed = codec.compress(&encoded);
+                let (clen, rlen) = (wire_u32(compressed.len()), wire_u32(encoded.len()));
+                chunks.push((out.len() as u64, clen, rlen));
+                out.extend_from_slice(&compressed);
             }
-            _ => return Err(Error::Corrupt("rowgroup type mismatch")),
+            groups.push((wire_u32(end - start), chunks));
+            start = end;
+            if start >= rows {
+                break;
+            }
         }
+        let footer_start = out.len();
+        out.put_u32(wire_u32(rel.columns.len()));
+        for col in &rel.columns {
+            let name = col.name.as_bytes();
+            // lint: allow(cast) encode side: column names are far shorter than 64 KiB
+            out.put_u16(name.len() as u16);
+            out.extend_from_slice(name);
+            out.put_u8(col.data.column_type().tag());
+        }
+        out.put_u32(wire_u32(groups.len()));
+        for (count, chunks) in &groups {
+            out.put_u32(*count);
+            for &(off, clen, rlen) in chunks {
+                out.put_u64(off);
+                out.put_u32(clen);
+                out.put_u32(rlen);
+            }
+        }
+        out.put_u8(codec_tag(codec));
+        out.put_u32(wire_u32(out.len() - footer_start));
+        out.extend_from_slice(&self.magic);
+        out
     }
-    Ok(acc.unwrap_or(match ty {
-        ColumnType::Integer => ColumnData::Int(Vec::new()),
-        ColumnType::Double => ColumnData::Double(Vec::new()),
-        ColumnType::String => ColumnData::Str(StringArena::new()),
-    }))
+
+    /// Parses only the footer (the metadata fetch a real reader does first).
+    pub fn read_meta(&self, bytes: &[u8]) -> Result<FileMeta> {
+        let magic = self.magic.as_slice();
+        let (body, trailer) = bytes.split_at(bytes.len().saturating_sub(8));
+        if body.len() < magic.len() || !body.starts_with(magic) || !trailer.ends_with(magic) {
+            return Err(Error::Corrupt("bad magic"));
+        }
+        let footer_len = Reader::new(trailer).u32()? as usize;
+        // The footer may not reach back into the leading magic.
+        let footer = (body.len().checked_sub(footer_len))
+            .filter(|&start| start >= magic.len())
+            .and_then(|start| body.get(start..))
+            .ok_or(Error::Corrupt("footer length out of range"))?;
+        let mut r = Reader::new(footer);
+        let n_cols = r.u32()? as usize;
+        // Each column takes at least 3 footer bytes (name_len + type tag), so a
+        // count past that bound is corrupt — reject before reserving for it.
+        if n_cols > footer.len() / 3 {
+            return Err(Error::Corrupt("column count exceeds footer"));
+        }
+        let mut columns = Vec::with_capacity(n_cols);
+        for _ in 0..n_cols {
+            let name_len = usize::from(r.u16()?);
+            let (name, tag) = (r.take(name_len)?, r.u8()?);
+            let name = String::from_utf8(name.to_vec())
+                .map_err(|_| Error::Corrupt("column name not utf-8"))?;
+            columns.push((name, ColumnType::from_tag(tag).ok_or(Error::Corrupt("bad type tag"))?));
+        }
+        let n_groups = r.u32()? as usize;
+        // Each rowgroup needs a 4-byte row count at minimum.
+        if n_groups > footer.len() / 4 {
+            return Err(Error::Corrupt("rowgroup count exceeds footer"));
+        }
+        let mut rowgroups = Vec::with_capacity(n_groups);
+        for _ in 0..n_groups {
+            let count = r.u32()?;
+            let mut chunks = Vec::with_capacity(n_cols);
+            for _ in 0..n_cols {
+                chunks.push((r.u64()?, r.u32()?, r.u32()?));
+            }
+            rowgroups.push((count, chunks));
+        }
+        let codec = codec_from_tag(r.u8()?)?;
+        Ok(FileMeta { columns, rowgroups, codec })
+    }
+
+    /// Reads a whole file back into a relation.
+    pub fn read(&self, bytes: &[u8]) -> Result<Relation> {
+        let meta = self.read_meta(bytes)?;
+        let columns = (0..meta.columns.len())
+            .map(|ci| self.column(bytes, &meta, ci))
+            .collect::<Result<_>>()?;
+        Ok(Relation { columns })
+    }
+
+    /// Reads a single column by index across all groups (a projection scan).
+    pub fn read_column(&self, bytes: &[u8], column_index: usize) -> Result<Column> {
+        self.column(bytes, &self.read_meta(bytes)?, column_index)
+    }
+
+    fn column(&self, bytes: &[u8], meta: &FileMeta, ci: usize) -> Result<Column> {
+        let out_of_range = Error::Corrupt("column index out of range");
+        let (name, ty) = meta.columns.get(ci).ok_or(out_of_range.clone())?;
+        let mut acc: Option<ColumnData> = None;
+        for (count, chunks) in &meta.rowgroups {
+            let &(off, clen, rlen) = chunks.get(ci).ok_or(out_of_range.clone())?;
+            let compressed = usize::try_from(off)
+                .ok()
+                .and_then(|off| bytes.get(off..off.checked_add(clen as usize)?))
+                .ok_or(Error::Corrupt("chunk offset out of range"))?;
+            let encoded = meta.codec.decompress(compressed)?;
+            if encoded.len() != rlen as usize {
+                return Err(Error::Corrupt("chunk length mismatch"));
+            }
+            let chunk = (self.decode)(&encoded, *count as usize, *ty)?;
+            match &mut acc {
+                None => acc = Some(chunk),
+                Some(a) => append(a, chunk)?,
+            }
+        }
+        let data = acc.unwrap_or(match ty {
+            ColumnType::Integer => ColumnData::Int(Vec::new()),
+            ColumnType::Double => ColumnData::Double(Vec::new()),
+            ColumnType::String => ColumnData::Str(StringArena::new()),
+        });
+        Ok(Column::new(name.clone(), data))
+    }
 }
 
 #[cfg(test)]
@@ -316,7 +304,7 @@ mod tests {
             codec: Codec::SnappyLike,
         };
         let bytes = write(&rel, &opts);
-        let meta = read_meta(&bytes).unwrap();
+        let meta = PARQUET.read_meta(&bytes).unwrap();
         assert_eq!(meta.rowgroups.len(), 5);
         assert_eq!(read(&bytes).unwrap(), rel);
     }

@@ -17,7 +17,8 @@
 //!   write time exactly like Parquet's `compression` property.
 //! * A **footer** with column/rowgroup metadata at the end of the file, so a
 //!   reader that wants one column must first fetch the footer — the access
-//!   pattern the paper's §6.7 discusses.
+//!   pattern the paper's §6.7 discusses. The container ([`mod@file`]) is generic
+//!   over the magic and the chunk encoding; orc-lite is its second user.
 //!
 //! The column model (`Relation`, `ColumnData`, `StringArena`) is shared with
 //! the `btrblocks` crate so benchmarks compare identical inputs.
@@ -30,7 +31,7 @@ pub use file::{read, read_column, write, FileMeta, WriteOptions};
 
 use btr_lz::Codec;
 
-/// Errors from reading a parquet-lite file.
+/// Errors from reading a file in the baselines' container.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
     /// Buffer ended unexpectedly.
@@ -44,14 +45,21 @@ pub enum Error {
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Error::UnexpectedEnd => write!(f, "parquet-lite file ended unexpectedly"),
-            Error::Corrupt(m) => write!(f, "corrupt parquet-lite file: {m}"),
+            Error::UnexpectedEnd => write!(f, "file ended unexpectedly"),
+            Error::Corrupt(m) => write!(f, "corrupt file: {m}"),
             Error::Codec(m) => write!(f, "codec error: {m}"),
         }
     }
 }
 
 impl std::error::Error for Error {}
+
+/// `Reader`'s one error: a read past the end of its buffer.
+impl From<btrblocks::Error> for Error {
+    fn from(_: btrblocks::Error) -> Self {
+        Error::UnexpectedEnd
+    }
+}
 
 impl From<btr_lz::Error> for Error {
     fn from(_: btr_lz::Error) -> Self {
