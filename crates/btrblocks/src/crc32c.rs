@@ -1,12 +1,15 @@
 //! CRC32C (Castagnoli) — the checksum guarding format-v2 files.
 //!
-//! One software kernel, [`extend`]: slice-by-8 over a const-built 8 x 256
-//! table, eight input bytes and eight independent lookups a step, with the
-//! classic one-table step for the tail of under eight bytes. The Castagnoli
-//! polynomial (reflected form `0x82F63B78`) is the same one used by iSCSI,
-//! ext4, and the SSE4.2 `crc32` instruction, so checksums produced here
-//! match hardware-accelerated implementations elsewhere. The tests hold the
-//! kernel to a table-free bitwise reference.
+//! One entry point, [`extend`], over two kernels: the SSE4.2 `crc32`
+//! instruction ([`crate::simd::crc32c_extend_hw`], eight bytes an
+//! instruction) where the CPU has it, else portable slice-by-8 over a
+//! const-built 8 x 256 table (eight input bytes and eight independent lookups
+//! a step, the classic one-table step for the tail of under eight bytes).
+//! The Castagnoli polynomial (reflected form `0x82F63B78`) is the one iSCSI,
+//! ext4 and that instruction use, so both kernels give the same values. The
+//! tests hold each kernel the host can run to a table-free bitwise reference,
+//! and in unit tests every `extend` call checks the two kernels against each
+//! other.
 
 const POLY: u32 = 0x82F6_3B78;
 
@@ -64,6 +67,18 @@ fn lookup<const K: usize, const SHIFT: u32>(word: u32) -> u32 {
 pub fn extend(state: u32, bytes: &[u8]) -> u32 {
     #[cfg(test)]
     HASHED_BYTES.with(|n| n.set(n.get() + bytes.len() as u64));
+    let crc = crate::simd::crc32c_extend_hw(state, bytes)
+        .unwrap_or_else(|| extend_portable(state, bytes));
+    // Every CRC a unit test computes, on real file bytes and split points,
+    // doubles as a differential check of the two kernels.
+    #[cfg(test)]
+    assert_eq!(crc, extend_portable(state, bytes), "CRC32C kernels disagree");
+    crc
+}
+
+/// Slice-by-8: eight input bytes and eight independent table lookups a step,
+/// the one-table step for the tail.
+fn extend_portable(state: u32, bytes: &[u8]) -> u32 {
     let (words, tail) = bytes.as_chunks::<8>();
     let mut crc = state;
     for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
@@ -166,24 +181,55 @@ pub(crate) fn count_hashed<T>(f: impl FnOnce() -> T) -> (T, u64) {
 mod tests {
     use super::*;
 
+    type Kernel = fn(u32, &[u8]) -> u32;
+
+    /// Every `extend` kernel this host can run, by name.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut kernels: Vec<(&'static str, Kernel)> = vec![("slice-by-8", extend_portable)];
+        if crate::simd::crc32c_extend_hw(!0, b"").is_some() {
+            kernels.push(("sse4.2", |state, bytes| {
+                crate::simd::crc32c_extend_hw(state, bytes).expect("detected in kernels()")
+            }));
+        }
+        kernels
+    }
+
+    #[test]
+    fn hardware_kernel_is_taken_where_detected() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            let data = noise(1_000);
+            assert_eq!(
+                crate::simd::crc32c_extend_hw(0x1357_9BDF, &data),
+                Some(extend(0x1357_9BDF, &data)),
+                "SSE4.2 is detected: the wrapper must take it"
+            );
+        }
+    }
+
     #[test]
     fn known_vectors() {
         // RFC 3720 (iSCSI) test vectors for CRC32C.
-        assert_eq!(crc32c(b""), 0);
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
-        assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
         let ascending: Vec<u8> = (0u8..32).collect();
-        assert_eq!(crc32c(&ascending), 0x46DD_794E);
+        for (name, kernel) in kernels() {
+            let crc = |bytes: &[u8]| kernel(!0, bytes) ^ !0;
+            assert_eq!(crc(b""), 0, "{name}");
+            assert_eq!(crc(b"123456789"), 0xE306_9283, "{name}");
+            assert_eq!(crc(&[0u8; 32]), 0x8A91_36AA, "{name}");
+            assert_eq!(crc(&[0xFFu8; 32]), 0x62A8_AB43, "{name}");
+            assert_eq!(crc(&ascending), 0x46DD_794E, "{name}");
+        }
+        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
     }
 
     #[test]
     fn streaming_matches_one_shot() {
         let data = b"hello, columnar world";
-        for split in 0..data.len() {
-            let state = extend(!0u32, &data[..split]);
-            let state = extend(state, &data[split..]);
-            assert_eq!(state ^ !0u32, crc32c(data));
+        for (name, kernel) in kernels() {
+            for split in 0..data.len() {
+                let state = kernel(kernel(!0u32, &data[..split]), &data[split..]);
+                assert_eq!(state ^ !0u32, crc32c(data), "{name} split {split}");
+            }
         }
     }
 
@@ -309,15 +355,17 @@ mod tests {
     #[test]
     fn extend_matches_the_bitwise_reference_at_every_length_and_alignment() {
         let data = noise(308);
-        for offset in 0..8 {
-            for len in 0..=300 {
-                let bytes = &data[offset..offset + len];
-                for state in [!0u32, 0x1357_9BDF] {
-                    assert_eq!(
-                        extend(state, bytes),
-                        extend_bitwise(state, bytes),
-                        "offset {offset} len {len} state {state:#x}"
-                    );
+        for (name, kernel) in kernels() {
+            for offset in 0..8 {
+                for len in 0..=300 {
+                    let bytes = &data[offset..offset + len];
+                    for state in [!0u32, 0x1357_9BDF] {
+                        assert_eq!(
+                            kernel(state, bytes),
+                            extend_bitwise(state, bytes),
+                            "{name} offset {offset} len {len} state {state:#x}"
+                        );
+                    }
                 }
             }
         }
@@ -326,9 +374,11 @@ mod tests {
     #[test]
     fn extend_matches_the_bitwise_reference_around_64_kib() {
         let data = noise((64 << 10) + 9);
-        for extra in [0, 1, 7, 8, 9] {
-            let bytes = &data[..(64 << 10) + extra];
-            assert_eq!(extend(!0, bytes), extend_bitwise(!0, bytes), "64 KiB + {extra}");
+        for (name, kernel) in kernels() {
+            for extra in [0, 1, 7, 8, 9] {
+                let bytes = &data[..(64 << 10) + extra];
+                assert_eq!(kernel(!0, bytes), extend_bitwise(!0, bytes), "{name} 64 KiB + {extra}");
+            }
         }
     }
 
@@ -337,9 +387,11 @@ mod tests {
         let data = noise(300);
         let state = 0x0BAD_CAFEu32;
         let whole = extend_bitwise(state, &data);
-        for at in 0..=data.len() {
-            let (a, b) = data.split_at(at);
-            assert_eq!(extend(extend(state, a), b), whole, "split at {at}");
+        for (name, kernel) in kernels() {
+            for at in 0..=data.len() {
+                let (a, b) = data.split_at(at);
+                assert_eq!(kernel(kernel(state, a), b), whole, "{name} split at {at}");
+            }
         }
     }
 }

@@ -4,7 +4,9 @@
 //! the paper describes (splat-store RLE runs that deliberately write past the
 //! run end, gather-based dictionary decode) and a scalar implementation used
 //! when AVX2 is unavailable or when [`SimdMode::ForceScalar`] is set — the
-//! ablation of §6.8.
+//! ablation of §6.8. The one exception is [`crc32c_extend_hw`]: a checksum,
+//! not a decode kernel, whose portable twin is `crc32c`'s slice-by-8 and
+//! which `SimdMode` does not select.
 //!
 //! The RLE kernels may write up to [`DECODE_SLACK`] elements past the logical
 //! output end; all output vectors are allocated with that much spare
@@ -468,6 +470,42 @@ unsafe fn minmax_f64_avx2(values: &[f64]) -> (f64, f64, bool) {
         i += 1;
     }
     (min, max, has_nan)
+}
+
+// -------------------------------------------------------------------- CRC32C
+
+/// Feeds `bytes` into a running CRC32C state (the contract of
+/// [`crate::crc32c::extend`]) with the SSE4.2 `crc32` instruction, eight bytes
+/// an instruction. `None` off x86-64 or without SSE4.2; the caller then runs
+/// the portable kernel.
+#[inline]
+pub fn crc32c_extend_hw(state: u32, bytes: &[u8]) -> Option<u32> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: SSE4.2 was detected just above.
+        return Some(unsafe { crc32c_sse42(state, bytes) });
+    }
+    let _ = (state, bytes);
+    None
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+// SAFETY: caller must ensure SSE4.2 is available; the kernel reads `bytes`
+// through safe chunk iteration and writes nothing.
+unsafe fn crc32c_sse42(state: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut wide = u64::from(state);
+    for &word in words {
+        wide = _mm_crc32_u64(wide, u64::from_le_bytes(word));
+    }
+    // lint: allow(cast) `crc32` on a 64-bit operand zero-extends its 32-bit CRC
+    let mut crc = wide as u32;
+    for &b in tail {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    crc
 }
 
 #[cfg(test)]

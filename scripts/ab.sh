@@ -2,7 +2,15 @@
 # A/B a change against its parent on the repository's benchmark
 # (choosing-metrics section 8): N pairs of untraced runs, alternating which
 # tree runs first, one seed per pair; per end-to-end metric both medians, both
-# quartile pairs, the win count and the spread.
+# quartile pairs, the win count, the spread and a verdict.
+#
+# verdict: "better" when the change wins at least nine tenths of the pairs (a
+# tie is no win) and its median moves the right way by more than the parent's
+# inter-quartile distance; "WORSE than bound" when the median is worse than
+# the parent's by more than the metric's bound; "slower" when the change loses
+# nine tenths of the pairs and its median moves the wrong way by more than the
+# parent's inter-quartile distance - a steady regression inside the bound,
+# which "within bound" would hide; else "within bound".
 #
 # spread = the change's inter-quartile distance / (the metric's bound x the
 # parent's median): the steadiness test the driver applies to every metric,
@@ -28,7 +36,7 @@
 # table again from the lines an earlier call left in --out.
 set -euo pipefail
 
-usage() { sed -n '2,28p' "$0" >&2; exit 2; }
+usage() { sed -n '2,36p' "$0" >&2; exit 2; }
 
 [ $# -ge 2 ] || usage
 parent="$(cd "$1" && pwd)"; change="$(cd "$2" && pwd)"; shift 2
@@ -106,14 +114,18 @@ for m in metrics:
     c = [r["metrics"][name]["value"] for r in runs["change"]]
     (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
     wins = sum((y > x) if higher else (y < x) for x, y in zip(p, c))
+    losses = sum((y < x) if higher else (y > x) for x, y in zip(p, c))
     # Section 8: win nine tenths of all pairs run (a tie is no win) and move
-    # the median by more than the parent's own inter-quartile distance.
+    # the median by more than the parent's own inter-quartile distance;
+    # "slower" is the same rule read the other way.
     gain = (cm - pm) if higher else (pm - cm)
     worse_by = -gain / pm if pm else 0.0
     if wins * 10 >= 9 * pairs and gain > (p3 - p1):
         verdict = "better"
     elif worse_by > bound:
         verdict = f"WORSE than bound {bound:.0%}"
+    elif losses * 10 >= 9 * pairs and -gain > (p3 - p1):
+        verdict = "slower"
     else:
         verdict = "within bound"
     spread = (c3 - c1) / (bound * abs(pm)) if pm else 0.0
