@@ -4,11 +4,13 @@
 //! batches of `EngineOptions::batch_rows` rows, so downstream operators see a
 //! steady granularity regardless of how the relation was blocked. This
 //! module holds the batch type plus the gather/append/split plumbing the
-//! iterator uses to re-chunk decoded blocks.
+//! iterator uses to re-chunk decoded blocks; every contiguous string copy in
+//! it is one run ([`StringArena::extend_from_range`]), not string by string.
 
 use crate::{Result, ScanError};
 use btr_expr::Selection;
 use btrblocks::{ColumnData, ColumnType, DecodedColumn, StringArena};
+use std::ops::Range;
 
 /// A horizontal slice of scan output: equal-length columns, in projection
 /// order.
@@ -83,22 +85,31 @@ fn sel_iter<'a>(selection: Option<&'a Selection>) -> Box<dyn Iterator<Item = u32
 
 /// Appends `src` onto `dst`; both must share a type (the planner guarantees
 /// this, so a mismatch is reported as corruption rather than panicking).
+/// Strings move as one run of bytes.
 pub fn append(dst: &mut ColumnData, src: &ColumnData) -> Result<()> {
     match (dst, src) {
         (ColumnData::Int(d), ColumnData::Int(s)) => d.extend_from_slice(s),
         (ColumnData::Double(d), ColumnData::Double(s)) => d.extend_from_slice(s),
         (ColumnData::Str(d), ColumnData::Str(s)) => {
-            for i in 0..s.len() {
-                d.push(s.get(i));
-            }
+            check_pool_bytes(d.total_bytes(), s.total_bytes())?;
+            d.extend_from_range(s, 0..s.len());
         }
-        _ => {
-            return Err(ScanError::Decode(btrblocks::Error::Corrupt(
-                "column type changed between blocks",
-            )))
-        }
+        _ => return Err(corrupt("column type changed between blocks")),
     }
     Ok(())
+}
+
+/// Arena offsets are u32: a string buffer holding `held` pool bytes may take
+/// `extra` more only while the total stays below 4 GiB.
+fn check_pool_bytes(held: usize, extra: usize) -> Result<()> {
+    match held.checked_add(extra).map(u32::try_from) {
+        Some(Ok(_)) => Ok(()),
+        _ => Err(corrupt("string buffer exceeds 4 GiB")),
+    }
+}
+
+fn corrupt(what: &'static str) -> ScanError {
+    ScanError::Decode(btrblocks::Error::Corrupt(what))
 }
 
 /// Removes and returns the first `k` rows of `data` (`k <= data.len()`).
@@ -113,16 +124,13 @@ pub fn split_front(data: &mut ColumnData, k: usize) -> ColumnData {
             ColumnData::Double(std::mem::replace(v, tail))
         }
         ColumnData::Str(arena) => {
-            let n = arena.len();
-            let front_bytes: usize = (0..k).map(|i| arena.str_len(i)).sum();
-            let mut front = StringArena::with_capacity(k, front_bytes);
-            for i in 0..k {
-                front.push(arena.get(i));
-            }
-            let mut tail = StringArena::with_capacity(n - k, arena.total_bytes() - front_bytes);
-            for i in k..n {
-                tail.push(arena.get(i));
-            }
+            // Each side is one run copy; the copy sizes the byte pool.
+            let run = |rows: Range<usize>| {
+                let mut out = StringArena::with_capacity(rows.len(), 0);
+                out.extend_from_range(arena, rows);
+                out
+            };
+            let (front, tail) = (run(0..k), run(k..arena.len()));
             *arena = tail;
             ColumnData::Str(front)
         }
@@ -176,6 +184,64 @@ mod tests {
         let front = split_front(&mut acc, 1);
         assert_eq!(front, ColumnData::Double(vec![1.5]));
         assert_eq!(acc.len(), 2);
+    }
+
+    /// Strings of every shape a re-chunk moves: empty, 0x00-bearing, longer
+    /// than 8 bytes.
+    const STRS: [&[u8]; 7] =
+        [b"", b"\0a\0", b"longer than eight", b"x", b"", b"\0", b"tail bytes!"];
+
+    /// The string-by-string copy the run copies replace: `prefix`, then
+    /// strings `rows` of `src`.
+    fn reference(prefix: &StringArena, src: &StringArena, rows: Range<usize>) -> ColumnData {
+        let mut out = prefix.clone();
+        for i in rows {
+            out.push(src.get(i));
+        }
+        ColumnData::Str(out)
+    }
+
+    #[test]
+    fn string_rechunking_matches_a_string_by_string_reference() {
+        let empty = StringArena::new();
+        let prefixes = [empty.clone(), StringArena::from_strs(&STRS[1..3])];
+        for n in 0..=STRS.len() {
+            let src = StringArena::from_strs(&STRS[..n]);
+            for prefix in &prefixes {
+                let mut acc = ColumnData::Str(prefix.clone());
+                append(&mut acc, &ColumnData::Str(src.clone())).unwrap();
+                assert_eq!(acc, reference(prefix, &src, 0..n), "append of {n}");
+            }
+            for k in 0..=n {
+                let mut tail = ColumnData::Str(src.clone());
+                let front = split_front(&mut tail, k);
+                assert_eq!(front, reference(&empty, &src, 0..k), "front {k} of {n}");
+                assert_eq!(tail, reference(&empty, &src, k..n), "tail {k} of {n}");
+                for end in k..=n {
+                    for prefix in &prefixes {
+                        let mut out = prefix.clone();
+                        out.extend_from_range(&src, k..end);
+                        let out = ColumnData::Str(out);
+                        assert_eq!(out, reference(prefix, &src, k..end), "{k}..{end} of {n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn string_pool_bound_is_4_gib() {
+        let max = u32::MAX as usize;
+        assert!(check_pool_bytes(0, 0).is_ok());
+        assert!(check_pool_bytes(max - 5, 5).is_ok());
+        assert!(check_pool_bytes(0, max).is_ok());
+        for (held, extra) in [(max - 5, 6), (max, 1), (0, max + 1), (usize::MAX, 1)] {
+            assert_eq!(
+                check_pool_bytes(held, extra),
+                Err(ScanError::Decode(btrblocks::Error::Corrupt("string buffer exceeds 4 GiB"))),
+                "{held} + {extra}"
+            );
+        }
     }
 
     #[test]

@@ -343,6 +343,60 @@ mod tests {
         assert_eq!(*ended.borrow(), vec![(ScanEnd::Completed, 4_500)]);
     }
 
+    /// Row `i` of the mixed relation: an int, a double and a string that is
+    /// empty, holds 0x00 bytes, is longer than 8 bytes, or is short.
+    fn mixed_row(i: usize) -> (i32, f64, Vec<u8>) {
+        let s = match i % 4 {
+            0 => Vec::new(),
+            1 => vec![0, (i % 251) as u8, 0],
+            2 => format!("a string longer than eight bytes, row {i}").into_bytes(),
+            _ => format!("s{i}").into_bytes(),
+        };
+        (i as i32 - 2_000, i as f64 * -0.25, s)
+    }
+
+    fn mixed_columns(rows: std::ops::Range<usize>) -> Vec<ColumnData> {
+        let strings: Vec<Vec<u8>> = rows.clone().map(|i| mixed_row(i).2).collect();
+        vec![
+            ColumnData::Int(rows.clone().map(|i| mixed_row(i).0).collect()),
+            ColumnData::Double(rows.map(|i| mixed_row(i).1).collect()),
+            ColumnData::Str(btrblocks::StringArena::from_strs(&strings)),
+        ]
+    }
+
+    #[test]
+    fn mixed_type_groups_rechunk_into_exact_batches() {
+        // 4,500 rows in uneven groups of up to 1,000, with empty ones.
+        let cuts = [0, 1_000, 1_000, 1_003, 2_003, 2_950, 2_950, 3_950, 4_499, 4_500];
+        let rows = *cuts.last().unwrap();
+        let names = ["i", "d", "s"];
+        for batch_rows in [1, 700, 1_000, 1_001] {
+            let blocks = cuts.windows(2).map(|w| {
+                let columns = mixed_columns(w[0]..w[1]);
+                Ok(BlockResult { rows_matched: (w[1] - w[0]) as u64, columns })
+            });
+            let ended = RefCell::new(Vec::new());
+            let feed = VecFeed { blocks: blocks.collect(), ended: &ended };
+            let owned = names.map(String::from).to_vec();
+            let mut scan = ScanStream::new(feed, owned, mixed_columns(0..0), batch_rows);
+            let mut start = 0;
+            for batch in scan.by_ref() {
+                let batch = batch.unwrap();
+                let end = (start + batch_rows).min(rows);
+                let at = format!("batch_rows {batch_rows}, batch at row {start}");
+                assert_eq!(batch.rows(), end - start, "{at}");
+                for (name, want) in names.into_iter().zip(mixed_columns(start..end)) {
+                    assert_eq!(batch.column(name), Some(&want), "{at}, column {name}");
+                }
+                start = end;
+            }
+            assert_eq!(start, rows, "batch_rows {batch_rows}");
+            assert_eq!(scan.batches() as usize, rows.div_ceil(batch_rows));
+            drop(scan);
+            assert_eq!(*ended.borrow(), vec![(ScanEnd::Completed, rows as u64)]);
+        }
+    }
+
     #[test]
     fn empty_relation_yields_no_batches() {
         let ended = RefCell::new(Vec::new());

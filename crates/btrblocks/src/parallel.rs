@@ -219,7 +219,8 @@ pub fn compress_item(rel: &Relation, cfg: &Config, item: &EncodeItem) -> (Vec<u8
             }
             ColumnData::Str(arena) => {
                 let mut sub = scratch.lease_arena();
-                arena.gather_into(item.start..item.end, &mut sub);
+                sub.clear();
+                sub.extend_from_range(arena, item.start..item.end);
                 let code = block::compress_block_into(BlockRef::Str(&sub), cfg, scratch, &mut buf);
                 scratch.release_arena(sub);
                 code

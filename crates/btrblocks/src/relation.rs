@@ -608,7 +608,8 @@ pub fn compress_column_into(
             let mut start = 0;
             while start < n {
                 let end = (start + bs).min(n);
-                arena.gather_into(start..end, &mut sub);
+                sub.clear();
+                sub.extend_from_range(arena, start..end);
                 let buf = blocks.next().expect("shell sized to n_blocks above");
                 out.schemes
                     .push(block::compress_block_into(BlockRef::Str(&sub), cfg, scratch, buf));

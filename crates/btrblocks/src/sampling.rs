@@ -89,16 +89,14 @@ pub fn gather_into<T: Copy>(values: &[T], ranges: &[(usize, usize)], out: &mut V
     }
 }
 
-/// Gathers sampled strings into a caller-owned arena (cleared first) — the
-/// encode path leases one arena per worker instead of allocating a fresh
-/// [`StringArena`] for every block's sample.
+/// Gathers sampled strings into a caller-owned arena (cleared first), one
+/// run copy per window — the encode path leases one arena per worker instead
+/// of allocating a fresh [`StringArena`] for every block's sample.
 pub fn gather_str_into(arena: &StringArena, ranges: &[(usize, usize)], out: &mut StringArena) {
-    arena.gather_into(
-        ranges
-            .iter()
-            .flat_map(|&(start, len)| start..start + len),
-        out,
-    );
+    out.clear();
+    for &(start, len) in ranges {
+        out.extend_from_range(arena, start..start + len);
+    }
 }
 
 #[cfg(test)]

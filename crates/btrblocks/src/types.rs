@@ -1,6 +1,7 @@
 //! Column data model: typed columns, the string arena, NULL bitmaps.
 
 use btr_roaring::RoaringBitmap;
+use std::ops::Range;
 
 /// The three column types BtrBlocks compresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,13 +104,6 @@ impl StringArena {
         &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Length in bytes of string `i`.
-    #[inline]
-    pub fn str_len(&self, i: usize) -> usize {
-        // lint: allow(indexing) arena invariant: offsets has len()+1 entries
-        (self.offsets[i + 1] - self.offsets[i]) as usize
-    }
-
     /// Iterates all strings.
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> + Clone {
         (0..self.len()).map(move |i| self.get(i))
@@ -126,7 +120,7 @@ impl StringArena {
         self.bytes.len() + self.offsets.len() * 4
     }
 
-    /// Returns a sub-arena with the strings at `indices` (used by sampling).
+    /// Returns a sub-arena with the strings at `indices`, string by string.
     pub fn gather(&self, indices: impl Iterator<Item = usize>) -> StringArena {
         let mut out = StringArena::new();
         self.gather_into(indices, &mut out);
@@ -134,12 +128,27 @@ impl StringArena {
     }
 
     /// [`gather`](Self::gather) into a caller-owned arena (cleared first),
-    /// so block slicing and sample gathers can reuse a leased arena.
+    /// for sparse index lists; contiguous rows move as one run with
+    /// [`extend_from_range`](Self::extend_from_range).
     pub fn gather_into(&self, indices: impl Iterator<Item = usize>, out: &mut StringArena) {
         out.clear();
         for i in indices {
             out.push(self.get(i));
         }
+    }
+
+    /// Appends strings `rows` of `src` (`rows.end <= src.len()`) as one run:
+    /// one copy of their bytes and one pass rebasing their offsets. Offsets
+    /// are u32, so a caller whose pool could pass 4 GiB checks that first.
+    pub fn extend_from_range(&mut self, src: &StringArena, rows: Range<usize>) {
+        // lint: allow(indexing) arena invariant: len()+1 offsets; callers pass rows.end <= len()
+        let (first, offsets) = (src.offsets[rows.start], &src.offsets[rows.start + 1..=rows.end]);
+        let last = offsets.last().copied().unwrap_or(first);
+        // `o - first + base` as one add, exact whenever the result fits a u32.
+        let rebase = self.offsets.last().copied().unwrap_or(0).wrapping_sub(first);
+        // lint: allow(indexing) arena invariant: offsets are monotone and end at bytes.len()
+        self.bytes.extend_from_slice(&src.bytes[first as usize..last as usize]);
+        self.offsets.extend(offsets.iter().map(|&o| o.wrapping_add(rebase)));
     }
 
     /// Appends every string of a decoded block: one pass writing the offsets,
@@ -284,9 +293,9 @@ impl StringViews {
 
     /// Builds views over an arena's pool (sequential layout).
     pub fn from_arena(arena: &StringArena) -> StringViews {
-        let views = (0..arena.len())
-            // lint: allow(indexing) arena invariant: offsets has len()+1 entries
-            .map(|i| StringViews::pack(arena.offsets[i], arena.offsets[i + 1] - arena.offsets[i]))
+        let ends = arena.offsets.iter().skip(1);
+        let views = (arena.offsets.iter().zip(ends))
+            .map(|(&start, &end)| StringViews::pack(start, end - start))
             .collect();
         StringViews {
             pool: arena.bytes.clone(),
@@ -452,7 +461,7 @@ mod tests {
         assert_eq!(arena.get(1), b"");
         assert_eq!(arena.get(2), b"world");
         assert_eq!(arena.get(3), "Maceió".as_bytes());
-        assert_eq!(arena.str_len(3), 7);
+        assert_eq!(arena.get(3).len(), 7);
         assert_eq!(arena.iter().count(), 4);
     }
 
@@ -462,6 +471,16 @@ mod tests {
         let sub = arena.gather([3usize, 1].into_iter());
         assert_eq!(sub.get(0), b"dddd");
         assert_eq!(sub.get(1), b"bb");
+    }
+
+    #[test]
+    fn arena_extend_from_range() {
+        let src = StringArena::from_strs(&["a", "", "ccc", "dd"]);
+        let mut out = StringArena::from_strs(&["xy"]);
+        out.extend_from_range(&src, 1..4);
+        out.extend_from_range(&src, 2..2);
+        out.extend_from_range(&src, 0..1);
+        assert_eq!(out, StringArena::from_strs(&["xy", "", "ccc", "dd", "a"]));
     }
 
     #[test]

@@ -115,7 +115,11 @@ fn column_slice(data: &ColumnData, rows: std::ops::Range<usize>) -> ColumnData {
     match data {
         ColumnData::Int(v) => ColumnData::Int(v.get(rows).unwrap_or_default().to_vec()),
         ColumnData::Double(v) => ColumnData::Double(v.get(rows).unwrap_or_default().to_vec()),
-        ColumnData::Str(a) => ColumnData::Str(a.gather(rows)),
+        ColumnData::Str(a) => {
+            let mut slice = StringArena::with_capacity(rows.len(), 0);
+            slice.extend_from_range(a, rows);
+            ColumnData::Str(slice)
+        }
     }
 }
 
@@ -128,9 +132,7 @@ fn append(acc: &mut ColumnData, chunk: ColumnData) -> Result<()> {
             // Arena offsets are u32: the column's bytes must stay below 4 GiB.
             u32::try_from(a.bytes.len() + c.bytes.len())
                 .map_err(|_| Error::Corrupt("string column exceeds 4 GiB"))?;
-            let base = wire_u32(a.bytes.len());
-            a.offsets.extend(c.offsets.iter().skip(1).map(|&o| base + o));
-            a.bytes.extend_from_slice(&c.bytes);
+            a.extend_from_range(&c, 0..c.len());
         }
         _ => return Err(Error::Corrupt("chunk type mismatch")),
     }

@@ -20,6 +20,10 @@
 # be refused on that alone (PR 21: svc_scans_per_s read "better", IQR 94.6
 # against 87.0).
 #
+# The last line is the gate summary: every row marked WORSE, slower or
+# UNSTEADY on this workload (or "none"), and each side's failed-operation
+# share.
+#
 #   scripts/ab.sh <parent-tree> <change-tree> --workload pbi|tpch --pairs N
 #                 [--seed-base S] [--out DIR] [--report-only]
 #
@@ -36,7 +40,7 @@
 # table again from the lines an earlier call left in --out.
 set -euo pipefail
 
-usage() { sed -n '2,36p' "$0" >&2; exit 2; }
+usage() { sed -n '2,40p' "$0" >&2; exit 2; }
 
 [ $# -ge 2 ] || usage
 parent="$(cd "$1" && pwd)"; change="$(cd "$2" && pwd)"; shift 2
@@ -102,12 +106,15 @@ def quartiles(xs):
     return q[0], q[1], q[2]
 
 print(f"workload {workload}, {pairs} alternating pairs, seeds {seed_base}-{seed_base + pairs - 1}; results in {out}")
+failed_share = {}
 for side, rs in runs.items():
     failed = sum(r["failed"] for r in rs)
     attempted = sum(r["attempted"] for r in rs)
+    failed_share[side] = f"{failed}/{attempted} ({failed / attempted if attempted else 0.0:.3%})"
     print(f"{side}: failed {failed} of {attempted} attempted")
 head = f"{'metric':<21} {'parent median [q1, q3]':<28} {'change median [q1, q3]':<28} {'ratio':>6} {'wins':>6} {'spread':>6}  verdict"
 print(head)
+flagged = []
 for m in metrics:
     name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
     p = [r["metrics"][name]["value"] for r in runs["parent"]]
@@ -134,4 +141,7 @@ for m in metrics:
     fmt = lambda m_, a, b: f"{m_:.4g} [{a:.4g}, {b:.4g}]"
     ratio = cm / pm if pm else float("nan")
     print(f"{name:<21} {fmt(pm, p1, p3):<28} {fmt(cm, c1, c3):<28} {ratio:>6.3f} {wins:>3}/{pairs:<2} {spread:>6.2f}  {verdict}")
+    if any(flag in verdict for flag in ("WORSE", "slower", "UNSTEADY")):
+        flagged.append(f"{name} ({verdict.strip()})")
+print(f"gate {workload}: flagged {', '.join(flagged) or 'none'}; failed parent {failed_share['parent']}, change {failed_share['change']}")
 PY
