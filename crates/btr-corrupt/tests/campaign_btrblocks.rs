@@ -9,10 +9,11 @@
 
 use btr_corrupt::alloc::TrackingAllocator;
 use btr_corrupt::campaign::{run, CampaignConfig, Verdict};
+use btr_corrupt::mutate::MutationBudget;
 use btr_corrupt::rng::Xorshift;
 use btrblocks::{
-    decompress_block_into, filter_block, filter_decoded, CmpOp, Column, ColumnData, Config,
-    DecodeScratch, Literal, Relation, StringArena,
+    decompress_block_into, decompress_parallel, filter_block, filter_decoded, CmpOp, Column,
+    ColumnData, Config, DecodeScratch, Literal, Relation, StringArena,
 };
 
 #[global_allocator]
@@ -152,6 +153,98 @@ fn raw_blocks_never_panic_or_diverge_under_mutation() {
     }
     // No smaller than the three whole-file v1 campaigns this replaces.
     assert!(total >= 3 * 1_400, "only {total} mutations across block campaigns");
+}
+
+/// Two decode outcomes agree bit for bit: the same error, or the same
+/// relation with doubles compared as bit patterns (a damaged block may
+/// decode to NaNs, which `==` calls different from themselves).
+fn same_outcome(a: &btrblocks::Result<Relation>, b: &btrblocks::Result<Relation>) -> bool {
+    match (a, b) {
+        (Err(x), Err(y)) => x == y,
+        (Ok(x), Ok(y)) => {
+            x.columns.len() == y.columns.len()
+                && x.columns.iter().zip(&y.columns).all(|(p, q)| {
+                    p.name == q.name
+                        && p.nulls == q.nulls
+                        && match (&p.data, &q.data) {
+                            (ColumnData::Double(u), ColumnData::Double(v)) => {
+                                u.iter().map(|f| f.to_bits()).eq(v.iter().map(|f| f.to_bits()))
+                            }
+                            (u, v) => u == v,
+                        }
+                })
+        }
+        _ => false,
+    }
+}
+
+#[test]
+fn worker_counts_agree_on_damaged_blocks_and_bitmaps() {
+    // Through a file every block sits behind a CRC, so no hostile block ever
+    // reaches the relation-level loop. Here block payloads and a NULL bitmap
+    // are damaged in memory and spliced into a multi-column relation, which
+    // is decoded at 1, 2 and 3 workers: every count must return the
+    // identical relation or the identical error, and none may panic. A
+    // disagreement is reported as `Divergent`.
+    let mut rng = Xorshift::new(0xD1FF);
+    let cfg = Config { block_size: 128, ..cfg_at_depth(3) };
+    let rows = 384;
+    let ints: Vec<Option<i32>> =
+        (0..rows).map(|_| (!rng.gen_bool(0.2)).then(|| rng.gen_range(-50i32..50))).collect();
+    let doubles: Vec<f64> =
+        (0..rows).map(|_| f64::from(rng.gen_range(0i32..10_000)) / 100.0).collect();
+    let words = ["BRONX", "QUEENS", "", "Maceió"];
+    let strings: Vec<&str> = (0..rows).map(|_| words[rng.gen_range(0usize..4)]).collect();
+    let rel = Relation::new(vec![
+        Column::from_int_options("i", &ints),
+        Column::new("d", ColumnData::Double(doubles)),
+        Column::new("s", ColumnData::Str(StringArena::from_strs(&strings))),
+    ]);
+    let compressed = btrblocks::compress(&rel, &cfg).unwrap();
+    assert!(!compressed.columns[0].nulls.is_empty());
+    // The NULL bitmap (`None`), then every block payload.
+    let mut parts = vec![(0, None)];
+    for (col, c) in compressed.columns.iter().enumerate() {
+        assert_eq!(c.blocks.len(), 3);
+        parts.extend((0..c.blocks.len()).map(|blk| (col, Some(blk))));
+    }
+    let campaign = CampaignConfig {
+        seed: 0x6000,
+        budget: MutationBudget {
+            max_exhaustive: 128,
+            random_bytes: 64,
+            header_window: 16,
+            random_words: 32,
+        },
+        ..CampaignConfig::default()
+    };
+    let mut total = 0;
+    for (col, part) in parts {
+        let original = match part {
+            Some(blk) => &compressed.columns[col].blocks[blk],
+            None => &compressed.columns[col].nulls,
+        };
+        let report = run(original, &campaign, |mutated| {
+            let mut damaged = compressed.clone();
+            *match part {
+                Some(blk) => &mut damaged.columns[col].blocks[blk],
+                None => &mut damaged.columns[col].nulls,
+            } = mutated.to_vec();
+            let one = decompress_parallel(&damaged, &cfg, 1);
+            if ![2, 3].iter().all(|&t| same_outcome(&one, &decompress_parallel(&damaged, &cfg, t))) {
+                return Verdict::Divergent;
+            }
+            if one.is_ok() {
+                Verdict::Clean
+            } else {
+                Verdict::Error
+            }
+        });
+        report.assert_clean(&format!("column {col} part {part:?}"));
+        assert!(report.errors > 0, "column {col} part {part:?} never saw a rejection");
+        total += report.runs;
+    }
+    assert!(total >= 4_000, "only {total} mutations across parts");
 }
 
 #[test]

@@ -58,15 +58,9 @@ pub use block::{
 };
 pub use config::{Config, SimdMode};
 pub use metadata::{BlockZone, ColumnMeta, Sidecar};
-pub use parallel::{
-    assemble_compressed, assemble_decompressed, compress_item, compress_parallel,
-    compress_parallel_stats, decode_granularity, decode_items, decompress_item,
-    decompress_parallel, decompress_parallel_stats, encode_granularity, encode_item_cost,
-    encode_items, DecodeItem, EncodeItem, ParallelStats,
-};
+pub use parallel::{compress_parallel, decompress_parallel};
 pub use relation::{
-    compress, compress_column, compress_column_into, decompress, BlockRange, Column,
-    CompressedColumn, CompressedRelation, Relation,
+    compress, decompress, BlockRange, Column, CompressedColumn, CompressedRelation, Relation,
 };
 pub use scheme::filter::{filter_block, filter_decoded, has_fast_path};
 pub use scheme::SchemeCode;

@@ -1,460 +1,479 @@
-//! Morsel-driven parallel compression and decompression.
+//! The relation codec: the one loop that compresses and decompresses a
+//! relation, block by block, on one worker or several.
 //!
 //! Blocks are self-contained, which is exactly what makes BtrBlocks easy to
 //! parallelize (paper §2.2: "Blocks also facilitate parallelizing compression
-//! and decompression"). Both directions fan out at *block* granularity over a
-//! shared [`MorselDispenser`] (btr-sync): work items carry a cost — bytes of
-//! input for encode, rows of output for decode — and each worker claims a
-//! size-targeted *range* of items per trip to the queue instead of one item
-//! per atomic bump. Granularity is adaptive: small morsels while ramping so
-//! every worker starts immediately, doubling per round up to a cap so queue
-//! traffic amortizes away at steady state.
+//! and decompression"). Both directions flatten a relation into one work
+//! item per block, column-major, and hand each item's result to a consumer
+//! in item order. [`crate::compress`] and [`crate::decompress`] are
+//! [`compress_parallel`] and [`decompress_parallel`] at one worker.
 //!
-//! Contention is engineered out at both ends. The dispenser's cursor is the
-//! only shared mutable word and it is cache-line padded; per-worker counters
-//! ([`WorkerStats`]) live in worker-local storage. Results are *staged
-//! worker-locally* — each worker accumulates `(item index, result)` pairs and
-//! hands the whole batch back through its scoped-thread join — so the
-//! collector never takes a lock a producer could be holding; there are no
-//! result locks at all.
+//! - **One worker** runs on the caller's thread and spawns nothing. Each
+//!   result is consumed as soon as it is produced: an encoded block joins
+//!   its column; a decoded block is appended to its column and its buffer
+//!   goes back to the worker's [`DecodeScratch`] to serve the next block.
+//! - **Several workers** claim cost-targeted ranges of items from a shared
+//!   [`MorselDispenser`] (btr-sync) — bytes of input for encode, rows of
+//!   output for decode — in morsels that start small, so every worker starts
+//!   at once, and double per round up to a cap. Each worker owns its scratch
+//!   arena and stages `(item, result)` pairs locally, handing them back
+//!   through its scoped-thread join, so no lock guards a result; the caller
+//!   then consumes them in item order.
 //!
-//! Output is byte-identical to the serial path for every worker count and
-//! granularity: scheme selection is deterministic per block and results are
-//! reassembled in item order, regardless of completion order. Worker panics
-//! are caught per item and resurfaced on the calling thread naming the
-//! failing column/block (lowest item index wins when several panic), and a
-//! panicking item does not prevent the same worker from finishing the rest
-//! of the queue.
+//! The consumer sees the same sequence at every worker count, so the output
+//! is byte-identical and a corrupt relation reports the same error: the
+//! first failure in column order, where a column's NULL bitmap is read after
+//! its last block. A panicking item is caught on its worker, which goes on
+//! with its queue, and resurfaces on the calling thread as
+//! `worker for column C block B panicked: …`.
 
 use crate::block::{self, BlockRef};
 use crate::config::Config;
-use crate::relation::{
-    append_block, column_with_capacity, Column, CompressedColumn, CompressedRelation, Relation,
-};
-use crate::scheme::SchemeCode;
+use crate::relation::{Column, CompressedColumn, CompressedRelation, Relation};
 use crate::scratch::{DecodeScratch, EncodeScratch};
-use crate::types::{ColumnData, DecodedColumn};
-use crate::Result;
+use crate::types::{ColumnData, ColumnType, DecodedColumn, StringArena};
+use crate::{Error, Result};
+use btr_roaring::RoaringBitmap;
 use btr_sync::morsel::{Granularity, MorselDispenser, WorkerStats};
-use std::cell::RefCell;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-thread_local! {
-    /// Per-worker decode arena: buffers leased while decoding one block are
-    /// pooled on the worker thread and reused for every later block it
-    /// decodes, so steady-state parallel decompression allocates little.
-    static DECODE_SCRATCH: RefCell<DecodeScratch> = RefCell::new(DecodeScratch::new());
+/// Morsel sizing for encode, in bytes of input: 64 KiB ramping to 1 MiB.
+const ENCODE_GRANULARITY: Granularity = Granularity {
+    min_cost: 64 << 10,
+    max_cost: 1 << 20,
+};
 
-    /// Per-worker encode arena: the first block a worker compresses warms the
-    /// sample/trial/side-array pools for every later block it pulls from the
-    /// queue, mirroring the shared scratch of the serial path.
-    static ENCODE_SCRATCH: RefCell<EncodeScratch> = RefCell::new(EncodeScratch::new());
+/// Morsel sizing for decode, in rows of output: 8 Ki ramping to 256 Ki.
+const DECODE_GRANULARITY: Granularity = Granularity {
+    min_cost: 8 << 10,
+    max_cost: 256 << 10,
+};
+
+/// Block `blk` of column `col`, weighted by `cost` for the dispenser.
+#[derive(Debug, Clone, Copy)]
+struct Item {
+    col: usize,
+    blk: usize,
+    cost: u64,
 }
 
-/// Work accounting for one parallel run: one [`WorkerStats`] per worker.
-#[derive(Debug, Clone, Default)]
-pub struct ParallelStats {
-    /// Per-worker accounting, in spawn order.
-    pub workers: Vec<WorkerStats>,
-}
+/// What one worker hands back: `(item index, result or panic)` pairs.
+type Staged<T> = Vec<(usize, std::thread::Result<T>)>;
 
-impl ParallelStats {
-    /// Sums the per-worker stats.
-    pub fn total(&self) -> WorkerStats {
-        let mut t = WorkerStats::default();
-        for w in &self.workers {
-            t.merge(w);
-        }
-        t
-    }
-}
-
-/// Default morsel sizing for encode, in bytes of input: ramp from 64 KiB to
-/// 1 MiB per claim.
-pub fn encode_granularity() -> Granularity {
-    Granularity::adaptive(64 << 10, 1 << 20)
-}
-
-/// Default morsel sizing for decode, in rows of output: ramp from 8 Ki rows
-/// to 256 Ki rows per claim.
-pub fn decode_granularity() -> Granularity {
-    Granularity::adaptive(8 << 10, 256 << 10)
-}
-
-/// Runs `work(i)` for every item over up to `threads` workers claiming
-/// cost-targeted morsels from a shared dispenser, returning results in item
-/// order plus per-worker accounting.
+/// Runs `work` for every item and hands each result to `consume` in item
+/// order, stopping at the first error `consume` returns.
 ///
-/// Each worker stages its `(index, result)` pairs locally and returns them
-/// through its join handle — no shared result state, no collector contention.
-/// A panicking `work(i)` is caught on the worker (the remaining items still
-/// run) and resurfaced on the calling thread as a panic naming the failing
-/// work item via `describe(i)`; when several items panic, the lowest index
-/// wins.
-fn run_morsels<T: Send>(
-    costs: &[u64],
-    granularity: Granularity,
+/// Every worker owns one arena from `arena()`. At one worker the loop runs
+/// on the caller's thread and `work` and `consume` share that arena, so a
+/// buffer `consume` gives back serves the next item's `work`. At several,
+/// workers claim morsels from a [`MorselDispenser`] and stage their results,
+/// which `consume` then takes on the caller's thread with an arena of its
+/// own. A panic in `work` is caught (its worker goes on with the queue) and
+/// resurfaces when its item is due, naming the item.
+fn run_morsels<S, T: Send>(
+    items: &[Item],
     threads: usize,
-    work: impl Fn(usize) -> T + Sync,
-    describe: impl Fn(usize) -> String,
-) -> (Vec<T>, ParallelStats) {
-    let n = costs.len();
-    let threads = threads.max(1).min(n.max(1));
-    let dispenser = MorselDispenser::new(costs, granularity, threads);
-    type Staged<T> = Vec<(usize, std::thread::Result<T>)>;
-    let worker_outputs: Vec<(Staged<T>, WorkerStats)> = std::thread::scope(|scope| {
+    granularity: Granularity,
+    arena: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, Item) -> T + Sync,
+    mut consume: impl FnMut(&mut S, Item, T) -> Result<()>,
+) -> Result<()> {
+    let settle = |it: Item, result: std::thread::Result<T>| match result {
+        Ok(v) => v,
+        Err(payload) => std::panic::resume_unwind(Box::new(format!(
+            "worker for column {} block {} panicked: {}",
+            it.col,
+            it.blk,
+            btr_sync::panic_message(payload.as_ref())
+        ))),
+    };
+    let mut own = arena();
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        for &it in items {
+            let result = settle(it, catch_unwind(AssertUnwindSafe(|| work(&mut own, it))));
+            consume(&mut own, it, result)?;
+        }
+        return Ok(());
+    }
+    let costs: Vec<u64> = items.iter().map(|it| it.cost).collect();
+    let dispenser = MorselDispenser::new(&costs, granularity, threads);
+    let staged: Vec<Staged<T>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    let mut arena = arena();
                     let mut stats = WorkerStats::default();
                     let mut staged: Staged<T> = Vec::new();
                     while let Some(m) = dispenser.claim(&mut stats) {
-                        for i in m.start..m.end {
-                            staged.push((i, catch_unwind(AssertUnwindSafe(|| work(i)))));
+                        let claimed = items
+                            .get(m.start..m.end)
+                            .expect("morsels lie inside the items");
+                        for (i, &it) in (m.start..).zip(claimed) {
+                            staged
+                                .push((i, catch_unwind(AssertUnwindSafe(|| work(&mut arena, it)))));
                         }
                     }
-                    (staged, stats)
+                    staged
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("morsel workers return their staging"))
+            .map(|h| h.join().expect("morsel workers catch every item's panic"))
             .collect()
     });
-    let mut stats = ParallelStats { workers: Vec::with_capacity(threads) };
-    let mut slots: Vec<Option<std::thread::Result<T>>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    for (staged, ws) in worker_outputs {
-        stats.workers.push(ws);
-        for (i, r) in staged {
-            if let Some(slot) = slots.get_mut(i) {
-                *slot = Some(r);
-            }
-        }
+    let mut slots: Vec<Option<std::thread::Result<T>>> = Vec::with_capacity(items.len());
+    slots.resize_with(items.len(), || None);
+    for (i, result) in staged.into_iter().flatten() {
+        let slot = slots.get_mut(i).expect("morsels lie inside the items");
+        assert!(
+            slot.replace(result).is_none(),
+            "the dispenser handed out item {i} twice"
+        );
     }
-    let mut results = Vec::with_capacity(n);
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.expect("the dispenser covers every item exactly once") {
-            Ok(v) => results.push(v),
-            Err(payload) => std::panic::resume_unwind(Box::new(format!(
-                "worker for {} panicked: {}",
-                describe(i),
-                btr_sync::panic_message(payload.as_ref())
-            ))),
-        }
+    for (&it, slot) in items.iter().zip(slots) {
+        let result = settle(it, slot.expect("the dispenser hands out every item"));
+        consume(&mut own, it, result)?;
     }
-    (results, stats)
+    Ok(())
 }
 
-/// One unit of compression work: a block-sized slice of one column.
-/// An empty column contributes a single `start == end == 0` item so its
-/// explicit empty block is still produced (mirroring the serial path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncodeItem {
-    /// Column index in the relation.
-    pub col: usize,
-    /// Block index within the column.
-    pub blk: usize,
-    /// First row of the block (inclusive).
-    pub start: usize,
-    /// One past the last row of the block.
-    pub end: usize,
+/// Compresses a relation block by block on up to `threads` workers; at one
+/// worker this is [`crate::compress`].
+///
+/// A single-column relation still saturates every worker (items are blocks,
+/// not columns). Output is byte-identical for every thread count: scheme
+/// selection is deterministic per block and blocks join their columns in
+/// order.
+pub fn compress_parallel(
+    rel: &Relation,
+    cfg: &Config,
+    threads: usize,
+) -> Result<CompressedRelation> {
+    compress_with(rel, cfg, threads, ENCODE_GRANULARITY)
 }
 
-/// Flattens a relation into block-granular work items, column-major, so the
-/// per-column results can be reassembled by pushing in item order.
-pub fn encode_items(rel: &Relation, cfg: &Config) -> Vec<EncodeItem> {
-    let bs = cfg.block_size.max(1);
+/// Rows block `blk` covers in a `len`-row column at block size `bs`; the one
+/// block of an empty column covers `0..0`.
+fn block_rows(len: usize, bs: usize, blk: usize) -> Range<usize> {
+    let start = blk.saturating_mul(bs).min(len);
+    start..start.saturating_add(bs).min(len)
+}
+
+/// One item per block of every column, costed in bytes of input. An empty
+/// column still has one, so its explicit empty block is written.
+fn encode_items(rel: &Relation, bs: usize) -> Vec<Item> {
     let mut items = Vec::new();
-    for (c, col) in rel.columns.iter().enumerate() {
-        let n = col.data.len();
-        if n == 0 {
-            items.push(EncodeItem { col: c, blk: 0, start: 0, end: 0 });
-            continue;
-        }
-        let mut start = 0;
-        let mut blk = 0;
-        while start < n {
-            let end = (start + bs).min(n);
-            items.push(EncodeItem { col: c, blk, start, end });
-            start = end;
-            blk += 1;
+    for (col, column) in rel.columns.iter().enumerate() {
+        let len = column.data.len();
+        for blk in 0..len.div_ceil(bs).max(1) {
+            let rows = block_rows(len, bs, blk);
+            let cost = match &column.data {
+                ColumnData::Int(_) => rows.len() as u64 * 4,
+                ColumnData::Double(_) => rows.len() as u64 * 8,
+                // Strings pay for their bytes, so one 4 MB block and one
+                // 40-byte block size morsels honestly.
+                ColumnData::Str(arena) => {
+                    let at = |row: usize| arena.offsets.get(row).copied().unwrap_or_default();
+                    u64::from(at(rows.end).saturating_sub(at(rows.start)))
+                }
+            };
+            items.push(Item { col, blk, cost });
         }
     }
     items
 }
 
-/// The dispenser cost of one encode item: bytes of input it covers.
-pub fn encode_item_cost(rel: &Relation, item: &EncodeItem) -> u64 {
-    let col = rel.columns.get(item.col).expect("items index existing columns");
-    let rows = (item.end - item.start) as u64;
-    match &col.data {
-        ColumnData::Int(_) => rows * 4,
-        ColumnData::Double(_) => rows * 8,
-        // Strings pay per byte: sum the exact slice lengths (offset lookups,
-        // no copies), so one 4 MB block and one 40-byte block size morsels
-        // honestly.
-        ColumnData::Str(arena) => (item.start..item.end)
-            .map(|i| arena.get(i).len() as u64)
-            .sum(),
-    }
-}
-
-/// Compresses one work item on a worker thread, leasing every encode
-/// temporary from the worker's thread-local [`EncodeScratch`].
-pub fn compress_item(rel: &Relation, cfg: &Config, item: &EncodeItem) -> (Vec<u8>, SchemeCode) {
-    let col = rel.columns.get(item.col).expect("items index existing columns");
-    ENCODE_SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-        let mut buf = Vec::new();
-        let code = match &col.data {
-            ColumnData::Int(v) => {
-                let chunk = v.get(item.start..item.end).expect("item range within column");
-                block::compress_block_into(BlockRef::Int(chunk), cfg, scratch, &mut buf)
-            }
-            ColumnData::Double(v) => {
-                let chunk = v.get(item.start..item.end).expect("item range within column");
-                block::compress_block_into(BlockRef::Double(chunk), cfg, scratch, &mut buf)
-            }
-            ColumnData::Str(arena) => {
-                let mut sub = scratch.lease_arena();
-                sub.clear();
-                sub.extend_from_range(arena, item.start..item.end);
-                let code = block::compress_block_into(BlockRef::Str(&sub), cfg, scratch, &mut buf);
-                scratch.release_arena(sub);
-                code
-            }
-        };
-        (buf, code)
-    })
-}
-
-/// Reassembles per-item compression results (in item order) into the final
-/// relation. `items` must be the column-major list from [`encode_items`].
-pub fn assemble_compressed(
+/// [`compress_parallel`] with an explicit morsel granularity.
+fn compress_with(
     rel: &Relation,
-    items: &[EncodeItem],
-    results: Vec<(Vec<u8>, SchemeCode)>,
-) -> CompressedRelation {
+    cfg: &Config,
+    threads: usize,
+    granularity: Granularity,
+) -> Result<CompressedRelation> {
+    let bs = cfg.block_size.max(1);
     let mut columns: Vec<CompressedColumn> = rel
         .columns
         .iter()
         .map(|col| CompressedColumn {
             name: col.name.clone(),
             column_type: col.data.column_type(),
-            nulls: col.nulls.as_ref().map(|b| b.serialize()).unwrap_or_default(),
+            nulls: col
+                .nulls
+                .as_ref()
+                .map(|b| b.serialize())
+                .unwrap_or_default(),
             blocks: Vec::new(),
             schemes: Vec::new(),
         })
         .collect();
-    // Items are column-major, so pushing in item order restores block order.
-    for (item, (bytes, code)) in items.iter().zip(results) {
-        let col = columns.get_mut(item.col).expect("items index existing columns");
-        col.blocks.push(bytes);
-        col.schemes.push(code);
-    }
-    CompressedRelation {
+    run_morsels(
+        &encode_items(rel, bs),
+        threads,
+        granularity,
+        EncodeScratch::new,
+        |scratch: &mut EncodeScratch, it| {
+            let col = rel
+                .columns
+                .get(it.col)
+                .expect("items index existing columns");
+            let rows = block_rows(col.data.len(), bs, it.blk);
+            let mut bytes = Vec::new();
+            let code = match &col.data {
+                ColumnData::Int(v) => {
+                    let chunk = v.get(rows).expect("block rows lie inside the column");
+                    block::compress_block_into(BlockRef::Int(chunk), cfg, scratch, &mut bytes)
+                }
+                ColumnData::Double(v) => {
+                    let chunk = v.get(rows).expect("block rows lie inside the column");
+                    block::compress_block_into(BlockRef::Double(chunk), cfg, scratch, &mut bytes)
+                }
+                ColumnData::Str(arena) => {
+                    let mut sub = scratch.lease_arena();
+                    sub.clear();
+                    sub.extend_from_range(arena, rows);
+                    let code =
+                        block::compress_block_into(BlockRef::Str(&sub), cfg, scratch, &mut bytes);
+                    scratch.release_arena(sub);
+                    code
+                }
+            };
+            (bytes, code)
+        },
+        |_, it, (bytes, code)| {
+            let col = columns
+                .get_mut(it.col)
+                .expect("items index existing columns");
+            col.blocks.push(bytes);
+            col.schemes.push(code);
+            Ok(())
+        },
+    )?;
+    Ok(CompressedRelation {
         rows: rel.rows() as u64,
         columns,
-    }
-}
-
-/// Compresses a relation `threads`-wide at block granularity with the
-/// default adaptive [`encode_granularity`].
-///
-/// A single-column relation still saturates every worker (items are blocks,
-/// not columns). Output is byte-identical to [`crate::relation::compress`]
-/// for every thread count — scheme selection is deterministic and blocks are
-/// reassembled in their original order.
-pub fn compress_parallel(rel: &Relation, cfg: &Config, threads: usize) -> Result<CompressedRelation> {
-    compress_parallel_stats(rel, cfg, threads, encode_granularity()).map(|(r, _)| r)
-}
-
-/// [`compress_parallel`] with an explicit morsel granularity, returning
-/// per-worker work accounting alongside the result.
-pub fn compress_parallel_stats(
-    rel: &Relation,
-    cfg: &Config,
-    threads: usize,
-    granularity: Granularity,
-) -> Result<(CompressedRelation, ParallelStats)> {
-    let items = encode_items(rel, cfg);
-    let costs: Vec<u64> = items.iter().map(|it| encode_item_cost(rel, it)).collect();
-    let (results, stats) = run_morsels(
-        &costs,
-        granularity,
-        threads,
-        // lint: allow(indexing) run_morsels only passes i < items.len()
-        |i| compress_item(rel, cfg, &items[i]),
-        |i| match items.get(i) {
-            Some(it) => format!("column {} block {}", it.col, it.blk),
-            None => format!("work item {i}"),
-        },
-    );
-    Ok((assemble_compressed(rel, &items, results), stats))
-}
-
-/// One unit of decompression work: one compressed block of one column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodeItem {
-    /// Column index in the compressed relation.
-    pub col: usize,
-    /// Block index within the column.
-    pub blk: usize,
-}
-
-/// Flattens a compressed relation into block-granular decode items
-/// (column-major) with their rows-of-output costs from each block's frame
-/// header. A block whose header cannot be peeked costs 1 — the decode error
-/// surfaces from the worker with the right column/block label instead.
-pub fn decode_items(compressed: &CompressedRelation) -> (Vec<DecodeItem>, Vec<u64>) {
-    let mut items = Vec::new();
-    let mut costs = Vec::new();
-    for (c, col) in compressed.columns.iter().enumerate() {
-        for (b, bytes) in col.blocks.iter().enumerate() {
-            items.push(DecodeItem { col: c, blk: b });
-            costs.push(block::peek_count(bytes).unwrap_or(1).max(1) as u64);
-        }
-    }
-    (items, costs)
-}
-
-/// Decompresses one block on a worker thread, leasing decode temporaries
-/// from the worker's thread-local [`DecodeScratch`]. The decoded output is
-/// returned by value (worker-local staging); its buffers come from the
-/// worker's pool when warm.
-pub fn decompress_item(
-    compressed: &CompressedRelation,
-    cfg: &Config,
-    item: &DecodeItem,
-) -> Result<DecodedColumn> {
-    let col = compressed.columns.get(item.col).expect("items index existing columns");
-    let bytes = col.blocks.get(item.blk).expect("items index existing blocks");
-    DECODE_SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-        let mut out = scratch.lease_decoded(col.column_type);
-        match block::decompress_block_into(bytes, col.column_type, cfg, scratch, &mut out) {
-            Ok(()) => Ok(out),
-            Err(e) => {
-                scratch.recycle(out);
-                Err(e)
-            }
-        }
     })
 }
 
-/// Reassembles per-item decode results (item order from [`decode_items`])
-/// into the decompressed relation, concatenating each column's blocks in
-/// order and restoring NULL bitmaps.
-pub fn assemble_decompressed(
-    compressed: &CompressedRelation,
-    items: &[DecodeItem],
-    results: Vec<Result<DecodedColumn>>,
-) -> Result<Relation> {
-    // Every block is decoded by now, so each column's row count is known.
-    let mut rows = vec![0usize; compressed.columns.len()];
-    for (item, result) in items.iter().zip(&results) {
-        if let (Some(n), Ok(decoded)) = (rows.get_mut(item.col), result) {
-            *n += decoded.len();
-        }
-    }
-    let mut columns: Vec<Column> = Vec::with_capacity(compressed.columns.len());
-    for (col, &rows) in compressed.columns.iter().zip(&rows) {
-        let nulls = if col.nulls.is_empty() {
-            None
-        } else {
-            Some(btr_roaring::RoaringBitmap::deserialize(&col.nulls)?)
-        };
-        let data = column_with_capacity(col.column_type, rows);
-        columns.push(Column { name: col.name.clone(), data, nulls });
-    }
-    for (item, result) in items.iter().zip(results) {
-        let col = columns.get_mut(item.col).expect("items index existing columns");
-        append_block(&mut col.data, &result?)?;
-    }
-    Ok(Relation { columns })
-}
-
-/// Decompresses a relation `threads`-wide at block granularity with the
-/// default adaptive [`decode_granularity`].
+/// Decompresses a relation block by block on up to `threads` workers; at
+/// one worker this is the decode inside [`crate::decompress`].
 pub fn decompress_parallel(
     compressed: &CompressedRelation,
     cfg: &Config,
     threads: usize,
 ) -> Result<Relation> {
-    decompress_parallel_stats(compressed, cfg, threads, decode_granularity()).map(|(r, _)| r)
+    decompress_with(compressed, cfg, threads, DECODE_GRANULARITY)
 }
 
-/// [`decompress_parallel`] with an explicit morsel granularity, returning
-/// per-worker work accounting alongside the result.
-pub fn decompress_parallel_stats(
+/// One item per block of every column, costed in rows of output from the
+/// block's frame header. A block whose header cannot be peeked costs 1: its
+/// error surfaces when the block is decoded.
+fn decode_items(compressed: &CompressedRelation) -> Vec<Item> {
+    let mut items = Vec::new();
+    for (col, column) in compressed.columns.iter().enumerate() {
+        for (blk, bytes) in column.blocks.iter().enumerate() {
+            let cost = block::peek_count(bytes).map_or(1, |n| n.max(1) as u64);
+            items.push(Item { col, blk, cost });
+        }
+    }
+    items
+}
+
+/// [`decompress_parallel`] with an explicit morsel granularity.
+fn decompress_with(
     compressed: &CompressedRelation,
     cfg: &Config,
     threads: usize,
     granularity: Granularity,
-) -> Result<(Relation, ParallelStats)> {
-    let (items, costs) = decode_items(compressed);
-    let (results, stats) = run_morsels(
-        &costs,
-        granularity,
+) -> Result<Relation> {
+    let mut out = Assembly {
+        compressed,
+        cfg,
+        columns: Vec::with_capacity(compressed.columns.len()),
+        filling: None,
+    };
+    run_morsels(
+        &decode_items(compressed),
         threads,
-        // lint: allow(indexing) run_morsels only passes i < items.len()
-        |i| decompress_item(compressed, cfg, &items[i]),
-        |i| match items.get(i) {
-            Some(it) => format!("column {} block {}", it.col, it.blk),
-            None => format!("work item {i}"),
+        granularity,
+        DecodeScratch::new,
+        |scratch: &mut DecodeScratch, it| {
+            let col = compressed
+                .columns
+                .get(it.col)
+                .expect("items index existing columns");
+            let bytes = col.blocks.get(it.blk).expect("items index existing blocks");
+            let mut decoded = scratch.lease_decoded(col.column_type);
+            match block::decompress_block_into(bytes, col.column_type, cfg, scratch, &mut decoded) {
+                Ok(()) => Ok(decoded),
+                Err(e) => {
+                    scratch.recycle(decoded);
+                    Err(e)
+                }
+            }
         },
-    );
-    let rel = assemble_decompressed(compressed, &items, results)?;
-    Ok((rel, stats))
+        |scratch, it, decoded| out.append(it.col, decoded, scratch),
+    )?;
+    out.complete_until(compressed.columns.len())?;
+    Ok(Relation {
+        columns: out.columns,
+    })
 }
 
-/// Runs `work(i)` for every `i in 0..n` on up to `threads` workers with
-/// unit costs and single-item morsels — the pre-morsel fan-out shape, kept
-/// for the panic-labelling contract tests.
-#[cfg(test)]
-fn for_each_labeled<T: Send>(
-    n: usize,
-    threads: usize,
-    work: impl Fn(usize) -> T + Sync,
-    describe: impl Fn(usize) -> String,
-) -> Vec<T> {
-    let costs = vec![1u64; n];
-    run_morsels(&costs, Granularity::single_item(), threads, work, describe).0
+/// A decoded relation under construction, one column at a time in file
+/// order. A column starts with its first block and is completed — NULL
+/// bitmap read, values moved in — when a later column's block arrives or
+/// the blocks run out; so its bitmap is read after its last block, and a
+/// column without blocks is completed in its turn.
+struct Assembly<'a> {
+    compressed: &'a CompressedRelation,
+    cfg: &'a Config,
+    columns: Vec<Column>,
+    /// Values of column `columns.len()`, from its first block on.
+    filling: Option<ColumnData>,
 }
 
-/// [`for_each_labeled`] with the classic per-column labelling.
-#[cfg(test)]
-fn for_each_indexed<T: Send>(
-    n: usize,
-    threads: usize,
-    work: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    for_each_labeled(n, threads, work, |i| format!("column {i}"))
+impl Assembly<'_> {
+    /// Appends a decoded block of column `col`, completing every column
+    /// before it first, and gives the block's buffer back to `scratch`.
+    fn append(
+        &mut self,
+        col: usize,
+        decoded: Result<DecodedColumn>,
+        scratch: &mut DecodeScratch,
+    ) -> Result<()> {
+        self.complete_until(col)?;
+        let decoded = decoded?;
+        let (compressed, cfg) = (self.compressed, self.cfg);
+        let data = self
+            .filling
+            .get_or_insert_with(|| presized(compressed, col, cfg));
+        let appended = append_block(data, &decoded);
+        scratch.recycle(decoded);
+        appended
+    }
+
+    /// Completes every column before column `end`.
+    fn complete_until(&mut self, end: usize) -> Result<()> {
+        for col in self.columns.len()..end {
+            let c = self
+                .compressed
+                .columns
+                .get(col)
+                .expect("items index existing columns");
+            let nulls = if c.nulls.is_empty() {
+                None
+            } else {
+                Some(RoaringBitmap::deserialize(&c.nulls)?)
+            };
+            let data = match self.filling.take() {
+                Some(data) => data,
+                None => presized(self.compressed, col, self.cfg),
+            };
+            let name = c.name.clone();
+            self.columns.push(Column { name, data, nulls });
+        }
+        Ok(())
+    }
+}
+
+/// An empty value buffer for column `col`, sized once from the file: its
+/// row count, trusted only as far as the block headers (each capped at
+/// `max_block_values`) back it up. String columns size their offsets; the
+/// byte pool grows per block.
+fn presized(compressed: &CompressedRelation, col: usize, cfg: &Config) -> ColumnData {
+    let c = compressed
+        .columns
+        .get(col)
+        .expect("items index existing columns");
+    let held: usize = c
+        .blocks
+        .iter()
+        .map(|b| block::peek_count(b).map_or(0, |n| n.min(cfg.max_block_values)))
+        .fold(0, usize::saturating_add);
+    let expected = usize::try_from(compressed.rows).map_or(held, |rows| rows.min(held));
+    let mut data = match c.column_type {
+        ColumnType::Integer => ColumnData::Int(Vec::new()),
+        ColumnType::Double => ColumnData::Double(Vec::new()),
+        ColumnType::String => ColumnData::Str(StringArena::new()),
+    };
+    // An allocator refusal just falls back to growth.
+    let _ = match &mut data {
+        ColumnData::Int(acc) => acc.try_reserve_exact(expected),
+        ColumnData::Double(acc) => acc.try_reserve_exact(expected),
+        ColumnData::Str(acc) => acc.offsets.try_reserve_exact(expected),
+    };
+    data
+}
+
+/// Appends one decoded block to its column's values; a string block moves
+/// as runs of pool bytes, not string by string.
+fn append_block(data: &mut ColumnData, decoded: &DecodedColumn) -> Result<()> {
+    match (data, decoded) {
+        (ColumnData::Int(acc), DecodedColumn::Int(v)) => acc.extend_from_slice(v),
+        (ColumnData::Double(acc), DecodedColumn::Double(v)) => acc.extend_from_slice(v),
+        (ColumnData::Str(acc), DecodedColumn::Str(v)) => acc.extend_from_views(v),
+        _ => return Err(Error::Corrupt("mixed block types in column")),
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{ColumnData, StringArena};
+    use crate::relation::{compress, decompress};
 
     fn sample(rows: usize) -> Relation {
         let strings: Vec<String> = (0..rows).map(|i| format!("p{}", i % 31)).collect();
         let refs: Vec<&str> = strings.iter().map(|s| s.as_str()).collect();
         Relation::new(vec![
             Column::new("a", ColumnData::Int((0..rows as i32).collect())),
-            Column::new("b", ColumnData::Double((0..rows).map(|i| i as f64 * 0.5).collect())),
+            Column::new(
+                "b",
+                ColumnData::Double((0..rows).map(|i| i as f64 * 0.5).collect()),
+            ),
             Column::new("c", ColumnData::Str(StringArena::from_strs(&refs))),
             Column::new("d", ColumnData::Int(vec![9; rows])),
         ])
+    }
+
+    /// Unit-cost items labelled `(col, blk)`.
+    fn items(labels: impl Iterator<Item = (usize, usize)>) -> Vec<Item> {
+        labels
+            .map(|(col, blk)| Item { col, blk, cost: 1 })
+            .collect()
+    }
+
+    /// Runs `work` over `items` on `threads` workers claiming one item per
+    /// morsel, collecting the results in item order.
+    fn for_each<T: Send>(
+        items: &[Item],
+        threads: usize,
+        work: impl Fn(Item) -> T + Sync,
+    ) -> Vec<T> {
+        let mut out = Vec::new();
+        run_morsels(
+            items,
+            threads,
+            Granularity::single_item(),
+            || (),
+            |_, it| work(it),
+            |_, _, t| {
+                out.push(t);
+                Ok(())
+            },
+        )
+        .expect("collecting never fails");
+        out
     }
 
     #[test]
     fn parallel_matches_sequential() {
         let cfg = Config::default();
         let rel = sample(5_000);
-        let seq = crate::relation::compress(&rel, &cfg).unwrap();
+        let seq = compress(&rel, &cfg).unwrap();
         for threads in [1, 2, 8] {
             let par = compress_parallel(&rel, &cfg, threads).unwrap();
             assert_eq!(par, seq, "threads = {threads}");
@@ -473,39 +492,47 @@ mod tests {
 
     #[test]
     fn worker_panic_resurfaces_with_column_index() {
-        let caught = std::panic::catch_unwind(|| {
-            for_each_indexed(6, 3, |i| {
-                if i == 4 {
-                    panic!("boom in column four");
-                }
-                i * 2
+        // One worker stops at the panic on the caller's thread; several stage
+        // it and resurface it when its item is due. The message is the same.
+        for threads in [1, 3] {
+            let caught = std::panic::catch_unwind(|| {
+                for_each(&items((0..6).map(|c| (c, 0))), threads, |it| {
+                    if it.col == 4 {
+                        panic!("boom in column four");
+                    }
+                    it.col * 2
+                })
             })
-        })
-        .expect_err("the worker panic must propagate to the caller");
-        let msg = caught
-            .downcast_ref::<String>()
-            .expect("panic payload carries the formatted message");
-        assert!(msg.contains("column 4"), "got: {msg}");
-        assert!(msg.contains("boom in column four"), "got: {msg}");
+            .expect_err("the worker panic must propagate to the caller");
+            let msg = caught
+                .downcast_ref::<String>()
+                .expect("panic payload carries the formatted message");
+            assert!(
+                msg.contains("column 4 block 0"),
+                "threads {threads}, got: {msg}"
+            );
+            assert!(msg.contains("boom in column four"), "got: {msg}");
+        }
     }
 
     #[test]
     fn panic_in_one_slot_does_not_lose_other_results() {
-        // The panicking index must not prevent later indices assigned to the
-        // same worker from completing (the old behaviour killed the thread).
+        // The panicking item must not stop the worker that claimed it: with
+        // several workers every other item still runs before the panic
+        // resurfaces.
         let completed = std::sync::atomic::AtomicUsize::new(0);
         let caught = std::panic::catch_unwind(|| {
-            for_each_indexed(8, 1, |i| {
-                assert!(i != 0, "index 0 panics first on the only worker");
+            for_each(&items((0..8).map(|c| (c, 0))), 2, |it| {
+                assert!(it.col != 0, "item 0 panics on whichever worker claims it");
                 completed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                i
+                it.col
             })
         });
         assert!(caught.is_err());
         assert_eq!(
             completed.load(std::sync::atomic::Ordering::Relaxed),
             7,
-            "the single worker must survive the panic and finish the queue"
+            "the worker must survive the panic and finish its queue"
         );
     }
 
@@ -533,9 +560,9 @@ mod tests {
             Column::new("d", ColumnData::Double(doubles)),
             Column::new("s", ColumnData::Str(StringArena::from_strs(&refs))),
         ]);
-        let compressed = crate::relation::compress(&rel, &cfg).unwrap();
-        let serial = crate::relation::decompress_relation(&compressed, &cfg).unwrap();
-        for threads in [1, 3, 8] {
+        let compressed = compress(&rel, &cfg).unwrap();
+        let serial = decompress(&compressed.to_bytes(), &cfg).unwrap();
+        for threads in [2, 3, 8] {
             let parallel = decompress_parallel(&compressed, &cfg, threads).unwrap();
             for (a, b) in serial.columns.iter().zip(&parallel.columns) {
                 assert_eq!(a.name, b.name);
@@ -553,7 +580,7 @@ mod tests {
                             assert_eq!(x.get(i), y.get(i), "threads = {threads}");
                         }
                     }
-                    _ => panic!("column type changed between serial and parallel"),
+                    _ => panic!("column type changed between one worker and several"),
                 }
             }
         }
@@ -562,7 +589,7 @@ mod tests {
     #[test]
     fn single_column_relation_fans_out_over_blocks() {
         // The whole point of block granularity: one column, many workers.
-        // Output must stay byte-identical to serial for every thread count.
+        // Output must stay byte-identical to one worker for every count.
         let cfg = Config {
             block_size: 512,
             ..Config::default()
@@ -571,9 +598,12 @@ mod tests {
             "only",
             ColumnData::Int((0..20_000).map(|i| (i * 37) % 1000).collect()),
         )]);
-        let seq = crate::relation::compress(&rel, &cfg).unwrap();
-        assert!(seq.columns[0].blocks.len() > 30, "needs many blocks to parallelize");
-        for threads in [1, 2, 3, 8] {
+        let seq = compress(&rel, &cfg).unwrap();
+        assert!(
+            seq.columns[0].blocks.len() > 30,
+            "needs many blocks to parallelize"
+        );
+        for threads in [2, 3, 8] {
             let par = compress_parallel(&rel, &cfg, threads).unwrap();
             assert_eq!(par, seq, "threads = {threads}");
         }
@@ -598,7 +628,7 @@ mod tests {
             ),
             Column::new("s", ColumnData::Str(StringArena::from_strs(&refs))),
         ]);
-        let seq = crate::relation::compress(&rel, &cfg).unwrap();
+        let seq = compress(&rel, &cfg).unwrap();
         let granularities = [
             Granularity::adaptive(256, 4096),
             Granularity::fixed(1024),
@@ -606,19 +636,17 @@ mod tests {
         ];
         for threads in [1, 2, 3, 8] {
             for g in granularities {
-                let (par, stats) = compress_parallel_stats(&rel, &cfg, threads, g).unwrap();
+                let par = compress_with(&rel, &cfg, threads, g).unwrap();
                 assert_eq!(par, seq, "threads = {threads}, granularity = {g:?}");
                 assert_eq!(par.to_bytes(), seq.to_bytes(), "threads = {threads}");
-                let total = stats.total();
-                assert_eq!(total.items as usize, encode_items(&rel, &cfg).len());
             }
         }
-        // Empty columns keep their explicit empty block in parallel too.
+        // Empty columns keep their explicit empty block at every count.
         let empty = Relation::new(vec![
             Column::new("a", ColumnData::Int(Vec::new())),
             Column::new("b", ColumnData::Str(StringArena::new())),
         ]);
-        let seq = crate::relation::compress(&empty, &cfg).unwrap();
+        let seq = compress(&empty, &cfg).unwrap();
         let par = compress_parallel(&empty, &cfg, 4).unwrap();
         assert_eq!(par, seq);
         assert_eq!(par.columns[0].blocks.len(), 1);
@@ -627,17 +655,12 @@ mod tests {
     #[test]
     fn block_panic_names_column_and_block() {
         let caught = std::panic::catch_unwind(|| {
-            for_each_labeled(
-                6,
-                2,
-                |i| {
-                    if i == 3 {
-                        panic!("bad block");
-                    }
-                    i
-                },
-                |i| format!("column 9 block {i}"),
-            )
+            for_each(&items((0..6).map(|b| (9, b))), 2, |it| {
+                if it.blk == 3 {
+                    panic!("bad block");
+                }
+                it.blk
+            })
         })
         .expect_err("the worker panic must propagate to the caller");
         let msg = caught
@@ -649,11 +672,34 @@ mod tests {
 
     #[test]
     fn corrupt_column_error_propagates() {
-        let cfg = Config::default();
-        let rel = sample(500);
-        let mut compressed = compress_parallel(&rel, &cfg, 2).unwrap();
-        compressed.columns[1].blocks[0][0] = 200; // invalid scheme code
-        assert!(decompress_parallel(&compressed, &cfg, 2).is_err());
+        // A bad scheme code in one column and an undecodable NULL bitmap in
+        // the other: whichever column comes first names the error, at every
+        // worker count, because a column's bitmap is read after its blocks.
+        let cfg = Config {
+            block_size: 500,
+            ..Config::default()
+        };
+        let clean = compress(&sample(2_000), &cfg).unwrap();
+        for (bad_block, bad_bitmap) in [(0, 1), (1, 0)] {
+            let mut compressed = clean.clone();
+            compressed.columns[bad_block].blocks[1][0] = 200; // invalid scheme code
+            compressed.columns[bad_bitmap].nulls = vec![0xFF; 7];
+            for threads in [1, 2, 3] {
+                let err = decompress_parallel(&compressed, &cfg, threads).unwrap_err();
+                if bad_block < bad_bitmap {
+                    assert_eq!(err, Error::InvalidScheme(200), "threads = {threads}");
+                } else {
+                    let roaring = matches!(
+                        err,
+                        Error::Substrate {
+                            codec: "roaring",
+                            ..
+                        }
+                    );
+                    assert!(roaring, "threads = {threads}: {err:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -666,10 +712,44 @@ mod tests {
             "v",
             ColumnData::Int((0..2_000).map(|i| i % 5).collect()),
         )]);
-        let compressed = crate::relation::compress(&rel, &cfg).unwrap();
-        let (items, costs) = decode_items(&compressed);
-        assert_eq!(items.len(), 3, "2000 rows at block_size 700 is 3 blocks");
-        assert_eq!(costs, vec![700, 700, 600], "costs are rows of output");
+        let compressed = compress(&rel, &cfg).unwrap();
+        let costs: Vec<u64> = decode_items(&compressed).iter().map(|it| it.cost).collect();
+        assert_eq!(
+            costs,
+            vec![700, 700, 600],
+            "2000 rows at block_size 700: rows of output"
+        );
+    }
+
+    #[test]
+    fn encode_costs_are_bytes_of_input() {
+        // Strings cost the bytes between their first and last offset; an
+        // empty column is one zero-cost item.
+        let rel = Relation::new(vec![
+            Column::new("i", ColumnData::Int(vec![1, 2, 3, 4, 5])),
+            Column::new(
+                "s",
+                ColumnData::Str(StringArena::from_strs(&["a", "bb", "", "cccc", "dd"])),
+            ),
+        ]);
+        let costs: Vec<(usize, usize, u64)> = encode_items(&rel, 2)
+            .iter()
+            .map(|it| (it.col, it.blk, it.cost))
+            .collect();
+        assert_eq!(
+            costs,
+            vec![
+                (0, 0, 8),
+                (0, 1, 8),
+                (0, 2, 4),
+                (1, 0, 3),
+                (1, 1, 4),
+                (1, 2, 2)
+            ]
+        );
+        let empty = Relation::new(vec![Column::new("e", ColumnData::Str(StringArena::new()))]);
+        let costs: Vec<u64> = encode_items(&empty, 2).iter().map(|it| it.cost).collect();
+        assert_eq!(costs, vec![0]);
     }
 
     /// xorshift64* — deterministic pseudo-random stream for the matrix test
@@ -693,14 +773,20 @@ mod tests {
     }
 
     fn random_relation(rng: &mut Rng, single_column: bool) -> Relation {
-        let n_cols = if single_column { 1 } else { 2 + rng.below(3) as usize };
+        let n_cols = if single_column {
+            1
+        } else {
+            2 + rng.below(3) as usize
+        };
         let rows = rng.below(3_000) as usize;
         let mut columns = Vec::new();
         for c in 0..n_cols {
             let data = match rng.below(3) {
                 0 => ColumnData::Int((0..rows).map(|_| rng.below(500) as i32 - 250).collect()),
                 1 => ColumnData::Double(
-                    (0..rows).map(|_| rng.below(1 << 20) as f64 * 0.25).collect(),
+                    (0..rows)
+                        .map(|_| rng.below(1 << 20) as f64 * 0.25)
+                        .collect(),
                 ),
                 _ => {
                     let strings: Vec<String> =
@@ -718,7 +804,7 @@ mod tests {
     fn morsel_matrix_is_byte_identical_to_serial() {
         // Randomized determinism matrix: workers × granularity × relation
         // shape. Every cell must produce byte-identical compressed output
-        // and bit-identical decode vs the serial path.
+        // and bit-identical decode vs the one-worker run.
         let mut rng = Rng(0x5eed_cafe_f00d_0001);
         let cfg = Config {
             block_size: 256,
@@ -727,22 +813,18 @@ mod tests {
         for case in 0..6 {
             let single = case % 2 == 0;
             let rel = random_relation(&mut rng, single);
-            let seq = crate::relation::compress(&rel, &cfg).unwrap();
-            let serial = crate::relation::decompress_relation(&seq, &cfg).unwrap();
+            let seq = compress(&rel, &cfg).unwrap();
+            let serial = decompress_parallel(&seq, &cfg, 1).unwrap();
             for threads in [1, 2, 3, 8] {
                 for g in [Granularity::adaptive(128, 2048), Granularity::fixed(512)] {
-                    let (par, _) = compress_parallel_stats(&rel, &cfg, threads, g).unwrap();
+                    let par = compress_with(&rel, &cfg, threads, g).unwrap();
                     assert_eq!(
                         par.to_bytes(),
                         seq.to_bytes(),
                         "case {case} threads {threads} g {g:?}"
                     );
-                    let (dec, stats) =
-                        decompress_parallel_stats(&seq, &cfg, threads, g).unwrap();
+                    let dec = decompress_with(&seq, &cfg, threads, g).unwrap();
                     assert_eq!(dec, serial, "case {case} threads {threads} g {g:?}");
-                    let (items, costs) = decode_items(&seq);
-                    assert_eq!(stats.total().items as usize, items.len());
-                    assert_eq!(stats.total().cost_units, costs.iter().sum::<u64>());
                 }
             }
         }

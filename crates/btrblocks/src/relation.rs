@@ -1,4 +1,6 @@
-//! Relation-level API: columns, block splitting, and the file format.
+//! Relation-level types and the file format. The loop that splits a
+//! relation into blocks and back is [`crate::parallel`]; [`compress`] and
+//! [`decompress`] are that loop at one worker.
 //!
 //! Following the paper's design position (§2.1), the format is deliberately
 //! minimal: it is *only* compressed blocks plus the little framing needed to
@@ -51,12 +53,11 @@
 //! are capped against the bytes actually remaining, so a corrupt count can
 //! never trigger an oversized allocation.
 
-use crate::block::{self, BlockRef};
+use crate::block;
 use crate::config::Config;
 use crate::crc32c::{self, crc32c};
 use crate::scheme::SchemeCode;
-use crate::scratch::{DecodeScratch, EncodeScratch};
-use crate::types::{ColumnData, ColumnType, DecodedColumn, StringArena};
+use crate::types::{ColumnData, ColumnType, StringArena};
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 use btr_roaring::RoaringBitmap;
@@ -511,219 +512,19 @@ impl CompressedRelation {
     }
 }
 
-/// Compresses every column of `rel` into independent blocks.
-///
-/// One [`EncodeScratch`] is shared across all columns, so the sample, trial,
-/// and side-array buffers warmed up by the first block serve every block of
-/// every column after it.
+/// Compresses every column of `rel` into independent blocks: the relation
+/// codec loop ([`crate::parallel`]) at one worker, on the caller's thread,
+/// with one [`crate::EncodeScratch`] that the first block warms for every
+/// block after it.
 pub fn compress(rel: &Relation, cfg: &Config) -> Result<CompressedRelation> {
-    let mut scratch = EncodeScratch::new();
-    let mut columns = Vec::with_capacity(rel.columns.len());
-    for col in &rel.columns {
-        columns.push(compress_column_with_scratch(col, cfg, &mut scratch));
-    }
-    Ok(CompressedRelation {
-        rows: rel.rows() as u64,
-        columns,
-    })
+    crate::parallel::compress_parallel(rel, cfg, 1)
 }
 
-/// Compresses a single column.
-pub fn compress_column(col: &Column, cfg: &Config) -> CompressedColumn {
-    let mut scratch = EncodeScratch::new();
-    compress_column_with_scratch(col, cfg, &mut scratch)
-}
-
-/// [`compress_column_into`] a fresh shell.
-fn compress_column_with_scratch(
-    col: &Column,
-    cfg: &Config,
-    scratch: &mut EncodeScratch,
-) -> CompressedColumn {
-    let mut out = CompressedColumn {
-        name: String::new(),
-        column_type: col.data.column_type(),
-        nulls: Vec::new(),
-        blocks: Vec::new(),
-        schemes: Vec::new(),
-    };
-    compress_column_into(col, cfg, scratch, &mut out);
-    out
-}
-
-/// Compresses `col` into an existing [`CompressedColumn`] shell, reusing its
-/// name/nulls/blocks/schemes buffers in place.
-///
-/// With a warm `scratch` *and* a warm `out` (both already used for a column
-/// of similar shape), recompressing an integer or double column performs
-/// zero heap allocations for the pooled scheme set — the property the
-/// `alloc_regression_encode` test pins down. String columns still allocate
-/// in borrowed-key stats maps and FSST symbol-table training (DESIGN.md §12).
-pub fn compress_column_into(
-    col: &Column,
-    cfg: &Config,
-    scratch: &mut EncodeScratch,
-    out: &mut CompressedColumn,
-) {
-    let n = col.data.len();
-    let bs = cfg.block_size.max(1);
-    let n_blocks = if n == 0 { 1 } else { n.div_ceil(bs) };
-    // Reuse the shell's block buffers: trim extras into the scratch pool so
-    // a shrinking recompression feeds later leases; grow with empty vectors
-    // that size themselves on first write.
-    while out.blocks.len() > n_blocks {
-        if let Some(b) = out.blocks.pop() {
-            scratch.release_u8(b);
-        }
-    }
-    while out.blocks.len() < n_blocks {
-        out.blocks.push(Vec::new());
-    }
-    out.schemes.clear();
-    out.name.clear();
-    out.name.push_str(&col.name);
-    out.column_type = col.data.column_type();
-    out.nulls.clear();
-    if let Some(b) = col.nulls.as_ref() {
-        out.nulls.extend_from_slice(&b.serialize());
-    }
-    let mut blocks = out.blocks.iter_mut();
-    match &col.data {
-        ColumnData::Int(values) => {
-            for chunk in values.chunks(bs) {
-                let buf = blocks.next().expect("shell sized to n_blocks above");
-                out.schemes
-                    .push(block::compress_block_into(BlockRef::Int(chunk), cfg, scratch, buf));
-            }
-        }
-        ColumnData::Double(values) => {
-            for chunk in values.chunks(bs) {
-                let buf = blocks.next().expect("shell sized to n_blocks above");
-                out.schemes
-                    .push(block::compress_block_into(BlockRef::Double(chunk), cfg, scratch, buf));
-            }
-        }
-        ColumnData::Str(arena) => {
-            let mut sub = scratch.lease_arena();
-            let mut start = 0;
-            while start < n {
-                let end = (start + bs).min(n);
-                sub.clear();
-                sub.extend_from_range(arena, start..end);
-                let buf = blocks.next().expect("shell sized to n_blocks above");
-                out.schemes
-                    .push(block::compress_block_into(BlockRef::Str(&sub), cfg, scratch, buf));
-                start = end;
-            }
-            scratch.release_arena(sub);
-        }
-    }
-    if n == 0 {
-        // Keep an explicit empty block so decompression restores the column.
-        let buf = blocks.next().expect("empty column shell holds one block");
-        let code = match col.data.column_type() {
-            ColumnType::Integer => {
-                block::compress_block_into(BlockRef::Int(&[]), cfg, scratch, buf)
-            }
-            ColumnType::Double => {
-                block::compress_block_into(BlockRef::Double(&[]), cfg, scratch, buf)
-            }
-            ColumnType::String => {
-                let empty = scratch.lease_arena();
-                let code = block::compress_block_into(BlockRef::Str(&empty), cfg, scratch, buf);
-                scratch.release_arena(empty);
-                code
-            }
-        };
-        out.schemes.push(code);
-    }
-}
-
-/// Decompresses a file produced by [`CompressedRelation::to_bytes`].
+/// Decompresses a file produced by [`CompressedRelation::to_bytes`]: the
+/// relation codec loop at one worker, appending each block to its column as
+/// soon as it is decoded.
 pub fn decompress(bytes: &[u8], cfg: &Config) -> Result<Relation> {
-    let compressed = CompressedRelation::from_bytes(bytes)?;
-    decompress_relation(&compressed, cfg)
-}
-
-/// Decompresses an in-memory [`CompressedRelation`].
-pub fn decompress_relation(compressed: &CompressedRelation, cfg: &Config) -> Result<Relation> {
-    let mut scratch = DecodeScratch::new();
-    let mut columns = Vec::with_capacity(compressed.columns.len());
-    for col in &compressed.columns {
-        columns.push(decompress_column(col, compressed.rows, cfg, &mut scratch)?);
-    }
-    Ok(Relation { columns })
-}
-
-/// An empty output column of type `ty` with room for `expected` rows (for
-/// strings: their offsets; the byte pool grows per block). `expected` comes
-/// from file fields or block headers, so an allocator refusal just falls
-/// back to growth.
-pub(crate) fn column_with_capacity(ty: ColumnType, expected: usize) -> ColumnData {
-    let mut data = match ty {
-        ColumnType::Integer => ColumnData::Int(Vec::new()),
-        ColumnType::Double => ColumnData::Double(Vec::new()),
-        ColumnType::String => ColumnData::Str(StringArena::new()),
-    };
-    let _ = match &mut data {
-        ColumnData::Int(acc) => acc.try_reserve_exact(expected),
-        ColumnData::Double(acc) => acc.try_reserve_exact(expected),
-        ColumnData::Str(acc) => acc.offsets.try_reserve_exact(expected),
-    };
-    data
-}
-
-/// Appends one decoded block to its column's output; a string block moves
-/// as runs of pool bytes, not string by string.
-pub(crate) fn append_block(data: &mut ColumnData, decoded: &DecodedColumn) -> Result<()> {
-    match (data, decoded) {
-        (ColumnData::Int(acc), DecodedColumn::Int(v)) => acc.extend_from_slice(v),
-        (ColumnData::Double(acc), DecodedColumn::Double(v)) => acc.extend_from_slice(v),
-        (ColumnData::Str(acc), DecodedColumn::Str(v)) => acc.extend_from_views(v),
-        _ => return Err(Error::Corrupt("mixed block types in column")),
-    }
-    Ok(())
-}
-
-/// Decompresses a single column (all blocks, concatenated): one leased block
-/// buffer is reused across all of the column's blocks and returned to the
-/// pool at the end, so a warm pool makes per-block decode allocation-free.
-/// `rows` (the file's row count) sizes the output once, up front.
-fn decompress_column(
-    col: &CompressedColumn,
-    rows: u64,
-    cfg: &Config,
-    scratch: &mut DecodeScratch,
-) -> Result<Column> {
-    // `rows` is a field of the file: trust it only as far as the block
-    // headers back it up, and let an allocator refusal fall back to growth.
-    let held: usize = col
-        .blocks
-        .iter()
-        .map(|b| block::peek_count(b).map_or(0, |n| n.min(cfg.max_block_values)))
-        .fold(0, usize::saturating_add);
-    let expected = usize::try_from(rows).map_or(held, |rows| rows.min(held));
-    let mut data = column_with_capacity(col.column_type, expected);
-    let mut decoded = scratch.lease_decoded(col.column_type);
-    let result = (|| -> Result<()> {
-        for b in &col.blocks {
-            block::decompress_block_into(b, col.column_type, cfg, scratch, &mut decoded)?;
-            append_block(&mut data, &decoded)?;
-        }
-        Ok(())
-    })();
-    scratch.recycle(decoded);
-    result?;
-    let nulls = if col.nulls.is_empty() {
-        None
-    } else {
-        Some(RoaringBitmap::deserialize(&col.nulls)?)
-    };
-    Ok(Column {
-        name: col.name.clone(),
-        data,
-        nulls,
-    })
+    crate::parallel::decompress_parallel(&CompressedRelation::from_bytes(bytes)?, cfg, 1)
 }
 
 #[cfg(test)]

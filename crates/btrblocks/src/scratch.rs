@@ -299,7 +299,7 @@ const MAP_STACK_MAX: usize = 8;
 /// dictionary code sequences, frequency exception lists, Pseudodecimal
 /// digit/exponent columns) that are themselves recursively compressed. All
 /// of those are leased from this arena and released on exit, so a warm
-/// `compress_column_into` performs zero heap allocations for integer and
+/// `compress_block_into` performs zero heap allocations for integer and
 /// double columns (string columns still allocate in borrowed-key stats maps
 /// and FSST symbol-table training; see DESIGN.md §12).
 ///
