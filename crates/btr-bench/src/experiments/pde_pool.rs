@@ -5,7 +5,7 @@
 use crate::Table;
 use btr_datagen::pbi;
 use btrblocks::scheme::compress_with_into;
-use btrblocks::{ColumnData, Config, EncodeScratch, SchemeCode};
+use btrblocks::{ColumnData, Config, SchemeCode, Scratch};
 
 /// "Non-cascading FastBP128" on doubles: bit-pack the raw IEEE 754 words by
 /// splitting each double into two 32-bit halves (the paper's sanity check
@@ -29,8 +29,8 @@ fn fixed_cascade_size(root: SchemeCode, values: &[f64]) -> usize {
     // value array would recursively RLE itself, which the paper's setup
     // cannot do.
     let cfg = Config::default().with_pool(&[SchemeCode::FastBp128]);
-    let (mut scratch, mut out) = (EncodeScratch::new(), Vec::new());
-    compress_with_into(root, values, 2, &cfg, &mut scratch, &mut out);
+    let mut out = Vec::new();
+    compress_with_into(root, values, 2, &cfg, &Scratch::new(), &mut out);
     out.len()
 }
 

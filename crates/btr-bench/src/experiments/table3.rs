@@ -9,13 +9,13 @@ use crate::Table;
 use btr_datagen::pbi;
 use btr_float::FloatCodec;
 use btrblocks::scheme::compress_with_into;
-use btrblocks::{ColumnData, Config, EncodeScratch, SchemeCode};
+use btrblocks::{ColumnData, Config, SchemeCode, Scratch};
 
 /// Compressed size of the PDE→FastBP128 fixed cascade.
 pub fn pde_fastbp_size(values: &[f64]) -> usize {
     let cfg = Config::default().with_pool(&[SchemeCode::FastBp128]);
-    let (mut scratch, mut out) = (EncodeScratch::new(), Vec::new());
-    compress_with_into(SchemeCode::Pseudodecimal, values, 2, &cfg, &mut scratch, &mut out);
+    let mut out = Vec::new();
+    compress_with_into(SchemeCode::Pseudodecimal, values, 2, &cfg, &Scratch::new(), &mut out);
     out.len()
 }
 

@@ -13,7 +13,7 @@ use btr_corrupt::mutate::MutationBudget;
 use btr_corrupt::rng::Xorshift;
 use btrblocks::{
     decompress_block_into, decompress_parallel, filter_block, filter_decoded, CmpOp, Column,
-    ColumnData, Config, DecodeScratch, Literal, Relation, StringArena,
+    ColumnData, Config, Literal, Relation, Scratch, StringArena,
 };
 
 #[global_allocator]
@@ -126,7 +126,7 @@ fn raw_blocks_never_panic_or_diverge_under_mutation() {
     ] {
         let column = &btrblocks::compress(&rel, &cfg).unwrap().columns[0];
         let ty = column.column_type;
-        let mut scratch = DecodeScratch::new();
+        let mut scratch = Scratch::new();
         let mut decoded = scratch.lease_decoded(ty);
         for block in &column.blocks {
             let campaign = CampaignConfig { seed: 0x4000, ..CampaignConfig::default() };

@@ -30,7 +30,7 @@ use crate::selection::Selection;
 use btrblocks::scheme::fixed::rle;
 use btrblocks::scheme::{self, SchemeCode};
 use btrblocks::writer::Reader;
-use btrblocks::{BlockZone, ColumnType, Config, DecodeScratch, DecodedColumn, Error};
+use btrblocks::{BlockZone, ColumnType, Config, DecodedColumn, Error, Scratch};
 
 /// Which aggregate to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,7 +210,7 @@ impl AggState {
             _ => Err(Error::Corrupt("trailing bytes after block")),
         };
         // One scratch per call: the run arrays' cascades lease from it.
-        let mut scratch = DecodeScratch::new();
+        let scratch = Scratch::new();
         let mut lengths = Vec::new();
         match (code, ty) {
             (SchemeCode::OneValue, ColumnType::Integer) => {
@@ -225,7 +225,7 @@ impl AggState {
             }
             (SchemeCode::Rle, ColumnType::Integer) => {
                 let mut values = Vec::new();
-                rle::read_runs_into::<i32>(&mut r, count, cfg, &mut scratch, &mut values, &mut lengths)?;
+                rle::read_runs_into::<i32>(&mut r, count, cfg, &scratch, &mut values, &mut lengths)?;
                 end_of_block(&r)?;
                 for (&v, &len) in values.iter().zip(&lengths) {
                     self.fold_int_run(v, len as usize);
@@ -233,7 +233,7 @@ impl AggState {
             }
             (SchemeCode::Rle, ColumnType::Double) => {
                 let mut values = Vec::new();
-                rle::read_runs_into::<f64>(&mut r, count, cfg, &mut scratch, &mut values, &mut lengths)?;
+                rle::read_runs_into::<f64>(&mut r, count, cfg, &scratch, &mut values, &mut lengths)?;
                 end_of_block(&r)?;
                 for (&v, &len) in values.iter().zip(&lengths) {
                     self.fold_double_run(v, len as usize);
@@ -465,7 +465,7 @@ mod tests {
                 block,
                 ty,
                 &cfg,
-                &mut DecodeScratch::new(),
+                &mut Scratch::new(),
                 &mut out,
             );
             assert_eq!(decoded.unwrap_err(), expected, "decoder");

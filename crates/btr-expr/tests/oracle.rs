@@ -10,7 +10,7 @@
 //! Randomness comes from btr-corrupt's deterministic xorshift generator (the
 //! workspace builds offline; there is no `proptest`). Every case is a pure
 //! function of the seed, so failures reproduce exactly. A single
-//! `DecodeScratch` is shared across all seeds and never reset: kernels must
+//! `Scratch` is shared across all seeds and never reset: kernels must
 //! not depend on clean scratch state.
 
 use btr_corrupt::Xorshift;
@@ -19,12 +19,12 @@ use btr_expr::{
     ExprPlan, LeafInput, LeafVerdict, Selection, ZoneVerdict,
 };
 use btrblocks::{
-    decompress_block_into, CmpOp, Column, ColumnData, ColumnType, Config, DecodeScratch,
-    DecodedColumn, Literal, Relation, SchemeCode, Sidecar, StringArena,
+    decompress_block_into, CmpOp, Column, ColumnData, ColumnType, Config, DecodedColumn,
+    Literal, Relation, SchemeCode, Scratch, Sidecar, StringArena,
 };
 
 /// Decodes one block through the shared (never-reset) scratch.
-fn decode(bytes: &[u8], ty: ColumnType, cfg: &Config, scratch: &mut DecodeScratch) -> DecodedColumn {
+fn decode(bytes: &[u8], ty: ColumnType, cfg: &Config, scratch: &mut Scratch) -> DecodedColumn {
     let mut out = scratch.lease_decoded(ty);
     decompress_block_into(bytes, ty, cfg, scratch, &mut out).expect("block decodes");
     out
@@ -308,7 +308,7 @@ fn kernel_eval(
     compressed: &btrblocks::CompressedRelation,
     sidecar: &Sidecar,
     cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &mut Scratch,
 ) -> Vec<usize> {
     let types = [ColumnType::Integer, ColumnType::Double, ColumnType::String];
     let names = ["a", "b", "s"];
@@ -388,7 +388,7 @@ fn check_zone(verdict: ZoneVerdict, block_sel: &Selection, g: usize) {
 
 #[test]
 fn expr_eval_matches_decode_then_filter() {
-    let mut scratch = DecodeScratch::new();
+    let mut scratch = Scratch::new();
     let mut total_exprs = 0usize;
     let mut nontrivial = 0usize;
     for seed in 0..24u64 {
@@ -487,7 +487,7 @@ fn fold_str(data: &Data, rows: &[usize], better: fn(&[u8], &[u8]) -> bool) -> Op
 
 #[test]
 fn aggregate_ladder_matches_naive_fold() {
-    let mut scratch = DecodeScratch::new();
+    let mut scratch = Scratch::new();
     let cases: &[(AggKind, usize)] = &[
         (AggKind::Count, 0),
         (AggKind::Sum, 0),

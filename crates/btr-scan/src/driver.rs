@@ -28,7 +28,7 @@ use crate::retry::FetchCtl;
 use crate::source::BlockSource;
 use crate::{Result, ScanError};
 use btr_sync::{Deadline, RetryBudget};
-use btrblocks::{ColumnData, Config, DecodeScratch, Sidecar};
+use btrblocks::{ColumnData, Config, Scratch, Sidecar};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -91,7 +91,7 @@ pub fn process_contained(
     pipeline: &BlockPipeline,
     idx: usize,
     group: RowGroup,
-    scratch: &mut DecodeScratch,
+    scratch: &mut Scratch,
 ) -> Result<BlockResult> {
     catch_unwind(AssertUnwindSafe(|| pipeline.process(group, scratch))).unwrap_or_else(|payload| {
         Err(ScanError::Worker(format!(

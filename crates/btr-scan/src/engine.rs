@@ -29,7 +29,7 @@ use crate::plan::{ScanPlan, ScanSpec};
 use crate::source::BlockSource;
 use crate::{Result, ScanError};
 use btr_expr::{AggState, AggValue};
-use btrblocks::{BlockZone, Config, DecodeScratch, Sidecar};
+use btrblocks::{BlockZone, Config, Scratch, Sidecar};
 use std::sync::Arc;
 
 /// Tuning knobs for [`ScanEngine`].
@@ -161,7 +161,7 @@ impl ScanEngine {
             // lint: allow(indexing) aggregate indices were resolved against these columns
             .map(|&c| sidecar.column(&columns[c].name))
             .collect();
-        let mut scratch = DecodeScratch::new();
+        let mut scratch = Scratch::new();
         let mut agg_sources = AggSourceCounts::default();
         for (i, group) in plan.row_groups.iter().enumerate() {
             let zones: Vec<Option<&BlockZone>> = metas

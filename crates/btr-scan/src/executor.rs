@@ -39,7 +39,7 @@ use crate::sched::{claim_size, Scheduler, TenantStats};
 use crate::source::FetchStats;
 use crate::{Result, ScanError};
 use btr_sync::{OrderedCondvar, OrderedMutex, Rank};
-use btrblocks::DecodeScratch;
+use btrblocks::Scratch;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -304,7 +304,7 @@ fn worker_loop(core: &Core) {
     // One decode arena per worker for the lifetime of the pool: buffers
     // leased while decoding one row group are pooled and reused for the
     // next, of whichever scan, so steady-state decode does not allocate.
-    let mut scratch = DecodeScratch::new();
+    let mut scratch = Scratch::new();
     let mut batch = Vec::new();
     loop {
         {

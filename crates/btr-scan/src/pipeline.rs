@@ -35,7 +35,7 @@ use btr_expr::{
 use btr_roaring::RoaringBitmap;
 use btrblocks::{
     decompress_block_into, filter_decoded, BlockZone, CmpOp, ColumnData, ColumnType, Config,
-    DecodeScratch, DecodedColumn, Literal,
+    Scratch, DecodedColumn, Literal,
 };
 use std::collections::HashMap;
 use btr_sync::{Flight, Rank, SimClock, SingleFlight};
@@ -339,7 +339,7 @@ impl BlockPipeline {
         &self,
         bytes: &[u8],
         ty: ColumnType,
-        scratch: &mut DecodeScratch,
+        scratch: &mut Scratch,
     ) -> Result<Arc<DecodedColumn>> {
         let t0 = Instant::now();
         let mut decoded = scratch.lease_decoded(ty);
@@ -358,7 +358,7 @@ impl BlockPipeline {
     /// Caches a decoded block and recycles whatever the insert displaced
     /// (LRU victims, replaced entries, refused oversized values) into the
     /// worker's scratch arena — unless another scan still holds a reference.
-    fn cache_insert(&self, key: BlockKey, value: Arc<DecodedColumn>, scratch: &mut DecodeScratch) {
+    fn cache_insert(&self, key: BlockKey, value: Arc<DecodedColumn>, scratch: &mut Scratch) {
         // Degradation rung 1: under byte-budget pressure, streaming more
         // blocks in would churn the shared working set for every scan —
         // serve this scan without admitting its blocks.
@@ -390,7 +390,7 @@ impl BlockPipeline {
         idx: usize,
         block: u32,
         key: BlockKey,
-        scratch: &mut DecodeScratch,
+        scratch: &mut Scratch,
     ) -> Result<Arc<DecodedColumn>> {
         // lint: allow(cast) column count is far smaller than 4 GiB
         let bytes = self.fetch(idx as u32, block)?;
@@ -407,7 +407,7 @@ impl BlockPipeline {
         idx: usize,
         block: u32,
         key: BlockKey,
-        scratch: &mut DecodeScratch,
+        scratch: &mut Scratch,
     ) -> Result<Arc<DecodedColumn>> {
         let Some(gate) = self.gate.as_deref() else {
             return self.fetch_decode_insert(idx, block, key, scratch);
@@ -457,7 +457,7 @@ impl BlockPipeline {
         literal: &Literal,
         group: RowGroup,
         ctx: &mut GroupCtx,
-        scratch: &mut DecodeScratch,
+        scratch: &mut Scratch,
     ) -> Result<RoaringBitmap> {
         if let Some(decoded) = ctx.decoded.get(&idx) {
             return Ok(filter_decoded(decoded, op, literal)?);
@@ -504,7 +504,7 @@ impl BlockPipeline {
         idx: usize,
         group: RowGroup,
         ctx: &mut GroupCtx,
-        scratch: &mut DecodeScratch,
+        scratch: &mut Scratch,
     ) -> Result<Arc<DecodedColumn>> {
         if let Some(decoded) = ctx.decoded.get(&idx) {
             return Ok(decoded.clone());
@@ -537,7 +537,7 @@ impl BlockPipeline {
         &self,
         group: RowGroup,
         ctx: &mut GroupCtx,
-        scratch: &mut DecodeScratch,
+        scratch: &mut Scratch,
     ) -> Result<Option<Selection>> {
         let Some(filter) = &self.filter else {
             return Ok(None);
@@ -585,7 +585,7 @@ impl BlockPipeline {
     /// Processes one row group: filter first (compressed-domain and
     /// zone-masked where possible), then decode + gather of only the blocks
     /// whose values are actually needed — late materialization.
-    pub fn process(&self, group: RowGroup, scratch: &mut DecodeScratch) -> Result<BlockResult> {
+    pub fn process(&self, group: RowGroup, scratch: &mut Scratch) -> Result<BlockResult> {
         self.check_deadline()?;
         let mut ctx = GroupCtx::new();
         let selection = self.filter_selection(group, &mut ctx, scratch)?;
@@ -633,7 +633,7 @@ impl BlockPipeline {
         fully_selected: bool,
         aggs: &mut [(usize, AggState)],
         zones: &[Option<&BlockZone>],
-        scratch: &mut DecodeScratch,
+        scratch: &mut Scratch,
     ) -> Result<AggSourceCounts> {
         self.check_deadline()?;
         let mut counts = AggSourceCounts::default();

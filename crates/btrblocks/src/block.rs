@@ -8,7 +8,7 @@
 
 use crate::config::Config;
 use crate::scheme::{self, SchemeCode};
-use crate::scratch::{DecodeScratch, EncodeScratch};
+use crate::scratch::Scratch;
 use crate::types::{ColumnType, DecodedColumn, StringArena};
 use crate::writer::Reader;
 use crate::{Error, Result};
@@ -60,7 +60,7 @@ impl BlockRef<'_> {
 
 /// Compresses one block, returning its bytes and the root scheme chosen.
 pub fn compress_block(data: BlockRef<'_>, cfg: &Config) -> (Vec<u8>, SchemeCode) {
-    let mut scratch = EncodeScratch::new();
+    let mut scratch = Scratch::new();
     let mut out = Vec::with_capacity(data.heap_size() / 4 + 64);
     let code = compress_block_into(data, cfg, &mut scratch, &mut out);
     (out, code)
@@ -73,7 +73,7 @@ pub fn compress_block(data: BlockRef<'_>, cfg: &Config) -> (Vec<u8>, SchemeCode)
 pub fn compress_block_into(
     data: BlockRef<'_>,
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &mut Scratch,
     out: &mut Vec<u8>,
 ) -> SchemeCode {
     out.clear();
@@ -86,7 +86,7 @@ pub fn compress_block_into(
 
 /// Compresses one block with a forced root scheme (ablation harnesses).
 pub fn compress_block_with(code: SchemeCode, data: BlockRef<'_>, cfg: &Config) -> Vec<u8> {
-    let mut scratch = EncodeScratch::new();
+    let mut scratch = Scratch::new();
     let mut out = Vec::with_capacity(data.heap_size() / 4 + 64);
     compress_block_with_into(code, data, cfg, &mut scratch, &mut out);
     out
@@ -98,7 +98,7 @@ pub fn compress_block_with_into(
     code: SchemeCode,
     data: BlockRef<'_>,
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &mut Scratch,
     out: &mut Vec<u8>,
 ) {
     out.clear();
@@ -117,7 +117,7 @@ pub fn compress_block_with_into(
 
 /// Decompresses one block of the given type.
 pub fn decompress_block(bytes: &[u8], ty: ColumnType, cfg: &Config) -> Result<DecodedColumn> {
-    let mut scratch = DecodeScratch::new();
+    let mut scratch = Scratch::new();
     let mut out = scratch.lease_decoded(ty);
     decompress_block_into(bytes, ty, cfg, &mut scratch, &mut out)?;
     Ok(out)
@@ -134,7 +134,7 @@ pub fn decompress_block_into(
     bytes: &[u8],
     ty: ColumnType,
     cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &mut Scratch,
     out: &mut DecodedColumn,
 ) -> Result<()> {
     if out.column_type() != ty {

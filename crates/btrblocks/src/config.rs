@@ -31,19 +31,6 @@ pub struct Config {
     /// Schemes the selector may choose from. Shrinking this pool reproduces
     /// the paper's Figure 4 (adding techniques one at a time).
     pub scheme_pool: Vec<SchemeCode>,
-    /// Exclude Frequency encoding when more than this fraction of values is
-    /// unique (paper: 0.5).
-    pub frequency_unique_max: f64,
-    /// Exclude RLE when the average run length is below this (paper: 2.0).
-    pub rle_min_avg_run: f64,
-    /// Exclude Pseudodecimal when fewer than this fraction of values is
-    /// unique (paper: 0.1) …
-    pub pde_unique_min: f64,
-    /// … or when more than this fraction cannot be encoded (paper: 0.5).
-    pub pde_exception_max: f64,
-    /// Only fuse RLE+Dict string decompression above this average run length
-    /// (paper §5: 3.0).
-    pub fused_rle_dict_min_run: f64,
     /// Augment sample-based estimates with analytic ones derived from exact
     /// full-block statistics (dictionary size, RLE run-count floor). Disable
     /// to study pure sampling behaviour, as the Figure 5 experiment does.
@@ -64,11 +51,6 @@ impl Default for Config {
             sample_run_len: 64,
             simd: SimdMode::Auto,
             scheme_pool: SchemeCode::full_pool(),
-            frequency_unique_max: 0.5,
-            rle_min_avg_run: 2.0,
-            pde_unique_min: 0.1,
-            pde_exception_max: 0.5,
-            fused_rle_dict_min_run: 3.0,
             analytic_estimates: true,
             max_block_values: 1 << 24,
         }

@@ -64,7 +64,7 @@ pub use relation::{
 };
 pub use scheme::filter::{filter_block, filter_decoded, has_fast_path};
 pub use scheme::SchemeCode;
-pub use scratch::{DecodeScratch, EncodeScratch, ScratchStats};
+pub use scratch::{DecodeScratch, EncodeScratch, Scratch, ScratchStats};
 pub use types::{
     CmpOp, ColumnData, ColumnType, DecodedColumn, Literal, StringArena, StringViews,
 };

@@ -11,7 +11,7 @@
 //! - **One worker** runs on the caller's thread and spawns nothing. Each
 //!   result is consumed as soon as it is produced: an encoded block joins
 //!   its column; a decoded block is appended to its column and its buffer
-//!   goes back to the worker's [`DecodeScratch`] to serve the next block.
+//!   goes back to the worker's [`Scratch`] to serve the next block.
 //! - **Several workers** claim cost-targeted ranges of items from a shared
 //!   [`MorselDispenser`] (btr-sync) — bytes of input for encode, rows of
 //!   output for decode — in morsels that start small, so every worker starts
@@ -28,9 +28,10 @@
 //! `worker for column C block B panicked: …`.
 
 use crate::block::{self, BlockRef};
+use crate::scheme;
 use crate::config::Config;
 use crate::relation::{Column, CompressedColumn, CompressedRelation, Relation};
-use crate::scratch::{DecodeScratch, EncodeScratch};
+use crate::scratch::Scratch;
 use crate::types::{ColumnData, ColumnType, DecodedColumn, StringArena};
 use crate::{Error, Result};
 use btr_roaring::RoaringBitmap;
@@ -213,8 +214,8 @@ fn compress_with(
         &encode_items(rel, bs),
         threads,
         granularity,
-        EncodeScratch::new,
-        |scratch: &mut EncodeScratch, it| {
+        Scratch::new,
+        |scratch: &mut Scratch, it| {
             let col = rel
                 .columns
                 .get(it.col)
@@ -231,13 +232,10 @@ fn compress_with(
                     block::compress_block_into(BlockRef::Double(chunk), cfg, scratch, &mut bytes)
                 }
                 ColumnData::Str(arena) => {
-                    let mut sub = scratch.lease_arena();
-                    sub.clear();
+                    let mut sub = scratch.lease::<StringArena>(0);
                     sub.extend_from_range(arena, rows);
-                    let code =
-                        block::compress_block_into(BlockRef::Str(&sub), cfg, scratch, &mut bytes);
-                    scratch.release_arena(sub);
-                    code
+                    let depth = cfg.max_cascade_depth;
+                    scheme::compress_str_into(&sub, depth, cfg, scratch, &mut bytes)
                 }
             };
             (bytes, code)
@@ -298,8 +296,8 @@ fn decompress_with(
         &decode_items(compressed),
         threads,
         granularity,
-        DecodeScratch::new,
-        |scratch: &mut DecodeScratch, it| {
+        Scratch::new,
+        |scratch: &mut Scratch, it| {
             let col = compressed
                 .columns
                 .get(it.col)
@@ -342,7 +340,7 @@ impl Assembly<'_> {
         &mut self,
         col: usize,
         decoded: Result<DecodedColumn>,
-        scratch: &mut DecodeScratch,
+        scratch: &mut Scratch,
     ) -> Result<()> {
         self.complete_until(col)?;
         let decoded = decoded?;
@@ -414,7 +412,7 @@ fn append_block(data: &mut ColumnData, decoded: &DecodedColumn) -> Result<()> {
     match (data, decoded) {
         (ColumnData::Int(acc), DecodedColumn::Int(v)) => acc.extend_from_slice(v),
         (ColumnData::Double(acc), DecodedColumn::Double(v)) => acc.extend_from_slice(v),
-        (ColumnData::Str(acc), DecodedColumn::Str(v)) => acc.extend_from_views(v),
+        (ColumnData::Str(acc), DecodedColumn::Str(v)) => acc.extend_from_views(v)?,
         _ => return Err(Error::Corrupt("mixed block types in column")),
     }
     Ok(())

@@ -514,7 +514,7 @@ impl CompressedRelation {
 
 /// Compresses every column of `rel` into independent blocks: the relation
 /// codec loop ([`crate::parallel`]) at one worker, on the caller's thread,
-/// with one [`crate::EncodeScratch`] that the first block warms for every
+/// with one [`crate::Scratch`] that the first block warms for every
 /// block after it.
 pub fn compress(rel: &Relation, cfg: &Config) -> Result<CompressedRelation> {
     crate::parallel::compress_parallel(rel, cfg, 1)

@@ -23,7 +23,7 @@
 
 use crate::config::Config;
 use crate::scheme;
-use crate::scratch::{DecodeScratch, EncodeScratch};
+use crate::scratch::Scratch;
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 use btr_roaring::RoaringBitmap;
@@ -82,12 +82,12 @@ pub fn compress(
     values: &[f64],
     child_depth: u8,
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
-    let mut digits = scratch.lease_i32(values.len());
-    let mut exponents = scratch.lease_i32(values.len());
-    let mut patches = scratch.lease_f64(values.len());
+    let mut digits = scratch.lease::<Vec<i32>>(values.len());
+    let mut exponents = scratch.lease::<Vec<i32>>(values.len());
+    let mut patches = scratch.lease::<Vec<f64>>(values.len());
     let bitmap = RoaringBitmap::from_sorted_iter(values.iter().enumerate().filter_map(|(i, &v)| {
         match encode_single(v) {
             Some((d, e)) => {
@@ -113,9 +113,6 @@ pub fn compress(
     // lint: allow(cast) encode side; patches.len() <= block row count
     out.put_u32(patches.len() as u32);
     out.put_f64_slice(&patches);
-    scratch.release_i32(digits);
-    scratch.release_i32(exponents);
-    scratch.release_f64(patches);
 }
 
 /// Decompresses a Pseudodecimal block of `count` doubles into `out`, leasing
@@ -126,57 +123,50 @@ pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,
     cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<f64>,
 ) -> Result<()> {
     let bitmap_len = r.u32()? as usize;
     let bitmap = RoaringBitmap::deserialize(r.take(bitmap_len)?)?;
-    let mut digits = scratch.lease_i32(count);
-    let mut exponents = scratch.lease_i32(count);
-    let mut patches = scratch.lease_f64(0);
-    let result = (|| -> Result<()> {
-        scheme::decompress_into(r, cfg, scratch, &mut digits)?;
-        scheme::decompress_into(r, cfg, scratch, &mut exponents)?;
-        let patch_count = r.u32()? as usize;
-        r.vec_into(patch_count, &mut patches)?;
-        if digits.len() != count || exponents.len() != count {
-            return Err(Error::Corrupt("pseudodecimal column length mismatch"));
+    let mut digits = scratch.lease::<Vec<i32>>(count);
+    let mut exponents = scratch.lease::<Vec<i32>>(count);
+    let mut patches = scratch.lease::<Vec<f64>>(0);
+    scheme::decompress_into(r, cfg, scratch, &mut digits)?;
+    scheme::decompress_into(r, cfg, scratch, &mut exponents)?;
+    let patch_count = r.u32()? as usize;
+    r.vec_into(patch_count, &mut patches)?;
+    if digits.len() != count || exponents.len() != count {
+        return Err(Error::Corrupt("pseudodecimal column length mismatch"));
+    }
+    if bitmap.cardinality() as usize != patch_count {
+        return Err(Error::Corrupt("pseudodecimal patch count mismatch"));
+    }
+    let mut placeholder_count = 0usize;
+    for &e in exponents.iter() {
+        if !(0..=EXCEPTION_EXPONENT).contains(&e) {
+            return Err(Error::Corrupt("pseudodecimal exponent out of range"));
         }
-        if bitmap.cardinality() as usize != patch_count {
-            return Err(Error::Corrupt("pseudodecimal patch count mismatch"));
+        if e == EXCEPTION_EXPONENT {
+            placeholder_count += 1;
         }
-        let mut placeholder_count = 0usize;
-        for &e in exponents.iter() {
-            if !(0..=EXCEPTION_EXPONENT).contains(&e) {
-                return Err(Error::Corrupt("pseudodecimal exponent out of range"));
-            }
-            if e == EXCEPTION_EXPONENT {
-                placeholder_count += 1;
-            }
+    }
+    if placeholder_count != patch_count {
+        return Err(Error::Corrupt("pseudodecimal placeholder/patch mismatch"));
+    }
+    out.clear();
+    out.reserve(count + crate::simd::DECODE_SLACK);
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::use_avx2(cfg.simd) && patch_count == 0 {
+        // Fast path: no patches anywhere, vectorize the whole block.
+        // SAFETY: exponents validated to 0..=23 above; FRAC10 is padded via
+        // the gather table below; capacity reserved.
+        unsafe {
+            decode_avx2(&digits, &exponents, out.as_mut_ptr());
+            out.set_len(count);
         }
-        if placeholder_count != patch_count {
-            return Err(Error::Corrupt("pseudodecimal placeholder/patch mismatch"));
-        }
-        out.clear();
-        out.reserve(count + crate::simd::DECODE_SLACK);
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::use_avx2(cfg.simd) && patch_count == 0 {
-            // Fast path: no patches anywhere, vectorize the whole block.
-            // SAFETY: exponents validated to 0..=23 above; FRAC10 is padded
-            // via the gather table below; capacity reserved.
-            unsafe {
-                decode_avx2(&digits, &exponents, out.as_mut_ptr());
-                out.set_len(count);
-            }
-            return Ok(());
-        }
-        decode_with_patches(&digits, &exponents, &bitmap, &patches, cfg, out)?;
-        Ok(())
-    })();
-    scratch.release_i32(digits);
-    scratch.release_i32(exponents);
-    scratch.release_f64(patches);
-    result
+        return Ok(());
+    }
+    decode_with_patches(&digits, &exponents, &bitmap, &patches, cfg, out)
 }
 
 /// Mixed path: vectorize 4-windows without patches, scalar for the rest.

@@ -4,14 +4,21 @@
 pub mod decimal;
 
 use crate::config::Config;
-use crate::fxhash::FxHashMap;
 use crate::scheme::fixed::Value;
 use crate::scheme::SchemeCode;
-use crate::scratch::{DecodeScratch, EncodeScratch};
+use crate::scratch::Scratch;
 use crate::stats::NumericStats;
 use crate::types::ColumnType;
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
+
+/// Pseudodecimal is viable from this fraction of unique values up (paper:
+/// 0.1) …
+const PDE_UNIQUE_MIN: f64 = 0.1;
+
+/// … and while at most this fraction of the sample cannot be encoded
+/// (paper: 0.5).
+const PDE_EXCEPTION_MAX: f64 = 0.5;
 
 impl Value for f64 {
     type Bits = u64;
@@ -35,37 +42,18 @@ impl Value for f64 {
         f64::from_le_bytes(chunk.try_into().unwrap_or_default())
     }
 
-    fn lease_enc(scratch: &mut EncodeScratch, cap: usize) -> Vec<f64> {
-        scratch.lease_f64(cap)
-    }
-    fn release_enc(scratch: &mut EncodeScratch, v: Vec<f64>) {
-        scratch.release_f64(v);
-    }
-    fn lease_map(scratch: &mut EncodeScratch) -> FxHashMap<u64, usize> {
-        scratch.lease_bits_map()
-    }
-    fn release_map(scratch: &mut EncodeScratch, m: FxHashMap<u64, usize>) {
-        scratch.release_bits_map(m);
-    }
-    fn lease_dec(scratch: &mut DecodeScratch, cap: usize) -> Vec<f64> {
-        scratch.lease_f64(cap)
-    }
-    fn release_dec(scratch: &mut DecodeScratch, v: Vec<f64>) {
-        scratch.release_f64(v);
-    }
-
     /// Pseudodecimal additionally checks the *sample's* exception rate,
     /// because "fraction of non-encodable values" is not derivable from
     /// simple statistics (paper §4.2).
-    fn viable_own(code: SchemeCode, stats: &NumericStats<f64>, sample: &[f64], cfg: &Config) -> bool {
-        if code != SchemeCode::Pseudodecimal || stats.unique_fraction() < cfg.pde_unique_min {
+    fn viable_own(code: SchemeCode, stats: &NumericStats<f64>, sample: &[f64]) -> bool {
+        if code != SchemeCode::Pseudodecimal || stats.unique_fraction() < PDE_UNIQUE_MIN {
             return false;
         }
         let exceptions = sample
             .iter()
             .filter(|&&v| decimal::encode_single(v).is_none())
             .count();
-        (exceptions as f64) <= cfg.pde_exception_max * sample.len().max(1) as f64
+        (exceptions as f64) <= PDE_EXCEPTION_MAX * sample.len().max(1) as f64
     }
 
     fn emit_own(
@@ -73,7 +61,7 @@ impl Value for f64 {
         values: &[f64],
         child_depth: u8,
         cfg: &Config,
-        scratch: &mut EncodeScratch,
+        scratch: &Scratch,
         out: &mut Vec<u8>,
     ) {
         match code {
@@ -87,7 +75,7 @@ impl Value for f64 {
         r: &mut Reader<'_>,
         count: usize,
         cfg: &Config,
-        scratch: &mut DecodeScratch,
+        scratch: &Scratch,
         out: &mut Vec<f64>,
     ) -> Result<()> {
         match code {
@@ -104,7 +92,7 @@ mod tests {
 
     fn pde_viable(values: &[f64]) -> bool {
         let stats = NumericStats::collect(values);
-        viable(SchemeCode::Pseudodecimal, &stats, values, &Config::default())
+        viable(SchemeCode::Pseudodecimal, &stats, values)
     }
 
     #[test]
@@ -125,6 +113,6 @@ mod tests {
         let values: Vec<f64> = (0..1000).map(|i| (i % 800) as f64 * 0.01 + 0.99).collect();
         assert!(pde_viable(&values));
         let stats = NumericStats::collect(&values);
-        assert!(!viable(SchemeCode::FastBp128, &stats, &values, &Config::default()));
+        assert!(!viable(SchemeCode::FastBp128, &stats, &values));
     }
 }

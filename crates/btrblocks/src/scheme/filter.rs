@@ -24,7 +24,7 @@ use crate::block::decompress_block_into;
 use crate::config::Config;
 use crate::scheme::fixed::{self, Value};
 use crate::scheme::{self, SchemeCode};
-use crate::scratch::DecodeScratch;
+use crate::scratch::Scratch;
 use crate::types::{CmpOp, ColumnType, DecodedColumn, Literal};
 use crate::writer::Reader;
 use crate::{Error, Result};
@@ -81,13 +81,13 @@ pub fn filter_block(
     let mut r = Reader::new(bytes);
     let (code, count) = scheme::read_frame_header(&mut r, cfg)?;
     // One scratch per call: every cascade level below leases from it.
-    let mut scratch = DecodeScratch::new();
+    let mut scratch = Scratch::new();
     let fast = match (ty, literal) {
         (ColumnType::Integer, Literal::Int(lit)) => {
-            filter_fixed(&mut r, code, count, op, *lit, cfg, &mut scratch)?
+            filter_fixed(&mut r, code, count, op, *lit, cfg, &scratch)?
         }
         (ColumnType::Double, Literal::Double(lit)) => {
-            filter_fixed(&mut r, code, count, op, *lit, cfg, &mut scratch)?
+            filter_fixed(&mut r, code, count, op, *lit, cfg, &scratch)?
         }
         (ColumnType::String, Literal::Str(lit)) => filter_str(&mut r, code, count, op, lit)?,
         _ => return Err(Error::Corrupt("predicate literal type mismatch")),
@@ -195,7 +195,7 @@ fn filter_fixed<V: Value>(
     op: CmpOp,
     lit: V,
     cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &Scratch,
 ) -> Result<Option<RoaringBitmap>> {
     Ok(Some(match code {
         SchemeCode::OneValue => all_or_none(count, op.matches(&r.value()?, &lit)),

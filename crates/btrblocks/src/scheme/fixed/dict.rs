@@ -10,7 +10,7 @@ use super::Value;
 use crate::config::Config;
 use crate::fxhash::FxHashMap;
 use crate::scheme::{self, SchemeCode};
-use crate::scratch::{DecodeScratch, EncodeScratch};
+use crate::scratch::Scratch;
 use crate::simd;
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
@@ -43,14 +43,15 @@ pub fn compress<V: Value>(
     values: &[V],
     child_depth: u8,
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
-    let mut map = V::lease_map(scratch);
-    let mut dict = V::lease_enc(scratch, values.len());
-    let mut codes = scratch.lease_i32(values.len());
+    let mut map = scratch.lease::<FxHashMap<V::Bits, usize>>(0);
+    let mut dict = scratch.lease::<Vec<V>>(values.len());
+    let mut codes = scratch.lease::<Vec<i32>>(values.len());
     encode_dict_into(values, &mut map, &mut dict, &mut codes);
-    V::release_map(scratch, map);
+    // Back to the pool before the code sequence's own selection leases one.
+    drop(map);
     // lint: allow(cast) encode side: dictionary entry count fits u32
     out.put_u32(dict.len() as u32);
     V::put_slice(&dict, out);
@@ -63,8 +64,6 @@ pub fn compress<V: Value>(
         out,
         Some(SchemeCode::Dict),
     );
-    V::release_enc(scratch, dict);
-    scratch.release_i32(codes);
 }
 
 /// Decompresses a dictionary block of `count` values into `out`, leasing the
@@ -73,34 +72,27 @@ pub fn decompress_into<V: Value>(
     r: &mut Reader<'_>,
     count: usize,
     cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<V>,
 ) -> Result<()> {
     let dict_len = r.u32()? as usize;
-    let mut dict = V::lease_dec(scratch, dict_len.min(cfg.max_block_values));
-    let mut codes = scratch.lease_i32(count);
-    let mut codes_u32 = scratch.lease_u32(count);
-    let result = (|| -> Result<()> {
-        r.vec_into(dict_len, &mut dict)?;
-        scheme::decompress_into(r, cfg, scratch, &mut codes)?;
-        if codes.len() != count {
-            return Err(Error::Corrupt("dict code count mismatch"));
+    let mut dict = scratch.lease::<Vec<V>>(dict_len.min(cfg.max_block_values));
+    let mut codes = scratch.lease::<Vec<i32>>(count);
+    let mut codes_u32 = scratch.lease::<Vec<u32>>(count);
+    r.vec_into(dict_len, &mut dict)?;
+    scheme::decompress_into(r, cfg, scratch, &mut codes)?;
+    if codes.len() != count {
+        return Err(Error::Corrupt("dict code count mismatch"));
+    }
+    for &c in codes.iter() {
+        if c < 0 || c as usize >= dict_len {
+            return Err(Error::Corrupt("dict code out of range"));
         }
-        codes_u32.clear();
-        for &c in codes.iter() {
-            if c < 0 || c as usize >= dict_len {
-                return Err(Error::Corrupt("dict code out of range"));
-            }
-            // lint: allow(cast) c was range-checked non-negative and < dict len above
-            codes_u32.push(c as u32);
-        }
-        simd::dict_decode_into(&codes_u32, &dict, cfg.simd, out);
-        Ok(())
-    })();
-    V::release_dec(scratch, dict);
-    scratch.release_i32(codes);
-    scratch.release_u32(codes_u32);
-    result
+        // lint: allow(cast) c was range-checked non-negative and < dict len above
+        codes_u32.push(c as u32);
+    }
+    simd::dict_decode_into(&codes_u32, &dict, cfg.simd, out);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 use super::Value;
 use crate::config::Config;
 use crate::scheme;
-use crate::scratch::{DecodeScratch, EncodeScratch};
+use crate::scratch::Scratch;
 use crate::simd;
 use crate::stats::NumericStats;
 use crate::writer::{Reader, WriteLe};
@@ -28,11 +28,11 @@ pub fn compress<V: Value>(
     stats: &NumericStats<V>,
     child_depth: u8,
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
     let top = stats.top_value.to_bits();
-    let mut exceptions = V::lease_enc(scratch, values.len().saturating_sub(stats.top_count));
+    let mut exceptions = scratch.lease::<Vec<V>>(values.len().saturating_sub(stats.top_count));
     let bitmap =
         RoaringBitmap::from_sorted_iter(values.iter().enumerate().filter_map(|(i, &v)| {
             if v.to_bits() != top {
@@ -49,7 +49,6 @@ pub fn compress<V: Value>(
     out.put_u32(bitmap_bytes.len() as u32);
     out.extend_from_slice(&bitmap_bytes);
     scheme::compress_into(&exceptions, child_depth, cfg, scratch, out, None);
-    V::release_enc(scratch, exceptions);
 }
 
 /// Decompresses a Frequency block of `count` values into `out`, leasing the
@@ -59,33 +58,28 @@ pub fn decompress_into<V: Value>(
     r: &mut Reader<'_>,
     count: usize,
     cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<V>,
 ) -> Result<()> {
     let top: V = r.value()?;
     let bitmap_len = r.u32()? as usize;
     let bitmap = RoaringBitmap::deserialize(r.take(bitmap_len)?)?;
-    let mut exceptions = V::lease_dec(scratch, 0);
-    let mut positions = scratch.lease_u32(bitmap.cardinality() as usize);
-    let result = (|| -> Result<()> {
-        scheme::decompress_into(r, cfg, scratch, &mut exceptions)?;
-        if bitmap.cardinality() as usize != exceptions.len() {
-            return Err(Error::Corrupt("frequency exception count mismatch"));
-        }
-        positions.extend(bitmap.iter());
-        // Splat the top value (one run of `count`), then patch the
-        // exceptions in: both steps are vectorized, with one range check over
-        // all positions up front.
-        // lint: allow(cast) count came off a u32 frame header
-        simd::rle_decode_into(&[top], &[count as u32], count, cfg.simd, out);
-        if !simd::patch(out, &positions, &exceptions, cfg.simd) {
-            return Err(Error::Corrupt("frequency exception position out of range"));
-        }
-        Ok(())
-    })();
-    scratch.release_u32(positions);
-    V::release_dec(scratch, exceptions);
-    result
+    let mut exceptions = scratch.lease::<Vec<V>>(0);
+    let mut positions = scratch.lease::<Vec<u32>>(bitmap.cardinality() as usize);
+    scheme::decompress_into(r, cfg, scratch, &mut exceptions)?;
+    if bitmap.cardinality() as usize != exceptions.len() {
+        return Err(Error::Corrupt("frequency exception count mismatch"));
+    }
+    positions.extend(bitmap.iter());
+    // Splat the top value (one run of `count`), then patch the exceptions
+    // in: both steps are vectorized, with one range check over all
+    // positions up front.
+    // lint: allow(cast) count came off a u32 frame header
+    simd::rle_decode_into(&[top], &[count as u32], count, cfg.simd, out);
+    if !simd::patch(out, &positions, &exceptions, cfg.simd) {
+        return Err(Error::Corrupt("frequency exception position out of range"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -18,28 +18,24 @@ pub mod rle;
 pub mod uncompressed;
 
 use crate::config::Config;
-use crate::fxhash::FxHashMap;
 use crate::scheme::SchemeCode;
-use crate::scratch::{DecodeScratch, EncodeScratch};
+use crate::scratch::{sealed, Scratch};
 use crate::simd::Lane;
 use crate::stats::NumericStats;
 use crate::types::ColumnType;
 use crate::writer::Reader;
 use crate::Result;
 
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for i32 {}
-    impl Sealed for f64 {}
-}
-
-/// A fixed-width column element: `i32` or `f64`, nothing else (sealed).
+/// A fixed-width column element: `i32` or `f64`, nothing else. Sealed by
+/// the arena's freelist traits: the element and [`Value::Bits`] each have
+/// one in [`Scratch`], so generic code leases `Vec<V>` and
+/// `FxHashMap<V::Bits, usize>`.
 pub trait Value:
-    Copy + Default + PartialOrd + std::fmt::Debug + Lane + sealed::Sealed + 'static
+    Copy + Default + PartialOrd + std::fmt::Debug + Lane + sealed::Elem
 {
     /// The identity of a value for equality, hashing and deterministic
     /// tie-breaks: the value itself for `i32`, the raw bit pattern for `f64`.
-    type Bits: Copy + Default + Eq + Ord + std::hash::Hash + std::fmt::Debug;
+    type Bits: Default + Ord + std::fmt::Debug + sealed::Key;
     /// Encoded width in bytes.
     const SIZE: usize;
     /// The column type whose applicable scheme list this type selects from.
@@ -56,26 +52,8 @@ pub trait Value:
     /// (what [`Reader::value`] and [`Reader::vec_into`] are built on).
     fn from_le(chunk: &[u8]) -> Self;
 
-    /// Leases an empty encode-side buffer with capacity ≥ `cap`.
-    fn lease_enc(scratch: &mut EncodeScratch, cap: usize) -> Vec<Self>;
-    /// Returns a buffer leased with [`Value::lease_enc`].
-    fn release_enc(scratch: &mut EncodeScratch, v: Vec<Self>);
-    /// Leases a cleared count/dictionary map keyed by [`Value::Bits`].
-    fn lease_map(scratch: &mut EncodeScratch) -> FxHashMap<Self::Bits, usize>;
-    /// Returns a map leased with [`Value::lease_map`].
-    fn release_map(scratch: &mut EncodeScratch, m: FxHashMap<Self::Bits, usize>);
-    /// Leases an empty decode-side buffer with capacity ≥ `cap`.
-    fn lease_dec(scratch: &mut DecodeScratch, cap: usize) -> Vec<Self>;
-    /// Returns a buffer leased with [`Value::lease_dec`].
-    fn release_dec(scratch: &mut DecodeScratch, v: Vec<Self>);
-
     /// Viability of a scheme outside the shared five (see [`viable`]).
-    fn viable_own(
-        code: SchemeCode,
-        stats: &NumericStats<Self>,
-        sample: &[Self],
-        cfg: &Config,
-    ) -> bool;
+    fn viable_own(code: SchemeCode, stats: &NumericStats<Self>, sample: &[Self]) -> bool;
     /// Compresses `values` with one of the type's own schemes. Panics on a
     /// scheme that is not applicable to the type (an encode-side bug).
     fn emit_own(
@@ -83,7 +61,7 @@ pub trait Value:
         values: &[Self],
         child_depth: u8,
         cfg: &Config,
-        scratch: &mut EncodeScratch,
+        scratch: &Scratch,
         out: &mut Vec<u8>,
     );
     /// Decompresses one of the type's own schemes; any other code is
@@ -93,31 +71,32 @@ pub trait Value:
         r: &mut Reader<'_>,
         count: usize,
         cfg: &Config,
-        scratch: &mut DecodeScratch,
+        scratch: &Scratch,
         out: &mut Vec<Self>,
     ) -> Result<()>;
 }
 
+/// RLE is viable from this average run length up (paper: 2.0).
+const RLE_MIN_AVG_RUN: f64 = 2.0;
+
+/// Frequency is viable up to this fraction of unique values (paper: 0.5).
+const FREQUENCY_UNIQUE_MAX: f64 = 0.5;
+
 /// Statistics-based viability filter (paper §3, step 2). `sample` is only
 /// consulted by type-specific rules that statistics cannot decide
 /// (Pseudodecimal's exception rate, paper §4.2).
-pub fn viable<V: Value>(
-    code: SchemeCode,
-    stats: &NumericStats<V>,
-    sample: &[V],
-    cfg: &Config,
-) -> bool {
+pub fn viable<V: Value>(code: SchemeCode, stats: &NumericStats<V>, sample: &[V]) -> bool {
     match code {
         SchemeCode::OneValue => stats.unique_count <= 1,
-        SchemeCode::Rle => stats.average_run_length >= cfg.rle_min_avg_run,
+        SchemeCode::Rle => stats.average_run_length >= RLE_MIN_AVG_RUN,
         SchemeCode::Frequency => {
-            stats.unique_fraction() <= cfg.frequency_unique_max
+            stats.unique_fraction() <= FREQUENCY_UNIQUE_MAX
                 && stats.top_count * 2 >= stats.count
         }
         // A dictionary can never win when every value is distinct.
         SchemeCode::Dict => stats.unique_count < stats.count,
         SchemeCode::Uncompressed => true,
-        other => V::viable_own(other, stats, sample, cfg),
+        other => V::viable_own(other, stats, sample),
     }
 }
 
@@ -228,9 +207,7 @@ mod tests {
     use super::*;
 
     fn shared_viability_rules<V: Hostile>() {
-        let cfg = Config::default();
-        let is_viable =
-            |code, values: &[V]| viable(code, &NumericStats::collect(values), values, &cfg);
+        let is_viable = |code, values: &[V]| viable(code, &NumericStats::collect(values), values);
         let [a, b] = [V::HOSTILE[0], V::HOSTILE[1]];
         let alternating: Vec<V> = (0..100).map(|i| if i % 2 == 0 { a } else { b }).collect();
         assert!(!is_viable(SchemeCode::Rle, &alternating));

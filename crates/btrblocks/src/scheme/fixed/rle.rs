@@ -10,7 +10,7 @@
 use super::Value;
 use crate::config::Config;
 use crate::scheme;
-use crate::scratch::{DecodeScratch, EncodeScratch};
+use crate::scratch::Scratch;
 use crate::simd;
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
@@ -40,18 +40,16 @@ pub fn compress<V: Value>(
     values: &[V],
     child_depth: u8,
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
-    let mut run_values = V::lease_enc(scratch, values.len());
-    let mut run_lengths = scratch.lease_i32(values.len());
+    let mut run_values = scratch.lease::<Vec<V>>(values.len());
+    let mut run_lengths = scratch.lease::<Vec<i32>>(values.len());
     runs_of_into(values, &mut run_values, &mut run_lengths);
     // lint: allow(cast) encode side: run count fits u32
     out.put_u32(run_values.len() as u32);
     scheme::compress_into(&run_values, child_depth, cfg, scratch, out, None);
     scheme::compress_into(&run_lengths, child_depth, cfg, scratch, out, None);
-    V::release_enc(scratch, run_values);
-    scratch.release_i32(run_lengths);
 }
 
 /// Reads and validates an RLE payload's run arrays — the one parser shared
@@ -63,56 +61,48 @@ pub fn read_runs_into<V: Value>(
     r: &mut Reader<'_>,
     count: usize,
     cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &Scratch,
     run_values: &mut Vec<V>,
     lengths: &mut Vec<u32>,
 ) -> Result<()> {
     let run_count = r.u32()? as usize;
     // Capacity hint only — the cascade fills to whatever the child frame
     // says. Clamp so a hostile run_count can't force a huge lease.
-    let mut run_lengths = scratch.lease_i32(run_count.min(count));
-    let result = (|| -> Result<()> {
-        scheme::decompress_into(r, cfg, scratch, run_values)?;
-        scheme::decompress_into(r, cfg, scratch, &mut run_lengths)?;
-        if run_values.len() != run_count || run_lengths.len() != run_count {
-            return Err(Error::Corrupt("RLE run array length mismatch"));
-        }
-        let mut total = 0usize;
-        lengths.clear();
-        for &l in run_lengths.iter() {
-            let len = u32::try_from(l).map_err(|_| Error::Corrupt("negative RLE run length"))?;
-            total += len as usize;
-            lengths.push(len);
-        }
-        if total != count {
-            return Err(Error::Corrupt("RLE total length mismatch"));
-        }
-        Ok(())
-    })();
-    scratch.release_i32(run_lengths);
-    result
+    let mut run_lengths = scratch.lease::<Vec<i32>>(run_count.min(count));
+    scheme::decompress_into(r, cfg, scratch, run_values)?;
+    scheme::decompress_into(r, cfg, scratch, &mut run_lengths)?;
+    if run_values.len() != run_count || run_lengths.len() != run_count {
+        return Err(Error::Corrupt("RLE run array length mismatch"));
+    }
+    let mut total = 0usize;
+    lengths.clear();
+    for &l in run_lengths.iter() {
+        let len = u32::try_from(l).map_err(|_| Error::Corrupt("negative RLE run length"))?;
+        total += len as usize;
+        lengths.push(len);
+    }
+    if total != count {
+        return Err(Error::Corrupt("RLE total length mismatch"));
+    }
+    Ok(())
 }
 
 /// Decompresses an RLE block of `count` values into `out`, leasing the run
-/// arrays from `scratch` and returning them on every exit path.
+/// arrays from `scratch`.
 pub fn decompress_into<V: Value>(
     r: &mut Reader<'_>,
     count: usize,
     cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<V>,
 ) -> Result<()> {
     // Uncapped peek of the run count, clamped, purely as a capacity hint.
     let hint = r.clone().u32().map_or(0, |n| (n as usize).min(count));
-    let mut run_values = V::lease_dec(scratch, hint);
-    let mut lengths = scratch.lease_u32(hint);
-    let result = read_runs_into(r, count, cfg, scratch, &mut run_values, &mut lengths);
-    if result.is_ok() {
-        simd::rle_decode_into(&run_values, &lengths, count, cfg.simd, out);
-    }
-    V::release_dec(scratch, run_values);
-    scratch.release_u32(lengths);
-    result
+    let mut run_values = scratch.lease::<Vec<V>>(hint);
+    let mut lengths = scratch.lease::<Vec<u32>>(hint);
+    read_runs_into(r, count, cfg, scratch, &mut run_values, &mut lengths)?;
+    simd::rle_decode_into(&run_values, &lengths, count, cfg.simd, out);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -7,24 +7,22 @@
 //! exploits by offering both).
 
 use crate::config::Config;
-use crate::scratch::{DecodeScratch, EncodeScratch};
+use crate::scratch::Scratch;
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 use btr_bitpacking::{bp128, for_delta};
 
 /// Compresses `values` as FOR + FastBP128, leasing the offset and
 /// packed-word buffers from `scratch`.
-pub fn compress_into(values: &[i32], scratch: &mut EncodeScratch, out: &mut Vec<u8>) {
-    let mut offsets = scratch.lease_u32(values.len());
+pub fn compress_into(values: &[i32], scratch: &Scratch, out: &mut Vec<u8>) {
+    let mut offsets = scratch.lease::<Vec<u32>>(values.len());
     let base = for_delta::for_encode_into(values, &mut offsets);
-    let mut words = scratch.lease_u32(2 + values.len() / 2);
+    let mut words = scratch.lease::<Vec<u32>>(2 + values.len() / 2);
     bp128::encode_into(&offsets, &mut words);
     out.put_i32(base);
     // lint: allow(cast) encode side: packed word count fits u32
     out.put_u32(words.len() as u32);
     out.put_u32_slice(&words);
-    scratch.release_u32(words);
-    scratch.release_u32(offsets);
 }
 
 /// Decompresses a FastBP128 block of `count` values into `out`, leasing the
@@ -33,36 +31,29 @@ pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,
     _cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<i32>,
 ) -> Result<()> {
     let base = r.i32()?;
     let word_count = r.u32()? as usize;
     // Capacity hint clamped to what the stream can actually supply, so a
     // hostile word_count can't force a huge lease before `take` rejects it.
-    let mut words = scratch.lease_u32(word_count.min(r.remaining() / 4 + 1));
-    let mut offsets = scratch.lease_u32(count);
-    let result = (|| -> Result<()> {
-        r.u32_vec_into(word_count, &mut words)?;
-        // The stream's internal count must agree with the frame count
-        // (already capped by `max_block_values`) before the codec sizes its
-        // output.
-        if words.first().map(|&c| c as usize) != Some(count) && count > 0 {
-            return Err(Error::Corrupt("FastBP128 count mismatch"));
-        }
-        offsets.clear();
-        bp128::decode_into(&words, &mut offsets)?;
-        if offsets.len() != count {
-            return Err(Error::Corrupt("FastBP128 count mismatch"));
-        }
-        out.clear();
-        out.resize(count, 0);
-        for_delta::for_decode_into(base, &offsets, out);
-        Ok(())
-    })();
-    scratch.release_u32(words);
-    scratch.release_u32(offsets);
-    result
+    let mut words = scratch.lease::<Vec<u32>>(word_count.min(r.remaining() / 4 + 1));
+    let mut offsets = scratch.lease::<Vec<u32>>(count);
+    r.u32_vec_into(word_count, &mut words)?;
+    // The stream's internal count must agree with the frame count (already
+    // capped by `max_block_values`) before the codec sizes its output.
+    if words.first().map(|&c| c as usize) != Some(count) && count > 0 {
+        return Err(Error::Corrupt("FastBP128 count mismatch"));
+    }
+    bp128::decode_into(&words, &mut offsets)?;
+    if offsets.len() != count {
+        return Err(Error::Corrupt("FastBP128 count mismatch"));
+    }
+    out.clear();
+    out.resize(count, 0);
+    for_delta::for_decode_into(base, &offsets, out);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -5,10 +5,9 @@ pub mod bp;
 pub mod pfor;
 
 use crate::config::Config;
-use crate::fxhash::FxHashMap;
 use crate::scheme::fixed::Value;
 use crate::scheme::SchemeCode;
-use crate::scratch::{DecodeScratch, EncodeScratch};
+use crate::scratch::Scratch;
 use crate::stats::NumericStats;
 use crate::types::ColumnType;
 use crate::writer::{Reader, WriteLe};
@@ -36,27 +35,8 @@ impl Value for i32 {
         i32::from_le_bytes(chunk.try_into().unwrap_or_default())
     }
 
-    fn lease_enc(scratch: &mut EncodeScratch, cap: usize) -> Vec<i32> {
-        scratch.lease_i32(cap)
-    }
-    fn release_enc(scratch: &mut EncodeScratch, v: Vec<i32>) {
-        scratch.release_i32(v);
-    }
-    fn lease_map(scratch: &mut EncodeScratch) -> FxHashMap<i32, usize> {
-        scratch.lease_int_map()
-    }
-    fn release_map(scratch: &mut EncodeScratch, m: FxHashMap<i32, usize>) {
-        scratch.release_int_map(m);
-    }
-    fn lease_dec(scratch: &mut DecodeScratch, cap: usize) -> Vec<i32> {
-        scratch.lease_i32(cap)
-    }
-    fn release_dec(scratch: &mut DecodeScratch, v: Vec<i32>) {
-        scratch.release_i32(v);
-    }
-
     /// Bit-packing always applies (paper Figure 3).
-    fn viable_own(code: SchemeCode, _: &NumericStats<i32>, _: &[i32], _: &Config) -> bool {
+    fn viable_own(code: SchemeCode, _: &NumericStats<i32>, _: &[i32]) -> bool {
         matches!(code, SchemeCode::FastPfor | SchemeCode::FastBp128)
     }
 
@@ -65,7 +45,7 @@ impl Value for i32 {
         values: &[i32],
         _child_depth: u8,
         _cfg: &Config,
-        scratch: &mut EncodeScratch,
+        scratch: &Scratch,
         out: &mut Vec<u8>,
     ) {
         match code {
@@ -80,7 +60,7 @@ impl Value for i32 {
         r: &mut Reader<'_>,
         count: usize,
         cfg: &Config,
-        scratch: &mut DecodeScratch,
+        scratch: &Scratch,
         out: &mut Vec<i32>,
     ) -> Result<()> {
         match code {
@@ -98,13 +78,12 @@ mod tests {
 
     #[test]
     fn bitpacking_always_viable_and_integer_only() {
-        let cfg = Config::default();
         let any: Vec<i32> = (0..50).collect();
         let stats = NumericStats::collect(&any);
-        assert!(viable(SchemeCode::FastPfor, &stats, &any, &cfg));
-        assert!(viable(SchemeCode::FastBp128, &stats, &any, &cfg));
-        assert!(!viable(SchemeCode::Pseudodecimal, &stats, &any, &cfg));
+        assert!(viable(SchemeCode::FastPfor, &stats, &any));
+        assert!(viable(SchemeCode::FastBp128, &stats, &any));
+        assert!(!viable(SchemeCode::Pseudodecimal, &stats, &any));
         // High uniqueness rules Frequency out however the values look.
-        assert!(!viable(SchemeCode::Frequency, &stats, &any, &cfg));
+        assert!(!viable(SchemeCode::Frequency, &stats, &any));
     }
 }

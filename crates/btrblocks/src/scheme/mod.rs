@@ -23,9 +23,9 @@
 //! reference into viability checks, analytic estimates, and the chosen
 //! scheme's compressor.
 //!
-//! Every codec entry point threads a scratch arena ([`EncodeScratch`] /
-//! [`DecodeScratch`]) through the whole pipeline so sample gathers, candidate
-//! trial buffers, and scheme side-arrays are leased rather than allocated.
+//! Every codec entry point threads one [`Scratch`] arena through the whole
+//! pipeline so sample gathers, candidate trial buffers, and scheme
+//! side-arrays are leased rather than allocated.
 //! Each path has exactly three: a selecting compressor, a forced-scheme
 //! compressor, and a decompressor. The allocate-for-me conveniences live one
 //! level up, in [`crate::block`].
@@ -38,7 +38,7 @@ pub mod str;
 
 use crate::config::Config;
 use crate::sampling;
-use crate::scratch::{DecodeScratch, EncodeScratch};
+use crate::scratch::Scratch;
 use crate::stats::{NumericStats, StringStats};
 use crate::types::{ColumnType, StringArena, StringViews};
 use crate::writer::{Reader, WriteLe};
@@ -239,11 +239,8 @@ fn sample_cap(n: usize, cfg: &Config) -> usize {
 
 /// One statistics pass over `values` through a count map leased from
 /// `scratch`.
-fn pooled_stats<V: Value>(values: &[V], scratch: &mut EncodeScratch) -> NumericStats<V> {
-    let mut counts = V::lease_map(scratch);
-    let stats = NumericStats::collect_with_map(values, &mut counts);
-    V::release_map(scratch, counts);
-    stats
+fn pooled_stats<V: Value>(values: &[V], scratch: &Scratch) -> NumericStats<V> {
+    NumericStats::collect_with_map(values, &mut scratch.lease(0))
 }
 
 /// Compresses an integer or double block with automatic scheme selection,
@@ -260,7 +257,7 @@ pub fn compress_into<V: Value>(
     values: &[V],
     depth: u8,
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<u8>,
     exclude: Option<SchemeCode>,
 ) -> SchemeCode {
@@ -280,9 +277,8 @@ pub fn pick<V: Value>(values: &[V], depth: u8, cfg: &Config) -> Selection {
         return trivial_selection();
     }
     let stats = NumericStats::collect(values);
-    let mut scratch = EncodeScratch::new();
     let mut estimates = Vec::new();
-    let code = select(values, depth, cfg, None, &stats, &mut scratch, Some(&mut estimates));
+    let code = select(values, depth, cfg, None, &stats, &Scratch::new(), Some(&mut estimates));
     Selection { code, estimates }
 }
 
@@ -306,7 +302,7 @@ fn select<V: Value>(
     cfg: &Config,
     exclude: Option<SchemeCode>,
     stats: &NumericStats<V>,
-    scratch: &mut EncodeScratch,
+    scratch: &Scratch,
     mut estimates: Option<&mut Vec<Estimate>>,
 ) -> SchemeCode {
     if stats.unique_count == 1 && cfg.allows(SchemeCode::OneValue) {
@@ -316,18 +312,18 @@ fn select<V: Value>(
         }
         return SchemeCode::OneValue;
     }
-    let mut ranges = scratch.lease_ranges(cfg.sample_runs);
+    let mut ranges = scratch.lease::<Vec<(usize, usize)>>(cfg.sample_runs);
     sampling::sample_ranges_into(values.len(), cfg.sample_runs, cfg.sample_run_len, depth as u64, &mut ranges);
-    let mut sample = V::lease_enc(scratch, sample_cap(values.len(), cfg));
+    let mut sample = scratch.lease::<Vec<V>>(sample_cap(values.len(), cfg));
     sampling::gather_into(values, &ranges, &mut sample);
     let sample_bytes = (sample.len() * V::SIZE) as f64;
-    let mut trial = scratch.lease_u8(sample.len() * V::SIZE + 64);
-    let code = run_selection(
+    let mut trial = scratch.lease::<Vec<u8>>(sample.len() * V::SIZE + 64);
+    run_selection(
         V::TYPE,
         cfg,
         exclude,
         |code| {
-            if !fixed::viable(code, stats, &sample, cfg) {
+            if !fixed::viable(code, stats, &sample) {
                 return None;
             }
             Some(if code == SchemeCode::Dict && cfg.analytic_estimates {
@@ -348,11 +344,7 @@ fn select<V: Value>(
             })
         },
         estimates,
-    );
-    scratch.release_u8(trial);
-    V::release_enc(scratch, sample);
-    scratch.release_ranges(ranges);
-    code
+    )
 }
 
 /// Compresses an integer or double block with a forced root scheme (used by
@@ -363,7 +355,7 @@ pub fn compress_with_into<V: Value>(
     values: &[V],
     depth: u8,
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
     emit(code, values, None, depth, cfg, scratch, out);
@@ -381,7 +373,7 @@ fn emit<V: Value>(
     stats: Option<&NumericStats<V>>,
     depth: u8,
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
     let code = if depth == 0 || values.is_empty() { SchemeCode::Uncompressed } else { code };
@@ -411,7 +403,7 @@ fn emit<V: Value>(
 pub fn decompress_into<V: Value>(
     r: &mut Reader<'_>,
     cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<V>,
 ) -> Result<()> {
     let (code, count) = read_frame_header(r, cfg)?;
@@ -437,7 +429,7 @@ pub fn compress_str_into(
     arena: &StringArena,
     depth: u8,
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<u8>,
 ) -> SchemeCode {
     if depth == 0 || arena.is_empty() {
@@ -456,9 +448,8 @@ pub fn pick_str(arena: &StringArena, depth: u8, cfg: &Config) -> Selection {
         return trivial_selection();
     }
     let stats = StringStats::collect(arena);
-    let mut scratch = EncodeScratch::new();
     let mut estimates = Vec::new();
-    let code = select_str(arena, depth, cfg, &stats, &mut scratch, Some(&mut estimates));
+    let code = select_str(arena, depth, cfg, &stats, &Scratch::new(), Some(&mut estimates));
     Selection { code, estimates }
 }
 
@@ -468,7 +459,7 @@ fn select_str(
     depth: u8,
     cfg: &Config,
     stats: &StringStats,
-    scratch: &mut EncodeScratch,
+    scratch: &Scratch,
     mut estimates: Option<&mut Vec<Estimate>>,
 ) -> SchemeCode {
     if stats.unique_count == 1 && cfg.allows(SchemeCode::OneValue) {
@@ -477,18 +468,18 @@ fn select_str(
         }
         return SchemeCode::OneValue;
     }
-    let mut ranges = scratch.lease_ranges(cfg.sample_runs);
+    let mut ranges = scratch.lease::<Vec<(usize, usize)>>(cfg.sample_runs);
     sampling::sample_ranges_into(arena.len(), cfg.sample_runs, cfg.sample_run_len, depth as u64, &mut ranges);
-    let mut sample = scratch.lease_arena();
+    let mut sample = scratch.lease::<StringArena>(0);
     sampling::gather_str_into(arena, &ranges, &mut sample);
     let sample_bytes = sample.heap_size() as f64;
-    let mut trial = scratch.lease_u8(sample.heap_size() + 64);
-    let code = run_selection(
+    let mut trial = scratch.lease::<Vec<u8>>(sample.heap_size() + 64);
+    run_selection(
         ColumnType::String,
         cfg,
         None,
         |code| {
-            if !str::viable(code, stats, cfg) {
+            if !str::viable(code, stats) {
                 return None;
             }
             Some(if code == SchemeCode::Dict && cfg.analytic_estimates {
@@ -528,11 +519,7 @@ fn select_str(
             })
         },
         estimates,
-    );
-    scratch.release_u8(trial);
-    scratch.release_arena(sample);
-    scratch.release_ranges(ranges);
-    code
+    )
 }
 
 /// Compresses a string block with a forced root scheme, leasing all
@@ -542,7 +529,7 @@ pub fn compress_str_with_into(
     arena: &StringArena,
     depth: u8,
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
     emit_str(code, arena, depth, cfg, scratch, out);
@@ -554,7 +541,7 @@ fn emit_str(
     arena: &StringArena,
     depth: u8,
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
     let code = if depth == 0 || arena.is_empty() { SchemeCode::Uncompressed } else { code };
@@ -577,7 +564,7 @@ fn emit_str(
 pub fn decompress_str_into(
     r: &mut Reader<'_>,
     cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &Scratch,
     out: &mut StringViews,
 ) -> Result<()> {
     let (code, count) = read_frame_header(r, cfg)?;
@@ -635,25 +622,25 @@ pub(crate) mod testutil {
 
     pub fn encode<V: Value>(code: SchemeCode, values: &[V], cfg: &Config) -> Vec<u8> {
         let mut out = Vec::new();
-        compress_with_into(code, values, 3, cfg, &mut EncodeScratch::new(), &mut out);
+        compress_with_into(code, values, 3, cfg, &Scratch::new(), &mut out);
         out
     }
 
     pub fn decode<V: Value>(bytes: &[u8], cfg: &Config) -> Result<Vec<V>> {
         let mut out = Vec::new();
-        decompress_into(&mut Reader::new(bytes), cfg, &mut DecodeScratch::new(), &mut out)?;
+        decompress_into(&mut Reader::new(bytes), cfg, &Scratch::new(), &mut out)?;
         Ok(out)
     }
 
     pub fn encode_str(code: SchemeCode, arena: &StringArena, cfg: &Config) -> Vec<u8> {
         let mut out = Vec::new();
-        compress_str_with_into(code, arena, 3, cfg, &mut EncodeScratch::new(), &mut out);
+        compress_str_with_into(code, arena, 3, cfg, &Scratch::new(), &mut out);
         out
     }
 
     pub fn decode_str(bytes: &[u8], cfg: &Config) -> Result<StringViews> {
         let mut out = StringViews::default();
-        decompress_str_into(&mut Reader::new(bytes), cfg, &mut DecodeScratch::new(), &mut out)?;
+        decompress_str_into(&mut Reader::new(bytes), cfg, &Scratch::new(), &mut out)?;
         Ok(out)
     }
 

@@ -7,14 +7,14 @@
 //! Decompression never copies string bytes: each code becomes a fixed-size
 //! 64-bit `(offset, len)` view into the dictionary pool, gathered with AVX2.
 //! When the code sequence was itself RLE-compressed and runs are long enough
-//! (average > `cfg.fused_rle_dict_min_run`), the two decode steps are fused:
+//! (average > `FUSED_RLE_DICT_MIN_RUN`), the two decode steps are fused:
 //! the dictionary lookup happens per *run* and the view is splat-stored,
 //! skipping the intermediate code array entirely.
 
 use crate::config::Config;
 use crate::scheme::fixed::rle;
 use crate::scheme::{self, SchemeCode};
-use crate::scratch::{DecodeScratch, EncodeScratch};
+use crate::scratch::Scratch;
 use crate::simd;
 use crate::types::{StringArena, StringViews};
 use crate::writer::{Reader, WriteLe};
@@ -47,16 +47,14 @@ pub fn compress(
     arena: &StringArena,
     child_depth: u8,
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
-    let mut dict = scratch.lease_arena();
-    let mut codes = scratch.lease_i32(arena.len());
+    let mut dict = scratch.lease::<StringArena>(0);
+    let mut codes = scratch.lease::<Vec<i32>>(arena.len());
     encode_dict_into(arena, &mut dict, &mut codes);
     write_dict(&dict, out);
     scheme::compress_into(&codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict));
-    scratch.release_arena(dict);
-    scratch.release_i32(codes);
 }
 
 pub(crate) fn write_dict(dict: &StringArena, out: &mut Vec<u8>) {
@@ -72,7 +70,7 @@ pub(crate) fn write_dict(dict: &StringArena, out: &mut Vec<u8>) {
 /// leasing the offset temporary from `scratch`.
 pub(crate) fn read_dict_into(
     r: &mut Reader<'_>,
-    scratch: &mut DecodeScratch,
+    scratch: &Scratch,
     pool: &mut Vec<u8>,
     views: &mut Vec<u64>,
 ) -> Result<()> {
@@ -81,24 +79,24 @@ pub(crate) fn read_dict_into(
     let pool_bytes = r.take(pool_len)?;
     pool.clear();
     pool.extend_from_slice(pool_bytes);
-    let mut offsets = scratch.lease_u32(dict_n.min(r.remaining() / 4) + 1);
-    let result = (|| -> Result<()> {
-        r.u32_vec_into(dict_n + 1, &mut offsets)?;
-        views.clear();
-        views.reserve(dict_n);
-        for w in offsets.windows(2) {
-            // lint: allow(indexing) windows(2) yields exactly 2 elements
-            if w[1] < w[0] || w[1] as usize > pool_len {
-                return Err(Error::Corrupt("dict offsets not monotone"));
-            }
-            // lint: allow(indexing) windows(2) yields exactly 2 elements
-            views.push(StringViews::pack(w[0], w[1] - w[0]));
+    let mut offsets = scratch.lease::<Vec<u32>>(dict_n.min(r.remaining() / 4) + 1);
+    r.u32_vec_into(dict_n + 1, &mut offsets)?;
+    views.clear();
+    views.reserve(dict_n);
+    for w in offsets.windows(2) {
+        // lint: allow(indexing) windows(2) yields exactly 2 elements
+        if w[1] < w[0] || w[1] as usize > pool_len {
+            return Err(Error::Corrupt("dict offsets not monotone"));
         }
-        Ok(())
-    })();
-    scratch.release_u32(offsets);
-    result
+        // lint: allow(indexing) windows(2) yields exactly 2 elements
+        views.push(StringViews::pack(w[0], w[1] - w[0]));
+    }
+    Ok(())
 }
+
+/// Average run length of an RLE code child above which decoding fuses the
+/// two steps (paper §5: 3.0).
+const FUSED_RLE_DICT_MIN_RUN: f64 = 3.0;
 
 /// Decodes a cascaded code sequence into views, fusing RLE+Dict when the
 /// child block is RLE with long runs. Decodes into `out` with scratch-leased
@@ -108,59 +106,68 @@ pub(crate) fn decode_codes_to_views_into(
     count: usize,
     cfg: &Config,
     dict_views: &[u64],
-    scratch: &mut DecodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<u64>,
 ) -> Result<()> {
     // Peek the child frame to detect the RLE fusion opportunity.
     let mut peek = r.clone();
     let (child_code, child_count) = scheme::read_frame_header(&mut peek, cfg)?;
-    if child_code == SchemeCode::Rle && child_count == count {
-        let run_count = peek.clone().u32()? as usize;
-        if run_count > 0 && count as f64 / run_count as f64 > cfg.fused_rle_dict_min_run {
-            let hint = run_count.min(count);
-            let mut run_codes = scratch.lease_i32(hint);
-            let mut run_views = scratch.lease_u64(hint);
-            let mut lengths = scratch.lease_u32(hint);
-            let result = (|| -> Result<()> {
-                rle::read_runs_into(&mut peek, count, cfg, scratch, &mut run_codes, &mut lengths)?;
-                // Dictionary lookup per run, then splat-store the views.
-                run_views.clear();
-                for &code in run_codes.iter() {
-                    let view = usize::try_from(code).ok().and_then(|c| dict_views.get(c));
-                    run_views.push(*view.ok_or(Error::Corrupt("string dict code out of range"))?);
-                }
-                *r = peek;
-                simd::rle_decode_into(&run_views, &lengths, count, cfg.simd, out);
-                Ok(())
-            })();
-            scratch.release_i32(run_codes);
-            scratch.release_u64(run_views);
-            scratch.release_u32(lengths);
-            return result;
+    let run_count = if child_code == SchemeCode::Rle && child_count == count {
+        peek.clone().u32()? as usize
+    } else {
+        0
+    };
+    if run_count > 0 && count as f64 / run_count as f64 > FUSED_RLE_DICT_MIN_RUN {
+        let hint = run_count.min(count);
+        let mut run_codes = scratch.lease::<Vec<i32>>(hint);
+        let mut run_views = scratch.lease::<Vec<u64>>(hint);
+        let mut lengths = scratch.lease::<Vec<u32>>(hint);
+        rle::read_runs_into(&mut peek, count, cfg, scratch, &mut run_codes, &mut lengths)?;
+        // Dictionary lookup per run, then splat-store the views.
+        for &code in run_codes.iter() {
+            let view = usize::try_from(code).ok().and_then(|c| dict_views.get(c));
+            run_views.push(*view.ok_or(Error::Corrupt("string dict code out of range"))?);
         }
+        *r = peek;
+        simd::rle_decode_into(&run_views, &lengths, count, cfg.simd, out);
+    } else {
+        gather_codes(r, count, cfg, dict_views, scratch, out)?;
     }
-    // Generic path: decode codes, then gather views.
-    let mut codes = scratch.lease_i32(count);
-    let mut codes_u32 = scratch.lease_u32(count);
-    let result = (|| -> Result<()> {
-        scheme::decompress_into(r, cfg, scratch, &mut codes)?;
-        if codes.len() != count {
-            return Err(Error::Corrupt("string dict code count mismatch"));
+    // `count × longest entry` bounds the bytes the views materialize to;
+    // only a block over that bound pays for the exact per-row sum.
+    let len = |v: &u64| v & 0xFFFF_FFFF;
+    let longest = dict_views.iter().map(len).max().unwrap_or(0);
+    let limit = u64::from(u32::MAX);
+    if (count as u64).saturating_mul(longest) > limit && out.iter().map(len).sum::<u64>() > limit {
+        return Err(Error::LimitExceeded("string block materializes past u32 offsets"));
+    }
+    Ok(())
+}
+
+/// The unfused path: decode the code child, then gather one view per code.
+fn gather_codes(
+    r: &mut Reader<'_>,
+    count: usize,
+    cfg: &Config,
+    dict_views: &[u64],
+    scratch: &Scratch,
+    out: &mut Vec<u64>,
+) -> Result<()> {
+    let mut codes = scratch.lease::<Vec<i32>>(count);
+    let mut codes_u32 = scratch.lease::<Vec<u32>>(count);
+    scheme::decompress_into(r, cfg, scratch, &mut codes)?;
+    if codes.len() != count {
+        return Err(Error::Corrupt("string dict code count mismatch"));
+    }
+    for &c in codes.iter() {
+        if c < 0 || c as usize >= dict_views.len() {
+            return Err(Error::Corrupt("string dict code out of range"));
         }
-        codes_u32.clear();
-        for &c in codes.iter() {
-            if c < 0 || c as usize >= dict_views.len() {
-                return Err(Error::Corrupt("string dict code out of range"));
-            }
-            // lint: allow(cast) c was range-checked non-negative and < dict len above
-            codes_u32.push(c as u32);
-        }
-        simd::dict_decode_into(&codes_u32, dict_views, cfg.simd, out);
-        Ok(())
-    })();
-    scratch.release_i32(codes);
-    scratch.release_u32(codes_u32);
-    result
+        // lint: allow(cast) c was range-checked non-negative and < dict len above
+        codes_u32.push(c as u32);
+    }
+    simd::dict_decode_into(&codes_u32, dict_views, cfg.simd, out);
+    Ok(())
 }
 
 /// Decompresses a dictionary block of `count` strings into `out`, reusing
@@ -169,19 +176,15 @@ pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,
     cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &Scratch,
     out: &mut StringViews,
 ) -> Result<()> {
     // Peek the entry count for a sized lease (a 0-cap lease would grab the
     // largest pooled u64 buffer, starving the fused path's run views).
     let dict_n = r.clone().u32()? as usize;
-    let mut dict_views = scratch.lease_u64(dict_n.min(r.remaining() / 4));
-    let result = (|| -> Result<()> {
-        read_dict_into(r, scratch, &mut out.pool, &mut dict_views)?;
-        decode_codes_to_views_into(r, count, cfg, &dict_views, scratch, &mut out.views)
-    })();
-    scratch.release_u64(dict_views);
-    result
+    let mut dict_views = scratch.lease::<Vec<u64>>(dict_n.min(r.remaining() / 4));
+    read_dict_into(r, scratch, &mut out.pool, &mut dict_views)?;
+    decode_codes_to_views_into(r, count, cfg, &dict_views, scratch, &mut out.views)
 }
 
 #[cfg(test)]
@@ -212,11 +215,17 @@ mod tests {
         let strings: Vec<&str> = (0..2000).map(|i| ["x", "yy", "zzz"][(i / 100) % 3]).collect();
         let cfg = Config::default();
         let buf = encode_str(SchemeCode::Dict, &StringArena::from_strs(&strings), &cfg);
-        // Fusion enabled (default threshold 3).
+        // The block decoder takes the fused path (runs of 100 > 3) ...
         let fused = decode_str(&buf, &cfg).unwrap();
-        // Fusion disabled via an impossible threshold.
-        let no_fuse = Config { fused_rle_dict_min_run: f64::INFINITY, ..Config::default() };
-        let plain = decode_str(&buf, &no_fuse).unwrap();
+        // ... and the unfused one, run directly on the same code child.
+        let scratch = Scratch::new();
+        let mut r = Reader::new(&buf);
+        let (_, count) = scheme::read_frame_header(&mut r, &cfg).unwrap();
+        let (mut plain, mut dict_views) = (StringViews::default(), Vec::new());
+        read_dict_into(&mut r, &scratch, &mut plain.pool, &mut dict_views).unwrap();
+        assert_eq!(scheme::read_frame_header(&mut r.clone(), &cfg).unwrap().0, SchemeCode::Rle);
+        gather_codes(&mut r, count, &cfg, &dict_views, &scratch, &mut plain.views).unwrap();
+        assert!(r.rest().is_empty());
         assert_eq!(fused.iter().collect::<Vec<_>>(), plain.iter().collect::<Vec<_>>());
     }
 

@@ -13,7 +13,7 @@
 
 use crate::config::Config;
 use crate::scheme;
-use crate::scratch::{DecodeScratch, EncodeScratch};
+use crate::scratch::Scratch;
 use crate::types::{StringArena, StringViews};
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
@@ -26,15 +26,15 @@ pub fn compress(
     arena: &StringArena,
     child_depth: u8,
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
-    let mut dict = scratch.lease_arena();
-    let mut codes = scratch.lease_i32(arena.len());
+    let mut dict = scratch.lease::<StringArena>(0);
+    let mut codes = scratch.lease::<Vec<i32>>(arena.len());
     super::dict::encode_dict_into(arena, &mut dict, &mut codes);
-    let mut compressed = scratch.lease_u8(dict.total_bytes() / 2 + 16);
+    let mut compressed = scratch.lease::<Vec<u8>>(dict.total_bytes() / 2 + 16);
     let table = btr_fsst::compress_strings(dict.iter(), &mut compressed);
-    let mut lengths = scratch.lease_u32(dict.len());
+    let mut lengths = scratch.lease::<Vec<u32>>(dict.len());
     // lint: allow(cast) encode side: a single string is far smaller than 4 GiB
     lengths.extend(dict.iter().map(|s| s.len() as u32));
     // lint: allow(cast) encode side: dictionary entry count fits u32
@@ -54,10 +54,6 @@ pub fn compress(
         out,
         Some(crate::scheme::SchemeCode::Dict),
     );
-    scratch.release_arena(dict);
-    scratch.release_i32(codes);
-    scratch.release_u8(compressed);
-    scratch.release_u32(lengths);
 }
 
 /// Decompresses a Dict+FSST block of `count` strings into `out`, reusing its
@@ -68,7 +64,7 @@ pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,
     cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &Scratch,
     out: &mut StringViews,
 ) -> Result<()> {
     let dict_n = r.u32()? as usize;
@@ -79,32 +75,26 @@ pub fn decompress_into(
     // Capacity hints only — clamp so a hostile dict_n can't force a huge
     // lease before `take` inside `u32_vec_into` rejects the stream.
     let hint = dict_n.min(r.remaining() / 4);
-    let mut lengths = scratch.lease_u32(hint);
-    let mut dict_views = scratch.lease_u64(hint);
-    let result = (|| -> Result<()> {
-        r.u32_vec_into(dict_n, &mut lengths)?;
-        // Single FSST call for the whole dictionary pool (decompress appends).
-        out.pool.clear();
-        table.decompress(compressed, &mut out.pool)?;
-        dict_views.clear();
-        dict_views.reserve(dict_n);
-        // Accumulate in u32 with checked adds: hostile lengths summing past
-        // u32::MAX must be a corruption error, not a silently truncated view.
-        let mut off = 0u32;
-        for &l in lengths.iter() {
-            dict_views.push(StringViews::pack(off, l));
-            off = off
-                .checked_add(l)
-                .ok_or(Error::Corrupt("dict+fsst pool length overflow"))?;
-        }
-        if off as usize != out.pool.len() {
-            return Err(Error::Corrupt("dict+fsst pool length mismatch"));
-        }
-        super::dict::decode_codes_to_views_into(r, count, cfg, &dict_views, scratch, &mut out.views)
-    })();
-    scratch.release_u32(lengths);
-    scratch.release_u64(dict_views);
-    result
+    let mut lengths = scratch.lease::<Vec<u32>>(hint);
+    let mut dict_views = scratch.lease::<Vec<u64>>(hint);
+    r.u32_vec_into(dict_n, &mut lengths)?;
+    // Single FSST call for the whole dictionary pool (decompress appends).
+    out.pool.clear();
+    table.decompress(compressed, &mut out.pool)?;
+    dict_views.reserve(dict_n);
+    // Accumulate in u32 with checked adds: hostile lengths summing past
+    // u32::MAX must be a corruption error, not a silently truncated view.
+    let mut off = 0u32;
+    for &l in lengths.iter() {
+        dict_views.push(StringViews::pack(off, l));
+        off = off
+            .checked_add(l)
+            .ok_or(Error::Corrupt("dict+fsst pool length overflow"))?;
+    }
+    if off as usize != out.pool.len() {
+        return Err(Error::Corrupt("dict+fsst pool length mismatch"));
+    }
+    super::dict::decode_codes_to_views_into(r, count, cfg, &dict_views, scratch, &mut out.views)
 }
 
 #[cfg(test)]

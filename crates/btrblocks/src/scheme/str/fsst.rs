@@ -12,7 +12,7 @@
 
 use crate::config::Config;
 use crate::scheme;
-use crate::scratch::{DecodeScratch, EncodeScratch};
+use crate::scratch::Scratch;
 use crate::types::{StringArena, StringViews};
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
@@ -25,12 +25,12 @@ pub fn compress(
     arena: &StringArena,
     child_depth: u8,
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
-    let mut compressed = scratch.lease_u8(arena.total_bytes() / 2 + 16);
+    let mut compressed = scratch.lease::<Vec<u8>>(arena.total_bytes() / 2 + 16);
     let table = btr_fsst::compress_strings(arena.iter(), &mut compressed);
-    let mut lengths = scratch.lease_i32(arena.len());
+    let mut lengths = scratch.lease::<Vec<i32>>(arena.len());
     // lint: allow(cast) encode side: a single string is far smaller than 2 GiB
     lengths.extend(arena.iter().map(|s| s.len() as i32));
     // lint: allow(cast) encode side: symbol table serialization is small
@@ -40,8 +40,6 @@ pub fn compress(
     out.put_u32(compressed.len() as u32);
     out.extend_from_slice(&compressed);
     scheme::compress_into(&lengths, child_depth, cfg, scratch, out, None);
-    scratch.release_u8(compressed);
-    scratch.release_i32(lengths);
 }
 
 /// Decompresses an FSST block of `count` strings into `out`, reusing its
@@ -52,42 +50,38 @@ pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,
     cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &Scratch,
     out: &mut StringViews,
 ) -> Result<()> {
     let table_len = r.u32()? as usize;
     let table = SymbolTable::deserialize(r.take(table_len)?)?;
     let comp_len = r.u32()? as usize;
     let compressed = r.take(comp_len)?;
-    let mut lengths = scratch.lease_i32(count);
-    let result = (|| -> Result<()> {
-        scheme::decompress_into(r, cfg, scratch, &mut lengths)?;
-        if lengths.len() != count {
-            return Err(Error::Corrupt("fsst length count mismatch"));
-        }
-        // One decompression call for the whole block (decompress appends).
-        out.pool.clear();
-        table.decompress(compressed, &mut out.pool)?;
-        out.views.clear();
-        out.views.reserve(count);
-        // Accumulate in u32 with checked adds: hostile lengths summing past
-        // u32::MAX must be a corruption error, not a silently truncated view.
-        let mut off = 0u32;
-        for &l in lengths.iter() {
-            let len =
-                u32::try_from(l).map_err(|_| Error::Corrupt("negative fsst string length"))?;
-            out.views.push(StringViews::pack(off, len));
-            off = off
-                .checked_add(len)
-                .ok_or(Error::Corrupt("fsst pool length overflow"))?;
-        }
-        if off as usize != out.pool.len() {
-            return Err(Error::Corrupt("fsst pool length mismatch"));
-        }
-        Ok(())
-    })();
-    scratch.release_i32(lengths);
-    result
+    let mut lengths = scratch.lease::<Vec<i32>>(count);
+    scheme::decompress_into(r, cfg, scratch, &mut lengths)?;
+    if lengths.len() != count {
+        return Err(Error::Corrupt("fsst length count mismatch"));
+    }
+    // One decompression call for the whole block (decompress appends).
+    out.pool.clear();
+    table.decompress(compressed, &mut out.pool)?;
+    out.views.clear();
+    out.views.reserve(count);
+    // Accumulate in u32 with checked adds: hostile lengths summing past
+    // u32::MAX must be a corruption error, not a silently truncated view.
+    let mut off = 0u32;
+    for &l in lengths.iter() {
+        let len =
+            u32::try_from(l).map_err(|_| Error::Corrupt("negative fsst string length"))?;
+        out.views.push(StringViews::pack(off, len));
+        off = off
+            .checked_add(len)
+            .ok_or(Error::Corrupt("fsst pool length overflow"))?;
+    }
+    if off as usize != out.pool.len() {
+        return Err(Error::Corrupt("fsst pool length mismatch"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

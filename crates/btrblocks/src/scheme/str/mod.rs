@@ -6,7 +6,6 @@ pub mod fsst;
 pub mod onevalue;
 pub mod uncompressed;
 
-use crate::config::Config;
 use crate::scheme::SchemeCode;
 use crate::stats::StringStats;
 
@@ -15,7 +14,7 @@ use crate::stats::StringStats;
 pub const DICT_FSST_MIN_POOL: usize = 2048;
 
 /// Statistics-based viability filter for string schemes.
-pub fn viable(code: SchemeCode, stats: &StringStats, _cfg: &Config) -> bool {
+pub fn viable(code: SchemeCode, stats: &StringStats) -> bool {
     match code {
         SchemeCode::OneValue => stats.unique_count <= 1,
         // A dictionary needs repetition to pay for itself.
@@ -40,19 +39,17 @@ mod tests {
 
     #[test]
     fn dict_needs_repetition() {
-        let cfg = Config::default();
         let unique = StringArena::from_strs(&["a", "b", "c"]);
-        assert!(!viable(SchemeCode::Dict, &StringStats::collect(&unique), &cfg));
+        assert!(!viable(SchemeCode::Dict, &StringStats::collect(&unique)));
         let repeated = StringArena::from_strs(&["a", "a", "b"]);
-        assert!(viable(SchemeCode::Dict, &StringStats::collect(&repeated), &cfg));
+        assert!(viable(SchemeCode::Dict, &StringStats::collect(&repeated)));
     }
 
     #[test]
     fn fsst_needs_bytes() {
-        let cfg = Config::default();
         let empties = StringArena::from_strs(&["", "", ""]);
-        assert!(!viable(SchemeCode::Fsst, &StringStats::collect(&empties), &cfg));
+        assert!(!viable(SchemeCode::Fsst, &StringStats::collect(&empties)));
         let real = StringArena::from_strs(&["abc", "", "def"]);
-        assert!(viable(SchemeCode::Fsst, &StringStats::collect(&real), &cfg));
+        assert!(viable(SchemeCode::Fsst, &StringStats::collect(&real)));
     }
 }

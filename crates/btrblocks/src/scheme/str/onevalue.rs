@@ -1,10 +1,10 @@
 //! One Value for strings: the whole block is one repeated string.
 
 use crate::config::Config;
-use crate::scratch::DecodeScratch;
+use crate::scratch::Scratch;
 use crate::types::{StringArena, StringViews};
 use crate::writer::{Reader, WriteLe};
-use crate::Result;
+use crate::{Error, Result};
 
 /// Payload: `[len: u32][bytes]`.
 pub fn compress(arena: &StringArena, out: &mut Vec<u8>) {
@@ -16,15 +16,19 @@ pub fn compress(arena: &StringArena, out: &mut Vec<u8>) {
 }
 
 /// Expands the stored string `count` times into `out`, reusing its buffers
-/// (all views share one pool entry).
+/// (all views share one pool entry). A block whose strings would materialize
+/// past u32 offsets is [`Error::LimitExceeded`].
 pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,
     _cfg: &Config,
-    _scratch: &mut DecodeScratch,
+    _scratch: &Scratch,
     out: &mut StringViews,
 ) -> Result<()> {
     let len = r.u32()?;
+    if (count as u64).saturating_mul(u64::from(len)) > u64::from(u32::MAX) {
+        return Err(Error::LimitExceeded("string block materializes past u32 offsets"));
+    }
     let bytes = r.take(len as usize)?;
     out.pool.clear();
     out.pool.extend_from_slice(bytes);

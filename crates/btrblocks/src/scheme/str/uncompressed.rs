@@ -1,7 +1,7 @@
 //! Raw string storage: offsets + byte pool.
 
 use crate::config::Config;
-use crate::scratch::DecodeScratch;
+use crate::scratch::Scratch;
 use crate::types::{StringArena, StringViews};
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
@@ -20,30 +20,26 @@ pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,
     _cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &Scratch,
     out: &mut StringViews,
 ) -> Result<()> {
     let pool_len = r.u32()? as usize;
     let pool_bytes = r.take(pool_len)?;
     out.pool.clear();
     out.pool.extend_from_slice(pool_bytes);
-    let mut offsets = scratch.lease_u32(count + 1);
-    let result = (|| -> Result<()> {
-        r.u32_vec_into(count + 1, &mut offsets)?;
-        out.views.clear();
-        out.views.reserve(count);
-        for w in offsets.windows(2) {
-            // lint: allow(indexing) windows(2) yields exactly 2 elements
-            let (start, end) = (w[0], w[1]);
-            if end < start || end as usize > pool_len {
-                return Err(Error::Corrupt("string offsets not monotone"));
-            }
-            out.views.push(StringViews::pack(start, end - start));
+    let mut offsets = scratch.lease::<Vec<u32>>(count + 1);
+    r.u32_vec_into(count + 1, &mut offsets)?;
+    out.views.clear();
+    out.views.reserve(count);
+    for w in offsets.windows(2) {
+        // lint: allow(indexing) windows(2) yields exactly 2 elements
+        let (start, end) = (w[0], w[1]);
+        if end < start || end as usize > pool_len {
+            return Err(Error::Corrupt("string offsets not monotone"));
         }
-        Ok(())
-    })();
-    scratch.release_u32(offsets);
-    result
+        out.views.push(StringViews::pack(start, end - start));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

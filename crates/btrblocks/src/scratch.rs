@@ -1,31 +1,38 @@
-//! Reusable decode buffers: tiered freelists under a byte budget.
+//! Reusable codec buffers: tiered freelists under a byte budget.
 //!
 //! Decompression speed is the paper's headline claim (§6), and on modern
 //! hardware decode throughput is dominated by memory behaviour, not ALU
-//! work. Allocating a fresh `Vec` at every cascade level of every block
-//! therefore costs more than the arithmetic it feeds. [`DecodeScratch`]
-//! fixes that with the buffer-pool discipline of an operator pipeline: every
-//! temporary a scheme decoder needs (RLE run arrays, dictionary code
-//! sequences, Pseudodecimal digit/exponent columns, FSST length columns) is
-//! *leased* from the pool and *released* back on every exit path, so a warm
-//! decoder performs zero heap allocations per block.
+//! work; compression (§3: stats → viability filter → sampled trials →
+//! cascade) is just as temporary-heavy. Allocating a fresh `Vec` at every
+//! cascade level of every block therefore costs more than the arithmetic it
+//! feeds. [`Scratch`] fixes that with the buffer-pool discipline of an
+//! operator pipeline: every temporary a scheme needs (sample gathers, trial
+//! buffers, RLE run arrays, dictionary maps and code sequences,
+//! Pseudodecimal digit/exponent columns, FSST length columns, per-block
+//! string sub-ranges) is *leased* from one arena, so a warm codec performs
+//! zero heap allocations per block.
 //!
-//! # Lease/return invariants
+//! # The guard rule
 //!
-//! - [`DecodeScratch::lease_i32`] (and its `f64`/`u8`/`u32`/`u64` siblings)
-//!   returns an **empty** vector whose capacity is at least the requested
-//!   size. It comes from the pool when a large-enough buffer is available
-//!   (a *hit*), otherwise it is freshly allocated (a *miss*).
-//! - Every leased buffer must be released back with the matching
-//!   `release_*` call on **every** exit path, including error returns.
-//!   Decoders achieve this by leasing up front, running the fallible body,
-//!   and releasing before propagating the `Result`. (A panic leaks the lease
-//!   to the ordinary `Vec` destructor — safe, just not pooled.)
-//! - Released buffers are cleared before pooling; leased buffers never
-//!   expose previous contents.
-//! - The pool holds at most `budget_bytes` of capacity. Releases that would
-//!   exceed the budget drop the buffer instead (counted in
-//!   [`ScratchStats::dropped`]), bounding steady-state memory.
+//! - `Scratch::lease::<B>(cap)` returns a `Lease` that derefs to an **empty**
+//!   buffer whose capacity is at least the requested size: a pooled one when
+//!   one is large enough (a *hit*), otherwise a fresh one (a *miss*).
+//! - A lease gives its buffer back when it is dropped — at the end of its
+//!   scope, on `?`, on an early return, or while a panic unwinds. No exit
+//!   path can forget it, so a scheme never returns anything by hand. Drop a
+//!   lease early (`drop(map)`) to let a child cascade level reuse it.
+//! - The pools sit behind `RefCell`s borrowed only inside this module's
+//!   methods, so nested cascade levels lease while a parent's leases are
+//!   alive. A return that finds its pool borrowed (only possible mid-panic)
+//!   drops the buffer instead of panicking again.
+//! - Buffers are cleared before pooling; a lease never exposes previous
+//!   contents.
+//! - The pools hold at most `budget_bytes` of capacity. A return that would
+//!   exceed the budget drops the buffer (counted in
+//!   [`ScratchStats::dropped`]), bounding steady-state memory. Maps have no
+//!   byte size; at most `MAP_STACK_MAX` of each kind are kept.
+//! - A decoded block that outlives the call ([`Scratch::lease_decoded`]) is
+//!   handed back with [`Scratch::recycle`] once its owner is done with it.
 //!
 //! # Tiers
 //!
@@ -36,89 +43,213 @@
 //! capacity, which keeps small temporaries from being served by (and
 //! pinning) block-sized buffers unless nothing smaller exists. Fresh
 //! allocations round the capacity up to a power of two so repeated
-//! lease/release cycles of the same shape converge onto the same tier.
+//! lease/return cycles of the same shape converge onto the same tier.
 //!
-//! This module is deliberately `unsafe`-free: all buffer reuse goes through
-//! `Vec`'s safe API. Sized leases are padded by [`crate::simd::DECODE_SLACK`]
-//! so the SIMD kernels' overshoot reservation always fits the pooled buffer.
+//! This module deliberately stays safe Rust: all buffer reuse goes through
+//! the safe APIs of `Vec`, `HashMap` and `RefCell`. Sized leases are padded
+//! by [`crate::simd::DECODE_SLACK`] so the SIMD kernels' overshoot
+//! reservation always fits the pooled buffer.
 
 use crate::fxhash::FxHashMap;
 use crate::types::{ColumnType, DecodedColumn, StringArena, StringViews};
+use sealed::{Pool, Slot};
+use std::cell::{Cell, RefCell};
+use std::ops::{Deref, DerefMut};
 
 /// Default pool budget: enough for several 64k-value blocks of temporaries
 /// per worker without letting a pathological column pin memory forever.
 pub const DEFAULT_BUDGET_BYTES: usize = 64 << 20;
+
+/// How many cleared hash maps a [`Scratch`] retains per key type.
+///
+/// `HashMap` capacity is opaque (no `capacity -> bytes` contract), so maps
+/// are capped by count rather than charged against the byte budget. The
+/// cascade holds at most one stats map plus one dictionary map per level
+/// (depth ≤ 3 in practice), so a small stack covers the deepest recursion.
+const MAP_STACK_MAX: usize = 8;
 
 /// Capacity class of a buffer: `floor(log2(max(cap, 1)))`.
 fn tier_of(cap: usize) -> usize {
     (usize::BITS - 1 - cap.max(1).leading_zeros()) as usize
 }
 
-/// One element type's tiered freelist.
-struct Pool<T> {
-    tiers: Vec<Vec<Vec<T>>>,
-    held_bytes: usize,
-}
+/// The pooling machinery, sealed: only this module decides which buffer
+/// types have a freelist and what each one costs.
+pub(crate) mod sealed {
+    use super::{tier_of, Scratch};
+    use std::cell::RefCell;
 
-impl<T> Pool<T> {
-    fn new() -> Pool<T> {
-        Pool {
-            tiers: Vec::new(),
-            held_bytes: 0,
+    /// One buffer type's tiered freelist.
+    pub struct Pool<B> {
+        tiers: Vec<Vec<B>>,
+        len: usize,
+    }
+
+    impl<B> Default for Pool<B> {
+        fn default() -> Self {
+            Pool { tiers: Vec::new(), len: 0 }
         }
     }
 
-    /// Takes a pooled buffer with capacity ≥ `cap`, if one exists.
-    ///
-    /// `cap == 0` means "size unknown, the caller will grow it": those
-    /// leases take the *largest* pooled buffer so that outputs which grow to
-    /// block size (the cascade roots, `StringViews` pools) land in a buffer
-    /// that already fits and never realloc on a warm pass. Sized leases take
-    /// the smallest adequate tier, keeping small temporaries from pinning
-    /// block-sized buffers.
-    fn lease(&mut self, cap: usize) -> Option<Vec<T>> {
-        if cap == 0 {
-            let tier = self.tiers.iter_mut().rev().find(|t| !t.is_empty())?;
-            let i = tier
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, v)| v.capacity())
-                .map(|(i, _)| i)?;
-            let v = tier.swap_remove(i);
-            self.held_bytes -= v.capacity() * std::mem::size_of::<T>();
-            return Some(v);
+    impl<B: Slot> Pool<B> {
+        /// Takes a pooled buffer with capacity ≥ `cap`, if one exists.
+        ///
+        /// `cap == 0` means "size unknown, the caller will grow it": those
+        /// leases take the *largest* pooled buffer so that outputs which
+        /// grow to block size (the cascade roots, `StringViews` pools, string
+        /// sub-ranges) land in a buffer that already fits and never realloc
+        /// on a warm pass. Sized leases take the smallest adequate tier.
+        pub(super) fn take(&mut self, cap: usize) -> Option<B> {
+            let b = if cap == 0 {
+                let tier = self.tiers.iter_mut().rev().find(|t| !t.is_empty())?;
+                let i = tier
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|(_, b)| b.capacity())
+                    .map(|(i, _)| i)?;
+                tier.swap_remove(i)
+            } else {
+                // Only the starting tier can contain buffers smaller than
+                // `cap`; every higher tier trivially satisfies the check.
+                self.tiers.iter_mut().skip(tier_of(cap)).find_map(|tier| {
+                    let i = tier.iter().position(|b| b.capacity() >= cap)?;
+                    Some(tier.swap_remove(i))
+                })?
+            };
+            self.len -= 1;
+            Some(b)
         }
-        for tier in self.tiers.iter_mut().skip(tier_of(cap)) {
-            // Only the starting tier can contain buffers smaller than `cap`;
-            // every higher tier trivially satisfies the capacity check.
-            if let Some(i) = tier.iter().position(|v| v.capacity() >= cap) {
-                let v = tier.swap_remove(i);
-                self.held_bytes -= v.capacity() * std::mem::size_of::<T>();
-                return Some(v);
+
+        /// Pools `b` cleared; returns false (dropping it) when the freelist
+        /// is at its count limit.
+        pub(super) fn put(&mut self, mut b: B) -> bool {
+            if self.len >= B::MAX_POOLED {
+                return false;
             }
+            b.clear();
+            let t = tier_of(b.capacity());
+            if self.tiers.len() <= t {
+                self.tiers.resize_with(t + 1, Vec::new);
+            }
+            // lint: allow(indexing) tiers was resized above to hold index t
+            self.tiers[t].push(b);
+            self.len += 1;
+            true
         }
-        None
     }
 
-    /// Pools `v` if its bytes fit in `room`; returns false when dropped.
-    fn release(&mut self, mut v: Vec<T>, room: usize) -> bool {
-        let bytes = v.capacity() * std::mem::size_of::<T>();
-        if bytes == 0 || bytes > room {
-            return false;
-        }
-        v.clear();
-        let t = tier_of(v.capacity());
-        if self.tiers.len() <= t {
-            self.tiers.resize_with(t + 1, Vec::new);
-        }
-        // lint: allow(indexing) tiers was resized above to hold index t
-        self.tiers[t].push(v);
-        self.held_bytes += bytes;
-        true
+    /// A buffer type with a freelist in every [`Scratch`].
+    pub trait Slot: Default {
+        /// Most buffers of this type the freelist keeps.
+        const MAX_POOLED: usize = usize::MAX;
+        /// The arena's freelist for this type.
+        fn pool(s: &Scratch) -> &RefCell<Pool<Self>>;
+        /// Capacity in elements: the tier key and the lease size check.
+        fn capacity(&self) -> usize;
+        /// Bytes charged against the budget.
+        fn bytes(&self) -> usize;
+        /// Empties the buffer, keeping its capacity.
+        fn clear(&mut self);
+        /// A fresh, empty buffer holding `cap` elements.
+        fn with_capacity(cap: usize) -> Self;
+    }
+
+    /// An element type with a vector freelist.
+    pub trait Elem: Copy + 'static {
+        /// The arena's freelist of vectors of this type.
+        fn pool(s: &Scratch) -> &RefCell<Pool<Vec<Self>>>;
+    }
+
+    /// A key type with a map freelist (count and dictionary maps).
+    pub trait Key: Copy + Eq + std::hash::Hash + 'static {
+        /// The arena's freelist of maps keyed by this type.
+        fn pool(s: &Scratch) -> &RefCell<Pool<crate::fxhash::FxHashMap<Self, usize>>>;
     }
 }
 
-/// Counters exposed by [`DecodeScratch::stats`].
+impl<T: sealed::Elem> Slot for Vec<T> {
+    fn pool(s: &Scratch) -> &RefCell<Pool<Self>> {
+        T::pool(s)
+    }
+    fn capacity(&self) -> usize {
+        Vec::capacity(self)
+    }
+    fn bytes(&self) -> usize {
+        Vec::capacity(self) * std::mem::size_of::<T>()
+    }
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+    fn with_capacity(cap: usize) -> Self {
+        Vec::with_capacity(cap)
+    }
+}
+
+/// Encode-side string sub-ranges, samples and dictionaries; their capacity
+/// is counted in bytes (pool + offsets).
+impl Slot for StringArena {
+    fn pool(s: &Scratch) -> &RefCell<Pool<Self>> {
+        &s.arenas
+    }
+    fn capacity(&self) -> usize {
+        self.capacity_bytes()
+    }
+    fn bytes(&self) -> usize {
+        self.capacity_bytes()
+    }
+    fn clear(&mut self) {
+        StringArena::clear(self);
+    }
+    fn with_capacity(cap: usize) -> Self {
+        StringArena::with_capacity(0, cap)
+    }
+}
+
+impl<K: sealed::Key> Slot for FxHashMap<K, usize> {
+    const MAX_POOLED: usize = MAP_STACK_MAX;
+    fn pool(s: &Scratch) -> &RefCell<Pool<Self>> {
+        K::pool(s)
+    }
+    fn capacity(&self) -> usize {
+        std::collections::HashMap::capacity(self)
+    }
+    /// Opaque: maps are capped by count instead (`MAP_STACK_MAX`).
+    fn bytes(&self) -> usize {
+        0
+    }
+    fn clear(&mut self) {
+        std::collections::HashMap::clear(self);
+    }
+    fn with_capacity(cap: usize) -> Self {
+        FxHashMap::with_capacity_and_hasher(cap, Default::default())
+    }
+}
+
+macro_rules! vec_freelists {
+    ($($ty:ty => $field:ident),+) => {
+        $(impl sealed::Elem for $ty {
+            fn pool(s: &Scratch) -> &RefCell<Pool<Vec<$ty>>> {
+                &s.$field
+            }
+        })+
+    };
+}
+
+vec_freelists!(i32 => i32s, f64 => f64s, u8 => u8s, u32 => u32s, u64 => u64s, (usize, usize) => ranges);
+
+impl sealed::Key for i32 {
+    fn pool(s: &Scratch) -> &RefCell<Pool<FxHashMap<i32, usize>>> {
+        &s.int_maps
+    }
+}
+
+impl sealed::Key for u64 {
+    fn pool(s: &Scratch) -> &RefCell<Pool<FxHashMap<u64, usize>>> {
+        &s.bits_maps
+    }
+}
+
+/// Counters exposed by [`Scratch::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchStats {
     /// Leases served from the pool (no allocation).
@@ -127,7 +258,7 @@ pub struct ScratchStats {
     pub misses: u64,
     /// Buffers returned to the pool.
     pub returns: u64,
-    /// Buffers dropped on release because the budget was full.
+    /// Buffers dropped on return because the budget or count cap was full.
     pub dropped: u64,
     /// Bytes of capacity currently pooled.
     pub held_bytes: usize,
@@ -135,323 +266,182 @@ pub struct ScratchStats {
     pub budget_bytes: usize,
 }
 
-/// A reusable arena of decode temporaries; see the module docs.
+/// The reusable arena of codec temporaries; see the module docs.
 ///
-/// Not thread-safe by design: each decode worker owns one (see
+/// Not thread-safe by design: each encode or decode worker owns one (see
 /// [`crate::parallel`] and btr-scan's engine), which keeps leases free of
 /// synchronization.
-pub struct DecodeScratch {
-    i32s: Pool<i32>,
-    f64s: Pool<f64>,
-    u8s: Pool<u8>,
-    u32s: Pool<u32>,
-    u64s: Pool<u64>,
-    budget_bytes: usize,
-    hits: u64,
-    misses: u64,
-    returns: u64,
-    dropped: u64,
+pub struct Scratch {
+    i32s: RefCell<Pool<Vec<i32>>>,
+    f64s: RefCell<Pool<Vec<f64>>>,
+    u8s: RefCell<Pool<Vec<u8>>>,
+    u32s: RefCell<Pool<Vec<u32>>>,
+    u64s: RefCell<Pool<Vec<u64>>>,
+    ranges: RefCell<Pool<Vec<(usize, usize)>>>,
+    arenas: RefCell<Pool<StringArena>>,
+    int_maps: RefCell<Pool<FxHashMap<i32, usize>>>,
+    bits_maps: RefCell<Pool<FxHashMap<u64, usize>>>,
+    stats: Cell<ScratchStats>,
 }
 
-macro_rules! pool_methods {
-    ($lease:ident, $release:ident, $field:ident, $ty:ty) => {
-        /// Leases an empty buffer with capacity ≥ `cap` (pool hit or fresh).
-        pub fn $lease(&mut self, cap: usize) -> Vec<$ty> {
-            // Pad sized leases by the SIMD overshoot reserve: the decode
-            // kernels call `reserve(count + DECODE_SLACK)`, and a pooled
-            // buffer sized exactly to `count` would realloc there.
-            let cap = if cap == 0 { 0 } else { cap.saturating_add(crate::simd::DECODE_SLACK) };
-            if let Some(v) = self.$field.lease(cap) {
-                self.hits += 1;
-                return v;
-            }
-            if cap == 0 {
-                // Size unknown yet: hand out an empty vec and let the
-                // decoder's reserve/extend size it; neither a hit nor miss.
-                return Vec::new();
-            }
-            self.misses += 1;
-            Vec::with_capacity(cap.next_power_of_two())
-        }
+/// The decode arena's name in the benchmark harness; the same type as
+/// [`Scratch`].
+pub type DecodeScratch = Scratch;
 
-        /// Returns a leased buffer to the pool (or drops it over budget).
-        pub fn $release(&mut self, v: Vec<$ty>) {
-            if v.capacity() == 0 {
-                return;
-            }
-            let room = self.budget_bytes.saturating_sub(self.held_bytes());
-            if self.$field.release(v, room) {
-                self.returns += 1;
-            } else {
-                self.dropped += 1;
-            }
-        }
-    };
-}
+/// The encode arena's name in the benchmark harness; the same type as
+/// [`Scratch`].
+pub type EncodeScratch = Scratch;
 
-impl DecodeScratch {
+impl Scratch {
     /// A scratch arena with the default byte budget.
-    pub fn new() -> DecodeScratch {
-        DecodeScratch::with_budget(DEFAULT_BUDGET_BYTES)
+    pub fn new() -> Scratch {
+        Scratch::with_budget(DEFAULT_BUDGET_BYTES)
     }
 
     /// A scratch arena holding at most `budget_bytes` of pooled capacity.
-    pub fn with_budget(budget_bytes: usize) -> DecodeScratch {
-        DecodeScratch {
-            i32s: Pool::new(),
-            f64s: Pool::new(),
-            u8s: Pool::new(),
-            u32s: Pool::new(),
-            u64s: Pool::new(),
-            budget_bytes,
-            hits: 0,
-            misses: 0,
-            returns: 0,
-            dropped: 0,
+    pub fn with_budget(budget_bytes: usize) -> Scratch {
+        Scratch {
+            i32s: RefCell::default(),
+            f64s: RefCell::default(),
+            u8s: RefCell::default(),
+            u32s: RefCell::default(),
+            u64s: RefCell::default(),
+            ranges: RefCell::default(),
+            arenas: RefCell::default(),
+            int_maps: RefCell::default(),
+            bits_maps: RefCell::default(),
+            stats: Cell::new(ScratchStats { budget_bytes, ..ScratchStats::default() }),
         }
     }
 
-    pool_methods!(lease_i32, release_i32, i32s, i32);
-    pool_methods!(lease_f64, release_f64, f64s, f64);
-    pool_methods!(lease_u8, release_u8, u8s, u8);
-    pool_methods!(lease_u32, release_u32, u32s, u32);
-    pool_methods!(lease_u64, release_u64, u64s, u64);
+    /// Leases an empty buffer with capacity ≥ `cap` (`0`: size unknown, the
+    /// caller grows it); it returns to the pool when the lease drops. `B` is
+    /// a `Vec` of `i32`, `f64`, `u8`, `u32`, `u64` or `(usize, usize)`
+    /// sample ranges, a [`StringArena`], or an `FxHashMap<K, usize>` keyed by
+    /// `i32` or `u64`.
+    pub(crate) fn lease<B: Slot>(&self, cap: usize) -> Lease<'_, B> {
+        Lease {
+            scratch: self,
+            buf: self.take(cap),
+        }
+    }
 
-    /// An empty [`DecodedColumn`] of the right variant, built from leased
+    /// An empty [`DecodedColumn`] of the right variant, built from pooled
     /// buffers — the out-parameter for [`crate::block::decompress_block_into`].
-    pub fn lease_decoded(&mut self, ty: ColumnType) -> DecodedColumn {
+    /// It outlives any scope, so it comes back through [`Scratch::recycle`].
+    pub fn lease_decoded(&self, ty: ColumnType) -> DecodedColumn {
         match ty {
-            ColumnType::Integer => DecodedColumn::Int(self.lease_i32(0)),
-            ColumnType::Double => DecodedColumn::Double(self.lease_f64(0)),
+            ColumnType::Integer => DecodedColumn::Int(self.take(0)),
+            ColumnType::Double => DecodedColumn::Double(self.take(0)),
             ColumnType::String => DecodedColumn::Str(StringViews {
-                pool: self.lease_u8(0),
-                views: self.lease_u64(0),
+                pool: self.take(0),
+                views: self.take(0),
             }),
         }
     }
 
     /// Strips a no-longer-needed decoded block into the pool — used when a
-    /// block buffer changes type mid-column and by btr-scan's cache when it
-    /// evicts entries.
-    pub fn recycle(&mut self, col: DecodedColumn) {
+    /// block buffer changes type mid-column, after a decoded block has been
+    /// appended to its column, and by btr-scan's cache when it evicts.
+    pub fn recycle(&self, col: DecodedColumn) {
         match col {
-            DecodedColumn::Int(v) => self.release_i32(v),
-            DecodedColumn::Double(v) => self.release_f64(v),
-            DecodedColumn::Str(s) => self.recycle_views(s),
-        }
-    }
-
-    /// Returns a [`StringViews`]' pool and view buffers to the arena.
-    pub fn recycle_views(&mut self, s: StringViews) {
-        self.release_u8(s.pool);
-        self.release_u64(s.views);
-    }
-
-    /// Bytes of capacity currently pooled across all element types.
-    pub fn held_bytes(&self) -> usize {
-        self.i32s.held_bytes
-            + self.f64s.held_bytes
-            + self.u8s.held_bytes
-            + self.u32s.held_bytes
-            + self.u64s.held_bytes
-    }
-
-    /// Snapshot of the counters.
-    pub fn stats(&self) -> ScratchStats {
-        ScratchStats {
-            hits: self.hits,
-            misses: self.misses,
-            returns: self.returns,
-            dropped: self.dropped,
-            held_bytes: self.held_bytes(),
-            budget_bytes: self.budget_bytes,
-        }
-    }
-}
-
-impl Default for DecodeScratch {
-    fn default() -> Self {
-        DecodeScratch::new()
-    }
-}
-
-impl std::fmt::Debug for DecodeScratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DecodeScratch").field("stats", &self.stats()).finish()
-    }
-}
-
-/// How many cleared hash maps an [`EncodeScratch`] retains per key type.
-///
-/// `HashMap` capacity is opaque (no `capacity -> bytes` contract), so maps
-/// are capped by count rather than charged against the byte budget. The
-/// cascade holds at most one stats map plus one dictionary map per level
-/// (depth ≤ 3 in practice), so a small stack covers the deepest recursion.
-const MAP_STACK_MAX: usize = 8;
-
-/// A reusable arena of *encode* temporaries — the write-side sibling of
-/// [`DecodeScratch`], sharing its tiered-freelist design and budget policy.
-///
-/// The compression pipeline (§3 of the paper: stats → viability filter →
-/// sampled trials → cascade) is temporary-heavy: every block gathers a
-/// sample, every candidate scheme compresses that sample into a trial
-/// buffer, and every chosen scheme materialises side-arrays (RLE run pairs,
-/// dictionary code sequences, frequency exception lists, Pseudodecimal
-/// digit/exponent columns) that are themselves recursively compressed. All
-/// of those are leased from this arena and released on exit, so a warm
-/// `compress_block_into` performs zero heap allocations for integer and
-/// double columns (string columns still allocate in borrowed-key stats maps
-/// and FSST symbol-table training; see DESIGN.md §12).
-///
-/// Beyond the element-type vector pools it adds encode-specific free stacks:
-///
-/// - sample-range pairs (`Vec<(usize, usize)>`) reused across candidate
-///   trials and cascade levels,
-/// - cleared [`StringArena`]s for per-block string sub-ranges and sample
-///   gathers,
-/// - cleared `FxHashMap`s for one-pass integer/double statistics and
-///   dictionary code assignment (both key on `i32` / `u64` bit patterns).
-///
-/// Like [`DecodeScratch`] this module is deliberately `unsafe`-free (noted
-/// in `btr-lint.toml`): all reuse goes through `Vec`/`HashMap` safe APIs.
-/// Not thread-safe by design — each encode worker owns one.
-pub struct EncodeScratch {
-    i32s: Pool<i32>,
-    f64s: Pool<f64>,
-    u8s: Pool<u8>,
-    u32s: Pool<u32>,
-    ranges: Pool<(usize, usize)>,
-    arenas: Vec<StringArena>,
-    arena_bytes: usize,
-    int_maps: Vec<FxHashMap<i32, usize>>,
-    bits_maps: Vec<FxHashMap<u64, usize>>,
-    budget_bytes: usize,
-    hits: u64,
-    misses: u64,
-    returns: u64,
-    dropped: u64,
-}
-
-impl EncodeScratch {
-    /// A scratch arena with the default byte budget.
-    pub fn new() -> EncodeScratch {
-        EncodeScratch::with_budget(DEFAULT_BUDGET_BYTES)
-    }
-
-    /// A scratch arena holding at most `budget_bytes` of pooled capacity.
-    pub fn with_budget(budget_bytes: usize) -> EncodeScratch {
-        EncodeScratch {
-            i32s: Pool::new(),
-            f64s: Pool::new(),
-            u8s: Pool::new(),
-            u32s: Pool::new(),
-            ranges: Pool::new(),
-            arenas: Vec::new(),
-            arena_bytes: 0,
-            int_maps: Vec::new(),
-            bits_maps: Vec::new(),
-            budget_bytes,
-            hits: 0,
-            misses: 0,
-            returns: 0,
-            dropped: 0,
-        }
-    }
-
-    pool_methods!(lease_i32, release_i32, i32s, i32);
-    pool_methods!(lease_f64, release_f64, f64s, f64);
-    pool_methods!(lease_u8, release_u8, u8s, u8);
-    pool_methods!(lease_u32, release_u32, u32s, u32);
-    pool_methods!(lease_ranges, release_ranges, ranges, (usize, usize));
-
-    /// Leases an empty [`StringArena`] (cleared pooled arena or fresh).
-    pub fn lease_arena(&mut self) -> StringArena {
-        match self.arenas.pop() {
-            Some(a) => {
-                self.hits += 1;
-                self.arena_bytes -= a.capacity_bytes();
-                a
+            DecodedColumn::Int(v) => self.give(v),
+            DecodedColumn::Double(v) => self.give(v),
+            DecodedColumn::Str(s) => {
+                self.give(s.pool);
+                self.give(s.views);
             }
-            // Lazily sized by the caller's pushes; neither a hit nor a miss.
-            None => StringArena::new(),
         }
-    }
-
-    /// Returns a leased arena to the pool (or drops it over budget).
-    pub fn release_arena(&mut self, mut a: StringArena) {
-        let bytes = a.capacity_bytes();
-        if bytes == 0 {
-            return;
-        }
-        if bytes > self.budget_bytes.saturating_sub(self.held_bytes()) {
-            self.dropped += 1;
-            return;
-        }
-        a.clear();
-        self.arena_bytes += bytes;
-        self.returns += 1;
-        self.arenas.push(a);
-    }
-
-    /// Leases a cleared `i32`-keyed map (integer stats, dictionary codes).
-    pub fn lease_int_map(&mut self) -> FxHashMap<i32, usize> {
-        self.int_maps.pop().unwrap_or_default()
-    }
-
-    /// Returns an `i32`-keyed map, retaining its capacity for the next lease.
-    pub fn release_int_map(&mut self, mut m: FxHashMap<i32, usize>) {
-        if self.int_maps.len() < MAP_STACK_MAX {
-            m.clear();
-            self.int_maps.push(m);
-        }
-    }
-
-    /// Leases a cleared `u64`-keyed map (double stats/dictionaries by bits).
-    pub fn lease_bits_map(&mut self) -> FxHashMap<u64, usize> {
-        self.bits_maps.pop().unwrap_or_default()
-    }
-
-    /// Returns a `u64`-keyed map, retaining its capacity for the next lease.
-    pub fn release_bits_map(&mut self, mut m: FxHashMap<u64, usize>) {
-        if self.bits_maps.len() < MAP_STACK_MAX {
-            m.clear();
-            self.bits_maps.push(m);
-        }
-    }
-
-    /// Bytes of capacity currently pooled (vector pools + string arenas;
-    /// retained maps are capped by count, not bytes — see `MAP_STACK_MAX`).
-    pub fn held_bytes(&self) -> usize {
-        self.i32s.held_bytes
-            + self.f64s.held_bytes
-            + self.u8s.held_bytes
-            + self.u32s.held_bytes
-            + self.ranges.held_bytes
-            + self.arena_bytes
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> ScratchStats {
-        ScratchStats {
-            hits: self.hits,
-            misses: self.misses,
-            returns: self.returns,
-            dropped: self.dropped,
-            held_bytes: self.held_bytes(),
-            budget_bytes: self.budget_bytes,
+        self.stats.get()
+    }
+
+    fn count(&self, f: impl FnOnce(&mut ScratchStats)) {
+        let mut s = self.stats.get();
+        f(&mut s);
+        self.stats.set(s);
+    }
+
+    fn take<B: Slot>(&self, cap: usize) -> B {
+        // Pad sized leases by the SIMD overshoot reserve: the decode kernels
+        // call `reserve(count + DECODE_SLACK)`, and a pooled buffer sized
+        // exactly to `count` would realloc there.
+        let cap = if cap == 0 { 0 } else { cap.saturating_add(crate::simd::DECODE_SLACK) };
+        match B::pool(self).try_borrow_mut().ok().and_then(|mut p| p.take(cap)) {
+            Some(b) => {
+                self.count(|s| {
+                    s.hits += 1;
+                    s.held_bytes -= b.bytes();
+                });
+                b
+            }
+            // Size unknown yet: the caller's reserve/extend sizes it;
+            // neither a hit nor a miss.
+            None if cap == 0 => B::with_capacity(0),
+            None => {
+                self.count(|s| s.misses += 1);
+                B::with_capacity(cap.next_power_of_two())
+            }
         }
     }
-}
 
-impl Default for EncodeScratch {
-    fn default() -> Self {
-        EncodeScratch::new()
+    fn give<B: Slot>(&self, b: B) {
+        if b.capacity() == 0 {
+            return;
+        }
+        let bytes = b.bytes();
+        let s = self.stats.get();
+        let fits = bytes <= s.budget_bytes.saturating_sub(s.held_bytes);
+        let kept = fits && B::pool(self).try_borrow_mut().is_ok_and(|mut p| p.put(b));
+        self.count(|s| {
+            if kept {
+                s.returns += 1;
+                s.held_bytes += bytes;
+            } else {
+                s.dropped += 1;
+            }
+        });
     }
 }
 
-impl std::fmt::Debug for EncodeScratch {
+impl Default for Scratch {
+    fn default() -> Self {
+        Scratch::new()
+    }
+}
+
+impl std::fmt::Debug for Scratch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EncodeScratch").field("stats", &self.stats()).finish()
+        f.debug_struct("Scratch").field("stats", &self.stats()).finish()
+    }
+}
+
+/// A buffer leased from a [`Scratch`]: derefs to it, and gives it back to
+/// its pool when dropped, however the scope ends.
+pub(crate) struct Lease<'a, B: Slot> {
+    scratch: &'a Scratch,
+    buf: B,
+}
+
+impl<B: Slot> Deref for Lease<'_, B> {
+    type Target = B;
+    fn deref(&self) -> &B {
+        &self.buf
+    }
+}
+
+impl<B: Slot> DerefMut for Lease<'_, B> {
+    fn deref_mut(&mut self) -> &mut B {
+        &mut self.buf
+    }
+}
+
+impl<B: Slot> Drop for Lease<'_, B> {
+    fn drop(&mut self) {
+        self.scratch.give(std::mem::take(&mut self.buf));
     }
 }
 
@@ -460,14 +450,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lease_release_roundtrip_reuses_capacity() {
-        let mut s = DecodeScratch::new();
-        let mut v = s.lease_i32(1000);
-        assert!(v.is_empty() && v.capacity() >= 1000);
-        v.extend(0..1000);
-        let ptr = v.as_ptr();
-        s.release_i32(v);
-        let v2 = s.lease_i32(1000);
+    fn leases_return_on_drop_and_reuse_capacity() {
+        let s = Scratch::new();
+        let ptr = {
+            let mut v = s.lease::<Vec<i32>>(1000);
+            assert!(v.is_empty() && v.capacity() >= 1000);
+            v.extend(0..1000);
+            v.as_ptr()
+        };
+        let v2 = s.lease::<Vec<i32>>(1000);
         assert!(v2.is_empty(), "pooled buffers come back cleared");
         assert!(v2.capacity() >= 1000);
         assert_eq!(v2.as_ptr(), ptr, "same allocation served back");
@@ -476,125 +467,126 @@ mod tests {
     }
 
     #[test]
-    fn lease_never_returns_too_small_a_buffer() {
-        let mut s = DecodeScratch::new();
-        s.release_u32({
+    fn nested_leases_and_error_exits_return_everything() {
+        fn fails(s: &Scratch) -> Result<(), ()> {
+            let _outer = s.lease::<Vec<u32>>(64);
+            let _inner = s.lease::<Vec<u32>>(64);
+            Err(())?;
+            Ok(())
+        }
+        let s = Scratch::new();
+        assert!(fails(&s).is_err());
+        assert_eq!(s.stats().returns, 2);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = s.lease::<Vec<u32>>(64);
+            panic!("unwinds through the lease");
+        }));
+        assert!(caught.is_err());
+        let st = s.stats();
+        assert_eq!((st.misses, st.returns), (2, 3), "the panicking scope returned its lease");
+    }
+
+    #[test]
+    fn lease_takes_the_smallest_adequate_tier() {
+        let s = Scratch::new();
+        s.give({
             let mut v = Vec::with_capacity(100);
             v.push(1u32);
             v
         });
         // 100 lives in tier 6 (64..127); a lease for 120 starts at tier 6
         // and must skip it via the capacity check.
-        let v = s.lease_u32(120);
+        let v = s.lease::<Vec<u32>>(120 - crate::simd::DECODE_SLACK);
         assert!(v.capacity() >= 120);
         assert_eq!(s.stats().misses, 1);
         // The 100-capacity buffer is still pooled for a smaller lease.
-        let v2 = s.lease_u32(80);
-        assert!(v2.capacity() >= 80);
+        let v2 = s.lease::<Vec<u32>>(80 - crate::simd::DECODE_SLACK);
+        assert_eq!(v2.capacity(), 100);
         assert_eq!(s.stats().hits, 1);
+        // Unsized leases take the largest pooled buffer.
+        drop((v, v2));
+        assert!(s.lease::<Vec<u32>>(0).capacity() >= 120);
     }
 
     #[test]
     fn budget_drops_instead_of_hoarding() {
-        let mut s = DecodeScratch::with_budget(1024);
-        s.release_f64(Vec::with_capacity(64)); // 512 bytes, pooled
-        s.release_f64(Vec::with_capacity(64)); // 1024 bytes total, pooled
-        s.release_f64(Vec::with_capacity(64)); // would exceed, dropped
+        let s = Scratch::with_budget(1024);
+        for _ in 0..3 {
+            s.give(Vec::<f64>::with_capacity(64)); // 512 bytes each
+        }
         let st = s.stats();
-        assert_eq!(st.returns, 2);
-        assert_eq!(st.dropped, 1);
+        assert_eq!((st.returns, st.dropped), (2, 1));
         assert!(st.held_bytes <= st.budget_bytes);
+        // Zero-capacity returns are free: neither pooled nor dropped.
+        s.give(Vec::<i32>::new());
+        assert_eq!(s.stats(), st);
     }
 
     #[test]
-    fn recycle_decoded_feeds_later_leases() {
-        let mut s = DecodeScratch::new();
+    fn decoded_blocks_recycle_into_later_leases() {
+        let s = Scratch::new();
+        assert!(matches!(s.lease_decoded(ColumnType::Integer), DecodedColumn::Int(_)));
+        assert!(matches!(s.lease_decoded(ColumnType::Double), DecodedColumn::Double(_)));
         s.recycle(DecodedColumn::Int(Vec::with_capacity(4096)));
         s.recycle(DecodedColumn::Str(StringViews {
             pool: Vec::with_capacity(512),
             views: Vec::with_capacity(256),
         }));
-        assert!(s.lease_i32(4000).capacity() >= 4096);
-        assert!(s.lease_u8(500).capacity() >= 512);
-        assert!(s.lease_u64(200).capacity() >= 256);
+        assert!(s.lease::<Vec<i32>>(4000 - crate::simd::DECODE_SLACK).capacity() >= 4096);
+        match s.lease_decoded(ColumnType::String) {
+            DecodedColumn::Str(v) => assert!(v.pool.capacity() >= 512 && v.views.capacity() >= 256),
+            other => panic!("{other:?}"),
+        }
         assert_eq!(s.stats().hits, 3);
     }
 
     #[test]
-    fn lease_decoded_matches_type() {
-        let mut s = DecodeScratch::new();
-        assert!(matches!(s.lease_decoded(ColumnType::Integer), DecodedColumn::Int(_)));
-        assert!(matches!(s.lease_decoded(ColumnType::Double), DecodedColumn::Double(_)));
-        assert!(matches!(s.lease_decoded(ColumnType::String), DecodedColumn::Str(_)));
-    }
+    fn arenas_and_maps_come_back_cleared_with_capacity() {
+        let s = Scratch::new();
+        {
+            let mut a = s.lease::<StringArena>(0);
+            a.push(b"hello");
+            a.push(b"world");
+            let mut r = s.lease::<Vec<(usize, usize)>>(10);
+            r.push((0, 64));
+        }
+        assert!(s.stats().held_bytes > 0);
+        let a = s.lease::<StringArena>(0);
+        assert!(a.is_empty(), "pooled arenas come back cleared");
+        assert!(a.capacity_bytes() > 0, "but keep their capacity");
 
-    #[test]
-    fn zero_capacity_releases_are_free() {
-        let mut s = DecodeScratch::new();
-        s.release_i32(Vec::new());
-        let st = s.stats();
-        assert_eq!((st.returns, st.dropped, st.held_bytes), (0, 0, 0));
-    }
-
-    #[test]
-    fn encode_scratch_roundtrips_vectors() {
-        let mut s = EncodeScratch::new();
-        let mut v = s.lease_i32(500);
-        assert!(v.is_empty() && v.capacity() >= 500);
-        v.extend(0..500);
-        let ptr = v.as_ptr();
-        s.release_i32(v);
-        let v2 = s.lease_i32(500);
-        assert!(v2.is_empty() && v2.capacity() >= 500);
-        assert_eq!(v2.as_ptr(), ptr, "same allocation served back");
-        let st = s.stats();
-        assert_eq!((st.hits, st.misses, st.returns), (1, 1, 1));
-    }
-
-    #[test]
-    fn encode_scratch_reuses_ranges_and_arena() {
-        let mut s = EncodeScratch::new();
-        let mut r = s.lease_ranges(10);
-        r.push((0, 64));
-        s.release_ranges(r);
-        assert!(s.lease_ranges(8).capacity() >= 8);
-        assert_eq!(s.stats().hits, 1);
-
-        let mut a = s.lease_arena();
-        a.push(b"hello");
-        a.push(b"world");
-        s.release_arena(a);
-        assert!(s.held_bytes() > 0);
-        let a2 = s.lease_arena();
-        assert!(a2.is_empty(), "pooled arenas come back cleared");
-        assert!(a2.capacity_bytes() > 0, "but keep their capacity");
-    }
-
-    #[test]
-    fn encode_scratch_reuses_maps_cleared() {
-        let mut s = EncodeScratch::new();
-        let mut m = s.lease_int_map();
-        m.insert(7, 3);
-        let cap = m.capacity();
-        s.release_int_map(m);
-        let m2 = s.lease_int_map();
-        assert!(m2.is_empty(), "pooled maps come back cleared");
-        assert_eq!(m2.capacity(), cap, "but keep their capacity");
-
-        let mut b = s.lease_bits_map();
+        let cap = {
+            let mut m = s.lease::<FxHashMap<i32, usize>>(0);
+            m.insert(7, 3);
+            m.capacity()
+        };
+        let m = s.lease::<FxHashMap<i32, usize>>(0);
+        assert!(m.is_empty(), "pooled maps come back cleared");
+        assert_eq!(m.capacity(), cap, "but keep their capacity");
+        let mut b = s.lease::<FxHashMap<u64, usize>>(0);
         b.insert(1.5f64.to_bits(), 1);
-        s.release_bits_map(b);
-        assert!(s.lease_bits_map().is_empty());
+        drop(b);
+        assert!(s.lease::<FxHashMap<u64, usize>>(0).is_empty());
     }
 
     #[test]
-    fn encode_scratch_budget_drops_arenas() {
-        let mut s = EncodeScratch::with_budget(8);
-        let mut a = StringArena::new();
+    fn maps_are_capped_by_count_and_arenas_by_budget() {
+        let s = Scratch::new();
+        let maps: Vec<_> = (0..MAP_STACK_MAX + 1)
+            .map(|i| {
+                let mut m = s.lease::<FxHashMap<u64, usize>>(0);
+                m.insert(i as u64, i);
+                m
+            })
+            .collect();
+        drop(maps);
+        assert_eq!((s.stats().returns, s.stats().dropped), (MAP_STACK_MAX as u64, 1));
+
+        let s = Scratch::with_budget(8);
+        let mut a = s.lease::<StringArena>(0);
         a.push(&[0u8; 64]);
-        s.release_arena(a);
+        drop(a);
         let st = s.stats();
-        assert_eq!((st.returns, st.dropped), (0, 1));
-        assert_eq!(s.held_bytes(), 0);
+        assert_eq!((st.returns, st.dropped, st.held_bytes), (0, 1, 0));
     }
 }

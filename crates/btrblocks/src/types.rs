@@ -154,16 +154,22 @@ impl StringArena {
     /// Appends every string of a decoded block: one pass writing the offsets,
     /// one reservation for the bytes, and one pass copying them, in which
     /// views that follow each other in the pool (any block that was not
-    /// dictionary-decoded) move as a single run.
-    pub(crate) fn extend_from_views(&mut self, views: &StringViews) {
+    /// dictionary-decoded) move as a single run. A total past u32 offsets
+    /// is [`crate::Error::LimitExceeded`], before anything is reserved.
+    pub(crate) fn extend_from_views(&mut self, views: &StringViews) -> crate::Result<()> {
         let len_of = |v: u64| (v & 0xFFFF_FFFF) as usize;
-        let mut end = self.bytes.len();
+        let (strings, base) = (self.offsets.len(), self.bytes.len());
+        let mut end = base;
         self.offsets.extend(views.views.iter().map(|&v| {
             end += len_of(v);
-            // lint: allow(cast) encode side: arena pools are far smaller than 4 GiB
+            // lint: allow(cast) a total past u32::MAX is rejected below and these offsets dropped
             end as u32
         }));
-        self.bytes.reserve(end - self.bytes.len());
+        if u32::try_from(end).is_err() {
+            self.offsets.truncate(strings);
+            return Err(crate::Error::LimitExceeded("string column passes u32 offsets"));
+        }
+        self.bytes.reserve(end - base);
         let mut run = 0..0;
         for &v in &views.views {
             let start = (v >> 32) as usize;
@@ -176,6 +182,7 @@ impl StringArena {
         }
         // lint: allow(indexing) views invariant: every view was validated against the pool at decode time
         self.bytes.extend_from_slice(&views.pool[run]);
+        Ok(())
     }
 
     /// Empties the arena, keeping both buffers' capacity.
@@ -185,7 +192,7 @@ impl StringArena {
         self.offsets.push(0);
     }
 
-    /// Bytes of backing capacity (bytes pool + offsets), used by the encode
+    /// Bytes of backing capacity (bytes pool + offsets), used by the
     /// scratch arena to charge pooled arenas against its byte budget.
     pub fn capacity_bytes(&self) -> usize {
         self.bytes.capacity() + self.offsets.capacity() * 4
@@ -284,10 +291,12 @@ impl StringViews {
         (0..self.len()).map(move |i| self.get(i))
     }
 
-    /// Materializes into a contiguous [`StringArena`] (copies bytes).
+    /// Materializes into a contiguous [`StringArena`] (copies bytes). Every
+    /// string decoder bounds a block to u32 offsets, so decoded views always
+    /// fit; views past that bound come back as an empty arena.
     pub fn to_arena(&self) -> StringArena {
         let mut arena = StringArena::new();
-        arena.extend_from_views(self);
+        let _ = arena.extend_from_views(self);
         arena
     }
 
@@ -452,6 +461,22 @@ impl From<Vec<u8>> for Literal {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn views_past_u32_offsets_are_rejected_before_any_copy() {
+        let mut arena = StringArena::from_strs(&["ab"]);
+        // The lengths alone pass u32::MAX; the 16-byte pool is never read.
+        let huge = StringViews {
+            pool: vec![0; 16],
+            views: vec![StringViews::pack(0, u32::MAX - 1), StringViews::pack(0, 16)],
+        };
+        assert_eq!(
+            arena.extend_from_views(&huge),
+            Err(crate::Error::LimitExceeded("string column passes u32 offsets"))
+        );
+        assert_eq!(arena, StringArena::from_strs(&["ab"]), "left as it was");
+        assert!(huge.to_arena().is_empty());
+    }
 
     #[test]
     fn arena_roundtrip() {

@@ -1,4 +1,4 @@
-//! Zero-allocation warm decode: the tentpole guarantee of `DecodeScratch`.
+//! Zero-allocation warm decode: the central guarantee of `Scratch`.
 //!
 //! This binary installs btr-corrupt's tracking allocator as the global
 //! allocator, decodes a relation's blocks once cold (populating the scratch
@@ -14,8 +14,8 @@
 
 use btr_corrupt::alloc::{self, TrackingAllocator};
 use btrblocks::{
-    compress, decompress_block_into, Column, ColumnData, Config, DecodeScratch, Relation,
-    SchemeCode, StringArena,
+    compress, decompress_block_into, Column, ColumnData, Config, Relation, SchemeCode, Scratch,
+    StringArena,
 };
 
 #[global_allocator]
@@ -74,7 +74,7 @@ fn sample_relation(rows: usize) -> Relation {
 fn decode_all(
     compressed: &btrblocks::CompressedRelation,
     cfg: &Config,
-    scratch: &mut DecodeScratch,
+    scratch: &mut Scratch,
 ) -> usize {
     let mut rows = 0;
     for col in &compressed.columns {
@@ -103,7 +103,7 @@ fn warm_decode_allocates_zero_bytes() {
         assert!(chosen.contains(&scheme), "column {column} never selected {scheme:?}: {chosen:?}");
     }
 
-    let mut scratch = DecodeScratch::new();
+    let mut scratch = Scratch::new();
     // Cold pass: every lease misses and allocates; the pool fills up.
     let cold_rows = decode_all(&compressed, &cfg, &mut scratch);
     assert_eq!(cold_rows, expected_rows);
@@ -128,7 +128,7 @@ fn warm_decode_allocates_zero_bytes() {
     // behaviour end-to-end rather than only at the unit level.
     let rel = sample_relation(4_000);
     let compressed = compress(&rel, &cfg).expect("compresses");
-    let mut scratch = DecodeScratch::with_budget(1 << 10);
+    let mut scratch = Scratch::with_budget(1 << 10);
     let rows = decode_all(&compressed, &cfg, &mut scratch);
     assert_eq!(rows, 6 * 4_000);
     let stats = scratch.stats();

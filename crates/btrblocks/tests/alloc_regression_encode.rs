@@ -1,4 +1,4 @@
-//! Zero-allocation warm encode: the tentpole guarantee of `EncodeScratch`.
+//! Zero-allocation warm encode: the central guarantee of `Scratch`.
 //!
 //! This binary installs btr-corrupt's tracking allocator as the global
 //! allocator, compresses a relation's blocks once cold (populating the
@@ -12,12 +12,12 @@
 //! here (their leased temporaries are covered by the roundtrip proptests).
 //! String columns are excluded for the same reason — their stats and
 //! dictionary maps key on borrowed `&[u8]` slices that cannot outlive one
-//! block, so those maps are rebuilt per block by design (DESIGN.md §12).
+//! block, so those maps are rebuilt per block by design (DESIGN.md §11).
 
 use btr_corrupt::alloc::{self, TrackingAllocator};
 use btrblocks::{
-    compress_block, compress_block_into, BlockRef, Column, ColumnData, Config, EncodeScratch,
-    Relation, SchemeCode,
+    compress_block, compress_block_into, BlockRef, Column, ColumnData, Config, Relation,
+    SchemeCode, Scratch,
 };
 
 #[global_allocator]
@@ -85,7 +85,7 @@ fn blocks<'a>(rel: &'a Relation, cfg: &Config) -> Vec<BlockRef<'a>> {
 fn encode_all(
     blocks: &[BlockRef<'_>],
     cfg: &Config,
-    scratch: &mut EncodeScratch,
+    scratch: &mut Scratch,
     out: &mut Vec<u8>,
 ) -> usize {
     let mut bytes = 0;
@@ -105,7 +105,7 @@ fn warm_encode_allocates_zero_bytes() {
     let rel = sample_relation(10_000);
     let blocks = blocks(&rel, &cfg);
 
-    let mut scratch = EncodeScratch::new();
+    let mut scratch = Scratch::new();
     let mut out = Vec::new();
 
     // Cold pass: every lease misses and allocates; the pool and the output
@@ -154,7 +154,7 @@ fn warm_encode_allocates_zero_bytes() {
     // A tight budget drops oversized returns instead of hoarding; encode
     // still succeeds, it just stays allocating. This pins the budget
     // behaviour end-to-end rather than only at the unit level.
-    let mut scratch = EncodeScratch::with_budget(1 << 10);
+    let mut scratch = Scratch::with_budget(1 << 10);
     let bytes = encode_all(&blocks, &cfg, &mut scratch, &mut out);
     assert_eq!(bytes, cold_bytes);
     let stats = scratch.stats();

@@ -11,7 +11,7 @@ use btrblocks::block::{compress_block_with, BlockRef};
 use btrblocks::writer::WriteLe;
 use btrblocks::{
     compress, decompress, decompress_block_into, filter_block, CmpOp, Column, ColumnData,
-    ColumnType, Config, DecodeScratch, DecodedColumn, Error, Literal, Relation, SchemeCode,
+    ColumnType, Config, DecodedColumn, Error, Literal, Relation, SchemeCode, Scratch,
 };
 
 /// `sample()` under `small_cfg()`, written once by the last commit that had a
@@ -228,7 +228,7 @@ fn v1_mid_cascade_truncation_errors_cleanly() {
 fn assert_same_rejection(block: &[u8], ty: ColumnType, expected: Error) {
     let cfg = Config::default();
     let mut out = DecodedColumn::Int(Vec::new());
-    let decoded = decompress_block_into(block, ty, &cfg, &mut DecodeScratch::new(), &mut out);
+    let decoded = decompress_block_into(block, ty, &cfg, &mut Scratch::new(), &mut out);
     assert_eq!(decoded.unwrap_err(), expected, "decoder");
     let lit = match ty {
         ColumnType::Integer => Literal::Int(1),

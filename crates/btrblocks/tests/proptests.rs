@@ -5,8 +5,8 @@
 use btr_corrupt::rng::Xorshift;
 use btrblocks::block::{compress_block, compress_block_with, decompress_block, BlockRef};
 use btrblocks::{
-    decompress_block_into, Column, ColumnData, ColumnType, Config, DecodeScratch, DecodedColumn,
-    Relation, SchemeCode, SimdMode, StringArena, StringViews,
+    decompress_block_into, Column, ColumnData, ColumnType, Config, DecodedColumn, Relation,
+    SchemeCode, Scratch, SimdMode, StringArena, StringViews,
 };
 
 const CASES: usize = 64;
@@ -342,7 +342,7 @@ fn dirty_scratch_decode_matches_fresh_for_every_scheme() {
     let mut rng = Xorshift::new(0x59);
     // One scratch across all cases and schemes: its pool carries buffers
     // (and their stale capacities) from every previous decode.
-    let mut scratch = DecodeScratch::new();
+    let mut scratch = Scratch::new();
     for case in 0..CASES {
         let cfg = small_cfg(simd_mode(case));
         let ints = arb_ints(&mut rng);
@@ -425,7 +425,7 @@ fn dirty_scratch_decode_matches_fresh_for_every_scheme() {
 #[test]
 fn short_and_hostile_strings_roundtrip_through_fsst() {
     let mut rng = Xorshift::new(0x5C);
-    let mut scratch = DecodeScratch::new();
+    let mut scratch = Scratch::new();
     let cfg = Config::default();
     let mut blocks: Vec<Vec<Vec<u8>>> = Vec::new();
     for _ in 0..24 {
