@@ -16,12 +16,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
 
-/// A `System`-backed allocator that tracks live and peak heap bytes.
+/// A `System`-backed allocator that tracks live, peak and cumulative heap
+/// bytes.
 pub struct TrackingAllocator;
 
 impl TrackingAllocator {
     fn on_alloc(size: usize) {
+        ALLOCATED.fetch_add(size, Ordering::Relaxed); // ordering: allocation tracking counter; approximate by design
         let live = LIVE.fetch_add(size, Ordering::Relaxed) + size; // ordering: allocation tracking counter; approximate by design
         PEAK.fetch_max(live, Ordering::Relaxed); // ordering: allocation tracking counter; approximate by design
     }
@@ -76,6 +79,13 @@ unsafe impl GlobalAlloc for TrackingAllocator {
 /// Currently live heap bytes (as seen by the tracking allocator).
 pub fn live_bytes() -> usize {
     LIVE.load(Ordering::Relaxed) // ordering: statistics snapshot
+}
+
+/// Bytes requested so far: every allocation's size, and every
+/// reallocation's new size. Never decreases; the difference across a call is
+/// how much that call allocated.
+pub fn allocated_bytes() -> usize {
+    ALLOCATED.load(Ordering::Relaxed) // ordering: statistics snapshot
 }
 
 /// Resets the peak to the current live count and returns the live count.

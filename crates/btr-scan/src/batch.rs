@@ -3,9 +3,15 @@
 //! The engine decodes whole blocks but hands results to the consumer in
 //! batches of `EngineOptions::batch_rows` rows, so downstream operators see a
 //! steady granularity regardless of how the relation was blocked. This
-//! module holds the batch type plus the gather/append/split plumbing the
-//! iterator uses to re-chunk decoded blocks; every contiguous string copy in
-//! it is one run ([`StringArena::extend_from_range`]), not string by string.
+//! module holds the batch type, [`gather`] (a block's selected rows) and
+//! [`concat_runs`], with which [`crate::ScanStream`]'s cursor copies each
+//! row once into a batch column sized for exactly its rows. Every
+//! contiguous string copy here is one run
+//! ([`StringArena::extend_from_range`]), not string by string.
+//!
+//! [`append`] and [`split_front`] are off the scan path: the benchmark's
+//! traced scan phase, [`crate::chaos::drain`] and `tests/e2e.rs` still use
+//! them.
 
 use crate::{Result, ScanError};
 use btr_expr::Selection;
@@ -83,20 +89,77 @@ fn sel_iter<'a>(selection: Option<&'a Selection>) -> Box<dyn Iterator<Item = u32
     }
 }
 
-/// Appends `src` onto `dst`; both must share a type (the planner guarantees
-/// this, so a mismatch is reported as corruption rather than panicking).
-/// Strings move as one run of bytes.
+/// Appends `src` onto `dst` (not on the scan path; see the module docs);
+/// both must share a type (the planner guarantees this, so a mismatch is
+/// reported as corruption rather than panicking). Strings move as one run of
+/// bytes.
 pub fn append(dst: &mut ColumnData, src: &ColumnData) -> Result<()> {
+    extend_run(dst, src, 0..src.len())
+}
+
+/// Copies `runs` — row ranges of same-typed columns, in order — into one
+/// column of type `ty` sized for exactly their `len` rows (and, for
+/// strings, their bytes): one `extend_from_slice` or one
+/// [`StringArena::extend_from_range`] per run. A type mismatch or rows past
+/// a column's end are reported as corruption.
+pub fn concat_runs<'a>(
+    ty: ColumnType,
+    len: usize,
+    runs: impl Iterator<Item = (&'a ColumnData, Range<usize>)> + Clone,
+) -> Result<ColumnData> {
+    let mut out = match ty {
+        ColumnType::Integer => ColumnData::Int(Vec::with_capacity(len)),
+        ColumnType::Double => ColumnData::Double(Vec::with_capacity(len)),
+        ColumnType::String => {
+            let bytes = runs
+                .clone()
+                .map(|(col, rows)| match col {
+                    ColumnData::Str(arena) => run_bytes(arena, rows).unwrap_or(0),
+                    _ => 0,
+                })
+                .fold(0, usize::saturating_add);
+            check_pool_bytes(0, bytes)?;
+            ColumnData::Str(StringArena::with_capacity(len, bytes))
+        }
+    };
+    for (col, rows) in runs {
+        extend_run(&mut out, col, rows)?;
+    }
+    Ok(out)
+}
+
+/// Appends rows `rows` of `src` onto `dst`: one `extend_from_slice`, or for
+/// strings one [`StringArena::extend_from_range`] run behind the 4 GiB
+/// check. A type mismatch or rows past `src`'s end are reported as
+/// corruption.
+fn extend_run(dst: &mut ColumnData, src: &ColumnData, rows: Range<usize>) -> Result<()> {
     match (dst, src) {
-        (ColumnData::Int(d), ColumnData::Int(s)) => d.extend_from_slice(s),
-        (ColumnData::Double(d), ColumnData::Double(s)) => d.extend_from_slice(s),
+        (ColumnData::Int(d), ColumnData::Int(s)) => {
+            d.extend_from_slice(s.get(rows).ok_or_else(past_end)?);
+        }
+        (ColumnData::Double(d), ColumnData::Double(s)) => {
+            d.extend_from_slice(s.get(rows).ok_or_else(past_end)?);
+        }
         (ColumnData::Str(d), ColumnData::Str(s)) => {
-            check_pool_bytes(d.total_bytes(), s.total_bytes())?;
-            d.extend_from_range(s, 0..s.len());
+            check_pool_bytes(d.total_bytes(), run_bytes(s, rows.clone())?)?;
+            d.extend_from_range(s, rows);
         }
         _ => return Err(corrupt("column type changed between blocks")),
     }
     Ok(())
+}
+
+/// Pool bytes of strings `rows` of `arena`.
+fn run_bytes(arena: &StringArena, rows: Range<usize>) -> Result<usize> {
+    match arena.offsets.get(rows.start..=rows.end) {
+        Some([first, .., last]) => Ok(last.saturating_sub(*first) as usize),
+        Some([_]) => Ok(0),
+        _ => Err(past_end()),
+    }
+}
+
+fn past_end() -> ScanError {
+    corrupt("row range past its column")
 }
 
 /// Arena offsets are u32: a string buffer holding `held` pool bytes may take
@@ -112,7 +175,8 @@ fn corrupt(what: &'static str) -> ScanError {
     ScanError::Decode(btrblocks::Error::Corrupt(what))
 }
 
-/// Removes and returns the first `k` rows of `data` (`k <= data.len()`).
+/// Removes and returns the first `k` rows of `data` (`k <= data.len()`),
+/// copying the rest; not on the scan path (see the module docs).
 pub fn split_front(data: &mut ColumnData, k: usize) -> ColumnData {
     match data {
         ColumnData::Int(v) => {
@@ -227,6 +291,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn concat_runs_copies_each_run_and_rejects_bad_ones() {
+        let head = ColumnData::Str(StringArena::from_strs(&STRS[..4]));
+        let tail = ColumnData::Str(StringArena::from_strs(&STRS[4..]));
+        let runs = [(&head, 1..4), (&tail, 0..2)];
+        let got = concat_runs(ColumnType::String, 5, runs.into_iter());
+        let want = ColumnData::Str(StringArena::from_strs(&STRS[1..6]));
+        assert_eq!(got, Ok(want));
+        let ints = ColumnData::Int(vec![1, 2, 3]);
+        let runs = [(&ints, 2..3), (&ints, 0..2)];
+        let got = concat_runs(ColumnType::Integer, 3, runs.into_iter());
+        assert_eq!(got, Ok(ColumnData::Int(vec![3, 1, 2])));
+        for (ty, col, rows) in [
+            (ColumnType::Integer, &ints, 2..4),
+            (ColumnType::String, &head, 3..9),
+            #[allow(clippy::reversed_empty_ranges)] // a hostile run
+            (ColumnType::String, &head, 3..1),
+        ] {
+            let got = concat_runs(ty, 2, [(col, rows)].into_iter());
+            assert_eq!(got, Err(past_end()));
+        }
+        let got = concat_runs(ColumnType::Double, 1, [(&ints, 0..1)].into_iter());
+        assert_eq!(got, Err(corrupt("column type changed between blocks")));
     }
 
     #[test]

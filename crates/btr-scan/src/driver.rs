@@ -13,14 +13,14 @@
 //!    a pool thread (and every scan behind it) down.
 //! 3. [`Reorder`] re-sequences groups workers finish in any order.
 //! 4. [`ScanStream`] re-chunks ordered groups into fixed-size
-//!    [`RecordBatch`]es and ends the scan exactly once
-//!    ([`GroupFeed::finish`]) on drain, error, cancel, or drop.
+//!    [`RecordBatch`]es, copying each row once, and ends the scan exactly
+//!    once ([`GroupFeed::finish`]) on drain, error, cancel, or drop.
 //!
 //! [`GroupFeed`] is the seam between 4 and the executor: where ordered row
 //! groups come from and what ending the scan releases. The executor's feed
 //! is the one implementation outside this module's tests.
 
-use crate::batch::{append, split_front, RecordBatch};
+use crate::batch::{concat_runs, RecordBatch};
 use crate::cache::BlockCache;
 use crate::pipeline::{BlockPipeline, BlockResult, DecodeGate, PipelineFilter, PipelineParams};
 use crate::plan::{plan_scan, RowGroup, ScanPlan, ScanSpec};
@@ -28,8 +28,9 @@ use crate::retry::FetchCtl;
 use crate::source::BlockSource;
 use crate::{Result, ScanError};
 use btr_sync::{Deadline, RetryBudget};
-use btrblocks::{ColumnData, Config, Scratch, Sidecar};
-use std::collections::BTreeMap;
+use btrblocks::{ColumnData, ColumnType, Config, Scratch, Sidecar};
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -164,11 +165,21 @@ pub trait GroupFeed {
 /// A running scan: an iterator of [`RecordBatch`]es in row order, cut to a
 /// fixed row count whatever the relation's block size.
 ///
+/// Re-chunking is a cursor: the stream keeps the row groups it has taken, in
+/// order, and a row offset into the first; a cut copies exactly its rows
+/// from them into columns sized for exactly those rows, and a group is
+/// dropped once used up. Each row is copied once.
+///
 /// Dropping the stream before it is drained cancels the scan.
 pub struct ScanStream<F: GroupFeed> {
     feed: F,
     names: Vec<String>,
-    buffers: Vec<ColumnData>,
+    types: Vec<ColumnType>,
+    /// Columns of the groups taken and not yet used up, in row order, with
+    /// their row counts; none is empty.
+    pending: VecDeque<(usize, Vec<ColumnData>)>,
+    /// Rows of `pending[0]` already handed out.
+    offset: usize,
     buffered_rows: usize,
     batch_rows: usize,
     rows_matched: u64,
@@ -177,13 +188,16 @@ pub struct ScanStream<F: GroupFeed> {
 }
 
 impl<F: GroupFeed> ScanStream<F> {
-    /// A stream over `feed`. `names` and `buffers` are the projected columns
-    /// in output order (see [`BlockPipeline::empty_columns`]).
-    pub fn new(feed: F, names: Vec<String>, buffers: Vec<ColumnData>, batch_rows: usize) -> Self {
+    /// A stream over `feed`. `names` and `types` describe the projected
+    /// columns in output order; every group the feed yields must hold
+    /// exactly those columns, each `rows_matched` long.
+    pub fn new(feed: F, names: Vec<String>, types: Vec<ColumnType>, batch_rows: usize) -> Self {
         ScanStream {
             feed,
             names,
-            buffers,
+            types,
+            pending: VecDeque::new(),
+            offset: 0,
             buffered_rows: 0,
             batch_rows: batch_rows.max(1),
             rows_matched: 0,
@@ -219,17 +233,86 @@ impl<F: GroupFeed> ScanStream<F> {
         }
     }
 
-    fn cut(&mut self, n: usize) -> RecordBatch {
-        let columns = self
-            .names
-            .iter()
-            .zip(self.buffers.iter_mut())
-            .map(|(name, buf)| (name.clone(), split_front(buf, n)))
-            .collect();
+    /// Takes groups until a full batch is buffered or the feed runs out,
+    /// then cuts; `None` once the feed is drained and nothing is buffered.
+    fn step(&mut self) -> Option<Result<RecordBatch>> {
+        while self.buffered_rows < self.batch_rows {
+            match self.feed.next_block() {
+                Some(Ok(group)) => {
+                    if let Err(e) = self.take(group) {
+                        return Some(Err(e));
+                    }
+                }
+                Some(Err(e)) => return Some(Err(e)),
+                None if self.buffered_rows > 0 => return Some(self.cut(self.buffered_rows)),
+                None => return None,
+            }
+        }
+        Some(self.cut(self.batch_rows))
+    }
+
+    /// Queues a group from the feed, or rejects it when its columns do not
+    /// match the projection's count and types or its `rows_matched`.
+    fn take(&mut self, group: BlockResult) -> Result<()> {
+        let rows = usize::try_from(group.rows_matched).ok();
+        let fits = group.columns.len() == self.types.len()
+            && group
+                .columns
+                .iter()
+                .zip(&self.types)
+                .all(|(col, &ty)| col.column_type() == ty && Some(col.len()) == rows);
+        let Some(rows) = rows.filter(|_| fits) else {
+            let what = "row group columns disagree with the projection or their row count";
+            return Err(ScanError::Decode(btrblocks::Error::Corrupt(what)));
+        };
+        self.rows_matched += group.rows_matched;
+        if rows > 0 {
+            self.buffered_rows += rows;
+            self.pending.push_back((rows, group.columns));
+        }
+        Ok(())
+    }
+
+    /// Copies the next `n` buffered rows (`n <= buffered_rows`) into a
+    /// batch and moves the cursor past them.
+    fn cut(&mut self, n: usize) -> Result<RecordBatch> {
+        let mut columns = Vec::with_capacity(self.names.len());
+        for (c, (name, &ty)) in self.names.iter().zip(&self.types).enumerate() {
+            let runs = runs(&self.pending, self.offset, n)
+                .filter_map(|(group, rows)| Some((group.get(c)?, rows)));
+            columns.push((name.clone(), concat_runs(ty, n, runs)?));
+        }
+        let mut left = n;
+        while let Some(&(rows, _)) = self.pending.front() {
+            let rest = rows - self.offset;
+            if rest > left {
+                self.offset += left;
+                break;
+            }
+            left -= rest;
+            self.offset = 0;
+            self.pending.pop_front();
+        }
         self.buffered_rows -= n;
         self.batches += 1;
-        RecordBatch { columns }
+        Ok(RecordBatch { columns })
     }
+}
+
+/// The row ranges the next `n` rows come from: `pending[0]` from `offset`
+/// on, then whole groups, the last one cut short.
+fn runs(
+    pending: &VecDeque<(usize, Vec<ColumnData>)>,
+    offset: usize,
+    n: usize,
+) -> impl Iterator<Item = (&Vec<ColumnData>, Range<usize>)> + Clone {
+    let (mut start, mut left) = (offset, n);
+    pending.iter().map_while(move |(len, group)| {
+        let rows = start..(*len).min(start + left);
+        left -= rows.len();
+        start = 0;
+        (!rows.is_empty()).then_some((group, rows))
+    })
 }
 
 impl<F: GroupFeed> Iterator for ScanStream<F> {
@@ -239,33 +322,13 @@ impl<F: GroupFeed> Iterator for ScanStream<F> {
         if self.finished {
             return None;
         }
-        loop {
-            if self.buffered_rows >= self.batch_rows {
-                return Some(Ok(self.cut(self.batch_rows)));
-            }
-            let appended = match self.feed.next_block() {
-                Some(Ok(block)) => {
-                    self.rows_matched += block.rows_matched;
-                    self.buffered_rows += block.rows_matched as usize;
-                    self.buffers
-                        .iter_mut()
-                        .zip(&block.columns)
-                        .try_for_each(|(buf, col)| append(buf, col))
-                }
-                Some(Err(e)) => Err(e),
-                None if self.buffered_rows > 0 => {
-                    return Some(Ok(self.cut(self.buffered_rows)));
-                }
-                None => {
-                    self.finish(ScanEnd::Completed);
-                    return None;
-                }
-            };
-            if let Err(e) = appended {
-                self.finish(ScanEnd::Failed);
-                return Some(Err(e));
-            }
+        let batch = self.step();
+        match &batch {
+            None => self.finish(ScanEnd::Completed),
+            Some(Err(_)) => self.finish(ScanEnd::Failed),
+            Some(Ok(_)) => {}
         }
+        batch
     }
 }
 
@@ -313,7 +376,8 @@ mod tests {
             blocks: blocks.into(),
             ended,
         };
-        ScanStream::new(feed, vec!["id".into()], vec![ColumnData::Int(Vec::new())], batch_rows)
+        let (names, types) = (vec!["id".into()], vec![ColumnType::Integer]);
+        ScanStream::new(feed, names, types, batch_rows)
     }
 
     fn ids(batch: &RecordBatch) -> Vec<i32> {
@@ -378,7 +442,8 @@ mod tests {
             let ended = RefCell::new(Vec::new());
             let feed = VecFeed { blocks: blocks.collect(), ended: &ended };
             let owned = names.map(String::from).to_vec();
-            let mut scan = ScanStream::new(feed, owned, mixed_columns(0..0), batch_rows);
+            let types = vec![ColumnType::Integer, ColumnType::Double, ColumnType::String];
+            let mut scan = ScanStream::new(feed, owned, types, batch_rows);
             let mut start = 0;
             for batch in scan.by_ref() {
                 let batch = batch.unwrap();
@@ -422,5 +487,38 @@ mod tests {
         assert!(scan.next().is_none(), "nothing follows the error, buffered rows included");
         drop(scan);
         assert_eq!(*ended.borrow(), vec![(ScanEnd::Failed, 50)]);
+    }
+
+    #[test]
+    fn a_group_that_disagrees_with_its_rows_fails_exactly_once() {
+        let group = |rows_matched: u64, columns: Vec<ColumnData>| {
+            Ok(BlockResult {
+                rows_matched,
+                columns,
+            })
+        };
+        let (ones, twos) = (ColumnData::Int(vec![1; 100]), ColumnData::Int(vec![2; 100]));
+        let bad = [
+            group(100, vec![ColumnData::Int((0..99).collect())]),
+            group(100, vec![ColumnData::Int((0..101).collect())]),
+            group(0, vec![ColumnData::Int(vec![7])]),
+            group(100, vec![ColumnData::Double(vec![0.5; 100])]),
+            group(100, Vec::new()),
+            group(100, vec![ones, twos]),
+        ];
+        let want = ScanError::Decode(btrblocks::Error::Corrupt(
+            "row group columns disagree with the projection or their row count",
+        ));
+        for (i, bad) in bad.into_iter().enumerate() {
+            let ended = RefCell::new(Vec::new());
+            let mut scan = stream(vec![block(0..50), bad, block(50..150)], 30, &ended);
+            let batches: Vec<_> = scan.by_ref().collect();
+            assert_eq!(batches.len(), 2, "group {i}: a full batch, then the error");
+            let first = ids(batches[0].as_ref().unwrap());
+            assert_eq!(first, (0..30).collect::<Vec<_>>());
+            assert_eq!(batches[1], Err(want.clone()), "group {i}");
+            drop(scan);
+            assert_eq!(*ended.borrow(), vec![(ScanEnd::Failed, 50)], "group {i}");
+        }
     }
 }

@@ -415,9 +415,9 @@ impl ExecutorHandle {
         let enqueued = job.initial_window().0 as usize;
         let scan = Arc::new(job.0);
         self.0.advance(&scan, 0..0, 0..enqueued, true)?;
-        let buffers = scan.pipeline.empty_columns();
+        let types = scan.pipeline.projected_types();
         let feed = ExecutorFeed { core: self.0.clone(), scan, enqueued, wall_seconds: None };
-        Ok(ScanStream::new(feed, names, buffers, batch_rows))
+        Ok(ScanStream::new(feed, names, types, batch_rows))
     }
 
     /// `(tasks, estimated bytes)` enqueued and not yet emitted to a

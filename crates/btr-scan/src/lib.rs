@@ -120,6 +120,18 @@ pub enum ScanError {
     },
     /// The zone-map sidecar does not describe the relation being scanned.
     SidecarMismatch(&'static str),
+    /// A block does not hold its row group's row count (from the sidecar),
+    /// so its rows would not line up with the other columns'.
+    BlockRowCount {
+        /// The offending column.
+        column: String,
+        /// Block index.
+        block: u32,
+        /// Rows in the row group.
+        expected: usize,
+        /// Values the block holds.
+        got: usize,
+    },
     /// The filter or aggregate expression failed to compile or evaluate
     /// (type mismatch, non-boolean filter, evaluator misuse).
     Expr(btr_expr::ExprError),
@@ -215,6 +227,15 @@ impl std::fmt::Display for ScanError {
                 "column '{column}' has {got} blocks, expected {expected}"
             ),
             ScanError::SidecarMismatch(m) => write!(f, "sidecar mismatch: {m}"),
+            ScanError::BlockRowCount {
+                column,
+                block,
+                expected,
+                got,
+            } => write!(
+                f,
+                "column '{column}' block {block} holds {got} values, its row group {expected} rows"
+            ),
             ScanError::Expr(e) => write!(f, "expression error: {e}"),
             ScanError::BlockOutOfRange { column, block } => {
                 write!(f, "block {block} out of range for column {column}")

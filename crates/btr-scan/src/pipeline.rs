@@ -34,7 +34,7 @@ use btr_expr::{
 };
 use btr_roaring::RoaringBitmap;
 use btrblocks::{
-    decompress_block_into, filter_decoded, BlockZone, CmpOp, ColumnData, ColumnType, Config,
+    block, decompress_block_into, filter_decoded, BlockZone, CmpOp, ColumnData, ColumnType, Config,
     Scratch, DecodedColumn, Literal,
 };
 use std::collections::HashMap;
@@ -228,14 +228,19 @@ impl BlockPipeline {
         }
     }
 
-    /// One empty buffer per projected column, in output order: what a group
-    /// with no surviving rows yields, and what batch assembly starts from.
-    pub fn empty_columns(&self) -> Vec<ColumnData> {
+    /// The projected columns' types, in output order.
+    pub(crate) fn projected_types(&self) -> Vec<ColumnType> {
         self.projection
             .iter()
             // lint: allow(indexing) projection indices were resolved against columns at plan time
-            .map(|&idx| empty_like(self.column_types[idx]))
+            .map(|&idx| self.column_types[idx])
             .collect()
+    }
+
+    /// One empty buffer per projected column, in output order: what a group
+    /// with no surviving rows yields.
+    pub fn empty_columns(&self) -> Vec<ColumnData> {
+        self.projected_types().into_iter().map(empty_like).collect()
     }
 
     /// Where this pipeline's block bytes come from.
@@ -273,6 +278,49 @@ impl BlockPipeline {
         let bytes = self.source.fetch_ctl(column, block, &self.ctl)?;
         self.counters.fetched.fetch_add(1, Ordering::Relaxed); // ordering: statistics counter
         Ok(bytes)
+    }
+
+    /// Fetches block `idx` of `group` for the compressed domain; its frame
+    /// header must count the group's rows (see [`Self::check_rows`]).
+    fn fetch_for_group(&self, idx: usize, group: RowGroup) -> Result<Vec<u8>> {
+        // lint: allow(cast) column count is far smaller than 4 GiB
+        let bytes = self.fetch(idx as u32, group.block)?;
+        self.check_rows(idx, group, block::peek_count(&bytes)?)?;
+        Ok(bytes)
+    }
+
+    /// Adds a decoded (or cached) block to its group's working set, once it
+    /// is shown to hold the group's rows.
+    fn join_decoded(
+        &self,
+        ctx: &mut GroupCtx,
+        idx: usize,
+        group: RowGroup,
+        decoded: Arc<DecodedColumn>,
+    ) -> Result<Arc<DecodedColumn>> {
+        self.check_rows(idx, group, decoded.len())?;
+        ctx.decoded.insert(idx, decoded.clone());
+        Ok(decoded)
+    }
+
+    /// A block joins its row group only if it holds `group.rows` values
+    /// (`got`): a file whose blocks disagree with its sidecar would otherwise
+    /// misalign columns, drop rows, or fold the wrong rows into an aggregate.
+    fn check_rows(&self, idx: usize, group: RowGroup, got: usize) -> Result<()> {
+        let expected = group.rows as usize;
+        if got == expected {
+            return Ok(());
+        }
+        let columns = self.source.columns();
+        let column = columns
+            .get(idx)
+            .map_or_else(|| idx.to_string(), |c| c.name.clone());
+        Err(ScanError::BlockRowCount {
+            column,
+            block: group.block,
+            expected,
+            got,
+        })
     }
 
     /// Returns the scan's deadline error if its budget is already spent —
@@ -464,15 +512,13 @@ impl BlockPipeline {
         }
         let key = self.key(idx, group.block);
         if let Some(decoded) = self.cache_get(&key) {
-            let rows = filter_decoded(&decoded, op, literal)?;
-            ctx.decoded.insert(idx, decoded);
-            return Ok(rows);
+            let decoded = self.join_decoded(ctx, idx, group, decoded)?;
+            return Ok(filter_decoded(&decoded, op, literal)?);
         }
         // The fast path needs the raw payload, so this fetch stays outside
         // the decode gate; concurrent fetches of one block still collapse in
         // the source's in-flight table.
-        // lint: allow(cast) column count is far smaller than 4 GiB
-        let bytes = self.fetch(idx as u32, group.block)?;
+        let bytes = self.fetch_for_group(idx, group)?;
         // lint: allow(indexing) filter indices were resolved against columns at plan time
         let ty = self.column_types[idx];
         let input = LeafInput::Compressed {
@@ -489,9 +535,8 @@ impl BlockPipeline {
             LeafVerdict::NeedsDecode => {
                 let decoded = self.decode(&bytes, ty, scratch)?;
                 self.cache_insert(key, decoded.clone(), scratch);
-                let rows = filter_decoded(&decoded, op, literal)?;
-                ctx.decoded.insert(idx, decoded);
-                Ok(rows)
+                let decoded = self.join_decoded(ctx, idx, group, decoded)?;
+                Ok(filter_decoded(&decoded, op, literal)?)
             }
         }
     }
@@ -524,8 +569,7 @@ impl BlockPipeline {
                 None => self.resolve_miss(idx, group.block, key, scratch)?,
             }
         };
-        ctx.decoded.insert(idx, decoded.clone());
-        Ok(decoded)
+        self.join_decoded(ctx, idx, group, decoded)
     }
 
     /// Evaluates the pipeline's filter over one row group: conjuncts the
@@ -662,13 +706,12 @@ impl BlockPipeline {
                     if !ctx.bytes.contains_key(idx) {
                         let key = self.key(*idx, group.block);
                         if let Some(decoded) = self.cache_get(&key) {
+                            let decoded = self.join_decoded(&mut ctx, *idx, group, decoded)?;
                             state.fold_decoded(&decoded, None)?;
-                            ctx.decoded.insert(*idx, decoded);
                             counts.from_decoded += 1;
                             continue;
                         }
-                        // lint: allow(cast) column count is far smaller than 4 GiB
-                        let bytes = self.fetch(*idx as u32, group.block)?;
+                        let bytes = self.fetch_for_group(*idx, group)?;
                         ctx.bytes.insert(*idx, bytes);
                     }
                     // lint: allow(indexing) aggregate indices were resolved against columns at plan time

@@ -508,3 +508,59 @@ fn an_open_breaker_shrinks_a_service_scans_window() {
 fn scan_and_scan_handle_are_the_same_type() {
     let _: fn(btr_scan::Scan) -> btr_server::ScanHandle = |s| s;
 }
+
+/// A stored block whose value count disagrees with its row group (block 1
+/// of `id` swapped for a CRC-valid block of 10 or 1,010 values) fails every
+/// scan of that relation with a typed error, and the service serves a
+/// valid relation afterwards.
+#[test]
+fn a_block_with_the_wrong_row_count_is_a_typed_error_and_the_service_serves_on() {
+    let good = fixture(3_000, 1_000);
+    let store = Arc::new(ObjectStore::new());
+    store.put("good.btr", good.bytes.clone());
+    let service = ScanService::new(ServiceOptions {
+        workers: 2,
+        window: 2,
+        batch_rows: 700,
+        config: good.codec.clone(),
+        ..ServiceOptions::default()
+    });
+    let source = ObjectStoreSource::new(
+        store.clone(),
+        "good.btr",
+        good.layout.clone(),
+        RetryPolicy::default(),
+    );
+    service.register("good", Arc::new(source), good.sidecar.clone());
+    let specs = [
+        ScanSpec::project(["id", "val", "tag"]),
+        ScanSpec::project(["val"]).with_expr(col("id").lt(lit(1_500))),
+    ];
+    let client = service.client("t");
+    for values in [10, 1_010] {
+        let mut compressed = (*good.compressed).clone();
+        let ids: Vec<i32> = (1_000..1_000 + values).collect();
+        let (block, code) = btrblocks::compress_block(btrblocks::BlockRef::Int(&ids), &good.codec);
+        compressed.columns[0].blocks[1] = block;
+        compressed.columns[0].schemes[1] = code;
+        let key = format!("bad{values}.btr");
+        store.put(&key, compressed.to_bytes());
+        let layout = RelationLayout::of(&compressed);
+        let source = ObjectStoreSource::new(store.clone(), &key, layout, RetryPolicy::default());
+        service.register(key.clone(), Arc::new(source), good.sidecar.clone());
+        let want = ScanError::BlockRowCount {
+            column: "id".into(),
+            block: 1,
+            expected: 1_000,
+            got: values as usize,
+        };
+        for (i, spec) in specs.iter().enumerate() {
+            let got = drain(client.submit(&key, spec).expect("submit")).map(|c| c.len());
+            assert_eq!(got, Err(want.clone()), "{values} values, spec {i}");
+        }
+    }
+    for spec in &specs {
+        let got = drain(client.submit("good", spec).expect("submit")).expect("valid scan");
+        assert_eq!(got, reference(&good, spec));
+    }
+}

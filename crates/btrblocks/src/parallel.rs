@@ -353,7 +353,8 @@ impl Assembly<'_> {
         appended
     }
 
-    /// Completes every column before column `end`.
+    /// Completes every column before column `end`; a column whose blocks
+    /// do not add up to the file's row count is corrupt.
     fn complete_until(&mut self, end: usize) -> Result<()> {
         for col in self.columns.len()..end {
             let c = self
@@ -370,6 +371,11 @@ impl Assembly<'_> {
                 Some(data) => data,
                 None => presized(self.compressed, col, self.cfg),
             };
+            if data.len() as u64 != self.compressed.rows {
+                return Err(Error::Corrupt(
+                    "column length differs from the file's row count",
+                ));
+            }
             let name = c.name.clone();
             self.columns.push(Column { name, data, nulls });
         }
@@ -697,6 +703,30 @@ mod tests {
                     assert!(roaring, "threads = {threads}: {err:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_column_longer_or_shorter_than_the_file_is_corrupt() {
+        // Block 1 of column `a` swapped for a well-formed block of another
+        // length: the relation would be ragged, so the decode refuses it.
+        let cfg = Config {
+            block_size: 1_000,
+            ..Config::default()
+        };
+        let clean = compress(&sample(3_000), &cfg).unwrap();
+        for values in [10, 1_010] {
+            let mut compressed = clean.clone();
+            let ints: Vec<i32> = (0..values).collect();
+            compressed.columns[0].blocks[1] = block::compress_block(BlockRef::Int(&ints), &cfg).0;
+            for threads in [1, 2, 3] {
+                let err = decompress_parallel(&compressed, &cfg, threads).unwrap_err();
+                let want = Error::Corrupt("column length differs from the file's row count");
+                assert_eq!(err, want, "{values} values, threads = {threads}");
+            }
+            let err = decompress(&compressed.to_bytes(), &cfg).unwrap_err();
+            let want = Error::Corrupt("column length differs from the file's row count");
+            assert_eq!(err, want);
         }
     }
 

@@ -22,7 +22,10 @@
 #
 # The last line is the gate summary: every row marked WORSE, slower or
 # UNSTEADY on this workload (or "none"), and each side's failed-operation
-# share.
+# share. Above it, for information only (no verdict, not in the gate), each
+# side's median minor page faults per run and per attempted operation: a
+# step that removes copies can move first-touch faults instead (ROADMAP,
+# Known artefacts), so the faults are counted next to the timings.
 #
 #   scripts/ab.sh <parent-tree> <change-tree> --workload pbi|tpch --pairs N
 #                 [--seed-base S] [--out DIR] [--report-only]
@@ -35,12 +38,15 @@
 #
 # Run length is the harness's own --seconds, read from the change tree's
 # BENCHMARK.json. Reads only the last line (the result JSON) of each run and
-# keeps every run's line in the --out directory (default: a fresh mktemp -d);
-# the script itself writes nothing under benchmark/. --report-only prints the
-# table again from the lines an earlier call left in --out.
+# keeps every run's line in the --out directory (default: a fresh mktemp -d),
+# next to its minor-fault count (<workload>.<seed>.<side>.faults, from
+# getrusage(RUSAGE_CHILDREN) around the run); the script itself writes
+# nothing under benchmark/. --report-only prints the table again from the
+# files an earlier call left in --out, without the fault rows if that
+# directory has no fault counts.
 set -euo pipefail
 
-usage() { sed -n '2,40p' "$0" >&2; exit 2; }
+usage() { sed -n '2,46p' "$0" >&2; exit 2; }
 
 [ $# -ge 2 ] || usage
 parent="$(cd "$1" && pwd)"; change="$(cd "$2" && pwd)"; shift 2
@@ -70,7 +76,16 @@ parent_bin="$(harness "${parent}")"; change_bin="$(harness "${change}")"
 seconds="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "${change}/BENCHMARK.json")"
 
 run() { # side bin seed
-  "$2" --workload "${workload}" --seed "$3" --seconds "${seconds}" --trace 0 \
+  python3 -c '
+import resource, subprocess, sys
+before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+code = subprocess.call(sys.argv[2:])
+after = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+with open(sys.argv[1], "w") as f:
+    f.write(f"{after - before}\n")
+sys.exit(code)
+' "${out}/${workload}.$3.$1.faults" \
+    "$2" --workload "${workload}" --seed "$3" --seconds "${seconds}" --trace 0 \
     | tail -n 1 > "${out}/${workload}.$3.$1.json"
 }
 
@@ -92,7 +107,7 @@ for ((i = 0; i < pairs && report_only == 0; i++)); do
 done
 
 python3 - "${change}/BENCHMARK.json" "${out}" "${workload}" "${seed_base}" "${pairs}" <<'PY'
-import json, statistics, sys
+import json, os, statistics, sys
 
 manifest, out, workload, seed_base, pairs = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4]), int(sys.argv[5])
 metrics = json.load(open(manifest))["end_to_end"]
@@ -143,5 +158,13 @@ for m in metrics:
     print(f"{name:<21} {fmt(pm, p1, p3):<28} {fmt(cm, c1, c3):<28} {ratio:>6.3f} {wins:>3}/{pairs:<2} {spread:>6.2f}  {verdict}")
     if any(flag in verdict for flag in ("WORSE", "slower", "UNSTEADY")):
         flagged.append(f"{name} ({verdict.strip()})")
+# Minor page faults, for information only: no verdict, not in the gate.
+fault_files = {side: [f"{out}/{workload}.{seed}.{side}.faults" for seed in range(seed_base, seed_base + pairs)] for side in runs}
+if all(os.path.exists(f) for files in fault_files.values() for f in files):
+    for side, files in fault_files.items():
+        faults = [int(open(f).read()) for f in files]
+        per_op = [n / r["attempted"] for n, r in zip(faults, runs[side]) if r["attempted"]]
+        per_op_median = f"{statistics.median(per_op):.1f}" if per_op else "n/a"
+        print(f"{side}: minor faults median {statistics.median(faults):.0f} per run, {per_op_median} per attempted operation (information only)")
 print(f"gate {workload}: flagged {', '.join(flagged) or 'none'}; failed parent {failed_share['parent']}, change {failed_share['change']}")
 PY
