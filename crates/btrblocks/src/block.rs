@@ -78,8 +78,8 @@ pub fn compress_block_into(
 ) -> SchemeCode {
     out.clear();
     match data {
-        BlockRef::Int(v) => scheme::compress_into(v, cfg.max_cascade_depth, cfg, scratch, out, None),
-        BlockRef::Double(v) => scheme::compress_into(v, cfg.max_cascade_depth, cfg, scratch, out, None),
+        BlockRef::Int(v) => scheme::compress_into(v, cfg.max_cascade_depth, cfg, scratch, out, None, None),
+        BlockRef::Double(v) => scheme::compress_into(v, cfg.max_cascade_depth, cfg, scratch, out, None, None),
         BlockRef::Str(a) => scheme::compress_str_into(a, cfg.max_cascade_depth, cfg, scratch, out),
     }
 }

@@ -108,8 +108,8 @@ pub fn compress(
     // lint: allow(cast) encode side; serialized bitmap of one block fits u32
     out.put_u32(bitmap_bytes.len() as u32);
     out.extend_from_slice(&bitmap_bytes);
-    scheme::compress_into(&digits, child_depth, cfg, scratch, out, None);
-    scheme::compress_into(&exponents, child_depth, cfg, scratch, out, None);
+    scheme::compress_into(&digits, child_depth, cfg, scratch, out, None, None);
+    scheme::compress_into(&exponents, child_depth, cfg, scratch, out, None, None);
     // lint: allow(cast) encode side; patches.len() <= block row count
     out.put_u32(patches.len() as u32);
     out.put_f64_slice(&patches);

@@ -56,14 +56,7 @@ pub fn compress<V: Value>(
     out.put_u32(dict.len() as u32);
     V::put_slice(&dict, out);
     // The code sequence must not pick Dictionary again (see `compress_into`).
-    scheme::compress_into(
-        &codes,
-        child_depth,
-        cfg,
-        scratch,
-        out,
-        Some(SchemeCode::Dict),
-    );
+    scheme::compress_into(&codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict), None);
 }
 
 /// Decompresses a dictionary block of `count` values into `out`, leasing the

@@ -48,7 +48,7 @@ pub fn compress<V: Value>(
     // lint: allow(cast) encode side: serialized bitmap is far smaller than 4 GiB
     out.put_u32(bitmap_bytes.len() as u32);
     out.extend_from_slice(&bitmap_bytes);
-    scheme::compress_into(&exceptions, child_depth, cfg, scratch, out, None);
+    scheme::compress_into(&exceptions, child_depth, cfg, scratch, out, None, None);
 }
 
 /// Decompresses a Frequency block of `count` values into `out`, leasing the

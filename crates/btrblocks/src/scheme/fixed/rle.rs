@@ -48,8 +48,8 @@ pub fn compress<V: Value>(
     runs_of_into(values, &mut run_values, &mut run_lengths);
     // lint: allow(cast) encode side: run count fits u32
     out.put_u32(run_values.len() as u32);
-    scheme::compress_into(&run_values, child_depth, cfg, scratch, out, None);
-    scheme::compress_into(&run_lengths, child_depth, cfg, scratch, out, None);
+    scheme::compress_into(&run_values, child_depth, cfg, scratch, out, None, None);
+    scheme::compress_into(&run_lengths, child_depth, cfg, scratch, out, None, None);
 }
 
 /// Reads and validates an RLE payload's run arrays — the one parser shared

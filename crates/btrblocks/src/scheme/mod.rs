@@ -39,7 +39,7 @@ pub mod str;
 use crate::config::Config;
 use crate::sampling;
 use crate::scratch::Scratch;
-use crate::stats::{NumericStats, StringStats};
+use crate::stats::{NumericStats, StringPass};
 use crate::types::{ColumnType, StringArena, StringViews};
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
@@ -253,6 +253,10 @@ fn pooled_stats<V: Value>(values: &[V], scratch: &Scratch) -> NumericStats<V> {
 /// own outputs use it: a dictionary's code sequence must not immediately pick
 /// Dictionary again — the inner dictionary would be an identity mapping that
 /// burns cascade depth without shrinking anything.
+///
+/// `stats` are `values`' statistics when the caller already knows them (a
+/// string dictionary derives its codes' from its own pass); `None` collects
+/// them here.
 pub fn compress_into<V: Value>(
     values: &[V],
     depth: u8,
@@ -260,12 +264,13 @@ pub fn compress_into<V: Value>(
     scratch: &Scratch,
     out: &mut Vec<u8>,
     exclude: Option<SchemeCode>,
+    stats: Option<NumericStats<V>>,
 ) -> SchemeCode {
     if depth == 0 || values.is_empty() {
         emit(SchemeCode::Uncompressed, values, None, depth, cfg, scratch, out);
         return SchemeCode::Uncompressed;
     }
-    let stats = pooled_stats(values, scratch);
+    let stats = stats.unwrap_or_else(|| pooled_stats(values, scratch));
     let code = select(values, depth, cfg, exclude, &stats, scratch, None);
     emit(code, values, Some(&stats), depth, cfg, scratch, out);
     code
@@ -420,11 +425,9 @@ pub fn decompress_into<V: Value>(
 // ------------------------------------------------------------------- strings
 
 /// Compresses a string block with automatic scheme selection, leasing
-/// temporaries from `scratch`, with statistics collected once and shared (see
-/// [`compress_into`]).
-/// (String stats key a map by borrowed string slices, whose lifetime ties it
-/// to `arena` — that map still allocates; the sample arena, trial buffer, and
-/// scheme side-arrays are pooled.)
+/// temporaries from `scratch`. The block's one `StringPass` hashes every
+/// string once; its statistics drive selection and its codes and first rows
+/// are the dictionary Dict and Dict+FSST write.
 pub fn compress_str_into(
     arena: &StringArena,
     depth: u8,
@@ -433,12 +436,12 @@ pub fn compress_str_into(
     out: &mut Vec<u8>,
 ) -> SchemeCode {
     if depth == 0 || arena.is_empty() {
-        emit_str(SchemeCode::Uncompressed, arena, depth, cfg, scratch, out);
+        emit_str(SchemeCode::Uncompressed, arena, None, depth, cfg, scratch, out);
         return SchemeCode::Uncompressed;
     }
-    let stats = StringStats::collect(arena);
-    let code = select_str(arena, depth, cfg, &stats, scratch, None);
-    emit_str(code, arena, depth, cfg, scratch, out);
+    let pass = StringPass::collect(arena, scratch);
+    let code = select_str(arena, depth, cfg, &pass, scratch, None);
+    emit_str(code, arena, Some(&pass), depth, cfg, scratch, out);
     code
 }
 
@@ -447,9 +450,10 @@ pub fn pick_str(arena: &StringArena, depth: u8, cfg: &Config) -> Selection {
     if depth == 0 || arena.is_empty() {
         return trivial_selection();
     }
-    let stats = StringStats::collect(arena);
+    let scratch = Scratch::new();
+    let pass = StringPass::collect(arena, &scratch);
     let mut estimates = Vec::new();
-    let code = select_str(arena, depth, cfg, &stats, &Scratch::new(), Some(&mut estimates));
+    let code = select_str(arena, depth, cfg, &pass, &scratch, Some(&mut estimates));
     Selection { code, estimates }
 }
 
@@ -458,10 +462,11 @@ fn select_str(
     arena: &StringArena,
     depth: u8,
     cfg: &Config,
-    stats: &StringStats,
+    pass: &StringPass<'_>,
     scratch: &Scratch,
     mut estimates: Option<&mut Vec<Estimate>>,
 ) -> SchemeCode {
+    let stats = &pass.stats;
     if stats.unique_count == 1 && cfg.allows(SchemeCode::OneValue) {
         if let Some(list) = estimates.as_deref_mut() {
             list.push(Estimate { code: SchemeCode::OneValue, ratio: arena.len() as f64 });
@@ -493,8 +498,18 @@ fn select_str(
                 // Analytic dictionary estimate with an FSST factor measured on
                 // the sample's distinct strings; a dictionary built from the
                 // sample alone would be dominated by symbol-table overhead.
-                let mut seen = std::collections::HashSet::new();
-                let distinct: Vec<&[u8]> = sample.iter().filter(|s| seen.insert(*s)).collect();
+                // The block's codes name the distinct ones, in sample order.
+                let mut seen = scratch.lease::<Vec<u8>>(stats.unique_count);
+                seen.resize(stats.unique_count, 0);
+                let mut distinct: Vec<&[u8]> = Vec::new();
+                for row in ranges.iter().flat_map(|&(start, len)| start..start + len) {
+                    // lint: allow(indexing) sample rows lie in the block, codes below unique_count
+                    let flag = &mut seen[pass.codes[row] as usize];
+                    if *flag == 0 {
+                        *flag = 1;
+                        distinct.push(arena.get(row));
+                    }
+                }
                 let table = btr_fsst::SymbolTable::train(&distinct);
                 let distinct_bytes: usize = distinct.iter().map(|s| s.len()).sum();
                 let compressed_bytes: usize = distinct.iter().map(|s| table.compressed_size(s)).sum();
@@ -514,7 +529,7 @@ fn select_str(
                 )
             } else {
                 trial.clear();
-                emit_str(code, &sample, depth, cfg, scratch, &mut trial);
+                emit_str(code, &sample, None, depth, cfg, scratch, &mut trial);
                 sample_bytes / trial.len() as f64
             })
         },
@@ -532,13 +547,16 @@ pub fn compress_str_with_into(
     scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
-    emit_str(code, arena, depth, cfg, scratch, out);
+    emit_str(code, arena, None, depth, cfg, scratch, out);
 }
 
-/// Writes the frame header and dispatches to the scheme compressor.
+/// Writes the frame header and dispatches to the scheme compressor. `pass`
+/// is the block's statistics pass when selection ran one; a forced or trial
+/// dictionary compression runs it here.
 fn emit_str(
     code: SchemeCode,
     arena: &StringArena,
+    pass: Option<&StringPass<'_>>,
     depth: u8,
     cfg: &Config,
     scratch: &Scratch,
@@ -552,8 +570,21 @@ fn emit_str(
     match code {
         SchemeCode::Uncompressed => str::uncompressed::compress(arena, out),
         SchemeCode::OneValue => str::onevalue::compress(arena, out),
-        SchemeCode::Dict => str::dict::compress(arena, child_depth, cfg, scratch, out),
-        SchemeCode::DictFsst => str::dict_fsst::compress(arena, child_depth, cfg, scratch, out),
+        SchemeCode::Dict | SchemeCode::DictFsst => {
+            let own;
+            let pass = match pass {
+                Some(pass) => pass,
+                None => {
+                    own = StringPass::collect(arena, scratch);
+                    &own
+                }
+            };
+            if code == SchemeCode::Dict {
+                str::dict::compress(pass, child_depth, cfg, scratch, out)
+            } else {
+                str::dict_fsst::compress(pass, child_depth, cfg, scratch, out)
+            }
+        }
         SchemeCode::Fsst => str::fsst::compress(arena, child_depth, cfg, scratch, out),
         _ => unreachable!("scheme {code:?} is not a string scheme"),
     }

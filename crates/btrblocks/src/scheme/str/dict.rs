@@ -2,7 +2,10 @@
 //! RLE+Dict fast path (paper §5).
 //!
 //! Payload: `[dict_n: u32][pool_len: u32][dict pool bytes][dict offsets:
-//! (dict_n + 1) × u32][child block: code sequence]`.
+//! (dict_n + 1) × u32][child block: code sequence]`. Codes are in
+//! first-occurrence order; the dictionary, the codes and the codes'
+//! statistics all come from the block's one statistics pass
+//! (`stats::StringPass`), so encoding hashes no string a second time.
 //!
 //! Decompression never copies string bytes: each code becomes a fixed-size
 //! 64-bit `(offset, len)` view into the dictionary pool, gathered with AVX2.
@@ -16,54 +19,36 @@ use crate::scheme::fixed::rle;
 use crate::scheme::{self, SchemeCode};
 use crate::scratch::Scratch;
 use crate::simd;
-use crate::types::{StringArena, StringViews};
+use crate::stats::StringPass;
+use crate::types::StringViews;
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
-use crate::fxhash::FxHashMap;
 
-/// Builds `(dictionary arena, codes)` in first-occurrence order into
-/// caller-owned buffers (cleared first). The lookup map keys borrow from
-/// `arena`, so it stays function-local — the one allocation the string
-/// dictionary keeps on the encode path.
-pub fn encode_dict_into(arena: &StringArena, dict: &mut StringArena, codes: &mut Vec<i32>) {
-    let mut map: FxHashMap<&[u8], i32> =
-        FxHashMap::with_capacity_and_hasher(arena.len() / 4 + 1, Default::default());
-    dict.clear();
-    codes.clear();
-    for i in 0..arena.len() {
-        let s = arena.get(i);
-        let code = *map.entry(s).or_insert_with(|| {
-            dict.push(s);
-            // lint: allow(cast) encode side: dictionary sizes fit i32
-            (dict.len() - 1) as i32
-        });
-        codes.push(code);
-    }
-}
-
-/// Compresses `arena` as a dictionary with a cascaded code sequence, leasing
-/// the dictionary arena and code array from `scratch`.
-pub fn compress(
-    arena: &StringArena,
+/// Compresses a block as a dictionary with a cascaded code sequence: the
+/// dictionary, the codes and the codes' statistics all come from the
+/// block's [`StringPass`], so no string or code is hashed again.
+pub(crate) fn compress(
+    pass: &StringPass<'_>,
     child_depth: u8,
     cfg: &Config,
     scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
-    let mut dict = scratch.lease::<StringArena>(0);
-    let mut codes = scratch.lease::<Vec<i32>>(arena.len());
-    encode_dict_into(arena, &mut dict, &mut codes);
-    write_dict(&dict, out);
-    scheme::compress_into(&codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict));
-}
-
-pub(crate) fn write_dict(dict: &StringArena, out: &mut Vec<u8>) {
     // lint: allow(cast) encode side: dictionary entry count fits u32
-    out.put_u32(dict.len() as u32);
+    out.put_u32(pass.stats.unique_count as u32);
     // lint: allow(cast) encode side: dictionary pool is far smaller than 4 GiB
-    out.put_u32(dict.bytes.len() as u32);
-    out.extend_from_slice(&dict.bytes);
-    out.put_u32_slice(&dict.offsets);
+    out.put_u32(pass.stats.unique_bytes as u32);
+    pass.dictionary().for_each(|s| out.extend_from_slice(s));
+    out.put_u32(0);
+    let mut end = 0u32;
+    for s in pass.dictionary() {
+        // lint: allow(cast) encode side: dictionary pool is far smaller than 4 GiB
+        end += s.len() as u32;
+        out.put_u32(end);
+    }
+    // The code sequence must not pick Dictionary again (see `compress_into`).
+    let stats = Some(pass.code_stats());
+    scheme::compress_into(&pass.codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict), stats);
 }
 
 /// Reads a serialized dictionary into reusable `pool`/`views` buffers,
@@ -191,6 +176,7 @@ pub fn decompress_into(
 mod tests {
     use super::*;
     use crate::scheme::testutil::{decode_str, encode_str, roundtrip_str};
+    use crate::types::StringArena;
 
     #[test]
     fn roundtrip_low_cardinality() {

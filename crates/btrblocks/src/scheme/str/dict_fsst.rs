@@ -12,33 +12,31 @@
 //! RLE+Dict fast path).
 
 use crate::config::Config;
-use crate::scheme;
+use crate::scheme::{self, SchemeCode};
 use crate::scratch::Scratch;
-use crate::types::{StringArena, StringViews};
+use crate::stats::StringPass;
+use crate::types::StringViews;
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 use btr_fsst::SymbolTable;
 
-/// Compresses `arena` as Dict+FSST, leasing the dictionary arena, code
-/// array, compressed-pool, and length buffers from `scratch`. (Symbol-table
-/// training still allocates its own storage.)
-pub fn compress(
-    arena: &StringArena,
+/// Compresses a block as Dict+FSST from its [`StringPass`], leasing the
+/// compressed-pool and length buffers from `scratch`. (Symbol-table training
+/// still allocates its own storage.)
+pub(crate) fn compress(
+    pass: &StringPass<'_>,
     child_depth: u8,
     cfg: &Config,
     scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
-    let mut dict = scratch.lease::<StringArena>(0);
-    let mut codes = scratch.lease::<Vec<i32>>(arena.len());
-    super::dict::encode_dict_into(arena, &mut dict, &mut codes);
-    let mut compressed = scratch.lease::<Vec<u8>>(dict.total_bytes() / 2 + 16);
-    let table = btr_fsst::compress_strings(dict.iter(), &mut compressed);
-    let mut lengths = scratch.lease::<Vec<u32>>(dict.len());
+    let mut compressed = scratch.lease::<Vec<u8>>(pass.stats.unique_bytes / 2 + 16);
+    let table = btr_fsst::compress_strings(pass.dictionary(), &mut compressed);
+    let mut lengths = scratch.lease::<Vec<u32>>(pass.stats.unique_count);
     // lint: allow(cast) encode side: a single string is far smaller than 4 GiB
-    lengths.extend(dict.iter().map(|s| s.len() as u32));
+    lengths.extend(pass.dictionary().map(|s| s.len() as u32));
     // lint: allow(cast) encode side: dictionary entry count fits u32
-    out.put_u32(dict.len() as u32);
+    out.put_u32(pass.stats.unique_count as u32);
     // lint: allow(cast) encode side: symbol table serialization is small
     out.put_u32(table.serialized_size() as u32);
     table.serialize_into(out);
@@ -46,14 +44,8 @@ pub fn compress(
     out.put_u32(compressed.len() as u32);
     out.extend_from_slice(&compressed);
     out.put_u32_slice(&lengths);
-    scheme::compress_into(
-        &codes,
-        child_depth,
-        cfg,
-        scratch,
-        out,
-        Some(crate::scheme::SchemeCode::Dict),
-    );
+    let stats = Some(pass.code_stats());
+    scheme::compress_into(&pass.codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict), stats);
 }
 
 /// Decompresses a Dict+FSST block of `count` strings into `out`, reusing its

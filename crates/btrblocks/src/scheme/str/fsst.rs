@@ -39,7 +39,7 @@ pub fn compress(
     // lint: allow(cast) encode side: compressed pool is far smaller than 4 GiB
     out.put_u32(compressed.len() as u32);
     out.extend_from_slice(&compressed);
-    scheme::compress_into(&lengths, child_depth, cfg, scratch, out, None);
+    scheme::compress_into(&lengths, child_depth, cfg, scratch, out, None, None);
 }
 
 /// Decompresses an FSST block of `count` strings into `out`, reusing its

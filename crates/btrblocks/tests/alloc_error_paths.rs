@@ -93,7 +93,7 @@ fn flip_one_code(code: SchemeCode, ty: ColumnType, block: &[u8]) -> Vec<u8> {
     let mid = codes.len() / 2;
     codes[mid] = dict_len as i32;
     let mut out = block[..at].to_vec();
-    scheme::compress_into(&codes, 2, &cfg, &Scratch::new(), &mut out, Some(SchemeCode::Dict));
+    scheme::compress_into(&codes, 2, &cfg, &Scratch::new(), &mut out, Some(SchemeCode::Dict), None);
     out
 }
 

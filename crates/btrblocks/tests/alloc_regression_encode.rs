@@ -10,14 +10,11 @@
 //! scratch-leased: Frequency keeps a Roaring bitmap serialization and the
 //! FSST schemes keep symbol-table training allocations, so they are excluded
 //! here (their leased temporaries are covered by the roundtrip proptests).
-//! String columns are excluded for the same reason — their stats and
-//! dictionary maps key on borrowed `&[u8]` slices that cannot outlive one
-//! block, so those maps are rebuilt per block by design (DESIGN.md §11).
 
 use btr_corrupt::alloc::{self, TrackingAllocator};
 use btrblocks::{
     compress_block, compress_block_into, BlockRef, Column, ColumnData, Config, Relation,
-    SchemeCode, Scratch,
+    SchemeCode, Scratch, StringArena,
 };
 
 #[global_allocator]
@@ -64,17 +61,49 @@ fn sample_relation(rows: usize) -> Relation {
             "bucket",
             ColumnData::Double((0..rows).map(|i| (i / 200) as f64).collect()),
         ),
+        // Low-cardinality strings: string dictionary.
+        Column::new(
+            "city",
+            ColumnData::Str(StringArena::from_strs(
+                &(0..rows)
+                    .map(|i| ["Bronx", "Queens", "Brooklyn", "Staten Island"][i * 7 % 4])
+                    .collect::<Vec<_>>(),
+            )),
+        ),
+        // Constant strings: OneValue.
+        Column::new(
+            "flag",
+            ColumnData::Str(StringArena::from_strs(&vec!["N"; rows])),
+        ),
     ])
 }
 
+/// Each string column's blocks as their own arenas, made before any
+/// measured window (`BlockRef::Str` borrows a block-sized arena).
+fn string_blocks(rel: &Relation, cfg: &Config) -> Vec<Vec<StringArena>> {
+    let strings = rel.columns.iter().filter_map(|col| match &col.data {
+        ColumnData::Str(a) => Some(a),
+        _ => None,
+    });
+    strings
+        .map(|a| {
+            (0..a.len())
+                .step_by(cfg.block_size)
+                .map(|start| a.gather(start..(start + cfg.block_size).min(a.len())))
+                .collect()
+        })
+        .collect()
+}
+
 /// Every block of every column, in file order.
-fn blocks<'a>(rel: &'a Relation, cfg: &Config) -> Vec<BlockRef<'a>> {
+fn blocks<'a>(rel: &'a Relation, strings: &'a [Vec<StringArena>], cfg: &Config) -> Vec<BlockRef<'a>> {
     let mut blocks = Vec::new();
+    let mut strings = strings.iter();
     for col in &rel.columns {
         match &col.data {
             ColumnData::Int(v) => blocks.extend(v.chunks(cfg.block_size).map(BlockRef::Int)),
             ColumnData::Double(v) => blocks.extend(v.chunks(cfg.block_size).map(BlockRef::Double)),
-            ColumnData::Str(_) => unreachable!("string columns are excluded, see the module docs"),
+            ColumnData::Str(_) => blocks.extend(strings.next().unwrap().iter().map(BlockRef::Str)),
         }
     }
     blocks
@@ -103,7 +132,8 @@ fn encode_all(
 fn warm_encode_allocates_zero_bytes() {
     let cfg = scratch_only_config();
     let rel = sample_relation(10_000);
-    let blocks = blocks(&rel, &cfg);
+    let strings = string_blocks(&rel, &cfg);
+    let blocks = blocks(&rel, &strings, &cfg);
 
     let mut scratch = Scratch::new();
     let mut out = Vec::new();
@@ -135,6 +165,10 @@ fn warm_encode_allocates_zero_bytes() {
     // and what the relation codec writes: buffer reuse is a performance
     // property, never an output property.
     let compressed = btrblocks::compress(&rel, &cfg).unwrap();
+    for (name, code) in [("city", SchemeCode::Dict), ("flag", SchemeCode::OneValue)] {
+        let col = compressed.columns.iter().find(|c| c.name == name).unwrap();
+        assert!(col.schemes.iter().all(|&s| s == code), "{name}: {:?}", col.schemes);
+    }
     let written: Vec<(&Vec<u8>, &SchemeCode)> = compressed
         .columns
         .iter()
