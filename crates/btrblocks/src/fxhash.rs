@@ -1,11 +1,11 @@
-//! A fast, non-cryptographic hasher for the compression-internal hash maps.
+//! A fast, non-cryptographic hasher for the statistics pass's probe table.
 //!
-//! Statistics collection and dictionary building hash every value of every
-//! block; the standard library's SipHash dominates that profile. This is the
+//! The statistics pass (`stats::Pass`) hashes every value of every block;
+//! the standard library's SipHash would dominate that profile. This is the
 //! multiply-and-rotate scheme of rustc's `FxHasher` — not DoS-resistant,
 //! which is fine for hashing data we are compressing ourselves.
 
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 
 /// Multiplicative hasher (the rustc `FxHasher` construction).
 #[derive(Default, Clone)]
@@ -61,9 +61,9 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        // The multiply concentrates entropy in the high bits, but hashbrown
-        // derives bucket indexes from the LOW bits — without a finalizer,
-        // keys sharing low bytes (e.g. a common string prefix) collide
+        // The multiply concentrates entropy in the high bits, but the probe
+        // table derives slots from the LOW bits — without a finalizer, keys
+        // sharing low bytes (e.g. a common string prefix) collide
         // catastrophically. This is Murmur3's fmix64.
         let mut h = self.hash;
         h ^= h >> 33;
@@ -73,22 +73,9 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `HashMap` keyed with [`FxHasher`].
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn map_behaves_normally() {
-        let mut m: FxHashMap<i32, usize> = FxHashMap::default();
-        for i in 0..10_000 {
-            *m.entry(i % 257).or_insert(0) += 1;
-        }
-        assert_eq!(m.len(), 257);
-        assert_eq!(m[&0], 10_000 / 257 + 1);
-    }
 
     #[test]
     fn distinct_keys_distinct_hashes_mostly() {

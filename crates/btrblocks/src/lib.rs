@@ -40,7 +40,7 @@
 pub mod block;
 pub mod config;
 pub mod crc32c;
-pub mod fxhash;
+mod fxhash;
 pub mod metadata;
 pub mod parallel;
 pub mod relation;

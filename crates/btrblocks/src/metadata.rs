@@ -159,13 +159,18 @@ impl Sidecar {
         out
     }
 
-    /// Parses a sidecar produced by [`Sidecar::to_bytes`].
+    /// Parses a sidecar produced by [`Sidecar::to_bytes`]. Counts are
+    /// checked against the remaining input before anything is reserved.
     pub fn from_bytes(bytes: &[u8]) -> Result<Sidecar> {
         let mut r = Reader::new(bytes);
         if r.take(4)? != b"BTRM" {
             return Err(Error::Corrupt("bad sidecar magic"));
         }
         let n_cols = r.u32()? as usize;
+        // A column needs at least name_len + tag + block_count bytes.
+        if n_cols > r.remaining() / 7 {
+            return Err(Error::LimitExceeded("sidecar column count exceeds input"));
+        }
         let mut columns = Vec::with_capacity(n_cols);
         for _ in 0..n_cols {
             let name_len = r.u16()? as usize;
@@ -174,6 +179,10 @@ impl Sidecar {
             let column_type =
                 ColumnType::from_tag(r.u8()?).ok_or(Error::Corrupt("bad sidecar type"))?;
             let n_blocks = r.u32()? as usize;
+            // A block needs at least rows + zone tag bytes.
+            if n_blocks > r.remaining() / 5 {
+                return Err(Error::LimitExceeded("sidecar block count exceeds input"));
+            }
             let mut block_rows = Vec::with_capacity(n_blocks);
             let mut zones = Vec::with_capacity(n_blocks);
             for _ in 0..n_blocks {
@@ -198,6 +207,9 @@ impl Sidecar {
                 block_rows,
                 zones,
             });
+        }
+        if !r.rest().is_empty() {
+            return Err(Error::Corrupt("trailing bytes after sidecar"));
         }
         Ok(Sidecar { columns })
     }
@@ -247,11 +259,10 @@ pub fn pruned_filter(
     literal: &Literal,
     cfg: &crate::config::Config,
 ) -> Result<(btr_roaring::RoaringBitmap, usize)> {
-    let (ci, col) = compressed
+    let col = compressed
         .columns
         .iter()
-        .enumerate()
-        .find(|(_, c)| c.name == column)
+        .find(|c| c.name == column)
         .ok_or(Error::Corrupt("unknown column"))?;
     let meta = sidecar
         .column(column)
@@ -259,7 +270,6 @@ pub fn pruned_filter(
     if meta.zones.len() != col.blocks.len() {
         return Err(Error::Corrupt("sidecar block count mismatch"));
     }
-    let _ = ci;
     let mut out = btr_roaring::RoaringBitmap::new();
     let mut decoded = 0usize;
     let mut base = 0u32;
@@ -303,6 +313,42 @@ mod tests {
         assert_eq!(Sidecar::from_bytes(&bytes).unwrap(), sidecar);
         assert!(Sidecar::from_bytes(&bytes[..bytes.len() - 1]).is_err());
         assert!(Sidecar::from_bytes(b"junk").is_err());
+    }
+
+    #[test]
+    fn hostile_counts_are_capped() {
+        // A column count no input could hold, before any column.
+        let mut bytes = b"BTRM".to_vec();
+        bytes.put_u32(u32::MAX);
+        assert_eq!(
+            Sidecar::from_bytes(&bytes),
+            Err(Error::LimitExceeded("sidecar column count exceeds input"))
+        );
+        // One column that claims u32::MAX blocks.
+        let mut bytes = b"BTRM".to_vec();
+        bytes.put_u32(1);
+        bytes.extend_from_slice(&1u16.to_le_bytes());
+        bytes.push(b'c');
+        bytes.put_u8(ColumnType::Integer.tag());
+        bytes.put_u32(u32::MAX);
+        assert_eq!(
+            Sidecar::from_bytes(&bytes),
+            Err(Error::LimitExceeded("sidecar block count exceeds input"))
+        );
+        // Trailing bytes after a valid sidecar.
+        let (rel, cfg) = sample();
+        let mut bytes = Sidecar::build(&rel, cfg.block_size).to_bytes();
+        bytes.push(0);
+        assert!(Sidecar::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn every_truncation_is_an_error() {
+        let (rel, cfg) = sample();
+        let bytes = Sidecar::build(&rel, cfg.block_size).to_bytes();
+        for cut in 0..bytes.len() {
+            assert!(Sidecar::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -2,61 +2,37 @@
 //! [`Value::to_bits`]).
 //!
 //! Payload: `[dict_len: u32][dict values: dict_len × V][child block: code
-//! sequence (integer)]`. Codes are assigned in first-occurrence order; the
-//! code sequence typically cascades into FastBP128 or RLE. Decompression
-//! uses the AVX2 gather kernel of §5.
+//! sequence (integer)]`. Codes are in first-occurrence order; the
+//! dictionary, the codes and the codes' statistics all come from the
+//! block's one statistics pass (`stats::Pass`), so encoding hashes no value
+//! a second time. The code sequence typically cascades into FastBP128 or
+//! RLE. Decompression uses the AVX2 gather kernel of §5.
 
 use super::Value;
 use crate::config::Config;
-use crate::fxhash::FxHashMap;
 use crate::scheme::{self, SchemeCode};
 use crate::scratch::Scratch;
 use crate::simd;
+use crate::stats::Pass;
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 
-/// Builds `(dictionary, codes)` in first-occurrence order into caller-owned
-/// buffers (all cleared first), so the encode path can lease the map and both
-/// arrays instead of allocating.
-pub fn encode_dict_into<V: Value>(
-    values: &[V],
-    map: &mut FxHashMap<V::Bits, usize>,
-    dict: &mut Vec<V>,
-    codes: &mut Vec<i32>,
-) {
-    map.clear();
-    dict.clear();
-    codes.clear();
-    for &v in values {
-        let idx = *map.entry(v.to_bits()).or_insert_with(|| {
-            dict.push(v);
-            dict.len() - 1
-        });
-        // lint: allow(cast) encode side: dictionary sizes fit i32
-        codes.push(idx as i32);
-    }
-}
-
-/// Compresses `values` as a dictionary with a cascaded code sequence,
-/// leasing the dictionary map and side-arrays from `scratch`.
-pub fn compress<V: Value>(
-    values: &[V],
+/// Compresses a block as a dictionary with a cascaded code sequence: the
+/// dictionary, the codes and the codes' statistics all come from the
+/// block's [`Pass`], so no value or code is hashed again.
+pub(crate) fn compress<V: Value>(
+    pass: &Pass<'_, [V]>,
     child_depth: u8,
     cfg: &Config,
     scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
-    let mut map = scratch.lease::<FxHashMap<V::Bits, usize>>(0);
-    let mut dict = scratch.lease::<Vec<V>>(values.len());
-    let mut codes = scratch.lease::<Vec<i32>>(values.len());
-    encode_dict_into(values, &mut map, &mut dict, &mut codes);
-    // Back to the pool before the code sequence's own selection leases one.
-    drop(map);
     // lint: allow(cast) encode side: dictionary entry count fits u32
-    out.put_u32(dict.len() as u32);
-    V::put_slice(&dict, out);
+    out.put_u32(pass.stats.unique_count as u32);
+    pass.dictionary().for_each(|bits| V::put_slice(&[V::from_bits(bits)], out));
     // The code sequence must not pick Dictionary again (see `compress_into`).
-    scheme::compress_into(&codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict), None);
+    let stats = Some(pass.code_stats());
+    scheme::compress_into(&pass.codes, child_depth, cfg, scratch, out, Some(SchemeCode::Dict), stats);
 }
 
 /// Decompresses a dictionary block of `count` values into `out`, leasing the
@@ -102,13 +78,10 @@ mod tests {
         let cfg = Config::default();
         let [a, b, c] = [V::HOSTILE[0], V::HOSTILE[1], V::HOSTILE[2]];
 
-        let (mut map, mut dict, mut codes) = (FxHashMap::default(), Vec::new(), Vec::new());
-        encode_dict_into(&[c, b, c, a, b], &mut map, &mut dict, &mut codes);
-        assert_eq!(
-            dict.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            [c, b, a].map(V::to_bits)
-        );
-        assert_eq!(codes, vec![0, 1, 0, 2, 1]);
+        let (block, scratch) = ([c, b, c, a, b], Scratch::new());
+        let pass = Pass::collect(&block[..], &scratch);
+        assert_eq!(pass.dictionary().collect::<Vec<_>>(), [c, b, a].map(V::to_bits));
+        assert_eq!(*pass.codes, [0, 1, 0, 2, 1]);
 
         let low: Vec<V> = (0..64_000).map(|i| V::HOSTILE[i % 3]).collect();
         let size = roundtrip(SchemeCode::Dict, &low, &cfg);
@@ -133,9 +106,7 @@ mod tests {
     #[test]
     fn distinguishes_zero_signs_and_nans() {
         let values = [0.0, -0.0, f64::NAN, 0.0, -0.0];
-        let (mut map, mut dict, mut codes) = (FxHashMap::default(), Vec::new(), Vec::new());
-        encode_dict_into(&values, &mut map, &mut dict, &mut codes);
-        assert_eq!(codes, vec![0, 1, 2, 0, 1]);
+        assert_eq!(*Pass::collect(&values[..], &Scratch::new()).codes, [0, 1, 2, 0, 1]);
         roundtrip(SchemeCode::Dict, &values, &Config::default());
     }
 }

@@ -27,15 +27,14 @@ use crate::writer::Reader;
 use crate::Result;
 
 /// A fixed-width column element: `i32` or `f64`, nothing else. Sealed by
-/// the arena's freelist traits: the element and [`Value::Bits`] each have
-/// one in [`Scratch`], so generic code leases `Vec<V>` and
-/// `FxHashMap<V::Bits, usize>`.
+/// the arena's freelist trait: the element has one in [`Scratch`], so
+/// generic code leases `Vec<V>`.
 pub trait Value:
     Copy + Default + PartialOrd + std::fmt::Debug + Lane + sealed::Elem
 {
     /// The identity of a value for equality, hashing and deterministic
     /// tie-breaks: the value itself for `i32`, the raw bit pattern for `f64`.
-    type Bits: Default + Ord + std::fmt::Debug + sealed::Key;
+    type Bits: Copy + Default + Ord + std::hash::Hash + std::fmt::Debug + 'static;
     /// Encoded width in bytes.
     const SIZE: usize;
     /// The column type whose applicable scheme list this type selects from.

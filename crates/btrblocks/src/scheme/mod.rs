@@ -19,9 +19,9 @@
 //! collect full-block statistics, filter non-viable schemes, compress a small
 //! sample with each survivor, and keep the best observed ratio. Both
 //! selection paths share one candidate loop (`run_selection`); statistics
-//! are collected **once** per (values, cascade level) and passed by
-//! reference into viability checks, analytic estimates, and the chosen
-//! scheme's compressor.
+//! come **once** per (values, cascade level) from the block's distinct-value
+//! pass ([`crate::stats`]), which is passed by reference into viability
+//! checks, analytic estimates, and the chosen scheme's compressor.
 //!
 //! Every codec entry point threads one [`Scratch`] arena through the whole
 //! pipeline so sample gathers, candidate trial buffers, and scheme
@@ -39,7 +39,7 @@ pub mod str;
 use crate::config::Config;
 use crate::sampling;
 use crate::scratch::Scratch;
-use crate::stats::{NumericStats, StringPass};
+use crate::stats::{NumericStats, Pass};
 use crate::types::{ColumnType, StringArena, StringViews};
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
@@ -237,17 +237,12 @@ fn sample_cap(n: usize, cfg: &Config) -> usize {
 
 // ------------------------------------------------- integers and doubles
 
-/// One statistics pass over `values` through a count map leased from
-/// `scratch`.
-fn pooled_stats<V: Value>(values: &[V], scratch: &Scratch) -> NumericStats<V> {
-    NumericStats::collect_with_map(values, &mut scratch.lease(0))
-}
-
 /// Compresses an integer or double block with automatic scheme selection,
 /// appending a framed block to `out` and leasing all temporaries from
 /// `scratch`. Returns the root scheme chosen. This is the cascade's
-/// workhorse: statistics are collected once (into a pooled map) and shared by
-/// selection and the chosen scheme's compressor.
+/// workhorse: the block's one statistics `Pass` hashes every value once;
+/// its statistics drive selection and its codes and first rows are the
+/// dictionary Dict writes.
 ///
 /// `exclude` bans one scheme from the *root* choice. Schemes compressing their
 /// own outputs use it: a dictionary's code sequence must not immediately pick
@@ -255,8 +250,8 @@ fn pooled_stats<V: Value>(values: &[V], scratch: &Scratch) -> NumericStats<V> {
 /// burns cascade depth without shrinking anything.
 ///
 /// `stats` are `values`' statistics when the caller already knows them (a
-/// string dictionary derives its codes' from its own pass); `None` collects
-/// them here.
+/// dictionary derives its codes' from its own pass); `None` runs the pass
+/// here.
 pub fn compress_into<V: Value>(
     values: &[V],
     depth: u8,
@@ -267,12 +262,19 @@ pub fn compress_into<V: Value>(
     stats: Option<NumericStats<V>>,
 ) -> SchemeCode {
     if depth == 0 || values.is_empty() {
-        emit(SchemeCode::Uncompressed, values, None, depth, cfg, scratch, out);
+        emit(SchemeCode::Uncompressed, values, None, None, depth, cfg, scratch, out);
         return SchemeCode::Uncompressed;
     }
-    let stats = stats.unwrap_or_else(|| pooled_stats(values, scratch));
-    let code = select(values, depth, cfg, exclude, &stats, scratch, None);
-    emit(code, values, Some(&stats), depth, cfg, scratch, out);
+    let own;
+    let (stats, pass) = match &stats {
+        Some(stats) => (stats, None),
+        None => {
+            own = Pass::collect(values, scratch);
+            (&own.stats, Some(&own))
+        }
+    };
+    let code = select(values, depth, cfg, exclude, stats, scratch, None);
+    emit(code, values, Some(stats), pass, depth, cfg, scratch, out);
     code
 }
 
@@ -281,9 +283,10 @@ pub fn pick<V: Value>(values: &[V], depth: u8, cfg: &Config) -> Selection {
     if depth == 0 || values.is_empty() {
         return trivial_selection();
     }
-    let stats = NumericStats::collect(values);
+    let scratch = Scratch::new();
+    let pass = Pass::collect(values, &scratch);
     let mut estimates = Vec::new();
-    let code = select(values, depth, cfg, None, &stats, &Scratch::new(), Some(&mut estimates));
+    let code = select(values, depth, cfg, None, &pass.stats, &scratch, Some(&mut estimates));
     Selection { code, estimates }
 }
 
@@ -335,7 +338,7 @@ fn select<V: Value>(
                 dict_ratio(values.len(), stats.unique_count, values.len() * V::SIZE, stats.unique_count * V::SIZE)
             } else {
                 trial.clear();
-                emit(code, &sample, None, depth, cfg, scratch, &mut trial);
+                emit(code, &sample, None, None, depth, cfg, scratch, &mut trial);
                 let sampled = sample_bytes / trial.len() as f64;
                 if code == SchemeCode::Rle && cfg.analytic_estimates {
                     // Sample runs are at most `sample_run_len` values long, so the
@@ -363,19 +366,21 @@ pub fn compress_with_into<V: Value>(
     scratch: &Scratch,
     out: &mut Vec<u8>,
 ) {
-    emit(code, values, None, depth, cfg, scratch, out);
+    emit(code, values, None, None, depth, cfg, scratch, out);
 }
 
 /// Writes the frame header and dispatches to the scheme compressor: the five
 /// shared schemes by `match`, anything else through the type's own hook.
 ///
-/// `stats` carries the selection layer's one-pass statistics into schemes
-/// that need them (Frequency's top value); a forced compression without
-/// prior selection passes `None` and Frequency's are collected here.
+/// `stats` and `pass` carry what selection already knows into the schemes
+/// that need it (Frequency's top value, Dict's codes); a forced or trial
+/// compression passes `None` and runs the block's [`Pass`] here.
+#[allow(clippy::too_many_arguments)]
 fn emit<V: Value>(
     code: SchemeCode,
     values: &[V],
     stats: Option<&NumericStats<V>>,
+    pass: Option<&Pass<'_, [V]>>,
     depth: u8,
     cfg: &Config,
     scratch: &Scratch,
@@ -390,11 +395,14 @@ fn emit<V: Value>(
         SchemeCode::Uncompressed => fixed::uncompressed::compress(values, out),
         SchemeCode::OneValue => fixed::onevalue::compress(values, out),
         SchemeCode::Rle => fixed::rle::compress(values, child_depth, cfg, scratch, out),
-        SchemeCode::Dict => fixed::dict::compress(values, child_depth, cfg, scratch, out),
+        SchemeCode::Dict => match pass {
+            Some(pass) => fixed::dict::compress(pass, child_depth, cfg, scratch, out),
+            None => fixed::dict::compress(&Pass::collect(values, scratch), child_depth, cfg, scratch, out),
+        },
         SchemeCode::Frequency => match stats {
             Some(stats) => fixed::frequency::compress(values, stats, child_depth, cfg, scratch, out),
             None => {
-                let stats = pooled_stats(values, scratch);
+                let stats = Pass::collect(values, scratch).stats;
                 fixed::frequency::compress(values, &stats, child_depth, cfg, scratch, out)
             }
         },
@@ -425,7 +433,7 @@ pub fn decompress_into<V: Value>(
 // ------------------------------------------------------------------- strings
 
 /// Compresses a string block with automatic scheme selection, leasing
-/// temporaries from `scratch`. The block's one `StringPass` hashes every
+/// temporaries from `scratch`. The block's one `Pass` hashes every
 /// string once; its statistics drive selection and its codes and first rows
 /// are the dictionary Dict and Dict+FSST write.
 pub fn compress_str_into(
@@ -439,7 +447,7 @@ pub fn compress_str_into(
         emit_str(SchemeCode::Uncompressed, arena, None, depth, cfg, scratch, out);
         return SchemeCode::Uncompressed;
     }
-    let pass = StringPass::collect(arena, scratch);
+    let pass = Pass::collect(arena, scratch);
     let code = select_str(arena, depth, cfg, &pass, scratch, None);
     emit_str(code, arena, Some(&pass), depth, cfg, scratch, out);
     code
@@ -451,7 +459,7 @@ pub fn pick_str(arena: &StringArena, depth: u8, cfg: &Config) -> Selection {
         return trivial_selection();
     }
     let scratch = Scratch::new();
-    let pass = StringPass::collect(arena, &scratch);
+    let pass = Pass::collect(arena, &scratch);
     let mut estimates = Vec::new();
     let code = select_str(arena, depth, cfg, &pass, &scratch, Some(&mut estimates));
     Selection { code, estimates }
@@ -462,7 +470,7 @@ fn select_str(
     arena: &StringArena,
     depth: u8,
     cfg: &Config,
-    pass: &StringPass<'_>,
+    pass: &Pass<'_, StringArena>,
     scratch: &Scratch,
     mut estimates: Option<&mut Vec<Estimate>>,
 ) -> SchemeCode {
@@ -556,7 +564,7 @@ pub fn compress_str_with_into(
 fn emit_str(
     code: SchemeCode,
     arena: &StringArena,
-    pass: Option<&StringPass<'_>>,
+    pass: Option<&Pass<'_, StringArena>>,
     depth: u8,
     cfg: &Config,
     scratch: &Scratch,
@@ -575,7 +583,7 @@ fn emit_str(
             let pass = match pass {
                 Some(pass) => pass,
                 None => {
-                    own = StringPass::collect(arena, scratch);
+                    own = Pass::collect(arena, scratch);
                     &own
                 }
             };

@@ -5,7 +5,7 @@
 //! (dict_n + 1) × u32][child block: code sequence]`. Codes are in
 //! first-occurrence order; the dictionary, the codes and the codes'
 //! statistics all come from the block's one statistics pass
-//! (`stats::StringPass`), so encoding hashes no string a second time.
+//! (`stats::Pass`), so encoding hashes no string a second time.
 //!
 //! Decompression never copies string bytes: each code becomes a fixed-size
 //! 64-bit `(offset, len)` view into the dictionary pool, gathered with AVX2.
@@ -19,16 +19,16 @@ use crate::scheme::fixed::rle;
 use crate::scheme::{self, SchemeCode};
 use crate::scratch::Scratch;
 use crate::simd;
-use crate::stats::StringPass;
-use crate::types::StringViews;
+use crate::stats::Pass;
+use crate::types::{StringArena, StringViews};
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 
 /// Compresses a block as a dictionary with a cascaded code sequence: the
 /// dictionary, the codes and the codes' statistics all come from the
-/// block's [`StringPass`], so no string or code is hashed again.
+/// block's [`Pass`], so no string or code is hashed again.
 pub(crate) fn compress(
-    pass: &StringPass<'_>,
+    pass: &Pass<'_, StringArena>,
     child_depth: u8,
     cfg: &Config,
     scratch: &Scratch,
@@ -176,7 +176,6 @@ pub fn decompress_into(
 mod tests {
     use super::*;
     use crate::scheme::testutil::{decode_str, encode_str, roundtrip_str};
-    use crate::types::StringArena;
 
     #[test]
     fn roundtrip_low_cardinality() {

@@ -14,17 +14,17 @@
 use crate::config::Config;
 use crate::scheme::{self, SchemeCode};
 use crate::scratch::Scratch;
-use crate::stats::StringPass;
-use crate::types::StringViews;
+use crate::stats::Pass;
+use crate::types::{StringArena, StringViews};
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 use btr_fsst::SymbolTable;
 
-/// Compresses a block as Dict+FSST from its [`StringPass`], leasing the
+/// Compresses a block as Dict+FSST from its [`Pass`], leasing the
 /// compressed-pool and length buffers from `scratch`. (Symbol-table training
 /// still allocates its own storage.)
 pub(crate) fn compress(
-    pass: &StringPass<'_>,
+    pass: &Pass<'_, StringArena>,
     child_depth: u8,
     cfg: &Config,
     scratch: &Scratch,

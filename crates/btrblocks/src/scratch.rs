@@ -7,10 +7,10 @@
 //! cascade level of every block therefore costs more than the arithmetic it
 //! feeds. [`Scratch`] fixes that with the buffer-pool discipline of an
 //! operator pipeline: every temporary a scheme needs (sample gathers, trial
-//! buffers, RLE run arrays, dictionary maps and code sequences,
-//! Pseudodecimal digit/exponent columns, FSST length columns, per-block
-//! string sub-ranges) is *leased* from one arena, so a warm codec performs
-//! zero heap allocations per block.
+//! buffers, RLE run arrays, the statistics pass's probe table and code
+//! sequences, Pseudodecimal digit/exponent columns, FSST length columns,
+//! per-block string sub-ranges) is *leased* from one arena, so a warm codec
+//! performs zero heap allocations per block.
 //!
 //! # The guard rule
 //!
@@ -20,7 +20,7 @@
 //! - A lease gives its buffer back when it is dropped — at the end of its
 //!   scope, on `?`, on an early return, or while a panic unwinds. No exit
 //!   path can forget it, so a scheme never returns anything by hand. Drop a
-//!   lease early (`drop(map)`) to let a child cascade level reuse it.
+//!   lease early (`drop(buf)`) to let a child cascade level reuse it.
 //! - The pools sit behind `RefCell`s borrowed only inside this module's
 //!   methods, so nested cascade levels lease while a parent's leases are
 //!   alive. A return that finds its pool borrowed (only possible mid-panic)
@@ -29,8 +29,7 @@
 //!   contents.
 //! - The pools hold at most `budget_bytes` of capacity. A return that would
 //!   exceed the budget drops the buffer (counted in
-//!   [`ScratchStats::dropped`]), bounding steady-state memory. Maps have no
-//!   byte size; at most `MAP_STACK_MAX` of each kind are kept.
+//!   [`ScratchStats::dropped`]), bounding steady-state memory.
 //! - A decoded block that outlives the call ([`Scratch::lease_decoded`]) is
 //!   handed back with [`Scratch::recycle`] once its owner is done with it.
 //!
@@ -46,11 +45,10 @@
 //! lease/return cycles of the same shape converge onto the same tier.
 //!
 //! This module deliberately stays safe Rust: all buffer reuse goes through
-//! the safe APIs of `Vec`, `HashMap` and `RefCell`. Sized leases are padded
+//! the safe APIs of `Vec` and `RefCell`. Sized leases are padded
 //! by [`crate::simd::DECODE_SLACK`] so the SIMD kernels' overshoot
 //! reservation always fits the pooled buffer.
 
-use crate::fxhash::FxHashMap;
 use crate::types::{ColumnType, DecodedColumn, StringArena, StringViews};
 use sealed::{Pool, Slot};
 use std::cell::{Cell, RefCell};
@@ -59,14 +57,6 @@ use std::ops::{Deref, DerefMut};
 /// Default pool budget: enough for several 64k-value blocks of temporaries
 /// per worker without letting a pathological column pin memory forever.
 pub const DEFAULT_BUDGET_BYTES: usize = 64 << 20;
-
-/// How many cleared hash maps a [`Scratch`] retains per key type.
-///
-/// `HashMap` capacity is opaque (no `capacity -> bytes` contract), so maps
-/// are capped by count rather than charged against the byte budget. The
-/// cascade holds at most one stats map plus one dictionary map per level
-/// (depth ≤ 3 in practice), so a small stack covers the deepest recursion.
-const MAP_STACK_MAX: usize = 8;
 
 /// Capacity class of a buffer: `floor(log2(max(cap, 1)))`.
 fn tier_of(cap: usize) -> usize {
@@ -80,15 +70,9 @@ pub(crate) mod sealed {
     use std::cell::RefCell;
 
     /// One buffer type's tiered freelist.
+    #[derive(Default)]
     pub struct Pool<B> {
         tiers: Vec<Vec<B>>,
-        len: usize,
-    }
-
-    impl<B> Default for Pool<B> {
-        fn default() -> Self {
-            Pool { tiers: Vec::new(), len: 0 }
-        }
     }
 
     impl<B: Slot> Pool<B> {
@@ -100,32 +84,26 @@ pub(crate) mod sealed {
         /// sub-ranges) land in a buffer that already fits and never realloc
         /// on a warm pass. Sized leases take the smallest adequate tier.
         pub(super) fn take(&mut self, cap: usize) -> Option<B> {
-            let b = if cap == 0 {
+            if cap == 0 {
                 let tier = self.tiers.iter_mut().rev().find(|t| !t.is_empty())?;
                 let i = tier
                     .iter()
                     .enumerate()
                     .max_by_key(|(_, b)| b.capacity())
                     .map(|(i, _)| i)?;
-                tier.swap_remove(i)
+                Some(tier.swap_remove(i))
             } else {
                 // Only the starting tier can contain buffers smaller than
                 // `cap`; every higher tier trivially satisfies the check.
                 self.tiers.iter_mut().skip(tier_of(cap)).find_map(|tier| {
                     let i = tier.iter().position(|b| b.capacity() >= cap)?;
                     Some(tier.swap_remove(i))
-                })?
-            };
-            self.len -= 1;
-            Some(b)
+                })
+            }
         }
 
-        /// Pools `b` cleared; returns false (dropping it) when the freelist
-        /// is at its count limit.
-        pub(super) fn put(&mut self, mut b: B) -> bool {
-            if self.len >= B::MAX_POOLED {
-                return false;
-            }
+        /// Pools `b` cleared.
+        pub(super) fn put(&mut self, mut b: B) {
             b.clear();
             let t = tier_of(b.capacity());
             if self.tiers.len() <= t {
@@ -133,15 +111,11 @@ pub(crate) mod sealed {
             }
             // lint: allow(indexing) tiers was resized above to hold index t
             self.tiers[t].push(b);
-            self.len += 1;
-            true
         }
     }
 
     /// A buffer type with a freelist in every [`Scratch`].
     pub trait Slot: Default {
-        /// Most buffers of this type the freelist keeps.
-        const MAX_POOLED: usize = usize::MAX;
         /// The arena's freelist for this type.
         fn pool(s: &Scratch) -> &RefCell<Pool<Self>>;
         /// Capacity in elements: the tier key and the lease size check.
@@ -158,12 +132,6 @@ pub(crate) mod sealed {
     pub trait Elem: Copy + 'static {
         /// The arena's freelist of vectors of this type.
         fn pool(s: &Scratch) -> &RefCell<Pool<Vec<Self>>>;
-    }
-
-    /// A key type with a map freelist (count and dictionary maps).
-    pub trait Key: Copy + Eq + std::hash::Hash + 'static {
-        /// The arena's freelist of maps keyed by this type.
-        fn pool(s: &Scratch) -> &RefCell<Pool<crate::fxhash::FxHashMap<Self, usize>>>;
     }
 }
 
@@ -205,26 +173,6 @@ impl Slot for StringArena {
     }
 }
 
-impl<K: sealed::Key> Slot for FxHashMap<K, usize> {
-    const MAX_POOLED: usize = MAP_STACK_MAX;
-    fn pool(s: &Scratch) -> &RefCell<Pool<Self>> {
-        K::pool(s)
-    }
-    fn capacity(&self) -> usize {
-        std::collections::HashMap::capacity(self)
-    }
-    /// Opaque: maps are capped by count instead (`MAP_STACK_MAX`).
-    fn bytes(&self) -> usize {
-        0
-    }
-    fn clear(&mut self) {
-        std::collections::HashMap::clear(self);
-    }
-    fn with_capacity(cap: usize) -> Self {
-        FxHashMap::with_capacity_and_hasher(cap, Default::default())
-    }
-}
-
 macro_rules! vec_freelists {
     ($($ty:ty => $field:ident),+) => {
         $(impl sealed::Elem for $ty {
@@ -237,18 +185,6 @@ macro_rules! vec_freelists {
 
 vec_freelists!(i32 => i32s, f64 => f64s, u8 => u8s, u32 => u32s, u64 => u64s, (usize, usize) => ranges);
 
-impl sealed::Key for i32 {
-    fn pool(s: &Scratch) -> &RefCell<Pool<FxHashMap<i32, usize>>> {
-        &s.int_maps
-    }
-}
-
-impl sealed::Key for u64 {
-    fn pool(s: &Scratch) -> &RefCell<Pool<FxHashMap<u64, usize>>> {
-        &s.bits_maps
-    }
-}
-
 /// Counters exposed by [`Scratch::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchStats {
@@ -258,7 +194,7 @@ pub struct ScratchStats {
     pub misses: u64,
     /// Buffers returned to the pool.
     pub returns: u64,
-    /// Buffers dropped on return because the budget or count cap was full.
+    /// Buffers dropped on return because the budget was full.
     pub dropped: u64,
     /// Bytes of capacity currently pooled.
     pub held_bytes: usize,
@@ -279,8 +215,6 @@ pub struct Scratch {
     u64s: RefCell<Pool<Vec<u64>>>,
     ranges: RefCell<Pool<Vec<(usize, usize)>>>,
     arenas: RefCell<Pool<StringArena>>,
-    int_maps: RefCell<Pool<FxHashMap<i32, usize>>>,
-    bits_maps: RefCell<Pool<FxHashMap<u64, usize>>>,
     stats: Cell<ScratchStats>,
 }
 
@@ -308,8 +242,6 @@ impl Scratch {
             u64s: RefCell::default(),
             ranges: RefCell::default(),
             arenas: RefCell::default(),
-            int_maps: RefCell::default(),
-            bits_maps: RefCell::default(),
             stats: Cell::new(ScratchStats { budget_bytes, ..ScratchStats::default() }),
         }
     }
@@ -317,8 +249,7 @@ impl Scratch {
     /// Leases an empty buffer with capacity ≥ `cap` (`0`: size unknown, the
     /// caller grows it); it returns to the pool when the lease drops. `B` is
     /// a `Vec` of `i32`, `f64`, `u8`, `u32`, `u64` or `(usize, usize)`
-    /// sample ranges, a [`StringArena`], or an `FxHashMap<K, usize>` keyed by
-    /// `i32` or `u64`.
+    /// sample ranges, or a [`StringArena`].
     pub(crate) fn lease<B: Slot>(&self, cap: usize) -> Lease<'_, B> {
         Lease {
             scratch: self,
@@ -395,7 +326,7 @@ impl Scratch {
         let bytes = b.bytes();
         let s = self.stats.get();
         let fits = bytes <= s.budget_bytes.saturating_sub(s.held_bytes);
-        let kept = fits && B::pool(self).try_borrow_mut().is_ok_and(|mut p| p.put(b));
+        let kept = fits && B::pool(self).try_borrow_mut().map(|mut p| p.put(b)).is_ok();
         self.count(|s| {
             if kept {
                 s.returns += 1;
@@ -541,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn arenas_and_maps_come_back_cleared_with_capacity() {
+    fn arenas_come_back_cleared_with_capacity() {
         let s = Scratch::new();
         {
             let mut a = s.lease::<StringArena>(0);
@@ -554,34 +485,10 @@ mod tests {
         let a = s.lease::<StringArena>(0);
         assert!(a.is_empty(), "pooled arenas come back cleared");
         assert!(a.capacity_bytes() > 0, "but keep their capacity");
-
-        let cap = {
-            let mut m = s.lease::<FxHashMap<i32, usize>>(0);
-            m.insert(7, 3);
-            m.capacity()
-        };
-        let m = s.lease::<FxHashMap<i32, usize>>(0);
-        assert!(m.is_empty(), "pooled maps come back cleared");
-        assert_eq!(m.capacity(), cap, "but keep their capacity");
-        let mut b = s.lease::<FxHashMap<u64, usize>>(0);
-        b.insert(1.5f64.to_bits(), 1);
-        drop(b);
-        assert!(s.lease::<FxHashMap<u64, usize>>(0).is_empty());
     }
 
     #[test]
-    fn maps_are_capped_by_count_and_arenas_by_budget() {
-        let s = Scratch::new();
-        let maps: Vec<_> = (0..MAP_STACK_MAX + 1)
-            .map(|i| {
-                let mut m = s.lease::<FxHashMap<u64, usize>>(0);
-                m.insert(i as u64, i);
-                m
-            })
-            .collect();
-        drop(maps);
-        assert_eq!((s.stats().returns, s.stats().dropped), (MAP_STACK_MAX as u64, 1));
-
+    fn arenas_are_capped_by_budget() {
         let s = Scratch::with_budget(8);
         let mut a = s.lease::<StringArena>(0);
         a.push(&[0u8; 64]);
