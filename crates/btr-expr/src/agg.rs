@@ -11,7 +11,7 @@
 //! | compressed (RLE)      | always  | always               | always (NaN rows ignored) | always                |
 //! | decoded fold          | always  | always               | always (NaN rows ignored) | always                |
 //!
-//! String columns support `COUNT`/`MIN`/`MAX` via the decoded fold only
+//! String columns support `MIN`/`MAX` via the decoded fold only
 //! (dictionary order is not value order, so neither zones nor the
 //! compressed domain can answer); `SUM` over strings is a compile-time
 //! type error.
@@ -155,11 +155,10 @@ impl AggState {
             // An empty block contributes nothing, whatever its zone says.
             return true;
         }
+        if self.fold_count(u64::from(rows)) {
+            return true;
+        }
         match (&mut self.acc, zone) {
-            (Acc::Count(c), _) => {
-                *c += u64::from(rows);
-                true
-            }
             (Acc::MinInt(m), BlockZone::Int { min, .. }) => {
                 fold_min(m, *min);
                 true
@@ -184,6 +183,20 @@ impl AggState {
         }
     }
 
+    /// Folds `rows` rows into a `COUNT`, which reads no value: the caller
+    /// knows the rows from a zone map, a frame header or a selection's
+    /// cardinality. Returns whether this is a `COUNT` (`false` ⇒ the
+    /// aggregate needs values).
+    pub fn fold_count(&mut self, rows: u64) -> bool {
+        match &mut self.acc {
+            Acc::Count(c) => {
+                *c += rows;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Tries to fold a whole block in the compressed domain (OneValue and
     /// RLE frames). Returns `Ok(false)` when the scheme doesn't support it
     /// (⇒ decode and use [`AggState::fold_decoded`]). Frames are validated
@@ -197,9 +210,8 @@ impl AggState {
     ) -> btrblocks::Result<bool> {
         let mut r = Reader::new(bytes);
         let (code, count) = scheme::read_frame_header(&mut r, cfg)?;
-        if let Acc::Count(c) = &mut self.acc {
-            // The row count sits in every frame header.
-            *c += count as u64;
+        // The row count sits in every frame header.
+        if self.fold_count(count as u64) {
             return Ok(true);
         }
         if count == 0 {

@@ -6,10 +6,11 @@
 //! fast path vs decode-then-filter" cannot drift between layers:
 //!
 //! * decoded input → `filter_decoded` (the cache-hit path);
-//! * compressed input whose scheme has a fast path (`has_fast_path`) →
-//!   `filter_block`, evaluating without materializing the block;
-//! * anything else → [`LeafVerdict::NeedsDecode`]: the caller decodes (and
-//!   typically caches) the block, then calls back with the decoded column.
+//! * compressed input → `filter_compressed`, the kernels, which evaluate
+//!   without materializing the block;
+//! * a block they have no kernel for → [`LeafVerdict::NeedsDecode`]: the
+//!   caller decodes (and typically caches) the block, then calls back with
+//!   the decoded column, so the block is decoded once.
 //!
 //! [`eval_predicate`] handles general conjuncts: it gathers the candidate
 //! rows (the selection produced by the conjuncts evaluated so far — late
@@ -21,8 +22,8 @@
 use crate::plan::{ArithOp, BoundExpr, ExprError, ValueType};
 use crate::selection::Selection;
 use btrblocks::{
-    filter_block, filter_decoded, has_fast_path, peek_scheme, CmpOp, ColumnType, Config,
-    DecodedColumn, Literal, StringViews,
+    filter_compressed, filter_decoded, CmpOp, ColumnType, Config, DecodedColumn, Literal,
+    StringViews,
 };
 use btr_roaring::RoaringBitmap;
 
@@ -70,14 +71,13 @@ pub fn filter_leaf(
             compressed_domain: false,
         }),
         LeafInput::Compressed { bytes, ty, config } => {
-            if has_fast_path(ty, peek_scheme(bytes)?) {
-                Ok(LeafVerdict::Selected {
-                    rows: filter_block(bytes, ty, op, literal, config)?,
+            Ok(match filter_compressed(bytes, ty, op, literal, config)? {
+                Some(rows) => LeafVerdict::Selected {
+                    rows,
                     compressed_domain: true,
-                })
-            } else {
-                Ok(LeafVerdict::NeedsDecode)
-            }
+                },
+                None => LeafVerdict::NeedsDecode,
+            })
         }
     }
 }
@@ -434,6 +434,22 @@ mod tests {
         };
         assert!(!compressed_domain);
         assert_eq!(rows.cardinality(), 500);
+
+        // A string dictionary has no kernel either: it decodes to views.
+        let arena = btrblocks::StringArena::from_strs(&["a", "b", "a", "c"]);
+        let bytes = compress_block_with(SchemeCode::Dict, BlockRef::Str(&arena), &cfg);
+        assert_eq!(bytes[0], SchemeCode::Dict.as_u8());
+        let got = filter_leaf(
+            LeafInput::Compressed {
+                bytes: &bytes,
+                ty: ColumnType::String,
+                config: &cfg,
+            },
+            CmpOp::Eq,
+            &Literal::Str(b"a".to_vec()),
+        )
+        .unwrap();
+        assert_eq!(got, LeafVerdict::NeedsDecode);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   (vectorized row-wise kernel over the candidate selection).
 //! * [`filter_leaf`] — the one fast-path ladder shared by every caller:
 //!   decoded input runs `filter_decoded`, compressed input runs
-//!   `filter_block` when `has_fast_path` says the scheme supports it, and
-//!   everything else reports [`LeafVerdict::NeedsDecode`].
+//!   `filter_compressed`, and a block it has no kernel for reports
+//!   [`LeafVerdict::NeedsDecode`].
 //! * [`AggState`] — aggregate pushdown: `COUNT`/`MIN`/`MAX` answered from
 //!   zone maps, `SUM` from one-value/RLE compressed domains, everything
 //!   falling back to a vectorized fold over selected rows.

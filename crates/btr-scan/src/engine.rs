@@ -408,16 +408,26 @@ mod tests {
             Column::new("val", ColumnData::Double(vals.clone())),
         ]);
         let (source, sidecar) = open(&engine, &rel, "agg-filter");
-        let spec = ScanSpec::aggregate([btr_expr::Aggregate::sum("val")])
-            .with_expr(btr_expr::col("id").lt(btr_expr::lit(1_500)));
+        let spec = ScanSpec::aggregate([
+            btr_expr::Aggregate::sum("val"),
+            btr_expr::Aggregate::count("val"),
+        ])
+        .with_expr(btr_expr::col("id").lt(btr_expr::lit(1_500)));
         let report = engine.aggregate(source, &sidecar, &spec).unwrap();
         // Reference: sequential fold over the filtered rows, same order.
         let mut want = 0.0f64;
         for v in vals.iter().take(1_500) {
             want += v;
         }
-        assert_eq!(report.values, vec![btr_expr::AggValue::SumDouble(want)]);
-        // id < 1500 prunes blocks 2 and 3 before any fetch.
+        assert_eq!(
+            report.values,
+            vec![
+                btr_expr::AggValue::SumDouble(want),
+                btr_expr::AggValue::Count(1_500)
+            ]
+        );
+        // id < 1500 prunes blocks 2 and 3 before any fetch; block 1 keeps a
+        // residual selection, whose COUNT needs no block of `val`.
         assert_eq!(report.blocks_pruned, 2);
     }
 

@@ -6,7 +6,7 @@
 //! bytes at all. This crate is that serving layer. It composes pieces that
 //! already exist in the workspace — zone-map sidecars
 //! ([`btrblocks::Sidecar`]), compressed-domain predicate evaluation
-//! ([`btrblocks::filter_block`]), per-block decode
+//! ([`btrblocks::filter_compressed`]), per-block decode
 //! ([`btrblocks::decompress_block`]) and the costed object store
 //! ([`btr_s3sim::ObjectStore`]) — into one pull-based pipeline:
 //!
@@ -28,7 +28,7 @@
 //!   bounded look-ahead window past each scan's consumer, fetches block
 //!   payloads (ranged GETs with retry/backoff against an object store, or
 //!   slices of an in-memory relation), evaluates the predicate in the
-//!   compressed domain when the scheme has a fast path, and decodes only
+//!   compressed domain when the scheme has a kernel, and decodes only
 //!   what survives. [`ScanEngine`] is that executor with one tenant; the
 //!   scan service (btr-server) runs many tenants on the same loop.
 //! * **Cache** ([`cache`]): a sharded LRU of *decoded* blocks keyed by
@@ -81,7 +81,7 @@ pub use engine::{AggReport, EngineOptions, ScanEngine};
 pub use executor::{Executor, ExecutorHandle, ExecutorStats, Scan, ScanJob, ScanReport};
 pub use layout::{ColumnLayout, RelationLayout};
 pub use pipeline::{
-    AggSourceCounts, BlockPipeline, BlockResult, DecodeGate, GroupCtx, PipelineCounters,
+    AggSourceCounts, BlockPipeline, BlockResult, DecodeGate, PipelineCounters,
     PipelineFilter, PipelineParams,
 };
 pub use plan::{plan_scan, RowGroup, ScanPlan, ScanSpec};

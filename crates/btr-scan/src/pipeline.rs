@@ -6,6 +6,16 @@
 //! [`BlockPipeline::process`]; [`crate::ScanEngine::aggregate`] calls
 //! [`BlockPipeline::aggregate_group`] on the caller's thread.
 //!
+//! A row group keeps one slot per source column it reads: the fetched bytes,
+//! or the decoded block. The filter's leaves, its general conjuncts, the
+//! projection and the aggregates all go through one resolver, so a group
+//! fetches each block at most once and decodes it at most once. A caller
+//! that can use compressed bytes (a leaf kernel, a compressed-domain
+//! aggregate) takes the slot, then a cached decode, then one fetch. A caller
+//! that needs values decodes a bytes slot in place, else takes the cache,
+//! else the miss path below. A slot's row count is checked against the
+//! group when the slot is made.
+//!
 //! Everything a pipeline borrows is behind `Arc`, so N pipelines over the
 //! same relation share:
 //!
@@ -29,8 +39,8 @@ use crate::retry::{BreakerState, FetchCtl};
 use crate::source::BlockSource;
 use crate::{Result, ScanError};
 use btr_expr::{
-    eval_predicate, filter_leaf, AggState, ColumnAccess, ConjunctKind, ExprPlan, LeafInput,
-    LeafVerdict, Selection,
+    eval_predicate, filter_leaf, AggState, ColumnAccess, ConjunctKind, ExprError, ExprPlan,
+    LeafInput, LeafVerdict, Selection,
 };
 use btr_roaring::RoaringBitmap;
 use btrblocks::{
@@ -74,31 +84,37 @@ impl PipelineFilter {
     }
 }
 
-/// Per-row-group working set: blocks already decoded (keyed by source column
-/// index) and compressed payloads fetched for compressed-domain evaluation
-/// but not (yet) decoded. Reusing it across the filter, projection, and
-/// aggregate stages of one group is what makes each block resolve at most
-/// once.
-#[derive(Default)]
-pub struct GroupCtx {
-    decoded: HashMap<usize, Arc<DecodedColumn>>,
-    bytes: HashMap<usize, Vec<u8>>,
+/// One source column of a row group, as far as the group has read it.
+enum Slot {
+    /// Fetched for a compressed-domain caller, not decoded.
+    Bytes(Vec<u8>),
+    /// Decoded here, or served by the cache or another scan's decode.
+    Decoded(Arc<DecodedColumn>),
 }
 
-impl GroupCtx {
-    /// An empty working set.
-    pub fn new() -> GroupCtx {
-        GroupCtx::default()
+/// A row group's working set: one [`Slot`] per source column read so far,
+/// shared by the filter, projection and aggregate stages.
+struct WorkingSet {
+    group: RowGroup,
+    slots: HashMap<usize, Slot>,
+}
+
+impl WorkingSet {
+    fn new(group: RowGroup) -> WorkingSet {
+        WorkingSet {
+            group,
+            slots: HashMap::new(),
+        }
     }
 }
 
-/// [`ColumnAccess`] over a group's decoded blocks, for the general-conjunct
-/// evaluator.
-struct CtxCols<'a>(&'a HashMap<usize, Arc<DecodedColumn>>);
-
-impl ColumnAccess for CtxCols<'_> {
+/// The general-conjunct evaluator reads decoded slots only.
+impl ColumnAccess for WorkingSet {
     fn column(&self, index: usize) -> Option<&DecodedColumn> {
-        self.0.get(&index).map(AsRef::as_ref)
+        match self.slots.get(&index) {
+            Some(Slot::Decoded(decoded)) => Some(decoded),
+            _ => None,
+        }
     }
 }
 
@@ -274,33 +290,11 @@ impl BlockPipeline {
         hit
     }
 
-    fn fetch(&self, column: u32, block: u32) -> Result<Vec<u8>> {
-        let bytes = self.source.fetch_ctl(column, block, &self.ctl)?;
+    fn fetch(&self, idx: usize, block: u32) -> Result<Vec<u8>> {
+        // lint: allow(cast) column count is far smaller than 4 GiB
+        let bytes = self.source.fetch_ctl(idx as u32, block, &self.ctl)?;
         self.counters.fetched.fetch_add(1, Ordering::Relaxed); // ordering: statistics counter
         Ok(bytes)
-    }
-
-    /// Fetches block `idx` of `group` for the compressed domain; its frame
-    /// header must count the group's rows (see [`Self::check_rows`]).
-    fn fetch_for_group(&self, idx: usize, group: RowGroup) -> Result<Vec<u8>> {
-        // lint: allow(cast) column count is far smaller than 4 GiB
-        let bytes = self.fetch(idx as u32, group.block)?;
-        self.check_rows(idx, group, block::peek_count(&bytes)?)?;
-        Ok(bytes)
-    }
-
-    /// Adds a decoded (or cached) block to its group's working set, once it
-    /// is shown to hold the group's rows.
-    fn join_decoded(
-        &self,
-        ctx: &mut GroupCtx,
-        idx: usize,
-        group: RowGroup,
-        decoded: Arc<DecodedColumn>,
-    ) -> Result<Arc<DecodedColumn>> {
-        self.check_rows(idx, group, decoded.len())?;
-        ctx.decoded.insert(idx, decoded.clone());
-        Ok(decoded)
     }
 
     /// A block joins its row group only if it holds `group.rows` values
@@ -381,15 +375,18 @@ impl BlockPipeline {
         }
     }
 
-    /// Timed decode into worker-leased buffers; the caller decides whether
-    /// to cache the result.
-    fn decode(
+    /// Timed decode of block `key` of column `idx` into worker-leased
+    /// buffers, cached on success.
+    fn decode_insert(
         &self,
+        idx: usize,
+        key: BlockKey,
         bytes: &[u8],
-        ty: ColumnType,
         scratch: &mut Scratch,
     ) -> Result<Arc<DecodedColumn>> {
         let t0 = Instant::now();
+        // lint: allow(indexing) column indices were resolved against columns at plan time
+        let ty = self.column_types[idx];
         let mut decoded = scratch.lease_decoded(ty);
         if let Err(e) = decompress_block_into(bytes, ty, &self.config, scratch, &mut decoded) {
             scratch.recycle(decoded);
@@ -400,7 +397,9 @@ impl BlockPipeline {
             // ordering: statistics counter
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.counters.decoded.fetch_add(1, Ordering::Relaxed); // ordering: statistics counter
-        Ok(Arc::new(decoded))
+        let decoded = Arc::new(decoded);
+        self.cache_insert(key, decoded.clone(), scratch);
+        Ok(decoded)
     }
 
     /// Caches a decoded block and recycles whatever the insert displaced
@@ -440,12 +439,8 @@ impl BlockPipeline {
         key: BlockKey,
         scratch: &mut Scratch,
     ) -> Result<Arc<DecodedColumn>> {
-        // lint: allow(cast) column count is far smaller than 4 GiB
-        let bytes = self.fetch(idx as u32, block)?;
-        // lint: allow(indexing) projection indices were resolved against columns at plan time
-        let decoded = self.decode(&bytes, self.column_types[idx], scratch)?;
-        self.cache_insert(key, decoded.clone(), scratch);
-        Ok(decoded)
+        let bytes = self.fetch(idx, block)?;
+        self.decode_insert(idx, key, &bytes, scratch)
     }
 
     /// Resolves a cache miss, deduplicating the miss path across scans when
@@ -494,82 +489,87 @@ impl BlockPipeline {
         }
     }
 
-    /// Evaluates one leaf conjunct (`column op literal`) over a row group,
-    /// staying in the compressed domain when the scheme has a fast path.
-    /// Decoded blocks and fetched-but-undecoded payloads land in `ctx` so
-    /// later conjuncts, the projection, or aggregates reuse them.
-    fn eval_leaf(
+    /// Resolves source column `idx` of the set's row group to its slot,
+    /// making the slot on first use (see the module docs). With `decode` the
+    /// slot returned is always [`Slot::Decoded`]; without, it is whatever the
+    /// group holds, or a cached decode, or the fetched bytes.
+    fn resolve<'s>(
         &self,
+        set: &'s mut WorkingSet,
         idx: usize,
-        op: CmpOp,
-        literal: &Literal,
-        group: RowGroup,
-        ctx: &mut GroupCtx,
+        decode: bool,
         scratch: &mut Scratch,
-    ) -> Result<RoaringBitmap> {
-        if let Some(decoded) = ctx.decoded.get(&idx) {
-            return Ok(filter_decoded(decoded, op, literal)?);
-        }
-        let key = self.key(idx, group.block);
-        if let Some(decoded) = self.cache_get(&key) {
-            let decoded = self.join_decoded(ctx, idx, group, decoded)?;
-            return Ok(filter_decoded(&decoded, op, literal)?);
-        }
-        // The fast path needs the raw payload, so this fetch stays outside
-        // the decode gate; concurrent fetches of one block still collapse in
-        // the source's in-flight table.
-        let bytes = self.fetch_for_group(idx, group)?;
-        // lint: allow(indexing) filter indices were resolved against columns at plan time
-        let ty = self.column_types[idx];
-        let input = LeafInput::Compressed {
-            bytes: &bytes,
-            ty,
-            config: &self.config,
+    ) -> Result<&'s Slot> {
+        let group = set.group;
+        let slot = match set.slots.remove(&idx) {
+            // The frame count was checked when the bytes joined, and a
+            // decode yields exactly that many values.
+            Some(Slot::Bytes(bytes)) if decode => {
+                let key = self.key(idx, group.block);
+                Slot::Decoded(self.decode_insert(idx, key, &bytes, scratch)?)
+            }
+            Some(slot) => slot,
+            None => {
+                let key = self.key(idx, group.block);
+                let slot = match self.cache_get(&key) {
+                    Some(decoded) => Slot::Decoded(decoded),
+                    None if decode => {
+                        Slot::Decoded(self.resolve_miss(idx, group.block, key, scratch)?)
+                    }
+                    // The kernels need the raw payload, so this fetch stays
+                    // outside the decode gate; concurrent fetches of one
+                    // block still collapse in the source's in-flight table.
+                    None => Slot::Bytes(self.fetch(idx, group.block)?),
+                };
+                let rows = match &slot {
+                    Slot::Bytes(bytes) => block::peek_count(bytes)?,
+                    Slot::Decoded(decoded) => decoded.len(),
+                };
+                self.check_rows(idx, group, rows)?;
+                slot
+            }
         };
-        match filter_leaf(input, op, literal)? {
-            LeafVerdict::Selected { rows, .. } => {
-                self.counters.pushdown.fetch_add(1, Ordering::Relaxed); // ordering: statistics counter
-                ctx.bytes.insert(idx, bytes);
-                Ok(rows)
-            }
-            LeafVerdict::NeedsDecode => {
-                let decoded = self.decode(&bytes, ty, scratch)?;
-                self.cache_insert(key, decoded.clone(), scratch);
-                let decoded = self.join_decoded(ctx, idx, group, decoded)?;
-                Ok(filter_decoded(&decoded, op, literal)?)
-            }
+        Ok(set.slots.entry(idx).or_insert(slot))
+    }
+
+    /// [`Self::resolve`] for a caller that needs values.
+    fn resolve_decoded(
+        &self,
+        set: &mut WorkingSet,
+        idx: usize,
+        scratch: &mut Scratch,
+    ) -> Result<Arc<DecodedColumn>> {
+        match self.resolve(set, idx, true, scratch)? {
+            Slot::Decoded(decoded) => Ok(decoded.clone()),
+            Slot::Bytes(_) => Err(ScanError::Expr(ExprError::ColumnNotDecoded(idx))),
         }
     }
 
-    /// Resolves source column `idx` of `group` to a decoded block, reusing
-    /// the group's working set (decoded blocks, fetched payloads) before
-    /// touching the cache or the source.
-    fn ensure_decoded(
+    /// Evaluates one leaf conjunct (`column op literal`) over a row group:
+    /// in the compressed domain when the group holds the block's bytes and
+    /// its scheme has a kernel, over the decoded block otherwise.
+    fn eval_leaf(
         &self,
+        set: &mut WorkingSet,
         idx: usize,
-        group: RowGroup,
-        ctx: &mut GroupCtx,
+        op: CmpOp,
+        literal: &Literal,
         scratch: &mut Scratch,
-    ) -> Result<Arc<DecodedColumn>> {
-        if let Some(decoded) = ctx.decoded.get(&idx) {
-            return Ok(decoded.clone());
-        }
-        let key = self.key(idx, group.block);
-        let decoded = if let Some(bytes) = ctx.bytes.remove(&idx) {
-            // A compressed-domain conjunct already fetched (and counted a
-            // miss for) this block; decode the payload we have instead of
-            // re-fetching.
-            // lint: allow(indexing) indices were resolved against columns at plan time
-            let d = self.decode(&bytes, self.column_types[idx], scratch)?;
-            self.cache_insert(key, d.clone(), scratch);
-            d
-        } else {
-            match self.cache_get(&key) {
-                Some(d) => d,
-                None => self.resolve_miss(idx, group.block, key, scratch)?,
+    ) -> Result<RoaringBitmap> {
+        if let Slot::Bytes(bytes) = self.resolve(set, idx, false, scratch)? {
+            let input = LeafInput::Compressed {
+                bytes,
+                // lint: allow(indexing) filter indices were resolved against columns at plan time
+                ty: self.column_types[idx],
+                config: &self.config,
+            };
+            if let LeafVerdict::Selected { rows, .. } = filter_leaf(input, op, literal)? {
+                self.counters.pushdown.fetch_add(1, Ordering::Relaxed); // ordering: statistics counter
+                return Ok(rows);
             }
-        };
-        self.join_decoded(ctx, idx, group, decoded)
+        }
+        let decoded = self.resolve_decoded(set, idx, scratch)?;
+        Ok(filter_decoded(&decoded, op, literal)?)
     }
 
     /// Evaluates the pipeline's filter over one row group: conjuncts the
@@ -577,15 +577,15 @@ impl BlockPipeline {
     /// the compressed domain when possible, general conjuncts run the
     /// vectorized kernel over the rows still selected. `Ok(None)` means
     /// every row survives (no filter, or all conjuncts masked).
-    pub fn filter_selection(
+    fn filter_selection(
         &self,
-        group: RowGroup,
-        ctx: &mut GroupCtx,
+        set: &mut WorkingSet,
         scratch: &mut Scratch,
     ) -> Result<Option<Selection>> {
         let Some(filter) = &self.filter else {
             return Ok(None);
         };
+        let group = set.group;
         let mask = filter.always_true.get(&group.block).copied().unwrap_or(0);
         let mut selection: Option<Selection> = None;
         for (ci, conjunct) in filter.plan.conjuncts.iter().enumerate() {
@@ -599,7 +599,7 @@ impl BlockPipeline {
                     literal,
                     ..
                 } => {
-                    let rows = self.eval_leaf(*column, *op, literal, group, ctx, scratch)?;
+                    let rows = self.eval_leaf(set, *column, *op, literal, scratch)?;
                     let leaf_sel = Selection::from_bitmap(group.rows, rows);
                     selection = Some(match selection {
                         Some(cur) => cur.intersect(&leaf_sel),
@@ -608,15 +608,14 @@ impl BlockPipeline {
                 }
                 ConjunctKind::General(expr) => {
                     for &idx in &conjunct.columns {
-                        self.ensure_decoded(idx, group, ctx, scratch)?;
+                        self.resolve(set, idx, true, scratch)?;
                     }
                     let candidates = selection
                         .take()
                         .unwrap_or_else(|| Selection::all(group.rows));
                     // The kernel evaluates only candidate rows, so its result
                     // is already the intersection.
-                    selection =
-                        Some(eval_predicate(expr, &CtxCols(&ctx.decoded), &candidates)?);
+                    selection = Some(eval_predicate(expr, &*set, &candidates)?);
                 }
             }
             if selection.as_ref().is_some_and(Selection::is_empty) {
@@ -631,8 +630,8 @@ impl BlockPipeline {
     /// whose values are actually needed — late materialization.
     pub fn process(&self, group: RowGroup, scratch: &mut Scratch) -> Result<BlockResult> {
         self.check_deadline()?;
-        let mut ctx = GroupCtx::new();
-        let selection = self.filter_selection(group, &mut ctx, scratch)?;
+        let mut set = WorkingSet::new(group);
+        let selection = self.filter_selection(&mut set, scratch)?;
 
         let rows_matched = match &selection {
             Some(sel) => u64::from(sel.cardinality()),
@@ -649,7 +648,7 @@ impl BlockPipeline {
 
         let mut columns = Vec::with_capacity(self.projection.len());
         for &idx in &self.projection {
-            let decoded = self.ensure_decoded(idx, group, &mut ctx, scratch)?;
+            let decoded = self.resolve_decoded(&mut set, idx, scratch)?;
             columns.push(gather(&decoded, selection.as_ref()));
         }
         Ok(BlockResult {
@@ -661,10 +660,11 @@ impl BlockPipeline {
     /// Folds one row group into the given aggregate states, exploiting the
     /// cheapest sufficient representation per aggregate:
     ///
-    /// 1. zone maps (`fully_selected` groups only — a residual selection
-    ///    invalidates block-level statistics),
-    /// 2. the compressed domain (one-value / RLE frames, `COUNT` from any
-    ///    frame header),
+    /// 1. no fetch: `COUNT` from the group's rows or the filter's selection,
+    ///    the rest from the zone maps of `fully_selected` groups (a residual
+    ///    selection invalidates block-level statistics);
+    /// 2. the compressed domain (one-value / RLE frames), with no residual
+    ///    selection;
     /// 3. a vectorized fold over decoded values, restricted to the selected
     ///    rows when the filter left a residue.
     ///
@@ -681,62 +681,36 @@ impl BlockPipeline {
     ) -> Result<AggSourceCounts> {
         self.check_deadline()?;
         let mut counts = AggSourceCounts::default();
-        let mut ctx = GroupCtx::new();
+        let mut set = WorkingSet::new(group);
         let selection = if fully_selected {
             None
         } else {
-            self.filter_selection(group, &mut ctx, scratch)?
+            self.filter_selection(&mut set, scratch)?
         };
+        if selection.as_ref().is_some_and(Selection::is_empty) {
+            return Ok(counts); // no surviving rows: the group contributes nothing
+        }
+        let rows = selection.as_ref().map_or(group.rows, Selection::cardinality);
         for ((idx, state), zone) in aggs.iter_mut().zip(zones) {
-            match &selection {
-                None => {
-                    if fully_selected {
-                        if let Some(zone) = zone {
-                            if state.fold_zone(zone, group.rows) {
-                                counts.from_zones += 1;
-                                continue;
-                            }
-                        }
-                    }
-                    if let Some(decoded) = ctx.decoded.get(idx) {
-                        state.fold_decoded(decoded, None)?;
-                        counts.from_decoded += 1;
-                        continue;
-                    }
-                    if !ctx.bytes.contains_key(idx) {
-                        let key = self.key(*idx, group.block);
-                        if let Some(decoded) = self.cache_get(&key) {
-                            let decoded = self.join_decoded(&mut ctx, *idx, group, decoded)?;
-                            state.fold_decoded(&decoded, None)?;
-                            counts.from_decoded += 1;
-                            continue;
-                        }
-                        let bytes = self.fetch_for_group(*idx, group)?;
-                        ctx.bytes.insert(*idx, bytes);
-                    }
-                    // lint: allow(indexing) aggregate indices were resolved against columns at plan time
-                    let ty = self.column_types[*idx];
-                    let answered = match ctx.bytes.get(idx) {
-                        Some(bytes) => state.fold_compressed(bytes, ty, &self.config)?,
-                        None => false,
-                    };
-                    if answered {
+            let zone = zone.filter(|_| fully_selected);
+            if state.fold_count(u64::from(rows))
+                || zone.is_some_and(|z| state.fold_zone(z, group.rows))
+            {
+                counts.from_zones += 1;
+                continue;
+            }
+            if selection.is_none() {
+                if let Slot::Bytes(bytes) = self.resolve(&mut set, *idx, false, scratch)? {
+                    // lint: allow(indexing) aggregate indices were resolved at plan time
+                    if state.fold_compressed(bytes, self.column_types[*idx], &self.config)? {
                         counts.from_compressed += 1;
                         continue;
                     }
-                    let decoded = self.ensure_decoded(*idx, group, &mut ctx, scratch)?;
-                    state.fold_decoded(&decoded, None)?;
-                    counts.from_decoded += 1;
-                }
-                Some(sel) => {
-                    if sel.is_empty() {
-                        continue; // no surviving rows: the group contributes nothing
-                    }
-                    let decoded = self.ensure_decoded(*idx, group, &mut ctx, scratch)?;
-                    state.fold_decoded(&decoded, Some(sel))?;
-                    counts.from_decoded += 1;
                 }
             }
+            let decoded = self.resolve_decoded(&mut set, *idx, scratch)?;
+            state.fold_decoded(&decoded, selection.as_ref())?;
+            counts.from_decoded += 1;
         }
         Ok(counts)
     }
@@ -746,7 +720,7 @@ impl BlockPipeline {
 /// pushdown lattice; see [`BlockPipeline::aggregate_group`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AggSourceCounts {
-    /// Answered from zone maps alone (no fetch, no decode).
+    /// Answered without fetching the block.
     pub from_zones: u64,
     /// Answered in the compressed domain (fetched, not decoded).
     pub from_compressed: u64,

@@ -62,7 +62,7 @@ pub use parallel::{compress_parallel, decompress_parallel};
 pub use relation::{
     compress, decompress, BlockRange, Column, CompressedColumn, CompressedRelation, Relation,
 };
-pub use scheme::filter::{filter_block, filter_decoded, has_fast_path};
+pub use scheme::filter::{filter_block, filter_compressed, filter_decoded};
 pub use scheme::SchemeCode;
 pub use scratch::{DecodeScratch, EncodeScratch, Scratch, ScratchStats};
 pub use types::{

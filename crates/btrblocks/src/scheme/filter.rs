@@ -3,22 +3,25 @@
 //! The paper's related-work discussion (§7) notes that while BtrBlocks
 //! optimizes for raw decompression speed, it "can, in principle, also support
 //! processing compressed data if the used schemes support it". This module
-//! implements that extension for the schemes where it pays off:
+//! implements that extension. [`filter_compressed`] holds the kernels and is
+//! the one place their set is declared; it answers, without materializing
+//! the block:
 //!
-//! * **OneValue** — the predicate is decided once for the whole block.
-//! * **RLE** — the predicate runs per *run* and the verdict is replicated.
-//! * **Dictionary / Dict+FSST** — the predicate runs once per *distinct*
-//!   value; the code sequence is then mapped through a verdict table.
-//! * **Frequency** — decided once for the top value, per-value only for the
-//!   exceptions.
-//! * everything else — falls back to decompress-then-filter, so the API is
-//!   total over all blocks.
+//! * **OneValue** (every type) — the predicate is decided once per block.
+//! * **RLE** (numbers) — the predicate runs per *run* and the verdict is
+//!   replicated.
+//! * **Dictionary** (numbers) — the predicate runs once per *distinct* value;
+//!   the code sequence is then mapped through a verdict table.
+//! * **Frequency** (numbers) — decided once for the top value, per value only
+//!   for the exceptions.
 //!
-//! The entry points evaluate an equality or range predicate against one
-//! compressed block and return the matching row positions as a Roaring
-//! bitmap, without materializing the decompressed column when a fast path
-//! applies. The expression engine (crate `btr-expr`) builds its leaf kernels
-//! on top of these entry points.
+//! Every other block, string Dict and Dict+FSST included, is `Ok(None)`: "no
+//! kernel, decode". A string dictionary decodes to views over its small pool
+//! without copying string bytes, so the decode is already the cheap path.
+//! [`filter_block`] is total over all blocks: the kernel when there is one,
+//! decompress-then-[`filter_decoded`] otherwise. The expression engine (crate
+//! `btr-expr`) builds its leaf kernel on [`filter_compressed`], so a caller
+//! that keeps decoded blocks decodes each block once.
 
 use crate::block::decompress_block_into;
 use crate::config::Config;
@@ -30,26 +33,9 @@ use crate::writer::Reader;
 use crate::{Error, Result};
 use btr_roaring::RoaringBitmap;
 
-/// Whether [`filter_block`] has a compressed-domain fast path for this
-/// `(type, scheme)` pair, i.e. evaluates the predicate without materializing
-/// the full block. Scan planners use this to report how much of a scan ran
-/// on compressed data versus the decompress-then-filter fallback.
-pub fn has_fast_path(ty: ColumnType, code: SchemeCode) -> bool {
-    match ty {
-        ColumnType::Integer | ColumnType::Double => matches!(
-            code,
-            SchemeCode::OneValue | SchemeCode::Rle | SchemeCode::Dict | SchemeCode::Frequency
-        ),
-        ColumnType::String => matches!(
-            code,
-            SchemeCode::OneValue | SchemeCode::Dict | SchemeCode::DictFsst
-        ),
-    }
-}
-
 /// Evaluates `op(literal)` over an already-decoded block (e.g. one served
 /// from a decoded-block cache), returning matching block-relative positions.
-/// The decoded-data counterpart of [`filter_block`].
+/// The decoded-data counterpart of [`filter_compressed`].
 pub fn filter_decoded(col: &DecodedColumn, op: CmpOp, literal: &Literal) -> Result<RoaringBitmap> {
     match (col, literal) {
         (DecodedColumn::Int(v), Literal::Int(l)) => {
@@ -65,24 +51,26 @@ pub fn filter_decoded(col: &DecodedColumn, op: CmpOp, literal: &Literal) -> Resu
     }
 }
 
-/// Evaluates `op(literal)` over one compressed block, returning matching row
-/// positions (block-relative).
+/// Evaluates `op(literal)` over one compressed block in the compressed
+/// domain, returning matching row positions (block-relative), or `Ok(None)`
+/// when the block's scheme has no kernel: decode it and use
+/// [`filter_decoded`].
 ///
-/// Every path validates the block exactly as [`decompress_block_into`] does
+/// A kernel validates the block exactly as [`decompress_block_into`] does
 /// (frame cap, run totals, dictionary code range, trailing bytes): a block
 /// the decoder rejects is rejected here with the same error, never answered.
-pub fn filter_block(
+pub fn filter_compressed(
     bytes: &[u8],
     ty: ColumnType,
     op: CmpOp,
     literal: &Literal,
     cfg: &Config,
-) -> Result<RoaringBitmap> {
+) -> Result<Option<RoaringBitmap>> {
     let mut r = Reader::new(bytes);
     let (code, count) = scheme::read_frame_header(&mut r, cfg)?;
     // One scratch per call: every cascade level below leases from it.
-    let mut scratch = Scratch::new();
-    let fast = match (ty, literal) {
+    let scratch = Scratch::new();
+    let matches = match (ty, literal) {
         (ColumnType::Integer, Literal::Int(lit)) => {
             filter_fixed(&mut r, code, count, op, *lit, cfg, &scratch)?
         }
@@ -92,16 +80,30 @@ pub fn filter_block(
         (ColumnType::String, Literal::Str(lit)) => filter_str(&mut r, code, count, op, lit)?,
         _ => return Err(Error::Corrupt("predicate literal type mismatch")),
     };
-    match fast {
+    match matches {
         Some(_) if !r.rest().is_empty() => Err(Error::Corrupt("trailing bytes after block")),
-        Some(matches) => Ok(matches),
-        // No compressed-domain kernel for this scheme: decompress then filter.
-        None => {
-            let mut decoded = scratch.lease_decoded(ty);
-            decompress_block_into(bytes, ty, cfg, &mut scratch, &mut decoded)?;
-            filter_decoded(&decoded, op, literal)
-        }
+        matches => Ok(matches),
     }
+}
+
+/// Evaluates `op(literal)` over one compressed block, returning matching row
+/// positions (block-relative): [`filter_compressed`] when the scheme has a
+/// kernel, decompress-then-[`filter_decoded`] otherwise. Total over all
+/// blocks: a corrupt block fails with the decoder's error.
+pub fn filter_block(
+    bytes: &[u8],
+    ty: ColumnType,
+    op: CmpOp,
+    literal: &Literal,
+    cfg: &Config,
+) -> Result<RoaringBitmap> {
+    if let Some(matches) = filter_compressed(bytes, ty, op, literal, cfg)? {
+        return Ok(matches);
+    }
+    let mut scratch = Scratch::new();
+    let mut decoded = scratch.lease_decoded(ty);
+    decompress_block_into(bytes, ty, cfg, &mut scratch, &mut decoded)?;
+    filter_decoded(&decoded, op, literal)
 }
 
 fn positions_where(verdicts: impl Iterator<Item = bool>) -> RoaringBitmap {
@@ -226,10 +228,8 @@ fn filter_fixed<V: Value>(
     }))
 }
 
-/// The string compressed-domain kernel: OneValue decides once per block.
-/// Dictionary blocks decode straight to views over the (tiny) dictionary
-/// pool — no string bytes are copied — which is the decode path itself, so
-/// they share the fallback.
+/// The string compressed-domain kernel: OneValue decides once per block;
+/// every other string scheme is `None` (see the module docs).
 fn filter_str(
     r: &mut Reader<'_>,
     code: SchemeCode,
@@ -438,16 +438,73 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_table_matches_module_contract() {
+    fn filter_compressed_answers_exactly_the_kernel_schemes() {
         // The module docs promise compressed-domain evaluation for exactly
-        // these scheme/type pairs.
-        assert!(has_fast_path(ColumnType::Integer, SchemeCode::Rle));
-        assert!(has_fast_path(ColumnType::Integer, SchemeCode::Frequency));
-        assert!(has_fast_path(ColumnType::Double, SchemeCode::Dict));
-        assert!(has_fast_path(ColumnType::String, SchemeCode::DictFsst));
-        assert!(!has_fast_path(ColumnType::Integer, SchemeCode::FastPfor));
-        assert!(!has_fast_path(ColumnType::String, SchemeCode::Fsst));
-        assert!(!has_fast_path(ColumnType::Double, SchemeCode::Pseudodecimal));
+        // these scheme/type pairs; every other block (string Dict and
+        // Dict+FSST included) is `None`. Each answer equals the decoded
+        // filter.
+        use crate::block::decompress_block;
+        use SchemeCode::*;
+        let cfg = Config::default();
+        let ints: Vec<i32> = (0..3_000)
+            .map(|i| if i % 9 == 0 { i } else { (i / 50) % 6 })
+            .collect();
+        let doubles: Vec<f64> = ints.iter().map(|&i| f64::from(i) * 0.25).collect();
+        let strings: Vec<String> = ints.iter().map(|i| format!("city-{i:02}")).collect();
+        let arena = StringArena::from_strs(&strings);
+        let (one_int, one_double) = (vec![4i32; 1_000], vec![1.0f64; 1_000]);
+        let one_str = StringArena::from_strs(&["same"; 1_000]);
+        // (type, data, constant data, literal, kernel schemes, other schemes)
+        type Schemes<'a> = &'a [SchemeCode];
+        type Case<'a> = (ColumnType, BlockRef<'a>, BlockRef<'a>, Literal, Schemes<'a>, Schemes<'a>);
+        let cases: [Case<'_>; 3] = [
+            (
+                ColumnType::Integer,
+                BlockRef::Int(&ints),
+                BlockRef::Int(&one_int),
+                Literal::Int(3),
+                &[Rle, Dict, Frequency],
+                &[Uncompressed, FastPfor, FastBp128],
+            ),
+            (
+                ColumnType::Double,
+                BlockRef::Double(&doubles),
+                BlockRef::Double(&one_double),
+                Literal::Double(0.75),
+                &[Rle, Dict, Frequency],
+                &[Uncompressed, Pseudodecimal],
+            ),
+            (
+                ColumnType::String,
+                BlockRef::Str(&arena),
+                BlockRef::Str(&one_str),
+                Literal::Str(b"city-03".to_vec()),
+                &[],
+                &[Uncompressed, Dict, DictFsst, Fsst],
+            ),
+        ];
+        for (ty, data, constant, lit, kernels, others) in cases {
+            let forced = |code, data| {
+                let bytes = compress_block_with(code, data, &cfg);
+                assert_eq!(bytes[0], code.as_u8(), "{ty:?} {code:?} was not forced");
+                bytes
+            };
+            let kernel_blocks = std::iter::once((OneValue, forced(OneValue, constant)))
+                .chain(kernels.iter().map(|&code| (code, forced(code, data))));
+            for (code, bytes) in kernel_blocks {
+                let decoded = decompress_block(&bytes, ty, &cfg).unwrap();
+                for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Ge] {
+                    let got = filter_compressed(&bytes, ty, op, &lit, &cfg).unwrap();
+                    let got = got.unwrap_or_else(|| panic!("{ty:?} {code:?} has a kernel"));
+                    let want = filter_decoded(&decoded, op, &lit).unwrap();
+                    assert!(got.iter().eq(want.iter()), "{ty:?} {code:?} {op:?}");
+                }
+            }
+            for &code in others {
+                let got = filter_compressed(&forced(code, data), ty, CmpOp::Eq, &lit, &cfg);
+                assert_eq!(got, Ok(None), "{ty:?} {code:?} has no kernel");
+            }
+        }
     }
 
     #[test]
