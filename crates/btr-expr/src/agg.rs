@@ -155,32 +155,49 @@ impl AggState {
             // An empty block contributes nothing, whatever its zone says.
             return true;
         }
-        if self.fold_count(u64::from(rows)) {
-            return true;
+        match self.zone_answer(zone) {
+            None => false,
+            Some(ZoneAnswer::Rows) => self.fold_count(u64::from(rows)),
+            Some(ZoneAnswer::Int(v)) => {
+                self.fold_int_run(v, 1);
+                true
+            }
+            Some(ZoneAnswer::Double(v)) => {
+                self.fold_double_run(v, 1);
+                true
+            }
         }
-        match (&mut self.acc, zone) {
-            (Acc::MinInt(m), BlockZone::Int { min, .. }) => {
-                fold_min(m, *min);
-                true
-            }
-            (Acc::MaxInt(m), BlockZone::Int { max, .. }) => {
-                fold_max(m, *max);
-                true
-            }
+    }
+
+    /// What a zone map alone says about a block for this aggregate; `None`
+    /// when it says nothing [`AggState::fold_zone`] can use.
+    fn zone_answer(&self, zone: &BlockZone) -> Option<ZoneAnswer> {
+        match (&self.acc, zone) {
+            (Acc::Count(_), _) => Some(ZoneAnswer::Rows),
+            (Acc::MinInt(_), BlockZone::Int { min, .. }) => Some(ZoneAnswer::Int(*min)),
+            (Acc::MaxInt(_), BlockZone::Int { max, .. }) => Some(ZoneAnswer::Int(*max)),
             // A NaN-bearing double zone collapses degenerate cases (e.g. an
             // all-NaN block reports min = max = 0.0); only NaN-free zones
             // carry trustworthy extrema.
-            (Acc::MinDouble(m), BlockZone::Double { min, has_nan, .. }) if !has_nan => {
-                fold_min(m, *min);
-                true
+            (Acc::MinDouble(_), BlockZone::Double { min, has_nan, .. }) if !has_nan => {
+                Some(ZoneAnswer::Double(*min))
             }
-            (Acc::MaxDouble(m), BlockZone::Double { max, has_nan, .. }) if !has_nan => {
-                fold_max(m, *max);
-                true
+            (Acc::MaxDouble(_), BlockZone::Double { max, has_nan, .. }) if !has_nan => {
+                Some(ZoneAnswer::Double(*max))
             }
             // Sums need every value; string zones carry no order stats.
-            _ => false,
+            _ => None,
         }
+    }
+
+    /// Whether folding a `rows`-row block needs its values: `false` when
+    /// [`AggState::fold_count`] answers it, or [`AggState::fold_zone`] does
+    /// given the block's `zone`. A scan reads this to decide what to fetch
+    /// before the fold runs.
+    pub fn needs_values(&self, zone: Option<&BlockZone>, rows: u32) -> bool {
+        let answered = matches!(self.acc, Acc::Count(_))
+            || zone.is_some_and(|z| rows == 0 || self.zone_answer(z).is_some());
+        !answered
     }
 
     /// Folds `rows` rows into a `COUNT`, which reads no value: the caller
@@ -197,16 +214,29 @@ impl AggState {
         }
     }
 
-    /// Tries to fold a whole block in the compressed domain (OneValue and
-    /// RLE frames). Returns `Ok(false)` when the scheme doesn't support it
-    /// (⇒ decode and use [`AggState::fold_decoded`]). Frames are validated
-    /// exactly as the block decoder validates them *before* anything folds,
-    /// so a block the decoder rejects is the same typed error here.
+    /// Whether [`AggState::fold_compressed`] answers block `bytes` of a
+    /// value-reading aggregate (anything but `COUNT`), from its frame header
+    /// alone: the compressed rung's one declaration, read by the fold below
+    /// and by a scan deciding whether to decode. An empty block always
+    /// answers; otherwise OneValue and RLE frames of numeric columns do.
+    pub fn folds_compressed(bytes: &[u8], ty: ColumnType, cfg: &Config) -> btrblocks::Result<bool> {
+        let (code, count) = scheme::read_frame_header(&mut Reader::new(bytes), cfg)?;
+        Ok(count == 0 || compressed_rung(code, ty))
+    }
+
+    /// Tries to fold a whole block in the compressed domain (the schemes
+    /// [`AggState::folds_compressed`] names). Returns `Ok(false)` when the
+    /// scheme doesn't support it (⇒ decode and use
+    /// [`AggState::fold_decoded`]). Frames are validated exactly as the block
+    /// decoder validates them *before* anything folds, so a block the decoder
+    /// rejects is the same typed error here. The run arrays' cascades lease
+    /// from the caller's `scratch`.
     pub fn fold_compressed(
         &mut self,
         bytes: &[u8],
         ty: ColumnType,
         cfg: &Config,
+        scratch: &Scratch,
     ) -> btrblocks::Result<bool> {
         let mut r = Reader::new(bytes);
         let (code, count) = scheme::read_frame_header(&mut r, cfg)?;
@@ -217,44 +247,57 @@ impl AggState {
         if count == 0 {
             return Ok(true);
         }
+        if !compressed_rung(code, ty) {
+            return Ok(false);
+        }
         let end_of_block = |r: &Reader<'_>| match r.rest() {
             [] => Ok(()),
             _ => Err(Error::Corrupt("trailing bytes after block")),
         };
-        // One scratch per call: the run arrays' cascades lease from it.
-        let scratch = Scratch::new();
-        let mut lengths = Vec::new();
-        match (code, ty) {
-            (SchemeCode::OneValue, ColumnType::Integer) => {
-                let v = r.i32()?;
-                end_of_block(&r)?;
-                self.fold_int_run(v, count);
-            }
-            (SchemeCode::OneValue, ColumnType::Double) => {
-                let v = r.f64()?;
-                end_of_block(&r)?;
-                self.fold_double_run(v, count);
-            }
-            (SchemeCode::Rle, ColumnType::Integer) => {
-                let mut values = Vec::new();
-                rle::read_runs_into::<i32>(&mut r, count, cfg, &scratch, &mut values, &mut lengths)?;
-                end_of_block(&r)?;
-                for (&v, &len) in values.iter().zip(&lengths) {
-                    self.fold_int_run(v, len as usize);
+        if code == SchemeCode::OneValue {
+            match ty {
+                ColumnType::Integer => {
+                    let v = r.i32()?;
+                    end_of_block(&r)?;
+                    self.fold_int_run(v, count);
+                }
+                _ => {
+                    let v = r.f64()?;
+                    end_of_block(&r)?;
+                    self.fold_double_run(v, count);
                 }
             }
-            (SchemeCode::Rle, ColumnType::Double) => {
-                let mut values = Vec::new();
-                rle::read_runs_into::<f64>(&mut r, count, cfg, &scratch, &mut values, &mut lengths)?;
-                end_of_block(&r)?;
-                for (&v, &len) in values.iter().zip(&lengths) {
-                    self.fold_double_run(v, len as usize);
-                }
-            }
-            // Strings and every other scheme: decode.
-            _ => return Ok(false),
+            return Ok(true);
         }
-        Ok(true)
+        // RLE: the run values come from the scratch's pooled block buffers.
+        let mut values = scratch.lease_decoded(ty);
+        let mut lengths = Vec::new();
+        let folded = match &mut values {
+            DecodedColumn::Int(values) => {
+                rle::read_runs_into(&mut r, count, cfg, scratch, values, &mut lengths)
+                    .and_then(|()| end_of_block(&r))
+                    .map(|()| {
+                        for (&v, &len) in values.iter().zip(&lengths) {
+                            self.fold_int_run(v, len as usize);
+                        }
+                        true
+                    })
+            }
+            DecodedColumn::Double(values) => {
+                rle::read_runs_into(&mut r, count, cfg, scratch, values, &mut lengths)
+                    .and_then(|()| end_of_block(&r))
+                    .map(|()| {
+                        for (&v, &len) in values.iter().zip(&lengths) {
+                            self.fold_double_run(v, len as usize);
+                        }
+                        true
+                    })
+            }
+            // `compressed_rung` has no string scheme.
+            DecodedColumn::Str(_) => Ok(false),
+        };
+        scratch.recycle(values);
+        folded
     }
 
     fn fold_int_run(&mut self, v: i32, len: usize) {
@@ -294,75 +337,47 @@ impl AggState {
     }
 
     /// Folds a decoded block, restricted to `sel` when given (the residual
-    /// selection after filter evaluation). Rows fold in ascending order.
+    /// selection after filter evaluation). Rows fold in ascending order; the
+    /// accumulator and column are matched once per block, not per row.
     pub fn fold_decoded(
         &mut self,
         col: &DecodedColumn,
         sel: Option<&Selection>,
     ) -> Result<(), ExprError> {
-        // lint: allow(cast) block row counts fit u32 by the format contract
-        let len = col.len() as u32;
-        if let Some(s) = sel {
-            for r in s.iter() {
-                self.fold_row(col, r, len)?;
-            }
-        } else {
-            for r in 0..len {
-                self.fold_row(col, r, len)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn fold_row(&mut self, col: &DecodedColumn, r: u32, len: u32) -> Result<(), ExprError> {
-        if r >= len {
-            return Err(ExprError::RowOutOfRange);
-        }
         match (&mut self.acc, col) {
-            (Acc::Count(c), _) => *c += 1,
+            (Acc::Count(c), _) => each_row(col.len(), sel, |_| *c += 1),
             (Acc::SumInt(s), DecodedColumn::Int(v)) => {
-                let x = v.get(r as usize).copied().ok_or(ExprError::RowOutOfRange)?;
-                *s = s.wrapping_add(i64::from(x));
+                each(v, sel, |x| *s = s.wrapping_add(i64::from(x)))
             }
-            (Acc::MinInt(m), DecodedColumn::Int(v)) => {
-                let x = v.get(r as usize).copied().ok_or(ExprError::RowOutOfRange)?;
-                fold_min(m, x);
-            }
-            (Acc::MaxInt(m), DecodedColumn::Int(v)) => {
-                let x = v.get(r as usize).copied().ok_or(ExprError::RowOutOfRange)?;
-                fold_max(m, x);
-            }
-            (Acc::SumDouble(s), DecodedColumn::Double(v)) => {
-                let x = v.get(r as usize).copied().ok_or(ExprError::RowOutOfRange)?;
-                *s += x;
-            }
-            (Acc::MinDouble(m), DecodedColumn::Double(v)) => {
-                let x = v.get(r as usize).copied().ok_or(ExprError::RowOutOfRange)?;
+            (Acc::MinInt(m), DecodedColumn::Int(v)) => each(v, sel, |x| fold_min(m, x)),
+            (Acc::MaxInt(m), DecodedColumn::Int(v)) => each(v, sel, |x| fold_max(m, x)),
+            (Acc::SumDouble(s), DecodedColumn::Double(v)) => each(v, sel, |x| *s += x),
+            (Acc::MinDouble(m), DecodedColumn::Double(v)) => each(v, sel, |x| {
                 if !x.is_nan() {
                     fold_min(m, x);
                 }
-            }
-            (Acc::MaxDouble(m), DecodedColumn::Double(v)) => {
-                let x = v.get(r as usize).copied().ok_or(ExprError::RowOutOfRange)?;
+            }),
+            (Acc::MaxDouble(m), DecodedColumn::Double(v)) => each(v, sel, |x| {
                 if !x.is_nan() {
                     fold_max(m, x);
                 }
-            }
-            (Acc::MinStr(m), DecodedColumn::Str(views)) => {
-                let x = views.get(r as usize);
+            }),
+            (Acc::MinStr(m), DecodedColumn::Str(views)) => each_row(views.len(), sel, |r| {
+                let x = views.get(r);
                 if m.as_deref().is_none_or(|cur| x < cur) {
                     *m = Some(x.to_vec());
                 }
-            }
-            (Acc::MaxStr(m), DecodedColumn::Str(views)) => {
-                let x = views.get(r as usize);
+            }),
+            (Acc::MaxStr(m), DecodedColumn::Str(views)) => each_row(views.len(), sel, |r| {
+                let x = views.get(r);
                 if m.as_deref().is_none_or(|cur| x > cur) {
                     *m = Some(x.to_vec());
                 }
-            }
-            _ => return Err(ExprError::TypeMismatch("aggregate/column type mismatch")),
+            }),
+            // A block that contributes no row folds nothing, whatever it is.
+            _ if sel.map_or(col.is_empty(), Selection::is_empty) => Ok(()),
+            _ => Err(ExprError::TypeMismatch("aggregate/column type mismatch")),
         }
-        Ok(())
     }
 
     /// The finished value.
@@ -379,6 +394,53 @@ impl AggState {
             Acc::MaxStr(m) => AggValue::MaxStr(m.clone()),
         }
     }
+}
+
+/// What [`AggState::zone_answer`] read off a zone map.
+enum ZoneAnswer {
+    /// A `COUNT`: the block's row count is the answer.
+    Rows,
+    /// An integer extreme, folded as a one-row run.
+    Int(i32),
+    /// A double extreme, folded as a one-row run.
+    Double(f64),
+}
+
+/// The compressed rung: block schemes [`AggState::fold_compressed`] folds
+/// without decoding.
+fn compressed_rung(code: SchemeCode, ty: ColumnType) -> bool {
+    matches!(code, SchemeCode::OneValue | SchemeCode::Rle) && ty != ColumnType::String
+}
+
+/// Calls `f` on the values of `v` that `sel` selects (all of them without
+/// a selection), in ascending row order. A selected row past the block is
+/// [`ExprError::RowOutOfRange`].
+fn each<T: Copy>(v: &[T], sel: Option<&Selection>, mut f: impl FnMut(T)) -> Result<(), ExprError> {
+    match sel {
+        None => v.iter().for_each(|&x| f(x)),
+        Some(s) => {
+            for r in s.iter() {
+                f(*v.get(r as usize).ok_or(ExprError::RowOutOfRange)?);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// [`each`] over the row indices of a `len`-row block.
+fn each_row(len: usize, sel: Option<&Selection>, mut f: impl FnMut(usize)) -> Result<(), ExprError> {
+    match sel {
+        None => (0..len).for_each(f),
+        Some(s) => {
+            for r in s.iter().map(|r| r as usize) {
+                if r >= len {
+                    return Err(ExprError::RowOutOfRange);
+                }
+                f(r);
+            }
+        }
+    }
+    Ok(())
 }
 
 fn fold_min<T: PartialOrd + Copy>(m: &mut Option<T>, v: T) {
@@ -442,7 +504,7 @@ mod tests {
             compress_block_with(SchemeCode::OneValue, BlockRef::Double(&values), &cfg)
         };
         let mut sum = AggState::new(AggKind::Sum, ColumnType::Double).unwrap();
-        assert!(sum.fold_compressed(&bytes, ColumnType::Double, &cfg).unwrap());
+        assert!(sum.fold_compressed(&bytes, ColumnType::Double, &cfg, &Scratch::new()).unwrap());
         let mut reference = 0.0f64;
         for _ in 0..count {
             reference += v;
@@ -454,14 +516,14 @@ mod tests {
         let values: Vec<i32> = (0..2_000).map(|i| (i / 250) * 10).collect();
         let bytes = compress_block_with(SchemeCode::Rle, BlockRef::Int(&values), &cfg);
         let mut sum = AggState::new(AggKind::Sum, ColumnType::Integer).unwrap();
-        assert!(sum.fold_compressed(&bytes, ColumnType::Integer, &cfg).unwrap());
+        assert!(sum.fold_compressed(&bytes, ColumnType::Integer, &cfg, &Scratch::new()).unwrap());
         let expected: i64 = values.iter().map(|&x| i64::from(x)).sum();
         assert_eq!(sum.value(), AggValue::SumInt(expected));
 
         // Bit-packed blocks have no compressed-domain path.
         let bytes = compress_block_with(SchemeCode::FastBp128, BlockRef::Int(&values), &cfg);
         let mut sum = AggState::new(AggKind::Sum, ColumnType::Integer).unwrap();
-        assert!(!sum.fold_compressed(&bytes, ColumnType::Integer, &cfg).unwrap());
+        assert!(!sum.fold_compressed(&bytes, ColumnType::Integer, &cfg, &Scratch::new()).unwrap());
     }
 
     // The decode/filter half of this contract (same blocks, same errors from
@@ -482,7 +544,7 @@ mod tests {
             );
             assert_eq!(decoded.unwrap_err(), expected, "decoder");
             let mut sum = AggState::new(AggKind::Sum, ty).unwrap();
-            assert_eq!(sum.fold_compressed(block, ty, &cfg).unwrap_err(), expected, "fold");
+            assert_eq!(sum.fold_compressed(block, ty, &cfg, &Scratch::new()).unwrap_err(), expected, "fold");
             let untouched = AggState::new(AggKind::Sum, ty).unwrap();
             assert_eq!(sum.value(), untouched.value(), "nothing may fold before validation");
         };
@@ -533,6 +595,62 @@ mod tests {
             ColumnType::Integer,
             Error::Corrupt("trailing bytes after block"),
         );
+    }
+
+    #[test]
+    fn the_compressed_rung_is_what_the_fold_answers() {
+        let cfg = Config::default();
+        let scratch = Scratch::new();
+        let ints: Vec<i32> = (0..3_000).map(|i| (i / 500) * 3).collect();
+        let doubles: Vec<f64> = ints.iter().map(|&i| f64::from(i) * 0.5).collect();
+        let strings = btrblocks::StringArena::from_strs(&["a", "a", "b", "b", "b"]);
+        use SchemeCode::*;
+        let cases = [
+            (ColumnType::Integer, vec![Uncompressed, OneValue, Rle, Dict, Frequency, FastPfor, FastBp128]),
+            (ColumnType::Double, vec![Uncompressed, OneValue, Rle, Dict, Frequency, Pseudodecimal]),
+            (ColumnType::String, vec![Uncompressed, Dict, Fsst, DictFsst]),
+        ];
+        for (ty, codes) in cases {
+            for code in codes {
+                let block = match ty {
+                    ColumnType::Integer => BlockRef::Int(&ints[..500]),
+                    ColumnType::Double => BlockRef::Double(&doubles[..500]),
+                    ColumnType::String => BlockRef::Str(&strings),
+                };
+                let bytes = compress_block_with(code, block, &cfg);
+                let kind = if ty == ColumnType::String { AggKind::Max } else { AggKind::Sum };
+                let mut state = AggState::new(kind, ty).unwrap();
+                let folded = state.fold_compressed(&bytes, ty, &cfg, &scratch).unwrap();
+                let declared = AggState::folds_compressed(&bytes, ty, &cfg).unwrap();
+                assert_eq!(folded, declared, "{ty:?} {code:?}");
+                assert_eq!(declared, matches!(code, OneValue | Rle), "{ty:?} {code:?}");
+                assert!(state.needs_values(None, 500), "{ty:?} {code:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn needs_values_matches_the_zone_rung() {
+        let int_zone = BlockZone::Int { min: -2, max: 9 };
+        let nan_zone = BlockZone::Double { min: 1.0, max: 3.0, has_nan: true };
+        let state = |kind, ty| AggState::new(kind, ty).unwrap();
+        let count = state(AggKind::Count, ColumnType::String);
+        assert!(!count.needs_values(None, 4), "COUNT reads no value");
+        let min = state(AggKind::Min, ColumnType::Integer);
+        assert!(min.needs_values(None, 4), "no zone, no answer");
+        assert!(!min.needs_values(Some(&int_zone), 4));
+        assert!(!min.needs_values(Some(&BlockZone::Str), 0), "an empty block folds nothing");
+        assert!(state(AggKind::Sum, ColumnType::Integer).needs_values(Some(&int_zone), 4));
+        assert!(state(AggKind::Min, ColumnType::Double).needs_values(Some(&nan_zone), 4));
+        for (zone, rows) in [(&int_zone, 4), (&nan_zone, 4), (&BlockZone::Str, 0)] {
+            for kind in [AggKind::Count, AggKind::Sum, AggKind::Min, AggKind::Max] {
+                for ty in [ColumnType::Integer, ColumnType::Double] {
+                    let mut s = state(kind, ty);
+                    let needs = s.needs_values(Some(zone), rows);
+                    assert_eq!(needs, !s.fold_zone(zone, rows), "{kind:?} {ty:?} {zone:?}");
+                }
+            }
+        }
     }
 
     #[test]

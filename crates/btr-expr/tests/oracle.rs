@@ -526,7 +526,7 @@ fn aggregate_ladder_matches_naive_fold() {
                 let answered = (rung == 0 && state.fold_zone(&meta.zones[g], n))
                     || (rung <= 1
                         && state
-                            .fold_compressed(bytes, types[column], &cfg)
+                            .fold_compressed(bytes, types[column], &cfg, &scratch)
                             .expect("compressed fold"));
                 if !answered {
                     let decoded = decode(bytes, types[column], &cfg, &mut scratch);

@@ -9,7 +9,8 @@
 //! sometimes, a permanently bit-flipped stored block via
 //! [`btr_corrupt::Mutation`]) behind one shared [`ObjectStoreSource`], draws
 //! one spec (some with deadlines, some with retry budgets) per concurrent
-//! scan, and hands source and specs to a [`Runner`] — [`EngineRunner`] here,
+//! scan — with [`ChaosConfig::aggregates`], some of them aggregates — and
+//! hands source and specs to a [`Runner`] — [`EngineRunner`] here,
 //! a `ScanService` runner in btr-server's tests — that executes them
 //! concurrently with its own randomized knobs. Every scan's outcome is then
 //! classified:
@@ -36,7 +37,7 @@ use crate::retry::{BreakerConfig, HedgeConfig};
 use crate::source::{BlockSource, MemorySource, ObjectStoreSource};
 use crate::{Result, ScanError};
 use btr_corrupt::{Mutation, Xorshift};
-use btr_expr::{col, lit};
+use btr_expr::{col, lit, Aggregate};
 use btr_s3sim::{FaultPlan, ObjectStore};
 use btr_sync::RetryPolicy;
 use btrblocks::{Column, ColumnData, Config, Relation, Sidecar, StringArena};
@@ -56,8 +57,12 @@ pub struct ChaosConfig {
     pub rows: usize,
     /// Compression block size (controls block count per column).
     pub block_size: usize,
-    /// Decode workers per scan.
+    /// Decode workers per scan (the engine runner adds 0 or 1 per schedule).
     pub engine_workers: usize,
+    /// Also draw aggregate specs (over one more column), answered through
+    /// `ScanEngine::aggregate`; only runners that answer aggregates (the
+    /// engine's) may set it.
+    pub aggregates: bool,
 }
 
 impl Default for ChaosConfig {
@@ -69,6 +74,7 @@ impl Default for ChaosConfig {
             rows: 4_000,
             block_size: 500,
             engine_workers: 1,
+            aggregates: false,
         }
     }
 }
@@ -86,6 +92,10 @@ pub struct ChaosReport {
     pub scans_ok: u64,
     /// Scans that failed (attributed or not).
     pub scans_failed: u64,
+    /// Aggregate specs among `scans_run`.
+    pub aggregates_run: u64,
+    /// Aggregates that matched their fault-free reference bit for bit.
+    pub aggregates_ok: u64,
     /// Panics observed (worker panics or scan-thread panics).
     pub panics: u64,
     /// Successful scans whose bytes diverged from the reference.
@@ -199,8 +209,13 @@ fn classify(
     runner_explains: bool,
 ) {
     report.scans_run += 1;
+    let aggregate = !spec.aggregates.is_empty();
+    report.aggregates_run += u64::from(aggregate);
     let err = match result {
-        Ok(columns) if reference == Some(columns) => return report.scans_ok += 1,
+        Ok(columns) if reference == Some(columns) => {
+            report.aggregates_ok += u64::from(aggregate);
+            return report.scans_ok += 1;
+        }
         Ok(_) => return report.divergent += 1,
         Err(err) => err,
     };
@@ -270,6 +285,52 @@ pub fn spec_pool(rows: usize) -> Vec<ScanSpec> {
     ]
 }
 
+/// The column [`ChaosConfig::aggregates`] adds to [`build_relation`]'s:
+/// tenths, inexact in binary, so `SUM(amt)` depends on fold order.
+fn amounts(rows: usize) -> Column {
+    // lint: allow(cast) campaign row counts are tiny (thousands)
+    let amounts = (0..rows).map(|i| i as f64 * 0.1 - 7.3).collect();
+    Column::new("amt", ColumnData::Double(amounts))
+}
+
+/// The aggregate specs [`ChaosConfig::aggregates`] adds to the pool: the
+/// zone, compressed and decoded rungs, a double sum whose bits depend on
+/// fold order, and a filter that leaves a residual selection.
+fn agg_pool(rows: usize) -> Vec<ScanSpec> {
+    // lint: allow(cast) campaign row counts are tiny (thousands)
+    let rows = rows as i32;
+    vec![
+        ScanSpec::aggregate([
+            Aggregate::sum("amt"),
+            Aggregate::sum("val"),
+            Aggregate::count("id"),
+            Aggregate::min("id"),
+            Aggregate::max("val"),
+            Aggregate::min("tag"),
+        ]),
+        ScanSpec::aggregate([Aggregate::sum("amt"), Aggregate::max("id"), Aggregate::max("tag")])
+            .with_expr(col("id").ge(lit(rows / 3))),
+    ]
+}
+
+/// Runs `spec` on `engine`: a scan drained into [`Columns`], or, for a spec
+/// with aggregates, `ScanEngine::aggregate` with its values as one string
+/// column (doubles printed exactly, so equal output is bit-equal values).
+fn run_spec(
+    engine: &ScanEngine,
+    source: Arc<dyn BlockSource>,
+    sidecar: &Sidecar,
+    spec: &ScanSpec,
+) -> Result<Columns> {
+    if spec.aggregates.is_empty() {
+        return engine.scan(source, sidecar, spec).and_then(drain);
+    }
+    let report = engine.aggregate(source, sidecar, spec)?;
+    let values: Vec<String> = report.values.iter().map(|v| format!("{v:?}")).collect();
+    let values = StringArena::from_strs(&values);
+    Ok(vec![("aggregates".to_string(), ColumnData::Str(values))])
+}
+
 /// Drains a scan into per-column output (batch boundaries erased), so runs
 /// compare byte-for-byte regardless of batching.
 pub fn drain(batches: impl Iterator<Item = Result<RecordBatch>>) -> Result<Columns> {
@@ -320,7 +381,7 @@ fn new_engine(workers: usize, cache_bytes: usize, codec: &Config) -> ScanEngine 
 }
 
 /// The [`ScanEngine`] runner: one engine (one cache) per schedule, one
-/// engine scan per spec.
+/// engine scan or aggregate per spec.
 pub struct EngineRunner;
 
 impl Runner for EngineRunner {
@@ -328,13 +389,13 @@ impl Runner for EngineRunner {
         // A small cache budget on some schedules drives the ladder's
         // cache-pressure rung.
         let cache_bytes = if rng.gen_bool(0.3) { 32 << 10 } else { 16 << 20 };
-        let engine = &new_engine(schedule.config.engine_workers, cache_bytes, schedule.codec);
+        // A second worker on some schedules lets row groups finish out of
+        // block order, which the scan's stream and the aggregate's fold
+        // must put back.
+        let workers = schedule.config.engine_workers + usize::from(rng.gen_bool(0.5));
+        let engine = &new_engine(workers, cache_bytes, schedule.codec);
         run_concurrently(schedule.specs.iter().map(|spec| {
-            move || {
-                engine
-                    .scan(schedule.source.clone(), schedule.sidecar, spec)
-                    .and_then(drain)
-            }
+            move || run_spec(engine, schedule.source.clone(), schedule.sidecar, spec)
         }))
     }
 }
@@ -344,7 +405,10 @@ impl Runner for EngineRunner {
 /// relation, the fault-free reference scans) are the only errors returned —
 /// scan failures are classified into the report.
 pub fn run_campaign(config: &ChaosConfig, runner: &mut impl Runner) -> Result<ChaosReport> {
-    let relation = build_relation(config.rows);
+    let mut relation = build_relation(config.rows);
+    if config.aggregates {
+        relation.columns.push(amounts(config.rows));
+    }
     let codec = Config {
         block_size: config.block_size.max(1),
         ..Config::default()
@@ -353,14 +417,17 @@ pub fn run_campaign(config: &ChaosConfig, runner: &mut impl Runner) -> Result<Ch
     let compressed = Arc::new(btrblocks::compress(&relation, &codec)?);
     let bytes = compressed.to_bytes();
     let layout = RelationLayout::of(&compressed);
-    let specs = spec_pool(config.rows);
+    let mut specs = spec_pool(config.rows);
+    if config.aggregates {
+        specs.extend(agg_pool(config.rows));
+    }
 
     // Fault-free references, one per spec, computed over a memory source.
     let reference_engine = new_engine(config.engine_workers, 16 << 20, &codec);
     let memory: Arc<dyn BlockSource> = Arc::new(MemorySource::new("chaos-ref", compressed));
     let references: Vec<Columns> = specs
         .iter()
-        .map(|spec| reference_engine.scan(memory.clone(), &sidecar, spec).and_then(drain))
+        .map(|spec| run_spec(&reference_engine, memory.clone(), &sidecar, spec))
         .collect::<Result<_>>()?;
 
     let mut report = ChaosReport::default();

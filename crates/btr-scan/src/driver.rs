@@ -10,8 +10,10 @@
 //!    and retry budget armed on the source's clock.
 //! 2. [`process_contained`] runs one row group with panics contained, so a
 //!    bug in one group fails one scan with a typed error instead of taking
-//!    a pool thread (and every scan behind it) down.
-//! 3. [`Reorder`] re-sequences groups workers finish in any order.
+//!    a pool thread (and every scan behind it) down; an aggregate's groups
+//!    are contained the same way.
+//! 3. [`Reorder`] re-sequences groups workers finish in any order, for a
+//!    scan's stream and an aggregate's fold alike.
 //! 4. [`ScanStream`] re-chunks ordered groups into fixed-size
 //!    [`RecordBatch`]es, copying each row once, and ends the scan exactly
 //!    once ([`GroupFeed::finish`]) on drain, error, cancel, or drop.
@@ -94,7 +96,13 @@ pub fn process_contained(
     group: RowGroup,
     scratch: &mut Scratch,
 ) -> Result<BlockResult> {
-    catch_unwind(AssertUnwindSafe(|| pipeline.process(group, scratch))).unwrap_or_else(|payload| {
+    contained(idx, group, || pipeline.process(group, scratch))
+}
+
+/// Runs `work` on row group `idx` with panics contained, as
+/// [`process_contained`] does for any per-group work.
+pub(crate) fn contained<T>(idx: usize, group: RowGroup, work: impl FnOnce() -> Result<T>) -> Result<T> {
+    catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| {
         Err(ScanError::Worker(format!(
             "row group {} (block {}): {}",
             idx,
@@ -106,20 +114,28 @@ pub fn process_contained(
 
 /// The reorder buffer between workers and a scan's consumer: results land
 /// by row-group index in any order and leave in index order.
-#[derive(Default)]
-pub struct Reorder {
+pub struct Reorder<T = BlockResult> {
     next_emit: usize,
-    ready: BTreeMap<usize, Result<BlockResult>>,
+    ready: BTreeMap<usize, Result<T>>,
 }
 
-impl Reorder {
+impl<T> Default for Reorder<T> {
+    fn default() -> Self {
+        Reorder {
+            next_emit: 0,
+            ready: BTreeMap::new(),
+        }
+    }
+}
+
+impl<T> Reorder<T> {
     /// Index of the next row group the consumer will take.
     pub fn next_emit(&self) -> usize {
         self.next_emit
     }
 
     /// Lands the result of row group `idx`.
-    pub fn insert(&mut self, idx: usize, result: Result<BlockResult>) {
+    pub fn insert(&mut self, idx: usize, result: Result<T>) {
         self.ready.insert(idx, result);
     }
 
@@ -130,7 +146,7 @@ impl Reorder {
     }
 
     /// Takes the next in-order result, if it has landed.
-    pub fn pop(&mut self) -> Option<Result<BlockResult>> {
+    pub fn pop(&mut self) -> Option<Result<T>> {
         let result = self.ready.remove(&self.next_emit)?;
         self.next_emit += 1;
         Some(result)

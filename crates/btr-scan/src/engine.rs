@@ -9,7 +9,9 @@
 //! `i`, while the window bounds how much decoded data can pile up ahead of
 //! it. There are no admission limits and no GET coalescing; the scan
 //! service (btr-server) adds those on the same executor.
-//! [`ScanEngine::aggregate`] folds on the caller's thread.
+//! [`ScanEngine::aggregate`] runs on the same pool, window and deadline
+//! path: workers resolve each row group's aggregate inputs and the caller
+//! folds them in block order.
 //!
 //! NULL semantics follow [`btrblocks::metadata::pruned_filter`]: NULL
 //! positions hold neutral values and participate in predicates like any
@@ -24,7 +26,7 @@
 use crate::cache::BlockCache;
 use crate::driver::prepare;
 use crate::executor::{Executor, Scan, ScanJob};
-use crate::pipeline::{AggSourceCounts, BlockPipeline, PipelineCounters};
+use crate::pipeline::{agg_reads, AggSourceCounts, BlockPipeline, PipelineCounters};
 use crate::plan::{ScanPlan, ScanSpec};
 use crate::source::BlockSource;
 use crate::{Result, ScanError};
@@ -134,10 +136,13 @@ impl ScanEngine {
     /// fetch), the compressed domain (no decode), or a vectorized fold over
     /// decoded values — restricted to rows surviving `spec`'s filter.
     ///
-    /// Groups fold sequentially in block order so double `SUM`s accumulate
-    /// in one deterministic order (floating-point addition is not
-    /// associative); the result is bit-identical to a naive
-    /// decode-everything row loop.
+    /// The aggregate runs as a job on the engine's executor, like a scan:
+    /// workers fetch, decode and filter row groups within the look-ahead
+    /// window ([`BlockPipeline::resolve_aggregates`]), and this thread folds
+    /// their results in block order ([`BlockPipeline::fold_aggregates`]),
+    /// so double `SUM`s accumulate in one deterministic order
+    /// (floating-point addition is not associative); the result is
+    /// bit-identical to a naive decode-everything row loop.
     pub fn aggregate(
         &self,
         source: Arc<dyn BlockSource>,
@@ -147,7 +152,7 @@ impl ScanEngine {
         if spec.aggregates.is_empty() {
             return Err(ScanError::EmptyProjection);
         }
-        let (plan, pipeline) = self.prepare(&source, sidecar, spec, 1)?;
+        let (plan, pipeline) = self.prepare(&source, sidecar, spec, self.options.prefetch)?;
         let columns = source.columns();
         let mut aggs = Vec::with_capacity(spec.aggregates.len());
         for (agg, &c) in spec.aggregates.iter().zip(&plan.agg_columns) {
@@ -161,29 +166,43 @@ impl ScanEngine {
             // lint: allow(indexing) aggregate indices were resolved against these columns
             .map(|&c| sidecar.column(&columns[c].name))
             .collect();
-        let mut scratch = Scratch::new();
+        // Per row group, each aggregate's zone; and whether it reads values
+        // there, which the workers need before the fold runs.
+        let zones: Vec<Vec<Option<&BlockZone>>> = plan
+            .row_groups
+            .iter()
+            .map(|group| {
+                metas
+                    .iter()
+                    .map(|m| m.and_then(|m| m.zones.get(group.block as usize)))
+                    .collect()
+            })
+            .collect();
+        let needs = zones
+            .iter()
+            .zip(&plan.row_groups)
+            .enumerate()
+            .map(|(i, (zones, &group))| agg_reads(&aggs, zones, group, plan.group_fully_selected(i)))
+            .collect();
+        let (blocks_total, blocks_pruned, rows_total) =
+            (plan.blocks_total as u64, plan.blocks_pruned as u64, plan.rows_total);
+        let job = ScanJob::aggregate(self.tenant.clone(), plan, pipeline, needs);
+        let run = self.executor.handle().start_fold(job)?;
+        let scratch = Scratch::new();
         let mut agg_sources = AggSourceCounts::default();
-        for (i, group) in plan.row_groups.iter().enumerate() {
-            let zones: Vec<Option<&BlockZone>> = metas
-                .iter()
-                .map(|m| m.and_then(|m| m.zones.get(group.block as usize)))
-                .collect();
-            let counts = pipeline.aggregate_group(
-                *group,
-                plan.group_fully_selected(i),
-                &mut aggs,
-                &zones,
-                &mut scratch,
-            )?;
-            agg_sources.add(counts);
-        }
+        let mut groups = zones.iter();
+        let counters = run.fold(|pipeline, input| {
+            let zones = groups.next().map(Vec::as_slice).unwrap_or_default();
+            agg_sources.add(pipeline.fold_aggregates(input, &mut aggs, zones, &scratch)?);
+            Ok(())
+        })?;
         Ok(AggReport {
             values: aggs.into_iter().map(|(_, state)| state.value()).collect(),
-            blocks_total: plan.blocks_total as u64,
-            blocks_pruned: plan.blocks_pruned as u64,
-            rows_total: plan.rows_total,
+            blocks_total,
+            blocks_pruned,
+            rows_total,
             agg_sources,
-            counters: pipeline.counters(),
+            counters,
         })
     }
 }

@@ -15,10 +15,12 @@
 //!    fuse the GETs.
 //! 2. Workers take tasks from the per-tenant deficit round-robin scheduler,
 //!    `min(4, ceil(ready / workers))` per lock acquisition, and run
-//!    [`process_contained`] on each into the scan's [`Reorder`]. Workers
-//!    never wait for a consumer.
-//! 3. The consumer takes results in block order; each one returns its
-//!    admission accounting and refills the window. The degradation ladder
+//!    [`process_contained`] on each (for an aggregate,
+//!    [`BlockPipeline::resolve_aggregates`]) into the scan's [`Reorder`].
+//!    Workers never wait for a consumer.
+//! 3. The consumer — a [`Scan`]'s stream, or `ScanEngine::aggregate`'s
+//!    fold — takes results in block order; each one returns its admission
+//!    accounting and refills the window. The degradation ladder
 //!    (DESIGN.md §13.4) is asked per emitted group, so a breaker that opens
 //!    mid-scan shrinks the look-ahead of every scan on that source.
 //! 4. Ending a scan — drain, error, cancel or drop — purges its queued
@@ -32,9 +34,9 @@
 //!
 //! [`ScanEngine`]: crate::ScanEngine
 
-use crate::driver::{process_contained, GroupFeed, Reorder, ScanEnd, ScanStream};
-use crate::pipeline::{BlockPipeline, BlockResult, PipelineCounters};
-use crate::plan::ScanPlan;
+use crate::driver::{contained, process_contained, GroupFeed, Reorder, ScanEnd, ScanStream};
+use crate::pipeline::{AggInput, BlockPipeline, BlockResult, PipelineCounters};
+use crate::plan::{RowGroup, ScanPlan};
 use crate::sched::{claim_size, Scheduler, TenantStats};
 use crate::source::FetchStats;
 use crate::{Result, ScanError};
@@ -112,19 +114,41 @@ pub struct ScanReport {
     pub morsels_claimed: u64,
 }
 
+/// What a job's tasks compute per row group.
+enum Work {
+    /// A scan: the projection's selected rows ([`BlockPipeline::process`]).
+    Rows,
+    /// An aggregate: each aggregate's fold input
+    /// ([`BlockPipeline::resolve_aggregates`]). `columns` holds each
+    /// aggregate's source column; `needs[i][a]` whether aggregate `a` reads
+    /// values in row group `i`.
+    Aggregate {
+        columns: Vec<usize>,
+        needs: Vec<Vec<bool>>,
+    },
+}
+
+/// A finished row group, as a job's consumer takes it.
+enum GroupOutput {
+    Rows(BlockResult),
+    Fold(AggInput),
+}
+
 /// Everything workers and the consumer share about one scan.
 struct ScanRecord {
     tenant: Arc<str>,
     pipeline: BlockPipeline,
     /// `plan.row_groups` are the scan's tasks, in block order.
     plan: ScanPlan,
-    /// Source columns each task reads (projection ∪ filter columns); every
-    /// task declares interest in these columns of its block.
+    work: Work,
+    /// Source columns each task reads (projection or aggregate columns ∪
+    /// filter columns); every task declares interest in these columns of
+    /// its block.
     interest_cols: Vec<u32>,
     /// Estimated compressed bytes per row group, parallel to the groups.
     costs: Vec<u64>,
     /// Finished groups waiting for the consumer, in block order.
-    progress: OrderedMutex<Reorder>,
+    progress: OrderedMutex<Reorder<GroupOutput>>,
     /// Signals the consumer that a result landed (or the scan was ended).
     out_ready: OrderedCondvar,
     /// Set when the scan ends, by its consumer or by shutdown; workers skip
@@ -151,6 +175,22 @@ impl ScanRecord {
     fn cost_of(&self, range: Range<usize>) -> u64 {
         self.costs.iter().take(range.end).skip(range.start).sum()
     }
+
+    /// Runs row group `idx` with panics contained.
+    fn run(&self, idx: usize, group: RowGroup, scratch: &mut Scratch) -> Result<GroupOutput> {
+        match &self.work {
+            Work::Rows => process_contained(&self.pipeline, idx, group, scratch).map(GroupOutput::Rows),
+            Work::Aggregate { columns, needs } => {
+                let needs = needs.get(idx).map(Vec::as_slice).unwrap_or_default();
+                let fully_selected = self.plan.group_fully_selected(idx);
+                let reads = columns.iter().copied().zip(needs.iter().copied());
+                contained(idx, group, || {
+                    self.pipeline.resolve_aggregates(group, fully_selected, reads, scratch)
+                })
+                .map(GroupOutput::Fold)
+            }
+        }
+    }
 }
 
 /// Source column indices as the `u32`s sources speak, duplicates dropped,
@@ -173,16 +213,36 @@ pub struct ScanJob(ScanRecord);
 impl ScanJob {
     /// Prices `plan`'s row groups over `pipeline`'s source for `tenant`.
     pub fn new(tenant: Arc<str>, plan: ScanPlan, pipeline: BlockPipeline) -> ScanJob {
+        ScanJob::with_work(tenant, plan, pipeline, Work::Rows)
+    }
+
+    /// An aggregate over `plan`: its tasks resolve each aggregate's fold
+    /// input, `needs[i][a]` saying whether aggregate `a` reads values in row
+    /// group `i` ([`btr_expr::AggState::needs_values`]).
+    pub(crate) fn aggregate(
+        tenant: Arc<str>,
+        plan: ScanPlan,
+        pipeline: BlockPipeline,
+        needs: Vec<Vec<bool>>,
+    ) -> ScanJob {
+        let columns = plan.agg_columns.clone();
+        ScanJob::with_work(tenant, plan, pipeline, Work::Aggregate { columns, needs })
+    }
+
+    fn with_work(tenant: Arc<str>, plan: ScanPlan, pipeline: BlockPipeline, work: Work) -> ScanJob {
         let source = pipeline.source();
-        // Columns every task may touch: the projection plus every filter
+        let read = match &work {
+            Work::Rows => &plan.projection,
+            Work::Aggregate { columns, .. } => columns,
+        };
+        // Columns every task may touch: the ones it reads plus every filter
         // column (filter blocks are fetched whether or not the fast path
         // fires).
-        let interest_cols =
-            distinct_cols(plan.projection.iter().chain(plan.filter_columns().iter()));
+        let interest_cols = distinct_cols(read.iter().chain(plan.filter_columns().iter()));
         // Byte estimates are post-pruning and post-masking: groups whose
         // every conjunct the zone maps already proved never fetch
         // filter-only columns, so they aren't charged for them.
-        let proj_cols = distinct_cols(plan.projection.iter());
+        let proj_cols = distinct_cols(read.iter());
         let block_len = |c: u32, block| source.block_len(c, block).unwrap_or(DEFAULT_TASK_COST);
         let costs = plan
             .row_groups
@@ -199,6 +259,7 @@ impl ScanJob {
             fetch_base: source.stats(),
             pipeline,
             plan,
+            work,
             interest_cols,
             costs,
             progress: OrderedMutex::new(PROGRESS_RANK, Reorder::default()),
@@ -329,8 +390,7 @@ fn worker_loop(core: &Core) {
             }
             // ordering: advisory; a stale read costs one wasted row group
             let live = !scan.cancelled.load(Ordering::Relaxed);
-            let result =
-                live.then(|| process_contained(&scan.pipeline, idx, task.group, &mut scratch));
+            let result = live.then(|| scan.run(idx, task.group, &mut scratch));
             // Ending a scan purges its queued tasks, but a task already
             // picked is past the purge: its interest is released here.
             scan.release_interest(idx..idx + 1);
@@ -420,6 +480,16 @@ impl ExecutorHandle {
         Ok(ScanStream::new(feed, names, types, batch_rows))
     }
 
+    /// Enqueues an aggregate job's window, as [`ExecutorHandle::start`] does
+    /// a scan's, and returns the consumer of its fold inputs.
+    pub(crate) fn start_fold(&self, job: ScanJob) -> Result<FoldRun> {
+        let enqueued = job.initial_window().0 as usize;
+        let scan = Arc::new(job.0);
+        self.0.advance(&scan, 0..0, 0..enqueued, true)?;
+        let feed = ExecutorFeed { core: self.0.clone(), scan, enqueued, wall_seconds: None };
+        Ok(FoldRun { feed, finished: false })
+    }
+
     /// `(tasks, estimated bytes)` enqueued and not yet emitted to a
     /// consumer, across all scans: what an admission check compares with
     /// its limits.
@@ -461,10 +531,10 @@ pub struct ExecutorFeed {
     wall_seconds: Option<f64>,
 }
 
-impl GroupFeed for ExecutorFeed {
+impl ExecutorFeed {
     /// Waits for the next in-order row group; taking it returns its
     /// admission accounting and refills the scan's look-ahead window.
-    fn next_block(&mut self) -> Option<Result<BlockResult>> {
+    fn next_output(&mut self) -> Option<Result<GroupOutput>> {
         let scan = &self.scan;
         let total = scan.plan.row_groups.len();
         let (result, next_emit) = {
@@ -487,6 +557,15 @@ impl GroupFeed for ExecutorFeed {
             self.enqueued = target;
         }
         Some(result)
+    }
+}
+
+impl GroupFeed for ExecutorFeed {
+    fn next_block(&mut self) -> Option<Result<BlockResult>> {
+        self.next_output().map(|output| match output? {
+            GroupOutput::Rows(rows) => Ok(rows),
+            GroupOutput::Fold(_) => Err(ScanError::Worker("a scan's task resolved aggregates".into())),
+        })
     }
 
     /// Tears the scan down: workers skip it, its queued tasks are purged,
@@ -511,6 +590,51 @@ impl GroupFeed for ExecutorFeed {
         for task in &purged {
             scan.release_interest(task.group_idx..task.group_idx + 1);
         }
+    }
+}
+
+/// A running aggregate on the executor: workers resolve its row groups'
+/// fold inputs within the window, as for a scan, and the consumer takes them
+/// in block order ([`FoldRun::fold`]). Dropping it before it is drained
+/// cancels the job, as dropping a [`Scan`] does.
+pub(crate) struct FoldRun {
+    feed: ExecutorFeed,
+    finished: bool,
+}
+
+impl FoldRun {
+    /// Hands every row group's fold input to `fold`, in block order, and
+    /// returns the pipeline's counters once the last group is folded. The
+    /// first error, a group's or `fold`'s, ends the job.
+    pub(crate) fn fold(
+        mut self,
+        mut fold: impl FnMut(&BlockPipeline, AggInput) -> Result<()>,
+    ) -> Result<PipelineCounters> {
+        while let Some(output) = self.feed.next_output() {
+            let folded = output.and_then(|output| match output {
+                GroupOutput::Fold(input) => fold(&self.feed.scan.pipeline, input),
+                GroupOutput::Rows(_) => Err(ScanError::Worker("an aggregate's task gathered rows".into())),
+            });
+            if let Err(e) = folded {
+                self.finish(ScanEnd::Failed);
+                return Err(e);
+            }
+        }
+        self.finish(ScanEnd::Completed);
+        Ok(self.feed.scan.pipeline.counters())
+    }
+
+    fn finish(&mut self, end: ScanEnd) {
+        if !self.finished {
+            self.finished = true;
+            self.feed.finish(end, 0);
+        }
+    }
+}
+
+impl Drop for FoldRun {
+    fn drop(&mut self) {
+        self.finish(ScanEnd::Cancelled);
     }
 }
 

@@ -81,7 +81,7 @@ pub use engine::{AggReport, EngineOptions, ScanEngine};
 pub use executor::{Executor, ExecutorHandle, ExecutorStats, Scan, ScanJob, ScanReport};
 pub use layout::{ColumnLayout, RelationLayout};
 pub use pipeline::{
-    AggSourceCounts, BlockPipeline, BlockResult, DecodeGate, PipelineCounters,
+    AggInput, AggSourceCounts, BlockPipeline, BlockResult, DecodeGate, PipelineCounters,
     PipelineFilter, PipelineParams,
 };
 pub use plan::{plan_scan, RowGroup, ScanPlan, ScanSpec};

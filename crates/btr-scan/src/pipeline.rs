@@ -3,8 +3,9 @@
 //! [`BlockPipeline`] is the piece of a scan that processes one row group —
 //! cache lookup, fetch, compressed-domain predicate evaluation, decode, and
 //! row gathering. The [`crate::executor`]'s workers call
-//! [`BlockPipeline::process`]; [`crate::ScanEngine::aggregate`] calls
-//! [`BlockPipeline::aggregate_group`] on the caller's thread.
+//! [`BlockPipeline::process`] for a scan, and for an aggregate
+//! [`BlockPipeline::resolve_aggregates`], whose result the aggregate's
+//! caller folds in block order with [`BlockPipeline::fold_aggregates`].
 //!
 //! A row group keeps one slot per source column it reads: the fetched bytes,
 //! or the decoded block. The filter's leaves, its general conjuncts, the
@@ -671,6 +672,11 @@ impl BlockPipeline {
     /// `aggs` pairs each state with its source column; `zones` is parallel
     /// (the block's zone for that column, if the sidecar has one). Returns
     /// how many aggregates were answered at each rung.
+    ///
+    /// This is [`Self::resolve_aggregates`] followed by
+    /// [`Self::fold_aggregates`] on one thread; [`crate::ScanEngine::aggregate`]
+    /// runs the first half on the executor's workers and the second on its
+    /// caller, in block order.
     pub fn aggregate_group(
         &self,
         group: RowGroup,
@@ -679,19 +685,105 @@ impl BlockPipeline {
         zones: &[Option<&BlockZone>],
         scratch: &mut Scratch,
     ) -> Result<AggSourceCounts> {
+        let reads = agg_reads(aggs, zones, group, fully_selected);
+        let needs = aggs.iter().map(|(idx, _)| *idx).zip(reads);
+        let input = self.resolve_aggregates(group, fully_selected, needs, scratch)?;
+        self.fold_aggregates(input, aggs, zones, scratch)
+    }
+
+    /// The worker half of [`Self::aggregate_group`]: everything but the fold.
+    /// Checks the deadline, evaluates the filter (unless `fully_selected`),
+    /// and resolves what each aggregate's rung reads. `needs` pairs each
+    /// aggregate's source column with [`AggState::needs_values`]: an
+    /// aggregate that needs none (a `COUNT`, a zone answer) reads nothing;
+    /// one whose block [`AggState::folds_compressed`] with no residual
+    /// selection keeps the block's bytes; any other gets the decoded block.
+    /// Resolving stops at the first aggregate that fails; the fold reports
+    /// that error after folding the aggregates before it, as one sequential
+    /// ladder would.
+    pub fn resolve_aggregates(
+        &self,
+        group: RowGroup,
+        fully_selected: bool,
+        needs: impl IntoIterator<Item = (usize, bool)>,
+        scratch: &mut Scratch,
+    ) -> Result<AggInput> {
         self.check_deadline()?;
-        let mut counts = AggSourceCounts::default();
         let mut set = WorkingSet::new(group);
         let selection = if fully_selected {
             None
         } else {
             self.filter_selection(&mut set, scratch)?
         };
-        if selection.as_ref().is_some_and(Selection::is_empty) {
-            return Ok(counts); // no surviving rows: the group contributes nothing
+        let mut input = AggInput {
+            fully_selected,
+            selection,
+            set,
+            resolved: 0,
+            failed: None,
+        };
+        if input.selection.as_ref().is_some_and(Selection::is_empty) {
+            return Ok(input); // no surviving rows: the group contributes nothing
         }
+        let compressed_ok = input.selection.is_none();
+        for (idx, needs) in needs {
+            if needs {
+                if let Err(e) = self.resolve_agg_input(&mut input.set, idx, compressed_ok, scratch) {
+                    input.failed = Some(e);
+                    break;
+                }
+            }
+            input.resolved += 1;
+        }
+        Ok(input)
+    }
+
+    /// Resolves source column `idx` for a value-reading aggregate: the
+    /// block's bytes when `compressed_ok` and its scheme folds compressed,
+    /// else the decoded block.
+    fn resolve_agg_input(
+        &self,
+        set: &mut WorkingSet,
+        idx: usize,
+        compressed_ok: bool,
+        scratch: &mut Scratch,
+    ) -> Result<()> {
+        if compressed_ok {
+            if let Slot::Bytes(bytes) = self.resolve(set, idx, false, scratch)? {
+                // lint: allow(indexing) aggregate indices were resolved at plan time
+                if AggState::folds_compressed(bytes, self.column_types[idx], &self.config)? {
+                    return Ok(());
+                }
+            }
+        }
+        self.resolve(set, idx, true, scratch).map(drop)
+    }
+
+    /// The consumer half of [`Self::aggregate_group`]: runs the rung ladder
+    /// over what [`Self::resolve_aggregates`] resolved, folding into `aggs`
+    /// (`aggs` and `zones` as there). Does no I/O; `scratch` backs the
+    /// compressed-domain fold's run arrays.
+    pub fn fold_aggregates(
+        &self,
+        input: AggInput,
+        aggs: &mut [(usize, AggState)],
+        zones: &[Option<&BlockZone>],
+        scratch: &Scratch,
+    ) -> Result<AggSourceCounts> {
+        let mut counts = AggSourceCounts::default();
+        let AggInput {
+            fully_selected,
+            selection,
+            set,
+            resolved,
+            failed,
+        } = input;
+        if selection.as_ref().is_some_and(Selection::is_empty) {
+            return Ok(counts);
+        }
+        let group = set.group;
         let rows = selection.as_ref().map_or(group.rows, Selection::cardinality);
-        for ((idx, state), zone) in aggs.iter_mut().zip(zones) {
+        for (a, ((idx, state), zone)) in aggs.iter_mut().zip(zones).enumerate() {
             let zone = zone.filter(|_| fully_selected);
             if state.fold_count(u64::from(rows))
                 || zone.is_some_and(|z| state.fold_zone(z, group.rows))
@@ -699,21 +791,57 @@ impl BlockPipeline {
                 counts.from_zones += 1;
                 continue;
             }
-            if selection.is_none() {
-                if let Slot::Bytes(bytes) = self.resolve(&mut set, *idx, false, scratch)? {
+            // What the worker resolved for this aggregate, if it got this far.
+            let slot = if a < resolved { set.slots.get(idx) } else { None };
+            match slot {
+                Some(Slot::Bytes(bytes)) if selection.is_none() => {
                     // lint: allow(indexing) aggregate indices were resolved at plan time
-                    if state.fold_compressed(bytes, self.column_types[*idx], &self.config)? {
-                        counts.from_compressed += 1;
-                        continue;
+                    let ty = self.column_types[*idx];
+                    if !state.fold_compressed(bytes, ty, &self.config, scratch)? {
+                        return Err(ScanError::Expr(ExprError::ColumnNotDecoded(*idx)));
                     }
+                    counts.from_compressed += 1;
+                }
+                Some(Slot::Decoded(decoded)) => {
+                    state.fold_decoded(decoded, selection.as_ref())?;
+                    counts.from_decoded += 1;
+                }
+                _ => {
+                    let unresolved = ScanError::Expr(ExprError::ColumnNotDecoded(*idx));
+                    return Err(failed.unwrap_or(unresolved));
                 }
             }
-            let decoded = self.resolve_decoded(&mut set, *idx, scratch)?;
-            state.fold_decoded(&decoded, selection.as_ref())?;
-            counts.from_decoded += 1;
         }
         Ok(counts)
     }
+}
+
+/// Whether each aggregate of `aggs` reads values in `group`:
+/// [`AggState::needs_values`] given the block's zone from `zones` (parallel
+/// to `aggs`), which only a `fully_selected` group may use.
+pub(crate) fn agg_reads(
+    aggs: &[(usize, AggState)],
+    zones: &[Option<&BlockZone>],
+    group: RowGroup,
+    fully_selected: bool,
+) -> Vec<bool> {
+    let needs = |((_, state), zone): (&(usize, AggState), &Option<&BlockZone>)| {
+        state.needs_values(zone.filter(|_| fully_selected), group.rows)
+    };
+    aggs.iter().zip(zones).map(needs).collect()
+}
+
+/// One row group's aggregate input, resolved by
+/// [`BlockPipeline::resolve_aggregates`]: the filter's selection and the
+/// group's blocks, bytes or decoded, that the fold reads.
+pub struct AggInput {
+    fully_selected: bool,
+    selection: Option<Selection>,
+    set: WorkingSet,
+    /// Aggregates resolved, a prefix of the aggregate list; the one after
+    /// it failed with `failed`.
+    resolved: usize,
+    failed: Option<ScanError>,
 }
 
 /// How many aggregates a group (or scan) answered at each rung of the

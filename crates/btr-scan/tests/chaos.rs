@@ -1,8 +1,9 @@
 //! Fault-tolerance acceptance: the chaos campaign plus targeted storms.
 //!
 //! The headline test runs 1,000 randomized fault schedules, each with eight
-//! concurrent scans against one faulty simulated object store, and demands
-//! zero panics, zero divergent results, and zero unattributed failures.
+//! concurrent scans and aggregates against one faulty simulated object
+//! store, and demands zero panics, zero divergent results, and zero
+//! unattributed failures.
 //! The targeted tests pin the individual guarantees: quarantine isolation,
 //! deadline bounds on the simulated clock, retry-budget typing, and
 //! drop-mid-storm cancellation at several worker counts.
@@ -62,6 +63,7 @@ fn thousand_schedule_campaign_over_eight_concurrent_scans_is_clean() {
         rows: 2_000,
         block_size: BLOCK_SIZE,
         engine_workers: 1,
+        aggregates: true,
     };
     let report = run_campaign(&config, &mut EngineRunner).expect("campaign setup");
 
@@ -93,6 +95,10 @@ fn thousand_schedule_campaign_over_eight_concurrent_scans_is_clean() {
     assert!(report.breaker_open > 0, "no scan ever failed fast on a breaker");
     assert!(report.quarantined > 0, "no scan ever hit a quarantined block");
     assert!(report.fetch_failed > 0, "no scan ever exhausted its retries");
+    // Aggregates ran under the same storms: some came back bit-identical to
+    // the fault-free fold, others failed typed.
+    assert!(report.aggregates_ok > 0, "no aggregate survived the faults");
+    assert!(report.aggregates_run > report.aggregates_ok, "no aggregate ever failed");
 }
 
 #[test]

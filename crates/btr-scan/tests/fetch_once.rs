@@ -11,7 +11,7 @@
 //!   once (counted), and the projection reuses that decode.
 //! * Over an object store, GETs equal the distinct blocks read.
 //! * `COUNT(k)` under a residual filter is answered from the selection,
-//!   without fetching `k`.
+//!   without fetching `k`, at one worker and at two.
 
 use btr_s3sim::{ObjectStore, RetryPolicy};
 use btr_scan::{
@@ -126,9 +126,9 @@ impl BlockSource for Recording {
     }
 }
 
-fn engine() -> ScanEngine {
+fn engine(workers: usize) -> ScanEngine {
     ScanEngine::new(EngineOptions {
-        workers: 2,
+        workers,
         config: config(),
         ..EngineOptions::default()
     })
@@ -136,7 +136,7 @@ fn engine() -> ScanEngine {
 
 /// Scans `spec` to the end and returns its report and its row count.
 fn scan(source: Arc<dyn BlockSource>, sidecar: &Sidecar, spec: &ScanSpec) -> (ScanReport, usize) {
-    let engine = engine();
+    let engine = engine(2);
     let mut scan = engine.scan(source, sidecar, spec).expect("plans");
     let rows = scan.by_ref().map(|b| b.expect("batch").rows()).sum();
     (scan.report(), rows)
@@ -199,29 +199,33 @@ fn object_store_gets_equal_the_distinct_blocks_read() {
 #[test]
 fn count_under_a_residual_filter_fetches_nothing_of_its_column() {
     let (sidecar, compressed) = compressed();
-    let inner = Arc::new(MemorySource::new("fetch-once-agg", Arc::new(compressed)));
-    let source = Recording::new(inner);
+    let compressed = Arc::new(compressed);
     let spec = ScanSpec::aggregate([Aggregate::sum("v"), Aggregate::count("k")])
         .with_expr(col("d").ge(lit(2)).and(col("d").lt(lit(5))));
-    let report = engine()
-        .aggregate(source.clone(), &sidecar, &spec)
-        .expect("aggregates");
     let (d, v) = (d_values(), v_values());
     let mut sum = 0.0f64;
     for (_, x) in d.iter().zip(&v).filter(|(d, _)| (2..5).contains(*d)) {
         sum += x;
     }
-    assert_eq!(
-        report.values,
-        vec![
-            AggValue::SumDouble(sum),
-            AggValue::Count(rows_in_range() as u64)
-        ]
-    );
-    let fetched = source.fetched();
-    assert!(
-        fetched.iter().all(|&(column, _)| column != K),
-        "COUNT(k) fetched a block of k: {fetched:?}"
-    );
-    assert_eq!(fetched.len(), 2 * GROUPS, "d and v once per group: {fetched:?}");
+    for workers in [1, 2] {
+        let inner = Arc::new(MemorySource::new("fetch-once-agg", compressed.clone()));
+        let source = Recording::new(inner);
+        let report = engine(workers)
+            .aggregate(source.clone(), &sidecar, &spec)
+            .expect("aggregates");
+        assert_eq!(
+            report.values,
+            vec![
+                AggValue::SumDouble(sum),
+                AggValue::Count(rows_in_range() as u64)
+            ],
+            "{workers} workers"
+        );
+        let fetched = source.fetched();
+        assert!(
+            fetched.iter().all(|&(column, _)| column != K),
+            "{workers} workers: COUNT(k) fetched a block of k: {fetched:?}"
+        );
+        assert_eq!(fetched.len(), 2 * GROUPS, "{workers} workers: d and v once per group: {fetched:?}");
+    }
 }
