@@ -269,15 +269,15 @@ impl AggState {
             }
             return Ok(true);
         }
-        // RLE: the run values come from the scratch's pooled block buffers.
+        // RLE: the run values and lengths come from the scratch's pools.
         let mut values = scratch.lease_decoded(ty);
-        let mut lengths = Vec::new();
+        let mut lengths = scratch.lease::<Vec<u32>>(0);
         let folded = match &mut values {
             DecodedColumn::Int(values) => {
                 rle::read_runs_into(&mut r, count, cfg, scratch, values, &mut lengths)
                     .and_then(|()| end_of_block(&r))
                     .map(|()| {
-                        for (&v, &len) in values.iter().zip(&lengths) {
+                        for (&v, &len) in values.iter().zip(lengths.iter()) {
                             self.fold_int_run(v, len as usize);
                         }
                         true
@@ -287,7 +287,7 @@ impl AggState {
                 rle::read_runs_into(&mut r, count, cfg, scratch, values, &mut lengths)
                     .and_then(|()| end_of_block(&r))
                     .map(|()| {
-                        for (&v, &len) in values.iter().zip(&lengths) {
+                        for (&v, &len) in values.iter().zip(lengths.iter()) {
                             self.fold_double_run(v, len as usize);
                         }
                         true

@@ -12,7 +12,8 @@
 //!
 //! * [`Selection`] — the selection vector: dense-range / bitmap / index-list
 //!   representations with crossover heuristics, so sparse selections stay
-//!   cheap to intersect and dense selections stay cheap to scan.
+//!   cheap to intersect and dense selections stay cheap to scan. Bitmap
+//!   selections intersect with btr-roaring's container-pair AND.
 //! * [`Expr`] — a typed expression tree (`Col`, `Lit`, comparisons, boolean
 //!   connectives, `Add`/`Sub`/`Mul` on numerics) with a builder API.
 //! * [`ExprPlan`] — the compiled per-row-group evaluation plan: the tree is
@@ -38,7 +39,6 @@ pub mod eval;
 pub mod expr;
 pub mod plan;
 pub mod selection;
-pub mod simd;
 
 pub use agg::{AggKind, AggState, AggValue, Aggregate};
 pub use eval::{eval_predicate, filter_leaf, ColumnAccess, LeafInput, LeafVerdict};

@@ -11,13 +11,15 @@
 //!   instead of O(rows).
 //! * [`SelectionRepr::Bitmap`] — a Roaring bitmap for everything in between
 //!   (also what the compressed-domain filter kernels hand back natively).
+//!   Two bitmaps intersect through [`RoaringBitmap::intersection`], one
+//!   container pair at a time; there is no second bitmap AND here.
 //!
 //! Every constructor normalizes: full cardinality collapses to `All`, sparse
-//! results collapse to `Indices`. The crossover constant is
+//! results collapse to `Indices` (read straight from the containers with
+//! [`RoaringBitmap::append_to`]). The crossover constant is
 //! [`Selection::SPARSE_FRACTION`] (documented in DESIGN.md §16).
 
 use btr_roaring::RoaringBitmap;
-use btrblocks::SimdMode;
 
 /// How a [`Selection`] stores its selected rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,9 +67,11 @@ impl Selection {
             return Selection::all(rows);
         }
         if sparse(card, rows) {
+            let mut indices = Vec::with_capacity(card as usize);
+            bitmap.append_to(&mut indices);
             return Selection {
                 rows,
-                repr: SelectionRepr::Indices(bitmap.iter().collect()),
+                repr: SelectionRepr::Indices(indices),
             };
         }
         Selection {
@@ -158,12 +162,6 @@ impl Selection {
     /// Set intersection. Both selections must describe the same block; the
     /// result keeps `self.rows`.
     pub fn intersect(&self, other: &Selection) -> Selection {
-        self.intersect_with(other, SimdMode::Auto)
-    }
-
-    /// [`Selection::intersect`] with explicit scalar/SIMD dispatch for the
-    /// bitmap kernels (ablation and oracle testing).
-    pub fn intersect_with(&self, other: &Selection, mode: SimdMode) -> Selection {
         match (&self.repr, &other.repr) {
             (SelectionRepr::All, _) => {
                 let mut out = other.clone();
@@ -181,34 +179,10 @@ impl Selection {
                 self.rows,
                 v.iter().copied().filter(|&r| self.contains(r)).collect(),
             ),
-            // Bitmap × Bitmap goes through the dense-words kernels: expand
-            // both sides to `u64` words, AND them 256 bits at a time, count
-            // the result's density, and only then pick the representation —
-            // so the crossover decision never needs a second pass.
+            // Roaring ANDs container by container; the crossover rule then
+            // picks the result's representation.
             (SelectionRepr::Bitmap(a), SelectionRepr::Bitmap(b)) => {
-                let rows = self.rows;
-                let mut wa = Vec::new();
-                let mut wb = Vec::new();
-                a.write_dense_words(rows, &mut wa);
-                b.write_dense_words(rows, &mut wb);
-                let mut anded = Vec::new();
-                crate::simd::and_words_into(&wa, &wb, &mut anded, mode);
-                let card = clamp_card(crate::simd::count_ones_words(&anded, mode), rows);
-                if card == rows {
-                    return Selection::all(rows);
-                }
-                if sparse(card, rows) {
-                    let mut indices = Vec::with_capacity(card as usize);
-                    crate::simd::words_to_indices(&anded, rows, &mut indices, mode);
-                    return Selection {
-                        rows,
-                        repr: SelectionRepr::Indices(indices),
-                    };
-                }
-                Selection {
-                    rows,
-                    repr: SelectionRepr::Bitmap(RoaringBitmap::from_dense_words(&anded)),
-                }
+                Selection::from_bitmap(self.rows, a.intersection(b))
             }
         }
     }
@@ -247,6 +221,7 @@ fn sparse(card: u32, rows: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn crossover_rule_picks_representations() {
@@ -304,11 +279,10 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_intersect_kernels_match_roaring() {
-        // The dense-words kernel path must agree with roaring's merge-join
-        // intersection on every mode, across densities that land the result
-        // in each representation (All / Bitmap / Indices) and across the
-        // 65536-row chunk boundary.
+    fn bitmap_intersect_matches_a_set_model() {
+        // Bitmap × Bitmap across densities that land the result in each
+        // representation (All / Bitmap / Indices) and across the 65,536-row
+        // chunk boundary.
         let cases: [(u32, Vec<u32>, Vec<u32>); 4] = [
             (256, (0..256).collect(), (0..256).collect()),          // -> All
             (256, (0..128).collect(), (64..192).collect()),         // -> Bitmap
@@ -320,23 +294,17 @@ mod tests {
             ),
         ];
         for (rows, av, bv) in cases {
-            let a = RoaringBitmap::from_sorted_iter(av.iter().copied());
-            let b = RoaringBitmap::from_sorted_iter(bv.iter().copied());
-            let expect: Vec<u32> = a.intersection(&b).iter().collect();
-            let sa = Selection {
+            let model: BTreeSet<u32> = av.iter().copied().collect();
+            let expect: Vec<u32> = bv.iter().copied().filter(|v| model.contains(v)).collect();
+            let [sa, sb] = [av, bv].map(|v| Selection {
                 rows,
-                repr: SelectionRepr::Bitmap(a),
-            };
-            let sb = Selection {
-                rows,
-                repr: SelectionRepr::Bitmap(b),
-            };
-            for mode in [SimdMode::Auto, SimdMode::ForceScalar] {
-                let got = sa.intersect_with(&sb, mode);
-                assert_eq!(got.rows(), rows);
-                assert_eq!(got.iter().collect::<Vec<_>>(), expect, "rows {rows} mode {mode:?}");
-                assert_eq!(got.cardinality() as usize, expect.len());
-            }
+                repr: SelectionRepr::Bitmap(RoaringBitmap::from_sorted_iter(v)),
+            });
+            let got = sa.intersect(&sb);
+            assert_eq!(got.rows(), rows);
+            assert_eq!(got.iter().collect::<Vec<_>>(), expect, "rows {rows}");
+            assert_eq!(got.cardinality() as usize, expect.len());
+            assert_eq!(got, Selection::from_sorted_indices(rows, expect));
         }
     }
 

@@ -29,12 +29,16 @@
 //! * [`SymbolTable::serialize`] / [`SymbolTable::serialize_into`] /
 //!   [`SymbolTable::serialized_size`] / [`SymbolTable::deserialize`],
 //! * [`compress_strings`] — train on a block's strings and compress them
-//!   back to back; the bulk path both BtrBlocks string schemes use.
+//!   back to back; the bulk path both BtrBlocks string schemes use,
+//! * [`FxHasher`] — the multiply-rotate hasher training and btrblocks'
+//!   statistics pass share.
 
+mod fxhash;
 mod index;
 mod table;
 mod train;
 
+pub use fxhash::FxHasher;
 pub use table::{SymbolTable, ESCAPE, MAX_SYMBOLS, MAX_SYMBOL_LEN};
 
 /// Errors from FSST decoding.

@@ -11,10 +11,11 @@
 //! The parse is [`Index::scan`], the encoder's own matcher, so training
 //! optimizes exactly the behaviour compression will exhibit.
 
+use crate::fxhash::FxHasher;
 use crate::index::{low_mask, Index};
 use crate::table::{Symbol, SymbolTable, MAX_SYMBOLS, MAX_SYMBOL_LEN};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 /// Training generations; the paper uses 5.
 const GENERATIONS: usize = 5;
@@ -24,45 +25,6 @@ const SAMPLE_BYTES: usize = 16 * 1024;
 
 /// Key for candidate symbols during counting: packed bytes + length.
 type CandKey = (u64, u8);
-
-/// Multiply-rotate hasher (the rustc "Fx" hash) for the gain map, in place
-/// of SipHash (btrblocks has one too, but this crate sits below it and has
-/// no dependencies). The keys do come from the data being compressed, but the map
-/// holds at most `2 × SAMPLE_BYTES` of them and dies with the call, so a
-/// sample crafted to collide costs a bounded slowdown of one block's
-/// training, not a flood. The map's iteration order never reaches the
-/// output (candidates are fully ordered by `(gain, key)` before selection).
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.add(u64::from(b)));
-    }
-    #[inline]
-    fn write_u64(&mut self, word: u64) {
-        self.add(word);
-    }
-    #[inline]
-    fn write_u8(&mut self, byte: u8) {
-        self.add(u64::from(byte));
-    }
-    #[inline]
-    fn finish(&self) -> u64 {
-        // The multiply leaves the entropy in the high bits, but the map
-        // takes bucket indexes from the low ones, where keys that share
-        // their first bytes would all look alike: fold the halves.
-        self.0 ^ (self.0 >> 32)
-    }
-}
 
 #[inline]
 fn concat(a: CandKey, b: CandKey) -> Option<CandKey> {
@@ -95,7 +57,12 @@ pub(crate) fn train<'a>(sample: impl Iterator<Item = &'a [u8]>) -> SymbolTable {
         return SymbolTable::from_symbols(&[], None);
     }
 
-    // One index and one gain map, rebuilt in place every generation.
+    // One index and one gain map, rebuilt in place every generation. The
+    // map's keys come from the data being compressed, but it holds at most
+    // `2 × SAMPLE_BYTES` of them and dies with the call, so a sample crafted
+    // to collide costs a bounded slowdown of one block's training. Its
+    // iteration order never reaches the output: candidates are fully
+    // ordered by `(gain, key)` before selection.
     let mut index = Box::new(Index::new());
     let mut symbols: Vec<Symbol> = Vec::with_capacity(MAX_SYMBOLS);
     let mut gains: HashMap<CandKey, u64, BuildHasherDefault<FxHasher>> = HashMap::default();

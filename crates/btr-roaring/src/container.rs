@@ -1,5 +1,7 @@
 //! The three Roaring container kinds and their operations.
 
+use std::borrow::Cow;
+
 /// Maximum cardinality of an array container; beyond this a bitmap is denser.
 /// 4096 × 2 bytes = 8 KiB, the break-even point against a 8 KiB bitset.
 pub(crate) const ARRAY_MAX: usize = 4096;
@@ -166,11 +168,7 @@ impl Container {
     pub fn iter(&self) -> Box<dyn Iterator<Item = u16> + '_> {
         match self {
             Container::Array(a) => Box::new(a.iter().copied()),
-            Container::Bitmap(b) => Box::new(b.iter().enumerate().flat_map(|(wi, &w)| {
-                // lint: allow(cast) wi * 64 < 65536
-                let base = (wi * 64) as u32;
-                BitIter { word: w, base }
-            })),
+            Container::Bitmap(b) => Box::new(set_bits(b.as_slice())),
             Container::Run(runs) => Box::new(runs.iter().flat_map(|&(start, len)| {
                 // lint: allow(cast) start + len <= u16::MAX by the run invariant
                 (u32::from(start)..=u32::from(start) + u32::from(len)).map(|v| v as u16)
@@ -248,24 +246,84 @@ impl Container {
         Container::from_sorted_lows(&merged)
     }
 
-    /// Intersection of two containers of the same key.
-    pub fn intersection(&self, other: &Container) -> Container {
-        let mut out: Vec<u16> = Vec::new();
-        let mut a = self.iter().peekable();
-        let mut b = other.iter().peekable();
-        while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
-            if x < y {
-                a.next();
-            } else if y < x {
-                b.next();
-            } else {
-                out.push(x);
-                a.next();
-                b.next();
+    /// Intersection of two containers of the same key, `None` when empty.
+    ///
+    /// An Array probes the other container, so its result is an Array.
+    /// Any other pair is one pass over 1,024 words that ANDs and counts
+    /// together (a Run side ANDs as word masks); the result is an Array at
+    /// 4,096 values or fewer and a Bitmap above.
+    pub fn intersection(&self, other: &Container) -> Option<Container> {
+        match (self, other) {
+            (Container::Array(lows), c) | (c, Container::Array(lows)) => {
+                let out: Vec<u16> = lows.iter().copied().filter(|&low| c.contains(low)).collect();
+                (!out.is_empty()).then_some(Container::Array(out))
+            }
+            (a, b) => {
+                let (wa, wb) = (a.words(), b.words());
+                let mut words = Box::new([0u64; BITMAP_WORDS]);
+                let mut card = 0usize;
+                for ((w, x), y) in words.iter_mut().zip(wa.iter()).zip(wb.iter()) {
+                    *w = x & y;
+                    card += w.count_ones() as usize;
+                }
+                match card {
+                    0 => None,
+                    1..=ARRAY_MAX => {
+                        let mut lows = Vec::with_capacity(card);
+                        lows.extend(set_bits(words.as_slice()));
+                        Some(Container::Array(lows))
+                    }
+                    _ => Some(Container::Bitmap(words)),
+                }
             }
         }
-        Container::from_sorted_lows(&out)
     }
+
+    /// The container as 1,024 words: a Bitmap's own; an Array's values and
+    /// a Run's runs set as word masks.
+    fn words(&self) -> Cow<'_, [u64]> {
+        let (lows, runs): (&[u16], &[(u16, u16)]) = match self {
+            Container::Bitmap(b) => return Cow::Borrowed(b.as_slice()),
+            Container::Array(lows) => (lows, &[]),
+            Container::Run(runs) => (&[], runs),
+        };
+        let mut words = vec![0u64; BITMAP_WORDS];
+        for (start, len) in lows.iter().map(|&low| (low, 0)).chain(runs.iter().copied()) {
+            let (s, e) = (usize::from(start), usize::from(start) + usize::from(len));
+            for (i, w) in words.iter_mut().enumerate().take(e / 64 + 1).skip(s / 64) {
+                // The run's bits within word i, lo..=hi.
+                let (lo, hi) = (s.max(i * 64) - i * 64, e.min(i * 64 + 63) - i * 64);
+                *w |= (u64::MAX >> (63 - (hi - lo))) << lo;
+            }
+        }
+        Cow::Owned(words)
+    }
+
+    /// Appends the container's values, each OR-ed onto `base`, to `out` in
+    /// ascending order.
+    pub(crate) fn extend_values(&self, base: u32, out: &mut Vec<u32>) {
+        match self {
+            Container::Array(a) => out.extend(a.iter().map(|&low| base | u32::from(low))),
+            Container::Bitmap(b) => {
+                out.extend(set_bits(b.as_slice()).map(|low| base | u32::from(low)));
+            }
+            Container::Run(runs) => {
+                for &(start, len) in runs {
+                    let start = u32::from(start);
+                    out.extend((start..=start + u32::from(len)).map(|low| base | low));
+                }
+            }
+        }
+    }
+}
+
+/// The set bits of up to 1,024 words, ascending, as chunk-relative lows.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = u16> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &word)| BitIter {
+        word,
+        // lint: allow(cast) wi < 1024, so wi * 64 < 65536
+        base: (wi * 64) as u32,
+    })
 }
 
 /// Iterator over the set bits of a single u64 word.
@@ -348,7 +406,7 @@ mod tests {
         let b = Container::from_sorted_lows(&[3u16, 4999, 6000]); // array
         let u = a.union(&b);
         assert_eq!(u.cardinality(), 5001);
-        let i = a.intersection(&b);
+        let i = a.intersection(&b).expect("non-empty");
         assert_eq!(i.iter().collect::<Vec<_>>(), vec![3, 4999]);
     }
 }

@@ -12,10 +12,14 @@
 //!   values (what [`RoaringBitmap::run_optimize`] converts to when smaller).
 //!
 //! BtrBlocks uses Roaring bitmaps for per-column NULL tracking and for the
-//! exception positions of Frequency and Pseudodecimal encoding, so this crate
-//! provides exactly the operations those call sites need: building from
-//! sorted positions, membership tests, iteration, rank, union/intersection,
-//! and a compact serialization.
+//! exception positions of Frequency and Pseudodecimal encoding, and btr-expr
+//! for selection vectors, so this crate provides exactly the operations
+//! those call sites need: building from sorted positions, membership tests,
+//! iteration, rank, union/intersection, and a compact serialization.
+//!
+//! [`RoaringBitmap::intersection`] is the workspace's one bitmap AND; like
+//! CRoaring's, it works one container pair at a time
+//! ([`Container::intersection`]).
 
 mod container;
 mod serialize;
@@ -217,6 +221,15 @@ impl RoaringBitmap {
         })
     }
 
+    /// Appends every set value to `out` in ascending order, reading each
+    /// container's array, words or runs directly rather than through
+    /// [`RoaringBitmap::iter`].
+    pub fn append_to(&self, out: &mut Vec<u32>) {
+        for (k, c) in &self.chunks {
+            c.extend_values(u32::from(*k) << 16, out);
+        }
+    }
+
     /// Converts containers to run containers where that is smaller.
     pub fn run_optimize(&mut self) {
         for (_, c) in &mut self.chunks {
@@ -265,7 +278,7 @@ impl RoaringBitmap {
         RoaringBitmap { chunks: out }
     }
 
-    /// Set intersection.
+    /// Set intersection, one container pair at a time.
     pub fn intersection(&self, other: &Self) -> Self {
         let mut out = Vec::new();
         let (mut i, mut j) = (0, 0);
@@ -278,8 +291,7 @@ impl RoaringBitmap {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    let c = ca.intersection(cb);
-                    if c.cardinality() > 0 {
+                    if let Some(c) = ca.intersection(cb) {
                         out.push((*ka, c));
                     }
                     i += 1;
@@ -288,98 +300,6 @@ impl RoaringBitmap {
             }
         }
         RoaringBitmap { chunks: out }
-    }
-
-    /// Expands the bitmap into a dense `u64` word array covering `0..rows`
-    /// (`ceil(rows / 64)` words), clearing `out` first; set values `>= rows`
-    /// are ignored. A chunk spans 65536 bits = exactly 1024 words, so every
-    /// container lands word-aligned: Bitmap containers OR-copy whole words,
-    /// Run containers OR word-sized masks. The dense form is what the
-    /// vectorized selection kernels (btr-expr) operate on.
-    pub fn write_dense_words(&self, rows: u32, out: &mut Vec<u64>) {
-        let words = (rows as usize).div_ceil(64);
-        out.clear();
-        out.resize(words, 0);
-        for (key, c) in &self.chunks {
-            let base = usize::from(*key) * container::BITMAP_WORDS;
-            if base >= words {
-                break; // chunks ascend; everything further is >= rows
-            }
-            match c {
-                Container::Array(lows) => {
-                    for &low in lows {
-                        if let Some(slot) = out.get_mut(base + usize::from(low) / 64) {
-                            *slot |= 1u64 << (low % 64);
-                        }
-                    }
-                }
-                Container::Bitmap(b) => {
-                    let n = (words - base).min(container::BITMAP_WORDS);
-                    // lint: allow(indexing) base + n <= words = out.len(); n <= 1024 = b.len()
-                    for (slot, w) in out[base..base + n].iter_mut().zip(b.iter()) {
-                        *slot |= *w;
-                    }
-                }
-                Container::Run(runs) => {
-                    for &(start, len) in runs {
-                        let mut s = u32::from(start);
-                        let e = u32::from(start) + u32::from(len); // inclusive
-                        loop {
-                            // Bits of this run that fall in word s/64.
-                            let span_end = (s | 63).min(e);
-                            let nbits = span_end - s + 1;
-                            let mask = if nbits == 64 {
-                                u64::MAX
-                            } else {
-                                ((1u64 << nbits) - 1) << (s % 64)
-                            };
-                            if let Some(slot) = out.get_mut(base + (s as usize) / 64) {
-                                *slot |= mask;
-                            }
-                            if span_end == e {
-                                break;
-                            }
-                            s = span_end + 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Rebuilds a bitmap from a dense word array — the inverse of
-    /// [`RoaringBitmap::write_dense_words`]. Each 1024-word group becomes
-    /// one chunk: an Array container when at or below the 4096-entry
-    /// break-even, a Bitmap container otherwise.
-    pub fn from_dense_words(words: &[u64]) -> RoaringBitmap {
-        let mut chunks = Vec::new();
-        for (chunk_idx, group) in words.chunks(container::BITMAP_WORDS).enumerate() {
-            let card: usize = group.iter().map(|w| w.count_ones() as usize).sum();
-            if card == 0 {
-                continue;
-            }
-            // lint: allow(cast) a u32 universe has at most 2^16 word groups
-            let key = chunk_idx as u16;
-            let container = if card <= ARRAY_MAX {
-                let mut lows = Vec::with_capacity(card);
-                for (wi, &word) in group.iter().enumerate() {
-                    let mut w = word;
-                    while w != 0 {
-                        // lint: allow(cast) wi < 1024 and trailing_zeros < 64, so the low fits u16
-                        lows.push((wi * 64) as u16 + w.trailing_zeros() as u16);
-                        w &= w - 1;
-                    }
-                }
-                Container::Array(lows)
-            } else {
-                let mut full = Box::new([0u64; container::BITMAP_WORDS]);
-                // lint: allow(indexing) group.len() <= 1024 by chunks() construction
-                full[..group.len()].copy_from_slice(group);
-                Container::Bitmap(full)
-            };
-            chunks.push((key, container));
-        }
-        RoaringBitmap { chunks }
     }
 
     /// Serializes to a compact byte buffer; see the `serialize` module docs
@@ -498,76 +418,14 @@ mod tests {
     }
 
     #[test]
-    fn dense_words_roundtrip_shapes() {
-        // Sparse array chunk, dense bitmap chunk, and a multi-chunk spread
-        // must all survive write_dense_words -> from_dense_words.
-        let shapes: [Vec<u32>; 4] = [
-            vec![0, 3, 63, 64, 1000],
-            (0..10_000).collect(),
-            (0..200_000).step_by(13).collect(),
-            vec![],
-        ];
-        for values in &shapes {
-            let bm = RoaringBitmap::from_sorted_iter(values.iter().copied());
-            let rows = values.iter().copied().max().map_or(0, |m| m + 1);
-            let mut words = Vec::new();
-            bm.write_dense_words(rows, &mut words);
-            assert_eq!(words.len(), (rows as usize).div_ceil(64));
-            let back = RoaringBitmap::from_dense_words(&words);
-            assert_eq!(back, bm, "shape with {} values", values.len());
-        }
-    }
-
-    #[test]
-    fn dense_words_set_expected_bits() {
-        let bm = RoaringBitmap::from_sorted_iter([0u32, 1, 64, 127]);
-        let mut words = vec![0xFFu64; 1]; // dirty out, wrong length
-        bm.write_dense_words(128, &mut words);
-        assert_eq!(words, vec![0b11, (1 << 0) | (1 << 63)]);
-    }
-
-    #[test]
-    fn dense_words_ignore_values_past_rows() {
-        let bm = RoaringBitmap::from_sorted_iter([3u32, 70, 100_000, 200_000]);
-        let mut words = Vec::new();
-        bm.write_dense_words(80, &mut words);
-        assert_eq!(words.len(), 2);
-        assert_eq!(words[0], 1 << 3);
-        assert_eq!(words[1], 1 << (70 - 64));
-    }
-
-    #[test]
-    fn dense_words_expand_run_containers() {
-        // Runs crossing word boundaries, exactly filling a word, and a
-        // single-value run (len 0).
-        let bm = RoaringBitmap {
-            chunks: vec![(0, Container::Run(vec![(60, 10), (128, 63), (300, 0)]))],
-        };
-        let expect: Vec<u32> =
-            (60..=70).chain(128..=191).chain(std::iter::once(300)).collect();
-        let mut words = Vec::new();
-        bm.write_dense_words(301, &mut words);
-        let back = RoaringBitmap::from_dense_words(&words);
-        assert_eq!(back.iter().collect::<Vec<_>>(), expect);
-    }
-
-    #[test]
-    fn from_dense_words_picks_container_kinds() {
-        // <= 4096 set bits in a chunk -> Array; more -> Bitmap; empty 1024-word
-        // groups produce no chunk at all.
-        let mut words = vec![0u64; 3 * 1024];
-        words[0] = 0b101; // chunk 0: 2 bits -> Array
-        for w in words[2048..2048 + 100].iter_mut() {
-            *w = u64::MAX; // chunk 2: 6400 bits -> Bitmap
-        }
-        let bm = RoaringBitmap::from_dense_words(&words);
-        let chunks = bm.chunks();
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].0, 0);
-        assert!(matches!(chunks[0].1, Container::Array(_)));
-        assert_eq!(chunks[1].0, 2);
-        assert!(matches!(chunks[1].1, Container::Bitmap(_)));
-        assert_eq!(bm.cardinality(), 2 + 6400);
+    fn append_to_matches_iter() {
+        // An Array, a Bitmap and a Run chunk, appended after existing values.
+        let mut bm = RoaringBitmap::from_sorted_iter((0..100).chain(70_000..80_000));
+        bm = bm.union(&RoaringBitmap::from_sorted_ranges([200_000..200_010, 200_100..200_101]));
+        let mut out = vec![7];
+        bm.append_to(&mut out);
+        assert_eq!(out[1..], bm.iter().collect::<Vec<_>>()[..]);
+        assert_eq!(out.len(), 1 + 100 + 10_000 + 11);
     }
 
     #[test]

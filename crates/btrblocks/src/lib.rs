@@ -40,7 +40,6 @@
 pub mod block;
 pub mod config;
 pub mod crc32c;
-mod fxhash;
 pub mod metadata;
 pub mod parallel;
 pub mod relation;
@@ -64,7 +63,7 @@ pub use relation::{
 };
 pub use scheme::filter::{filter_block, filter_compressed, filter_decoded};
 pub use scheme::SchemeCode;
-pub use scratch::{DecodeScratch, EncodeScratch, Scratch, ScratchStats};
+pub use scratch::{DecodeScratch, EncodeScratch, Lease, Scratch, ScratchStats};
 pub use types::{
     CmpOp, ColumnData, ColumnType, DecodedColumn, Literal, StringArena, StringViews,
 };

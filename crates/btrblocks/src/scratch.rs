@@ -250,7 +250,7 @@ impl Scratch {
     /// caller grows it); it returns to the pool when the lease drops. `B` is
     /// a `Vec` of `i32`, `f64`, `u8`, `u32`, `u64` or `(usize, usize)`
     /// sample ranges, or a [`StringArena`].
-    pub(crate) fn lease<B: Slot>(&self, cap: usize) -> Lease<'_, B> {
+    pub fn lease<B: Slot>(&self, cap: usize) -> Lease<'_, B> {
         Lease {
             scratch: self,
             buf: self.take(cap),
@@ -352,7 +352,7 @@ impl std::fmt::Debug for Scratch {
 
 /// A buffer leased from a [`Scratch`]: derefs to it, and gives it back to
 /// its pool when dropped, however the scope ends.
-pub(crate) struct Lease<'a, B: Slot> {
+pub struct Lease<'a, B: Slot> {
     scratch: &'a Scratch,
     buf: B,
 }

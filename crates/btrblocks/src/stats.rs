@@ -8,7 +8,7 @@
 //! when the average run length is below 2 and Frequency when more than half
 //! the values are unique.
 
-use crate::fxhash::FxHasher;
+use btr_fsst::FxHasher;
 use crate::scheme::fixed::Value;
 use crate::scratch::{Lease, Scratch};
 use crate::types::StringArena;

@@ -74,6 +74,21 @@ if [ "${design_now}" -gt "${design_then}" ]; then
   exit 1
 fi
 
+echo "== the newest CHANGES.md entry is at most 4 KB"
+# House rule (ROADMAP): an entry says what changed, why, and how it was
+# verified in at most 4,096 bytes. The entry is the last line that starts
+# with `PR <n>`, plus any lines under it up to a `PR`, `FOUND:` or
+# `MENDED:` line. Bytes, not characters, hence the C locale.
+entry_bytes="$(LC_ALL=C awk '
+  /^PR [0-9]+/ { n = -1; inside = 1 }
+  /^(FOUND|MENDED):/ { inside = 0 }
+  inside { n += length($0) + 1 }
+  END { print n + 0 }' CHANGES.md)"
+if [ "${entry_bytes}" -gt 4096 ]; then
+  echo "error: the newest PR entry in CHANGES.md is ${entry_bytes} bytes; the limit is 4096" >&2
+  exit 1
+fi
+
 echo "== benchmark harness smoke (every workload at smoke size)"
 # `cargo --offline` rewrites the tracked benchmark/Cargo.lock in place; put
 # the committed bytes back however this step ends.
