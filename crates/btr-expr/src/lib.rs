@@ -10,10 +10,10 @@
 //!
 //! The pieces, bottom-up:
 //!
-//! * [`Selection`] — the selection vector: dense-range / bitmap / index-list
-//!   representations with crossover heuristics, so sparse selections stay
-//!   cheap to intersect and dense selections stay cheap to scan. Bitmap
-//!   selections intersect with btr-roaring's container-pair AND.
+//! * [`Selection`] — the selection vector: a block's row count plus one
+//!   Roaring bitmap, whose per-chunk Array/Bitmap/Run choice keeps sparse
+//!   selections cheap to iterate and dense ones cheap to AND (btr-roaring's
+//!   container-pair intersection).
 //! * [`Expr`] — a typed expression tree (`Col`, `Lit`, comparisons, boolean
 //!   connectives, `Add`/`Sub`/`Mul` on numerics) with a builder API.
 //! * [`ExprPlan`] — the compiled per-row-group evaluation plan: the tree is
@@ -46,7 +46,7 @@ pub use expr::{col, lit, Expr};
 pub use plan::{
     ArithOp, BoundExpr, Conjunct, ConjunctKind, ExprError, ExprPlan, ValueType, ZoneVerdict,
 };
-pub use selection::{Selection, SelectionRepr};
+pub use selection::Selection;
 
 // Re-export the predicate vocabulary so downstream crates can depend on
 // btr-expr alone for expression building.

@@ -212,40 +212,6 @@ impl Container {
         }
     }
 
-    /// Union of two containers of the same key.
-    pub fn union(&self, other: &Container) -> Container {
-        let mut merged: Vec<u16> = Vec::with_capacity(self.cardinality() + other.cardinality());
-        let mut a = self.iter().peekable();
-        let mut b = other.iter().peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&x), Some(&y)) => {
-                    if x < y {
-                        merged.push(x);
-                        a.next();
-                    } else if y < x {
-                        merged.push(y);
-                        b.next();
-                    } else {
-                        merged.push(x);
-                        a.next();
-                        b.next();
-                    }
-                }
-                (Some(&x), None) => {
-                    merged.push(x);
-                    a.next();
-                }
-                (None, Some(&y)) => {
-                    merged.push(y);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        Container::from_sorted_lows(&merged)
-    }
-
     /// Intersection of two containers of the same key, `None` when empty.
     ///
     /// An Array probes the other container, so its result is an Array.
@@ -401,11 +367,9 @@ mod tests {
     }
 
     #[test]
-    fn union_intersection_mixed_kinds() {
+    fn intersection_mixed_kinds() {
         let a = Container::from_sorted_lows(&(0..5000).collect::<Vec<u16>>()); // bitmap
         let b = Container::from_sorted_lows(&[3u16, 4999, 6000]); // array
-        let u = a.union(&b);
-        assert_eq!(u.cardinality(), 5001);
         let i = a.intersection(&b).expect("non-empty");
         assert_eq!(i.iter().collect::<Vec<_>>(), vec![3, 4999]);
     }

@@ -15,7 +15,8 @@
 //! exception positions of Frequency and Pseudodecimal encoding, and btr-expr
 //! for selection vectors, so this crate provides exactly the operations
 //! those call sites need: building from sorted positions, membership tests,
-//! iteration, rank, union/intersection, and a compact serialization.
+//! iteration, rank, intersection, and a compact serialization. There is no
+//! union: OR is evaluated on boolean vectors, never on bitmaps.
 //!
 //! [`RoaringBitmap::intersection`] is the workspace's one bitmap AND; like
 //! CRoaring's, it works one container pair at a time
@@ -246,38 +247,6 @@ impl RoaringBitmap {
         (start..start.saturating_add(len)).any(|v| self.contains(v))
     }
 
-    /// Set union.
-    pub fn union(&self, other: &Self) -> Self {
-        let mut out = Vec::with_capacity(self.chunks.len().max(other.chunks.len()));
-        let (mut i, mut j) = (0, 0);
-        while i < self.chunks.len() && j < other.chunks.len() {
-            // lint: allow(indexing) i < chunks.len() by the loop condition
-            let (ka, ca) = &self.chunks[i];
-            // lint: allow(indexing) j < chunks.len() by the loop condition
-            let (kb, cb) = &other.chunks[j];
-            match ka.cmp(kb) {
-                std::cmp::Ordering::Less => {
-                    out.push((*ka, ca.clone()));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push((*kb, cb.clone()));
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push((*ka, ca.union(cb)));
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        // lint: allow(indexing) i never exceeds chunks.len()
-        out.extend_from_slice(&self.chunks[i..]);
-        // lint: allow(indexing) j never exceeds chunks.len()
-        out.extend_from_slice(&other.chunks[j..]);
-        RoaringBitmap { chunks: out }
-    }
-
     /// Set intersection, one container pair at a time.
     pub fn intersection(&self, other: &Self) -> Self {
         let mut out = Vec::new();
@@ -408,11 +377,9 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection() {
+    fn intersection_across_chunks() {
         let a = RoaringBitmap::from_sorted_iter([1u32, 2, 3, 100_000]);
         let b = RoaringBitmap::from_sorted_iter([2u32, 3, 4, 200_000]);
-        let u = a.union(&b);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 3, 4, 100_000, 200_000]);
         let i = a.intersection(&b);
         assert_eq!(i.iter().collect::<Vec<_>>(), vec![2, 3]);
     }
@@ -420,8 +387,19 @@ mod tests {
     #[test]
     fn append_to_matches_iter() {
         // An Array, a Bitmap and a Run chunk, appended after existing values.
-        let mut bm = RoaringBitmap::from_sorted_iter((0..100).chain(70_000..80_000));
-        bm = bm.union(&RoaringBitmap::from_sorted_ranges([200_000..200_010, 200_100..200_101]));
+        let mut bm = RoaringBitmap::from_sorted_iter(
+            (0..300)
+                .step_by(3)
+                .chain((70_000..90_000).step_by(2))
+                .chain(200_000..200_010)
+                .chain(200_100..200_101),
+        );
+        bm.run_optimize();
+        let kinds = bm.chunks().iter().map(|(_, c)| c);
+        assert!(matches!(
+            kinds.collect::<Vec<_>>()[..],
+            [Container::Array(_), Container::Bitmap(_), Container::Run(_)]
+        ));
         let mut out = vec![7];
         bm.append_to(&mut out);
         assert_eq!(out[1..], bm.iter().collect::<Vec<_>>()[..]);
