@@ -13,9 +13,10 @@
 //! path: workers resolve each row group's aggregate inputs and the caller
 //! folds them in block order.
 //!
-//! NULL semantics follow [`btrblocks::metadata::pruned_filter`]: NULL
-//! positions hold neutral values and participate in predicates like any
-//! other value (SQL three-valued logic is future work).
+//! NULL positions hold neutral values: the planner's zone-map pruning
+//! ([`crate::plan::plan_scan`]) and the leaf kernels
+//! ([`btr_expr::filter_leaf`]) treat them like any other value (SQL
+//! three-valued logic is future work).
 //!
 //! Each scan carries a [`crate::retry::Tolerance`] (deadline + retry
 //! budget) threaded to the source through [`crate::retry::FetchCtl`];

@@ -9,7 +9,6 @@
 //! pruning that decides which blocks a scan can skip entirely.
 
 use crate::types::{CmpOp, Literal};
-use crate::relation::CompressedRelation;
 use crate::types::{ColumnData, ColumnType};
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
@@ -248,48 +247,10 @@ fn range_may_match<T: PartialOrd>(min: T, max: T, op: CmpOp, lit: T) -> bool {
     }
 }
 
-/// Scans one column of a compressed relation with zone-map pruning: blocks
-/// whose zones cannot match are skipped without decompression. Returns
-/// matching global row positions and the number of blocks actually decoded.
-pub fn pruned_filter(
-    compressed: &CompressedRelation,
-    sidecar: &Sidecar,
-    column: &str,
-    op: CmpOp,
-    literal: &Literal,
-    cfg: &crate::config::Config,
-) -> Result<(btr_roaring::RoaringBitmap, usize)> {
-    let col = compressed
-        .columns
-        .iter()
-        .find(|c| c.name == column)
-        .ok_or(Error::Corrupt("unknown column"))?;
-    let meta = sidecar
-        .column(column)
-        .ok_or(Error::Corrupt("column missing from sidecar"))?;
-    if meta.zones.len() != col.blocks.len() {
-        return Err(Error::Corrupt("sidecar block count mismatch"));
-    }
-    let mut out = btr_roaring::RoaringBitmap::new();
-    let mut decoded = 0usize;
-    let mut base = 0u32;
-    for ((block, zone), rows) in col.blocks.iter().zip(&meta.zones).zip(&meta.block_rows) {
-        if zone.may_match(op, literal) {
-            decoded += 1;
-            let matches = crate::scheme::filter::filter_block(block, col.column_type, op, literal, cfg)?;
-            for m in matches.iter() {
-                out.insert(base + m);
-            }
-        }
-        base += rows;
-    }
-    Ok((out, decoded))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relation::{compress, Column, Relation};
+    use crate::relation::{Column, Relation};
     use crate::Config;
 
     fn sample() -> (Relation, Config) {
@@ -364,35 +325,21 @@ mod tests {
         }
     }
 
+    /// Blocks of column 0 whose zone may match `op literal`: the blocks a
+    /// scan fetches.
+    fn surviving(sidecar: &Sidecar, op: CmpOp, literal: &Literal) -> Vec<usize> {
+        let zones = sidecar.columns[0].zones.iter().enumerate();
+        zones.filter_map(|(i, z)| z.may_match(op, literal).then_some(i)).collect()
+    }
+
     #[test]
-    fn pruned_filter_skips_blocks() {
+    fn zones_skip_blocks() {
         let (rel, cfg) = sample();
         let sidecar = Sidecar::build(&rel, cfg.block_size);
-        let compressed = compress(&rel, &cfg).unwrap();
-        // Equality on a sorted column: exactly one block must be decoded.
-        let (matches, decoded) = pruned_filter(
-            &compressed,
-            &sidecar,
-            "sorted",
-            CmpOp::Eq,
-            &Literal::Int(4_321),
-            &cfg,
-        )
-        .unwrap();
-        assert_eq!(matches.iter().collect::<Vec<_>>(), vec![4_321]);
-        assert_eq!(decoded, 1, "only the containing block decodes");
-        // Range predicate: prefix of blocks.
-        let (matches, decoded) = pruned_filter(
-            &compressed,
-            &sidecar,
-            "sorted",
-            CmpOp::Lt,
-            &Literal::Int(2_500),
-            &cfg,
-        )
-        .unwrap();
-        assert_eq!(matches.cardinality(), 2_500);
-        assert_eq!(decoded, 3);
+        // Equality on a sorted column: only the containing block survives.
+        assert_eq!(surviving(&sidecar, CmpOp::Eq, &Literal::Int(4_321)), vec![4]);
+        // Range predicate: a prefix of blocks.
+        assert_eq!(surviving(&sidecar, CmpOp::Lt, &Literal::Int(2_500)), vec![0, 1, 2]);
     }
 
     #[test]
@@ -431,8 +378,8 @@ mod tests {
         assert!(zone.may_match(CmpOp::Eq, &Literal::Str(b"x".to_vec())));
     }
 
-    /// Reference implementation: decompress everything, filter row by row.
-    /// Pruning is only correct if it never loses a row this scan finds.
+    /// Reference filter, row by row over the raw values. Pruning is only
+    /// correct if it keeps every block holding a row this finds.
     fn reference_double_filter(values: &[f64], op: CmpOp, lit: f64) -> Vec<u32> {
         values
             .iter()
@@ -469,7 +416,6 @@ mod tests {
             }
             ref other => panic!("unexpected zone {other:?}"),
         }
-        let compressed = compress(&rel, &cfg).unwrap();
         for (op, lit) in [
             (CmpOp::Eq, 0.0),
             (CmpOp::Eq, 50.0),
@@ -478,33 +424,14 @@ mod tests {
             (CmpOp::Gt, 98.5),
             (CmpOp::Eq, f64::NAN),
         ] {
-            let (matches, _) = pruned_filter(
-                &compressed,
-                &sidecar,
-                "d",
-                op,
-                &Literal::Double(lit),
-                &cfg,
-            )
-            .unwrap();
-            assert_eq!(
-                matches.iter().collect::<Vec<_>>(),
-                reference_double_filter(&values, op, lit),
-                "op {op:?} lit {lit}"
-            );
+            // Every block holding a matching row survives.
+            let kept = surviving(&sidecar, op, &Literal::Double(lit));
+            for row in reference_double_filter(&values, op, lit) {
+                assert!(kept.contains(&(row as usize / 100)), "op {op:?} lit {lit} row {row}");
+            }
         }
         // A NaN literal prunes everything outright: NaN matches no comparison.
-        let (matches, decoded) = pruned_filter(
-            &compressed,
-            &sidecar,
-            "d",
-            CmpOp::Eq,
-            &Literal::Double(f64::NAN),
-            &cfg,
-        )
-        .unwrap();
-        assert!(matches.is_empty());
-        assert_eq!(decoded, 0);
+        assert!(surviving(&sidecar, CmpOp::Eq, &Literal::Double(f64::NAN)).is_empty());
     }
 
     #[test]
@@ -518,22 +445,13 @@ mod tests {
         let values = vec![1.0, 2.0, f64::NAN, 3.0, 10.0, f64::NAN, 11.0, 12.0];
         let rel = Relation::new(vec![Column::new(
             "d",
-            ColumnData::Double(values.clone()),
+            ColumnData::Double(values),
         )]);
         let sidecar = Sidecar::build(&rel, cfg.block_size);
-        let compressed = compress(&rel, &cfg).unwrap();
         // Gt(5): block 0 (max 3) prunes even though it contains NaN.
-        let (matches, decoded) =
-            pruned_filter(&compressed, &sidecar, "d", CmpOp::Gt, &Literal::Double(5.0), &cfg)
-                .unwrap();
-        assert_eq!(matches.iter().collect::<Vec<_>>(), vec![4, 6, 7]);
-        assert_eq!(decoded, 1, "only the high block decodes");
+        assert_eq!(surviving(&sidecar, CmpOp::Gt, &Literal::Double(5.0)), vec![1]);
         // Le(3): block 1 (min 10) prunes.
-        let (matches, decoded) =
-            pruned_filter(&compressed, &sidecar, "d", CmpOp::Le, &Literal::Double(3.0), &cfg)
-                .unwrap();
-        assert_eq!(matches.iter().collect::<Vec<_>>(), vec![0, 1, 3]);
-        assert_eq!(decoded, 1, "only the low block decodes");
+        assert_eq!(surviving(&sidecar, CmpOp::Le, &Literal::Double(3.0)), vec![0]);
         // Boundary checks on the zone itself: max is 3.0 (not NaN-poisoned).
         match sidecar.columns[0].zones[0] {
             BlockZone::Double { min, max, has_nan } => {
@@ -546,8 +464,7 @@ mod tests {
 
     #[test]
     fn string_columns_are_never_pruned_incorrectly() {
-        // String zones carry no min/max, so every block must be consulted
-        // and every matching row found, block boundaries notwithstanding.
+        // String zones carry no min/max, so every block must survive.
         let cfg = Config {
             block_size: 50,
             ..Config::default()
@@ -563,25 +480,9 @@ mod tests {
             .zones
             .iter()
             .all(|z| matches!(z, BlockZone::Str)));
-        let compressed = compress(&rel, &cfg).unwrap();
-        let lit = Literal::Str(b"k-007".to_vec());
-        let (matches, decoded) =
-            pruned_filter(&compressed, &sidecar, "s", CmpOp::Eq, &lit, &cfg).unwrap();
-        let expected: Vec<u32> = (0..250u32).filter(|i| i % 60 == 7).collect();
-        assert_eq!(matches.iter().collect::<Vec<_>>(), expected);
-        assert_eq!(decoded, 5, "no string block may be pruned");
-        // Range predicates on strings: still exhaustive, still correct.
-        let (matches, decoded) = pruned_filter(
-            &compressed,
-            &sidecar,
-            "s",
-            CmpOp::Lt,
-            &Literal::Str(b"k-002".to_vec()),
-            &cfg,
-        )
-        .unwrap();
-        let expected: Vec<u32> = (0..250u32).filter(|i| i % 60 < 2).collect();
-        assert_eq!(matches.iter().collect::<Vec<_>>(), expected);
-        assert_eq!(decoded, 5);
+        for (op, lit) in [(CmpOp::Eq, "k-007"), (CmpOp::Lt, "k-002")] {
+            let lit = Literal::Str(lit.as_bytes().to_vec());
+            assert_eq!(surviving(&sidecar, op, &lit), vec![0, 1, 2, 3, 4], "{op:?}");
+        }
     }
 }

@@ -1,11 +1,13 @@
-//! Randomized tests for predicate pushdown and zone-map pruning: the
+//! Randomized tests for predicate pushdown and the zone-map sidecar: the
 //! compressed evaluation must agree with decompress-then-filter for every
-//! scheme, every operator, and arbitrary data; pruning must never drop a
-//! matching block. Deterministic (seeded xorshift) so runs reproduce offline.
+//! scheme, every operator, and arbitrary data, and the sidecar must
+//! round-trip (that pruning never drops a match is an engine property,
+//! `btr-scan/tests/pruning.rs`). Deterministic (seeded xorshift) so runs
+//! reproduce offline.
 
 use btr_corrupt::rng::Xorshift;
 use btrblocks::block::{compress_block_with, BlockRef};
-use btrblocks::metadata::{pruned_filter, Sidecar};
+use btrblocks::metadata::Sidecar;
 use btrblocks::{filter_block, CmpOp, Literal};
 use btrblocks::{Column, ColumnData, Config, Relation, SchemeCode, StringArena};
 
@@ -170,31 +172,6 @@ fn string_pushdown_matches_reference() {
                 "scheme {code:?} op {op:?}"
             );
         }
-    }
-}
-
-#[test]
-fn pruned_filter_never_loses_matches() {
-    let mut rng = Xorshift::new(0x64);
-    for case in 0..CASES {
-        let len = rng.gen_range(1..2000usize);
-        let values: Vec<i32> = (0..len).map(|_| rng.gen_range(-1000i32..1000)).collect();
-        let lit = rng.gen_range(-1000i32..1000);
-        let op = OPS[case % OPS.len()];
-        let block_size = rng.gen_range(50..500usize);
-        let cfg = Config { block_size, ..Config::default() };
-        let rel = Relation::new(vec![Column::new("x", ColumnData::Int(values.clone()))]);
-        let compressed = btrblocks::compress(&rel, &cfg).unwrap();
-        let sidecar = Sidecar::build(&rel, cfg.block_size);
-        let (matches, decoded) =
-            pruned_filter(&compressed, &sidecar, "x", op, &Literal::Int(lit), &cfg).unwrap();
-        let expected: Vec<u32> = values
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| cmp(op, v, &lit).then_some(i as u32))
-            .collect();
-        assert_eq!(matches.iter().collect::<Vec<_>>(), expected);
-        assert!(decoded <= compressed.columns[0].blocks.len());
     }
 }
 

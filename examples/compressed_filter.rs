@@ -6,9 +6,11 @@
 //!
 //! Run with: `cargo run --release --example compressed_filter`
 
-use btrblocks_repro::btrblocks::metadata::{pruned_filter, Sidecar};
+use btrblocks_repro::btrblocks::metadata::Sidecar;
 use btrblocks_repro::btrblocks::{filter_block, CmpOp, Literal};
 use btrblocks_repro::btrblocks::{self, Column, ColumnData, Config, Relation};
+use btrblocks_repro::scan::{col, lit, EngineOptions, MemorySource, ScanEngine, ScanSpec};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -28,7 +30,7 @@ fn main() {
             ColumnData::Double((0..rows).map(|i| ((i * 7) % 10_000) as f64 * 0.01).collect()),
         ),
     ]);
-    let compressed = btrblocks::compress(&rel, &cfg).expect("compress");
+    let compressed = Arc::new(btrblocks::compress(&rel, &cfg).expect("compress"));
     let sidecar = Sidecar::build(&rel, cfg.block_size);
     println!(
         "compressed {} rows into {} blocks/column (sidecar: {} bytes)\n",
@@ -37,22 +39,26 @@ fn main() {
         sidecar.to_bytes().len()
     );
 
-    // 1. Zone-map pruning on the sorted column: ts == 654_321 touches 1 block.
+    // 1. Zone-map pruning on the sorted column: ts == 654_321 touches one
+    //    row group; the scan engine never fetches the others.
+    let blocks = compressed.columns[0].blocks.len();
+    let engine = ScanEngine::new(EngineOptions {
+        workers: 1,
+        config: cfg.clone(),
+        ..EngineOptions::default()
+    });
+    let source = Arc::new(MemorySource::new("events", compressed.clone()));
+    let spec = ScanSpec::project(["ts"]).with_expr(col("ts").eq(lit(654_321)));
     let started = Instant::now();
-    let (matches, decoded) = pruned_filter(
-        &compressed,
-        &sidecar,
-        "ts",
-        CmpOp::Eq,
-        &Literal::Int(654_321),
-        &cfg,
-    )
-    .expect("pruned filter");
+    let mut scan = engine.scan(source, &sidecar, &spec).expect("plan");
+    let matches: usize = scan.by_ref().map(|b| b.expect("batch").rows()).sum();
+    let report = scan.report();
     println!(
-        "ts == 654321   -> {} match, decoded {}/{} blocks ({:.2} ms)",
-        matches.cardinality(),
-        decoded,
-        compressed.columns[0].blocks.len(),
+        "ts == 654321   -> {} match, pruned {}/{} blocks, decoded {} ({:.2} ms)",
+        matches,
+        report.blocks_pruned,
+        blocks,
+        report.blocks_decoded,
         started.elapsed().as_secs_f64() * 1e3
     );
 
