@@ -12,6 +12,7 @@
 //! The serialized stream for a full block at width `w` is exactly `4 * w`
 //! `u32` words. Blocks shorter than 128 values fall back to [`crate::plain`].
 
+use crate::simd::{unpack_into_with, SimdPref};
 use crate::{plain, Error, Result, BLOCK128};
 
 type Lanes = [u32; 4];
@@ -195,6 +196,11 @@ pub fn decode(data: &[u32]) -> Result<Vec<u32>> {
 
 /// Decodes a stream produced by [`encode`], appending to `out`.
 pub fn decode_into(data: &[u32], out: &mut Vec<u32>) -> Result<()> {
+    decode_into_with(data, out, SimdPref::Auto)
+}
+
+/// [`decode_into`] with the tail's unpack kernel picked by `pref`.
+pub fn decode_into_with(data: &[u32], out: &mut Vec<u32>, pref: SimdPref) -> Result<()> {
     let &count = data.first().ok_or(Error::UnexpectedEnd)?;
     let n = count as usize;
     let full_blocks = n / BLOCK128;
@@ -227,7 +233,7 @@ pub fn decode_into(data: &[u32], out: &mut Vec<u32>) -> Result<()> {
         pos += 1;
         // lint: allow(indexing) pos <= data.len(); tw was range-checked; out holds start + n values
         // lint: allow(cast) tw was range-checked <= 32 above
-        plain::unpack_into(&data[pos..], tw as u8, &mut out[start + full_blocks * BLOCK128..])?;
+        unpack_into_with(&data[pos..], tw as u8, &mut out[start + full_blocks * BLOCK128..], pref)?;
     }
     Ok(())
 }

@@ -15,6 +15,7 @@
 //! The codec is unsigned; signed data should be FOR- or zigzag-transformed
 //! first (see [`crate::for_delta`]).
 
+use crate::simd::{unpack_into_with, SimdPref};
 use crate::{bp128, plain, Error, Result, BLOCK128};
 
 /// Per-block header: chosen width, max width, exception count.
@@ -114,7 +115,7 @@ fn encode_block(values: &[u32], out: &mut Vec<u32>) {
     }
 }
 
-fn decode_block(data: &[u32], out: &mut [u32]) -> Result<usize> {
+fn decode_block(data: &[u32], out: &mut [u32], pref: SimdPref) -> Result<usize> {
     let &hword = data.first().ok_or(Error::UnexpectedEnd)?;
     let header = BlockHeader::from_word(hword);
     if header.width > 32 || header.max_width > 32 || header.width > header.max_width {
@@ -136,10 +137,10 @@ fn decode_block(data: &[u32], out: &mut [u32]) -> Result<usize> {
         let mut positions = [0u32; 256];
         let mut highs = [0u32; 256];
         // lint: allow(indexing) n_exc <= 255 < 256; pos + pos_words <= data.len() was checked above
-        plain::unpack_into(&data[pos..pos + pos_words], 7, &mut positions[..n_exc])?;
+        unpack_into_with(&data[pos..pos + pos_words], 7, &mut positions[..n_exc], pref)?;
         pos += pos_words;
         // lint: allow(indexing) n_exc <= 255 < 256; pos + high_words <= data.len() was checked above
-        plain::unpack_into(&data[pos..pos + high_words], high_width, &mut highs[..n_exc])?;
+        unpack_into_with(&data[pos..pos + high_words], high_width, &mut highs[..n_exc], pref)?;
         pos += high_words;
         // lint: allow(indexing) n_exc <= 255 < 256 bounds both slices
         for (&p, &h) in positions[..n_exc].iter().zip(&highs[..n_exc]) {
@@ -193,6 +194,12 @@ pub fn decode(data: &[u32]) -> Result<Vec<u32>> {
 
 /// Decodes a stream produced by [`encode`], appending to `out`.
 pub fn decode_into(data: &[u32], out: &mut Vec<u32>) -> Result<()> {
+    decode_into_with(data, out, SimdPref::Auto)
+}
+
+/// [`decode_into`] with the unpack kernel of the exception side arrays and
+/// the tail picked by `pref`.
+pub fn decode_into_with(data: &[u32], out: &mut Vec<u32>, pref: SimdPref) -> Result<()> {
     let &count = data.first().ok_or(Error::UnexpectedEnd)?;
     let n = count as usize;
     let full_blocks = n / BLOCK128;
@@ -213,6 +220,7 @@ pub fn decode_into(data: &[u32], out: &mut Vec<u32>) -> Result<()> {
             &data[pos..],
             // lint: allow(indexing) out was resized to start + n and b < full_blocks
             &mut out[start + b * BLOCK128..start + (b + 1) * BLOCK128],
+            pref,
         )?;
         pos += consumed;
     }
@@ -229,7 +237,7 @@ pub fn decode_into(data: &[u32], out: &mut Vec<u32>) -> Result<()> {
         pos += 1;
         // lint: allow(indexing) pos <= data.len(); out holds start + n values
         // lint: allow(cast) tw was range-checked <= 32 above
-        plain::unpack_into(&data[pos..], tw as u8, &mut out[start + full_blocks * BLOCK128..])?;
+        unpack_into_with(&data[pos..], tw as u8, &mut out[start + full_blocks * BLOCK128..], pref)?;
     }
     Ok(())
 }

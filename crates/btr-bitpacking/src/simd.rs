@@ -13,8 +13,9 @@
 //! packed buffer fall back to the scalar word/offset loop — the same code
 //! [`SimdPref::Scalar`] forces for the §6.8-style ablation.
 //!
-//! [`crate::bp128`] and [`crate::fastpfor`] tails route through
-//! [`crate::plain::unpack_into`], so they pick this path up automatically.
+//! [`crate::bp128`] and [`crate::fastpfor`] unpack their tails (and
+//! FastPFOR its exception side arrays) through [`unpack_into_with`] at the
+//! preference their `decode_into_with` was given; `decode_into` is `Auto`.
 
 use crate::{Error, Result};
 

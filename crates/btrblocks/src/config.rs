@@ -8,7 +8,9 @@ pub enum SimdMode {
     /// Use AVX2 kernels when the CPU supports them (runtime-detected).
     #[default]
     Auto,
-    /// Always use the scalar kernels — the ablation of paper §6.8.
+    /// Always use the scalar kernels — the ablation of paper §6.8. That
+    /// includes bit-unpacking: FastBP128 and FastPFOR unpack their tails and
+    /// exception side arrays with the scalar loop too.
     ForceScalar,
 }
 

@@ -8,6 +8,7 @@
 
 use crate::config::Config;
 use crate::scratch::Scratch;
+use crate::simd::unpack_pref;
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 use btr_bitpacking::{bp128, for_delta};
@@ -30,7 +31,7 @@ pub fn compress_into(values: &[i32], scratch: &Scratch, out: &mut Vec<u8>) {
 pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,
-    _cfg: &Config,
+    cfg: &Config,
     scratch: &Scratch,
     out: &mut Vec<i32>,
 ) -> Result<()> {
@@ -46,7 +47,7 @@ pub fn decompress_into(
     if words.first().map(|&c| c as usize) != Some(count) && count > 0 {
         return Err(Error::Corrupt("FastBP128 count mismatch"));
     }
-    bp128::decode_into(&words, &mut offsets)?;
+    bp128::decode_into_with(&words, &mut offsets, unpack_pref(cfg.simd))?;
     if offsets.len() != count {
         return Err(Error::Corrupt("FastBP128 count mismatch"));
     }

@@ -7,6 +7,7 @@
 
 use crate::config::Config;
 use crate::scratch::Scratch;
+use crate::simd::unpack_pref;
 use crate::writer::{Reader, WriteLe};
 use crate::{Error, Result};
 use btr_bitpacking::{fastpfor, for_delta};
@@ -29,7 +30,7 @@ pub fn compress_into(values: &[i32], scratch: &Scratch, out: &mut Vec<u8>) {
 pub fn decompress_into(
     r: &mut Reader<'_>,
     count: usize,
-    _cfg: &Config,
+    cfg: &Config,
     scratch: &Scratch,
     out: &mut Vec<i32>,
 ) -> Result<()> {
@@ -45,7 +46,7 @@ pub fn decompress_into(
     if words.first().map(|&c| c as usize) != Some(count) && count > 0 {
         return Err(Error::Corrupt("FastPFOR count mismatch"));
     }
-    fastpfor::decode_into(&words, &mut offsets)?;
+    fastpfor::decode_into_with(&words, &mut offsets, unpack_pref(cfg.simd))?;
     if offsets.len() != count {
         return Err(Error::Corrupt("FastPFOR count mismatch"));
     }

@@ -27,6 +27,14 @@ pub fn use_avx2(mode: SimdMode) -> bool {
     }
 }
 
+/// btr-bitpacking's unpack preference under `mode`.
+pub(crate) fn unpack_pref(mode: SimdMode) -> btr_bitpacking::simd::SimdPref {
+    match mode {
+        SimdMode::ForceScalar => btr_bitpacking::simd::SimdPref::Scalar,
+        SimdMode::Auto => btr_bitpacking::simd::SimdPref::Auto,
+    }
+}
+
 /// Runtime AVX2 detection (cached by the standard library).
 #[inline]
 pub fn avx2_available() -> bool {

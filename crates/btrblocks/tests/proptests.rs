@@ -186,6 +186,48 @@ fn every_int_scheme_roundtrips_when_forced() {
     }
 }
 
+/// FastBP128 and FastPFOR blocks with ragged tails (`n % 128 != 0`) at
+/// every bit width decode to their input under both SIMD modes: a spread
+/// column whose offsets span exactly `width` bits, and one of 3-bit offsets
+/// with about one in sixteen at the full width, which FastPFOR keeps as
+/// exceptions. `ForceScalar` reaches the tail and side-array unpacking.
+#[test]
+fn bitpacked_tails_and_exceptions_decode_in_both_simd_modes() {
+    let mut rng = Xorshift::new(0x5a);
+    // Offset 0 is the FOR base, so a value decodes to `i32::MIN + offset`.
+    let value = |offset: u32| (i64::from(i32::MIN) + i64::from(offset)) as i32;
+    for width in 1..=32u32 {
+        let top = u32::MAX >> (32 - width);
+        let n = 128 * rng.gen_range(0..4usize) + rng.gen_range(1..128usize);
+        let mut spread: Vec<u32> = (0..n).map(|_| rng.next_u32() & top).collect();
+        let mut patched: Vec<u32> = (0..n)
+            .map(|_| match rng.gen_range(0..16u32) {
+                0 => rng.next_u32() & top,
+                _ => rng.gen_range(0..8u32) & top,
+            })
+            .collect();
+        (spread[0], spread[n - 1], patched[0], patched[n - 1]) = (0, top, 0, top);
+        for offsets in [spread, patched] {
+            let values: Vec<i32> = offsets.into_iter().map(value).collect();
+            for code in [SchemeCode::FastBp128, SchemeCode::FastPfor] {
+                let bytes = compress_block_with(code, BlockRef::Int(&values), &Config::default());
+                for simd in [SimdMode::Auto, SimdMode::ForceScalar] {
+                    let cfg = Config {
+                        simd,
+                        ..Config::default()
+                    };
+                    match decompress_block(&bytes, ColumnType::Integer, &cfg).unwrap() {
+                        DecodedColumn::Int(out) => {
+                            assert_eq!(out, values, "{code:?} width {width} n {n} {simd:?}")
+                        }
+                        _ => panic!("wrong decoded type for {code:?}"),
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn every_double_scheme_roundtrips_when_forced() {
     let mut rng = Xorshift::new(0x55);
