@@ -16,6 +16,15 @@ cargo build --release --quiet
 echo "== tier-1 tests"
 cargo test --quiet
 
+echo "== examples run to completion (release, stdout discarded)"
+# `cargo test` only compiles examples/; a rewritten example that panics or
+# fails an assertion surfaces here instead.
+for example in examples/*.rs; do
+  name="$(basename "${example}" .rs)"
+  echo "   ${name}"
+  cargo run --release --quiet --example "${name}" > /dev/null
+done
+
 echo "== workspace tests (fault-injection campaigns included)"
 cargo test --workspace --quiet
 
