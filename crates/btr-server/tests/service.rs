@@ -564,3 +564,26 @@ fn a_block_with_the_wrong_row_count_is_a_typed_error_and_the_service_serves_on()
         assert_eq!(got, reference(&good, spec));
     }
 }
+
+/// The service hands its `batch_rows` to the executor: a filtered scan of
+/// four 1,000-row groups in batches of at most 700 rows equals the engine's
+/// answer.
+#[test]
+fn service_batches_follow_its_batch_rows() {
+    let fx = fixture(4_000, 1_000);
+    let service = ScanService::new(ServiceOptions {
+        workers: 2,
+        window: 2,
+        batch_rows: 700,
+        config: fx.codec.clone(),
+        ..ServiceOptions::default()
+    });
+    let source = MemorySource::new("rel", fx.compressed.clone());
+    service.register("rel", Arc::new(source), fx.sidecar.clone());
+    let spec = ScanSpec::project(["id", "val", "tag"]).with_expr(col("id").ge(lit(1_300)));
+    let mut handle = service.client("t").submit("rel", &spec).expect("submit");
+    let batches: Vec<_> = handle.by_ref().map(|b| b.expect("batch")).collect();
+    assert_eq!(handle.rows_matched(), 2_700);
+    let got = drain(batches.into_iter().map(Ok)).expect("one type per column");
+    assert_eq!(got, reference(&fx, &spec));
+}
