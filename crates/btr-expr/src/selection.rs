@@ -93,8 +93,9 @@ impl Selection {
         Box::new(self.bitmap.iter())
     }
 
-    /// Appends the selected rows to `out` in ascending order.
-    pub(crate) fn append_to(&self, out: &mut Vec<u32>) {
+    /// Appends the selected rows to `out` in ascending order, container by
+    /// container rather than through [`Self::iter`]'s boxed iterator.
+    pub fn append_to(&self, out: &mut Vec<u32>) {
         self.bitmap.append_to(out);
     }
 

@@ -1,20 +1,19 @@
-//! Materialized scan output: fixed-size record batches.
+//! Materialized scan output: record batches of at most
+//! `EngineOptions::batch_rows` rows, none spanning two row groups.
 //!
-//! The engine decodes whole blocks but hands results to the consumer in
-//! batches of `EngineOptions::batch_rows` rows, so downstream operators see a
-//! steady granularity regardless of how the relation was blocked. This
-//! module holds the batch type, [`gather`] (a block's selected rows) and
-//! [`concat_runs`], with which [`crate::ScanStream`]'s cursor copies each
-//! row once into a batch column sized for exactly its rows. Every
-//! contiguous string copy here is one run
-//! ([`StringArena::extend_from_range`]), not string by string.
+//! A worker cuts each row group's selected rows into batches as it gathers
+//! them, and [`crate::ScanStream`] hands those columns on without copying
+//! them again. This module holds the batch type and the two gathers of one
+//! batch's rows from a decoded block, each into a column sized for exactly
+//! those rows: [`gather_range`] for a run of rows (one slice copy, or one
+//! copy per run of pool-contiguous string views) and [`gather_rows`] for
+//! rows a sparse selection picked.
 //!
 //! [`append`] and [`split_front`] are off the scan path: the benchmark's
 //! traced scan phase, [`crate::chaos::drain`] and `tests/e2e.rs` still use
 //! them.
 
 use crate::{Result, ScanError};
-use btr_expr::Selection;
 use btrblocks::{ColumnData, ColumnType, DecodedColumn, StringArena};
 use std::ops::Range;
 
@@ -50,42 +49,39 @@ pub fn empty_like(ty: ColumnType) -> ColumnData {
     }
 }
 
-/// Materializes the selected rows of a decoded block. `selection == None`
-/// means "all rows" (no filter); a dense `Selection::is_all` takes the same
-/// bulk-clone path, so late materialization costs nothing when everything
-/// survives.
-pub fn gather(decoded: &DecodedColumn, selection: Option<&Selection>) -> ColumnData {
-    let dense = selection.is_none_or(Selection::is_all);
-    match (decoded, dense) {
-        (DecodedColumn::Int(v), true) => ColumnData::Int(v.clone()),
-        (DecodedColumn::Int(v), false) => {
+/// Rows `rows` of a decoded block, as a column sized for exactly them: one
+/// slice copy, or for strings one copy per run of views that follow each
+/// other in the block's pool ([`btrblocks::StringViews::arena_of`]). Rows past the
+/// block are reported as corruption.
+pub fn gather_range(decoded: &DecodedColumn, rows: Range<usize>) -> Result<ColumnData> {
+    Ok(match decoded {
+        DecodedColumn::Int(v) => ColumnData::Int(v.get(rows).ok_or_else(past_end)?.to_vec()),
+        DecodedColumn::Double(v) => ColumnData::Double(v.get(rows).ok_or_else(past_end)?.to_vec()),
+        DecodedColumn::Str(views) => ColumnData::Str(views.arena_of(rows)?),
+    })
+}
+
+/// The rows at `indices` (a selection of the block's own rows, ascending)
+/// of a decoded block, as a column sized for exactly them; strings are
+/// copied one by one.
+pub fn gather_rows(decoded: &DecodedColumn, indices: &[u32]) -> ColumnData {
+    match decoded {
+        DecodedColumn::Int(v) => {
             // lint: allow(indexing) selection indices were produced from this block's own rows
-            ColumnData::Int(sel_iter(selection).map(|i| v[i as usize]).collect())
+            ColumnData::Int(indices.iter().map(|&i| v[i as usize]).collect())
         }
-        (DecodedColumn::Double(v), true) => ColumnData::Double(v.clone()),
-        (DecodedColumn::Double(v), false) => {
+        DecodedColumn::Double(v) => {
             // lint: allow(indexing) selection indices were produced from this block's own rows
-            ColumnData::Double(sel_iter(selection).map(|i| v[i as usize]).collect())
+            ColumnData::Double(indices.iter().map(|&i| v[i as usize]).collect())
         }
-        (DecodedColumn::Str(views), true) => ColumnData::Str(views.to_arena()),
-        (DecodedColumn::Str(views), false) => {
-            let total: usize = sel_iter(selection).map(|i| views.get(i as usize).len()).sum();
-            let count = selection.map_or(0, |s| s.cardinality() as usize);
-            let mut arena = StringArena::with_capacity(count, total);
-            for i in sel_iter(selection) {
+        DecodedColumn::Str(views) => {
+            let bytes = indices.iter().map(|&i| views.get(i as usize).len()).sum();
+            let mut arena = StringArena::with_capacity(indices.len(), bytes);
+            for &i in indices {
                 arena.push(views.get(i as usize));
             }
             ColumnData::Str(arena)
         }
-    }
-}
-
-/// Row iterator of a sparse selection (`gather` only calls this when the
-/// selection is present and not dense).
-fn sel_iter<'a>(selection: Option<&'a Selection>) -> Box<dyn Iterator<Item = u32> + 'a> {
-    match selection {
-        Some(sel) => sel.iter(),
-        None => Box::new(std::iter::empty()),
     }
 }
 
@@ -95,37 +91,6 @@ fn sel_iter<'a>(selection: Option<&'a Selection>) -> Box<dyn Iterator<Item = u32
 /// bytes.
 pub fn append(dst: &mut ColumnData, src: &ColumnData) -> Result<()> {
     extend_run(dst, src, 0..src.len())
-}
-
-/// Copies `runs` — row ranges of same-typed columns, in order — into one
-/// column of type `ty` sized for exactly their `len` rows (and, for
-/// strings, their bytes): one `extend_from_slice` or one
-/// [`StringArena::extend_from_range`] per run. A type mismatch or rows past
-/// a column's end are reported as corruption.
-pub fn concat_runs<'a>(
-    ty: ColumnType,
-    len: usize,
-    runs: impl Iterator<Item = (&'a ColumnData, Range<usize>)> + Clone,
-) -> Result<ColumnData> {
-    let mut out = match ty {
-        ColumnType::Integer => ColumnData::Int(Vec::with_capacity(len)),
-        ColumnType::Double => ColumnData::Double(Vec::with_capacity(len)),
-        ColumnType::String => {
-            let bytes = runs
-                .clone()
-                .map(|(col, rows)| match col {
-                    ColumnData::Str(arena) => run_bytes(arena, rows).unwrap_or(0),
-                    _ => 0,
-                })
-                .fold(0, usize::saturating_add);
-            check_pool_bytes(0, bytes)?;
-            ColumnData::Str(StringArena::with_capacity(len, bytes))
-        }
-    };
-    for (col, rows) in runs {
-        extend_run(&mut out, col, rows)?;
-    }
-    Ok(out)
 }
 
 /// Appends rows `rows` of `src` onto `dst`: one `extend_from_slice`, or for
@@ -207,23 +172,26 @@ mod tests {
     use btrblocks::StringViews;
 
     #[test]
-    fn gather_with_and_without_selection() {
+    fn gathers_copy_exactly_their_rows() {
         let col = DecodedColumn::Int(vec![10, 20, 30, 40]);
-        assert_eq!(gather(&col, None), ColumnData::Int(vec![10, 20, 30, 40]));
-        let sel = Selection::from_sorted_indices(4, vec![1, 3]);
-        assert_eq!(gather(&col, Some(&sel)), ColumnData::Int(vec![20, 40]));
-        // A dense selection takes the bulk-clone path.
-        let sel = Selection::all(4);
-        assert_eq!(gather(&col, Some(&sel)), ColumnData::Int(vec![10, 20, 30, 40]));
+        assert_eq!(gather_range(&col, 0..4), Ok(ColumnData::Int(vec![10, 20, 30, 40])));
+        assert_eq!(gather_range(&col, 1..3), Ok(ColumnData::Int(vec![20, 30])));
+        assert_eq!(gather_range(&col, 3..5), Err(past_end()));
+        assert_eq!(gather_rows(&col, &[1, 3]), ColumnData::Int(vec![20, 40]));
+        let col = DecodedColumn::Double(vec![0.5, 1.5]);
+        assert_eq!(gather_rows(&col, &[1]), ColumnData::Double(vec![1.5]));
 
-        let arena = StringArena::from_strs(&["aa", "b", "ccc"]);
-        let views = StringViews::from_arena(&arena);
-        let col = DecodedColumn::Str(views);
-        let sel = Selection::from_sorted_indices(3, vec![0, 2]);
-        assert_eq!(
-            gather(&col, Some(&sel)),
-            ColumnData::Str(StringArena::from_strs(&["aa", "ccc"]))
-        );
+        let arena = StringArena::from_strs(&STRS);
+        let col = DecodedColumn::Str(StringViews::from_arena(&arena));
+        for start in 0..=STRS.len() {
+            for end in start..=STRS.len() {
+                let want = ColumnData::Str(StringArena::from_strs(&STRS[start..end]));
+                assert_eq!(gather_range(&col, start..end), Ok(want), "{start}..{end}");
+            }
+        }
+        let want = ColumnData::Str(StringArena::from_strs(&[STRS[0], STRS[2], STRS[5]]));
+        assert_eq!(gather_rows(&col, &[0, 2, 5]), want);
+        assert_eq!(gather_rows(&col, &[]), ColumnData::Str(StringArena::new()));
     }
 
     #[test]
@@ -250,7 +218,7 @@ mod tests {
         assert_eq!(acc.len(), 2);
     }
 
-    /// Strings of every shape a re-chunk moves: empty, 0x00-bearing, longer
+    /// Strings of every shape a gather or re-chunk copies: empty, 0x00-bearing, longer
     /// than 8 bytes.
     const STRS: [&[u8]; 7] =
         [b"", b"\0a\0", b"longer than eight", b"x", b"", b"\0", b"tail bytes!"];
@@ -291,31 +259,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn concat_runs_copies_each_run_and_rejects_bad_ones() {
-        let head = ColumnData::Str(StringArena::from_strs(&STRS[..4]));
-        let tail = ColumnData::Str(StringArena::from_strs(&STRS[4..]));
-        let runs = [(&head, 1..4), (&tail, 0..2)];
-        let got = concat_runs(ColumnType::String, 5, runs.into_iter());
-        let want = ColumnData::Str(StringArena::from_strs(&STRS[1..6]));
-        assert_eq!(got, Ok(want));
-        let ints = ColumnData::Int(vec![1, 2, 3]);
-        let runs = [(&ints, 2..3), (&ints, 0..2)];
-        let got = concat_runs(ColumnType::Integer, 3, runs.into_iter());
-        assert_eq!(got, Ok(ColumnData::Int(vec![3, 1, 2])));
-        for (ty, col, rows) in [
-            (ColumnType::Integer, &ints, 2..4),
-            (ColumnType::String, &head, 3..9),
-            #[allow(clippy::reversed_empty_ranges)] // a hostile run
-            (ColumnType::String, &head, 3..1),
-        ] {
-            let got = concat_runs(ty, 2, [(col, rows)].into_iter());
-            assert_eq!(got, Err(past_end()));
-        }
-        let got = concat_runs(ColumnType::Double, 1, [(&ints, 0..1)].into_iter());
-        assert_eq!(got, Err(corrupt("column type changed between blocks")));
     }
 
     #[test]

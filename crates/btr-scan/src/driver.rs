@@ -8,31 +8,31 @@
 //! 1. [`prepare`] turns a spec into a pruned [`ScanPlan`] and the
 //!    [`BlockPipeline`] that processes its row groups, the spec's deadline
 //!    and retry budget armed on the source's clock.
-//! 2. [`process_contained`] runs one row group with panics contained, so a
-//!    bug in one group fails one scan with a typed error instead of taking
-//!    a pool thread (and every scan behind it) down; an aggregate's groups
-//!    are contained the same way.
+//! 2. `contained` runs one row group's work — a scan's
+//!    [`BlockPipeline::process_batches`], an aggregate's resolve — with
+//!    panics contained, so a bug in one group fails one scan with a typed
+//!    error instead of taking a pool thread (and every scan behind it) down.
 //! 3. [`Reorder`] re-sequences groups workers finish in any order, for a
 //!    scan's stream and an aggregate's fold alike.
-//! 4. [`ScanStream`] re-chunks ordered groups into fixed-size
-//!    [`RecordBatch`]es, copying each row once, and ends the scan exactly
-//!    once ([`GroupFeed::finish`]) on drain, error, cancel, or drop.
+//! 4. [`ScanStream`] checks each ordered group's batches against the
+//!    projection and hands them out as [`RecordBatch`]es, moved, not copied,
+//!    and ends the scan exactly once ([`GroupFeed::finish`]) on drain,
+//!    error, cancel, or drop.
 //!
 //! [`GroupFeed`] is the seam between 4 and the executor: where ordered row
 //! groups come from and what ending the scan releases. The executor's feed
 //! is the one implementation outside this module's tests.
 
-use crate::batch::{concat_runs, RecordBatch};
+use crate::batch::RecordBatch;
 use crate::cache::BlockCache;
-use crate::pipeline::{BlockPipeline, BlockResult, DecodeGate, PipelineFilter, PipelineParams};
+use crate::pipeline::{BlockPipeline, DecodeGate, GroupBatches, PipelineFilter, PipelineParams};
 use crate::plan::{plan_scan, RowGroup, ScanPlan, ScanSpec};
 use crate::retry::FetchCtl;
 use crate::source::BlockSource;
 use crate::{Result, ScanError};
 use btr_sync::{Deadline, RetryBudget};
-use btrblocks::{ColumnData, ColumnType, Config, Scratch, Sidecar};
-use std::collections::{BTreeMap, VecDeque};
-use std::ops::Range;
+use btrblocks::{ColumnData, ColumnType, Config, Sidecar};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -87,20 +87,9 @@ pub fn prepare(
     Ok((plan, pipeline))
 }
 
-/// [`BlockPipeline::process`] with panics contained: a panic while
-/// processing row group `idx` becomes [`ScanError::Worker`] naming the group
-/// and block, and the calling worker thread lives on.
-pub fn process_contained(
-    pipeline: &BlockPipeline,
-    idx: usize,
-    group: RowGroup,
-    scratch: &mut Scratch,
-) -> Result<BlockResult> {
-    contained(idx, group, || pipeline.process(group, scratch))
-}
-
-/// Runs `work` on row group `idx` with panics contained, as
-/// [`process_contained`] does for any per-group work.
+/// Runs `work` on row group `idx` with panics contained: a panic becomes
+/// [`ScanError::Worker`] naming the group and block, and the calling worker
+/// thread lives on.
 pub(crate) fn contained<T>(idx: usize, group: RowGroup, work: impl FnOnce() -> Result<T>) -> Result<T> {
     catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| {
         Err(ScanError::Worker(format!(
@@ -114,7 +103,7 @@ pub(crate) fn contained<T>(idx: usize, group: RowGroup, work: impl FnOnce() -> R
 
 /// The reorder buffer between workers and a scan's consumer: results land
 /// by row-group index in any order and leave in index order.
-pub struct Reorder<T = BlockResult> {
+pub struct Reorder<T = GroupBatches> {
     next_emit: usize,
     ready: BTreeMap<usize, Result<T>>,
 }
@@ -170,7 +159,7 @@ pub trait GroupFeed {
     /// Blocks until the next row group in block order is done. `None` means
     /// every group was taken; a scan that cannot continue says so with an
     /// `Err`, never with an early `None`.
-    fn next_block(&mut self) -> Option<Result<BlockResult>>;
+    fn next_block(&mut self) -> Option<Result<GroupBatches>>;
 
     /// Releases everything the scan holds (threads, queue slots, budgets).
     /// Called exactly once per stream; `rows_matched` is what the consumer
@@ -178,25 +167,20 @@ pub trait GroupFeed {
     fn finish(&mut self, end: ScanEnd, rows_matched: u64);
 }
 
-/// A running scan: an iterator of [`RecordBatch`]es in row order, cut to a
-/// fixed row count whatever the relation's block size.
+/// A running scan: an iterator of [`RecordBatch`]es in row order, each
+/// holding 1..=`batch_rows` rows of one row group.
 ///
-/// Re-chunking is a cursor: the stream keeps the row groups it has taken, in
-/// order, and a row offset into the first; a cut copies exactly its rows
-/// from them into columns sized for exactly those rows, and a group is
-/// dropped once used up. Each row is copied once.
+/// Workers cut a group's rows into batches as they gather them; the stream
+/// checks each group's batches and moves them out one by one, so each row
+/// is copied once after decode.
 ///
 /// Dropping the stream before it is drained cancels the scan.
 pub struct ScanStream<F: GroupFeed> {
     feed: F,
     names: Vec<String>,
     types: Vec<ColumnType>,
-    /// Columns of the groups taken and not yet used up, in row order, with
-    /// their row counts; none is empty.
-    pending: VecDeque<(usize, Vec<ColumnData>)>,
-    /// Rows of `pending[0]` already handed out.
-    offset: usize,
-    buffered_rows: usize,
+    /// Batches of the group taken last, not yet handed out.
+    pending: std::vec::IntoIter<Vec<ColumnData>>,
     batch_rows: usize,
     rows_matched: u64,
     batches: u64,
@@ -205,16 +189,15 @@ pub struct ScanStream<F: GroupFeed> {
 
 impl<F: GroupFeed> ScanStream<F> {
     /// A stream over `feed`. `names` and `types` describe the projected
-    /// columns in output order; every group the feed yields must hold
-    /// exactly those columns, each `rows_matched` long.
+    /// columns in output order; every batch the feed yields must hold
+    /// exactly those columns, 1..=`batch_rows` rows long, and a group's
+    /// batches its `rows_matched` rows.
     pub fn new(feed: F, names: Vec<String>, types: Vec<ColumnType>, batch_rows: usize) -> Self {
         ScanStream {
             feed,
             names,
             types,
-            pending: VecDeque::new(),
-            offset: 0,
-            buffered_rows: 0,
+            pending: Vec::new().into_iter(),
             batch_rows: batch_rows.max(1),
             rows_matched: 0,
             batches: 0,
@@ -249,86 +232,43 @@ impl<F: GroupFeed> ScanStream<F> {
         }
     }
 
-    /// Takes groups until a full batch is buffered or the feed runs out,
-    /// then cuts; `None` once the feed is drained and nothing is buffered.
+    /// Hands out the next batch of the group taken last, taking groups
+    /// until one has a batch; `None` once the feed is drained.
     fn step(&mut self) -> Option<Result<RecordBatch>> {
-        while self.buffered_rows < self.batch_rows {
-            match self.feed.next_block() {
-                Some(Ok(group)) => {
-                    if let Err(e) = self.take(group) {
-                        return Some(Err(e));
-                    }
-                }
-                Some(Err(e)) => return Some(Err(e)),
-                None if self.buffered_rows > 0 => return Some(self.cut(self.buffered_rows)),
-                None => return None,
+        loop {
+            if let Some(columns) = self.pending.next() {
+                self.batches += 1;
+                let columns = self.names.iter().cloned().zip(columns).collect();
+                return Some(Ok(RecordBatch { columns }));
+            }
+            if let Err(e) = self.feed.next_block()?.and_then(|group| self.take(group)) {
+                return Some(Err(e));
             }
         }
-        Some(self.cut(self.batch_rows))
     }
 
-    /// Queues a group from the feed, or rejects it when its columns do not
-    /// match the projection's count and types or its `rows_matched`.
-    fn take(&mut self, group: BlockResult) -> Result<()> {
-        let rows = usize::try_from(group.rows_matched).ok();
-        let fits = group.columns.len() == self.types.len()
-            && group
-                .columns
-                .iter()
-                .zip(&self.types)
-                .all(|(col, &ty)| col.column_type() == ty && Some(col.len()) == rows);
-        let Some(rows) = rows.filter(|_| fits) else {
-            let what = "row group columns disagree with the projection or their row count";
+    /// Queues a group's batches, or rejects the group when a batch's
+    /// columns do not match the projection's count and types, a batch is
+    /// not 1..=`batch_rows` rows long, or the batches miss `rows_matched`.
+    fn take(&mut self, group: GroupBatches) -> Result<()> {
+        let mut rows = 0u64;
+        let fits = group.batches.iter().all(|batch| {
+            let len = batch.first().map_or(0, ColumnData::len);
+            rows += len as u64;
+            (1..=self.batch_rows).contains(&len)
+                && batch.len() == self.types.len()
+                && (batch.iter().zip(&self.types))
+                    .all(|(col, &ty)| col.column_type() == ty && col.len() == len)
+        });
+        if !fits || rows != group.rows_matched {
+            let what =
+                "row group batches disagree with the projection, batch_rows or their row count";
             return Err(ScanError::Decode(btrblocks::Error::Corrupt(what)));
-        };
-        self.rows_matched += group.rows_matched;
-        if rows > 0 {
-            self.buffered_rows += rows;
-            self.pending.push_back((rows, group.columns));
         }
+        self.rows_matched += group.rows_matched;
+        self.pending = group.batches.into_iter();
         Ok(())
     }
-
-    /// Copies the next `n` buffered rows (`n <= buffered_rows`) into a
-    /// batch and moves the cursor past them.
-    fn cut(&mut self, n: usize) -> Result<RecordBatch> {
-        let mut columns = Vec::with_capacity(self.names.len());
-        for (c, (name, &ty)) in self.names.iter().zip(&self.types).enumerate() {
-            let runs = runs(&self.pending, self.offset, n)
-                .filter_map(|(group, rows)| Some((group.get(c)?, rows)));
-            columns.push((name.clone(), concat_runs(ty, n, runs)?));
-        }
-        let mut left = n;
-        while let Some(&(rows, _)) = self.pending.front() {
-            let rest = rows - self.offset;
-            if rest > left {
-                self.offset += left;
-                break;
-            }
-            left -= rest;
-            self.offset = 0;
-            self.pending.pop_front();
-        }
-        self.buffered_rows -= n;
-        self.batches += 1;
-        Ok(RecordBatch { columns })
-    }
-}
-
-/// The row ranges the next `n` rows come from: `pending[0]` from `offset`
-/// on, then whole groups, the last one cut short.
-fn runs(
-    pending: &VecDeque<(usize, Vec<ColumnData>)>,
-    offset: usize,
-    n: usize,
-) -> impl Iterator<Item = (&Vec<ColumnData>, Range<usize>)> + Clone {
-    let (mut start, mut left) = (offset, n);
-    pending.iter().map_while(move |(len, group)| {
-        let rows = start..(*len).min(start + left);
-        left -= rows.len();
-        start = 0;
-        (!rows.is_empty()).then_some((group, rows))
-    })
 }
 
 impl<F: GroupFeed> Iterator for ScanStream<F> {
@@ -357,18 +297,19 @@ impl<F: GroupFeed> Drop for ScanStream<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
     use std::cell::RefCell;
+    use std::collections::VecDeque;
+    use std::ops::Range;
 
     /// A feed that hands out prepared groups and records how it was ended.
     struct VecFeed<'a> {
-        blocks: VecDeque<Result<BlockResult>>,
+        groups: VecDeque<Result<GroupBatches>>,
         ended: &'a RefCell<Vec<(ScanEnd, u64)>>,
     }
 
     impl GroupFeed for VecFeed<'_> {
-        fn next_block(&mut self) -> Option<Result<BlockResult>> {
-            self.blocks.pop_front()
+        fn next_block(&mut self) -> Option<Result<GroupBatches>> {
+            self.groups.pop_front()
         }
 
         fn finish(&mut self, end: ScanEnd, rows_matched: u64) {
@@ -376,22 +317,30 @@ mod tests {
         }
     }
 
-    fn block(ids: std::ops::Range<i32>) -> Result<BlockResult> {
-        Ok(BlockResult {
-            rows_matched: ids.len() as u64,
-            columns: vec![ColumnData::Int(ids.collect())],
-        })
+    /// A group of `columns(rows)`, cut into batches of `batch_rows` as a
+    /// worker cuts it.
+    fn cut(
+        rows: Range<usize>,
+        batch_rows: usize,
+        columns: impl Fn(Range<usize>) -> Vec<ColumnData>,
+    ) -> Result<GroupBatches> {
+        let batches = (rows.clone().step_by(batch_rows))
+            .map(|start| columns(start..rows.end.min(start + batch_rows)))
+            .collect();
+        Ok(GroupBatches { rows_matched: rows.len() as u64, batches })
+    }
+
+    /// Ids `rows` as a one-column group cut into batches of `batch_rows`.
+    fn group(rows: Range<usize>, batch_rows: usize) -> Result<GroupBatches> {
+        cut(rows, batch_rows, |r| vec![ColumnData::Int(r.map(|i| i as i32).collect())])
     }
 
     fn stream<'a>(
-        blocks: Vec<Result<BlockResult>>,
+        groups: Vec<Result<GroupBatches>>,
         batch_rows: usize,
         ended: &'a RefCell<Vec<(ScanEnd, u64)>>,
     ) -> ScanStream<VecFeed<'a>> {
-        let feed = VecFeed {
-            blocks: blocks.into(),
-            ended,
-        };
+        let feed = VecFeed { groups: groups.into(), ended };
         let (names, types) = (vec!["id".into()], vec![ColumnType::Integer]);
         ScanStream::new(feed, names, types, batch_rows)
     }
@@ -404,20 +353,20 @@ mod tests {
     }
 
     #[test]
-    fn uneven_groups_rechunk_into_fixed_batches_and_finish_once() {
-        // 4500 rows into 700-row batches, from groups of uneven size,
-        // including empty ones (a filter that matched nothing).
+    fn group_batches_pass_through_in_order_and_finish_once() {
+        // 4,500 rows in groups of uneven size, including empty ones (a
+        // filter that matched nothing), cut at 700 rows: only a group's
+        // last batch is short, and no batch spans two groups.
         let cuts = [0, 1_000, 1_000, 1_003, 2_950, 2_950, 4_499, 4_500];
-        let blocks = cuts.windows(2).map(|w| block(w[0]..w[1])).collect();
+        let groups = cuts.windows(2).map(|w| group(w[0]..w[1], 700)).collect();
         let ended = RefCell::new(Vec::new());
-        let mut scan = stream(blocks, 700, &ended);
+        let mut scan = stream(groups, 700, &ended);
         let batches: Vec<RecordBatch> = scan.by_ref().map(|b| b.unwrap()).collect();
-        assert_eq!(batches.len(), 7);
-        assert!(batches[..6].iter().all(|b| b.rows() == 700));
-        assert_eq!(batches[6].rows(), 300);
+        let rows: Vec<usize> = batches.iter().map(RecordBatch::rows).collect();
+        assert_eq!(rows, [700, 300, 3, 700, 700, 547, 700, 700, 149, 1]);
         let all: Vec<i32> = batches.iter().flat_map(ids).collect();
         assert_eq!(all, (0..4_500).collect::<Vec<_>>());
-        assert_eq!((scan.rows_matched(), scan.batches()), (4_500, 7));
+        assert_eq!((scan.rows_matched(), scan.batches()), (4_500, 10));
         assert!(scan.next().is_none(), "a drained stream stays drained");
         drop(scan);
         assert_eq!(*ended.borrow(), vec![(ScanEnd::Completed, 4_500)]);
@@ -435,7 +384,7 @@ mod tests {
         (i as i32 - 2_000, i as f64 * -0.25, s)
     }
 
-    fn mixed_columns(rows: std::ops::Range<usize>) -> Vec<ColumnData> {
+    fn mixed_columns(rows: Range<usize>) -> Vec<ColumnData> {
         let strings: Vec<Vec<u8>> = rows.clone().map(|i| mixed_row(i).2).collect();
         vec![
             ColumnData::Int(rows.clone().map(|i| mixed_row(i).0).collect()),
@@ -444,37 +393,48 @@ mod tests {
         ]
     }
 
+    /// Where each column of a batch keeps its values.
+    fn addresses(columns: &[ColumnData]) -> Vec<usize> {
+        let address = |col: &ColumnData| match col {
+            ColumnData::Int(v) => v.as_ptr() as usize,
+            ColumnData::Double(v) => v.as_ptr() as usize,
+            ColumnData::Str(a) => a.bytes.as_ptr() as usize,
+        };
+        columns.iter().map(address).collect()
+    }
+
     #[test]
-    fn mixed_type_groups_rechunk_into_exact_batches() {
+    fn mixed_type_batches_are_moved_not_copied() {
         // 4,500 rows in uneven groups of up to 1,000, with empty ones.
         let cuts = [0, 1_000, 1_000, 1_003, 2_003, 2_950, 2_950, 3_950, 4_499, 4_500];
-        let rows = *cuts.last().unwrap();
         let names = ["i", "d", "s"];
         for batch_rows in [1, 700, 1_000, 1_001] {
-            let blocks = cuts.windows(2).map(|w| {
-                let columns = mixed_columns(w[0]..w[1]);
-                Ok(BlockResult { rows_matched: (w[1] - w[0]) as u64, columns })
-            });
+            let groups: VecDeque<_> =
+                cuts.windows(2).map(|w| cut(w[0]..w[1], batch_rows, mixed_columns)).collect();
+            let fed: Vec<Vec<usize>> = (groups.iter().flatten())
+                .flat_map(|g| g.batches.iter().map(|b| addresses(b)))
+                .collect();
             let ended = RefCell::new(Vec::new());
-            let feed = VecFeed { blocks: blocks.collect(), ended: &ended };
+            let feed = VecFeed { groups, ended: &ended };
             let owned = names.map(String::from).to_vec();
             let types = vec![ColumnType::Integer, ColumnType::Double, ColumnType::String];
             let mut scan = ScanStream::new(feed, owned, types, batch_rows);
             let mut start = 0;
-            for batch in scan.by_ref() {
+            for (k, batch) in scan.by_ref().enumerate() {
                 let batch = batch.unwrap();
-                let end = (start + batch_rows).min(rows);
+                let end = start + batch.rows();
                 let at = format!("batch_rows {batch_rows}, batch at row {start}");
-                assert_eq!(batch.rows(), end - start, "{at}");
                 for (name, want) in names.into_iter().zip(mixed_columns(start..end)) {
                     assert_eq!(batch.column(name), Some(&want), "{at}, column {name}");
                 }
+                let columns: Vec<ColumnData> = batch.columns.into_iter().map(|(_, c)| c).collect();
+                assert_eq!(addresses(&columns), fed[k], "{at}: moved, not copied");
                 start = end;
             }
-            assert_eq!(start, rows, "batch_rows {batch_rows}");
-            assert_eq!(scan.batches() as usize, rows.div_ceil(batch_rows));
+            assert_eq!(start, 4_500, "batch_rows {batch_rows}");
+            assert_eq!(scan.batches() as usize, fed.len());
             drop(scan);
-            assert_eq!(*ended.borrow(), vec![(ScanEnd::Completed, rows as u64)]);
+            assert_eq!(*ended.borrow(), vec![(ScanEnd::Completed, 4_500)]);
         }
     }
 
@@ -491,48 +451,48 @@ mod tests {
     #[test]
     fn early_drop_cancels_and_an_error_fails_exactly_once() {
         let ended = RefCell::new(Vec::new());
-        let mut scan = stream(vec![block(0..250), block(250..500)], 100, &ended);
+        let mut scan = stream(vec![group(0..250, 100), group(250..500, 100)], 100, &ended);
         assert_eq!(ids(&scan.next().unwrap().unwrap()), (0..100).collect::<Vec<_>>());
         drop(scan);
         assert_eq!(*ended.borrow(), vec![(ScanEnd::Cancelled, 250)]);
 
         let ended = RefCell::new(Vec::new());
-        let failing = vec![block(0..50), Err(ScanError::EmptyProjection), block(50..100)];
+        let failing = vec![group(0..50, 100), Err(ScanError::EmptyProjection), group(50..100, 100)];
         let mut scan = stream(failing, 100, &ended);
+        assert_eq!(ids(&scan.next().unwrap().unwrap()), (0..50).collect::<Vec<_>>());
         assert_eq!(scan.next(), Some(Err(ScanError::EmptyProjection)));
-        assert!(scan.next().is_none(), "nothing follows the error, buffered rows included");
+        assert!(scan.next().is_none(), "nothing follows the error");
         drop(scan);
         assert_eq!(*ended.borrow(), vec![(ScanEnd::Failed, 50)]);
     }
 
     #[test]
     fn a_group_that_disagrees_with_its_rows_fails_exactly_once() {
-        let group = |rows_matched: u64, columns: Vec<ColumnData>| {
-            Ok(BlockResult {
-                rows_matched,
-                columns,
-            })
+        let bad = |rows_matched: u64, batches: Vec<Vec<ColumnData>>| {
+            Ok(GroupBatches { rows_matched, batches })
         };
-        let (ones, twos) = (ColumnData::Int(vec![1; 100]), ColumnData::Int(vec![2; 100]));
+        let ints = |rows: Range<i32>| ColumnData::Int(rows.collect());
         let bad = [
-            group(100, vec![ColumnData::Int((0..99).collect())]),
-            group(100, vec![ColumnData::Int((0..101).collect())]),
-            group(0, vec![ColumnData::Int(vec![7])]),
-            group(100, vec![ColumnData::Double(vec![0.5; 100])]),
-            group(100, Vec::new()),
-            group(100, vec![ones, twos]),
+            bad(30, vec![vec![ints(0..29)]]),
+            bad(31, vec![vec![ints(0..31)]]),
+            bad(0, vec![vec![ints(0..7)]]),
+            bad(30, vec![vec![ints(0..20)], vec![ints(0..20)]]),
+            bad(0, vec![vec![ints(0..0)]]),
+            bad(30, vec![vec![ColumnData::Double(vec![0.5; 30])]]),
+            bad(30, vec![Vec::new()]),
+            bad(30, vec![vec![ints(0..30), ints(0..30)]]),
         ];
         let want = ScanError::Decode(btrblocks::Error::Corrupt(
-            "row group columns disagree with the projection or their row count",
+            "row group batches disagree with the projection, batch_rows or their row count",
         ));
         for (i, bad) in bad.into_iter().enumerate() {
             let ended = RefCell::new(Vec::new());
-            let mut scan = stream(vec![block(0..50), bad, block(50..150)], 30, &ended);
+            let mut scan = stream(vec![group(0..50, 30), bad, group(50..150, 30)], 30, &ended);
             let batches: Vec<_> = scan.by_ref().collect();
-            assert_eq!(batches.len(), 2, "group {i}: a full batch, then the error");
-            let first = ids(batches[0].as_ref().unwrap());
-            assert_eq!(first, (0..30).collect::<Vec<_>>());
-            assert_eq!(batches[1], Err(want.clone()), "group {i}");
+            assert_eq!(batches.len(), 3, "group {i}: the first group's batches, then the error");
+            assert_eq!(ids(batches[0].as_ref().unwrap()), (0..30).collect::<Vec<_>>());
+            assert_eq!(ids(batches[1].as_ref().unwrap()), (30..50).collect::<Vec<_>>());
+            assert_eq!(batches[2], Err(want.clone()), "group {i}");
             drop(scan);
             assert_eq!(*ended.borrow(), vec![(ScanEnd::Failed, 50)], "group {i}");
         }

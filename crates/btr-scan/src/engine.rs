@@ -43,7 +43,8 @@ pub struct EngineOptions {
     /// Bounded look-ahead: how many row groups may be in flight past the
     /// consumer's position.
     pub prefetch: usize,
-    /// Rows per emitted [`crate::RecordBatch`].
+    /// Rows per emitted [`crate::RecordBatch`], at most; a batch never
+    /// spans row groups, so a group's last batch may be short.
     pub batch_rows: usize,
     /// Byte budget of the decoded-block cache (used by
     /// [`ScanEngine::new`]; ignored when a cache is shared via

@@ -15,9 +15,10 @@
 //!    fuse the GETs.
 //! 2. Workers take tasks from the per-tenant deficit round-robin scheduler,
 //!    `min(4, ceil(ready / workers))` per lock acquisition, and run
-//!    [`process_contained`] on each (for an aggregate,
-//!    [`BlockPipeline::resolve_aggregates`]) into the scan's [`Reorder`].
-//!    Workers never wait for a consumer.
+//!    [`BlockPipeline::process_batches`] on each, cutting the group into the
+//!    scan's batches (for an aggregate,
+//!    [`BlockPipeline::resolve_aggregates`]), panics contained, into the
+//!    scan's [`Reorder`]. Workers never wait for a consumer.
 //! 3. The consumer — a [`Scan`]'s stream, or `ScanEngine::aggregate`'s
 //!    fold — takes results in block order; each one returns its admission
 //!    accounting and refills the window. The degradation ladder
@@ -34,8 +35,8 @@
 //!
 //! [`ScanEngine`]: crate::ScanEngine
 
-use crate::driver::{contained, process_contained, GroupFeed, Reorder, ScanEnd, ScanStream};
-use crate::pipeline::{AggInput, BlockPipeline, BlockResult, PipelineCounters};
+use crate::driver::{contained, GroupFeed, Reorder, ScanEnd, ScanStream};
+use crate::pipeline::{AggInput, BlockPipeline, GroupBatches, PipelineCounters};
 use crate::plan::{RowGroup, ScanPlan};
 use crate::sched::{claim_size, Scheduler, TenantStats};
 use crate::source::FetchStats;
@@ -51,7 +52,7 @@ use std::time::Instant;
 const DEFAULT_TASK_COST: u64 = 64 << 10;
 
 /// Executor ranks (DESIGN.md §15): dispatch locks are taken with nothing
-/// else held and released before `process_contained` runs, so they sit below
+/// else held and released before a task runs, so they sit below
 /// the gate/cache/source ranks a worker acquires next.
 const SCHED_RANK: Rank = Rank::new(50, "scan.exec.sched");
 const TASK_READY_RANK: Rank = Rank::new(51, "scan.exec.task_ready");
@@ -116,8 +117,9 @@ pub struct ScanReport {
 
 /// What a job's tasks compute per row group.
 enum Work {
-    /// A scan: the projection's selected rows ([`BlockPipeline::process`]).
-    Rows,
+    /// A scan: the projection's selected rows, cut into batches of at most
+    /// `batch_rows` rows ([`BlockPipeline::process_batches`]).
+    Rows { batch_rows: usize },
     /// An aggregate: each aggregate's fold input
     /// ([`BlockPipeline::resolve_aggregates`]). `columns` holds each
     /// aggregate's source column; `needs[i][a]` whether aggregate `a` reads
@@ -130,7 +132,7 @@ enum Work {
 
 /// A finished row group, as a job's consumer takes it.
 enum GroupOutput {
-    Rows(BlockResult),
+    Rows(GroupBatches),
     Fold(AggInput),
 }
 
@@ -178,18 +180,18 @@ impl ScanRecord {
 
     /// Runs row group `idx` with panics contained.
     fn run(&self, idx: usize, group: RowGroup, scratch: &mut Scratch) -> Result<GroupOutput> {
-        match &self.work {
-            Work::Rows => process_contained(&self.pipeline, idx, group, scratch).map(GroupOutput::Rows),
+        contained(idx, group, || match &self.work {
+            Work::Rows { batch_rows } => {
+                self.pipeline.process_batches(group, *batch_rows, scratch).map(GroupOutput::Rows)
+            }
             Work::Aggregate { columns, needs } => {
                 let needs = needs.get(idx).map(Vec::as_slice).unwrap_or_default();
                 let fully_selected = self.plan.group_fully_selected(idx);
                 let reads = columns.iter().copied().zip(needs.iter().copied());
-                contained(idx, group, || {
-                    self.pipeline.resolve_aggregates(group, fully_selected, reads, scratch)
-                })
-                .map(GroupOutput::Fold)
+                let input = self.pipeline.resolve_aggregates(group, fully_selected, reads, scratch);
+                input.map(GroupOutput::Fold)
             }
-        }
+        })
     }
 }
 
@@ -213,7 +215,8 @@ pub struct ScanJob(ScanRecord);
 impl ScanJob {
     /// Prices `plan`'s row groups over `pipeline`'s source for `tenant`.
     pub fn new(tenant: Arc<str>, plan: ScanPlan, pipeline: BlockPipeline) -> ScanJob {
-        ScanJob::with_work(tenant, plan, pipeline, Work::Rows)
+        // `ExecutorHandle::start` sets the batch size.
+        ScanJob::with_work(tenant, plan, pipeline, Work::Rows { batch_rows: usize::MAX })
     }
 
     /// An aggregate over `plan`: its tasks resolve each aggregate's fold
@@ -232,7 +235,7 @@ impl ScanJob {
     fn with_work(tenant: Arc<str>, plan: ScanPlan, pipeline: BlockPipeline, work: Work) -> ScanJob {
         let source = pipeline.source();
         let read = match &work {
-            Work::Rows => &plan.projection,
+            Work::Rows { .. } => &plan.projection,
             Work::Aggregate { columns, .. } => columns,
         };
         // Columns every task may touch: the ones it reads plus every filter
@@ -469,11 +472,17 @@ pub struct ExecutorHandle(Arc<Core>);
 
 impl ExecutorHandle {
     /// Enqueues `job`'s window and returns the running scan, emitting
-    /// `names` (the projected columns, in output order) in batches of
-    /// `batch_rows`.
+    /// `names` (the projected columns, in output order) in batches of at
+    /// most `batch_rows` rows that never span row groups; the workers cut
+    /// them.
     pub fn start(&self, job: ScanJob, names: Vec<String>, batch_rows: usize) -> Result<Scan> {
         let enqueued = job.initial_window().0 as usize;
-        let scan = Arc::new(job.0);
+        let mut record = job.0;
+        let batch_rows = batch_rows.max(1);
+        if let Work::Rows { batch_rows: cap } = &mut record.work {
+            *cap = batch_rows;
+        }
+        let scan = Arc::new(record);
         self.0.advance(&scan, 0..0, 0..enqueued, true)?;
         let types = scan.pipeline.projected_types();
         let feed = ExecutorFeed { core: self.0.clone(), scan, enqueued, wall_seconds: None };
@@ -561,7 +570,7 @@ impl ExecutorFeed {
 }
 
 impl GroupFeed for ExecutorFeed {
-    fn next_block(&mut self) -> Option<Result<BlockResult>> {
+    fn next_block(&mut self) -> Option<Result<GroupBatches>> {
         self.next_output().map(|output| match output? {
             GroupOutput::Rows(rows) => Ok(rows),
             GroupOutput::Fold(_) => Err(ScanError::Worker("a scan's task resolved aggregates".into())),

@@ -34,8 +34,9 @@
 //! * **Cache** ([`cache`]): a sharded LRU of *decoded* blocks keyed by
 //!   `(relation, column, block)` under a byte budget — repeated scans of hot
 //!   columns skip decompression entirely.
-//! * **Batches** ([`batch`]): results materialize as fixed-size
-//!   [`RecordBatch`]es pulled from a [`Scan`] iterator; every scan yields a
+//! * **Batches** ([`batch`]): results materialize as [`RecordBatch`]es of
+//!   at most `batch_rows` rows, cut per row group by the workers and pulled
+//!   from a [`Scan`] iterator; every scan yields a
 //!   [`ScanReport`] quantifying the fetch-vs-decode trade-off the paper
 //!   measures.
 //!
@@ -81,8 +82,8 @@ pub use engine::{AggReport, EngineOptions, ScanEngine};
 pub use executor::{Executor, ExecutorHandle, ExecutorStats, Scan, ScanJob, ScanReport};
 pub use layout::{ColumnLayout, RelationLayout};
 pub use pipeline::{
-    AggInput, AggSourceCounts, BlockPipeline, BlockResult, DecodeGate, PipelineCounters,
-    PipelineFilter, PipelineParams,
+    AggInput, AggSourceCounts, BlockPipeline, BlockResult, DecodeGate, GroupBatches,
+    PipelineCounters, PipelineFilter, PipelineParams,
 };
 pub use plan::{plan_scan, RowGroup, ScanPlan, ScanSpec};
 pub use sched::TenantStats;

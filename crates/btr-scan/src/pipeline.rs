@@ -3,7 +3,7 @@
 //! [`BlockPipeline`] is the piece of a scan that processes one row group —
 //! cache lookup, fetch, compressed-domain predicate evaluation, decode, and
 //! row gathering. The [`crate::executor`]'s workers call
-//! [`BlockPipeline::process`] for a scan, and for an aggregate
+//! [`BlockPipeline::process_batches`] for a scan, and for an aggregate
 //! [`BlockPipeline::resolve_aggregates`], whose result the aggregate's
 //! caller folds in block order with [`BlockPipeline::fold_aggregates`].
 //!
@@ -33,7 +33,7 @@
 //!   inheriting the owner's error (same contract as the source's in-flight
 //!   table). The scan service installs one; the engine runs gateless.
 
-use crate::batch::{empty_like, gather};
+use crate::batch::{empty_like, gather_range, gather_rows};
 use crate::cache::{BlockCache, BlockKey};
 use crate::plan::{RowGroup, ScanPlan};
 use crate::retry::{BreakerState, FetchCtl};
@@ -192,6 +192,18 @@ impl PipelineCounters {
         self.decode_seconds += other.decode_seconds;
         self.degradation_steps += other.degradation_steps;
     }
+}
+
+/// One processed row group cut into batches, as a scan's workers hand it to
+/// its [`crate::ScanStream`].
+#[derive(Debug)]
+pub struct GroupBatches {
+    /// Rows that survived the predicate (all rows when there is none).
+    pub rows_matched: u64,
+    /// The batches in row order, each one column per projected column in
+    /// projection order: at most `batch_rows` rows, only the last batch
+    /// short, and no batch when nothing matched.
+    pub batches: Vec<Vec<ColumnData>>,
 }
 
 /// One processed row group: selected rows of every projected column.
@@ -628,34 +640,56 @@ impl BlockPipeline {
 
     /// Processes one row group: filter first (compressed-domain and
     /// zone-masked where possible), then decode + gather of only the blocks
-    /// whose values are actually needed — late materialization.
-    pub fn process(&self, group: RowGroup, scratch: &mut Scratch) -> Result<BlockResult> {
+    /// whose values are actually needed — late materialization. The
+    /// selected rows are gathered once, straight into batches of at most
+    /// `batch_rows` rows ([`GroupBatches`]); a sparse selection's rows are
+    /// listed once and shared by every projected column.
+    pub fn process_batches(
+        &self,
+        group: RowGroup,
+        batch_rows: usize,
+        scratch: &mut Scratch,
+    ) -> Result<GroupBatches> {
         self.check_deadline()?;
         let mut set = WorkingSet::new(group);
         let selection = self.filter_selection(&mut set, scratch)?;
-
-        let rows_matched = match &selection {
-            Some(sel) => u64::from(sel.cardinality()),
-            None => u64::from(group.rows),
-        };
-        if rows_matched == 0 {
-            // Nothing survives: emit empty columns without touching the
-            // projection blocks — pushdown's payoff.
-            return Ok(BlockResult {
-                rows_matched,
-                columns: self.empty_columns(),
-            });
+        let matched = selection.as_ref().map_or(group.rows, Selection::cardinality) as usize;
+        if matched == 0 {
+            // Nothing survives: no batch, and the projection blocks stay
+            // untouched — pushdown's payoff.
+            return Ok(GroupBatches { rows_matched: 0, batches: Vec::new() });
         }
-
-        let mut columns = Vec::with_capacity(self.projection.len());
-        for &idx in &self.projection {
-            let decoded = self.resolve_decoded(&mut set, idx, scratch)?;
-            columns.push(gather(&decoded, selection.as_ref()));
+        let decoded = (self.projection.iter())
+            .map(|&idx| self.resolve_decoded(&mut set, idx, scratch))
+            .collect::<Result<Vec<_>>>()?;
+        let cap = batch_rows.max(1);
+        let mut batches = Vec::with_capacity(matched.div_ceil(cap));
+        match selection.filter(|sel| !sel.is_all()) {
+            Some(sel) => {
+                let mut rows = scratch.lease::<Vec<u32>>(matched);
+                sel.append_to(&mut rows);
+                for chunk in rows.chunks(cap) {
+                    batches.push(decoded.iter().map(|d| gather_rows(d, chunk)).collect());
+                }
+            }
+            None => {
+                for start in (0..matched).step_by(cap) {
+                    let rows = start..matched.min(start.saturating_add(cap));
+                    let batch = decoded.iter().map(|d| gather_range(d, rows.clone()));
+                    batches.push(batch.collect::<Result<_>>()?);
+                }
+            }
         }
-        Ok(BlockResult {
-            rows_matched,
-            columns,
-        })
+        Ok(GroupBatches { rows_matched: matched as u64, batches })
+    }
+
+    /// [`Self::process_batches`] with no cap on a batch: the group's
+    /// selected rows as one column per projected column, empty ones when
+    /// nothing matched.
+    pub fn process(&self, group: RowGroup, scratch: &mut Scratch) -> Result<BlockResult> {
+        let mut one = self.process_batches(group, usize::MAX, scratch)?;
+        let columns = one.batches.pop().unwrap_or_else(|| self.empty_columns());
+        Ok(BlockResult { rows_matched: one.rows_matched, columns })
     }
 
     /// Folds one row group into the given aggregate states, exploiting the

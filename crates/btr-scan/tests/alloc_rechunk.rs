@@ -1,15 +1,15 @@
-//! Re-chunking copies each scanned row once.
+//! A scan's stream moves the batches its workers cut; it copies no rows.
 //!
 //! This binary installs btr-corrupt's tracking allocator as the global
 //! allocator and drains a [`ScanStream`] over four 64,000-row groups (int,
-//! double and string columns) in 4,096-row batches. A stream that copies
-//! each row once, into columns sized for exactly the batch, allocates about
-//! the bytes it emits; one that re-copies the rest of a group on every cut
-//! allocates several times that, and its batches keep capacity for rows
-//! they do not hold.
+//! double and string columns), each already cut into 4,096-row batches as a
+//! worker cuts it. A stream that moves the batches allocates only each
+//! batch's name list, a few hundred bytes per batch; one that copies its
+//! rows again allocates about the bytes it emits (1.00x), and one that
+//! re-copies the rest of a group on every cut several times that.
 
 use btr_corrupt::alloc::{self, TrackingAllocator};
-use btr_scan::{BlockResult, GroupFeed, RecordBatch, ScanEnd, ScanStream};
+use btr_scan::{GroupBatches, GroupFeed, ScanEnd, ScanStream};
 use btrblocks::{ColumnData, ColumnType, StringArena};
 use std::collections::VecDeque;
 
@@ -21,75 +21,57 @@ const GROUP_ROWS: usize = 64_000;
 const BATCH_ROWS: usize = 4_096;
 
 /// Hands out prepared groups; ending the scan releases nothing.
-struct Groups(VecDeque<BlockResult>);
+struct Groups(VecDeque<GroupBatches>);
 
 impl GroupFeed for Groups {
-    fn next_block(&mut self) -> Option<btr_scan::Result<BlockResult>> {
+    fn next_block(&mut self) -> Option<btr_scan::Result<GroupBatches>> {
         self.0.pop_front().map(Ok)
     }
 
     fn finish(&mut self, _: ScanEnd, _: u64) {}
 }
 
-fn group(g: usize) -> BlockResult {
+/// Group `g`, cut into batches of `BATCH_ROWS` rows.
+fn group(g: usize) -> GroupBatches {
     let rows = g * GROUP_ROWS..(g + 1) * GROUP_ROWS;
-    let strings: Vec<String> = rows.clone().map(|i| format!("row-{}", i % 977)).collect();
-    BlockResult {
-        rows_matched: GROUP_ROWS as u64,
-        columns: vec![
+    let batch = |start: usize| {
+        let rows = start..rows.end.min(start + BATCH_ROWS);
+        let strings: Vec<String> = rows.clone().map(|i| format!("row-{}", i % 977)).collect();
+        vec![
             ColumnData::Int(rows.clone().map(|i| i as i32).collect()),
             ColumnData::Double(rows.map(|i| i as f64 * 0.5).collect()),
             ColumnData::Str(StringArena::from_strs(&strings)),
-        ],
+        ]
+    };
+    GroupBatches {
+        rows_matched: GROUP_ROWS as u64,
+        batches: rows.clone().step_by(BATCH_ROWS).map(batch).collect(),
     }
-}
-
-/// Bytes of a batch's values, and whether every fixed-width column's
-/// capacity is at most `BATCH_ROWS`.
-fn inspect(batch: &RecordBatch) -> (usize, bool) {
-    let mut bytes = 0;
-    let mut tight = true;
-    for (_, data) in &batch.columns {
-        bytes += data.heap_size();
-        tight &= match data {
-            ColumnData::Int(v) => v.capacity() <= BATCH_ROWS,
-            ColumnData::Double(v) => v.capacity() <= BATCH_ROWS,
-            ColumnData::Str(_) => true,
-        };
-    }
-    (bytes, tight)
 }
 
 // One #[test] only: the allocator counters are process-global, and a second
 // test running on a sibling thread would count its allocations into the
 // measured window.
 #[test]
-fn a_drain_allocates_about_the_bytes_it_emits() {
+fn a_drain_allocates_at_most_5_percent_of_the_bytes_it_emits() {
     let feed = Groups((0..GROUPS).map(group).collect());
     let names = ["i", "d", "s"].map(String::from).to_vec();
     let types = vec![ColumnType::Integer, ColumnType::Double, ColumnType::String];
-    let (mut emitted, mut rows, mut loose) = (0, 0, Vec::new());
+    let (mut emitted, mut rows) = (0, 0);
 
     let before = alloc::allocated_bytes();
-    for (k, batch) in ScanStream::new(feed, names, types, BATCH_ROWS).enumerate() {
+    for batch in ScanStream::new(feed, names, types, BATCH_ROWS) {
         let batch = batch.expect("well-formed groups");
-        let (bytes, tight) = inspect(&batch);
-        emitted += bytes;
+        assert!((1..=BATCH_ROWS).contains(&batch.rows()));
+        emitted += batch.columns.iter().map(|(_, data)| data.heap_size()).sum::<usize>();
         rows += batch.rows();
-        if !tight {
-            loose.push(k);
-        }
     }
     let allocated = alloc::allocated_bytes() - before;
 
     assert_eq!(rows, GROUPS * GROUP_ROWS);
     assert!(
-        allocated * 4 <= emitted * 5,
-        "the drain allocated {allocated} B to emit {emitted} B ({:.2}x, bound 1.25x)",
+        allocated * 20 <= emitted,
+        "the drain allocated {allocated} B to emit {emitted} B ({:.3}x, bound 0.05x)",
         allocated as f64 / emitted as f64
-    );
-    assert!(
-        loose.is_empty(),
-        "batches {loose:?} hold int/double capacity past {BATCH_ROWS} rows"
     );
 }

@@ -6,7 +6,9 @@
 //! not contiguous in their pool, and once with FSST or Uncompressed ones,
 //! whose views are. The concatenated batches must equal a naive row-by-row
 //! filter over the uncompressed relation, and the report's `rows_matched`
-//! must agree with it.
+//! must agree with it. Every batch holds 1..=`batch_rows` rows of one row
+//! group: a group with `m` matches yields ⌈m / `batch_rows`⌉ batches, only
+//! its last one short, and a group with none yields no batch.
 
 use btr_scan::batch::append;
 use btr_scan::{col, lit, EngineOptions, MemorySource, RecordBatch, ScanEngine, ScanSpec};
@@ -72,8 +74,8 @@ fn filters() -> Vec<Filter> {
     ]
 }
 
-/// The relation compressed under `pool`, and the root schemes its string
-/// blocks got.
+/// The relation compressed under `pool`, and the config it was compressed
+/// with.
 fn compress(rel: &Relation, pool: &[SchemeCode]) -> (Arc<CompressedRelation>, Config) {
     let config = Config { block_size: GROUP_ROWS, ..Config::default() }.with_pool(pool);
     let compressed = btrblocks::compress(rel, &config).expect("compress");
@@ -91,6 +93,20 @@ fn expected(rel: &Relation, keep: fn(usize) -> bool) -> Vec<ColumnData> {
             ColumnData::Str(a) => ColumnData::Str(a.gather(rows.iter().copied())),
         })
         .collect()
+}
+
+/// The batch sizes the contract allows exactly: each group's matches cut
+/// into `batch_rows`-row batches, the last one short.
+fn expected_sizes(keep: fn(usize) -> bool, batch_rows: usize) -> Vec<usize> {
+    let mut sizes = Vec::new();
+    for g in 0..GROUPS {
+        let mut m = (g * GROUP_ROWS..(g + 1) * GROUP_ROWS).filter(|&i| keep(i)).count();
+        while m > 0 {
+            sizes.push(m.min(batch_rows));
+            m -= m.min(batch_rows);
+        }
+    }
+    sizes
 }
 
 /// Every batch's columns appended in order, one buffer per column.
@@ -124,7 +140,8 @@ fn batches_match_a_naive_filter_for_every_shape() {
             let want = expected(&rel, filter.keep);
             for batch_rows in [1, 700, 4_096, GROUP_ROWS + 500] {
                 for workers in [1, 2] {
-                    let at = format!("{layout}, {}, batch_rows {batch_rows}, workers {workers}", filter.name);
+                    let at = format!("{layout}, {}, batch_rows {batch_rows}", filter.name);
+                    let at = format!("{at}, workers {workers}");
                     let engine = ScanEngine::new(EngineOptions {
                         workers,
                         prefetch: 2,
@@ -140,6 +157,10 @@ fn batches_match_a_naive_filter_for_every_shape() {
                     assert_eq!(concat(&batches, &want), want, "{at}");
                     assert_eq!(report.rows_matched as usize, want[0].len(), "{at}");
                     assert_eq!(report.batches as usize, batches.len(), "{at}");
+                    let sizes: Vec<usize> = batches.iter().map(RecordBatch::rows).collect();
+                    assert!(sizes.iter().all(|n| (1..=batch_rows).contains(n)), "{at}: {sizes:?}");
+                    let want_sizes = expected_sizes(filter.keep, batch_rows);
+                    assert_eq!(sizes, want_sizes, "{at}: a batch spans groups");
                 }
             }
         }

@@ -91,7 +91,8 @@ pub struct ServiceOptions {
     pub workers: usize,
     /// Byte budget of the shared decoded-block cache.
     pub cache_bytes: usize,
-    /// Rows per emitted [`RecordBatch`].
+    /// Rows per emitted [`RecordBatch`], at most; a batch never spans row
+    /// groups, so a group's last batch may be short.
     pub batch_rows: usize,
     /// Per-scan look-ahead: how many row-group tasks a scan may have
     /// enqueued past its consumer's position.

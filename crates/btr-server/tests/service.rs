@@ -566,8 +566,8 @@ fn a_block_with_the_wrong_row_count_is_a_typed_error_and_the_service_serves_on()
 }
 
 /// The service hands its `batch_rows` to the executor: a filtered scan of
-/// four 1,000-row groups in batches of at most 700 rows equals the engine's
-/// answer.
+/// four 1,000-row groups comes in batches of at most 700 rows, cut per
+/// group, and equals the engine's answer.
 #[test]
 fn service_batches_follow_its_batch_rows() {
     let fx = fixture(4_000, 1_000);
@@ -584,6 +584,8 @@ fn service_batches_follow_its_batch_rows() {
     let mut handle = service.client("t").submit("rel", &spec).expect("submit");
     let batches: Vec<_> = handle.by_ref().map(|b| b.expect("batch")).collect();
     assert_eq!(handle.rows_matched(), 2_700);
+    let sizes: Vec<usize> = batches.iter().map(|b| b.rows()).collect();
+    assert_eq!(sizes, [700, 700, 300, 700, 300]);
     let got = drain(batches.into_iter().map(Ok)).expect("one type per column");
     assert_eq!(got, reference(&fx, &spec));
 }

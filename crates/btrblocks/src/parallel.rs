@@ -418,7 +418,7 @@ fn append_block(data: &mut ColumnData, decoded: &DecodedColumn) -> Result<()> {
     match (data, decoded) {
         (ColumnData::Int(acc), DecodedColumn::Int(v)) => acc.extend_from_slice(v),
         (ColumnData::Double(acc), DecodedColumn::Double(v)) => acc.extend_from_slice(v),
-        (ColumnData::Str(acc), DecodedColumn::Str(v)) => acc.extend_from_views(v)?,
+        (ColumnData::Str(acc), DecodedColumn::Str(v)) => acc.extend_from_views(&v.pool, &v.views)?,
         _ => return Err(Error::Corrupt("mixed block types in column")),
     }
     Ok(())

@@ -151,16 +151,17 @@ impl StringArena {
         self.offsets.extend(offsets.iter().map(|&o| o.wrapping_add(rebase)));
     }
 
-    /// Appends every string of a decoded block: one pass writing the offsets,
-    /// one reservation for the bytes, and one pass copying them, in which
-    /// views that follow each other in the pool (any block that was not
-    /// dictionary-decoded) move as a single run. A total past u32 offsets
-    /// is [`crate::Error::LimitExceeded`], before anything is reserved.
-    pub(crate) fn extend_from_views(&mut self, views: &StringViews) -> crate::Result<()> {
+    /// Appends the strings `views` point to in `pool`: one pass writing the
+    /// offsets, one reservation for the bytes, and one pass copying them, in
+    /// which views that follow each other in the pool (any block that was
+    /// not dictionary-decoded) move as a single run. A total past u32
+    /// offsets is [`crate::Error::LimitExceeded`], before anything is
+    /// reserved.
+    pub(crate) fn extend_from_views(&mut self, pool: &[u8], views: &[u64]) -> crate::Result<()> {
         let len_of = |v: u64| (v & 0xFFFF_FFFF) as usize;
         let (strings, base) = (self.offsets.len(), self.bytes.len());
         let mut end = base;
-        self.offsets.extend(views.views.iter().map(|&v| {
+        self.offsets.extend(views.iter().map(|&v| {
             end += len_of(v);
             // lint: allow(cast) a total past u32::MAX is rejected below and these offsets dropped
             end as u32
@@ -171,17 +172,17 @@ impl StringArena {
         }
         self.bytes.reserve(end - base);
         let mut run = 0..0;
-        for &v in &views.views {
+        for &v in views {
             let start = (v >> 32) as usize;
             if start != run.end {
                 // lint: allow(indexing) views invariant: every view was validated against the pool at decode time
-                self.bytes.extend_from_slice(&views.pool[run]);
+                self.bytes.extend_from_slice(&pool[run]);
                 run = start..start;
             }
             run.end += len_of(v);
         }
         // lint: allow(indexing) views invariant: every view was validated against the pool at decode time
-        self.bytes.extend_from_slice(&views.pool[run]);
+        self.bytes.extend_from_slice(&pool[run]);
         Ok(())
     }
 
@@ -295,9 +296,20 @@ impl StringViews {
     /// string decoder bounds a block to u32 offsets, so decoded views always
     /// fit; views past that bound come back as an empty arena.
     pub fn to_arena(&self) -> StringArena {
-        let mut arena = StringArena::new();
-        let _ = arena.extend_from_views(self);
-        arena
+        self.arena_of(0..self.len()).unwrap_or_else(|_| StringArena::new())
+    }
+
+    /// Strings `rows` as an arena sized for exactly them, copied as
+    /// [`to_arena`](Self::to_arena) copies: views that follow each other in
+    /// the pool move as one run. Rows past the end are
+    /// [`crate::Error::Corrupt`], a pool past u32 offsets
+    /// [`crate::Error::LimitExceeded`].
+    pub fn arena_of(&self, rows: Range<usize>) -> crate::Result<StringArena> {
+        let past_end = crate::Error::Corrupt("string rows past the block");
+        let views = self.views.get(rows).ok_or(past_end)?;
+        let mut arena = StringArena::with_capacity(views.len(), 0);
+        arena.extend_from_views(&self.pool, views)?;
+        Ok(arena)
     }
 
     /// Builds views over an arena's pool (sequential layout).
@@ -471,11 +483,37 @@ mod tests {
             views: vec![StringViews::pack(0, u32::MAX - 1), StringViews::pack(0, 16)],
         };
         assert_eq!(
-            arena.extend_from_views(&huge),
+            arena.extend_from_views(&huge.pool, &huge.views),
             Err(crate::Error::LimitExceeded("string column passes u32 offsets"))
         );
         assert_eq!(arena, StringArena::from_strs(&["ab"]), "left as it was");
         assert!(huge.to_arena().is_empty());
+    }
+
+    #[test]
+    fn arena_of_copies_exactly_its_rows() {
+        // Dictionary-style views: out of pool order, one repeated.
+        let pool = b"\0ab longer than eight".to_vec();
+        let views = StringViews {
+            views: vec![
+                StringViews::pack(3, 18),
+                StringViews::pack(0, 0),
+                StringViews::pack(0, 3),
+                StringViews::pack(0, 3),
+                StringViews::pack(3, 1),
+            ],
+            pool,
+        };
+        for start in 0..=views.len() {
+            for end in start..=views.len() {
+                let want: Vec<&[u8]> = (start..end).map(|i| views.get(i)).collect();
+                let got = views.arena_of(start..end).unwrap();
+                assert_eq!(got, StringArena::from_strs(&want), "{start}..{end}");
+                // Sized for its rows, not for the block.
+                assert!(got.bytes.capacity() <= got.total_bytes().max(8), "{start}..{end}");
+            }
+        }
+        assert_eq!(views.arena_of(2..6), Err(crate::Error::Corrupt("string rows past the block")));
     }
 
     #[test]

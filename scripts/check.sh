@@ -28,6 +28,20 @@ done
 echo "== workspace tests (fault-injection campaigns included)"
 cargo test --workspace --quiet
 
+echo "== allocation guards hold one #[test] per binary"
+# A tests/alloc_*.rs binary that installs a tracking #[global_allocator]
+# reads process-global counters: a second #[test] in it runs on a sibling
+# thread and counts its allocations into the first one's measured window.
+for guard in $(find crates tests -path '*/tests/alloc_*.rs' | sort); do
+  if grep -q '#\[global_allocator\]' "${guard}"; then
+    tests="$(grep -c '^[[:space:]]*#\[test\]' "${guard}" || true)"
+    if [ "${tests}" -gt 1 ]; then
+      echo "error: ${guard} installs a #[global_allocator] and holds ${tests} #[test]s; keep one per binary" >&2
+      exit 1
+    fi
+  fi
+done
+
 echo "== decode-path panic gate"
 DECODE_CRATES=(
   btrblocks
