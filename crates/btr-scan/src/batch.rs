@@ -90,37 +90,16 @@ pub fn gather_rows(decoded: &DecodedColumn, indices: &[u32]) -> ColumnData {
 /// reported as corruption rather than panicking). Strings move as one run of
 /// bytes.
 pub fn append(dst: &mut ColumnData, src: &ColumnData) -> Result<()> {
-    extend_run(dst, src, 0..src.len())
-}
-
-/// Appends rows `rows` of `src` onto `dst`: one `extend_from_slice`, or for
-/// strings one [`StringArena::extend_from_range`] run behind the 4 GiB
-/// check. A type mismatch or rows past `src`'s end are reported as
-/// corruption.
-fn extend_run(dst: &mut ColumnData, src: &ColumnData, rows: Range<usize>) -> Result<()> {
     match (dst, src) {
-        (ColumnData::Int(d), ColumnData::Int(s)) => {
-            d.extend_from_slice(s.get(rows).ok_or_else(past_end)?);
-        }
-        (ColumnData::Double(d), ColumnData::Double(s)) => {
-            d.extend_from_slice(s.get(rows).ok_or_else(past_end)?);
-        }
+        (ColumnData::Int(d), ColumnData::Int(s)) => d.extend_from_slice(s),
+        (ColumnData::Double(d), ColumnData::Double(s)) => d.extend_from_slice(s),
         (ColumnData::Str(d), ColumnData::Str(s)) => {
-            check_pool_bytes(d.total_bytes(), run_bytes(s, rows.clone())?)?;
-            d.extend_from_range(s, rows);
+            check_pool_bytes(d.total_bytes(), s.total_bytes())?;
+            d.extend_from_range(s, 0..s.len());
         }
         _ => return Err(corrupt("column type changed between blocks")),
     }
     Ok(())
-}
-
-/// Pool bytes of strings `rows` of `arena`.
-fn run_bytes(arena: &StringArena, rows: Range<usize>) -> Result<usize> {
-    match arena.offsets.get(rows.start..=rows.end) {
-        Some([first, .., last]) => Ok(last.saturating_sub(*first) as usize),
-        Some([_]) => Ok(0),
-        _ => Err(past_end()),
-    }
 }
 
 fn past_end() -> ScanError {
