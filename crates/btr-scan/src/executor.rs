@@ -478,7 +478,6 @@ impl ExecutorHandle {
     pub fn start(&self, job: ScanJob, names: Vec<String>, batch_rows: usize) -> Result<Scan> {
         let enqueued = job.initial_window().0 as usize;
         let mut record = job.0;
-        let batch_rows = batch_rows.max(1);
         if let Work::Rows { batch_rows: cap } = &mut record.work {
             *cap = batch_rows;
         }
