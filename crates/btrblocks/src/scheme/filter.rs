@@ -507,6 +507,236 @@ mod tests {
         }
     }
 
+    /// A value type of the kernel differential.
+    trait Probe: PartialOrd + Clone + std::fmt::Debug {
+        fn literal(&self) -> Literal;
+        fn compress(code: SchemeCode, values: &[Self], cfg: &Config) -> Vec<u8>;
+    }
+
+    impl Probe for i32 {
+        fn literal(&self) -> Literal {
+            Literal::Int(*self)
+        }
+        fn compress(code: SchemeCode, values: &[i32], cfg: &Config) -> Vec<u8> {
+            compress_block_with(code, BlockRef::Int(values), cfg)
+        }
+    }
+
+    impl Probe for f64 {
+        fn literal(&self) -> Literal {
+            Literal::Double(*self)
+        }
+        fn compress(code: SchemeCode, values: &[f64], cfg: &Config) -> Vec<u8> {
+            compress_block_with(code, BlockRef::Double(values), cfg)
+        }
+    }
+
+    impl Probe for Vec<u8> {
+        fn literal(&self) -> Literal {
+            Literal::Str(self.clone())
+        }
+        fn compress(code: SchemeCode, values: &[Vec<u8>], cfg: &Config) -> Vec<u8> {
+            compress_block_with(code, BlockRef::Str(&StringArena::from_strs(values)), cfg)
+        }
+    }
+
+    /// The containers a scheme's answer must be built from: `Exact` is what
+    /// `from_sorted_iter` builds over the naive loop's positions, `Runs` the
+    /// maximal ranges of those positions as run containers (a kernel that
+    /// answers a run at a time), `Values` only the positions.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Form {
+        Exact,
+        Runs,
+        Values,
+    }
+
+    const ALL_OPS: [CmpOp; 5] = [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+
+    fn assert_form(got: &RoaringBitmap, positions: &[u32], form: Form, what: &str) {
+        let exact = RoaringBitmap::from_sorted_iter(positions.iter().copied());
+        match form {
+            Form::Exact => assert_eq!(got, &exact, "{what}"),
+            Form::Runs => {
+                let mut ranges: Vec<std::ops::Range<u32>> = Vec::new();
+                for &p in positions {
+                    match ranges.last_mut() {
+                        Some(r) if r.end == p => r.end += 1,
+                        _ => ranges.push(p..p + 1),
+                    }
+                }
+                assert_eq!(got, &RoaringBitmap::from_sorted_ranges(ranges), "{what}");
+            }
+            Form::Values => {
+                assert!(got.iter().eq(positions.iter().copied()), "{what}");
+                assert_eq!(got.cardinality(), exact.cardinality(), "{what}");
+            }
+        }
+    }
+
+    /// `(operator, literal, the naive row loop's matching positions)` for
+    /// every operator and literal.
+    type Cases = Vec<(CmpOp, Literal, Vec<u32>)>;
+
+    fn naive_cases<T: Probe>(values: &[T], literals: &[T]) -> Cases {
+        let mut cases = Vec::new();
+        for op in ALL_OPS {
+            for lit in literals {
+                let positions = (0u32..)
+                    .zip(values)
+                    .filter_map(|(i, v)| op.matches(v, lit).then_some(i))
+                    .collect();
+                cases.push((op, lit.literal(), positions));
+            }
+        }
+        cases
+    }
+
+    /// One forced block against the naive cases: a kernel scheme must answer
+    /// in the compressed domain, a decoded-path scheme must not, and
+    /// `filter_block` must agree with both.
+    fn probe_block<T: Probe>(
+        ty: ColumnType,
+        code: SchemeCode,
+        form: Option<Form>,
+        values: &[T],
+        cases: &Cases,
+    ) {
+        use crate::block::decompress_block;
+        let cfg = Config::default();
+        let bytes = T::compress(code, values, &cfg);
+        assert_eq!(bytes[0], code.as_u8(), "{ty:?} {code:?} was not forced");
+        let decoded = form.is_none().then(|| decompress_block(&bytes, ty, &cfg).unwrap());
+        for (i, (op, lit, positions)) in cases.iter().enumerate() {
+            let what = format!("{ty:?} {code:?} len {} {op:?} {lit:?}", values.len());
+            let kernel = filter_compressed(&bytes, ty, *op, lit, &cfg).unwrap();
+            assert_eq!(kernel.is_some(), form.is_some(), "{what}: kernel or not");
+            let got = match (kernel, &decoded) {
+                (Some(got), _) => got,
+                (None, Some(decoded)) => filter_decoded(decoded, *op, lit).unwrap(),
+                (None, None) => unreachable!("a kernel scheme answered above"),
+            };
+            assert_form(&got, positions, form.unwrap_or(Form::Exact), &what);
+            if i == 0 {
+                let total = filter_block(&bytes, ty, *op, lit, &cfg).unwrap();
+                assert_eq!(total, got, "{what}: filter_block");
+            }
+        }
+    }
+
+    /// The kernel differential for one value type. `sorted` ascends; a
+    /// block marks `k` rows with its lowest (or highest) value and gives the
+    /// others the remaining values and `unmarked_only` in runs of three, so
+    /// `Eq`, `Le` and `Lt` against the neighbour (or `Ge`, and `Gt` against
+    /// the neighbour) match exactly the `k` marked rows.
+    fn differential<T: Probe>(
+        ty: ColumnType,
+        sorted: &[T],
+        unmarked_only: &[T],
+        extra_literals: &[T],
+        kernels: &[(SchemeCode, Form)],
+        decoded: &[SchemeCode],
+    ) {
+        for len in [1usize, 63, 64, 65, 4_097, 64_000] {
+            let mut counts = vec![0, 1, 4_096, 4_097, len - 1, len];
+            counts.retain(|&k| k <= len);
+            counts.sort_unstable();
+            counts.dedup();
+            for k in counts {
+                for high in [false, true] {
+                    let last = sorted.len() - 1;
+                    let (mark, neighbour) = if high { (last, last - 1) } else { (0, 1) };
+                    let others: Vec<T> = (sorted.iter().enumerate())
+                        .filter(|&(i, _)| i != mark)
+                        .map(|(_, v)| v.clone())
+                        .chain(unmarked_only.iter().cloned())
+                        .collect();
+                    // Low marks scatter (hash order); high marks cluster in
+                    // one range mid-block.
+                    let mut marked = vec![false; len];
+                    if high {
+                        let start = (len - k) / 2;
+                        marked[start..start + k].iter_mut().for_each(|m| *m = true);
+                    } else {
+                        let mut order: Vec<usize> = (0..len).collect();
+                        order.sort_by_key(|&r| (r as u32).wrapping_mul(0x9E37_79B9).rotate_left(13));
+                        order[..k].iter().for_each(|&r| marked[r] = true);
+                    }
+                    let values: Vec<T> = (0..len)
+                        .map(|i| match marked[i] {
+                            true => sorted[mark].clone(),
+                            false => others[(i / 3) % others.len()].clone(),
+                        })
+                        .collect();
+                    let mut literals = vec![sorted[mark].clone(), sorted[neighbour].clone()];
+                    literals.extend(extra_literals.iter().cloned());
+                    let cases = naive_cases(&values, &literals);
+                    for &(code, form) in kernels {
+                        probe_block(ty, code, Some(form), &values, &cases);
+                    }
+                    for &code in decoded {
+                        probe_block(ty, code, None, &values, &cases);
+                    }
+                }
+            }
+            // OneValue needs a constant block.
+            for v in sorted.iter().chain(unmarked_only).take(2).chain(unmarked_only) {
+                let values = vec![v.clone(); len];
+                let mut literals = vec![sorted[0].clone(), sorted[1].clone()];
+                literals.extend(extra_literals.iter().cloned());
+                let cases = naive_cases(&values, &literals);
+                probe_block(ty, SchemeCode::OneValue, Some(Form::Exact), &values, &cases);
+            }
+        }
+    }
+
+    const KERNELS: [(SchemeCode, Form); 3] = [
+        (SchemeCode::Rle, Form::Runs),
+        (SchemeCode::Dict, Form::Exact),
+        (SchemeCode::Frequency, Form::Values),
+    ];
+
+    #[test]
+    fn int_kernels_match_a_naive_row_loop() {
+        use SchemeCode::*;
+        differential(
+            ColumnType::Integer,
+            &[-1_000_000, -5, 0, 7, 1 << 30],
+            &[],
+            &[],
+            &KERNELS,
+            &[Uncompressed, FastBp128, FastPfor],
+        );
+    }
+
+    #[test]
+    fn double_kernels_match_a_naive_row_loop() {
+        use SchemeCode::*;
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        differential(
+            ColumnType::Double,
+            &[-inf, -2.5, -0.0, 0.0, 2.5, inf],
+            &[nan],
+            &[nan, 0.0],
+            &KERNELS,
+            &[Uncompressed, Pseudodecimal],
+        );
+    }
+
+    #[test]
+    fn string_kernels_match_a_naive_row_loop() {
+        use SchemeCode::*;
+        let strs: [&[u8]; 5] = [b"", b"\0", b"\0\0x", b"abc", b"abcdefghijkl"];
+        differential(
+            ColumnType::String,
+            &strs.map(<[u8]>::to_vec),
+            &[],
+            &[b"\0\0".to_vec()],
+            &[],
+            &[Uncompressed, Dict, DictFsst, Fsst],
+        );
+    }
+
     #[test]
     fn frequency_fast_path_with_matching_top() {
         // Top value matches the predicate; exceptions partially do.
