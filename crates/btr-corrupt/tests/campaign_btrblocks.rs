@@ -115,14 +115,19 @@ fn raw_blocks_never_panic_or_diverge_under_mutation() {
     // data (nothing checksums a bare block), so the bar is panic-freedom,
     // bounded allocation, and agreement: the filter rejects exactly the
     // blocks the decoder rejects and otherwise selects the rows the decoded
-    // block selects.
+    // block selects. The numeric predicates are two-leaf ranges, one
+    // kernel pass per block.
     let mut rng = Xorshift::new(0xB1);
     let cfg = cfg_at_depth(3);
     let mut total = 0;
-    for (label, rel, op, literal) in [
-        ("int blocks", int_relation(&mut rng), CmpOp::Lt, Literal::Int(0)),
-        ("double blocks", double_relation(&mut rng), CmpOp::Ge, Literal::Double(250.0)),
-        ("string blocks", string_relation(&mut rng), CmpOp::Eq, Literal::Str(b"QUEENS".to_vec())),
+    let int_range = vec![(CmpOp::Lt, Literal::Int(0)), (CmpOp::Ge, Literal::Int(-5))];
+    let double_range =
+        vec![(CmpOp::Ge, Literal::Double(250.0)), (CmpOp::Lt, Literal::Double(400.0))];
+    let queens = vec![(CmpOp::Eq, Literal::Str(b"QUEENS".to_vec()))];
+    for (label, rel, leaves) in [
+        ("int blocks", int_relation(&mut rng), int_range),
+        ("double blocks", double_relation(&mut rng), double_range),
+        ("string blocks", string_relation(&mut rng), queens),
     ] {
         let column = &btrblocks::compress(&rel, &cfg).unwrap().columns[0];
         let ty = column.column_type;
@@ -132,11 +137,11 @@ fn raw_blocks_never_panic_or_diverge_under_mutation() {
             let campaign = CampaignConfig { seed: 0x4000, ..CampaignConfig::default() };
             let report = run(block, &campaign, |mutated| {
                 let decode = decompress_block_into(mutated, ty, &cfg, &mut scratch, &mut decoded);
-                let filtered = filter_block(mutated, ty, op, &literal, &cfg);
+                let filtered = filter_block(mutated, ty, &leaves, &cfg);
                 match (decode, filtered) {
                     (Err(_), Err(_)) => Verdict::Error,
                     (Ok(()), Ok(rows)) => {
-                        let expected = filter_decoded(&decoded, op, &literal).unwrap();
+                        let expected = filter_decoded(&decoded, &leaves, &scratch).unwrap();
                         if rows.iter().eq(expected.iter()) {
                             Verdict::Clean
                         } else {

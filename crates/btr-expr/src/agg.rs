@@ -659,7 +659,7 @@ mod tests {
         let col = DecodedColumn::Str(btrblocks::StringViews::from_arena(&arena));
         let mut min = AggState::new(AggKind::Min, ColumnType::String).unwrap();
         let mut max = AggState::new(AggKind::Max, ColumnType::String).unwrap();
-        let sel = Selection::from_sorted_indices(4, vec![0, 2, 3]);
+        let sel = Selection::from_bitmap(4, btr_roaring::RoaringBitmap::from_sorted_iter([0, 2, 3]));
         min.fold_decoded(&col, Some(&sel)).unwrap();
         max.fold_decoded(&col, Some(&sel)).unwrap();
         assert_eq!(min.value(), AggValue::MinStr(Some(b"fig".to_vec())));

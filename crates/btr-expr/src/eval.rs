@@ -1,11 +1,14 @@
 //! Vectorized evaluation: leaf kernels and the general row-wise kernel.
 //!
-//! [`filter_leaf`] is the *single* fast-path ladder for `column op literal`
-//! conjuncts. Every caller — the scan pipeline's worker loop, the scan
-//! service, benches — goes through it, so the decision "compressed-domain
-//! fast path vs decode-then-filter" cannot drift between layers:
+//! [`filter_leaves`] is the *single* fast-path ladder for `column op
+//! literal` conjuncts: it evaluates the AND of one column's leaves in one
+//! kernel call, and [`filter_leaf`] is its one-leaf case. Every caller — the
+//! scan pipeline's worker loop, the scan service, benches — goes through it,
+//! so the decision "compressed-domain fast path vs decode-then-filter"
+//! cannot drift between layers:
 //!
-//! * decoded input → `filter_decoded` (the cache-hit path);
+//! * decoded input → `filter_decoded` (the cache-hit path), one walk over
+//!   the block for all the leaves;
 //! * compressed input → `filter_compressed`, the kernels, which evaluate
 //!   without materializing the block;
 //! * a block they have no kernel for → [`LeafVerdict::NeedsDecode`]: the
@@ -15,14 +18,15 @@
 //! [`eval_predicate`] handles general conjuncts: it gathers the candidate
 //! rows (the selection produced by the conjuncts evaluated so far — late
 //! materialization applies to predicate work too), evaluates the bound tree
-//! column-at-a-time over those rows, and returns the narrowed selection.
+//! column-at-a-time over those rows, and returns the narrowed selection,
+//! built from verdict words like every leaf kernel's answer.
 //! Semantics are pinned: `i32` arithmetic wraps, doubles are IEEE 754, NaN
 //! never satisfies any comparison, boolean logic is two-valued.
 
 use crate::plan::{ArithOp, BoundExpr, ExprError, ValueType};
 use crate::selection::Selection;
 use btrblocks::{
-    filter_compressed, filter_decoded, CmpOp, ColumnType, Config, DecodedColumn, Literal,
+    filter_compressed, filter_decoded, CmpOp, ColumnType, Config, DecodedColumn, Literal, Scratch,
     StringViews,
 };
 use btr_roaring::RoaringBitmap;
@@ -58,20 +62,31 @@ pub enum LeafVerdict {
     NeedsDecode,
 }
 
-/// Evaluates a `column op literal` leaf over one block. See the module docs
-/// for the ladder this collapses.
+/// Evaluates a `column op literal` leaf over one block: [`filter_leaves`]
+/// with one leaf and a scratch of its own.
 pub fn filter_leaf(
     input: LeafInput<'_>,
     op: CmpOp,
     literal: &Literal,
 ) -> btrblocks::Result<LeafVerdict> {
+    filter_leaves(input, &[(op, literal.clone())], &Scratch::new())
+}
+
+/// Evaluates the AND of one column's leaves over one block in one kernel
+/// call, leasing temporaries from `scratch`. See the module docs for the
+/// ladder this collapses.
+pub fn filter_leaves(
+    input: LeafInput<'_>,
+    leaves: &[(CmpOp, Literal)],
+    scratch: &Scratch,
+) -> btrblocks::Result<LeafVerdict> {
     match input {
         LeafInput::Decoded(col) => Ok(LeafVerdict::Selected {
-            rows: filter_decoded(col, op, literal)?,
+            rows: filter_decoded(col, leaves, scratch)?,
             compressed_domain: false,
         }),
         LeafInput::Compressed { bytes, ty, config } => {
-            Ok(match filter_compressed(bytes, ty, op, literal, config)? {
+            Ok(match filter_compressed(bytes, ty, leaves, config, scratch)? {
                 Some(rows) => LeafVerdict::Selected {
                     rows,
                     compressed_domain: true,
@@ -116,13 +131,14 @@ pub fn eval_predicate(
     let Vals::Bool(verdicts) = eval_vals(expr, cols, &rows)? else {
         return Err(ExprError::NotBoolean);
     };
-    let kept: Vec<u32> = rows
-        .iter()
-        .copied()
-        .zip(verdicts)
-        .filter_map(|(r, keep)| keep.then_some(r))
-        .collect();
-    Ok(Selection::from_sorted_indices(candidates.rows(), kept))
+    let mut words = vec![0u64; candidates.rows().div_ceil(64) as usize];
+    for (&r, keep) in rows.iter().zip(verdicts) {
+        if let Some(w) = words.get_mut(r as usize / 64) {
+            *w |= u64::from(keep) << (r % 64);
+        }
+    }
+    let bitmap = RoaringBitmap::from_words(&words);
+    Ok(Selection::from_bitmap(candidates.rows(), bitmap))
 }
 
 /// Column-at-a-time values for the gathered candidate rows.
@@ -380,7 +396,7 @@ mod tests {
             }),
             rhs: Box::new(BoundExpr::Lit(Literal::Int(2))),
         };
-        let candidates = Selection::from_sorted_indices(4, vec![0, 3]);
+        let candidates = Selection::from_bitmap(4, RoaringBitmap::from_sorted_iter([0, 3]));
         let got = eval_predicate(&bound, &cols(), &candidates).unwrap();
         assert_eq!(got.iter().collect::<Vec<_>>(), vec![3]);
     }

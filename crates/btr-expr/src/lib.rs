@@ -21,9 +21,10 @@
 //!   conjunct classified as a *leaf* (single `column op literal`, eligible
 //!   for zone pruning and compressed-domain evaluation) or *general*
 //!   (vectorized row-wise kernel over the candidate selection).
-//! * [`filter_leaf`] — the one fast-path ladder shared by every caller:
-//!   decoded input runs `filter_decoded`, compressed input runs
-//!   `filter_compressed`, and a block it has no kernel for reports
+//! * [`filter_leaves`] — the one fast-path ladder shared by every caller,
+//!   one kernel call for all of a column's leaves ([`filter_leaf`] is the
+//!   one-leaf case): decoded input runs `filter_decoded`, compressed input
+//!   runs `filter_compressed`, and a block it has no kernel for reports
 //!   [`LeafVerdict::NeedsDecode`].
 //! * [`AggState`] — aggregate pushdown: `COUNT`/`MIN`/`MAX` answered from
 //!   zone maps, `SUM` from one-value/RLE compressed domains, everything
@@ -41,7 +42,7 @@ pub mod plan;
 pub mod selection;
 
 pub use agg::{AggKind, AggState, AggValue, Aggregate};
-pub use eval::{eval_predicate, filter_leaf, ColumnAccess, LeafInput, LeafVerdict};
+pub use eval::{eval_predicate, filter_leaf, filter_leaves, ColumnAccess, LeafInput, LeafVerdict};
 pub use expr::{col, lit, Expr};
 pub use plan::{
     ArithOp, BoundExpr, Conjunct, ConjunctKind, ExprError, ExprPlan, ValueType, ZoneVerdict,

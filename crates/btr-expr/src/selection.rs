@@ -47,12 +47,6 @@ impl Selection {
         }
     }
 
-    /// Builds from a sorted, duplicate-free list of positions below `rows`.
-    pub fn from_sorted_indices(rows: u32, indices: Vec<u32>) -> Selection {
-        let card = u32::try_from(indices.len()).unwrap_or(u32::MAX);
-        Selection::counted(rows, RoaringBitmap::from_sorted_iter(indices), card)
-    }
-
     fn counted(rows: u32, bitmap: RoaringBitmap, card: u32) -> Selection {
         Selection {
             rows,
@@ -174,14 +168,18 @@ mod tests {
             let sel = match d {
                 0 => Selection::none(rows),
                 _ if d == rows => Selection::all(rows),
-                _ if i % 2 == 0 => Selection::from_sorted_indices(rows, picked),
+                _ if i % 2 == 0 => {
+                    let mut words = vec![0u64; rows.div_ceil(64) as usize];
+                    picked.iter().for_each(|&r| words[r as usize / 64] |= 1 << (r % 64));
+                    Selection::from_bitmap(rows, RoaringBitmap::from_words(&words))
+                }
                 _ => Selection::from_bitmap(rows, RoaringBitmap::from_sorted_iter(picked)),
             };
             out.push((sel, model));
             let start = (rows - d) / 2;
             let model: BTreeSet<u32> = (start..start + d).collect();
             let sel = match d {
-                0 => Selection::from_sorted_indices(rows, Vec::new()),
+                0 => Selection::from_bitmap(rows, RoaringBitmap::new()),
                 _ => Selection::from_bitmap(
                     rows,
                     RoaringBitmap::from_sorted_ranges(std::iter::once(start..start + d)),

@@ -14,6 +14,7 @@
 //! not depend on clean scratch state.
 
 use btr_corrupt::Xorshift;
+use btr_roaring::RoaringBitmap;
 use btr_expr::{
     col, eval_predicate, filter_leaf, lit, AggKind, AggState, AggValue, ConjunctKind, Expr,
     ExprPlan, LeafInput, LeafVerdict, Selection, ZoneVerdict,
@@ -550,7 +551,7 @@ fn aggregate_ladder_matches_naive_fold() {
                 let n = (BLOCK.min(ROWS - start)) as u32;
                 let picked: Vec<u32> = (0..n).filter(|_| rng.gen_bool(0.4)).collect();
                 sel_rows.extend(picked.iter().map(|&r| start + r as usize));
-                let sel = Selection::from_sorted_indices(n, picked);
+                let sel = Selection::from_bitmap(n, RoaringBitmap::from_sorted_iter(picked));
                 // A COUNT may be answered from the selection alone.
                 if rng.gen_bool(0.5) && sel_state.fold_count(u64::from(sel.cardinality())) {
                     continue;

@@ -226,21 +226,33 @@ impl Container {
             }
             (a, b) => {
                 let (wa, wb) = (a.words(), b.words());
-                let mut words = Box::new([0u64; BITMAP_WORDS]);
+                let mut words = [0u64; BITMAP_WORDS];
                 let mut card = 0usize;
                 for ((w, x), y) in words.iter_mut().zip(wa.iter()).zip(wb.iter()) {
                     *w = x & y;
                     card += w.count_ones() as usize;
                 }
-                match card {
-                    0 => None,
-                    1..=ARRAY_MAX => {
-                        let mut lows = Vec::with_capacity(card);
-                        lows.extend(set_bits(words.as_slice()));
-                        Some(Container::Array(lows))
-                    }
-                    _ => Some(Container::Bitmap(words)),
-                }
+                Container::from_words(&words, card)
+            }
+        }
+    }
+
+    /// The container of one chunk given as up to 1,024 words (missing words
+    /// read as zero) holding `card` set bits, `None` when empty: an Array at
+    /// 4,096 values or fewer and a Bitmap above, as
+    /// [`Container::from_sorted_lows`] decides.
+    pub(crate) fn from_words(words: &[u64], card: usize) -> Option<Container> {
+        match card {
+            0 => None,
+            1..=ARRAY_MAX => {
+                let mut lows = Vec::with_capacity(card);
+                lows.extend(set_bits(words));
+                Some(Container::Array(lows))
+            }
+            _ => {
+                let mut bitmap = Box::new([0u64; BITMAP_WORDS]);
+                bitmap.iter_mut().zip(words).for_each(|(w, &x)| *w = x);
+                Some(Container::Bitmap(bitmap))
             }
         }
     }

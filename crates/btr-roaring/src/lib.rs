@@ -14,9 +14,10 @@
 //! BtrBlocks uses Roaring bitmaps for per-column NULL tracking and for the
 //! exception positions of Frequency and Pseudodecimal encoding, and btr-expr
 //! for selection vectors, so this crate provides exactly the operations
-//! those call sites need: building from sorted positions, membership tests,
-//! iteration, rank, intersection, and a compact serialization. There is no
-//! union: OR is evaluated on boolean vectors, never on bitmaps.
+//! those call sites need: building from sorted positions or packed bits,
+//! membership tests, iteration, rank, intersection, and a compact
+//! serialization. There is no union: OR is evaluated on boolean vectors,
+//! never on bitmaps.
 //!
 //! [`RoaringBitmap::intersection`] is the workspace's one bitmap AND; like
 //! CRoaring's, it works one container pair at a time
@@ -76,6 +77,22 @@ impl RoaringBitmap {
         // lint: allow(indexing) windows(2) yields exactly 2 elements
         debug_assert!(bm.chunks.windows(2).all(|w| w[0].0 < w[1].0));
         bm
+    }
+
+    /// Builds a bitmap from packed bits: bit `i % 64` of `words[i / 64]` set
+    /// means value `i` is present. Yields exactly the Array and Bitmap
+    /// containers [`RoaringBitmap::from_sorted_iter`] builds over the same
+    /// values, one 1,024-word chunk at a time, without listing them first.
+    /// Bits past `u32::MAX` are ignored.
+    pub fn from_words(words: &[u64]) -> Self {
+        let chunks = (0..=u16::MAX).zip(words.chunks(container::BITMAP_WORDS));
+        let chunks = chunks.filter_map(|(key, chunk)| {
+            let card = chunk.iter().map(|w| w.count_ones() as usize).sum();
+            Some((key, Container::from_words(chunk, card)?))
+        });
+        RoaringBitmap {
+            chunks: chunks.collect(),
+        }
     }
 
     /// Builds a bitmap from non-overlapping, strictly increasing,
@@ -355,6 +372,31 @@ mod tests {
         let b: RoaringBitmap = values.iter().copied().collect();
         assert_eq!(a, b);
         assert_eq!(a.iter().collect::<Vec<_>>(), values);
+    }
+
+    #[test]
+    fn from_words_builds_the_containers_from_sorted_iter_builds() {
+        // Per chunk: empty, one value, 4,096 (the last Array), 4,097 (the
+        // first Bitmap), full, and a partial last word.
+        let chunk = |k: u32| k << 16;
+        let values: Vec<u32> = std::iter::empty()
+            .chain([chunk(1) + 65_535])
+            .chain((0..4_096).map(|i| chunk(2) + i * 16))
+            .chain((0..4_097).map(|i| chunk(3) + i * 15))
+            .chain((0..65_536).map(|i| chunk(4) + i))
+            .chain([chunk(5), chunk(5) + 63, chunk(5) + 64, chunk(5) + 70])
+            .collect();
+        let mut words = vec![0u64; (chunk(5) as usize + 71).div_ceil(64)];
+        for &v in &values {
+            words[v as usize / 64] |= 1 << (v % 64);
+        }
+        let got = RoaringBitmap::from_words(&words);
+        assert_eq!(got, RoaringBitmap::from_sorted_iter(values.iter().copied()));
+        let bitmaps = got.chunks().iter().map(|(k, c)| (*k, matches!(c, Container::Bitmap(_))));
+        let bitmaps: Vec<_> = bitmaps.collect();
+        assert_eq!(bitmaps, [(1, false), (2, false), (3, true), (4, true), (5, false)]);
+        assert_eq!(RoaringBitmap::from_words(&[]), RoaringBitmap::new());
+        assert_eq!(RoaringBitmap::from_words(&[0; 3_000]), RoaringBitmap::new());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! NULL positions hold neutral values: the planner's zone-map pruning
 //! ([`crate::plan::plan_scan`]) and the leaf kernels
-//! ([`btr_expr::filter_leaf`]) treat them like any other value (SQL
+//! ([`btr_expr::filter_leaves`]) treat them like any other value (SQL
 //! three-valued logic is future work).
 //!
 //! Each scan carries a [`crate::retry::Tolerance`] (deadline + retry

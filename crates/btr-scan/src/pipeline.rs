@@ -40,7 +40,7 @@ use crate::retry::{BreakerState, FetchCtl};
 use crate::source::BlockSource;
 use crate::{Result, ScanError};
 use btr_expr::{
-    eval_predicate, filter_leaf, AggState, ColumnAccess, ConjunctKind, ExprError, ExprPlan,
+    eval_predicate, filter_leaves, AggState, BoundExpr, ColumnAccess, ConjunctKind, ExprError,
     LeafInput, LeafVerdict, Selection,
 };
 use btr_roaring::RoaringBitmap;
@@ -59,19 +59,61 @@ use std::time::Instant;
 const CACHE_PRESSURE_BYPASS: f64 = 0.9;
 
 /// The compiled filter a pipeline evaluates per row group: the conjunct plan
-/// plus the planner's per-block always-true masks, both shared so service
-/// pipelines stay cheap to clone.
+/// as steps plus the planner's per-block always-true masks, both shared so
+/// service pipelines stay cheap to clone.
 #[derive(Clone)]
 pub struct PipelineFilter {
-    plan: Arc<ExprPlan>,
+    /// The conjuncts in evaluation order: each column's leaves as one step
+    /// where the column first appears, each general conjunct in place.
+    steps: Arc<Vec<FilterStep>>,
     /// Block index → bitmask of conjuncts zone maps proved always-true.
     always_true: Arc<HashMap<u32, u64>>,
+}
+
+/// One step of a row group's filter.
+enum FilterStep {
+    /// All leaf conjuncts on `column`, evaluated in one kernel call.
+    Leaves {
+        column: usize,
+        /// The conjunct index of each leaf, parallel to `leaves`.
+        conjuncts: Vec<usize>,
+        leaves: Vec<(CmpOp, Literal)>,
+    },
+    /// The general conjunct at index `conjunct`.
+    General {
+        conjunct: usize,
+        expr: BoundExpr,
+        columns: Vec<usize>,
+    },
 }
 
 impl PipelineFilter {
     /// Extracts the filter a [`ScanPlan`] compiled, if any.
     pub fn from_plan(plan: &ScanPlan) -> Option<PipelineFilter> {
-        let expr = plan.filter.clone()?;
+        let expr = plan.filter.as_ref()?;
+        let mut steps: Vec<FilterStep> = Vec::new();
+        for (ci, conjunct) in expr.conjuncts.iter().enumerate() {
+            let step = match &conjunct.kind {
+                ConjunctKind::General(bound) => FilterStep::General {
+                    conjunct: ci,
+                    expr: bound.clone(),
+                    columns: conjunct.columns.clone(),
+                },
+                ConjunctKind::Leaf { column, op, literal, .. } => {
+                    let leaf = (*op, literal.clone());
+                    let group = steps.iter_mut().find(|step| {
+                        matches!(step, FilterStep::Leaves { column: c, .. } if c == column)
+                    });
+                    if let Some(FilterStep::Leaves { conjuncts, leaves, .. }) = group {
+                        conjuncts.push(ci);
+                        leaves.push(leaf);
+                        continue;
+                    }
+                    FilterStep::Leaves { column: *column, conjuncts: vec![ci], leaves: vec![leaf] }
+                }
+            };
+            steps.push(step);
+        }
         let always_true = plan
             .row_groups
             .iter()
@@ -79,7 +121,7 @@ impl PipelineFilter {
             .map(|(g, &m)| (g.block, m))
             .collect();
         Some(PipelineFilter {
-            plan: Arc::new(expr),
+            steps: Arc::new(steps),
             always_true: Arc::new(always_true),
         })
     }
@@ -558,15 +600,15 @@ impl BlockPipeline {
         }
     }
 
-    /// Evaluates one leaf conjunct (`column op literal`) over a row group:
-    /// in the compressed domain when the group holds the block's bytes and
-    /// its scheme has a kernel, over the decoded block otherwise.
-    fn eval_leaf(
+    /// Evaluates the AND of one column's leaf conjuncts over a row group in
+    /// one kernel call: in the compressed domain when the group holds the
+    /// block's bytes and its scheme has a kernel, over the decoded block
+    /// otherwise.
+    fn eval_leaves(
         &self,
         set: &mut WorkingSet,
         idx: usize,
-        op: CmpOp,
-        literal: &Literal,
+        leaves: &[(CmpOp, Literal)],
         scratch: &mut Scratch,
     ) -> Result<RoaringBitmap> {
         if let Slot::Bytes(bytes) = self.resolve(set, idx, false, scratch)? {
@@ -576,20 +618,23 @@ impl BlockPipeline {
                 ty: self.column_types[idx],
                 config: &self.config,
             };
-            if let LeafVerdict::Selected { rows, .. } = filter_leaf(input, op, literal)? {
-                self.counters.pushdown.fetch_add(1, Ordering::Relaxed); // ordering: statistics counter
+            if let LeafVerdict::Selected { rows, .. } = filter_leaves(input, leaves, scratch)? {
+                let answered = leaves.len() as u64;
+                self.counters.pushdown.fetch_add(answered, Ordering::Relaxed); // ordering: statistics counter
                 return Ok(rows);
             }
         }
         let decoded = self.resolve_decoded(set, idx, scratch)?;
-        Ok(filter_decoded(&decoded, op, literal)?)
+        Ok(filter_decoded(&decoded, leaves, scratch)?)
     }
 
-    /// Evaluates the pipeline's filter over one row group: conjuncts the
-    /// planner proved always-true for this block are skipped, leaves run in
-    /// the compressed domain when possible, general conjuncts run the
-    /// vectorized kernel over the rows still selected. `Ok(None)` means
-    /// every row survives (no filter, or all conjuncts masked).
+    /// Evaluates the pipeline's filter over one row group, one step at a
+    /// time: conjuncts the planner proved always-true for this block are
+    /// skipped, each column's remaining leaves run as one kernel call (in
+    /// the compressed domain when possible), general conjuncts run the
+    /// vectorized kernel over the rows still selected. Evaluation stops at
+    /// an empty selection. `Ok(None)` means every row survives (no filter,
+    /// or all conjuncts masked).
     fn filter_selection(
         &self,
         set: &mut WorkingSet,
@@ -600,27 +645,34 @@ impl BlockPipeline {
         };
         let group = set.group;
         let mask = filter.always_true.get(&group.block).copied().unwrap_or(0);
+        let masked = |ci: usize| ci < 64 && mask & (1u64 << ci) != 0;
         let mut selection: Option<Selection> = None;
-        for (ci, conjunct) in filter.plan.conjuncts.iter().enumerate() {
-            if ci < 64 && mask & (1u64 << ci) != 0 {
-                continue;
-            }
-            match &conjunct.kind {
-                ConjunctKind::Leaf {
-                    column,
-                    op,
-                    literal,
-                    ..
-                } => {
-                    let rows = self.eval_leaf(set, *column, *op, literal, scratch)?;
+        for step in filter.steps.iter() {
+            match step {
+                FilterStep::Leaves { column, conjuncts, leaves } => {
+                    let rows = if conjuncts.iter().any(|&ci| masked(ci)) {
+                        let unmasked: Vec<(CmpOp, Literal)> = (conjuncts.iter().zip(leaves))
+                            .filter(|&(&ci, _)| !masked(ci))
+                            .map(|(_, leaf)| leaf.clone())
+                            .collect();
+                        if unmasked.is_empty() {
+                            continue;
+                        }
+                        self.eval_leaves(set, *column, &unmasked, scratch)?
+                    } else {
+                        self.eval_leaves(set, *column, leaves, scratch)?
+                    };
                     let leaf_sel = Selection::from_bitmap(group.rows, rows);
                     selection = Some(match selection {
                         Some(cur) => cur.intersect(&leaf_sel),
                         None => leaf_sel,
                     });
                 }
-                ConjunctKind::General(expr) => {
-                    for &idx in &conjunct.columns {
+                FilterStep::General { conjunct, expr, columns } => {
+                    if masked(*conjunct) {
+                        continue;
+                    }
+                    for &idx in columns {
                         self.resolve(set, idx, true, scratch)?;
                     }
                     let candidates = selection

@@ -3,17 +3,22 @@
 //! The paper's related-work discussion (§7) notes that while BtrBlocks
 //! optimizes for raw decompression speed, it "can, in principle, also support
 //! processing compressed data if the used schemes support it". This module
-//! implements that extension. [`filter_compressed`] holds the kernels and is
-//! the one place their set is declared; it answers, without materializing
-//! the block:
+//! implements that extension.
 //!
-//! * **OneValue** (every type) — the predicate is decided once per block.
-//! * **RLE** (numbers) — the predicate runs per *run* and the verdict is
-//!   replicated.
-//! * **Dictionary** (numbers) — the predicate runs once per *distinct* value;
-//!   the code sequence is then mapped through a verdict table.
-//! * **Frequency** (numbers) — decided once for the top value, per value only
-//!   for the exceptions.
+//! A predicate is a slice of *leaves*, `(CmpOp, Literal)` pairs on one
+//! column, ANDed: a row matches when it passes every leaf. Every entry point
+//! evaluates all the leaves in one pass over the block, packs the verdicts 64
+//! rows to a `u64` word, and builds the answer with
+//! [`RoaringBitmap::from_words`], so no kernel pushes matches one row at a
+//! time. [`filter_compressed`] holds the kernels and is the one place their
+//! set is declared; it answers, without materializing the block:
+//!
+//! * **OneValue** (every type) — decided once per block; a match is one range.
+//! * **RLE** (numbers) — decided once per *run*; matching runs become ranges.
+//! * **Dictionary** (numbers) — decided once per *distinct* value; the code
+//!   sequence is decoded once and mapped through those verdict bits.
+//! * **Frequency** (numbers) — decided once for the top value, then once per
+//!   exception.
 //!
 //! Every other block, string Dict and Dict+FSST included, is `Ok(None)`: "no
 //! kernel, decode". A string dictionary decodes to views over its small pool
@@ -21,7 +26,8 @@
 //! [`filter_block`] is total over all blocks: the kernel when there is one,
 //! decompress-then-[`filter_decoded`] otherwise. The expression engine (crate
 //! `btr-expr`) builds its leaf kernel on [`filter_compressed`], so a caller
-//! that keeps decoded blocks decodes each block once.
+//! that keeps decoded blocks decodes each block once. Kernels lease their
+//! temporaries from the caller's [`Scratch`].
 
 use crate::block::decompress_block_into;
 use crate::config::Config;
@@ -33,25 +39,24 @@ use crate::writer::Reader;
 use crate::{Error, Result};
 use btr_roaring::RoaringBitmap;
 
-/// Evaluates `op(literal)` over an already-decoded block (e.g. one served
-/// from a decoded-block cache), returning matching block-relative positions.
-/// The decoded-data counterpart of [`filter_compressed`].
-pub fn filter_decoded(col: &DecodedColumn, op: CmpOp, literal: &Literal) -> Result<RoaringBitmap> {
-    match (col, literal) {
-        (DecodedColumn::Int(v), Literal::Int(l)) => {
-            Ok(positions_where(v.iter().map(|x| op.matches(x, l))))
-        }
-        (DecodedColumn::Double(v), Literal::Double(l)) => {
-            Ok(positions_where(v.iter().map(|x| op.matches(x, l))))
-        }
-        (DecodedColumn::Str(views), Literal::Str(l)) => Ok(positions_where(
-            (0..views.len()).map(|i| op.matches(&views.get(i), &l.as_slice())),
-        )),
-        _ => Err(Error::Corrupt("predicate literal type mismatch")),
+/// Evaluates the AND of `leaves` over an already-decoded block (e.g. one
+/// served from a decoded-block cache), returning matching block-relative
+/// positions. The decoded-data counterpart of [`filter_compressed`].
+pub fn filter_decoded(
+    col: &DecodedColumn,
+    leaves: &[(CmpOp, Literal)],
+    scratch: &Scratch,
+) -> Result<RoaringBitmap> {
+    let mut words = scratch.lease::<Vec<u64>>(col.len().div_ceil(64));
+    match col {
+        DecodedColumn::Int(v) => pack(v, typed::<i32>(leaves)?, &mut words),
+        DecodedColumn::Double(v) => pack(v, typed::<f64>(leaves)?, &mut words),
+        DecodedColumn::Str(views) => pack_strs(views.iter(), typed::<&[u8]>(leaves)?, &mut words),
     }
+    Ok(RoaringBitmap::from_words(&words))
 }
 
-/// Evaluates `op(literal)` over one compressed block in the compressed
+/// Evaluates the AND of `leaves` over one compressed block in the compressed
 /// domain, returning matching row positions (block-relative), or `Ok(None)`
 /// when the block's scheme has no kernel: decode it and use
 /// [`filter_decoded`].
@@ -62,23 +67,20 @@ pub fn filter_decoded(col: &DecodedColumn, op: CmpOp, literal: &Literal) -> Resu
 pub fn filter_compressed(
     bytes: &[u8],
     ty: ColumnType,
-    op: CmpOp,
-    literal: &Literal,
+    leaves: &[(CmpOp, Literal)],
     cfg: &Config,
+    scratch: &Scratch,
 ) -> Result<Option<RoaringBitmap>> {
     let mut r = Reader::new(bytes);
     let (code, count) = scheme::read_frame_header(&mut r, cfg)?;
-    // One scratch per call: every cascade level below leases from it.
-    let scratch = Scratch::new();
-    let matches = match (ty, literal) {
-        (ColumnType::Integer, Literal::Int(lit)) => {
-            filter_fixed(&mut r, code, count, op, *lit, cfg, &scratch)?
+    let matches = match ty {
+        ColumnType::Integer => {
+            filter_fixed::<i32>(&mut r, code, count, typed(leaves)?, cfg, scratch)?
         }
-        (ColumnType::Double, Literal::Double(lit)) => {
-            filter_fixed(&mut r, code, count, op, *lit, cfg, &scratch)?
+        ColumnType::Double => {
+            filter_fixed::<f64>(&mut r, code, count, typed(leaves)?, cfg, scratch)?
         }
-        (ColumnType::String, Literal::Str(lit)) => filter_str(&mut r, code, count, op, lit)?,
-        _ => return Err(Error::Corrupt("predicate literal type mismatch")),
+        ColumnType::String => filter_str(&mut r, code, count, typed(leaves)?)?,
     };
     match matches {
         Some(_) if !r.rest().is_empty() => Err(Error::Corrupt("trailing bytes after block")),
@@ -86,39 +88,138 @@ pub fn filter_compressed(
     }
 }
 
-/// Evaluates `op(literal)` over one compressed block, returning matching row
-/// positions (block-relative): [`filter_compressed`] when the scheme has a
-/// kernel, decompress-then-[`filter_decoded`] otherwise. Total over all
-/// blocks: a corrupt block fails with the decoder's error.
+/// Evaluates the AND of `leaves` over one compressed block, returning
+/// matching row positions (block-relative): [`filter_compressed`] when the
+/// scheme has a kernel, decompress-then-[`filter_decoded`] otherwise. Total
+/// over all blocks: a corrupt block fails with the decoder's error.
 pub fn filter_block(
     bytes: &[u8],
     ty: ColumnType,
-    op: CmpOp,
-    literal: &Literal,
+    leaves: &[(CmpOp, Literal)],
     cfg: &Config,
 ) -> Result<RoaringBitmap> {
-    if let Some(matches) = filter_compressed(bytes, ty, op, literal, cfg)? {
+    let mut scratch = Scratch::new();
+    if let Some(matches) = filter_compressed(bytes, ty, leaves, cfg, &scratch)? {
         return Ok(matches);
     }
-    let mut scratch = Scratch::new();
     let mut decoded = scratch.lease_decoded(ty);
     decompress_block_into(bytes, ty, cfg, &mut scratch, &mut decoded)?;
-    filter_decoded(&decoded, op, literal)
+    filter_decoded(&decoded, leaves, &scratch)
 }
 
-fn positions_where(verdicts: impl Iterator<Item = bool>) -> RoaringBitmap {
-    RoaringBitmap::from_sorted_iter(
-        verdicts
-            .enumerate()
-            // lint: allow(cast) row positions are < count, which came off a u32 frame header
-            .filter_map(|(i, m)| m.then_some(i as u32)),
-    )
+/// A type a leaf's literal is read as.
+trait Operand<'a>: Sized {
+    fn of(literal: &'a Literal) -> Option<Self>;
 }
 
+impl Operand<'_> for i32 {
+    fn of(literal: &Literal) -> Option<i32> {
+        match literal {
+            Literal::Int(v) => Some(*v),
+            _ => None,
+        }
+    }
+}
+
+impl Operand<'_> for f64 {
+    fn of(literal: &Literal) -> Option<f64> {
+        match literal {
+            Literal::Double(v) => Some(*v),
+            _ => None,
+        }
+    }
+}
+
+impl<'a> Operand<'a> for &'a [u8] {
+    fn of(literal: &'a Literal) -> Option<&'a [u8]> {
+        match literal {
+            Literal::Str(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+/// The leaves with their literals read as `T`, or the type-mismatch error
+/// when any literal is not a `T`.
+fn typed<'a, T: Operand<'a> + 'a>(
+    leaves: &'a [(CmpOp, Literal)],
+) -> Result<impl Iterator<Item = (CmpOp, T)> + Clone + 'a> {
+    if leaves.iter().any(|(_, literal)| T::of(literal).is_none()) {
+        return Err(Error::Corrupt("predicate literal type mismatch"));
+    }
+    Ok(leaves.iter().filter_map(|(op, literal)| Some((*op, T::of(literal)?))))
+}
+
+/// Bit `i` set when `chunk[i]` passes; `chunk` holds at most 64 values.
+#[inline]
+fn bits<T>(chunk: &[T], mut pass: impl FnMut(&T) -> bool) -> u64 {
+    (chunk.iter().enumerate()).fold(0, |w, (i, x)| w | u64::from(pass(x)) << i)
+}
+
+/// The verdict word of 1 to 64 values: bit `i` set when `chunk[i]` passes
+/// every leaf. The operator is matched once per leaf and word, not per row.
+fn word<T: PartialOrd<L>, L>(chunk: &[T], leaves: impl Iterator<Item = (CmpOp, L)>) -> u64 {
+    let mut w = u64::MAX >> (64 - chunk.len());
+    for (op, lit) in leaves {
+        if w == 0 {
+            break;
+        }
+        w &= match op {
+            CmpOp::Eq => bits(chunk, |x| x.eq(&lit)),
+            CmpOp::Lt => bits(chunk, |x| x.lt(&lit)),
+            CmpOp::Le => bits(chunk, |x| x.le(&lit)),
+            CmpOp::Gt => bits(chunk, |x| x.gt(&lit)),
+            CmpOp::Ge => bits(chunk, |x| x.ge(&lit)),
+        };
+    }
+    w
+}
+
+/// Appends the verdict words of `values`, 64 values a word.
+fn pack<T: PartialOrd<L>, L>(
+    values: &[T],
+    leaves: impl Iterator<Item = (CmpOp, L)> + Clone,
+    words: &mut Vec<u64>,
+) {
+    words.extend(values.chunks(64).map(|chunk| word(chunk, leaves.clone())));
+}
+
+/// [`pack`] for strings read through an iterator (decoded views).
+fn pack_strs<'s, L>(
+    strs: impl Iterator<Item = &'s [u8]>,
+    leaves: impl Iterator<Item = (CmpOp, L)> + Clone,
+    words: &mut Vec<u64>,
+) where
+    &'s [u8]: PartialOrd<L>,
+{
+    let mut chunk: [&[u8]; 64] = [&[]; 64];
+    let mut n = 0;
+    for s in strs {
+        if let Some(slot) = chunk.get_mut(n) {
+            *slot = s;
+        }
+        n += 1;
+        if n == chunk.len() {
+            words.push(word(&chunk, leaves.clone()));
+            n = 0;
+        }
+    }
+    if let Some(rest) = chunk.get(..n).filter(|rest| !rest.is_empty()) {
+        words.push(word(rest, leaves));
+    }
+}
+
+/// The verdict bits of packed words, in row order (past the last row, the
+/// zero padding).
+fn verdicts(words: &[u64]) -> impl Iterator<Item = bool> + '_ {
+    words.iter().flat_map(|&w| (0..64).map(move |i| w >> i & 1 != 0))
+}
+
+/// Every row of a `count`-row block as one range, or none.
 fn all_or_none(count: usize, matched: bool) -> RoaringBitmap {
     if matched {
         // lint: allow(cast) count came off a u32 frame header and is capped by max_block_values
-        RoaringBitmap::from_sorted_iter(0..count as u32)
+        RoaringBitmap::from_sorted_ranges(std::iter::once(0..count as u32))
     } else {
         RoaringBitmap::new()
     }
@@ -141,51 +242,62 @@ fn expand_runs(verdicts: impl Iterator<Item = bool>, lengths: &[u32]) -> Roaring
 }
 
 /// Maps a dictionary block's decoded code sequence through the
-/// per-dictionary-entry verdict table; a short sequence or a code outside the
-/// table is the same corruption the decoder reports.
-fn positions_of_codes(codes: &[i32], count: usize, verdict: &[bool]) -> Result<RoaringBitmap> {
+/// per-dictionary-entry verdict bits (`entries` of them); a short sequence or
+/// a code outside the dictionary is the same corruption the decoder reports.
+fn map_codes(
+    codes: &[i32],
+    count: usize,
+    verdict: &[u64],
+    entries: usize,
+    words: &mut Vec<u64>,
+) -> Result<()> {
     if codes.len() != count {
         return Err(Error::Corrupt("dict code count mismatch"));
     }
     let mut in_range = true;
-    let matches = positions_where(codes.iter().map(|&c| {
-        let v = usize::try_from(c).ok().and_then(|c| verdict.get(c));
-        in_range &= v.is_some();
-        v.copied().unwrap_or(false)
+    words.extend(codes.chunks(64).map(|chunk| {
+        bits(chunk, |&c| {
+            let entry = usize::try_from(c).ok().filter(|&c| c < entries);
+            let bit = entry.and_then(|c| Some(verdict.get(c / 64)? >> (c % 64) & 1 != 0));
+            in_range &= bit.is_some();
+            bit.unwrap_or(false)
+        })
     }));
     if in_range {
-        Ok(matches)
+        Ok(())
     } else {
         Err(Error::Corrupt("dict code out of range"))
     }
 }
 
-/// Flips the exception rows whose verdict differs from the top value's.
-/// Mirrors the decoder's checks: one exception per bitmap position, every
-/// position inside the block.
+/// Fills `words` with `count` rows that all match the top value's verdict,
+/// then sets each exception row to its own verdict. Mirrors the decoder's
+/// checks: one exception per bitmap position, every position inside the
+/// block.
 fn patch_exceptions(
     count: usize,
     top_matches: bool,
     bitmap: &RoaringBitmap,
-    exception_matches: impl ExactSizeIterator<Item = bool>,
-) -> Result<RoaringBitmap> {
-    if bitmap.cardinality() as usize != exception_matches.len() {
+    exceptions: usize,
+    exception_verdicts: &[u64],
+    words: &mut Vec<u64>,
+) -> Result<()> {
+    if bitmap.cardinality() != exceptions as u64 {
         return Err(Error::Corrupt("frequency exception count mismatch"));
     }
-    let mut out = all_or_none(count, top_matches);
-    for (pos, matches) in bitmap.iter().zip(exception_matches) {
-        if pos as usize >= count {
-            return Err(Error::Corrupt("frequency exception position out of range"));
-        }
-        if matches != top_matches {
-            if top_matches {
-                out.remove(pos);
-            } else {
-                out.insert(pos);
-            }
-        }
+    let fill = if top_matches { u64::MAX } else { 0 };
+    words.resize(count / 64, fill);
+    if !count.is_multiple_of(64) {
+        words.push(fill >> (64 - count % 64));
     }
-    Ok(out)
+    for (pos, matches) in bitmap.iter().zip(verdicts(exception_verdicts)) {
+        let pos = pos as usize;
+        let word = words.get_mut(pos / 64).filter(|_| pos < count);
+        let word = word.ok_or(Error::Corrupt("frequency exception position out of range"))?;
+        let bit = 1u64 << (pos % 64);
+        *word = if matches { *word | bit } else { *word & !bit };
+    }
+    Ok(())
 }
 
 /// The integer and double compressed-domain kernels; `None` = this scheme
@@ -194,35 +306,44 @@ fn filter_fixed<V: Value>(
     r: &mut Reader<'_>,
     code: SchemeCode,
     count: usize,
-    op: CmpOp,
-    lit: V,
+    leaves: impl Iterator<Item = (CmpOp, V)> + Clone,
     cfg: &Config,
     scratch: &Scratch,
 ) -> Result<Option<RoaringBitmap>> {
     Ok(Some(match code {
-        SchemeCode::OneValue => all_or_none(count, op.matches(&r.value()?, &lit)),
+        SchemeCode::OneValue => all_or_none(count, word(&[r.value::<V>()?], leaves) != 0),
         SchemeCode::Rle => {
-            let (mut values, mut lengths) = (Vec::new(), Vec::new());
+            let mut values = scratch.lease::<Vec<V>>(0);
+            let mut lengths = scratch.lease::<Vec<u32>>(0);
             fixed::rle::read_runs_into(r, count, cfg, scratch, &mut values, &mut lengths)?;
-            expand_runs(values.iter().map(|v| op.matches(v, &lit)), &lengths)
+            let mut verdict = scratch.lease::<Vec<u64>>(values.len().div_ceil(64));
+            pack(&values, leaves, &mut verdict);
+            expand_runs(verdicts(&verdict), &lengths)
         }
         SchemeCode::Dict => {
             let dict_len = r.u32()? as usize;
-            let mut dict = Vec::<V>::new();
+            let mut dict = scratch.lease::<Vec<V>>(dict_len.min(count));
             r.vec_into(dict_len, &mut dict)?;
-            let verdict: Vec<bool> = dict.iter().map(|v| op.matches(v, &lit)).collect();
-            let mut codes = Vec::new();
+            let mut verdict = scratch.lease::<Vec<u64>>(dict.len().div_ceil(64));
+            pack(&dict, leaves, &mut verdict);
+            let mut codes = scratch.lease::<Vec<i32>>(count);
             scheme::decompress_into(r, cfg, scratch, &mut codes)?;
-            positions_of_codes(&codes, count, &verdict)?
+            let mut words = scratch.lease::<Vec<u64>>(count.div_ceil(64));
+            map_codes(&codes, count, &verdict, dict.len(), &mut words)?;
+            RoaringBitmap::from_words(&words)
         }
         SchemeCode::Frequency => {
             let top: V = r.value()?;
             let bitmap_len = r.u32()? as usize;
             let bitmap = RoaringBitmap::deserialize(r.take(bitmap_len)?)?;
-            let mut exceptions = Vec::<V>::new();
+            let mut exceptions = scratch.lease::<Vec<V>>(0);
             scheme::decompress_into(r, cfg, scratch, &mut exceptions)?;
-            let verdicts = exceptions.iter().map(|v| op.matches(v, &lit));
-            patch_exceptions(count, op.matches(&top, &lit), &bitmap, verdicts)?
+            let mut verdict = scratch.lease::<Vec<u64>>(exceptions.len().div_ceil(64));
+            pack(&exceptions, leaves.clone(), &mut verdict);
+            let top_matches = word(&[top], leaves) != 0;
+            let mut words = scratch.lease::<Vec<u64>>(count.div_ceil(64));
+            patch_exceptions(count, top_matches, &bitmap, exceptions.len(), &verdict, &mut words)?;
+            RoaringBitmap::from_words(&words)
         }
         _ => return Ok(None),
     }))
@@ -230,182 +351,54 @@ fn filter_fixed<V: Value>(
 
 /// The string compressed-domain kernel: OneValue decides once per block;
 /// every other string scheme is `None` (see the module docs).
-fn filter_str(
+fn filter_str<'a>(
     r: &mut Reader<'_>,
     code: SchemeCode,
     count: usize,
-    op: CmpOp,
-    lit: &[u8],
+    leaves: impl Iterator<Item = (CmpOp, &'a [u8])>,
 ) -> Result<Option<RoaringBitmap>> {
     if code != SchemeCode::OneValue {
         return Ok(None);
     }
     let len = r.u32()? as usize;
     let value = r.take(len)?;
-    Ok(Some(all_or_none(count, op.matches(&value, &lit))))
+    Ok(Some(all_or_none(count, word(&[value], leaves) != 0)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::{compress_block_with, BlockRef};
-    use crate::types::{ColumnData, StringArena};
+    use crate::block::{compress_block_with, decompress_block, BlockRef};
+    use crate::types::StringArena;
 
-    fn reference_filter(data: &ColumnData, op: CmpOp, lit: &Literal) -> Vec<u32> {
-        match (data, lit) {
-            (ColumnData::Int(v), Literal::Int(l)) => v
-                .iter()
-                .enumerate()
-                .filter_map(|(i, x)| op.matches(x, l).then_some(i as u32))
-                .collect(),
-            (ColumnData::Double(v), Literal::Double(l)) => v
-                .iter()
-                .enumerate()
-                .filter_map(|(i, x)| op.matches(x, l).then_some(i as u32))
-                .collect(),
-            (ColumnData::Str(a), Literal::Str(l)) => (0..a.len())
-                .filter_map(|i| op.matches(&a.get(i), &l.as_slice()).then_some(i as u32))
-                .collect(),
-            _ => panic!("type mismatch"),
-        }
-    }
-
-    fn check_all_schemes(data: ColumnData, schemes: &[SchemeCode], op: CmpOp, lit: Literal) {
-        let cfg = Config::default();
-        let expected = reference_filter(&data, op, &lit);
-        for &code in schemes {
-            let bytes = match &data {
-                ColumnData::Int(v) => compress_block_with(code, BlockRef::Int(v), &cfg),
-                ColumnData::Double(v) => compress_block_with(code, BlockRef::Double(v), &cfg),
-                ColumnData::Str(a) => compress_block_with(code, BlockRef::Str(a), &cfg),
-            };
-            let got = filter_block(&bytes, data.column_type(), op, &lit, &cfg).unwrap();
-            assert_eq!(
-                got.iter().collect::<Vec<_>>(),
-                expected,
-                "scheme {code:?}, op {op:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn int_predicates_across_schemes() {
-        let values: Vec<i32> = (0..5_000).map(|i| (i / 100) % 7).collect();
-        for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Ge] {
-            check_all_schemes(
-                ColumnData::Int(values.clone()),
-                &[
-                    SchemeCode::Uncompressed,
-                    SchemeCode::Rle,
-                    SchemeCode::Dict,
-                    SchemeCode::Frequency,
-                    SchemeCode::FastPfor,
-                    SchemeCode::FastBp128,
-                ],
-                op,
-                Literal::Int(3),
-            );
-        }
-    }
-
-    #[test]
-    fn int_onevalue_block() {
-        check_all_schemes(
-            ColumnData::Int(vec![5; 1000]),
-            &[SchemeCode::OneValue],
-            CmpOp::Eq,
-            Literal::Int(5),
-        );
-        check_all_schemes(
-            ColumnData::Int(vec![5; 1000]),
-            &[SchemeCode::OneValue],
-            CmpOp::Gt,
-            Literal::Int(5),
-        );
-    }
-
-    #[test]
-    fn double_predicates_across_schemes() {
-        let values: Vec<f64> = (0..4_000).map(|i| ((i * 3) % 50) as f64 * 0.25).collect();
-        for op in [CmpOp::Eq, CmpOp::Le, CmpOp::Gt] {
-            check_all_schemes(
-                ColumnData::Double(values.clone()),
-                &[
-                    SchemeCode::Uncompressed,
-                    SchemeCode::Rle,
-                    SchemeCode::Dict,
-                    SchemeCode::Frequency,
-                    SchemeCode::Pseudodecimal,
-                ],
-                op,
-                Literal::Double(5.25),
-            );
-        }
-    }
-
-    #[test]
-    fn nan_never_matches() {
-        let values = vec![f64::NAN, 1.0, f64::NAN];
-        check_all_schemes(
-            ColumnData::Double(values),
-            &[SchemeCode::Uncompressed],
-            CmpOp::Eq,
-            Literal::Double(f64::NAN),
-        );
-    }
-
-    #[test]
-    fn string_predicates_across_schemes() {
-        let strings: Vec<String> = (0..3_000).map(|i| format!("city-{:02}", (i / 37) % 20)).collect();
-        let refs: Vec<&str> = strings.iter().map(|s| s.as_str()).collect();
-        let arena = StringArena::from_strs(&refs);
-        for op in [CmpOp::Eq, CmpOp::Lt] {
-            check_all_schemes(
-                ColumnData::Str(arena.clone()),
-                &[
-                    SchemeCode::Uncompressed,
-                    SchemeCode::Dict,
-                    SchemeCode::DictFsst,
-                    SchemeCode::Fsst,
-                ],
-                op,
-                Literal::Str(b"city-07".to_vec()),
-            );
-        }
+    fn one(op: CmpOp, literal: Literal) -> [(CmpOp, Literal); 1] {
+        [(op, literal)]
     }
 
     #[test]
     fn type_mismatch_is_error() {
+        // Checked before any kernel or decode runs, for every leaf.
         let cfg = Config::default();
-        let bytes = compress_block_with(SchemeCode::Uncompressed, BlockRef::Int(&[1, 2]), &cfg);
-        assert!(filter_block(&bytes, ColumnType::Integer, CmpOp::Eq, &Literal::Double(1.0), &cfg).is_err());
-    }
-
-    #[test]
-    fn filter_decoded_matches_filter_block() {
-        use crate::block::decompress_block;
-        let cfg = Config::default();
-        let values: Vec<i32> = (0..3_000).map(|i| (i * 7) % 40).collect();
-        let bytes =
-            compress_block_with(SchemeCode::Uncompressed, BlockRef::Int(&values), &cfg);
+        let scratch = Scratch::new();
+        let mismatch = Error::Corrupt("predicate literal type mismatch");
+        let ints = [1, 2];
+        let bytes = compress_block_with(SchemeCode::Uncompressed, BlockRef::Int(&ints), &cfg);
+        let double = one(CmpOp::Eq, Literal::Double(1.0));
+        assert_eq!(filter_block(&bytes, ColumnType::Integer, &double, &cfg), Err(mismatch.clone()));
+        let mixed = [(CmpOp::Ge, Literal::Int(1)), (CmpOp::Lt, Literal::Str(b"2".to_vec()))];
+        assert_eq!(filter_block(&bytes, ColumnType::Integer, &mixed, &cfg), Err(mismatch.clone()));
         let decoded = decompress_block(&bytes, ColumnType::Integer, &cfg).unwrap();
-        for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Ge] {
-            let via_block =
-                filter_block(&bytes, ColumnType::Integer, op, &Literal::Int(13), &cfg).unwrap();
-            let via_decoded = filter_decoded(&decoded, op, &Literal::Int(13)).unwrap();
-            assert_eq!(
-                via_block.iter().collect::<Vec<_>>(),
-                via_decoded.iter().collect::<Vec<_>>()
-            );
-        }
-        // Type mismatch is a typed error, not a panic.
-        assert!(filter_decoded(&decoded, CmpOp::Eq, &Literal::Double(1.0)).is_err());
+        assert_eq!(filter_decoded(&decoded, &double, &scratch), Err(mismatch.clone()));
+        let strs = StringArena::from_strs(&["a"; 3]);
+        let bytes = compress_block_with(SchemeCode::OneValue, BlockRef::Str(&strs), &cfg);
+        let got = filter_compressed(&bytes, ColumnType::String, &double, &cfg, &scratch);
+        assert_eq!(got, Err(mismatch));
     }
 
     #[test]
     fn three_level_cascade_matches_filter_decoded() {
         // RLE root -> Dictionary run values -> bit-packed code sequence: the
-        // one per-call scratch is leased from at every level of the cascade.
+        // caller's scratch is leased from at every level of the cascade.
         let cfg = Config::default();
         let palette: Vec<i32> = (0..16).map(|i| 1_000_003 * (i * i - 40)).collect();
         let mut rng = 0x9E37_79B9u32;
@@ -427,83 +420,15 @@ mod tests {
             codes_frame == SchemeCode::FastBp128.as_u8() || codes_frame == SchemeCode::FastPfor.as_u8(),
             "code sequence should bit-pack, got scheme {codes_frame}"
         );
-        let decoded = crate::block::decompress_block(&bytes, ColumnType::Integer, &cfg).unwrap();
+        let decoded = decompress_block(&bytes, ColumnType::Integer, &cfg).unwrap();
+        let scratch = Scratch::new();
         for (op, lit) in [(CmpOp::Eq, palette[3]), (CmpOp::Lt, 0), (CmpOp::Ge, palette[9])] {
-            let lit = Literal::Int(lit);
-            let fast = filter_block(&bytes, ColumnType::Integer, op, &lit, &cfg).unwrap();
-            let slow = filter_decoded(&decoded, op, &lit).unwrap();
-            assert_eq!(fast.iter().collect::<Vec<_>>(), slow.iter().collect::<Vec<_>>(), "{op:?}");
+            let leaves = one(op, Literal::Int(lit));
+            let fast = filter_compressed(&bytes, ColumnType::Integer, &leaves, &cfg, &scratch);
+            let fast = fast.unwrap().expect("RLE has a kernel");
+            let slow = filter_decoded(&decoded, &leaves, &scratch).unwrap();
+            assert!(fast.iter().eq(slow.iter()), "{op:?}");
             assert!(!fast.is_empty() && (fast.cardinality() as usize) < values.len());
-        }
-    }
-
-    #[test]
-    fn filter_compressed_answers_exactly_the_kernel_schemes() {
-        // The module docs promise compressed-domain evaluation for exactly
-        // these scheme/type pairs; every other block (string Dict and
-        // Dict+FSST included) is `None`. Each answer equals the decoded
-        // filter.
-        use crate::block::decompress_block;
-        use SchemeCode::*;
-        let cfg = Config::default();
-        let ints: Vec<i32> = (0..3_000)
-            .map(|i| if i % 9 == 0 { i } else { (i / 50) % 6 })
-            .collect();
-        let doubles: Vec<f64> = ints.iter().map(|&i| f64::from(i) * 0.25).collect();
-        let strings: Vec<String> = ints.iter().map(|i| format!("city-{i:02}")).collect();
-        let arena = StringArena::from_strs(&strings);
-        let (one_int, one_double) = (vec![4i32; 1_000], vec![1.0f64; 1_000]);
-        let one_str = StringArena::from_strs(&["same"; 1_000]);
-        // (type, data, constant data, literal, kernel schemes, other schemes)
-        type Schemes<'a> = &'a [SchemeCode];
-        type Case<'a> = (ColumnType, BlockRef<'a>, BlockRef<'a>, Literal, Schemes<'a>, Schemes<'a>);
-        let cases: [Case<'_>; 3] = [
-            (
-                ColumnType::Integer,
-                BlockRef::Int(&ints),
-                BlockRef::Int(&one_int),
-                Literal::Int(3),
-                &[Rle, Dict, Frequency],
-                &[Uncompressed, FastPfor, FastBp128],
-            ),
-            (
-                ColumnType::Double,
-                BlockRef::Double(&doubles),
-                BlockRef::Double(&one_double),
-                Literal::Double(0.75),
-                &[Rle, Dict, Frequency],
-                &[Uncompressed, Pseudodecimal],
-            ),
-            (
-                ColumnType::String,
-                BlockRef::Str(&arena),
-                BlockRef::Str(&one_str),
-                Literal::Str(b"city-03".to_vec()),
-                &[],
-                &[Uncompressed, Dict, DictFsst, Fsst],
-            ),
-        ];
-        for (ty, data, constant, lit, kernels, others) in cases {
-            let forced = |code, data| {
-                let bytes = compress_block_with(code, data, &cfg);
-                assert_eq!(bytes[0], code.as_u8(), "{ty:?} {code:?} was not forced");
-                bytes
-            };
-            let kernel_blocks = std::iter::once((OneValue, forced(OneValue, constant)))
-                .chain(kernels.iter().map(|&code| (code, forced(code, data))));
-            for (code, bytes) in kernel_blocks {
-                let decoded = decompress_block(&bytes, ty, &cfg).unwrap();
-                for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Ge] {
-                    let got = filter_compressed(&bytes, ty, op, &lit, &cfg).unwrap();
-                    let got = got.unwrap_or_else(|| panic!("{ty:?} {code:?} has a kernel"));
-                    let want = filter_decoded(&decoded, op, &lit).unwrap();
-                    assert!(got.iter().eq(want.iter()), "{ty:?} {code:?} {op:?}");
-                }
-            }
-            for &code in others {
-                let got = filter_compressed(&forced(code, data), ty, CmpOp::Eq, &lit, &cfg);
-                assert_eq!(got, Ok(None), "{ty:?} {code:?} has no kernel");
-            }
         }
     }
 
@@ -543,20 +468,18 @@ mod tests {
     /// The containers a scheme's answer must be built from: `Exact` is what
     /// `from_sorted_iter` builds over the naive loop's positions, `Runs` the
     /// maximal ranges of those positions as run containers (a kernel that
-    /// answers a run at a time), `Values` only the positions.
+    /// answers a run or a block at a time).
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Form {
         Exact,
         Runs,
-        Values,
     }
 
     const ALL_OPS: [CmpOp; 5] = [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
 
     fn assert_form(got: &RoaringBitmap, positions: &[u32], form: Form, what: &str) {
-        let exact = RoaringBitmap::from_sorted_iter(positions.iter().copied());
-        match form {
-            Form::Exact => assert_eq!(got, &exact, "{what}"),
+        let want = match form {
+            Form::Exact => RoaringBitmap::from_sorted_iter(positions.iter().copied()),
             Form::Runs => {
                 let mut ranges: Vec<std::ops::Range<u32>> = Vec::new();
                 for &p in positions {
@@ -565,36 +488,48 @@ mod tests {
                         _ => ranges.push(p..p + 1),
                     }
                 }
-                assert_eq!(got, &RoaringBitmap::from_sorted_ranges(ranges), "{what}");
+                RoaringBitmap::from_sorted_ranges(ranges)
             }
-            Form::Values => {
-                assert!(got.iter().eq(positions.iter().copied()), "{what}");
-                assert_eq!(got.cardinality(), exact.cardinality(), "{what}");
-            }
-        }
+        };
+        assert_eq!(got, &want, "{what}");
     }
 
-    /// `(operator, literal, the naive row loop's matching positions)` for
-    /// every operator and literal.
-    type Cases = Vec<(CmpOp, Literal, Vec<u32>)>;
+    /// `(leaves, the naive row loop's matching positions)`.
+    type Cases = Vec<(Vec<(CmpOp, Literal)>, Vec<u32>)>;
 
-    fn naive_cases<T: Probe>(values: &[T], literals: &[T]) -> Cases {
-        let mut cases = Vec::new();
+    /// Every operator against every literal as one leaf, then the
+    /// multi-leaf sets on one column: range pairs around `lo < hi`, a
+    /// contradictory pair, a duplicated leaf, and a pair with each of
+    /// `extra` (NaN among them).
+    fn naive_cases<T: Probe>(values: &[T], lo: &T, hi: &T, extra: &[T]) -> Cases {
+        let mut sets: Vec<Vec<(CmpOp, &T)>> = Vec::new();
         for op in ALL_OPS {
-            for lit in literals {
-                let positions = (0u32..)
-                    .zip(values)
-                    .filter_map(|(i, v)| op.matches(v, lit).then_some(i))
-                    .collect();
-                cases.push((op, lit.literal(), positions));
+            for lit in [lo, hi].into_iter().chain(extra) {
+                sets.push(vec![(op, lit)]);
             }
         }
-        cases
+        sets.push(vec![(CmpOp::Ge, lo), (CmpOp::Lt, hi)]);
+        sets.push(vec![(CmpOp::Gt, lo), (CmpOp::Le, hi)]);
+        sets.push(vec![(CmpOp::Le, hi), (CmpOp::Ge, lo), (CmpOp::Eq, lo)]);
+        sets.push(vec![(CmpOp::Gt, hi), (CmpOp::Lt, lo)]);
+        sets.push(vec![(CmpOp::Le, hi), (CmpOp::Le, hi)]);
+        for lit in extra {
+            sets.push(vec![(CmpOp::Ge, lo), (CmpOp::Le, lit)]);
+        }
+        let case = |set: Vec<(CmpOp, &T)>| {
+            let positions = (0u32..)
+                .zip(values)
+                .filter_map(|(i, v)| set.iter().all(|(op, lit)| op.matches(v, lit)).then_some(i))
+                .collect();
+            (set.into_iter().map(|(op, lit)| (op, lit.literal())).collect(), positions)
+        };
+        sets.into_iter().map(case).collect()
     }
 
-    /// One forced block against the naive cases: a kernel scheme must answer
-    /// in the compressed domain, a decoded-path scheme must not, and
-    /// `filter_block` must agree with both.
+    /// One forced block against the naive cases, through one scratch: a
+    /// kernel scheme must answer in the compressed domain, a decoded-path
+    /// scheme must not, `filter_block` must agree with both, and a
+    /// multi-leaf answer must equal the intersection of its leaves' answers.
     fn probe_block<T: Probe>(
         ty: ColumnType,
         code: SchemeCode,
@@ -602,24 +537,35 @@ mod tests {
         values: &[T],
         cases: &Cases,
     ) {
-        use crate::block::decompress_block;
         let cfg = Config::default();
+        let scratch = Scratch::new();
         let bytes = T::compress(code, values, &cfg);
         assert_eq!(bytes[0], code.as_u8(), "{ty:?} {code:?} was not forced");
         let decoded = form.is_none().then(|| decompress_block(&bytes, ty, &cfg).unwrap());
-        for (i, (op, lit, positions)) in cases.iter().enumerate() {
-            let what = format!("{ty:?} {code:?} len {} {op:?} {lit:?}", values.len());
-            let kernel = filter_compressed(&bytes, ty, *op, lit, &cfg).unwrap();
-            assert_eq!(kernel.is_some(), form.is_some(), "{what}: kernel or not");
-            let got = match (kernel, &decoded) {
+        let filter = |leaves: &[(CmpOp, Literal)]| {
+            let kernel = filter_compressed(&bytes, ty, leaves, &cfg, &scratch).unwrap();
+            assert_eq!(kernel.is_some(), form.is_some(), "{ty:?} {code:?}: kernel or not");
+            match (kernel, &decoded) {
                 (Some(got), _) => got,
-                (None, Some(decoded)) => filter_decoded(decoded, *op, lit).unwrap(),
+                (None, Some(decoded)) => filter_decoded(decoded, leaves, &scratch).unwrap(),
                 (None, None) => unreachable!("a kernel scheme answered above"),
-            };
+            }
+        };
+        for (i, (leaves, positions)) in cases.iter().enumerate() {
+            let what = format!("{ty:?} {code:?} len {} {leaves:?}", values.len());
+            let got = filter(leaves);
             assert_form(&got, positions, form.unwrap_or(Form::Exact), &what);
             if i == 0 {
-                let total = filter_block(&bytes, ty, *op, lit, &cfg).unwrap();
+                let total = filter_block(&bytes, ty, leaves, &cfg).unwrap();
                 assert_eq!(total, got, "{what}: filter_block");
+            }
+            if let [first, rest @ ..] = &leaves[..] {
+                if rest.is_empty() {
+                    continue;
+                }
+                let each = rest.iter().map(|leaf| filter(std::slice::from_ref(leaf)));
+                let and = each.fold(filter(std::slice::from_ref(first)), |a, b| a.intersection(&b));
+                assert!(got.iter().eq(and.iter()), "{what}: intersection of its leaves");
             }
         }
     }
@@ -668,9 +614,8 @@ mod tests {
                             false => others[(i / 3) % others.len()].clone(),
                         })
                         .collect();
-                    let mut literals = vec![sorted[mark].clone(), sorted[neighbour].clone()];
-                    literals.extend(extra_literals.iter().cloned());
-                    let cases = naive_cases(&values, &literals);
+                    let (lo, hi) = (&sorted[mark.min(neighbour)], &sorted[mark.max(neighbour)]);
+                    let cases = naive_cases(&values, lo, hi, extra_literals);
                     for &(code, form) in kernels {
                         probe_block(ty, code, Some(form), &values, &cases);
                     }
@@ -682,10 +627,8 @@ mod tests {
             // OneValue needs a constant block.
             for v in sorted.iter().chain(unmarked_only).take(2).chain(unmarked_only) {
                 let values = vec![v.clone(); len];
-                let mut literals = vec![sorted[0].clone(), sorted[1].clone()];
-                literals.extend(extra_literals.iter().cloned());
-                let cases = naive_cases(&values, &literals);
-                probe_block(ty, SchemeCode::OneValue, Some(Form::Exact), &values, &cases);
+                let cases = naive_cases(&values, &sorted[0], &sorted[1], extra_literals);
+                probe_block(ty, SchemeCode::OneValue, Some(Form::Runs), &values, &cases);
             }
         }
     }
@@ -693,7 +636,7 @@ mod tests {
     const KERNELS: [(SchemeCode, Form); 3] = [
         (SchemeCode::Rle, Form::Runs),
         (SchemeCode::Dict, Form::Exact),
-        (SchemeCode::Frequency, Form::Values),
+        (SchemeCode::Frequency, Form::Exact),
     ];
 
     #[test]
@@ -734,21 +677,6 @@ mod tests {
             &[b"\0\0".to_vec()],
             &[],
             &[Uncompressed, Dict, DictFsst, Fsst],
-        );
-    }
-
-    #[test]
-    fn frequency_fast_path_with_matching_top() {
-        // Top value matches the predicate; exceptions partially do.
-        let mut values = vec![10i32; 2_000];
-        for i in (0..2_000).step_by(37) {
-            values[i] = i as i32;
-        }
-        check_all_schemes(
-            ColumnData::Int(values),
-            &[SchemeCode::Frequency],
-            CmpOp::Ge,
-            Literal::Int(10),
         );
     }
 

@@ -224,7 +224,8 @@ fn v1_mid_cascade_truncation_errors_cleanly() {
 // tampered block must never be *answered*. (`AggState::fold_compressed`'s
 // half of this contract is pinned in btr-expr's own tests.)
 
-/// Asserts the block decoder and `filter_block` both fail with `expected`.
+/// Asserts the block decoder and `filter_block`, with one leaf and with a
+/// two-leaf range, all fail with `expected`.
 fn assert_same_rejection(block: &[u8], ty: ColumnType, expected: Error) {
     let cfg = Config::default();
     let mut out = DecodedColumn::Int(Vec::new());
@@ -235,8 +236,11 @@ fn assert_same_rejection(block: &[u8], ty: ColumnType, expected: Error) {
         ColumnType::Double => Literal::Double(1.0),
         ColumnType::String => Literal::Str(b"1".to_vec()),
     };
-    let filtered = filter_block(block, ty, CmpOp::Eq, &lit, &cfg);
-    assert_eq!(filtered.unwrap_err(), expected, "filter_block");
+    let range = vec![(CmpOp::Ge, lit.clone()), (CmpOp::Le, lit.clone())];
+    for leaves in [vec![(CmpOp::Eq, lit)], range] {
+        let filtered = filter_block(block, ty, &leaves, &cfg);
+        assert_eq!(filtered.unwrap_err(), expected, "filter_block {leaves:?}");
+    }
 }
 
 /// A hand-written frame: `[code][count][payload…]`.

@@ -76,7 +76,7 @@ fn int_pushdown_matches_reference() {
         ] {
             let bytes = compress_block_with(code, BlockRef::Int(&values), &cfg);
             let got =
-                filter_block(&bytes, btrblocks::ColumnType::Integer, op, &Literal::Int(lit), &cfg)
+                filter_block(&bytes, btrblocks::ColumnType::Integer, &[(op, Literal::Int(lit))], &cfg)
                     .unwrap();
             assert_eq!(
                 got.iter().collect::<Vec<_>>(),
@@ -120,8 +120,7 @@ fn double_pushdown_matches_reference() {
             let got = filter_block(
                 &bytes,
                 btrblocks::ColumnType::Double,
-                op,
-                &Literal::Double(lit),
+                &[(op, Literal::Double(lit))],
                 &cfg,
             )
             .unwrap();
@@ -161,8 +160,7 @@ fn string_pushdown_matches_reference() {
             let got = filter_block(
                 &bytes,
                 btrblocks::ColumnType::String,
-                op,
-                &Literal::Str(lit_b.to_vec()),
+                &[(op, Literal::Str(lit_b.to_vec()))],
                 &cfg,
             )
             .unwrap();

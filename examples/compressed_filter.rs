@@ -67,7 +67,8 @@ fn main() {
     let started = Instant::now();
     let mut hits = 0u64;
     for block in &status_col.blocks {
-        hits += filter_block(block, status_col.column_type, CmpOp::Eq, &Literal::Int(404), &cfg)
+        let leaves = [(CmpOp::Eq, Literal::Int(404))];
+        hits += filter_block(block, status_col.column_type, &leaves, &cfg)
             .expect("filter")
             .cardinality();
     }
@@ -91,13 +92,25 @@ fn main() {
         materialized / pushed
     );
 
-    // 3. Range predicate on doubles.
-    let amount_col = &compressed.columns[2];
-    let mut over = 0u64;
-    for block in &amount_col.blocks {
-        over += filter_block(block, amount_col.column_type, CmpOp::Gt, &Literal::Double(99.0), &cfg)
-            .expect("filter")
-            .cardinality();
-    }
-    println!("amount > 99.0  -> {over} matches (evaluated on compressed blocks)");
+    // 3. A two-leaf range on doubles through the scan engine: both leaves
+    //    on `amount` run as one kernel pass per block.
+    let (lo, hi) = (25.0, 75.0);
+    let spec = ScanSpec::project(["amount"])
+        .with_expr(col("amount").ge(lit(lo)).and(col("amount").lt(lit(hi))));
+    let source = Arc::new(MemorySource::new("events", compressed.clone()));
+    let started = Instant::now();
+    let mut scan = engine.scan(source, &sidecar, &spec).expect("plan");
+    let in_range: usize = scan.by_ref().map(|b| b.expect("batch").rows()).sum();
+    let elapsed = started.elapsed().as_secs_f64();
+    let report = scan.report();
+    let ColumnData::Double(amounts) = &rel.columns[2].data else {
+        unreachable!("amount is a double column")
+    };
+    let in_range_ref = amounts.iter().filter(|&&x| x >= lo && x < hi).count();
+    assert_eq!(in_range, in_range_ref);
+    println!(
+        "{lo} <= amount < {hi} -> {in_range} matches, {} leaves answered on compressed blocks ({:.2} ms)",
+        report.blocks_pushdown_fast_path,
+        elapsed * 1e3
+    );
 }

@@ -191,10 +191,11 @@ fn filter(input: &str, column: &str, op: &str, literal: &str) -> Result<(), AnyE
         ColumnType::Double => Literal::Double(literal.parse()?),
         ColumnType::String => Literal::Str(literal.as_bytes().to_vec()),
     };
+    let leaves = [(op, lit)];
     let mut matches = 0u64;
     for block in &col.blocks {
         matches +=
-            btrblocks_repro::btrblocks::filter_block(block, col.column_type, op, &lit, &cfg)?
+            btrblocks_repro::btrblocks::filter_block(block, col.column_type, &leaves, &cfg)?
                 .cardinality();
     }
     println!("{matches} rows match (evaluated on compressed blocks)");
